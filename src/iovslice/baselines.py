@@ -43,7 +43,7 @@ class OfflinePlan:
 
 def random_coverage_slice(m: int, T: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Uniform coverage level and packet choice per (source, slot). Illegal
-    picks are not filtered here; the evaluator masks them when replaying."""
+    picks are not filtered here; the link layer masks them when replaying."""
     coverage = np.array(COVERAGE_LEVELS_M)[rng.integers(0, len(COVERAGE_LEVELS_M), size=(m, T))]
     packet = rng.integers(0, 3, size=(m, T))
     return coverage, packet
@@ -101,20 +101,21 @@ def evaluate_plan(
     channel_cfg: ChannelConfig,
     slot_duration_s: float,
 ) -> phy.DeliveryLedger:
-    """Replay the episode; same masking and link layer as the online policy."""
+    """Replay the episode through the same link layer as the online policy."""
     noise = noise_lin_mw(channel_cfg)
     ledger = phy.DeliveryLedger(scenario.packets)
     m, _, _, T = chan.gain_lin.shape
     for t in range(T):
         actions = []
         for s in range(m):
-            pkt = phy.mask_packet_choice(ledger, s, int(plan.packet[s, t]), t)
             f = int(plan.freq[s, t])
             if f == INACTIVE:
                 actions.append(phy.SlotAction(phy.PKT_NONE, 0.0, 0, phy.SILENCE_POWER_DBM))
             else:
                 actions.append(
-                    phy.SlotAction(pkt, float(plan.coverage_m[s, t]), f, float(plan.power_dbm[s, t]))
+                    phy.SlotAction(
+                        int(plan.packet[s, t]), float(plan.coverage_m[s, t]), f, float(plan.power_dbm[s, t])
+                    )
                 )
         phy.apply_slot(
             ledger,

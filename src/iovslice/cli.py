@@ -13,21 +13,24 @@ import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import baselines as bl
 from . import oracle as orc
-from .channel import trace_hash
+from .channel import ChannelState, trace_hash
 from .config import RunConfig, load_config, serialize_config
 from .dqn import (
-    DuelingQNetwork,
     TrainLogRow,
+    greedy_episode,
     load_checkpoint,
     save_checkpoint,
     train,
 )
 from .env import COVERAGE_LEVELS_M, POWER_LEVELS_DBM, EnvConfig, SlicingEnv
+from .phy import ReceptionStats
+from .scenario import Scenario
 from .worlds import TAG_EVAL, TAG_TRAIN, WorkloadConfig, WorldStream, algorithm_rng
 
 TRAINING_LOG_SCHEMA = "# schema: iovslice-training-log/1"
@@ -136,24 +139,23 @@ def cmd_train(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> tuple[Path,
     return ckpt, log_path
 
 
-def _eval_rows_dql(
-    cfg: RunConfig, net: DuelingQNetwork, workload: WorkloadConfig, episodes: int
+def _eval_rows(
+    cfg: RunConfig,
+    name: str,
+    workload: WorkloadConfig,
+    episodes: int,
+    play: Callable[[int, Scenario, ChannelState], ReceptionStats],
 ) -> list[list]:
-    env = SlicingEnv(cfg.env, cfg.channel)
+    """One EVAL_COLUMNS row per episode of the paired evaluation stream;
+    play(ep, scenario, chan) runs the algorithm on the episode's world."""
     stream = WorldStream(cfg.road, cfg.env, cfg.channel, workload, cfg.seed, TAG_EVAL)
     rows = []
     for ep in range(episodes):
         scenario, chan = stream(ep)
-        obs = env.reset(scenario, chan)
-        done = False
-        while not done:
-            step = env.step(int(np.argmax(net.forward(obs))))
-            obs = step.next_observation
-            done = step.terminal
-        st = env.stats()
+        st = play(ep, scenario, chan)
         rows.append(
             [
-                "DQL",
+                name,
                 ep,
                 st.receptions[0],
                 st.receptions[1],
@@ -175,41 +177,14 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, out_path: Path, episodes: int, sw
             f"checkpoint shapes ({net.obs_dim} obs, {net.n_actions} actions) do not match "
             f"config ({cfg.env.obs_dim} obs, {cfg.env.n_actions} actions)"
         )
+    env = SlicingEnv(cfg.env, cfg.channel)
     rows: list[list] = []
     for workload in sweep_points(cfg, sweep):
-        rows.extend(_eval_rows_dql(cfg, net, workload, episodes))
+        rows.extend(
+            _eval_rows(cfg, "DQL", workload, episodes, lambda ep, sc, ch: greedy_episode(net, env, sc, ch))
+        )
     _write_csv(out_path, EVAL_SCHEMA, EVAL_COLUMNS, rows)
     return out_path
-
-
-def _eval_rows_baseline(
-    cfg: RunConfig, name: str, workload: WorkloadConfig, episodes: int
-) -> list[list]:
-    stream = WorldStream(cfg.road, cfg.env, cfg.channel, workload, cfg.seed, TAG_EVAL)
-    algo_idx = bl.BASELINE_NAMES.index(name)
-    rows = []
-    for ep in range(episodes):
-        scenario, chan = stream(ep)
-        rng = algorithm_rng(cfg.seed, workload, ep, algo_idx)
-        run = bl.run_baseline(
-            name, scenario, chan, cfg.channel, cfg.env.slot_duration_s, rng, cfg.swap_max_iters
-        )
-        st = run.stats
-        rows.append(
-            [
-                name,
-                ep,
-                st.receptions[0],
-                st.receptions[1],
-                st.prr,
-                workload.slice2_bytes,
-                workload.deadline_len_slots,
-                st.packets[0],
-                st.packets[1],
-                trace_hash(chan),
-            ]
-        )
-    return rows
 
 
 def cmd_baseline(cfg: RunConfig, names: list[str], out_path: Path, episodes: int, sweep: str) -> Path:
@@ -219,17 +194,42 @@ def cmd_baseline(cfg: RunConfig, names: list[str], out_path: Path, episodes: int
     rows: list[list] = []
     for workload in sweep_points(cfg, sweep):
         for name in names:
-            rows.extend(_eval_rows_baseline(cfg, name, workload, episodes))
+
+            def play(ep: int, scenario: Scenario, chan: ChannelState) -> ReceptionStats:
+                rng = algorithm_rng(cfg.seed, workload, ep, bl.BASELINE_NAMES.index(name))
+                return bl.run_baseline(
+                    name, scenario, chan, cfg.channel, cfg.env.slot_duration_s, rng, cfg.swap_max_iters
+                ).stats
+
+            rows.extend(_eval_rows(cfg, name, workload, episodes, play))
     _write_csv(out_path, EVAL_SCHEMA, EVAL_COLUMNS, rows)
     return out_path
 
 
-def cmd_oracle(cfg: RunConfig, instances: int, out_path: Path | None) -> list[dict]:
-    """Tiny-instance sanity sweep: exhaustive optimum vs every policy.
+def oracle_instance(
+    cfg: RunConfig, env_cfg: EnvConfig, workload: WorkloadConfig, seed: int
+) -> tuple[Scenario, ChannelState, int, dict[str, bl.BaselineRun]]:
+    """One tiny instance: episode 0 of the evaluation stream at this seed, its
+    exhaustive optimum and every baseline's run on it.
 
     The optimum searches every coverage and power level of the action space,
     the levels the baselines draw from, so no policy may exceed it.
     """
+    scenario, chan = WorldStream(cfg.road, env_cfg, cfg.channel, workload, seed, TAG_EVAL)(0)
+    best = orc.brute_force_optimal(
+        scenario, chan, cfg.channel, env_cfg.slot_duration_s, COVERAGE_LEVELS_M, POWER_LEVELS_DBM
+    )
+    runs = {
+        name: bl.run_baseline(
+            name, scenario, chan, cfg.channel, env_cfg.slot_duration_s, algorithm_rng(seed, workload, 0, i)
+        )
+        for i, name in enumerate(bl.BASELINE_NAMES)
+    }
+    return scenario, chan, best.best_delivered, runs
+
+
+def cmd_oracle(cfg: RunConfig, instances: int, out_path: Path | None) -> list[dict]:
+    """Tiny-instance sanity sweep: exhaustive optimum vs every policy."""
     results = []
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA11CE]))
     for k in range(instances):
@@ -239,21 +239,9 @@ def cmd_oracle(cfg: RunConfig, instances: int, out_path: Path | None) -> list[di
         workload = replace(
             cfg.workload, deadline_len_slots=min(cfg.workload.deadline_len_slots, T)
         )
-        stream = WorldStream(cfg.road, env_cfg, cfg.channel, workload, cfg.seed + k, TAG_EVAL)
-        scenario, chan = stream(0)
-        best = orc.brute_force_optimal(
-            scenario, chan, cfg.channel, env_cfg.slot_duration_s, COVERAGE_LEVELS_M, POWER_LEVELS_DBM
-        )
-        policy_counts = {}
-        for name in bl.BASELINE_NAMES:
-            run = bl.run_baseline(
-                name, scenario, chan, cfg.channel, env_cfg.slot_duration_s,
-                algorithm_rng(cfg.seed + k, workload, 0, bl.BASELINE_NAMES.index(name)),
-            )
-            policy_counts[name] = sum(run.stats.packets)
-        results.append(
-            {"instance": k, "m": m, "T": T, "optimum": best.best_delivered, **policy_counts}
-        )
+        _, _, optimum, runs = oracle_instance(cfg, env_cfg, workload, cfg.seed + k)
+        counts = {name: sum(run.stats.packets) for name, run in runs.items()}
+        results.append({"instance": k, "m": m, "T": T, "optimum": optimum, **counts})
     if out_path is not None:
         cols = ["instance", "m", "T", "optimum", *bl.BASELINE_NAMES]
         _write_csv(

@@ -12,18 +12,16 @@ from .agent import (
     TrainingDiverged,
     TrainLogRow,
     epsilon,
+    greedy_episode,
     replay_beta,
     td_targets,
     train,
-    infer,
-    EpisodeResult,
 )
 
 __all__ = [
     "Adam",
     "CheckpointFormatError",
     "DuelingQNetwork",
-    "EpisodeResult",
     "PrioritizedReplay",
     "SumTree",
     "TrainConfig",
@@ -31,7 +29,7 @@ __all__ = [
     "TrainingDiverged",
     "UnsupportedVersionError",
     "epsilon",
-    "infer",
+    "greedy_episode",
     "load_checkpoint",
     "replay_beta",
     "save_checkpoint",

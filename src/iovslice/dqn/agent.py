@@ -1,4 +1,4 @@
-"""Training and inference loops for the scheduling policy.
+"""Training loop and greedy rollout for the scheduling policy.
 
 Training runs one gradient update per environment micro-step once the replay
 memory is warm, copies the online network into the target every fixed number
@@ -16,6 +16,7 @@ import numpy as np
 
 from ..channel import ChannelState
 from ..env import SlicingEnv, episode_return
+from ..phy import ReceptionStats
 from ..scenario import Scenario
 from .mlp import Adam, DuelingQNetwork
 from .replay import PrioritizedReplay
@@ -53,6 +54,8 @@ class TrainConfig:
             raise ValueError("need 0 < eps_end <= eps_start <= 1")
         if self.episodes < 1 or self.batch_size < 1:
             raise ValueError("episodes and batch size must be positive")
+        if self.target_copy_period < 1:
+            raise ValueError("target copy period must be at least 1 update")
 
 
 def epsilon(episode_idx: int, cfg: TrainConfig) -> float:
@@ -100,15 +103,6 @@ class TrainLogRow:
     moving_avg_200: float | None  # defined once 200 episodes exist
     epsilon: float
     loss_mean: float | None  # None until updates start
-
-
-@dataclass(frozen=True)
-class EpisodeResult:
-    slice1_packets: int
-    slice2_packets: int
-    slice1_receptions: int
-    slice2_receptions: int
-    prr: float | None
 
 
 WorldFn = Callable[[int], tuple[Scenario, ChannelState]]
@@ -193,31 +187,14 @@ def train(
     return net, log
 
 
-def infer(
-    net: DuelingQNetwork,
-    env: SlicingEnv,
-    world_fn: WorldFn,
-    episodes: int,
-) -> list[EpisodeResult]:
-    """Greedy rollouts (argmax Q, ties to the lowest action index)."""
-    results: list[EpisodeResult] = []
-    for ep in range(episodes):
-        scenario, chan = world_fn(ep)
-        obs = env.reset(scenario, chan)
-        done = False
-        while not done:
-            action = int(np.argmax(net.forward(obs)))
-            step = env.step(action)
-            obs = step.next_observation
-            done = step.terminal
-        stats = env.stats()
-        results.append(
-            EpisodeResult(
-                slice1_packets=stats.packets[0],
-                slice2_packets=stats.packets[1],
-                slice1_receptions=stats.receptions[0],
-                slice2_receptions=stats.receptions[1],
-                prr=stats.prr,
-            )
-        )
-    return results
+def greedy_episode(
+    net: DuelingQNetwork, env: SlicingEnv, scenario: Scenario, chan: ChannelState
+) -> ReceptionStats:
+    """One greedy rollout (argmax Q, ties to the lowest action index)."""
+    obs = env.reset(scenario, chan)
+    done = False
+    while not done:
+        step = env.step(int(np.argmax(net.forward(obs))))
+        obs = step.next_observation
+        done = step.terminal
+    return env.stats()

@@ -88,6 +88,10 @@ class EnvConfig:
             raise ValueError("m, n, F, T must all be at least 1")
         if not 0 < self.gamma <= 1:
             raise ValueError("discount must be in (0, 1]")
+        if not self.slot_duration_s > 0:
+            raise ValueError("slot duration must be positive")
+        if self.rate_norm_bps is not None and not self.rate_norm_bps > 0:
+            raise ValueError("rate normalizer must be positive, or auto")
 
     @property
     def n_actions(self) -> int:
@@ -181,17 +185,9 @@ class SlicingEnv:
 
     def _resolve_slot(self) -> float:
         cfg = self.cfg
-        actions = []
-        for src, idx in enumerate(self.pending):
-            act = action_to_slot_action(idx, cfg.F)
-            # Mask illegal choices to silence before the radio sees them.
-            masked = phy.mask_packet_choice(self.ledger, src, act.packet_id, self.slot)
-            if masked != act.packet_id:
-                act = phy.SlotAction(phy.PKT_NONE, act.coverage_m, act.freq, act.power_dbm)
-            actions.append(act)
         outcomes = phy.apply_slot(
             self.ledger,
-            actions,
+            [action_to_slot_action(idx, cfg.F) for idx in self.pending],
             self.channel.gain_lin[:, :, :, self.slot],
             self.channel.dist_m,
             self.noise_mw,

@@ -4,8 +4,8 @@ The optimum is the largest delivered-packet count that any sequence of raw
 per-source choices from the given coverage x packet x frequency x power
 levels can reach, under the same masking and slot resolution as the
 environment. It is an upper bound that every policy drawing its choices from
-those levels must respect, and `replay_actions` is an independent replay path
-that cross-checks the environment's bookkeeping.
+those levels must respect. `replay_actions` replays a sequence through the
+link layer the environment and the baselines share (`phy.apply_slot`).
 
 The search is depth-first over slots, but it does not enumerate raw choices.
 For each (source, slot) it keeps one representative of every choice that can
@@ -57,19 +57,14 @@ def replay_actions(
     slot_duration_s: float,
     actions_per_slot,
 ) -> phy.DeliveryLedger:
-    """Replay a full joint action sequence with the shared masking rules."""
+    """Replay a full joint action sequence of raw choices through the shared
+    link layer."""
     noise = noise_lin_mw(channel_cfg)
     ledger = phy.DeliveryLedger(scenario.packets)
     for t, slot_actions in enumerate(actions_per_slot):
-        masked = []
-        for s, act in enumerate(slot_actions):
-            pkt = phy.mask_packet_choice(ledger, s, act.packet_id, t)
-            masked.append(
-                act if pkt == act.packet_id else phy.SlotAction(pkt, act.coverage_m, act.freq, act.power_dbm)
-            )
         phy.apply_slot(
             ledger,
-            masked,
+            slot_actions,
             chan.gain_lin[:, :, :, t],
             chan.dist_m,
             noise,

@@ -26,7 +26,8 @@ PKT_SLICE2 = 2
 
 
 class ContractViolation(RuntimeError):
-    """A caller scheduled something the environment must have masked."""
+    """A caller broke the environment's call protocol, such as stepping a
+    finished episode."""
 
 
 def power_lin_mw(power_dbm: float) -> float:
@@ -100,30 +101,20 @@ class DeliveryLedger:
     packets: tuple[Packet, ...]
     leftover_bits: np.ndarray = field(init=False)
     delivered: np.ndarray = field(init=False)
-    delivered_slot: list[int | None] = field(init=False)
     reached: list[set[int]] = field(init=False)
 
     def __post_init__(self) -> None:
         self.leftover_bits = np.array([p.leftover_bits for p in self.packets], dtype=np.float64)
         self.delivered = np.array([p.leftover_bits == 0 for p in self.packets], dtype=bool)
-        self.delivered_slot = [None] * len(self.packets)
         self.reached = [set() for _ in self.packets]
-
-    @property
-    def n_sources(self) -> int:
-        return len(self.packets) // 2
 
     def index(self, src: int, slice_id: int) -> int:
         return 2 * src + (slice_id - 1)
-
-    def packet_of(self, src: int, packet_id: int) -> Packet:
-        return self.packets[self.index(src, packet_id)]
 
     def copy(self) -> "DeliveryLedger":
         dup = DeliveryLedger(self.packets)
         dup.leftover_bits = self.leftover_bits.copy()
         dup.delivered = self.delivered.copy()
-        dup.delivered_slot = list(self.delivered_slot)
         dup.reached = [set(s) for s in self.reached]
         return dup
 
@@ -132,8 +123,8 @@ def mask_packet_choice(ledger: DeliveryLedger, src: int, packet_id: int, slot: i
     """Demote useless packet choices to PKT_NONE.
 
     Already-delivered packets and safety packets outside their arrival/deadline
-    window cannot be scheduled; every scheduler funnels through this so all
-    policies share identical semantics.
+    window cannot be scheduled; `apply_slot` masks every choice through this,
+    so all policies share identical semantics.
     """
     if packet_id == PKT_NONE:
         return PKT_NONE
@@ -190,31 +181,22 @@ def apply_slot(
     slot: int,
     slot_duration_s: float,
 ) -> list[SourceOutcome]:
-    """Resolve one slot: SIC rates per broadcast group, then ledger updates.
+    """Resolve one slot of raw per-source choices: mask, SIC rates per
+    broadcast group, then ledger updates.
 
-    Raises ContractViolation if a slice 2 packet arrives outside its window;
-    that always signals a masking bug upstream. Delivered packets are safe to
-    re-schedule (treated as no transmission).
+    A choice of an already-delivered packet, or of a safety packet outside
+    its window, is masked to no transmission (`mask_packet_choice`).
     """
     m = len(actions)
     outcomes: list[SourceOutcome] = []
     effective: list[tuple[int, tuple[int, ...], int, float]] = []  # (pkt, group, freq, p_mw)
     for src, act in enumerate(actions):
-        pkt = act.packet_id
-        if pkt != PKT_NONE and not ledger.delivered[ledger.index(src, pkt)]:
-            p = ledger.packets[ledger.index(src, pkt)]
-            if pkt == PKT_SLICE2 and not (p.arrival_slot <= slot <= p.deadline_slot):
-                raise ContractViolation(
-                    f"slice 2 of source {src} scheduled at slot {slot} "
-                    f"outside [{p.arrival_slot}, {p.deadline_slot}]"
-                )
-        pkt = mask_packet_choice(ledger, src, pkt, slot)
+        pkt = mask_packet_choice(ledger, src, act.packet_id, slot)
         p_mw = power_lin_mw(act.power_dbm)
-        group = coverage_group(dist[src], act.coverage_m)
         if pkt == PKT_NONE or p_mw == 0.0 or act.coverage_m <= 0:
             effective.append((PKT_NONE, (), act.freq, 0.0))
         else:
-            effective.append((pkt, group, act.freq, p_mw))
+            effective.append((pkt, coverage_group(dist[src], act.coverage_m), act.freq, p_mw))
 
     rates = slot_rates(effective, gain_slot, noise_mw, rb_bandwidth_hz)
 
@@ -233,7 +215,6 @@ def apply_slot(
             if ledger.leftover_bits[k] <= 0.0:
                 ledger.leftover_bits[k] = 0.0
                 ledger.delivered[k] = True
-                ledger.delivered_slot[k] = slot
                 delivered_now = True
         outcomes.append(SourceOutcome(True, pkt, group, rates[src], delivered_now))
     return outcomes

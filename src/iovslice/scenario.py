@@ -162,18 +162,9 @@ def generate_vehicles(road: RoadConfig, m: int, n: int, rng: np.random.Generator
         if len(placed) >= m + n:
             break
     order = rng.permutation(len(placed))
-    sources = tuple(
-        Vehicle(i, SOURCE, *_unpack(placed[order[i]])) for i in range(m)
-    )
-    destinations = tuple(
-        Vehicle(m + j, DESTINATION, *_unpack(placed[order[m + j]])) for j in range(n)
-    )
+    sources = tuple(Vehicle(i, SOURCE, *placed[order[i]]) for i in range(m))
+    destinations = tuple(Vehicle(m + j, DESTINATION, *placed[order[m + j]]) for j in range(n))
     return Scenario(road=road, sources=sources, destinations=destinations)
-
-
-def _unpack(row: tuple[int, str, float, float]) -> tuple[int, str, float, float]:
-    lane, direction, x, speed = row
-    return lane, direction, x, speed
 
 
 def advance_mobility(scenario: Scenario, elapsed_s: float) -> Scenario:

@@ -17,11 +17,10 @@ from scipy import stats as scipy_stats
 from iovslice import baselines as bl
 from iovslice import cli, phy
 from iovslice.config import RunConfig, serialize_config
-from iovslice.dqn import DuelingQNetwork, TrainConfig, load_checkpoint
+from iovslice.dqn import DuelingQNetwork, TrainConfig, greedy_episode, load_checkpoint
 from iovslice.dqn.replay import PrioritizedReplay
-from iovslice.env import COVERAGE_LEVELS_M, POWER_LEVELS_DBM, EnvConfig, SlicingEnv
-from iovslice.oracle import brute_force_optimal
-from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream, algorithm_rng
+from iovslice.env import EnvConfig, SlicingEnv
+from iovslice.worlds import WorkloadConfig
 
 CACHE_DIR = Path(__file__).parent / ".acceptance-cache"
 EVAL_EPISODES = 200
@@ -150,6 +149,19 @@ def test_criterion_5_baseline_ordering(eval_rows):
     assert passed
 
 
+def test_cached_eval_rows_reproduce(default_cfg, trained, tmp_path):
+    # the leading seed-0 rows of the committed eval CSVs, regenerated byte for byte
+    ckpt, _ = trained
+    cached = CACHE_DIR / "eval-default"
+    dql = cli.cmd_eval(default_cfg, ckpt, tmp_path / "dql.csv", episodes=3, sweep="none")
+    assert dql.read_bytes() == b"".join((cached / "dql.csv").read_bytes().splitlines(keepends=True)[:5])
+    committed = (cached / "baselines.csv").read_bytes().splitlines(keepends=True)
+    for name in bl.BASELINE_NAMES:
+        out = cli.cmd_baseline(default_cfg, [name], tmp_path / f"{name}.csv", episodes=1, sweep="none")
+        row = [line for line in committed if line.startswith(f"{name},0,".encode())]
+        assert out.read_bytes() == b"".join(committed[:2] + row)
+
+
 # -- criterion 4: size trend ---------------------------------------------------
 
 
@@ -188,7 +200,6 @@ def test_criterion_4_size_trend(default_cfg, trained):
 
 def test_criterion_6_oracle_bounds(default_cfg):
     channel_cfg = default_cfg.channel
-    road = default_cfg.road
     instances = 0
     policy_violations = 0
     swap_violations = 0
@@ -197,36 +208,18 @@ def test_criterion_6_oracle_bounds(default_cfg):
         m = 1 + instances % 2
         T = 2 + (instances // 2) % 3  # cycle 2, 3, 4
         env_cfg = EnvConfig(m=m, n=2, F=1, T=T)
-        workload = WorkloadConfig(deadline_len_slots=2)
-        stream = WorldStream(road, env_cfg, channel_cfg, workload, 5000 + instances, TAG_EVAL)
-        scenario, chan = stream(0)
-        best = brute_force_optimal(
-            scenario, chan, channel_cfg, env_cfg.slot_duration_s, COVERAGE_LEVELS_M, POWER_LEVELS_DBM
+        scenario, chan, optimum, runs = cli.oracle_instance(
+            default_cfg, env_cfg, WorkloadConfig(deadline_len_slots=2), 5000 + instances
         )
         # every baseline policy is bounded by the optimum
-        for name in bl.BASELINE_NAMES:
-            run = bl.run_baseline(
-                name,
-                scenario,
-                chan,
-                channel_cfg,
-                env_cfg.slot_duration_s,
-                algorithm_rng(5000 + instances, workload, 0, bl.BASELINE_NAMES.index(name)),
-            )
-            if sum(run.stats.packets) > best.best_delivered:
+        for run in runs.values():
+            if sum(run.stats.packets) > optimum:
                 policy_violations += 1
             if any(a >= b for a, b in zip(run.objective_history, run.objective_history[1:])):
                 swap_violations += 1
         # a greedy rollout of a random network is bounded too
-        env = SlicingEnv(env_cfg, channel_cfg)
         net = DuelingQNetwork(env_cfg.obs_dim, (16, 16), env_cfg.n_actions, rng)
-        obs = env.reset(scenario, chan)
-        done = False
-        while not done:
-            step = env.step(int(np.argmax(net.forward(obs))))
-            obs = step.next_observation
-            done = step.terminal
-        if sum(env.stats().packets) > best.best_delivered:
+        if sum(greedy_episode(net, SlicingEnv(env_cfg, channel_cfg), scenario, chan).packets) > optimum:
             policy_violations += 1
         instances += 1
     passed = policy_violations == 0 and swap_violations == 0

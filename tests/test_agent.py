@@ -7,7 +7,7 @@ from iovslice.dqn import (
     DuelingQNetwork,
     TrainConfig,
     epsilon,
-    infer,
+    greedy_episode,
     replay_beta,
     td_targets,
     train,
@@ -123,7 +123,7 @@ def test_log_rows_shape():
     assert all(0.02 <= row.epsilon <= 1.0 for row in log)
 
 
-def test_infer_zero_net_ties_to_action_zero():
+def test_greedy_episode_zero_net_ties_to_action_zero():
     stream, env = tiny_world()
     net = DuelingQNetwork(env.cfg.obs_dim, (4,), env.cfg.n_actions, rng=None)
     actions = []
@@ -134,18 +134,17 @@ def test_infer_zero_net_ties_to_action_zero():
         return real_step(a)
 
     env.step = spy
-    results = infer(net, env, stream, episodes=2)
-    assert all(a == 0 for a in actions)  # argmax of all-zero Q
-    assert len(results) == 2
+    for ep in range(2):
+        greedy_episode(net, env, *stream(ep))
+    assert actions == [0] * (2 * env.cfg.m * env.cfg.T)  # argmax of all-zero Q, full episodes
 
 
-def test_infer_packet_counts_bounded():
+def test_greedy_episode_packet_counts_bounded():
     stream, env = tiny_world()
     net = DuelingQNetwork(env.cfg.obs_dim, (8, 8), env.cfg.n_actions, np.random.default_rng(3))
-    for r in infer(net, env, stream, episodes=5):
-        assert 0 <= r.slice1_packets <= env.cfg.m
-        assert 0 <= r.slice2_packets <= env.cfg.m
-        assert r.slice1_receptions <= env.cfg.m * env.cfg.n
-        assert r.slice2_receptions <= env.cfg.m * env.cfg.n
-        if r.prr is not None:
-            assert 0.0 <= r.prr <= 1.0
+    for ep in range(5):
+        st = greedy_episode(net, env, *stream(ep))
+        assert all(0 <= k <= env.cfg.m for k in st.packets)
+        assert all(r <= env.cfg.m * env.cfg.n for r in st.receptions)
+        if st.prr is not None:
+            assert 0.0 <= st.prr <= 1.0

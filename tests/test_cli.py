@@ -1,10 +1,11 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 from iovslice import cli
 from iovslice.config import RunConfig, parse_config, serialize_config
-from iovslice.dqn import TrainConfig
+from iovslice.dqn import DuelingQNetwork, TrainConfig, save_checkpoint
 from iovslice.env import EnvConfig
 
 
@@ -38,6 +39,25 @@ def test_config_rejects_unknown_key():
         parse_config("env.bogus = 3\n")
     with pytest.raises(ValueError, match="section"):
         parse_config("m = 3\n")
+
+
+@pytest.mark.parametrize(
+    "line, command",
+    [
+        ("train.target_copy_period = 0", ["train", "--out", "run"]),
+        ("env.rate_norm_bps = 0.0", ["eval", "--checkpoint", "ckpt.bin", "--out", "eval.csv"]),
+        ("env.slot_duration_s = -0.005", ["eval", "--checkpoint", "ckpt.bin", "--out", "eval.csv"]),
+    ],
+)
+def test_main_rejects_malformed_config_value(tmp_path, monkeypatch, capsys, line, command):
+    monkeypatch.chdir(tmp_path)
+    cfg = tiny_cfg()
+    Path("run.cfg").write_text(serialize_config(cfg) + line + "\n")
+    save_checkpoint(DuelingQNetwork(cfg.env.obs_dim, (4,), cfg.env.n_actions, rng=None), Path("ckpt.bin"))
+    before = sorted(tmp_path.iterdir())
+    assert cli.main([command[0], "--config", "run.cfg", *command[1:], "--episodes", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(tmp_path.iterdir()) == before  # rejected before any output
 
 
 def test_print_config_subcommand(capsys):

@@ -143,3 +143,46 @@ def test_oracle_early_exit_on_full_delivery():
     chan = forced_channel(sc, -60.0, F=1, T=2)
     res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005, COV, POW)
     assert res.best_delivered == 2
+
+
+def test_replay_paths_agree():
+    # the environment, the baselines' evaluator and the oracle's replay feed
+    # the same raw choices to the shared link layer, masked choices included
+    worlds = [_random_tiny_instance(seed, 2, 6) for seed in range(4)]
+    for gain_db in (-60.0, -80.0):  # slice 2 delivers in one slot at -60 dB
+        sc = hand_built_scenario([0.0, 300.0], [100.0, 400.0])  # slice 2 window 0..7
+        worlds.append((EnvConfig(m=2, n=2, F=2, T=12), sc, forced_channel(sc, gain_db, F=2, T=12)))
+    rng = np.random.default_rng(2718)
+    delivered_picks = closed_picks = 0
+    for env_cfg, sc, chan in worlds:
+        m, F, T = env_cfg.m, env_cfg.F, env_cfg.T
+        for _ in range(5):
+            choices = rng.integers(n_actions(F), size=(T, m))
+            acts = [[action_to_slot_action(int(i), F) for i in row] for row in choices]
+            env = SlicingEnv(env_cfg, ChannelConfig())
+            env.reset(sc, chan)
+            for t in range(T):
+                for s, act in enumerate(acts[t]):
+                    if act.packet_id != phy.PKT_NONE:
+                        k = env.ledger.index(s, act.packet_id)
+                        pkt = sc.packets[k]
+                        delivered_picks += bool(env.ledger.delivered[k])
+                        closed_picks += act.packet_id == phy.PKT_SLICE2 and not (
+                            pkt.arrival_slot <= t <= pkt.deadline_slot
+                        )
+                for idx in choices[t]:
+                    env.step(int(idx))
+            plan = bl.OfflinePlan(
+                coverage_m=np.array([[a.coverage_m for a in row] for row in acts]).T,
+                packet=np.array([[a.packet_id for a in row] for row in acts]).T,
+                freq=np.array([[a.freq for a in row] for row in acts]).T,
+                power_dbm=np.array([[a.power_dbm for a in row] for row in acts]).T,
+            )
+            for ledger in (
+                bl.evaluate_plan(plan, sc, chan, ChannelConfig(), env_cfg.slot_duration_s),
+                replay_actions(sc, chan, ChannelConfig(), env_cfg.slot_duration_s, acts),
+            ):
+                assert np.array_equal(ledger.leftover_bits, env.ledger.leftover_bits)
+                assert np.array_equal(ledger.delivered, env.ledger.delivered)
+                assert ledger.reached == env.ledger.reached
+    assert delivered_picks > 0 and closed_picks > 0
