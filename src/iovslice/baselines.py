@@ -2,9 +2,11 @@
 
 All three variants draw coverage and slice uniformly at random per slot, then
 assign frequencies greedily by channel gain and locally improve the assignment
-with swap moves, replaying the whole episode through the same link layer the
-learned policy is scored by. OMA keeps one transmitter per resource block;
-the MP variants always use maximum power while RP draws a random level.
+with swap moves, scoring each through the same link layer the learned policy
+is scored by. A move edits one slot, so its trial replays from the current
+plan's recorded ledger at that slot and stops as soon as the ledger matches
+the record again. OMA keeps one transmitter per resource block; the MP
+variants always use maximum power while RP draws a random level.
 """
 
 from __future__ import annotations
@@ -100,12 +102,23 @@ def evaluate_plan(
     chan: ChannelState,
     channel_cfg: ChannelConfig,
     slot_duration_s: float,
-) -> phy.DeliveryLedger:
-    """Replay the episode through the same link layer as the online policy."""
+    record: list[phy.DeliveryLedger] | None = None,
+    start: int = 0,
+) -> list[phy.DeliveryLedger]:
+    """Replay the episode through the same link layer as the online policy.
+
+    Returns the ledger before every slot and after the last, T + 1 of them;
+    the last is the episode's outcome. `record` holds those ledgers for a
+    plan that differs from this one only at slot `start`: the replay then
+    resumes from record[start] and stops after the first slot that leaves
+    leftover bits and delivery flags bit for bit as the record has them.
+    Every later slot then plays out alike, so this plan delivers what the
+    recorded one does; such a replay returns the ledgers up to that slot only.
+    """
     noise = noise_lin_mw(channel_cfg)
-    ledger = phy.DeliveryLedger(scenario.packets)
     m, _, _, T = chan.gain_lin.shape
-    for t in range(T):
+    ledgers = [phy.DeliveryLedger(scenario.packets)] if record is None else record[: start + 1]
+    for t in range(start, T):
         actions = []
         for s in range(m):
             f = int(plan.freq[s, t])
@@ -117,6 +130,7 @@ def evaluate_plan(
                         int(plan.packet[s, t]), float(plan.coverage_m[s, t]), f, float(plan.power_dbm[s, t])
                     )
                 )
+        ledger = ledgers[-1].copy()
         phy.apply_slot(
             ledger,
             actions,
@@ -127,11 +141,52 @@ def evaluate_plan(
             t,
             slot_duration_s,
         )
-    return ledger
+        ledgers.append(ledger)
+        # bit-identical progress, so the rest replays exactly as recorded
+        if (
+            record is not None
+            and ledger.leftover_bits.tobytes() == record[t + 1].leftover_bits.tobytes()
+            and ledger.delivered.tobytes() == record[t + 1].delivered.tobytes()
+        ):
+            break
+    return ledgers
 
 
 def delivered_packets(ledger: phy.DeliveryLedger) -> int:
     return int(ledger.delivered.sum())
+
+
+@dataclass
+class BaselineRun:
+    stats: phy.ReceptionStats
+    plan: OfflinePlan
+    objective_history: list[int]
+    evaluations: int  # plans scored by the swap search, the initial plan included
+    slots_replayed: int  # phy.apply_slot calls those scorings made
+
+
+def _moves(current: OfflinePlan, oma: bool, F: int):
+    """(slot, trial plan) per candidate move of `current`, in search order:
+    per slot, pairwise frequency swaps (vacancies included), then
+    single-source retunes respecting OMA exclusivity."""
+    m, T = current.freq.shape
+    for t in range(T):
+        for i in range(m):
+            for j in range(i + 1, m):
+                if current.freq[i, t] == current.freq[j, t]:
+                    continue
+                trial = current.copy()
+                trial.freq[i, t], trial.freq[j, t] = current.freq[j, t], current.freq[i, t]
+                yield t, trial
+        for i in range(m):
+            for f in range(F):
+                if current.freq[i, t] == f:
+                    continue
+                if oma and any(current.freq[j, t] == f for j in range(m) if j != i):
+                    continue
+                trial = current.copy()
+                trial.freq[i, t] = f
+                yield t, trial
 
 
 def swap_matching(
@@ -140,69 +195,35 @@ def swap_matching(
     oma: bool,
     F: int,
     max_iters: int = 1000,
-) -> tuple[OfflinePlan, list[int]]:
+) -> BaselineRun:
     """First-improvement local search over frequency swaps and single moves.
 
-    evaluate: plan -> delivered packet count. A move is kept only if the count
-    strictly increases; returns the plan and the objective after each accepted
-    move (leading entry is the initial objective).
+    evaluate(plan, record, start) -> ledgers replays a plan as `evaluate_plan`
+    does: in full when record is None, else from slot `start` against the
+    current plan's ledgers, which every trial differs from at that slot only.
+    A trial that rejoins them (fewer than T + 1 ledgers back) delivers what
+    the current plan does. A move is kept only if the delivered count
+    strictly increases; the objective history holds the count after each
+    accepted move (leading entry: the initial count), and the stats are read
+    off the final plan's recorded ledgers.
     """
-    m, T = plan.freq.shape
+    T = plan.freq.shape[1]
     current = plan.copy()
-    history = [int(evaluate(current))]
-    accepted = 0
-    improved = True
-    while improved and accepted < max_iters:
-        improved = False
-        for t in range(T):
-            # pairwise frequency swaps, vacancies included
-            for i in range(m):
-                for j in range(i + 1, m):
-                    if current.freq[i, t] == current.freq[j, t]:
-                        continue
-                    trial = current.copy()
-                    trial.freq[i, t], trial.freq[j, t] = current.freq[j, t], current.freq[i, t]
-                    score = int(evaluate(trial))
-                    if score > history[-1]:
-                        current = trial
-                        history.append(score)
-                        accepted += 1
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
+    record = evaluate(current, None, 0)
+    history = [delivered_packets(record[-1])]
+    evaluations, slots = 1, len(record) - 1
+    while len(history) - 1 < max_iters:
+        for t, trial in _moves(current, oma, F):
+            ledgers = evaluate(trial, record, t)
+            evaluations += 1
+            slots += len(ledgers) - 1 - t
+            if len(ledgers) > T and delivered_packets(ledgers[-1]) > history[-1]:
+                current, record = trial, ledgers
+                history.append(delivered_packets(ledgers[-1]))
                 break
-            # single-source retunes, respecting OMA exclusivity
-            for i in range(m):
-                for f in range(F):
-                    if current.freq[i, t] == f:
-                        continue
-                    if oma and any(
-                        current.freq[j, t] == f for j in range(m) if j != i
-                    ):
-                        continue
-                    trial = current.copy()
-                    trial.freq[i, t] = f
-                    score = int(evaluate(trial))
-                    if score > history[-1]:
-                        current = trial
-                        history.append(score)
-                        accepted += 1
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
-                break
-    return current, history
-
-
-@dataclass
-class BaselineRun:
-    stats: phy.ReceptionStats
-    plan: OfflinePlan
-    objective_history: list[int]
+        else:
+            break
+    return BaselineRun(phy.reception_stats(record[-1]), current, history, evaluations, slots)
 
 
 def run_baseline(
@@ -222,9 +243,7 @@ def run_baseline(
     powers = draw_powers(name, m, T, rng)
     plan = initial_rb_allocation(scenario, chan, coverage, packet, powers, oma)
 
-    def evaluate(p: OfflinePlan) -> int:
-        return delivered_packets(evaluate_plan(p, scenario, chan, channel_cfg, slot_duration_s))
+    def evaluate(p: OfflinePlan, record: list[phy.DeliveryLedger] | None, start: int):
+        return evaluate_plan(p, scenario, chan, channel_cfg, slot_duration_s, record, start)
 
-    plan, history = swap_matching(plan, evaluate, oma, F, max_iters)
-    ledger = evaluate_plan(plan, scenario, chan, channel_cfg, slot_duration_s)
-    return BaselineRun(stats=phy.reception_stats(ledger), plan=plan, objective_history=history)
+    return swap_matching(plan, evaluate, oma, F, max_iters)

@@ -221,7 +221,13 @@ def oracle_instance(
     )
     runs = {
         name: bl.run_baseline(
-            name, scenario, chan, cfg.channel, env_cfg.slot_duration_s, algorithm_rng(seed, workload, 0, i)
+            name,
+            scenario,
+            chan,
+            cfg.channel,
+            env_cfg.slot_duration_s,
+            algorithm_rng(seed, workload, 0, i),
+            cfg.swap_max_iters,
         )
         for i, name in enumerate(bl.BASELINE_NAMES)
     }

@@ -112,7 +112,8 @@ class DeliveryLedger:
         return 2 * src + (slice_id - 1)
 
     def copy(self) -> "DeliveryLedger":
-        dup = DeliveryLedger(self.packets)
+        dup = object.__new__(DeliveryLedger)  # skips __post_init__, which would build all three anew
+        dup.packets = self.packets
         dup.leftover_bits = self.leftover_bits.copy()
         dup.delivered = self.delivered.copy()
         dup.reached = [set(s) for s in self.reached]

@@ -157,9 +157,9 @@ def test_cached_eval_rows_reproduce(default_cfg, trained, tmp_path):
     assert dql.read_bytes() == b"".join((cached / "dql.csv").read_bytes().splitlines(keepends=True)[:5])
     committed = (cached / "baselines.csv").read_bytes().splitlines(keepends=True)
     for name in bl.BASELINE_NAMES:
-        out = cli.cmd_baseline(default_cfg, [name], tmp_path / f"{name}.csv", episodes=1, sweep="none")
-        row = [line for line in committed if line.startswith(f"{name},0,".encode())]
-        assert out.read_bytes() == b"".join(committed[:2] + row)
+        out = cli.cmd_baseline(default_cfg, [name], tmp_path / f"{name}.csv", episodes=20, sweep="none")
+        rows = [line for line in committed if line.split(b",")[0] == name.encode()][:20]  # episodes 0-19
+        assert out.read_bytes() == b"".join(committed[:2] + rows)
 
 
 # -- criterion 4: size trend ---------------------------------------------------

@@ -4,7 +4,10 @@ import pytest
 from iovslice import baselines as bl
 from iovslice import phy
 from iovslice.channel import ChannelConfig
-from iovslice.scenario import Packet, SLICE_SAFETY, SLICE_THROUGHPUT
+from iovslice.config import RunConfig
+from iovslice.env import COVERAGE_LEVELS_M, POWER_LEVELS_DBM, EnvConfig
+from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY, SLICE_THROUGHPUT
+from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream
 
 from tests.conftest import forced_channel, hand_built_scenario
 
@@ -120,30 +123,34 @@ def _two_source_conflict():
     return sc, chan, cfg, plan
 
 
+def _evaluator(sc, chan, cfg, seen=None):
+    def evaluate(p, record, start):
+        if seen is not None:
+            seen.append(p)
+        return bl.evaluate_plan(p, sc, chan, cfg, 0.005, record, start)
+
+    return evaluate
+
+
 def test_swap_matching_finds_improvement():
     sc, chan, cfg, plan = _two_source_conflict()
-
-    def evaluate(p):
-        return bl.delivered_packets(bl.evaluate_plan(p, sc, chan, cfg, 0.005))
-
-    assert evaluate(plan) == 0  # both parked on the dud frequency
-    improved, history = bl.swap_matching(plan, evaluate, oma=False, F=2)
+    evaluate = _evaluator(sc, chan, cfg)
+    assert bl.delivered_packets(evaluate(plan, None, 0)[-1]) == 0  # both parked on the dud frequency
+    run = bl.swap_matching(plan, evaluate, oma=False, F=2)
+    history = run.objective_history
     assert history[0] == 0 and history[-1] >= 1  # a move converted 0 -> 1
-    assert 1 in improved.freq[:, 0].tolist()
+    assert 1 in run.plan.freq[:, 0].tolist()
     assert all(a < b for a, b in zip(history, history[1:]))  # strictly improving
+    assert sum(run.stats.packets) == history[-1]
 
 
 def test_swap_matching_fixpoint_returns_unchanged():
     sc, chan, cfg, plan = _two_source_conflict()
     plan.freq[0, 0] = 1
     plan.freq[1, 0] = 1  # both on the good frequency: SIC saves one, local optimum
-
-    def evaluate(p):
-        return bl.delivered_packets(bl.evaluate_plan(p, sc, chan, cfg, 0.005))
-
-    out, history = bl.swap_matching(plan, evaluate, oma=False, F=2)
-    assert np.array_equal(out.freq, plan.freq)
-    assert len(history) == 1  # no accepted moves
+    run = bl.swap_matching(plan, _evaluator(sc, chan, cfg), oma=False, F=2)
+    assert np.array_equal(run.plan.freq, plan.freq)
+    assert len(run.objective_history) == 1  # no accepted moves
 
 
 def test_swap_matching_respects_oma():
@@ -156,16 +163,158 @@ def test_swap_matching_respects_oma():
     plan = bl.initial_rb_allocation(sc, chan, coverage, packet, power, oma=True)
 
     history_plans = []
-
-    def evaluate(p):
-        history_plans.append(p)
-        return bl.delivered_packets(bl.evaluate_plan(p, sc, chan, cfg, 0.005))
-
-    final, _ = bl.swap_matching(plan, evaluate, oma=True, F=2)
+    final = bl.swap_matching(plan, _evaluator(sc, chan, cfg, history_plans), oma=True, F=2).plan
     for p in (plan, final, *history_plans):
         for t in range(20):
             active = p.freq[:, t][p.freq[:, t] != bl.INACTIVE]
             assert len(set(active.tolist())) == len(active)
+
+
+def _small_worlds():
+    """Stream worlds (slice-2 windows of 3 of 8 slots) plus two flat
+    channels on which a throughput payload takes several slots."""
+    workload = WorkloadConfig(deadline_len_slots=3)
+    for seed in range(6):
+        env_cfg = EnvConfig(m=3, n=3, F=2, T=8)
+        yield WorldStream(RoadConfig(), env_cfg, ChannelConfig(), workload, seed, TAG_EVAL)(0)
+    for gain_db in (-60.0, -85.0):
+        sc = hand_built_scenario([0.0, 300.0, 600.0], [100.0, 400.0])  # slice-2 window 0..7
+        yield sc, forced_channel(sc, gain_db, F=2, T=12)
+
+
+def test_incremental_replay_matches_full_replay():
+    # a plan edited at one slot, replayed from the record, scores as a replay from scratch
+    rng = np.random.default_rng(31)
+    cfg = ChannelConfig()
+    rejoined = ran_to_end = inactive = closed = 0
+    for sc, chan in _small_worlds():
+        m, _, F, T = chan.gain_lin.shape
+        for k in range(12):
+            if k % 2:  # OMA: exclusive frequencies, sources without one sit out
+                coverage, packet = bl.random_coverage_slice(m, T, rng)
+                plan = bl.initial_rb_allocation(
+                    sc, chan, coverage, packet, bl.draw_powers("NOMA-RP", m, T, rng), oma=True
+                )
+            else:
+                plan = bl.OfflinePlan(
+                    coverage_m=rng.choice(COVERAGE_LEVELS_M, size=(m, T)),
+                    packet=rng.integers(0, 3, size=(m, T)),
+                    freq=rng.integers(bl.INACTIVE, F, size=(m, T)),
+                    power_dbm=rng.choice(POWER_LEVELS_DBM, size=(m, T)),  # silence included
+                )
+            inactive += int((plan.freq == bl.INACTIVE).sum())
+            for s in range(m):
+                pkt = sc.packets[2 * s + 1]
+                closed += sum(
+                    plan.packet[s, t] == phy.PKT_SLICE2 and not pkt.arrival_slot <= t <= pkt.deadline_slot
+                    for t in range(T)
+                )
+            record = bl.evaluate_plan(plan, sc, chan, cfg, 0.005)
+            assert len(record) == T + 1
+            for _ in range(10):
+                t = int(rng.integers(T))
+                edited = plan.copy()
+                if rng.random() < 0.5:
+                    i, j = rng.choice(m, size=2, replace=False)
+                    edited.freq[i, t], edited.freq[j, t] = plan.freq[j, t], plan.freq[i, t]
+                else:
+                    edited.freq[int(rng.integers(m)), t] = int(rng.integers(F))
+                ledgers = bl.evaluate_plan(edited, sc, chan, cfg, 0.005, record, t)
+                full = bl.evaluate_plan(edited, sc, chan, cfg, 0.005)
+                assert t < len(ledgers) - 1 and len(ledgers) <= T + 1
+                for a, b in zip(ledgers, full):  # the shared prefix and every replayed slot
+                    assert np.array_equal(a.leftover_bits, b.leftover_bits)
+                    assert np.array_equal(a.delivered, b.delivered)
+                    assert a.reached == b.reached
+                if len(ledgers) <= T:  # rejoined the record: scores as the recorded plan
+                    rejoined += 1
+                    score = bl.delivered_packets(record[-1])
+                    for a, b in zip(full[len(ledgers) - 1 :], record[len(ledgers) - 1 :]):
+                        assert np.array_equal(a.leftover_bits, b.leftover_bits)
+                        assert np.array_equal(a.delivered, b.delivered)
+                else:
+                    ran_to_end += 1
+                    score = bl.delivered_packets(ledgers[-1])
+                assert score == bl.delivered_packets(full[-1])
+    assert rejoined > 100 and ran_to_end > 100 and inactive > 0 and closed > 0
+
+
+def _reference_swap_matching(plan, evaluate, oma, F, max_iters=1000):
+    """The search scoring every trial by a replay of all T slots; evaluate:
+    plan -> delivered count. Returns the plan, its objective history and the
+    number of plans scored."""
+    m, T = plan.freq.shape
+    current = plan.copy()
+    history = [int(evaluate(current))]
+    evaluations = 1
+    improved = True
+    while improved and len(history) - 1 < max_iters:
+        improved = False
+        for t in range(T):
+            trials = []
+            for i in range(m):
+                for j in range(i + 1, m):
+                    if current.freq[i, t] != current.freq[j, t]:
+                        trial = current.copy()
+                        trial.freq[i, t], trial.freq[j, t] = current.freq[j, t], current.freq[i, t]
+                        trials.append(trial)
+            for i in range(m):
+                for f in range(F):
+                    taken = oma and any(current.freq[j, t] == f for j in range(m) if j != i)
+                    if current.freq[i, t] != f and not taken:
+                        trial = current.copy()
+                        trial.freq[i, t] = f
+                        trials.append(trial)
+            for trial in trials:
+                score = int(evaluate(trial))
+                evaluations += 1
+                if score > history[-1]:
+                    current = trial
+                    history.append(score)
+                    improved = True
+                    break
+            if improved:
+                break
+    return current, history, evaluations
+
+
+def test_swap_matching_matches_full_replay_search():
+    cfg = ChannelConfig()
+    env_cfg = EnvConfig(m=5, n=4, F=2, T=6)
+    workload = WorkloadConfig(deadline_len_slots=3)
+    accepted = 0
+    for seed in range(30):
+        sc, chan = WorldStream(RoadConfig(), env_cfg, cfg, workload, seed, TAG_EVAL)(0)
+        for name in bl.BASELINE_NAMES:
+            run = bl.run_baseline(name, sc, chan, cfg, 0.005, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)  # the same draws as run_baseline
+            coverage, packet = bl.random_coverage_slice(env_cfg.m, env_cfg.T, rng)
+            powers = bl.draw_powers(name, env_cfg.m, env_cfg.T, rng)
+            oma = name.startswith("OMA")
+            plan = bl.initial_rb_allocation(sc, chan, coverage, packet, powers, oma)
+
+            def full_score(p):
+                return bl.delivered_packets(bl.evaluate_plan(p, sc, chan, cfg, 0.005)[-1])
+
+            ref_plan, ref_history, ref_evaluations = _reference_swap_matching(
+                plan, full_score, oma, env_cfg.F
+            )
+            for field in ("coverage_m", "packet", "freq", "power_dbm"):
+                assert np.array_equal(getattr(run.plan, field), getattr(ref_plan, field))
+            assert run.objective_history == ref_history
+            assert run.evaluations == ref_evaluations
+            assert run.stats == phy.reception_stats(bl.evaluate_plan(ref_plan, sc, chan, cfg, 0.005)[-1])
+            accepted += len(ref_history) - 1
+    assert accepted > 30
+
+
+def test_run_baseline_counts_replayed_slots():
+    cfg = RunConfig()
+    sc, chan = WorldStream(cfg.road, cfg.env, cfg.channel, cfg.workload, cfg.seed, TAG_EVAL)(0)
+    run = bl.run_baseline("NOMA-MP", sc, chan, cfg.channel, cfg.env.slot_duration_s, np.random.default_rng(0))
+    T = cfg.env.T
+    assert run.evaluations > 1
+    assert T <= run.slots_replayed < run.evaluations * T  # trials stop once they rejoin
 
 
 def test_run_baseline_rejects_unknown_name():

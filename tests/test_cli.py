@@ -237,6 +237,16 @@ def test_cmd_oracle_runs(tmp_path):
     assert (tmp_path / "oracle.csv").exists()
 
 
+def test_oracle_instance_honours_swap_max_iters():
+    from iovslice.worlds import WorkloadConfig
+
+    cfg = dataclasses.replace(RunConfig(), swap_max_iters=0)
+    env_cfg = EnvConfig(m=2, n=2, F=1, T=3)
+    for seed in range(20):
+        _, _, _, runs = cli.oracle_instance(cfg, env_cfg, WorkloadConfig(deadline_len_slots=2), seed)
+        assert all(len(run.objective_history) == 1 for run in runs.values())
+
+
 def test_main_oracle(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(serialize_config(tiny_cfg()))

@@ -179,7 +179,7 @@ def test_replay_paths_agree():
                 power_dbm=np.array([[a.power_dbm for a in row] for row in acts]).T,
             )
             for ledger in (
-                bl.evaluate_plan(plan, sc, chan, ChannelConfig(), env_cfg.slot_duration_s),
+                bl.evaluate_plan(plan, sc, chan, ChannelConfig(), env_cfg.slot_duration_s)[-1],
                 replay_actions(sc, chan, ChannelConfig(), env_cfg.slot_duration_s, acts),
             ):
                 assert np.array_equal(ledger.leftover_bits, env.ledger.leftover_bits)
