@@ -26,6 +26,7 @@ MAX_POWER_DBM = max(POWER_LEVELS_DBM)
 ACTIVE_POWERS_DBM = tuple(p for p in POWER_LEVELS_DBM if p > phy.SILENCE_POWER_DBM)
 
 INACTIVE = -1  # frequency slot of a source that found no free RB
+_SILENT = phy.SlotAction(phy.PKT_NONE, 0.0, 0, phy.SILENCE_POWER_DBM)  # an INACTIVE source's action
 
 
 @dataclass
@@ -116,20 +117,15 @@ def evaluate_plan(
     recorded one does; such a replay returns the ledgers up to that slot only.
     """
     noise = noise_lin_mw(channel_cfg)
-    m, _, _, T = chan.gain_lin.shape
     ledgers = [phy.DeliveryLedger(scenario.packets)] if record is None else record[: start + 1]
-    for t in range(start, T):
-        actions = []
-        for s in range(m):
-            f = int(plan.freq[s, t])
-            if f == INACTIVE:
-                actions.append(phy.SlotAction(phy.PKT_NONE, 0.0, 0, phy.SILENCE_POWER_DBM))
-            else:
-                actions.append(
-                    phy.SlotAction(
-                        int(plan.packet[s, t]), float(plan.coverage_m[s, t]), f, float(plan.power_dbm[s, t])
-                    )
-                )
+    # per slot from `start` on, the sources' (packet, coverage, freq, power) as Python scalars
+    fields = (plan.packet, plan.coverage_m, plan.freq, plan.power_dbm)
+    columns = zip(*(a[:, start:].T.tolist() for a in fields))
+    for t, (packets, coverages, freqs, powers) in enumerate(columns, start):
+        actions = [
+            _SILENT if f == INACTIVE else phy.SlotAction(pkt, cov, f, pw)
+            for pkt, cov, f, pw in zip(packets, coverages, freqs, powers)
+        ]
         ledger = ledgers[-1].copy()
         phy.apply_slot(
             ledger,

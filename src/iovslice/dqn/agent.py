@@ -56,6 +56,15 @@ class TrainConfig:
             raise ValueError("episodes and batch size must be positive")
         if self.target_copy_period < 1:
             raise ValueError("target copy period must be at least 1 update")
+        # each of these would leave training a silent no-op
+        if self.updates_per_step < 1:
+            raise ValueError("updates per step must be at least 1")
+        if not self.huber_delta > 0:
+            raise ValueError("Huber delta must be positive")
+        if self.replay_capacity < 1:
+            raise ValueError("replay capacity must be positive")
+        if self.batch_size > self.replay_capacity:
+            raise ValueError("batch size cannot exceed the replay capacity")
 
 
 def epsilon(episode_idx: int, cfg: TrainConfig) -> float:
@@ -139,7 +148,7 @@ def train(
             if rng.random() < eps:
                 action = int(rng.integers(n_act))
             else:
-                action = int(np.argmax(net.forward(obs)))
+                action = int(net.forward(obs).argmax())
             result = env.step(action)
             memory.add(obs, action, result.reward, result.next_observation, result.terminal)
             obs = result.next_observation
@@ -194,7 +203,7 @@ def greedy_episode(
     obs = env.reset(scenario, chan)
     done = False
     while not done:
-        step = env.step(int(np.argmax(net.forward(obs))))
+        step = env.step(int(net.forward(obs).argmax()))
         obs = step.next_observation
         done = step.terminal
     return env.stats()

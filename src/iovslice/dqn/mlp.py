@@ -1,12 +1,15 @@
 """Dueling Q-network as a plain numpy MLP, with Adam and a binary checkpoint format.
 
 ReLU hidden stack feeding two linear heads: a scalar state value and one
-advantage per action, combined as Q = V + A - mean(A). Everything is float64
-and single-threaded so a seed pins training bit-for-bit.
+advantage per action, combined as Q = V + A - mean(A). All parameters live in
+one contiguous float64 vector with per-layer views, so an Adam step, a target
+copy and a checkpoint read or write each touch that one vector. Everything is
+float64 and single-threaded so a seed pins training bit-for-bit.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -25,11 +28,30 @@ class UnsupportedVersionError(CheckpointFormatError):
     """Well-formed checkpoint written by an incompatible format version."""
 
 
+class FlatParams(list):
+    """Per-layer arrays that are views, in order, into one contiguous float64
+    vector `flat`: writing a layer writes `flat`, and one copy of `flat`
+    copies every layer."""
+
+    def __init__(self, flat: np.ndarray, shapes: list[tuple[int, ...]]):
+        views = []
+        pos = 0
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(flat[pos : pos + size].reshape(shape))
+            pos += size
+        super().__init__(views)
+        self.flat = flat
+        self.shapes = shapes
+
+
 class DuelingQNetwork:
     """MLP with hidden ReLU layers and dueling value/advantage heads.
 
-    Parameters live in self.params as a flat list
-    [W1, b1, ..., Wk, bk, Wv, bv, Wa, ba]; weight matrices are (in, out).
+    Parameters live in self.params, a FlatParams of per-layer views
+    [W1, b1, ..., Wk, bk, Wv, bv, Wa, ba] into the one vector
+    self.params.flat; weight matrices are (in, out). Gradients come back in
+    the same layout.
     """
 
     def __init__(
@@ -44,30 +66,46 @@ class DuelingQNetwork:
         self.obs_dim = obs_dim
         self.hidden = tuple(int(h) for h in hidden)
         self.n_actions = n_actions
-        self.params: list[np.ndarray] = []
         dims = [obs_dim, *self.hidden]
+        shapes: list[tuple[int, ...]] = []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            self.params.append(_he_init(fan_in, fan_out, rng))
-            self.params.append(np.zeros(fan_out))
+            shapes += [(fan_in, fan_out), (fan_out,)]
         last = self.hidden[-1]
-        self.params.append(_he_init(last, 1, rng))  # value head
-        self.params.append(np.zeros(1))
-        self.params.append(_he_init(last, n_actions, rng))  # advantage head
-        self.params.append(np.zeros(n_actions))
+        shapes += [(last, 1), (1,), (last, n_actions), (n_actions,)]  # value, advantage heads
+        self.params = FlatParams(np.zeros(sum(math.prod(s) for s in shapes)), shapes)
+        if rng is not None:  # He-normal weights, drawn layer by layer; biases stay zero
+            for w in self.params[::2]:
+                w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
 
     # -- inference -------------------------------------------------------
 
     def forward(self, obs: np.ndarray) -> np.ndarray:
-        q, _ = self.forward_cached(obs)
-        return q
+        """Q values for one observation (1-D) or a batch of rows (2-D).
+
+        A 1-D row takes the same BLAS path (gemv) as a one-row batch, so its
+        Q values equal forward(obs[None])[0] bit for bit.
+        """
+        x = np.asarray(obs, dtype=np.float64)
+        if x.shape[-1] != self.obs_dim:
+            raise ValueError(f"observation dim {x.shape[-1]} != network input {self.obs_dim}")
+        p = self.params
+        h = x
+        for i in range(0, 2 * len(self.hidden), 2):
+            h = h @ p[i]
+            h += p[i + 1]
+            np.maximum(h, 0.0, out=h)
+        v = h @ p[-4]
+        v += p[-3]
+        a = h @ p[-2]
+        a += p[-1]
+        # Q = V + A - mean(A); np.mean is this sum divided by the count
+        return v + a - a.sum(axis=-1, keepdims=True) / self.n_actions
 
     def forward_cached(self, obs: np.ndarray):
+        """Batch forward pass that also returns the activations backward needs."""
         x = np.asarray(obs, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.shape[1] != self.obs_dim:
-            raise ValueError(f"observation dim {x.shape[1]} != network input {self.obs_dim}")
+        if x.ndim != 2 or x.shape[1] != self.obs_dim:
+            raise ValueError(f"observation batch shape {x.shape} != (B, {self.obs_dim})")
         acts = [x]
         h = x
         n_hidden = len(self.hidden)
@@ -80,38 +118,34 @@ class DuelingQNetwork:
         v = h @ wv + bv  # (B, 1)
         a = h @ wa + ba  # (B, |A|)
         q = v + a - a.mean(axis=1, keepdims=True)
-        cache = (acts, v, a)
-        return (q[0] if squeeze else q), cache
+        return q, (acts, v, a)
 
     # -- gradients ---------------------------------------------------------
 
-    def backward(self, cache, dq: np.ndarray) -> list[np.ndarray]:
-        """Gradients for every parameter given dLoss/dQ, same order as params."""
+    def backward(self, cache, dq: np.ndarray) -> FlatParams:
+        """Gradients for every parameter given dLoss/dQ, in a fresh FlatParams
+        with the layout of self.params."""
         acts, _, _ = cache
         n_hidden = len(self.hidden)
+        grads = FlatParams(np.empty(self.params.flat.size), self.params.shapes)
         h_last = acts[-1]
         k = self.n_actions
         dv = dq.sum(axis=1, keepdims=True)  # (B, 1)
         da = dq - dq.sum(axis=1, keepdims=True) / k  # mean-subtraction backprop
         wv = self.params[2 * n_hidden]
         wa = self.params[2 * n_hidden + 2]
-        grads_heads = [
-            h_last.T @ dv,
-            dv.sum(axis=0),
-            h_last.T @ da,
-            da.sum(axis=0),
-        ]
+        np.matmul(h_last.T, dv, out=grads[-4])
+        np.sum(dv, axis=0, out=grads[-3])
+        np.matmul(h_last.T, da, out=grads[-2])
+        np.sum(da, axis=0, out=grads[-1])
         dh = dv @ wv.T + da @ wa.T
-        grads_hidden: list[np.ndarray] = []
         for i in range(n_hidden - 1, -1, -1):
-            w = self.params[2 * i]
-            pre_mask = acts[i + 1] > 0.0  # ReLU: activation > 0 iff pre-activation > 0
-            dh = dh * pre_mask
-            grads_hidden.append(dh.sum(axis=0))
-            grads_hidden.append(acts[i].T @ dh)
-            dh = dh @ w.T
-        grads_hidden.reverse()
-        return grads_hidden + grads_heads
+            dh *= acts[i + 1] > 0.0  # ReLU: activation > 0 iff pre-activation > 0
+            np.sum(dh, axis=0, out=grads[2 * i + 1])
+            np.matmul(acts[i].T, dh, out=grads[2 * i])
+            if i:  # the input layer's own input gradient is never used
+                dh = dh @ self.params[2 * i].T
+        return grads
 
     def loss_and_grads(
         self,
@@ -123,7 +157,8 @@ class DuelingQNetwork:
     ):
         """Importance-weighted Huber loss on the chosen actions' Q values.
 
-        Returns (mean loss, gradients, |td error| per sample).
+        Returns (mean loss, gradients as a FlatParams, |td error| per sample).
+        Every call returns new gradient arrays.
         """
         q, cache = self.forward_cached(obs)
         batch = q.shape[0]
@@ -146,49 +181,60 @@ class DuelingQNetwork:
         dup.obs_dim = self.obs_dim
         dup.hidden = self.hidden
         dup.n_actions = self.n_actions
-        dup.params = [p.copy() for p in self.params]
+        dup.params = FlatParams(self.params.flat.copy(), self.params.shapes)
         return dup
 
     def copy_from(self, other: "DuelingQNetwork") -> None:
-        for mine, theirs in zip(self.params, other.params):
-            mine[...] = theirs
-
-
-def _he_init(fan_in: int, fan_out: int, rng: np.random.Generator | None) -> np.ndarray:
-    if rng is None:
-        return np.zeros((fan_in, fan_out))
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+        self.params.flat[...] = other.params.flat
 
 
 class Adam:
-    """Standard Adam with bias correction; state is per-parameter moments."""
+    """Standard Adam with bias correction over one flat parameter vector.
 
-    def __init__(self, params: list[np.ndarray], lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    The moments and two scratch vectors are allocated once; a step is a fixed
+    sequence of in-place ufuncs over FlatParams.flat, in the order of the
+    per-tensor formula p -= lr * (m / b1t) / (sqrt(v / b2t) + eps).
+    """
+
+    def __init__(self, params: FlatParams, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        size = params.flat.size
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._num = np.empty(size)
+        self._den = np.empty(size)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, params: FlatParams, grads: FlatParams) -> None:
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g**2
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        p, g, m, v = params.flat, grads.flat, self.m, self.v
+        num, den = self._num, self._den
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=num)
+        m += num
+        v *= self.beta2
+        np.square(g, out=num)
+        num *= 1.0 - self.beta2
+        v += num
+        np.divide(m, b1t, out=num)
+        num *= self.lr
+        np.divide(v, b2t, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        p -= num
 
 
 # -- checkpoint format -------------------------------------------------------
 #
 # magic (8 bytes) | version u32 | obs_dim u32 | n_hidden u32 | hidden dims u32...
-# | n_actions u32 | parameters as little-endian float64, C order, in the fixed
-# params-list order. Written atomically (temp file then rename).
+# | n_actions u32 | the flat parameter vector as little-endian float64 (layers
+# in params order, each in C order). Written atomically (temp file then rename).
 
 
 def save_checkpoint(net: DuelingQNetwork, path: str | Path) -> None:
@@ -201,7 +247,7 @@ def save_checkpoint(net: DuelingQNetwork, path: str | Path) -> None:
         *net.hidden,
         net.n_actions,
     )
-    payload = b"".join(np.ascontiguousarray(p, dtype="<f8").tobytes() for p in net.params)
+    payload = net.params.flat.astype("<f8", copy=False).tobytes()
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(header + payload)
     os.replace(tmp, path)
@@ -228,14 +274,10 @@ def load_checkpoint(path: str | Path) -> DuelingQNetwork:
     except struct.error as exc:
         raise CheckpointFormatError(f"{path}: truncated header") from exc
     net = DuelingQNetwork(obs_dim, hidden, n_act, rng=None)
-    expected = sum(p.size for p in net.params) * 8
+    expected = net.params.flat.size * 8
     if len(raw) - off != expected:
         raise CheckpointFormatError(
             f"{path}: parameter payload is {len(raw) - off} bytes, expected {expected}"
         )
-    flat = np.frombuffer(raw, dtype="<f8", offset=off)
-    pos = 0
-    for p in net.params:
-        p[...] = flat[pos : pos + p.size].reshape(p.shape)
-        pos += p.size
+    net.params.flat[...] = np.frombuffer(raw, dtype="<f8", offset=off)
     return net

@@ -138,6 +138,7 @@ class SlicingEnv:
         )
         self.collect_trace = collect_trace
         self.trace: list[dict] = []
+        self._layout = _obs_layout(cfg)
         self._ready = False
 
     # -- episode lifecycle ---------------------------------------------------
@@ -165,6 +166,24 @@ class SlicingEnv:
         self.terminal = False
         self.trace = []
         self._ready = True
+        # The observation without its deciding one-hot (left zero): episode
+        # constants are written here, per-slot parts by _begin_slot and peer
+        # choices by step.
+        m, T = cfg.m, cfg.T
+        self._obs = obs = np.zeros(cfg.obs_dim)
+        lay = self._layout
+        # large-scale link gains, affine dB -> [0, 1]
+        obs[lay["gain"]] = np.clip(
+            (channel.large_scale_db.ravel() - GAIN_DB_LO) / (GAIN_DB_HI - GAIN_DB_LO), 0.0, 1.0
+        )
+        # safety-packet window, slots normalized by the horizon
+        obs[lay["window"]] = [
+            v / T
+            for src in range(m)
+            for v in (scenario.packet(src, 2).arrival_slot, scenario.packet(src, 2).deadline_slot)
+        ]
+        self._packet_bits = np.array([p.size_bits for p in self.ledger.packets])
+        self._begin_slot()
         return self.observation()
 
     def step(self, action_index: int) -> StepResult:
@@ -172,15 +191,26 @@ class SlicingEnv:
             raise RuntimeError("reset the environment before stepping")
         if self.terminal:
             raise phy.ContractViolation("step called on a finished episode")
+        cfg = self.cfg
         self.pending.append(int(action_index))
-        if len(self.pending) < self.cfg.m:
+        if len(self.pending) < cfg.m:
+            # normalized action components, visible to the vehicles after this one
+            cov, pkt, freq, pw = decode_action(self.pending[-1], cfg.F)
+            at = self._layout["peer"].start + 4 * self.deciding
+            self._obs[at : at + 4] = (
+                cov / (len(COVERAGE_LEVELS_M) - 1),
+                pkt / (N_PACKET_CHOICES - 1),
+                freq / (cfg.F - 1) if cfg.F > 1 else 0.0,
+                pw / (len(POWER_LEVELS_DBM) - 1),
+            )
             self.deciding += 1
             return StepResult(0.0, self.observation(), False)
         reward = self._resolve_slot()
         self.slot += 1
         self.deciding = 0
         self.pending = []
-        self.terminal = self.slot >= self.cfg.T
+        self.terminal = self.slot >= cfg.T
+        self._begin_slot()
         return StepResult(reward, self.observation(), self.terminal)
 
     def _resolve_slot(self) -> float:
@@ -224,55 +254,26 @@ class SlicingEnv:
     # -- observation ---------------------------------------------------------
 
     def observation(self) -> np.ndarray:
-        """Flat feature vector, every entry in [0, 1]; layout documented field
-        by field below (sizes for defaults m=3, n=4, F=2 add up to 73)."""
-        cfg = self.cfg
-        m, n, F, T = cfg.m, cfg.n, cfg.F, cfg.T
-        slot = min(self.slot, T - 1)
-        parts = [
-            # large-scale link gains, affine dB -> [0, 1]
-            np.clip(
-                (self.channel.large_scale_db.ravel() - GAIN_DB_LO) / (GAIN_DB_HI - GAIN_DB_LO),
-                0.0,
-                1.0,
-            ),
-            # current-slot fast fading, clipped exponential power
-            np.clip(self.channel.fastfade_pow[:, :, :, slot].ravel(), 0.0, FADE_CLIP) / FADE_CLIP,
-            # what each source actually sent last slot (one-hot, zeros at slot 0)
-            self.prev_choice.ravel().copy(),
-            # leftover bits, normalized by packet size
-            (self.ledger.leftover_bits / np.array([p.size_bits for p in self.ledger.packets])),
-            # safety-packet window, slots normalized by the horizon
-            np.array(
-                [
-                    v / T
-                    for src in range(m)
-                    for v in (
-                        self.scenario.packet(src, 2).arrival_slot,
-                        self.scenario.packet(src, 2).deadline_slot,
-                    )
-                ]
-            ),
-            np.array([self.slot / T]),
-            _one_hot(self.deciding, m),
-            self._peer_choices(),
-        ]
-        obs = np.concatenate(parts)
-        assert obs.shape == (cfg.obs_dim,)
+        """Flat feature vector, every entry in [0, 1]; layout in _obs_layout
+        (sizes for defaults m=3, n=4, F=2 add up to 73). A new array each call."""
+        obs = self._obs.copy()
+        obs[self._layout["deciding"].start + self.deciding] = 1.0
         return obs
 
-    def _peer_choices(self) -> np.ndarray:
-        """Normalized action components already fixed this slot, zeros for
-        vehicles that have not decided yet."""
-        cfg = self.cfg
-        out = np.zeros((cfg.m, 4), dtype=np.float64)
-        for src, idx in enumerate(self.pending):
-            cov, pkt, freq, pw = decode_action(idx, cfg.F)
-            out[src, 0] = cov / (len(COVERAGE_LEVELS_M) - 1)
-            out[src, 1] = pkt / (N_PACKET_CHOICES - 1)
-            out[src, 2] = freq / (cfg.F - 1) if cfg.F > 1 else 0.0
-            out[src, 3] = pw / (len(POWER_LEVELS_DBM) - 1)
-        return out.ravel()
+    def _begin_slot(self) -> None:
+        """Write the parts of the observation that change once per slot, and
+        clear the peer choices."""
+        obs, lay, T = self._obs, self._layout, self.cfg.T
+        # current-slot fast fading, clipped exponential power (the last slot's
+        # once the episode is over)
+        fade = self.channel.fastfade_pow[:, :, :, min(self.slot, T - 1)]
+        obs[lay["fade"]] = np.clip(fade.ravel(), 0.0, FADE_CLIP) / FADE_CLIP
+        # what each source actually sent last slot (one-hot, zeros at slot 0)
+        obs[lay["prev"]] = self.prev_choice.ravel()
+        # leftover bits, normalized by packet size
+        obs[lay["leftover"]] = self.ledger.leftover_bits / self._packet_bits
+        obs[lay["slot"]] = self.slot / T
+        obs[lay["peer"]] = 0.0
 
     # -- reporting -----------------------------------------------------------
 
@@ -297,7 +298,21 @@ class SlicingEnv:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _one_hot(i: int, size: int) -> np.ndarray:
-    v = np.zeros(size, dtype=np.float64)
-    v[i] = 1.0
-    return v
+def _obs_layout(cfg: EnvConfig) -> dict[str, slice]:
+    """Observation fields in order, as slices of the flat vector."""
+    m, n, F = cfg.m, cfg.n, cfg.F
+    sizes = {
+        "gain": m * n,  # large-scale gain per link
+        "fade": m * n * F,  # fast fading per link and frequency, current slot
+        "prev": m * N_PACKET_CHOICES,  # packet each source sent last slot, one-hot
+        "leftover": 2 * m,  # leftover bits per packet over its size
+        "window": 2 * m,  # slice-2 arrival and deadline per source, over T
+        "slot": 1,  # slot index over T
+        "deciding": m,  # one-hot of the vehicle deciding now
+        "peer": 4 * m,  # coverage, packet, frequency, power already fixed this slot
+    }
+    layout, pos = {}, 0
+    for name, size in sizes.items():
+        layout[name] = slice(pos, pos + size)
+        pos += size
+    return layout

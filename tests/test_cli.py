@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,11 @@ def test_config_rejects_unknown_key():
         ("train.target_copy_period = 0", ["train", "--out", "run"]),
         ("env.rate_norm_bps = 0.0", ["eval", "--checkpoint", "ckpt.bin", "--out", "eval.csv"]),
         ("env.slot_duration_s = -0.005", ["eval", "--checkpoint", "ckpt.bin", "--out", "eval.csv"]),
+        ("train.updates_per_step = 0", ["train", "--out", "run"]),
+        ("train.huber_delta = 0.0", ["train", "--out", "run"]),
+        # warmup 16 fits, but a batch of 21 is never stored
+        ("train.replay_capacity = 20\ntrain.batch_size = 21", ["train", "--out", "run"]),
+        ("train.replay_capacity = 0", ["train", "--out", "run"]),
     ],
 )
 def test_main_rejects_malformed_config_value(tmp_path, monkeypatch, capsys, line, command):
@@ -94,6 +100,33 @@ def test_train_determinism_byte_for_byte(tmp_path):
     ckpt2, log2 = cli.cmd_train(cfg, tmp_path / "b", quiet=True)
     assert ckpt1.read_bytes() == ckpt2.read_bytes()
     assert log1.read_bytes() == log2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "double_q, checkpoint_sha256, log_sha256",
+    [
+        (
+            False,
+            "19efe08a1cc9a980c147e280ef326df9bfbb091c8fa3e24aeb1af05818139cd5",
+            "8354e09b651b75bab044e84caa966aa03c3f8475d4a4798d044db1eb940df4da",
+        ),
+        (
+            True,
+            "393a1bdce98555ad63f9cda01a4dddc35e72d8166edc51bd531ce218d13a60c9",
+            "78d9e70c7a7e67113a06eec8a454b4ac8ff5b1082489ea0cd02270d9ac21e1eb",
+        ),
+    ],
+    ids=["dqn", "double-q"],
+)
+def test_train_output_digests_are_pinned(tmp_path, double_q, checkpoint_sha256, log_sha256):
+    """A short seeded training run on the default config (3 episodes, about
+    120 updates) writes exactly the recorded bytes, so any drift in the
+    environment, network, optimizer or replay arithmetic shows here."""
+    cfg = RunConfig()
+    cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, episodes=3, warmup=60, double_q=double_q))
+    ckpt, log_path = cli.cmd_train(cfg, tmp_path / "run", quiet=True)
+    assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == checkpoint_sha256
+    assert hashlib.sha256(log_path.read_bytes()).hexdigest() == log_sha256
 
 
 def test_cmd_eval_rows_and_bounds(tmp_path):

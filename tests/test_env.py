@@ -4,6 +4,12 @@ import pytest
 from iovslice import phy
 from iovslice.channel import ChannelConfig, noise_lin_mw
 from iovslice.env import (
+    COVERAGE_LEVELS_M,
+    FADE_CLIP,
+    GAIN_DB_HI,
+    GAIN_DB_LO,
+    N_PACKET_CHOICES,
+    POWER_LEVELS_DBM,
     EnvConfig,
     SlicingEnv,
     decode_action,
@@ -13,6 +19,8 @@ from iovslice.env import (
     individual_reward,
     n_actions,
 )
+from iovslice.scenario import RoadConfig
+from iovslice.worlds import TAG_TRAIN, WorkloadConfig, WorldStream
 
 from tests.conftest import forced_channel, hand_built_scenario
 
@@ -224,3 +232,60 @@ def test_trace_export(tmp_path):
     assert lines[0].startswith("slot\tvehicle\taction\tcoverage_m")
     first = lines[1].split("\t")
     assert first[3] == "0.0" and first[6] == "-100.0"  # decoded silent action
+
+
+def reference_observation(env):
+    """The observation built from scratch out of the environment's state."""
+    cfg = env.cfg
+    m, F, T = cfg.m, cfg.F, cfg.T
+    peer = np.zeros((m, 4))
+    for src, idx in enumerate(env.pending):
+        cov, pkt, freq, pw = decode_action(idx, F)
+        peer[src] = (
+            cov / (len(COVERAGE_LEVELS_M) - 1),
+            pkt / (N_PACKET_CHOICES - 1),
+            freq / (F - 1) if F > 1 else 0.0,
+            pw / (len(POWER_LEVELS_DBM) - 1),
+        )
+    deciding = np.zeros(m)
+    deciding[env.deciding] = 1.0
+    parts = [
+        np.clip((env.channel.large_scale_db.ravel() - GAIN_DB_LO) / (GAIN_DB_HI - GAIN_DB_LO), 0.0, 1.0),
+        np.clip(env.channel.fastfade_pow[:, :, :, min(env.slot, T - 1)].ravel(), 0.0, FADE_CLIP) / FADE_CLIP,
+        env.prev_choice.ravel().copy(),
+        env.ledger.leftover_bits / np.array([p.size_bits for p in env.ledger.packets]),
+        np.array(
+            [
+                v / T
+                for src in range(m)
+                for v in (env.scenario.packet(src, 2).arrival_slot, env.scenario.packet(src, 2).deadline_slot)
+            ]
+        ),
+        np.array([env.slot / T]),
+        deciding,
+        peer.ravel(),
+    ]
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("env_cfg", [EnvConfig(), EnvConfig(m=2, n=3, F=1, T=5)])
+def test_cached_observation_matches_from_scratch_build(env_cfg):
+    workload = WorkloadConfig(deadline_len_slots=min(4, env_cfg.T))
+    stream = WorldStream(RoadConfig(), env_cfg, ChannelConfig(), workload, 11, TAG_TRAIN)
+    env = SlicingEnv(env_cfg, ChannelConfig())
+    rng = np.random.default_rng(5)
+    returned = []
+    for episode in range(3):  # a new world per reset
+        obs = env.reset(*stream(episode))
+        returned.append((obs, obs.copy()))
+        assert obs.tobytes() == reference_observation(env).tobytes()
+        done = False
+        while not done:
+            res = env.step(int(rng.integers(n_actions(env_cfg.F))))
+            assert res.next_observation.tobytes() == reference_observation(env).tobytes()
+            assert not np.shares_memory(res.next_observation, returned[-1][0])
+            returned.append((res.next_observation, res.next_observation.copy()))
+            done = res.terminal
+    assert env.observation().tobytes() == returned[-1][1].tobytes()
+    # no later step or reset wrote into an array handed out earlier
+    assert all(obs.tobytes() == snapshot.tobytes() for obs, snapshot in returned)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from iovslice.dqn.mlp import (
     Adam,
     CheckpointFormatError,
     DuelingQNetwork,
+    FlatParams,
     UnsupportedVersionError,
     load_checkpoint,
     save_checkpoint,
@@ -104,7 +107,7 @@ def test_adam_zero_gradient_no_move():
     net = toy_net(seed=10)
     opt = Adam(net.params, lr=0.1)
     before = [p.copy() for p in net.params]
-    opt.step(net.params, [np.zeros_like(p) for p in net.params])
+    opt.step(net.params, FlatParams(np.zeros_like(net.params.flat), net.params.shapes))
     for p, b in zip(net.params, before):
         assert np.array_equal(p, b)
 
@@ -130,10 +133,48 @@ def test_clone_and_copy_from():
     target = net.clone()
     for a, b in zip(net.params, target.params):
         assert np.array_equal(a, b) and a is not b
+        assert not np.shares_memory(a, b)
     net.params[0][0, 0] += 1.0
     assert target.params[0][0, 0] != net.params[0][0, 0]
     target.copy_from(net)
     assert target.params[0][0, 0] == net.params[0][0, 0]
+    assert not np.shares_memory(target.params.flat, net.params.flat)
+    net.params[-1][0] += 1.0  # a later change of the source stays out of the copy
+    assert target.params[-1][0] != net.params[-1][0]
+
+
+def test_row_forward_equals_one_row_batch():
+    net = DuelingQNetwork(73, (256, 128, 120), 120, np.random.default_rng(21))
+    for x in np.random.default_rng(22).uniform(size=(20, 73)):
+        assert net.forward(x).tobytes() == net.forward(x[None])[0].tobytes()
+
+
+def test_adam_matches_per_tensor_formula():
+    """50 steps, some with all-zero and some with partly zero gradients,
+    against the per-tensor update p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)."""
+    net = DuelingQNetwork(6, (5, 4), 3, np.random.default_rng(23))
+    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+    opt = Adam(net.params, lr, b1, b2, eps)
+    ref = [p.copy() for p in net.params]
+    m = [np.zeros_like(p) for p in ref]
+    v = [np.zeros_like(p) for p in ref]
+    rng = np.random.default_rng(24)
+    for t in range(1, 51):
+        grads = FlatParams(rng.normal(size=net.params.flat.size), net.params.shapes)
+        if t % 7 == 0:
+            grads.flat[...] = 0.0
+        elif t % 3 == 0:
+            grads.flat[rng.random(grads.flat.size) < 0.5] = 0.0
+        opt.step(net.params, grads)
+        b1t, b2t = 1.0 - b1**t, 1.0 - b2**t
+        for p_ref, g, m_, v_ in zip(ref, grads, m, v):
+            m_ *= b1
+            m_ += (1.0 - b1) * g
+            v_ *= b2
+            v_ += (1.0 - b2) * g**2
+            p_ref -= lr * (m_ / b1t) / (np.sqrt(v_ / b2t) + eps)
+        for p, p_ref in zip(net.params, ref):
+            assert p.tobytes() == p_ref.tobytes()
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
@@ -143,6 +184,16 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     loaded = load_checkpoint(path)
     x = np.random.default_rng(15).uniform(size=(9, 73))
     assert np.array_equal(net.forward(x), loaded.forward(x))  # bit identical
+
+
+def test_checkpoint_bytes_of_seeded_network(tmp_path):
+    """The parameter layout and the order of the He draws decide these
+    bytes; a seeded network's checkpoint is pinned."""
+    net = DuelingQNetwork(73, (256, 128, 120), 120, np.random.default_rng(14))
+    path = tmp_path / "net.bin"
+    save_checkpoint(net, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "befb9650e5442162ab0e124d37a6c584e7ff91d6d539ff46e8e2788bc5491d8f"
 
 
 def test_checkpoint_truncation_detected(tmp_path):
