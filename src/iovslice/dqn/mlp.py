@@ -88,18 +88,7 @@ class DuelingQNetwork:
         x = np.asarray(obs, dtype=np.float64)
         if x.shape[-1] != self.obs_dim:
             raise ValueError(f"observation dim {x.shape[-1]} != network input {self.obs_dim}")
-        p = self.params
-        h = x
-        for i in range(0, 2 * len(self.hidden), 2):
-            h = h @ p[i]
-            h += p[i + 1]
-            np.maximum(h, 0.0, out=h)
-        v = h @ p[-4]
-        v += p[-3]
-        a = h @ p[-2]
-        a += p[-1]
-        # Q = V + A - mean(A); np.mean is this sum divided by the count
-        return v + a - a.sum(axis=-1, keepdims=True) / self.n_actions
+        return self._forward(x)[0]
 
     def forward_cached(self, obs: np.ndarray):
         """Batch forward pass that also returns the activations backward needs."""
@@ -107,18 +96,26 @@ class DuelingQNetwork:
         if x.ndim != 2 or x.shape[1] != self.obs_dim:
             raise ValueError(f"observation batch shape {x.shape} != (B, {self.obs_dim})")
         acts = [x]
-        h = x
-        n_hidden = len(self.hidden)
-        for i in range(n_hidden):
-            w, b = self.params[2 * i], self.params[2 * i + 1]
-            h = np.maximum(h @ w + b, 0.0)
-            acts.append(h)
-        wv, bv = self.params[2 * n_hidden], self.params[2 * n_hidden + 1]
-        wa, ba = self.params[2 * n_hidden + 2], self.params[2 * n_hidden + 3]
-        v = h @ wv + bv  # (B, 1)
-        a = h @ wa + ba  # (B, |A|)
-        q = v + a - a.mean(axis=1, keepdims=True)
+        q, v, a = self._forward(x, acts)
         return q, (acts, v, a)
+
+    def _forward(self, x: np.ndarray, acts: list | None = None):
+        """The one layer loop, returning (Q, V, A); appends each hidden
+        activation to `acts` when given one."""
+        p = self.params
+        h = x
+        for i in range(0, 2 * len(self.hidden), 2):
+            h = h @ p[i]
+            h += p[i + 1]
+            np.maximum(h, 0.0, out=h)
+            if acts is not None:
+                acts.append(h)
+        v = h @ p[-4]
+        v += p[-3]
+        a = h @ p[-2]
+        a += p[-1]
+        # Q = V + A - mean(A); np.mean is this sum divided by the count
+        return v + a - a.sum(axis=-1, keepdims=True) / self.n_actions, v, a
 
     # -- gradients ---------------------------------------------------------
 
@@ -143,8 +140,7 @@ class DuelingQNetwork:
             dh *= acts[i + 1] > 0.0  # ReLU: activation > 0 iff pre-activation > 0
             np.sum(dh, axis=0, out=grads[2 * i + 1])
             np.matmul(acts[i].T, dh, out=grads[2 * i])
-            if i:  # the input layer's own input gradient is never used
-                dh = dh @ self.params[2 * i].T
+            dh = dh @ self.params[2 * i].T
         return grads
 
     def loss_and_grads(

@@ -1,9 +1,8 @@
 """Prioritized experience replay over a sum tree.
 
-Leaves hold priority^alpha so proportional sampling is an O(log N) prefix
-descent, made for the whole batch at once, one tree level at a time; raw
-priorities are kept alongside for inspection. Eviction is strictly FIFO
-through a ring pointer.
+Leaves hold priority^alpha so proportional sampling is a single O(log N)
+prefix descent; raw priorities are kept alongside for inspection. Eviction
+is strictly FIFO through a ring pointer.
 """
 
 from __future__ import annotations
@@ -14,21 +13,13 @@ import numpy as np
 
 
 class SumTree:
-    """Fixed-capacity binary tree where every node stores the sum of its leaves.
-
-    Heap layout: node i has children 2i + 1 and 2i + 2, and leaf j is node
-    j + capacity - 1. Unless capacity is a power of two the leaves sit at two
-    depths, `depth` and `depth - 1`. The batch methods give, bit for bit, what
-    their one-leaf-at-a-time loops would: every node receives the same
-    additions in the same order.
-    """
+    """Fixed-capacity binary tree where every node stores the sum of its leaves."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.nodes = np.zeros(2 * capacity - 1, dtype=np.float64)
-        self.depth = (2 * capacity - 1).bit_length() - 1  # of the deepest leaves
 
     def set(self, leaf: int, value: float) -> None:
         idx = leaf + self.capacity - 1
@@ -38,56 +29,23 @@ class SumTree:
             idx = (idx - 1) // 2
             self.nodes[idx] += change
 
-    def set_many(self, leaves: np.ndarray, values: list[float]) -> None:
-        """set(leaves[k], values[k]) for k in order, duplicates included."""
-        nodes = self.nodes
-        heap = np.asarray(leaves, dtype=np.int64) + (self.capacity - 1)
-        changes = np.empty(len(heap))
-        for k, (idx, value) in enumerate(zip(heap.tolist(), values)):
-            changes[k] = value - nodes[idx]
-            nodes[idx] = value
-        if self.depth == 0:
-            return
-        # 1-based heap positions: the parent of p is p >> 1. Bring every leaf
-        # to its ancestor at depth - 1 (a shallow leaf is its own), then add
-        # the changes level by level; np.add.at adds repeats in batch order.
-        pos = heap + 1
-        deep = pos >= 1 << self.depth
-        pos[deep] >>= 1
-        np.add.at(nodes, pos[deep] - 1, changes[deep])
-        for _ in range(self.depth - 1):
-            pos >>= 1
-            np.add.at(nodes, pos - 1, changes)
-
     def get(self, leaf: int) -> float:
         return float(self.nodes[leaf + self.capacity - 1])
 
     def total(self) -> float:
         return float(self.nodes[0])
 
-    def find(self, prefixes: np.ndarray) -> np.ndarray:
-        """Per prefix sum, the leaf whose cumulative range contains it."""
-        prefix = np.array(prefixes, dtype=np.float64)
-        idx = np.zeros(len(prefix), dtype=np.int64)
-        for _ in range(self.depth - 1):  # every node above depth - 1 is inner
-            self._descend(idx, prefix)
-        if self.depth:  # depth - 1 holds leaves too; only the inner entries descend
-            sub = np.flatnonzero(idx < self.capacity - 1)
-            i = idx[sub]
-            self._descend(i, prefix[sub])
-            idx[sub] = i
+    def find(self, prefix: float) -> int:
+        """Leaf index whose cumulative range contains the prefix sum."""
+        idx = 0
+        while idx < self.capacity - 1:
+            left = 2 * idx + 1
+            if prefix < self.nodes[left]:
+                idx = left
+            else:
+                prefix -= self.nodes[left]
+                idx = left + 1
         return idx - (self.capacity - 1)
-
-    def _descend(self, idx: np.ndarray, prefix: np.ndarray) -> None:
-        """One level down, in place: left while the prefix is below the left
-        child's sum, else right with that sum taken off the prefix."""
-        idx *= 2
-        idx += 1
-        left = self.nodes[idx]
-        right = prefix < left
-        np.logical_not(right, out=right)
-        np.subtract(prefix, left, out=prefix, where=right)
-        idx += right
 
 
 @dataclass
@@ -144,11 +102,12 @@ class PrioritizedReplay:
         """Proportional draw with importance weights, or None while underfull."""
         if self.size < batch:
             return None
-        tree = self.tree
-        total = tree.total()
-        # guard the zero-mass tail
-        indices = np.minimum(tree.find(rng.random(batch) * total), self.size - 1)
-        probs = tree.nodes[indices + (tree.capacity - 1)] / total
+        total = self.tree.total()
+        indices = np.empty(batch, dtype=np.int64)
+        for k, u in enumerate(rng.random(batch)):
+            leaf = self.tree.find(u * total)
+            indices[k] = min(leaf, self.size - 1)  # guard the zero-mass tail
+        probs = np.array([self.tree.get(int(i)) for i in indices]) / total
         weights = (self.size * probs) ** (-beta)
         weights /= weights.max()
         return ReplayBatch(
@@ -163,9 +122,9 @@ class PrioritizedReplay:
 
     def update_priorities(self, indices: np.ndarray, td_abs: np.ndarray) -> None:
         """Priority tracks |td error| with a floor so nothing starves."""
-        raws = [abs(err) + self.priority_eps for err in np.asarray(td_abs, dtype=np.float64).tolist()]
-        for i, raw in zip(np.asarray(indices).tolist(), raws):
+        for i, err in zip(indices, td_abs):
+            raw = float(abs(err)) + self.priority_eps
             self.priorities[i] = raw
-        # scalar pow per leaf: numpy's vectorised power rounds differently
-        self.tree.set_many(indices, [raw**self.alpha for raw in raws])
-        self.max_priority = max([self.max_priority, *raws])
+            self.tree.set(int(i), raw**self.alpha)
+            if raw > self.max_priority:
+                self.max_priority = raw

@@ -99,8 +99,7 @@ class EnvConfig:
 
     @property
     def obs_dim(self) -> int:
-        m, n, F = self.m, self.n, self.F
-        return m * n * (1 + F) + 12 * m + 1
+        return sum(_obs_sizes(self).values())
 
 
 @dataclass(frozen=True)
@@ -254,7 +253,7 @@ class SlicingEnv:
     # -- observation ---------------------------------------------------------
 
     def observation(self) -> np.ndarray:
-        """Flat feature vector, every entry in [0, 1]; layout in _obs_layout
+        """Flat feature vector, every entry in [0, 1]; fields in _obs_sizes
         (sizes for defaults m=3, n=4, F=2 add up to 73). A new array each call."""
         obs = self._obs.copy()
         obs[self._layout["deciding"].start + self.deciding] = 1.0
@@ -298,10 +297,11 @@ class SlicingEnv:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _obs_layout(cfg: EnvConfig) -> dict[str, slice]:
-    """Observation fields in order, as slices of the flat vector."""
+def _obs_sizes(cfg: EnvConfig) -> dict[str, int]:
+    """Observation fields in order, with their sizes: the one definition of
+    the layout and of obs_dim."""
     m, n, F = cfg.m, cfg.n, cfg.F
-    sizes = {
+    return {
         "gain": m * n,  # large-scale gain per link
         "fade": m * n * F,  # fast fading per link and frequency, current slot
         "prev": m * N_PACKET_CHOICES,  # packet each source sent last slot, one-hot
@@ -311,8 +311,12 @@ def _obs_layout(cfg: EnvConfig) -> dict[str, slice]:
         "deciding": m,  # one-hot of the vehicle deciding now
         "peer": 4 * m,  # coverage, packet, frequency, power already fixed this slot
     }
+
+
+def _obs_layout(cfg: EnvConfig) -> dict[str, slice]:
+    """Observation fields in order, as slices of the flat vector."""
     layout, pos = {}, 0
-    for name, size in sizes.items():
+    for name, size in _obs_sizes(cfg).items():
         layout[name] = slice(pos, pos + size)
         pos += size
     return layout
