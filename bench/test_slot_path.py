@@ -1,0 +1,91 @@
+"""Layer harness for the slot path, on pytest-benchmark.
+
+Three cases on episode 0 of the default configuration's evaluation stream:
+`phy.apply_slot` through a fresh link (cold: every group and rate is solved),
+through a link that has resolved the same slot before (warm: both come from
+its memos), and one swap-matching trial, `baselines.evaluate_plan` replaying
+the first move of NOMA-MP's initial plan from the plan's record through the
+episode's shared link. A timed round of either `apply_slot` case makes
+CALLS calls, each on its own fresh ledger, so the reported times are per
+CALLS calls.
+
+Run from the repository root (tier-1 does not collect this directory):
+
+    python -m pytest bench/test_slot_path.py --benchmark-json=BENCH_slot_path.json
+"""
+
+import numpy as np
+import pytest
+
+from iovslice import baselines as bl
+from iovslice import phy
+from iovslice.channel import noise_lin_mw
+from iovslice.config import RunConfig
+from iovslice.worlds import TAG_EVAL, WorldStream, algorithm_rng
+
+CFG = RunConfig()
+SLOT = 3  # a slot inside the default slice-2 window
+CALLS, ROUNDS = 50, 200  # apply_slot calls per timed round, rounds per case
+
+# the setups allocate ledgers and links; a collection inside a timed round
+# would charge their cleanup to the slot path
+pytestmark = pytest.mark.benchmark(disable_gc=True)
+
+
+@pytest.fixture(scope="module")
+def world():
+    return WorldStream(CFG.road, CFG.env, CFG.channel, CFG.workload, CFG.seed, TAG_EVAL)(0)
+
+
+def _link(chan):
+    return phy.EpisodeLink(chan, noise_lin_mw(CFG.channel), CFG.channel.rb_bandwidth_hz, CFG.env.slot_duration_s)
+
+
+def _slot_actions():
+    """Every source on air at 30 dBm with a slice-1 packet over 400 m, the
+    sources spread over the resource blocks."""
+    return [phy.SlotAction(phy.PKT_SLICE1, 400.0, s % CFG.env.F, 30.0) for s in range(CFG.env.m)]
+
+
+def _resolve(ledgers, actions, links):
+    """One round: the slot resolved once per (ledger, link) pair."""
+    return [phy.apply_slot(ledger, actions, link, SLOT) for ledger, link in zip(ledgers, links)]
+
+
+def test_apply_slot_cold_link(benchmark, world):
+    sc, chan = world
+    ledger = phy.DeliveryLedger(sc.packets)
+    actions = _slot_actions()
+
+    def setup():
+        return ([ledger.copy() for _ in range(CALLS)], actions, [_link(chan) for _ in range(CALLS)]), {}
+
+    out = benchmark.pedantic(_resolve, setup=setup, rounds=ROUNDS, warmup_rounds=5)
+    assert all(o.transmitted for outcomes in out for o in outcomes)
+
+
+def test_apply_slot_warm_link(benchmark, world):
+    sc, chan = world
+    ledger = phy.DeliveryLedger(sc.packets)
+    actions = _slot_actions()
+    link = _link(chan)
+    phy.apply_slot(ledger.copy(), actions, link, SLOT)
+
+    def setup():
+        return ([ledger.copy() for _ in range(CALLS)], actions, [link] * CALLS), {}
+
+    out = benchmark.pedantic(_resolve, setup=setup, rounds=ROUNDS, warmup_rounds=5)
+    assert all(o.transmitted for outcomes in out for o in outcomes)
+
+
+def test_evaluate_plan_trial(benchmark, world):
+    sc, chan = world
+    m, _, F, T = chan.gain_lin.shape
+    rng = algorithm_rng(CFG.seed, CFG.workload, 0, bl.BASELINE_NAMES.index("NOMA-MP"))
+    coverage, packet = bl.random_coverage_slice(m, T, rng)
+    link = _link(chan)
+    plan = bl.initial_rb_allocation(sc, link, coverage, packet, bl.draw_powers("NOMA-MP", m, T, rng), oma=False)
+    record = bl.evaluate_plan(plan, sc, link)
+    t, trial = next(bl._moves(plan, False, F))
+    ledgers = benchmark(bl.evaluate_plan, trial, sc, link, record, t)
+    assert t < len(ledgers) - 1 <= T

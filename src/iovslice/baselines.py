@@ -5,8 +5,10 @@ assign frequencies greedily by channel gain and locally improve the assignment
 with swap moves, scoring each through the same link layer the learned policy
 is scored by. A move edits one slot, so its trial replays from the current
 plan's recorded ledger at that slot and stops as soon as the ledger matches
-the record again. OMA keeps one transmitter per resource block; the MP
-variants always use maximum power while RP draws a random level.
+the record again. All trials of one episode share its `phy.EpisodeLink`, so a
+slot configuration the search has scored before costs a memo lookup. OMA
+keeps one transmitter per resource block; the MP variants always use maximum
+power while RP draws a random level.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def draw_powers(variant: str, m: int, T: int, rng: np.random.Generator) -> np.nd
 
 def initial_rb_allocation(
     scenario: Scenario,
-    chan: ChannelState,
+    link: phy.EpisodeLink,
     coverage_m: np.ndarray,
     packet: np.ndarray,
     power_dbm: np.ndarray,
@@ -73,14 +75,14 @@ def initial_rb_allocation(
     Under OMA a taken frequency is gone, and a source left without one sits
     the slot out.
     """
-    m, n, F, T = chan.gain_lin.shape
+    m, n, F, T = link.gain_lin.shape
     freq = np.full((m, T), INACTIVE, dtype=np.int64)
     for t in range(T):
         group_gain = np.zeros((m, F))
         for s in range(m):
-            members = phy.coverage_group(chan.dist_m[s], float(coverage_m[s, t]))
+            members = link.group(s, float(coverage_m[s, t]))
             if members:
-                group_gain[s] = chan.gain_lin[s, members, :, t].sum(axis=0)
+                group_gain[s] = link.gain_lin[s, members, :, t].sum(axis=0)
         best = group_gain.max(axis=1)
         order = sorted(range(m), key=lambda s: (-best[s], s))
         taken: set[int] = set()
@@ -100,9 +102,7 @@ def initial_rb_allocation(
 def evaluate_plan(
     plan: OfflinePlan,
     scenario: Scenario,
-    chan: ChannelState,
-    channel_cfg: ChannelConfig,
-    slot_duration_s: float,
+    link: phy.EpisodeLink,
     record: list[phy.DeliveryLedger] | None = None,
     start: int = 0,
 ) -> list[phy.DeliveryLedger]:
@@ -116,27 +116,14 @@ def evaluate_plan(
     Every later slot then plays out alike, so this plan delivers what the
     recorded one does; such a replay returns the ledgers up to that slot only.
     """
-    noise = noise_lin_mw(channel_cfg)
     ledgers = [phy.DeliveryLedger(scenario.packets)] if record is None else record[: start + 1]
     # per slot from `start` on, the sources' (packet, coverage, freq, power) as Python scalars
     fields = (plan.packet, plan.coverage_m, plan.freq, plan.power_dbm)
     columns = zip(*(a[:, start:].T.tolist() for a in fields))
-    for t, (packets, coverages, freqs, powers) in enumerate(columns, start):
-        actions = [
-            _SILENT if f == INACTIVE else phy.SlotAction(pkt, cov, f, pw)
-            for pkt, cov, f, pw in zip(packets, coverages, freqs, powers)
-        ]
+    for t, column in enumerate(columns, start):
+        actions = [_SILENT if act[2] == INACTIVE else act for act in zip(*column)]
         ledger = ledgers[-1].copy()
-        phy.apply_slot(
-            ledger,
-            actions,
-            chan.gain_lin[:, :, :, t],
-            chan.dist_m,
-            noise,
-            channel_cfg.rb_bandwidth_hz,
-            t,
-            slot_duration_s,
-        )
+        phy.apply_slot(ledger, actions, link, t)
         ledgers.append(ledger)
         # bit-identical progress, so the rest replays exactly as recorded
         if (
@@ -237,9 +224,11 @@ def run_baseline(
     m, _, F, T = chan.gain_lin.shape
     coverage, packet = random_coverage_slice(m, T, rng)
     powers = draw_powers(name, m, T, rng)
-    plan = initial_rb_allocation(scenario, chan, coverage, packet, powers, oma)
+    # the allocation and every trial read this one episode's link table
+    link = phy.EpisodeLink(chan, noise_lin_mw(channel_cfg), channel_cfg.rb_bandwidth_hz, slot_duration_s)
+    plan = initial_rb_allocation(scenario, link, coverage, packet, powers, oma)
 
     def evaluate(p: OfflinePlan, record: list[phy.DeliveryLedger] | None, start: int):
-        return evaluate_plan(p, scenario, chan, channel_cfg, slot_duration_s, record, start)
+        return evaluate_plan(p, scenario, link, record, start)
 
     return swap_matching(plan, evaluate, oma, F, max_iters)

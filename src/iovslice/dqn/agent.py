@@ -65,6 +65,8 @@ class TrainConfig:
             raise ValueError("replay capacity must be positive")
         if self.batch_size > self.replay_capacity:
             raise ValueError("batch size cannot exceed the replay capacity")
+        if self.warmup > self.replay_capacity:
+            raise ValueError("warmup cannot exceed the replay capacity")
 
 
 def epsilon(episode_idx: int, cfg: TrainConfig) -> float:

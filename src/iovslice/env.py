@@ -156,6 +156,7 @@ class SlicingEnv:
             raise ValueError("scenario is missing its per-source packet pairs")
         self.scenario = scenario
         self.channel = channel
+        self.link = phy.EpisodeLink(channel, self.noise_mw, self.channel_cfg.rb_bandwidth_hz, cfg.slot_duration_s)
         self.ledger = phy.DeliveryLedger(scenario.packets)
         self.slot = 0
         self.deciding = 0
@@ -215,14 +216,7 @@ class SlicingEnv:
     def _resolve_slot(self) -> float:
         cfg = self.cfg
         outcomes = phy.apply_slot(
-            self.ledger,
-            [action_to_slot_action(idx, cfg.F) for idx in self.pending],
-            self.channel.gain_lin[:, :, :, self.slot],
-            self.channel.dist_m,
-            self.noise_mw,
-            self.channel_cfg.rb_bandwidth_hz,
-            self.slot,
-            cfg.slot_duration_s,
+            self.ledger, [action_to_slot_action(idx, cfg.F) for idx in self.pending], self.link, self.slot
         )
         reward = 0.0
         self.prev_choice[:] = 0.0

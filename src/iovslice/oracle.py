@@ -59,20 +59,15 @@ def replay_actions(
 ) -> phy.DeliveryLedger:
     """Replay a full joint action sequence of raw choices through the shared
     link layer."""
-    noise = noise_lin_mw(channel_cfg)
+    link = _episode_link(chan, channel_cfg, slot_duration_s)
     ledger = phy.DeliveryLedger(scenario.packets)
     for t, slot_actions in enumerate(actions_per_slot):
-        phy.apply_slot(
-            ledger,
-            slot_actions,
-            chan.gain_lin[:, :, :, t],
-            chan.dist_m,
-            noise,
-            channel_cfg.rb_bandwidth_hz,
-            t,
-            slot_duration_s,
-        )
+        phy.apply_slot(ledger, slot_actions, link, t)
     return ledger
+
+
+def _episode_link(chan: ChannelState, channel_cfg: ChannelConfig, slot_duration_s: float) -> phy.EpisodeLink:
+    return phy.EpisodeLink(chan, noise_lin_mw(channel_cfg), channel_cfg.rb_bandwidth_hz, slot_duration_s)
 
 
 def _open_slots(packet: Packet, T: int) -> range:
@@ -83,9 +78,7 @@ def _open_slots(packet: Packet, T: int) -> range:
 
 
 def _peak_bits(
-    chan: ChannelState,
-    channel_cfg: ChannelConfig,
-    slot_duration_s: float,
+    link: phy.EpisodeLink,
     coverage_options_m: tuple[float, ...],
     power_options_dbm: tuple[float, ...],
 ) -> list[list[float]]:
@@ -94,18 +87,18 @@ def _peak_bits(
     within the widest radius, on the best frequency. It is computed exactly
     as `phy.slot_rates` computes a lone transmitter's rate, so no real
     transmission can exceed it."""
-    m, _, F, T = chan.gain_lin.shape
-    noise = noise_lin_mw(channel_cfg)
-    bw = channel_cfg.rb_bandwidth_hz
+    m, _, F, T = link.gain_lin.shape
+    noise = link.noise_mw
+    bw = link.rb_bandwidth_hz
     p_max = max((phy.power_lin_mw(pw) for pw in power_options_dbm), default=0.0)
     peaks = []
     for s in range(m):
-        reach = phy.coverage_group(chan.dist_m[s], max(coverage_options_m, default=0.0))
+        reach = link.group(s, max(coverage_options_m, default=0.0))
         peaks.append(
             [
                 max(
                     (
-                        phy.rate_bps(p_max * float(chan.gain_lin[s, d, f, t]) / noise, bw) * slot_duration_s
+                        phy.rate_bps(p_max * float(link.gain_lin[s, d, f, t]) / noise, bw) * link.slot_duration_s
                         for d in reach
                         for f in range(F)
                     ),
@@ -127,9 +120,7 @@ def _drains(left: float, bits) -> bool:
 
 def candidate_actions(
     scenario: Scenario,
-    chan: ChannelState,
-    channel_cfg: ChannelConfig,
-    slot_duration_s: float,
+    link: phy.EpisodeLink,
     coverage_options_m: tuple[float, ...],
     power_options_dbm: tuple[float, ...],
     packet_options: tuple[int, ...] = (phy.PKT_NONE, phy.PKT_SLICE1, phy.PKT_SLICE2),
@@ -156,8 +147,8 @@ def candidate_actions(
       drain its leftover bits, no sequence delivers it, and transmitting it
       only interferes.
     """
-    m, _, F, T = chan.gain_lin.shape
-    peaks = _peak_bits(chan, channel_cfg, slot_duration_s, coverage_options_m, power_options_dbm)
+    m, _, F, T = link.gain_lin.shape
+    peaks = _peak_bits(link, coverage_options_m, power_options_dbm)
     powers: dict[float, float] = {}  # linear mW -> first dBm level giving it
     for pw in power_options_dbm:
         p_mw = phy.power_lin_mw(pw)
@@ -167,7 +158,7 @@ def candidate_actions(
     for s in range(m):
         groups: dict[tuple[int, ...], float] = {}  # group -> first radius giving it
         for cov in coverage_options_m:
-            group = phy.coverage_group(chan.dist_m[s], cov)
+            group = link.group(s, cov)
             if group:
                 groups.setdefault(group, cov)
         open_slots = {}
@@ -217,17 +208,14 @@ def brute_force_optimal(
     further packet could be delivered.
     """
     m, _, _, T = chan.gain_lin.shape
-    cands = candidate_actions(
-        scenario, chan, channel_cfg, slot_duration_s, coverage_options_m, power_options_dbm, packet_options
-    )
+    link = _episode_link(chan, channel_cfg, slot_duration_s)
+    cands = candidate_actions(scenario, link, coverage_options_m, power_options_dbm, packet_options)
     sequences = math.prod(float(len(cands[s][t])) for s in range(m) for t in range(T))
     if sequences > max_sequences:
         raise SearchSpaceTooLarge(
             f"{max(len(c) for per_slot in cands for c in per_slot)} candidate actions per source and slot "
             f"at most, {sequences:.3g} sequences exceeds budget {max_sequences:.3g}"
         )
-    noise = noise_lin_mw(channel_cfg)
-    bw = channel_cfg.rb_bandwidth_hz
     # per slot and source: (index, raw action, packet index or -1, effective choice)
     options = [
         [
@@ -240,7 +228,7 @@ def brute_force_optimal(
                     2 * s + (act.packet_id - 1),
                     (
                         act.packet_id,
-                        phy.coverage_group(chan.dist_m[s], act.coverage_m),
+                        link.group(s, act.coverage_m),
                         act.freq,
                         phy.power_lin_mw(act.power_dbm),
                     ),
@@ -254,7 +242,7 @@ def brute_force_optimal(
     start_leftover = tuple(float(p.leftover_bits) for p in scenario.packets)
     start_delivered = tuple(left == 0.0 for left in start_leftover)
     # packets that survived pruning, with the peak bits of their open slots from t on
-    peaks = _peak_bits(chan, channel_cfg, slot_duration_s, coverage_options_m, power_options_dbm)
+    peaks = _peak_bits(link, coverage_options_m, power_options_dbm)
     live = sorted({opt[2] for per_slot in options for per_source in per_slot for opt in per_source} - {-1})
     tails = {
         k: [[peaks[k // 2][u] for u in _open_slots(scenario.packets[k], T) if u >= t] for t in range(T + 1)]
@@ -291,7 +279,9 @@ def brute_force_optimal(
             ids = tuple(opt[0] for opt in joint)
             rates = memo.get(ids)
             if rates is None:
-                rates = phy.slot_rates([opt[3] for opt in joint], chan.gain_lin[:, :, :, t], noise, bw)
+                rates = phy.slot_rates(
+                    [opt[3] for opt in joint], link.gain_lin[:, :, :, t], link.noise_mw, link.rb_bandwidth_hz
+                )
                 memo[ids] = rates
             new_leftover = list(leftover)
             new_delivered = list(delivered)

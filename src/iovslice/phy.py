@@ -4,16 +4,28 @@ Transmitters sharing a resource block are separated by successive interference
 cancellation at each receiver: the strongest signal is decoded against all
 weaker ones, subtracted, and so on. A broadcast succeeds at the rate of its
 worst group member, so one leftover counter per packet is enough.
+
+`EpisodeLink` is one episode's link table, the only way `apply_slot` sees the
+channel. It holds the channel's gains, the noise, the RB bandwidth and the
+slot duration; each source's broadcast group per radius, built by
+`coverage_group` the first time it is asked for; and a memo of `slot_rates`
+keyed by (slot, effective choices). The memo is exact: the rates are a pure
+function of the effective (packet, group, freq, p_mw) list and the slot's
+gains, and within an episode the slot fixes the gains, so a hit returns the
+very floats a fresh solve would. Masking happens before the lookup, so a
+choice the ledger demotes keys as silence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import math
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from .channel import ChannelState
 from .scenario import Packet
 
 # Power level meaning "radio off"; mapped to exactly zero transmit power so
@@ -70,9 +82,9 @@ def coverage_group(dist_row: np.ndarray, coverage_m: float) -> tuple[int, ...]:
     return tuple(int(j) for j in np.flatnonzero(dist_row <= coverage_m))
 
 
-@dataclass(frozen=True)
-class SlotAction:
-    """One source vehicle's choice for one slot, already decoded."""
+class SlotAction(NamedTuple):
+    """One source vehicle's choice for one slot, already decoded. Any
+    4-tuple in this field order is read the same way."""
 
     packet_id: int  # PKT_NONE / PKT_SLICE1 / PKT_SLICE2
     coverage_m: float
@@ -172,15 +184,54 @@ def slot_rates(
     return rates
 
 
+# the effective choice of a source that is off the air; its frequency and
+# power do not matter to anyone, so all such sources key the rate memo alike
+_OFF_AIR = (PKT_NONE, (), 0, 0.0)
+
+
+class EpisodeLink:
+    """One episode's link table: the inputs `apply_slot` resolves slots
+    against, plus memos of the broadcast groups and the slot rates.
+
+    Build one per episode (per channel realization); every replay of that
+    episode, however many plans it scores, may share it.
+    """
+
+    def __init__(
+        self, chan: ChannelState, noise_mw: float, rb_bandwidth_hz: float, slot_duration_s: float
+    ) -> None:
+        self.gain_lin = chan.gain_lin  # (m, n, F, T) linear gains
+        self.dist_m = chan.dist_m  # (m, n)
+        self.noise_mw = noise_mw
+        self.rb_bandwidth_hz = rb_bandwidth_hz
+        self.slot_duration_s = slot_duration_s
+        self._groups: dict[tuple[int, float], tuple[int, ...]] = {}
+        self._rates: dict[tuple, tuple[float, ...]] = {}
+
+    def group(self, src: int, coverage_m: float) -> tuple[int, ...]:
+        """`coverage_group` of the source at this radius, computed once."""
+        key = (src, coverage_m)
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = coverage_group(self.dist_m[src], coverage_m)
+        return group
+
+    def rates(self, slot: int, effective: list[tuple[int, tuple[int, ...], int, float]]) -> tuple[float, ...]:
+        """`slot_rates` of the effective choices at this slot, solved once."""
+        key = (slot, *effective)
+        rates = self._rates.get(key)
+        if rates is None:
+            rates = self._rates[key] = tuple(
+                slot_rates(effective, self.gain_lin[:, :, :, slot], self.noise_mw, self.rb_bandwidth_hz)
+            )
+        return rates
+
+
 def apply_slot(
     ledger: DeliveryLedger,
-    actions: list[SlotAction],
-    gain_slot: np.ndarray,  # (m, n, F) linear gains for this slot
-    dist: np.ndarray,  # (m, n)
-    noise_mw: float,
-    rb_bandwidth_hz: float,
+    actions: Sequence[tuple[int, float, int, float]],  # per source, SlotAction fields in order
+    link: EpisodeLink,
     slot: int,
-    slot_duration_s: float,
 ) -> list[SourceOutcome]:
     """Resolve one slot of raw per-source choices: mask, SIC rates per
     broadcast group, then ledger updates.
@@ -188,21 +239,20 @@ def apply_slot(
     A choice of an already-delivered packet, or of a safety packet outside
     its window, is masked to no transmission (`mask_packet_choice`).
     """
-    m = len(actions)
-    outcomes: list[SourceOutcome] = []
     effective: list[tuple[int, tuple[int, ...], int, float]] = []  # (pkt, group, freq, p_mw)
-    for src, act in enumerate(actions):
-        pkt = mask_packet_choice(ledger, src, act.packet_id, slot)
-        p_mw = power_lin_mw(act.power_dbm)
-        if pkt == PKT_NONE or p_mw == 0.0 or act.coverage_m <= 0:
-            effective.append((PKT_NONE, (), act.freq, 0.0))
+    for src, (packet_id, coverage_m, freq, power_dbm) in enumerate(actions):
+        pkt = mask_packet_choice(ledger, src, packet_id, slot)
+        p_mw = power_lin_mw(power_dbm)
+        if pkt == PKT_NONE or p_mw == 0.0 or coverage_m <= 0:
+            effective.append(_OFF_AIR)
         else:
-            effective.append((pkt, coverage_group(dist[src], act.coverage_m), act.freq, p_mw))
+            effective.append((pkt, link.group(src, coverage_m), freq, p_mw))
 
-    rates = slot_rates(effective, gain_slot, noise_mw, rb_bandwidth_hz)
+    rates = link.rates(slot, effective)
 
-    for src in range(m):
-        pkt, group, freq, p_mw = effective[src]
+    outcomes: list[SourceOutcome] = []
+    leftover = ledger.leftover_bits
+    for src, (pkt, group, _, _) in enumerate(effective):
         if pkt == PKT_NONE:
             outcomes.append(SourceOutcome(False, PKT_NONE, (), 0.0, False))
             continue
@@ -210,14 +260,16 @@ def apply_slot(
         if group:
             ledger.reached[k].update(group)
         delivered_now = False
-        if rates[src] > 0.0:
-            sent = min(ledger.leftover_bits[k], rates[src] * slot_duration_s)
-            ledger.leftover_bits[k] -= sent
-            if ledger.leftover_bits[k] <= 0.0:
-                ledger.leftover_bits[k] = 0.0
+        rate = rates[src]
+        if rate > 0.0:
+            left = leftover[k]
+            left -= min(left, rate * link.slot_duration_s)
+            if left <= 0.0:
+                left = 0.0
                 ledger.delivered[k] = True
                 delivered_now = True
-        outcomes.append(SourceOutcome(True, pkt, group, rates[src], delivered_now))
+            leftover[k] = left
+        outcomes.append(SourceOutcome(True, pkt, group, rate, delivered_now))
     return outcomes
 
 

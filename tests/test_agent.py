@@ -89,7 +89,7 @@ def test_training_is_deterministic():
 
 
 def test_forced_exploration_is_uniform():
-    cfg = TrainConfig(episodes=12, eps_start=1.0, eps_end=1.0, warmup=10**9, seed=5)
+    cfg = TrainConfig(episodes=12, eps_start=1.0, eps_end=1.0, warmup=DEFAULTS.replay_capacity, seed=5)
     stream, env = tiny_world()
     actions = []
 
@@ -108,7 +108,7 @@ def test_forced_exploration_is_uniform():
 
 
 def test_warmup_gates_updates():
-    cfg = TrainConfig(episodes=2, warmup=10**9, seed=1)
+    cfg = TrainConfig(episodes=2, warmup=DEFAULTS.replay_capacity, seed=1)
     stream, env = tiny_world()
     net, log = train(stream, env, cfg)
     assert all(row.loss_mean is None for row in log)

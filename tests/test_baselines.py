@@ -3,13 +3,17 @@ import pytest
 
 from iovslice import baselines as bl
 from iovslice import phy
-from iovslice.channel import ChannelConfig
+from iovslice.channel import ChannelConfig, noise_lin_mw
 from iovslice.config import RunConfig
 from iovslice.env import COVERAGE_LEVELS_M, POWER_LEVELS_DBM, EnvConfig
 from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY, SLICE_THROUGHPUT
 from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream
 
 from tests.conftest import forced_channel, hand_built_scenario
+
+
+def _link(chan, cfg):
+    return phy.EpisodeLink(chan, noise_lin_mw(cfg), cfg.rb_bandwidth_hz, 0.005)
 
 
 def test_random_coverage_slice_uniform():
@@ -48,9 +52,7 @@ def test_slice2_never_sent_outside_window():
                 actions.append(
                     phy.SlotAction(pkt, float(run.plan.coverage_m[s, t]), f, float(run.plan.power_dbm[s, t]))
                 )
-        phy.apply_slot(
-            ledger, actions, chan.gain_lin[:, :, :, t], chan.dist_m, 1e-10, 1e6, t, 0.005
-        )
+        phy.apply_slot(ledger, actions, phy.EpisodeLink(chan, 1e-10, 1e6, 0.005), t)
         for s in range(2):
             k = ledger.index(s, 2)
             pktdef = sc.packets[k]
@@ -67,7 +69,7 @@ def test_initial_allocation_argmax_single_source():
     coverage = np.full((1, 20), 400.0)
     packet = np.ones((1, 20), dtype=np.int64)
     power = np.full((1, 20), 30.0)
-    plan = bl.initial_rb_allocation(sc, chan, coverage, packet, power, oma=False)
+    plan = bl.initial_rb_allocation(sc, _link(chan, cfg), coverage, packet, power, oma=False)
     assert np.all(plan.freq == 1)
 
 
@@ -78,7 +80,7 @@ def test_oma_pigeonhole_one_inactive():
     rng = np.random.default_rng(3)
     coverage, packet = bl.random_coverage_slice(3, 20, rng)
     power = bl.draw_powers("OMA-MP", 3, 20, rng)
-    plan = bl.initial_rb_allocation(sc, chan, coverage, packet, power, oma=True)
+    plan = bl.initial_rb_allocation(sc, _link(chan, cfg), coverage, packet, power, oma=True)
     for t in range(20):
         active = plan.freq[:, t][plan.freq[:, t] != bl.INACTIVE]
         assert len(active) == 2  # pigeonhole with m=3, F=2
@@ -92,7 +94,7 @@ def test_noma_everyone_active():
     rng = np.random.default_rng(4)
     coverage, packet = bl.random_coverage_slice(3, 20, rng)
     power = bl.draw_powers("NOMA-MP", 3, 20, rng)
-    plan = bl.initial_rb_allocation(sc, chan, coverage, packet, power, oma=False)
+    plan = bl.initial_rb_allocation(sc, _link(chan, cfg), coverage, packet, power, oma=False)
     assert np.all(plan.freq != bl.INACTIVE)
 
 
@@ -110,8 +112,6 @@ def _two_source_conflict():
     sc = hand_built_scenario([0.0, 10.0], [100.0, 110.0], packets=packets)
     chan = forced_channel(sc, -80.0, F=2, T=1)
     cfg = ChannelConfig()
-    from iovslice.channel import noise_lin_mw
-
     noise = noise_lin_mw(cfg)
     p_mw = phy.power_lin_mw(30.0)
     chan.gain_lin[:, :, 0, 0] = 0.5 * noise / p_mw  # sinr 0.5: 2924 bits, short
@@ -124,10 +124,12 @@ def _two_source_conflict():
 
 
 def _evaluator(sc, chan, cfg, seen=None):
+    link = _link(chan, cfg)
+
     def evaluate(p, record, start):
         if seen is not None:
             seen.append(p)
-        return bl.evaluate_plan(p, sc, chan, cfg, 0.005, record, start)
+        return bl.evaluate_plan(p, sc, link, record, start)
 
     return evaluate
 
@@ -160,7 +162,7 @@ def test_swap_matching_respects_oma():
     rng = np.random.default_rng(8)
     coverage, packet = bl.random_coverage_slice(3, 20, rng)
     power = bl.draw_powers("OMA-MP", 3, 20, rng)
-    plan = bl.initial_rb_allocation(sc, chan, coverage, packet, power, oma=True)
+    plan = bl.initial_rb_allocation(sc, _link(chan, cfg), coverage, packet, power, oma=True)
 
     history_plans = []
     final = bl.swap_matching(plan, _evaluator(sc, chan, cfg, history_plans), oma=True, F=2).plan
@@ -189,11 +191,12 @@ def test_incremental_replay_matches_full_replay():
     rejoined = ran_to_end = inactive = closed = 0
     for sc, chan in _small_worlds():
         m, _, F, T = chan.gain_lin.shape
+        link = _link(chan, cfg)  # shared by the world's incremental replays
         for k in range(12):
             if k % 2:  # OMA: exclusive frequencies, sources without one sit out
                 coverage, packet = bl.random_coverage_slice(m, T, rng)
                 plan = bl.initial_rb_allocation(
-                    sc, chan, coverage, packet, bl.draw_powers("NOMA-RP", m, T, rng), oma=True
+                    sc, link, coverage, packet, bl.draw_powers("NOMA-RP", m, T, rng), oma=True
                 )
             else:
                 plan = bl.OfflinePlan(
@@ -209,7 +212,7 @@ def test_incremental_replay_matches_full_replay():
                     plan.packet[s, t] == phy.PKT_SLICE2 and not pkt.arrival_slot <= t <= pkt.deadline_slot
                     for t in range(T)
                 )
-            record = bl.evaluate_plan(plan, sc, chan, cfg, 0.005)
+            record = bl.evaluate_plan(plan, sc, link)
             assert len(record) == T + 1
             for _ in range(10):
                 t = int(rng.integers(T))
@@ -219,8 +222,8 @@ def test_incremental_replay_matches_full_replay():
                     edited.freq[i, t], edited.freq[j, t] = plan.freq[j, t], plan.freq[i, t]
                 else:
                     edited.freq[int(rng.integers(m)), t] = int(rng.integers(F))
-                ledgers = bl.evaluate_plan(edited, sc, chan, cfg, 0.005, record, t)
-                full = bl.evaluate_plan(edited, sc, chan, cfg, 0.005)
+                ledgers = bl.evaluate_plan(edited, sc, link, record, t)
+                full = bl.evaluate_plan(edited, sc, _link(chan, cfg))
                 assert t < len(ledgers) - 1 and len(ledgers) <= T + 1
                 for a, b in zip(ledgers, full):  # the shared prefix and every replayed slot
                     assert np.array_equal(a.leftover_bits, b.leftover_bits)
@@ -291,10 +294,10 @@ def test_swap_matching_matches_full_replay_search():
             coverage, packet = bl.random_coverage_slice(env_cfg.m, env_cfg.T, rng)
             powers = bl.draw_powers(name, env_cfg.m, env_cfg.T, rng)
             oma = name.startswith("OMA")
-            plan = bl.initial_rb_allocation(sc, chan, coverage, packet, powers, oma)
+            plan = bl.initial_rb_allocation(sc, _link(chan, cfg), coverage, packet, powers, oma)
 
             def full_score(p):
-                return bl.delivered_packets(bl.evaluate_plan(p, sc, chan, cfg, 0.005)[-1])
+                return bl.delivered_packets(bl.evaluate_plan(p, sc, _link(chan, cfg))[-1])
 
             ref_plan, ref_history, ref_evaluations = _reference_swap_matching(
                 plan, full_score, oma, env_cfg.F
@@ -303,7 +306,7 @@ def test_swap_matching_matches_full_replay_search():
                 assert np.array_equal(getattr(run.plan, field), getattr(ref_plan, field))
             assert run.objective_history == ref_history
             assert run.evaluations == ref_evaluations
-            assert run.stats == phy.reception_stats(bl.evaluate_plan(ref_plan, sc, chan, cfg, 0.005)[-1])
+            assert run.stats == phy.reception_stats(bl.evaluate_plan(ref_plan, sc, _link(chan, cfg))[-1])
             accepted += len(ref_history) - 1
     assert accepted > 30
 

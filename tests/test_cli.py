@@ -53,6 +53,8 @@ def test_config_rejects_unknown_key():
         # warmup 16 fits, but a batch of 21 is never stored
         ("train.replay_capacity = 20\ntrain.batch_size = 21", ["train", "--out", "run"]),
         ("train.replay_capacity = 0", ["train", "--out", "run"]),
+        # the replay never holds the 16 warmup transitions, so no update would run
+        ("train.replay_capacity = 10", ["train", "--out", "run"]),
     ],
 )
 def test_main_rejects_malformed_config_value(tmp_path, monkeypatch, capsys, line, command):
@@ -127,6 +129,17 @@ def test_train_output_digests_are_pinned(tmp_path, double_q, checkpoint_sha256, 
     ckpt, log_path = cli.cmd_train(cfg, tmp_path / "run", quiet=True)
     assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == checkpoint_sha256
     assert hashlib.sha256(log_path.read_bytes()).hexdigest() == log_sha256
+
+
+def test_baseline_output_digests_are_pinned(tmp_path):
+    """All three swap-matching baselines over the size sweep at seed 3 write
+    exactly the recorded bytes, so any drift in the link layer, the swap
+    search or its incremental replay shows here."""
+    cfg = dataclasses.replace(RunConfig(), seed=3)
+    out = cli.cmd_baseline(cfg, list(cli.bl.BASELINE_NAMES), tmp_path / "base.csv", episodes=2, sweep="sizes")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "2ab8f5c5c28226f9bb6c720784c6caf2a5f35b7dce45798848586290ff81d36c"
+    )
 
 
 def test_cmd_eval_rows_and_bounds(tmp_path):

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iovslice import phy
 from iovslice.channel import ChannelConfig, noise_lin_mw
+from iovslice.env import COVERAGE_LEVELS_M, POWER_LEVELS_DBM, EnvConfig
+from iovslice.scenario import RoadConfig
+from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream
 
 from tests.conftest import forced_channel, hand_built_scenario
 
@@ -92,14 +97,7 @@ def test_coverage_group():
 
 
 def _slot_args(sc, chan, cfg, t=0):
-    return (
-        chan.gain_lin[:, :, :, t],
-        chan.dist_m,
-        noise_lin_mw(cfg),
-        cfg.rb_bandwidth_hz,
-        t,
-        0.005,
-    )
+    return (phy.EpisodeLink(chan, noise_lin_mw(cfg), cfg.rb_bandwidth_hz, 0.005), t)
 
 
 def test_group_rate_min_semantics():
@@ -225,6 +223,57 @@ def test_ledger_monotone_under_random_actions(rng):
         assert np.all(ledger.delivered >= prev_delivered)  # flags never unset
         prev_leftover = ledger.leftover_bits.copy()
         prev_delivered = ledger.delivered.copy()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shared_link_replays_match_fresh_links(data):
+    """Slots replayed through one episode's shared link, memo hits included,
+    resolve bit for bit as through a fresh link, whatever the ledger masks."""
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    F, T = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 6))
+    workload = WorkloadConfig(deadline_len_slots=data.draw(st.integers(1, T)))
+    cfg = ChannelConfig()
+    seed = data.draw(st.integers(0, 999))
+    sc, chan = WorldStream(RoadConfig(), EnvConfig(m=m, n=n, F=F, T=T), cfg, workload, seed, TAG_EVAL)(0)
+
+    def fresh_link():
+        return phy.EpisodeLink(chan, noise_lin_mw(cfg), cfg.rb_bandwidth_hz, 0.005)
+
+    choice = st.builds(
+        phy.SlotAction,
+        st.integers(0, 2),
+        st.sampled_from(COVERAGE_LEVELS_M),
+        st.integers(0, F - 1),
+        st.sampled_from(POWER_LEVELS_DBM),
+    )
+    # a few raw joint choices, each played at several slots
+    pool = data.draw(st.lists(st.lists(choice, min_size=m, max_size=m), min_size=1, max_size=3))
+    shared = fresh_link()
+    ledger = phy.DeliveryLedger(sc.packets)
+    for t in range(T):
+        actions = pool[data.draw(st.integers(0, len(pool) - 1))]
+        # the same slot from a ledger whose delivered flags mask other choices
+        masked = ledger.copy()
+        for k in data.draw(st.sets(st.integers(0, 2 * m - 1))):
+            masked.leftover_bits[k] = 0.0
+            masked.delivered[k] = True
+        for start in (masked, ledger):
+            resolved = []
+            for link in (shared, shared, fresh_link()):
+                after = start.copy()
+                out = phy.apply_slot(after, actions, link, t)
+                resolved.append(
+                    (
+                        after.leftover_bits.tobytes(),
+                        after.delivered.tobytes(),
+                        after.reached,
+                        np.array([o.rate_bps for o in out]).tobytes(),
+                        out,
+                    )
+                )
+            assert resolved[0] == resolved[2] and resolved[1] == resolved[2]
+        phy.apply_slot(ledger, actions, shared, t)
 
 
 def test_prr_examples():
