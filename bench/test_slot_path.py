@@ -19,7 +19,6 @@ import pytest
 
 from iovslice import baselines as bl
 from iovslice import phy
-from iovslice.channel import noise_lin_mw
 from iovslice.config import RunConfig
 from iovslice.worlds import TAG_EVAL, WorldStream, algorithm_rng
 
@@ -38,7 +37,7 @@ def world():
 
 
 def _link(chan):
-    return phy.EpisodeLink(chan, noise_lin_mw(CFG.channel), CFG.channel.rb_bandwidth_hz, CFG.env.slot_duration_s)
+    return phy.EpisodeLink(chan, CFG.channel, CFG.env.slot_duration_s)
 
 
 def _slot_actions():

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phy
-from .channel import ChannelConfig, ChannelState, noise_lin_mw
+from .channel import ChannelConfig, ChannelState
 from .env import COVERAGE_LEVELS_M, POWER_LEVELS_DBM
 from .scenario import Scenario
 
@@ -112,7 +112,8 @@ def evaluate_plan(
     the last is the episode's outcome. `record` holds those ledgers for a
     plan that differs from this one only at slot `start`: the replay then
     resumes from record[start] and stops after the first slot that leaves
-    leftover bits and delivery flags bit for bit as the record has them.
+    the leftover bits, and with them the delivery flags, bit for bit as the
+    record has them.
     Every later slot then plays out alike, so this plan delivers what the
     recorded one does; such a replay returns the ledgers up to that slot only.
     """
@@ -126,17 +127,13 @@ def evaluate_plan(
         phy.apply_slot(ledger, actions, link, t)
         ledgers.append(ledger)
         # bit-identical progress, so the rest replays exactly as recorded
-        if (
-            record is not None
-            and ledger.leftover_bits.tobytes() == record[t + 1].leftover_bits.tobytes()
-            and ledger.delivered.tobytes() == record[t + 1].delivered.tobytes()
-        ):
+        if record is not None and ledger.leftover_bits.tobytes() == record[t + 1].leftover_bits.tobytes():
             break
     return ledgers
 
 
 def delivered_packets(ledger: phy.DeliveryLedger) -> int:
-    return int(ledger.delivered.sum())
+    return ledger.leftover_bits.tolist().count(0.0)  # delivered means leftover 0.0
 
 
 @dataclass
@@ -225,7 +222,7 @@ def run_baseline(
     coverage, packet = random_coverage_slice(m, T, rng)
     powers = draw_powers(name, m, T, rng)
     # the allocation and every trial read this one episode's link table
-    link = phy.EpisodeLink(chan, noise_lin_mw(channel_cfg), channel_cfg.rb_bandwidth_hz, slot_duration_s)
+    link = phy.EpisodeLink(chan, channel_cfg, slot_duration_s)
     plan = initial_rb_allocation(scenario, link, coverage, packet, powers, oma)
 
     def evaluate(p: OfflinePlan, record: list[phy.DeliveryLedger] | None, start: int):

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import phy
-from .channel import ChannelConfig, ChannelState, noise_lin_mw, pathloss_db
+from .channel import ChannelConfig, ChannelState, pathloss_db
 from .scenario import Scenario
 
 COVERAGE_LEVELS_M = (0.0, 100.0, 400.0, 1000.0, 1400.0)
@@ -114,7 +114,7 @@ def individual_reward(outcome: phy.SourceOutcome, rate_norm_bps: float, upper_bo
     group rate; silence and empty groups pay nothing."""
     if outcome.delivered_now:
         return upper_bound
-    if outcome.transmitted and outcome.group:
+    if outcome.group:  # on the air to someone; silence has no group
         return min(max(outcome.rate_bps / rate_norm_bps, 0.0), 1.0) * upper_bound
     return 0.0
 
@@ -131,7 +131,6 @@ class SlicingEnv:
     def __init__(self, cfg: EnvConfig, channel_cfg: ChannelConfig, collect_trace: bool = False):
         self.cfg = cfg
         self.channel_cfg = channel_cfg
-        self.noise_mw = noise_lin_mw(channel_cfg)
         self.rate_norm_bps = (
             cfg.rate_norm_bps if cfg.rate_norm_bps is not None else default_rate_norm_bps(channel_cfg)
         )
@@ -156,7 +155,7 @@ class SlicingEnv:
             raise ValueError("scenario is missing its per-source packet pairs")
         self.scenario = scenario
         self.channel = channel
-        self.link = phy.EpisodeLink(channel, self.noise_mw, self.channel_cfg.rb_bandwidth_hz, cfg.slot_duration_s)
+        self.link = phy.EpisodeLink(channel, self.channel_cfg, cfg.slot_duration_s)
         self.ledger = phy.DeliveryLedger(scenario.packets)
         self.slot = 0
         self.deciding = 0
@@ -222,7 +221,7 @@ class SlicingEnv:
         self.prev_choice[:] = 0.0
         for src, out in enumerate(outcomes):
             reward += individual_reward(out, self.rate_norm_bps, cfg.reward_upper_bound)
-            self.prev_choice[src, out.packet_id if out.transmitted else phy.PKT_NONE] = 1.0
+            self.prev_choice[src, out.packet_id] = 1.0
             if self.collect_trace:
                 cov_idx, pkt_idx, freq_idx, pow_idx = decode_action(self.pending[src], cfg.F)
                 self.trace.append(

@@ -6,6 +6,11 @@ levels can reach, under the same masking and slot resolution as the
 environment. It is an upper bound that every policy drawing its choices from
 those levels must respect. `replay_actions` replays a sequence through the
 link layer the environment and the baselines share (`phy.apply_slot`).
+The search does not call `apply_slot` for every joint choice, which would
+mask every choice again, build outcomes and copy ledgers, but it resolves
+slots by the same rules: its choices are put on the air by
+`phy.EpisodeLink.effective`, their rates come from the episode link's memo
+(`EpisodeLink.rates`), and leftover bits drop by `phy.drain`.
 
 The search is depth-first over slots, but it does not enumerate raw choices.
 For each (source, slot) it keeps one representative of every choice that can
@@ -18,10 +23,10 @@ its representative (or by silence) therefore delivers a superset of the
 packets, slot by slot, and the optimum over the candidates equals the optimum
 over the raw choices.
 
-Within the search, slot rates are memoized per (slot, joint candidate); a
-state (slot, leftover bits, delivered flags) reached twice is searched once,
-since everything after a slot depends on that state alone; and a branch is
-cut once the packets delivered so far plus those that peak rates could still
+A packet is delivered exactly when its leftover is 0.0, so the search state
+at a slot is the leftover bits alone. A state reached twice is searched
+once, since everything after a slot depends on it alone; and a branch is cut
+once the packets delivered so far plus those that peak rates could still
 finish (`_peak_bits`) cannot beat the best count found.
 """
 
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import phy
-from .channel import ChannelConfig, ChannelState, noise_lin_mw
+from .channel import ChannelConfig, ChannelState
 from .scenario import Packet, Scenario
 
 
@@ -41,7 +46,8 @@ class SearchSpaceTooLarge(ValueError):
 
 
 NO_TX = phy.SlotAction(phy.PKT_NONE, 0.0, 0, phy.SILENCE_POWER_DBM)
-_OFF_AIR = (phy.PKT_NONE, (), 0, 0.0)
+# most joint sequences, after pruning, that brute_force_optimal will search
+MAX_SEQUENCES = 1e7
 
 
 @dataclass(frozen=True)
@@ -59,15 +65,11 @@ def replay_actions(
 ) -> phy.DeliveryLedger:
     """Replay a full joint action sequence of raw choices through the shared
     link layer."""
-    link = _episode_link(chan, channel_cfg, slot_duration_s)
+    link = phy.EpisodeLink(chan, channel_cfg, slot_duration_s)
     ledger = phy.DeliveryLedger(scenario.packets)
     for t, slot_actions in enumerate(actions_per_slot):
         phy.apply_slot(ledger, slot_actions, link, t)
     return ledger
-
-
-def _episode_link(chan: ChannelState, channel_cfg: ChannelConfig, slot_duration_s: float) -> phy.EpisodeLink:
-    return phy.EpisodeLink(chan, noise_lin_mw(channel_cfg), channel_cfg.rb_bandwidth_hz, slot_duration_s)
 
 
 def _open_slots(packet: Packet, T: int) -> range:
@@ -111,11 +113,10 @@ def _peak_bits(
 
 
 def _drains(left: float, bits) -> bool:
-    """Whether sending at most bits[0], bits[1], ... in turn can empty `left`,
-    with the same arithmetic as the ledger update."""
+    """Whether sending at most bits[0], bits[1], ... in turn can empty `left`."""
     for b in bits:
-        left -= min(left, b)
-    return left <= 0.0
+        left = phy.drain(left, b)
+    return left == 0.0
 
 
 def candidate_actions(
@@ -123,7 +124,6 @@ def candidate_actions(
     link: phy.EpisodeLink,
     coverage_options_m: tuple[float, ...],
     power_options_dbm: tuple[float, ...],
-    packet_options: tuple[int, ...] = (phy.PKT_NONE, phy.PKT_SLICE1, phy.PKT_SLICE2),
 ) -> list[list[list[phy.SlotAction]]]:
     """Per source and slot, the choices the search has to try; NO_TX first.
 
@@ -162,9 +162,7 @@ def candidate_actions(
             if group:
                 groups.setdefault(group, cov)
         open_slots = {}
-        for pkt in packet_options:
-            if pkt == phy.PKT_NONE:
-                continue
+        for pkt in (phy.PKT_SLICE1, phy.PKT_SLICE2):
             packet = scenario.packets[2 * s + (pkt - 1)]
             slots = _open_slots(packet, T)
             if packet.leftover_bits > 0.0 and _drains(packet.leftover_bits, [peaks[s][t] for t in slots]):
@@ -193,14 +191,12 @@ def brute_force_optimal(
     slot_duration_s: float,
     coverage_options_m: tuple[float, ...],
     power_options_dbm: tuple[float, ...],
-    packet_options: tuple[int, ...] = (phy.PKT_NONE, phy.PKT_SLICE1, phy.PKT_SLICE2),
-    max_sequences: float = 1e7,
 ) -> OracleResult:
     """Maximum delivered-packet count over every joint action sequence.
 
     The space searched is every sequence of raw choices from the given
     levels; `candidate_actions` prunes it without changing the maximum.
-    `max_sequences` bounds the product, over slots and sources, of the
+    `MAX_SEQUENCES` bounds the product, over slots and sources, of the
     candidate-list lengths: the number of joint sequences left after pruning,
     before the search merges repeated states and cuts hopeless branches. The
     check runs before any search, and SearchSpaceTooLarge is raised if it
@@ -208,107 +204,73 @@ def brute_force_optimal(
     further packet could be delivered.
     """
     m, _, _, T = chan.gain_lin.shape
-    link = _episode_link(chan, channel_cfg, slot_duration_s)
-    cands = candidate_actions(scenario, link, coverage_options_m, power_options_dbm, packet_options)
+    link = phy.EpisodeLink(chan, channel_cfg, slot_duration_s)
+    cands = candidate_actions(scenario, link, coverage_options_m, power_options_dbm)
     sequences = math.prod(float(len(cands[s][t])) for s in range(m) for t in range(T))
-    if sequences > max_sequences:
+    if sequences > MAX_SEQUENCES:
         raise SearchSpaceTooLarge(
             f"{max(len(c) for per_slot in cands for c in per_slot)} candidate actions per source and slot "
-            f"at most, {sequences:.3g} sequences exceeds budget {max_sequences:.3g}"
+            f"at most, {sequences:.3g} sequences exceeds budget {MAX_SEQUENCES:.3g}"
         )
-    # per slot and source: (index, raw action, packet index or -1, effective choice)
+    # per slot and source: (raw action, packet index or -1, effective choice)
     options = [
         [
             [
-                (i, act, -1, _OFF_AIR)
-                if act.packet_id == phy.PKT_NONE
-                else (
-                    i,
-                    act,
-                    2 * s + (act.packet_id - 1),
-                    (
-                        act.packet_id,
-                        link.group(s, act.coverage_m),
-                        act.freq,
-                        phy.power_lin_mw(act.power_dbm),
-                    ),
-                )
-                for i, act in enumerate(cands[s][t])
+                (act, -1 if act.packet_id == phy.PKT_NONE else 2 * s + (act.packet_id - 1), link.effective(s, *act))
+                for act in cands[s][t]
             ]
             for s in range(m)
         ]
         for t in range(T)
     ]
-    start_leftover = tuple(float(p.leftover_bits) for p in scenario.packets)
-    start_delivered = tuple(left == 0.0 for left in start_leftover)
     # packets that survived pruning, with the peak bits of their open slots from t on
     peaks = _peak_bits(link, coverage_options_m, power_options_dbm)
-    live = sorted({opt[2] for per_slot in options for per_source in per_slot for opt in per_source} - {-1})
+    live = sorted({opt[1] for per_slot in options for per_source in per_slot for opt in per_source} - {-1})
     tails = {
         k: [[peaks[k // 2][u] for u in _open_slots(scenario.packets[k], T) if u >= t] for t in range(T + 1)]
         for k in live
     }
 
-    def upper_bound(t: int, leftover: tuple[float, ...], delivered: tuple[bool, ...]) -> int:
-        """Delivered so far plus every open packet that peak rates could still finish."""
-        return sum(delivered) + sum(
-            1 for k in live if not delivered[k] and _drains(leftover[k], tails[k][t])
-        )
-
-    rate_memo: list[dict] = [{} for _ in range(T)]  # per slot: option indices -> rates
-    visited: list[set] = [set() for _ in range(T)]  # per slot: states already searched
+    visited: list[set] = [set() for _ in range(T)]  # per slot: leftover states already searched
     best_count = -1
     best_seq: list[tuple[phy.SlotAction, ...]] = []
     seq: list[tuple[phy.SlotAction, ...]] = []
 
-    def descend(t: int, leftover: tuple[float, ...], delivered: tuple[bool, ...]) -> None:
+    def descend(t: int, leftover: tuple[float, ...]) -> None:
         nonlocal best_count, best_seq
-        bound = upper_bound(t, leftover, delivered)
+        done = leftover.count(0.0)
+        # delivered so far plus every open packet that peak rates could still finish
+        bound = done + sum(1 for k in live if leftover[k] > 0.0 and _drains(leftover[k], tails[k][t]))
         if bound <= best_count:
             return
-        if sum(delivered) == bound:  # nothing more can be delivered
+        if done == bound:  # nothing more can be delivered
             best_count = bound
             best_seq = list(seq)
             return
         # a delivered packet is masked to silence, which NO_TX already covers
-        choices = [
-            [opt for opt in per_source if opt[2] < 0 or not delivered[opt[2]]] for per_source in options[t]
-        ]
-        memo = rate_memo[t]
+        choices = [[opt for opt in per_source if opt[1] < 0 or leftover[opt[1]] > 0.0] for per_source in options[t]]
         for joint in product(*choices):
-            ids = tuple(opt[0] for opt in joint)
-            rates = memo.get(ids)
-            if rates is None:
-                rates = phy.slot_rates(
-                    [opt[3] for opt in joint], link.gain_lin[:, :, :, t], link.noise_mw, link.rb_bandwidth_hz
-                )
-                memo[ids] = rates
-            new_leftover = list(leftover)
-            new_delivered = list(delivered)
-            for s, (_, _, k, _) in enumerate(joint):
-                if k < 0 or rates[s] <= 0.0:
-                    continue
-                sent = min(new_leftover[k], rates[s] * slot_duration_s)
-                new_leftover[k] -= sent
-                if new_leftover[k] <= 0.0:
-                    new_leftover[k] = 0.0
-                    new_delivered[k] = True
+            rates = link.rates(t, [opt[2] for opt in joint])
+            after = list(leftover)
+            for s, (_, k, _) in enumerate(joint):
+                if k >= 0:
+                    after[k] = phy.drain(after[k], rates[s] * slot_duration_s)
             if t + 1 == T:  # a final state is cheaper to score than to descend into
-                count = sum(new_delivered)
+                count = after.count(0.0)
                 if count > best_count:
                     best_count = count
-                    best_seq = [*seq, tuple(opt[1] for opt in joint)]
+                    best_seq = [*seq, tuple(opt[0] for opt in joint)]
             else:
-                # what follows a slot depends only on the state it leaves behind
-                state = (tuple(new_leftover), tuple(new_delivered))
+                # what follows a slot depends only on the leftover it leaves behind
+                state = tuple(after)
                 if state in visited[t + 1]:
                     continue
                 visited[t + 1].add(state)
-                seq.append(tuple(opt[1] for opt in joint))
-                descend(t + 1, *state)
+                seq.append(tuple(opt[0] for opt in joint))
+                descend(t + 1, state)
                 seq.pop()
             if best_count == bound:
                 return
 
-    descend(0, start_leftover, start_delivered)
+    descend(0, tuple(float(p.leftover_bits) for p in scenario.packets))
     return OracleResult(best_delivered=best_count, best_actions=tuple(best_seq))

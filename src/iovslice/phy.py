@@ -3,17 +3,23 @@
 Transmitters sharing a resource block are separated by successive interference
 cancellation at each receiver: the strongest signal is decoded against all
 weaker ones, subtracted, and so on. A broadcast succeeds at the rate of its
-worst group member, so one leftover counter per packet is enough.
+worst group member, so one leftover counter per packet is enough. A packet
+is delivered exactly when its leftover is 0.0: `drain` leaves exactly zero
+when a slot carries at least the leftover and a positive remainder otherwise.
 
-`EpisodeLink` is one episode's link table, the only way `apply_slot` sees the
-channel. It holds the channel's gains, the noise, the RB bandwidth and the
-slot duration; each source's broadcast group per radius, built by
-`coverage_group` the first time it is asked for; and a memo of `slot_rates`
-keyed by (slot, effective choices). The memo is exact: the rates are a pure
-function of the effective (packet, group, freq, p_mw) list and the slot's
-gains, and within an episode the slot fixes the gains, so a hit returns the
-very floats a fresh solve would. Masking happens before the lookup, so a
-choice the ledger demotes keys as silence.
+This module alone knows how a slot is resolved. `EpisodeLink` is one
+episode's link table, the only way a slot resolution sees the channel. It
+holds the channel's gains, the noise, the RB bandwidth and the slot duration;
+each source's broadcast group per radius, built by `coverage_group` the first
+time it is asked for; the rule for what a masked choice puts on the air
+(`EpisodeLink.effective`); and a memo of `slot_rates` keyed by (slot,
+effective choices). The memo is exact: the rates are a pure function of the
+effective (packet, group, freq, p_mw) list and the slot's gains, and within an
+episode the slot fixes the gains, so a hit returns the very floats a fresh
+solve would. Masking happens before the lookup, so a choice the ledger demotes
+keys as silence. `apply_slot` resolves slots for the environment, the
+baselines and the oracle's replay; the oracle's search resolves its joint
+choices through the same `effective`, `rates` and `drain`.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelState
+from .channel import ChannelConfig, ChannelState, noise_lin_mw
 from .scenario import Packet
 
 # Power level meaning "radio off"; mapped to exactly zero transmit power so
@@ -92,42 +98,56 @@ class SlotAction(NamedTuple):
     power_dbm: float
 
 
-@dataclass
+@dataclass(slots=True)
 class SourceOutcome:
-    transmitted: bool
     packet_id: int  # effective packet after masking, PKT_NONE if silent
     group: tuple[int, ...]
     rate_bps: float
     delivered_now: bool
 
+    @property
+    def transmitted(self) -> bool:
+        return self.packet_id != PKT_NONE
+
+
+def drain(left: float, bits: float) -> float:
+    """Leftover bits after a slot carrying `bits` toward `left` (both
+    nonnegative): exactly 0.0 when bits >= left, positive otherwise."""
+    return left - min(left, bits)
+
 
 @dataclass
 class DeliveryLedger:
-    """Per-packet leftover bits, delivery flags, and reached destinations.
+    """Per-packet leftover bits and reached destinations.
 
-    Packet k belongs to source k // 2; slice is 1 + (k % 2). reached[k] is
-    the union of broadcast-group members over the packet's transmission
-    slots, which is the packet's set of intended receivers.
+    Packet k belongs to source k // 2; slice is 1 + (k % 2). A packet is
+    delivered exactly when its leftover is 0.0. reached[k] is the union of
+    broadcast-group members over the packet's transmission slots, which is
+    the packet's set of intended receivers.
     """
 
     packets: tuple[Packet, ...]
     leftover_bits: np.ndarray = field(init=False)
-    delivered: np.ndarray = field(init=False)
     reached: list[set[int]] = field(init=False)
 
     def __post_init__(self) -> None:
         self.leftover_bits = np.array([p.leftover_bits for p in self.packets], dtype=np.float64)
-        self.delivered = np.array([p.leftover_bits == 0 for p in self.packets], dtype=bool)
         self.reached = [set() for _ in self.packets]
+
+    @property
+    def delivered(self) -> np.ndarray:
+        """Per-packet delivery flags, derived from the leftover bits; read-only."""
+        flags = self.leftover_bits == 0.0
+        flags.flags.writeable = False
+        return flags
 
     def index(self, src: int, slice_id: int) -> int:
         return 2 * src + (slice_id - 1)
 
     def copy(self) -> "DeliveryLedger":
-        dup = object.__new__(DeliveryLedger)  # skips __post_init__, which would build all three anew
+        dup = object.__new__(DeliveryLedger)  # skips __post_init__, which would build both anew
         dup.packets = self.packets
         dup.leftover_bits = self.leftover_bits.copy()
-        dup.delivered = self.delivered.copy()
         dup.reached = [set(s) for s in self.reached]
         return dup
 
@@ -142,7 +162,7 @@ def mask_packet_choice(ledger: DeliveryLedger, src: int, packet_id: int, slot: i
     if packet_id == PKT_NONE:
         return PKT_NONE
     k = ledger.index(src, packet_id)
-    if ledger.delivered[k]:
+    if ledger.leftover_bits[k] == 0.0:
         return PKT_NONE
     pkt = ledger.packets[k]
     if packet_id == PKT_SLICE2 and not (pkt.arrival_slot <= slot <= pkt.deadline_slot):
@@ -194,16 +214,15 @@ class EpisodeLink:
     against, plus memos of the broadcast groups and the slot rates.
 
     Build one per episode (per channel realization); every replay of that
-    episode, however many plans it scores, may share it.
+    episode, however many plans it scores, may share it. The noise and the
+    RB bandwidth come from the channel configuration.
     """
 
-    def __init__(
-        self, chan: ChannelState, noise_mw: float, rb_bandwidth_hz: float, slot_duration_s: float
-    ) -> None:
+    def __init__(self, chan: ChannelState, channel_cfg: ChannelConfig, slot_duration_s: float) -> None:
         self.gain_lin = chan.gain_lin  # (m, n, F, T) linear gains
         self.dist_m = chan.dist_m  # (m, n)
-        self.noise_mw = noise_mw
-        self.rb_bandwidth_hz = rb_bandwidth_hz
+        self.noise_mw = noise_lin_mw(channel_cfg)
+        self.rb_bandwidth_hz = channel_cfg.rb_bandwidth_hz
         self.slot_duration_s = slot_duration_s
         self._groups: dict[tuple[int, float], tuple[int, ...]] = {}
         self._rates: dict[tuple, tuple[float, ...]] = {}
@@ -215,6 +234,17 @@ class EpisodeLink:
         if group is None:
             group = self._groups[key] = coverage_group(self.dist_m[src], coverage_m)
         return group
+
+    def effective(
+        self, src: int, packet_id: int, coverage_m: float, freq: int, power_dbm: float
+    ) -> tuple[int, tuple[int, ...], int, float]:
+        """What a choice whose packet is already masked puts on the air:
+        (packet, group, freq, p_mw), or `_OFF_AIR` for no packet, the silence
+        power or a zero radius."""
+        p_mw = power_lin_mw(power_dbm)
+        if packet_id == PKT_NONE or p_mw == 0.0 or coverage_m <= 0:
+            return _OFF_AIR
+        return (packet_id, self.group(src, coverage_m), freq, p_mw)
 
     def rates(self, slot: int, effective: list[tuple[int, tuple[int, ...], int, float]]) -> tuple[float, ...]:
         """`slot_rates` of the effective choices at this slot, solved once."""
@@ -239,37 +269,26 @@ def apply_slot(
     A choice of an already-delivered packet, or of a safety packet outside
     its window, is masked to no transmission (`mask_packet_choice`).
     """
-    effective: list[tuple[int, tuple[int, ...], int, float]] = []  # (pkt, group, freq, p_mw)
-    for src, (packet_id, coverage_m, freq, power_dbm) in enumerate(actions):
-        pkt = mask_packet_choice(ledger, src, packet_id, slot)
-        p_mw = power_lin_mw(power_dbm)
-        if pkt == PKT_NONE or p_mw == 0.0 or coverage_m <= 0:
-            effective.append(_OFF_AIR)
-        else:
-            effective.append((pkt, link.group(src, coverage_m), freq, p_mw))
-
+    effective = [
+        link.effective(src, mask_packet_choice(ledger, src, packet_id, slot), coverage_m, freq, power_dbm)
+        for src, (packet_id, coverage_m, freq, power_dbm) in enumerate(actions)
+    ]
     rates = link.rates(slot, effective)
 
     outcomes: list[SourceOutcome] = []
     leftover = ledger.leftover_bits
     for src, (pkt, group, _, _) in enumerate(effective):
         if pkt == PKT_NONE:
-            outcomes.append(SourceOutcome(False, PKT_NONE, (), 0.0, False))
+            outcomes.append(SourceOutcome(PKT_NONE, (), 0.0, False))
             continue
         k = ledger.index(src, pkt)
         if group:
             ledger.reached[k].update(group)
-        delivered_now = False
         rate = rates[src]
-        if rate > 0.0:
-            left = leftover[k]
-            left -= min(left, rate * link.slot_duration_s)
-            if left <= 0.0:
-                left = 0.0
-                ledger.delivered[k] = True
-                delivered_now = True
-            leftover[k] = left
-        outcomes.append(SourceOutcome(True, pkt, group, rate, delivered_now))
+        # the packet was not yet delivered (the mask saw to that), so it is
+        # delivered now exactly when this slot drains it to zero
+        left = leftover[k] = drain(leftover.item(k), rate * link.slot_duration_s)
+        outcomes.append(SourceOutcome(pkt, group, rate, left == 0.0))
     return outcomes
 
 
@@ -289,13 +308,14 @@ def reception_stats(ledger: DeliveryLedger) -> ReceptionStats:
     packets = [0, 0]
     receptions = [0, 0]
     intended = [0, 0]
+    delivered = ledger.delivered
     for k, pkt in enumerate(ledger.packets):
         s = pkt.slice_id - 1
         audience = len(ledger.reached[k])
         if audience == 0:
             continue
         intended[s] += audience
-        if ledger.delivered[k]:
+        if delivered[k]:
             packets[s] += 1
             receptions[s] += audience
     total_intended = intended[0] + intended[1]

@@ -13,7 +13,7 @@ from tests.conftest import forced_channel, hand_built_scenario
 
 
 def _link(chan, cfg):
-    return phy.EpisodeLink(chan, noise_lin_mw(cfg), cfg.rb_bandwidth_hz, 0.005)
+    return phy.EpisodeLink(chan, cfg, 0.005)
 
 
 def test_random_coverage_slice_uniform():
@@ -38,7 +38,9 @@ def test_slice2_never_sent_outside_window():
     chan = forced_channel(sc, -80.0, F=2)
     rng = np.random.default_rng(1)
     run = bl.run_baseline("NOMA-MP", sc, chan, cfg, 0.005, rng)
-    # replay the final plan and watch the safety packets outside their windows
+    # replay the final plan and watch the safety packets outside their windows,
+    # over a link with 1e-10 mW of noise and 1 MHz resource blocks
+    quiet = ChannelConfig(noise_floor_dbm=-100.0, noise_figure_db=0.0)
     ledger = phy.DeliveryLedger(sc.packets)
     for t in range(20):
         before = ledger.leftover_bits.copy()
@@ -52,7 +54,7 @@ def test_slice2_never_sent_outside_window():
                 actions.append(
                     phy.SlotAction(pkt, float(run.plan.coverage_m[s, t]), f, float(run.plan.power_dbm[s, t]))
                 )
-        phy.apply_slot(ledger, actions, phy.EpisodeLink(chan, 1e-10, 1e6, 0.005), t)
+        phy.apply_slot(ledger, actions, _link(chan, quiet), t)
         for s in range(2):
             k = ledger.index(s, 2)
             pktdef = sc.packets[k]

@@ -142,6 +142,18 @@ def test_baseline_output_digests_are_pinned(tmp_path):
     )
 
 
+def test_oracle_output_digest_is_pinned(tmp_path):
+    """The tiny-instance oracle sweep at seed 3 writes exactly the recorded
+    bytes, so any drift in the exhaustive search, its pruning or the link
+    layer it resolves slots through shows here."""
+    cfg = dataclasses.replace(RunConfig(), seed=3)
+    out = tmp_path / "oracle.csv"
+    cli.cmd_oracle(cfg, instances=25, out_path=out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "da5afebbcd054b11cd355b2a42e902ed1bec2b23815a4a972d2f2bb9e2c02588"
+    )
+
+
 def test_cmd_eval_rows_and_bounds(tmp_path):
     cfg = tiny_cfg()
     ckpt, _ = cli.cmd_train(cfg, tmp_path / "run", quiet=True)

@@ -128,15 +128,15 @@ def test_unfinished_rate_reward_scaling():
 
 def test_individual_reward_cases():
     norm = 2e6
-    delivered = phy.SourceOutcome(True, phy.PKT_SLICE2, (0,), 5e5, True)
+    delivered = phy.SourceOutcome(phy.PKT_SLICE2, (0,), 5e5, True)
     assert individual_reward(delivered, norm) == 1.0
-    half = phy.SourceOutcome(True, phy.PKT_SLICE1, (0,), 1e6, False)
+    half = phy.SourceOutcome(phy.PKT_SLICE1, (0,), 1e6, False)
     assert individual_reward(half, norm) == pytest.approx(0.5)
-    clipped = phy.SourceOutcome(True, phy.PKT_SLICE1, (0,), 4e6, False)
+    clipped = phy.SourceOutcome(phy.PKT_SLICE1, (0,), 4e6, False)
     assert individual_reward(clipped, norm) == 1.0
-    silent = phy.SourceOutcome(False, phy.PKT_NONE, (), 0.0, False)
+    silent = phy.SourceOutcome(phy.PKT_NONE, (), 0.0, False)
     assert individual_reward(silent, norm) == 0.0
-    empty_group = phy.SourceOutcome(True, phy.PKT_SLICE1, (), 0.0, False)
+    empty_group = phy.SourceOutcome(phy.PKT_SLICE1, (), 0.0, False)
     assert individual_reward(empty_group, norm) == 0.0
 
 

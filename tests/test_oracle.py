@@ -5,7 +5,7 @@ import pytest
 
 from iovslice import baselines as bl
 from iovslice import phy
-from iovslice.channel import ChannelConfig, noise_lin_mw
+from iovslice.channel import ChannelConfig
 from iovslice.env import (
     COVERAGE_LEVELS_M,
     POWER_LEVELS_DBM,
@@ -178,8 +178,7 @@ def test_replay_paths_agree():
                 freq=np.array([[a.freq for a in row] for row in acts]).T,
                 power_dbm=np.array([[a.power_dbm for a in row] for row in acts]).T,
             )
-            cfg = ChannelConfig()
-            link = phy.EpisodeLink(chan, noise_lin_mw(cfg), cfg.rb_bandwidth_hz, env_cfg.slot_duration_s)
+            link = phy.EpisodeLink(chan, ChannelConfig(), env_cfg.slot_duration_s)
             for ledger in (
                 bl.evaluate_plan(plan, sc, link)[-1],
                 replay_actions(sc, chan, ChannelConfig(), env_cfg.slot_duration_s, acts),

@@ -97,7 +97,7 @@ def test_coverage_group():
 
 
 def _slot_args(sc, chan, cfg, t=0):
-    return (phy.EpisodeLink(chan, noise_lin_mw(cfg), cfg.rb_bandwidth_hz, 0.005), t)
+    return (phy.EpisodeLink(chan, cfg, 0.005), t)
 
 
 def test_group_rate_min_semantics():
@@ -227,6 +227,42 @@ def test_ledger_monotone_under_random_actions(rng):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
+def test_ledger_leftover_never_rises_and_zero_means_delivered(data):
+    """Over random slot sequences, leftover bits never rise or go negative,
+    and a packet counts as delivered exactly when its leftover is 0.0."""
+    m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    F, T = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 8))
+    workload = WorkloadConfig(
+        slice1_bits_min=1e3, slice1_bits_max=5e4, deadline_len_slots=data.draw(st.integers(1, T))
+    )
+    cfg = ChannelConfig()
+    seed = data.draw(st.integers(0, 999))
+    sc, chan = WorldStream(RoadConfig(), EnvConfig(m=m, n=n, F=F, T=T), cfg, workload, seed, TAG_EVAL)(0)
+    link = phy.EpisodeLink(chan, cfg, 0.005)
+    choice = st.builds(
+        phy.SlotAction,
+        st.integers(0, 2),
+        st.sampled_from(COVERAGE_LEVELS_M),
+        st.integers(0, F - 1),
+        st.sampled_from(POWER_LEVELS_DBM),
+    )
+    ledger = phy.DeliveryLedger(sc.packets)
+    for t in range(T):
+        before = ledger.leftover_bits.copy()
+        out = phy.apply_slot(ledger, data.draw(st.lists(choice, min_size=m, max_size=m)), link, t)
+        left = ledger.leftover_bits
+        assert np.all(left <= before) and np.all(left >= 0.0)
+        assert np.array_equal(ledger.delivered, left == 0.0)
+        for src, o in enumerate(out):
+            if o.delivered_now:
+                k = ledger.index(src, o.packet_id)
+                assert before[k] > 0.0 and left[k] == 0.0
+    with pytest.raises(ValueError):
+        ledger.delivered[0] = True  # derived flags are read-only
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
 def test_shared_link_replays_match_fresh_links(data):
     """Slots replayed through one episode's shared link, memo hits included,
     resolve bit for bit as through a fresh link, whatever the ledger masks."""
@@ -238,7 +274,7 @@ def test_shared_link_replays_match_fresh_links(data):
     sc, chan = WorldStream(RoadConfig(), EnvConfig(m=m, n=n, F=F, T=T), cfg, workload, seed, TAG_EVAL)(0)
 
     def fresh_link():
-        return phy.EpisodeLink(chan, noise_lin_mw(cfg), cfg.rb_bandwidth_hz, 0.005)
+        return phy.EpisodeLink(chan, cfg, 0.005)
 
     choice = st.builds(
         phy.SlotAction,
@@ -253,11 +289,10 @@ def test_shared_link_replays_match_fresh_links(data):
     ledger = phy.DeliveryLedger(sc.packets)
     for t in range(T):
         actions = pool[data.draw(st.integers(0, len(pool) - 1))]
-        # the same slot from a ledger whose delivered flags mask other choices
+        # the same slot from a ledger whose delivered packets mask other choices
         masked = ledger.copy()
         for k in data.draw(st.sets(st.integers(0, 2 * m - 1))):
             masked.leftover_bits[k] = 0.0
-            masked.delivered[k] = True
         for start in (masked, ledger):
             resolved = []
             for link in (shared, shared, fresh_link()):
@@ -283,16 +318,16 @@ def test_prr_examples():
     assert phy.reception_stats(ledger).prr is None
     # packet 0 reached 3 receivers and delivered; packet 2 reached 2, not delivered
     ledger.reached[0] = {0, 1, 2}
-    ledger.delivered[0] = True
+    ledger.leftover_bits[0] = 0.0
     ledger.reached[2] = {0, 1}
     stats = phy.reception_stats(ledger)
     assert stats.prr == pytest.approx(3 / 5)
     assert stats.receptions == (3, 0)
     assert stats.packets == (1, 0)
     # everything delivered
-    ledger.delivered[2] = True
+    ledger.leftover_bits[2] = 0.0
     assert phy.reception_stats(ledger).prr == pytest.approx(1.0)
     # nothing delivered
-    ledger.delivered[0] = False
-    ledger.delivered[2] = False
+    ledger.leftover_bits[0] = sc.packets[0].leftover_bits
+    ledger.leftover_bits[2] = sc.packets[2].leftover_bits
     assert phy.reception_stats(ledger).prr == 0.0
