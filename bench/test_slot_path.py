@@ -83,7 +83,7 @@ def test_evaluate_plan_trial(benchmark, world):
     rng = algorithm_rng(CFG.seed, CFG.workload, 0, bl.BASELINE_NAMES.index("NOMA-MP"))
     coverage, packet = bl.random_coverage_slice(m, T, rng)
     link = _link(chan)
-    plan = bl.initial_rb_allocation(sc, link, coverage, packet, bl.draw_powers("NOMA-MP", m, T, rng), oma=False)
+    plan = bl.initial_rb_allocation(link, coverage, packet, bl.draw_powers("NOMA-MP", m, T, rng), oma=False)
     record = bl.evaluate_plan(plan, sc, link)
     t, trial = next(bl._moves(plan, False, F))
     ledgers = benchmark(bl.evaluate_plan, trial, sc, link, record, t)

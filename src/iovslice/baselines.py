@@ -61,7 +61,6 @@ def draw_powers(variant: str, m: int, T: int, rng: np.random.Generator) -> np.nd
 
 
 def initial_rb_allocation(
-    scenario: Scenario,
     link: phy.EpisodeLink,
     coverage_m: np.ndarray,
     packet: np.ndarray,
@@ -223,7 +222,7 @@ def run_baseline(
     powers = draw_powers(name, m, T, rng)
     # the allocation and every trial read this one episode's link table
     link = phy.EpisodeLink(chan, channel_cfg, slot_duration_s)
-    plan = initial_rb_allocation(scenario, link, coverage, packet, powers, oma)
+    plan = initial_rb_allocation(link, coverage, packet, powers, oma)
 
     def evaluate(p: OfflinePlan, record: list[phy.DeliveryLedger] | None, start: int):
         return evaluate_plan(p, scenario, link, record, start)

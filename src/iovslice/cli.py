@@ -104,9 +104,9 @@ def sweep_points(cfg: RunConfig, sweep: str) -> list[WorkloadConfig]:
     if sweep == "none":
         return [cfg.workload]
     if sweep == "sizes":
-        return [cfg.workload_at(slice2_bytes=300 * mult) for mult in cfg.size_multipliers]
+        return [replace(cfg.workload, slice2_bytes=300 * mult) for mult in cfg.size_multipliers]
     if sweep == "deadlines":
-        return [cfg.workload_at(deadline=d) for d in cfg.deadline_sweep_slots]
+        return [replace(cfg.workload, deadline_len_slots=d) for d in cfg.deadline_sweep_slots]
     raise ValueError(f"unknown sweep {sweep!r}, expected none, sizes or deadlines")
 
 

@@ -1,15 +1,18 @@
 """Run configuration as a flat, auditable key = value text format.
 
 Every tunable of every subsystem appears under a dotted key so a config dump
-fully pins an experiment. Parsing is strict: unknown keys and malformed
-values are errors, and parse -> serialize -> parse is the identity.
+fully pins an experiment. Parsing is strict: unknown keys, malformed or
+non-finite values and configs the dataclasses reject are errors, and
+parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, get_type_hints
 
 from .channel import ChannelConfig
 from .dqn.agent import TrainConfig
@@ -32,26 +35,53 @@ class RunConfig:
     deadline_sweep_slots: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8)
     swap_max_iters: int = 1000
 
-    def workload_at(self, slice2_bytes: int | None = None, deadline: int | None = None) -> WorkloadConfig:
-        return dataclasses.replace(
-            self.workload,
-            slice2_bytes=self.workload.slice2_bytes if slice2_bytes is None else slice2_bytes,
-            deadline_len_slots=self.workload.deadline_len_slots if deadline is None else deadline,
-        )
+    def __post_init__(self) -> None:
+        if self.workload.deadline_len_slots > self.env.T:
+            raise ValueError("workload deadline cannot exceed the episode length T")
 
 
-_SECTIONS = ("road", "channel", "env", "train", "workload", "run")
+# Section name -> the class holding its keys; "run" is RunConfig's own scalars.
+_SECTIONS = {
+    "road": RoadConfig,
+    "channel": ChannelConfig,
+    "env": EnvConfig,
+    "train": TrainConfig,
+    "workload": WorkloadConfig,
+    "run": RunConfig,
+}
 
 
-def _section_obj(cfg: RunConfig, section: str):
-    if section == "run":
-        return cfg
-    return getattr(cfg, section)
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
-def _run_fields() -> list[dataclasses.Field]:
-    skip = {"road", "channel", "env", "train", "workload"}
-    return [f for f in dataclasses.fields(RunConfig) if f.name not in skip]
+def _bool(text: str) -> bool:
+    if text.lower() in ("true", "1", "yes"):
+        return True
+    if text.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+_PARSERS = {
+    int: int,
+    float: _finite,
+    bool: _bool,
+    float | None: lambda text: None if text == "auto" else _finite(text),
+    tuple[int, ...]: lambda text: tuple(int(v) for v in text.split(",")),  # an empty item fails in int()
+}
+
+
+def _key_parsers(cls) -> dict[str, Callable[[str], object]]:
+    hints = get_type_hints(cls)
+    return {f.name: _PARSERS[hints[f.name]] for f in dataclasses.fields(cls) if f.name not in _SECTIONS}
+
+
+# section -> key -> value parser, in serialization order
+_KEYS = {section: _key_parsers(cls) for section, cls in _SECTIONS.items()}
 
 
 def _format_value(value) -> str:
@@ -68,66 +98,15 @@ def _format_value(value) -> str:
 
 def serialize_config(cfg: RunConfig) -> str:
     lines = ["# iovslice run configuration (key = value, '#' comments)"]
-    for section in _SECTIONS:
-        obj = _section_obj(cfg, section)
-        fields = _run_fields() if section == "run" else dataclasses.fields(obj)
+    for section, keys in _KEYS.items():
+        obj = cfg if section == "run" else getattr(cfg, section)
         lines.append("")
-        for f in fields:
-            lines.append(f"{section}.{f.name} = {_format_value(getattr(obj, f.name))}")
+        lines.extend(f"{section}.{name} = {_format_value(getattr(obj, name))}" for name in keys)
     return "\n".join(lines) + "\n"
 
 
-def _parse_scalar(text: str, typ) -> object:
-    text = text.strip()
-    if typ is float:
-        return float(text)
-    if typ is int:
-        return int(text)
-    if typ is bool:
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"not a boolean: {text!r}")
-    if typ is str:
-        return text
-    raise ValueError(f"unsupported config field type {typ!r}")
-
-
-def _parse_value(text: str, f: dataclasses.Field) -> object:
-    # Field annotations are strings (postponed evaluation), matched by name.
-    text = text.strip()
-    typ = f.type
-    name = typ if isinstance(typ, str) else getattr(typ, "__name__", str(typ))
-    if name.startswith("float | None") or name.startswith("Optional[float]"):
-        return None if text == "auto" else float(text)
-    if name.startswith("tuple[int"):
-        if not text:
-            raise ValueError("empty tuple value")
-        return tuple(int(v) for v in text.split(","))
-    if name.startswith("tuple[float") or name == "tuple":
-        return tuple(float(v) for v in text.split(","))
-    if name == "float":
-        return _parse_scalar(text, float)
-    if name == "int":
-        return _parse_scalar(text, int)
-    if name == "bool":
-        return _parse_scalar(text, bool)
-    if name == "str":
-        return _parse_scalar(text, str)
-    raise ValueError(f"config field {f.name}: unsupported type {name!r}")
-
-
 def parse_config(text: str) -> RunConfig:
-    by_section: dict[str, dict[str, object]] = {s: {} for s in _SECTIONS}
-    field_maps = {
-        "road": {f.name: f for f in dataclasses.fields(RoadConfig)},
-        "channel": {f.name: f for f in dataclasses.fields(ChannelConfig)},
-        "env": {f.name: f for f in dataclasses.fields(EnvConfig)},
-        "train": {f.name: f for f in dataclasses.fields(TrainConfig)},
-        "workload": {f.name: f for f in dataclasses.fields(WorkloadConfig)},
-        "run": {f.name: f for f in _run_fields()},
-    }
+    values: dict[str, dict[str, object]] = {section: {} for section in _SECTIONS}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -138,17 +117,15 @@ def parse_config(text: str) -> RunConfig:
         if "." not in key:
             raise ValueError(f"line {lineno}: key {key!r} is missing its section prefix")
         section, name = key.split(".", 1)
-        if section not in field_maps or name not in field_maps[section]:
+        parse = _KEYS.get(section, {}).get(name)
+        if parse is None:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        by_section[section][name] = _parse_value(value, field_maps[section][name])
-    return RunConfig(
-        road=RoadConfig(**by_section["road"]),
-        channel=ChannelConfig(**by_section["channel"]),
-        env=EnvConfig(**by_section["env"]),
-        train=TrainConfig(**by_section["train"]),
-        workload=WorkloadConfig(**by_section["workload"]),
-        **by_section["run"],
-    )
+        try:
+            values[section][name] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
+    run = values.pop("run")
+    return RunConfig(**{section: _SECTIONS[section](**kw) for section, kw in values.items()}, **run)
 
 
 def load_config(path: str | Path | None) -> RunConfig:

@@ -105,7 +105,6 @@ class Scenario:
     sources: tuple[Vehicle, ...]
     destinations: tuple[Vehicle, ...]
     packets: tuple[Packet, ...] = ()  # 2 per source: (slice 1, slice 2), source-major
-    episode_index: int = 0
 
     @property
     def m(self) -> int:

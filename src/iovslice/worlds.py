@@ -36,6 +36,14 @@ class WorkloadConfig:
     slice2_bytes: int = 600
     deadline_len_slots: int = 8
 
+    def __post_init__(self) -> None:
+        if self.deadline_len_slots < 1:
+            raise ValueError("deadline must be at least 1 slot")
+        if self.slice2_bytes < 1:
+            raise ValueError("safety payload must be at least 1 byte")
+        if not 0 < self.slice1_bits_min <= self.slice1_bits_max:
+            raise ValueError("need 0 < slice1_bits_min <= slice1_bits_max")
+
     @property
     def slice2_bits(self) -> float:
         return 8.0 * self.slice2_bytes
@@ -90,7 +98,7 @@ class WorldStream:
             deadline_len_slots=w.deadline_len_slots,
             T=cfg.T,
         )
-        scenario = replace(scenario, packets=packets, episode_index=episode_idx)
+        scenario = replace(scenario, packets=packets)
         channel = draw_channel(scenario, self.channel_cfg, cfg.F, cfg.T, self.channel_rng(episode_idx))
         return scenario, channel
 

@@ -71,7 +71,7 @@ def test_initial_allocation_argmax_single_source():
     coverage = np.full((1, 20), 400.0)
     packet = np.ones((1, 20), dtype=np.int64)
     power = np.full((1, 20), 30.0)
-    plan = bl.initial_rb_allocation(sc, _link(chan, cfg), coverage, packet, power, oma=False)
+    plan = bl.initial_rb_allocation(_link(chan, cfg), coverage, packet, power, oma=False)
     assert np.all(plan.freq == 1)
 
 
@@ -82,7 +82,7 @@ def test_oma_pigeonhole_one_inactive():
     rng = np.random.default_rng(3)
     coverage, packet = bl.random_coverage_slice(3, 20, rng)
     power = bl.draw_powers("OMA-MP", 3, 20, rng)
-    plan = bl.initial_rb_allocation(sc, _link(chan, cfg), coverage, packet, power, oma=True)
+    plan = bl.initial_rb_allocation(_link(chan, cfg), coverage, packet, power, oma=True)
     for t in range(20):
         active = plan.freq[:, t][plan.freq[:, t] != bl.INACTIVE]
         assert len(active) == 2  # pigeonhole with m=3, F=2
@@ -96,7 +96,7 @@ def test_noma_everyone_active():
     rng = np.random.default_rng(4)
     coverage, packet = bl.random_coverage_slice(3, 20, rng)
     power = bl.draw_powers("NOMA-MP", 3, 20, rng)
-    plan = bl.initial_rb_allocation(sc, _link(chan, cfg), coverage, packet, power, oma=False)
+    plan = bl.initial_rb_allocation(_link(chan, cfg), coverage, packet, power, oma=False)
     assert np.all(plan.freq != bl.INACTIVE)
 
 
@@ -164,7 +164,7 @@ def test_swap_matching_respects_oma():
     rng = np.random.default_rng(8)
     coverage, packet = bl.random_coverage_slice(3, 20, rng)
     power = bl.draw_powers("OMA-MP", 3, 20, rng)
-    plan = bl.initial_rb_allocation(sc, _link(chan, cfg), coverage, packet, power, oma=True)
+    plan = bl.initial_rb_allocation(_link(chan, cfg), coverage, packet, power, oma=True)
 
     history_plans = []
     final = bl.swap_matching(plan, _evaluator(sc, chan, cfg, history_plans), oma=True, F=2).plan
@@ -198,7 +198,7 @@ def test_incremental_replay_matches_full_replay():
             if k % 2:  # OMA: exclusive frequencies, sources without one sit out
                 coverage, packet = bl.random_coverage_slice(m, T, rng)
                 plan = bl.initial_rb_allocation(
-                    sc, link, coverage, packet, bl.draw_powers("NOMA-RP", m, T, rng), oma=True
+                    link, coverage, packet, bl.draw_powers("NOMA-RP", m, T, rng), oma=True
                 )
             else:
                 plan = bl.OfflinePlan(
@@ -296,7 +296,7 @@ def test_swap_matching_matches_full_replay_search():
             coverage, packet = bl.random_coverage_slice(env_cfg.m, env_cfg.T, rng)
             powers = bl.draw_powers(name, env_cfg.m, env_cfg.T, rng)
             oma = name.startswith("OMA")
-            plan = bl.initial_rb_allocation(sc, _link(chan, cfg), coverage, packet, powers, oma)
+            plan = bl.initial_rb_allocation(_link(chan, cfg), coverage, packet, powers, oma)
 
             def full_score(p):
                 return bl.delivered_packets(bl.evaluate_plan(p, sc, _link(chan, cfg))[-1])

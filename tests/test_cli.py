@@ -1,8 +1,12 @@
+import contextlib
 import dataclasses
 import hashlib
+import typing
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iovslice import cli
 from iovslice.config import RunConfig, parse_config, serialize_config
@@ -55,6 +59,14 @@ def test_config_rejects_unknown_key():
         ("train.replay_capacity = 0", ["train", "--out", "run"]),
         # the replay never holds the 16 warmup transitions, so no update would run
         ("train.replay_capacity = 10", ["train", "--out", "run"]),
+        # min(left, nan) is left, so every broadcast would "deliver"
+        ("channel.rb_bandwidth_hz = nan", ["baseline", "--algorithms", "NOMA-MP", "--out", "base.csv"]),
+        ("train.lr = nan", ["train", "--out", "run"]),
+        ("workload.deadline_len_slots = 7", ["train", "--out", "run"]),  # longer than T = 6
+        ("workload.deadline_len_slots = 0", ["train", "--out", "run"]),
+        ("workload.slice2_bytes = 0", ["train", "--out", "run"]),
+        ("workload.slice1_bits_min = 2e6", ["train", "--out", "run"]),  # above the max
+        ("workload.slice1_bits_min = 0.0", ["train", "--out", "run"]),
     ],
 )
 def test_main_rejects_malformed_config_value(tmp_path, monkeypatch, capsys, line, command):
@@ -66,6 +78,58 @@ def test_main_rejects_malformed_config_value(tmp_path, monkeypatch, capsys, line
     assert cli.main([command[0], "--config", "run.cfg", *command[1:], "--episodes", "1"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert sorted(tmp_path.iterdir()) == before  # rejected before any output
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+def test_config_rejects_infinite_road_length(value):
+    # an infinite road would make poisson_positions loop forever
+    with pytest.raises(ValueError, match=r"line 1: road\.length_m: not a finite number"):
+        parse_config(f"road.length_m = {value}\n")
+
+
+def test_default_config_digest_is_pinned():
+    # names the acceptance-cache directory; drift would force a full retrain
+    key = hashlib.sha256(serialize_config(RunConfig()).encode()).hexdigest()[:16]
+    assert key == "ad8e64e49a505c85"
+
+
+_VALUES = {
+    int: st.integers(-(2**63), 2**63),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    bool: st.booleans(),
+    float | None: st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    tuple[int, ...]: st.lists(st.integers(-(2**63), 2**63), min_size=1, max_size=6).map(tuple),
+}
+
+
+def _config_keys():
+    """(section field or None for run scalars, key, type) for every config key."""
+    hints = typing.get_type_hints(RunConfig)
+    for f in dataclasses.fields(RunConfig):
+        if dataclasses.is_dataclass(hints[f.name]):
+            section_hints = typing.get_type_hints(hints[f.name])
+            for g in dataclasses.fields(hints[f.name]):
+                yield f.name, g.name, section_hints[g.name]
+        else:
+            yield None, f.name, hints[f.name]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_config_roundtrip_property(data):
+    # a draw the validators reject leaves the key at its previous value
+    cfg = RunConfig()
+    for section, name, typ in _config_keys():
+        value = data.draw(_VALUES[typ], label=f"{section or 'run'}.{name}")
+        with contextlib.suppress(ValueError):
+            if section is None:
+                cfg = dataclasses.replace(cfg, **{name: value})
+            else:
+                sub = dataclasses.replace(getattr(cfg, section), **{name: value})
+                cfg = dataclasses.replace(cfg, **{section: sub})
+    text = serialize_config(cfg)
+    assert parse_config(text) == cfg
+    assert serialize_config(parse_config(text)) == text
 
 
 def test_print_config_subcommand(capsys):
