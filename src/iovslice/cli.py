@@ -22,6 +22,7 @@ from . import oracle as orc
 from .channel import ChannelState, trace_hash
 from .config import RunConfig, load_config, serialize_config
 from .dqn import (
+    TrainingDiverged,
     TrainLogRow,
     greedy_episode,
     load_checkpoint,
@@ -106,6 +107,9 @@ def sweep_points(cfg: RunConfig, sweep: str) -> list[WorkloadConfig]:
     if sweep == "sizes":
         return [replace(cfg.workload, slice2_bytes=300 * mult) for mult in cfg.size_multipliers]
     if sweep == "deadlines":
+        for d in cfg.deadline_sweep_slots:  # fail before the first point runs
+            if d > cfg.env.T:
+                raise ValueError(f"deadline window {d} exceeds horizon {cfg.env.T}")
         return [replace(cfg.workload, deadline_len_slots=d) for d in cfg.deadline_sweep_slots]
     raise ValueError(f"unknown sweep {sweep!r}, expected none, sizes or deadlines")
 
@@ -381,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         parser.error(f"unhandled command {args.command}")
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -140,7 +140,8 @@ class DuelingQNetwork:
             dh *= acts[i + 1] > 0.0  # ReLU: activation > 0 iff pre-activation > 0
             np.sum(dh, axis=0, out=grads[2 * i + 1])
             np.matmul(acts[i].T, dh, out=grads[2 * i])
-            dh = dh @ self.params[2 * i].T
+            if i > 0:  # nothing reads the gradient of the observation
+                dh = dh @ self.params[2 * i].T
         return grads
 
     def loss_and_grads(
@@ -190,6 +191,11 @@ class Adam:
     The moments and two scratch vectors are allocated once; a step is a fixed
     sequence of in-place ufuncs over FlatParams.flat, in the order of the
     per-tensor formula p -= lr * (m / b1t) / (sqrt(v / b2t) + eps).
+
+    A bias correction 1 - beta**t rounds to exactly 1.0 once beta**t <= 2**-54
+    (for the default betas, b1t from t = 356 and b2t from t = 37,412 on).
+    From then on its divide pass is skipped: x / 1.0 is x, so the step's
+    bytes are unchanged.
     """
 
     def __init__(self, params: FlatParams, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -217,10 +223,16 @@ class Adam:
         np.square(g, out=num)
         num *= 1.0 - self.beta2
         v += num
-        np.divide(m, b1t, out=num)
-        num *= self.lr
-        np.divide(v, b2t, out=den)
-        np.sqrt(den, out=den)
+        if b1t == 1.0:
+            np.multiply(m, self.lr, out=num)
+        else:
+            np.divide(m, b1t, out=num)
+            num *= self.lr
+        if b2t == 1.0:
+            np.sqrt(v, out=den)
+        else:
+            np.divide(v, b2t, out=den)
+            np.sqrt(den, out=den)
         den += self.eps
         num /= den
         p -= num

@@ -13,39 +13,51 @@ import numpy as np
 
 
 class SumTree:
-    """Fixed-capacity binary tree where every node stores the sum of its leaves."""
+    """Fixed-capacity binary tree where every node stores the sum of its leaves.
+
+    `nodes` is a float64 array in heap layout (children of i at 2i+1, 2i+2;
+    leaf j at capacity - 1 + j). The methods read and write it through a
+    memoryview held beside it: indexing a memoryview gives a plain Python
+    float where indexing the array boxes a numpy scalar, and the per-node
+    walks are pure Python. Every add, subtract and compare is the same IEEE
+    double operation either way, so the sums match the array's bit for bit.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.nodes = np.zeros(2 * capacity - 1, dtype=np.float64)
+        self._view = memoryview(self.nodes)
 
     def set(self, leaf: int, value: float) -> None:
+        nodes = self._view
         idx = leaf + self.capacity - 1
-        change = value - self.nodes[idx]
-        self.nodes[idx] = value
+        change = value - nodes[idx]
+        nodes[idx] = value
         while idx > 0:
             idx = (idx - 1) // 2
-            self.nodes[idx] += change
+            nodes[idx] += change
 
     def get(self, leaf: int) -> float:
-        return float(self.nodes[leaf + self.capacity - 1])
+        return self._view[leaf + self.capacity - 1]
 
     def total(self) -> float:
-        return float(self.nodes[0])
+        return self._view[0]
 
     def find(self, prefix: float) -> int:
         """Leaf index whose cumulative range contains the prefix sum."""
+        nodes = self._view
+        inner = self.capacity - 1
         idx = 0
-        while idx < self.capacity - 1:
+        while idx < inner:
             left = 2 * idx + 1
-            if prefix < self.nodes[left]:
+            if prefix < nodes[left]:
                 idx = left
             else:
-                prefix -= self.nodes[left]
+                prefix -= nodes[left]
                 idx = left + 1
-        return idx - (self.capacity - 1)
+        return idx - inner
 
 
 @dataclass
@@ -102,12 +114,12 @@ class PrioritizedReplay:
         """Proportional draw with importance weights, or None while underfull."""
         if self.size < batch:
             return None
-        total = self.tree.total()
-        indices = np.empty(batch, dtype=np.int64)
-        for k, u in enumerate(rng.random(batch)):
-            leaf = self.tree.find(u * total)
-            indices[k] = min(leaf, self.size - 1)  # guard the zero-mass tail
-        probs = np.array([self.tree.get(int(i)) for i in indices]) / total
+        tree = self.tree
+        total = tree.total()
+        last = self.size - 1  # rounding in the inner sums can steer a draw into the zero-mass tail
+        picks = [min(tree.find(u * total), last) for u in rng.random(batch).tolist()]
+        indices = np.array(picks, dtype=np.int64)
+        probs = np.array([tree.get(i) for i in picks]) / total
         weights = (self.size * probs) ** (-beta)
         weights /= weights.max()
         return ReplayBatch(
@@ -122,9 +134,9 @@ class PrioritizedReplay:
 
     def update_priorities(self, indices: np.ndarray, td_abs: np.ndarray) -> None:
         """Priority tracks |td error| with a floor so nothing starves."""
-        for i, err in zip(indices, td_abs):
-            raw = float(abs(err)) + self.priority_eps
+        for i, err in zip(indices.tolist(), td_abs.tolist()):
+            raw = abs(err) + self.priority_eps
             self.priorities[i] = raw
-            self.tree.set(int(i), raw**self.alpha)
+            self.tree.set(i, raw**self.alpha)
             if raw > self.max_priority:
                 self.max_priority = raw

@@ -80,6 +80,44 @@ def test_main_rejects_malformed_config_value(tmp_path, monkeypatch, capsys, line
     assert sorted(tmp_path.iterdir()) == before  # rejected before any output
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_main_reports_training_divergence(tmp_path, monkeypatch, capsys):
+    # a finite but absurd learning rate passes the parser; the loss then goes non-finite
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(serialize_config(tiny_cfg()) + "train.lr = 1e300\n")
+    assert cli.main(["train", "--config", "run.cfg", "--out", "run", "--episodes", "10", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite loss at episode ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["eval", "--checkpoint", "ckpt.bin", "--out", "eval.csv"],
+        ["baseline", "--algorithms", "NOMA-MP", "--out", "base.csv"],
+    ],
+)
+def test_deadline_sweep_past_horizon_fails_before_any_episode(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    cfg = tiny_cfg()  # T = 6, deadline sweep 2..8
+    Path("run.cfg").write_text(serialize_config(cfg))
+    save_checkpoint(DuelingQNetwork(cfg.env.obs_dim, (4,), cfg.env.n_actions, rng=None), Path("ckpt.bin"))
+    starts = []
+    draw_world = cli.WorldStream.__call__
+
+    def spy(stream, ep):
+        starts.append(ep)
+        return draw_world(stream, ep)
+
+    monkeypatch.setattr(cli.WorldStream, "__call__", spy)
+    argv = [command[0], "--config", "run.cfg", *command[1:], "--episodes", "1", "--sweep", "deadlines"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: deadline window 7 exceeds horizon 6\n"
+    assert starts == []
+    assert not Path(command[-1]).exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf"])
 def test_config_rejects_infinite_road_length(value):
     # an infinite road would make poisson_positions loop forever

@@ -177,6 +177,36 @@ def test_adam_matches_per_tensor_formula():
             assert p.tobytes() == p_ref.tobytes()
 
 
+@pytest.mark.parametrize("beta, cutoff", [(0.9, 356), (0.999, 37_412)])
+def test_adam_matches_per_tensor_formula_across_bias_cutoffs(beta, cutoff):
+    """Steps from just below to past the step where a bias correction rounds
+    to 1.0, from nonzero moments, against the per-tensor formula."""
+    assert 1.0 - beta ** (cutoff - 1) != 1.0 == 1.0 - beta**cutoff
+    net = DuelingQNetwork(6, (5, 4), 3, np.random.default_rng(25))
+    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+    opt = Adam(net.params, lr, b1, b2, eps)
+    rng = np.random.default_rng(26)
+    opt.m[...] = rng.normal(size=opt.m.size)
+    opt.v[...] = rng.uniform(0.0, 2.0, size=opt.v.size)
+    opt.t = cutoff - 4
+    ref = [p.copy() for p in net.params]
+    m = FlatParams(opt.m.copy(), net.params.shapes)
+    v = FlatParams(opt.v.copy(), net.params.shapes)
+    for t in range(cutoff - 3, cutoff + 4):
+        grads = FlatParams(rng.normal(size=net.params.flat.size), net.params.shapes)
+        opt.step(net.params, grads)
+        assert opt.t == t
+        b1t, b2t = 1.0 - b1**t, 1.0 - b2**t
+        for p_ref, g, m_, v_ in zip(ref, grads, m, v):
+            m_ *= b1
+            m_ += (1.0 - b1) * g
+            v_ *= b2
+            v_ += (1.0 - b2) * g**2
+            p_ref -= lr * (m_ / b1t) / (np.sqrt(v_ / b2t) + eps)
+        for p, p_ref in zip(net.params, ref):
+            assert p.tobytes() == p_ref.tobytes()
+
+
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     net = DuelingQNetwork(73, (256, 128, 120), 120, np.random.default_rng(14))
     path = tmp_path / "net.bin"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from iovslice.dqn.replay import PrioritizedReplay, SumTree
+from iovslice.dqn.replay import PrioritizedReplay, ReplayBatch, SumTree
 
 
 def filled_buffer(n, obs_dim=3, capacity=64, **kw):
@@ -162,3 +162,158 @@ def test_sum_tree_matches_exact_prefix_sums(capacity, data):
             for prefix in (start, start + mass[j] / 2, start + mass[j] - 0.5):
                 assert tree.find(prefix) == j
         start += mass[j]
+
+
+# -- byte identity with the numpy-scalar reference ----------------------------
+
+
+class ScalarSumTree(SumTree):
+    """The sum tree with every node read as a boxed numpy scalar, as it was
+    written before node access went through a memoryview. Kept as the
+    reference the tree must match bit for bit."""
+
+    def set(self, leaf, value):
+        idx = leaf + self.capacity - 1
+        change = value - self.nodes[idx]
+        self.nodes[idx] = value
+        while idx > 0:
+            idx = (idx - 1) // 2
+            self.nodes[idx] += change
+
+    def get(self, leaf):
+        return float(self.nodes[leaf + self.capacity - 1])
+
+    def total(self):
+        return float(self.nodes[0])
+
+    def find(self, prefix):
+        idx = 0
+        while idx < self.capacity - 1:
+            left = 2 * idx + 1
+            if prefix < self.nodes[left]:
+                idx = left
+            else:
+                prefix -= self.nodes[left]
+                idx = left + 1
+        return idx - (self.capacity - 1)
+
+
+class ScalarReplay(PrioritizedReplay):
+    """sample and update_priorities as loops over numpy scalars, over the
+    reference tree."""
+
+    def __init__(self, capacity, obs_dim, **kw):
+        super().__init__(capacity, obs_dim, **kw)
+        self.tree = ScalarSumTree(capacity)
+
+    def sample(self, batch, beta, rng):
+        if self.size < batch:
+            return None
+        total = self.tree.total()
+        indices = np.empty(batch, dtype=np.int64)
+        for k, u in enumerate(rng.random(batch)):
+            leaf = self.tree.find(u * total)
+            indices[k] = min(leaf, self.size - 1)
+        probs = np.array([self.tree.get(int(i)) for i in indices]) / total
+        weights = (self.size * probs) ** (-beta)
+        weights /= weights.max()
+        return ReplayBatch(
+            obs=self.obs[indices],
+            actions=self.actions[indices],
+            rewards=self.rewards[indices],
+            next_obs=self.next_obs[indices],
+            terminal=self.terminal[indices],
+            indices=indices,
+            weights=weights,
+        )
+
+    def update_priorities(self, indices, td_abs):
+        for i, err in zip(indices, td_abs):
+            raw = float(abs(err)) + self.priority_eps
+            self.priorities[i] = raw
+            self.tree.set(int(i), raw**self.alpha)
+            if raw > self.max_priority:
+                self.max_priority = raw
+
+
+def assert_same_state(fast, ref):
+    assert fast.tree.nodes.tobytes() == ref.tree.nodes.tobytes()
+    assert fast.priorities.tobytes() == ref.priorities.tobytes()
+    assert fast.max_priority.hex() == ref.max_priority.hex()
+    assert (fast.size, fast.write) == (ref.size, ref.write)
+
+
+# td errors over 33 decades: rewriting a huge priority with a much smaller
+# one leaves rounding drift in the inner sums, which can steer a draw into the
+# zero-mass tail of an underfull buffer
+_TD = st.one_of(
+    st.sampled_from([0.0, -0.1, 2.5]),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 30.0)).map(lambda se: se[0] * 10.0 ** se[1]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    capacity=st.sampled_from([1, 3, 5, 8, 100]),
+    alpha=st.sampled_from([0.6, 1.0, 0.35]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_replay_matches_numpy_scalar_reference(capacity, alpha, seed, data):
+    fast = PrioritizedReplay(capacity, 1, alpha=alpha)
+    ref = ScalarReplay(capacity, 1, alpha=alpha)
+    rng_fast, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    last = None  # the indices of the latest batch, which an update may reuse
+
+    def sample(batch):
+        nonlocal last
+        beta = data.draw(st.sampled_from([0.0, 0.4, 0.73, 1.0]), label="beta")
+        with np.errstate(divide="ignore", invalid="ignore"):  # a drifted total may read 0
+            got = fast.sample(batch, beta, rng_fast)
+            want = ref.sample(batch, beta, rng_ref)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.indices.dtype == want.indices.dtype
+            assert got.indices.tobytes() == want.indices.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
+            last = want.indices
+
+    def update(idx, td):
+        fast.update_priorities(idx, td)
+        ref.update_priorities(idx, td)
+
+    ops = st.sampled_from(["add", "sample", "update", "update-batch", "drift"])
+    for op in data.draw(st.lists(ops, min_size=3, max_size=25), label="ops"):
+        if op == "add":
+            for _ in range(data.draw(st.integers(1, capacity + 1), label="adds")):  # may evict
+                for buf in (fast, ref):
+                    buf.add(np.zeros(1), 0, 0.0, np.zeros(1), False)
+        elif op == "sample":
+            sample(data.draw(st.integers(1, 8), label="batch"))
+        elif len(fast) == 0:
+            pass
+        elif op == "drift":
+            # Lift the last stored leaf far above the rest, then lower it to
+            # between a half and one ulp of that height: the inner sums round
+            # up to a full ulp, so a draw after it can land in the zero-mass
+            # tail of an underfull buffer.
+            i = np.array([len(fast) - 1])
+            top = 2.0 ** data.draw(st.integers(80, 120), label="top")
+            drop = 53.0 + data.draw(st.integers(1, 99), label="drop") / 100.0
+            for leaf in (top, top * 2.0**-drop):
+                update(i, np.array([leaf ** (1.0 / alpha)]))
+            sample(min(len(fast), 8))
+        else:
+            if op == "update-batch" and last is not None:
+                idx = last
+            else:
+                idx = np.array(data.draw(st.lists(st.integers(0, len(fast) - 1), min_size=1, max_size=8)))
+            update(idx, np.array(data.draw(st.lists(_TD, min_size=len(idx), max_size=len(idx)), label="td")))
+        assert_same_state(fast, ref)
+        # prefixes on the root's split, at both ends and inside the range
+        total = ref.tree.total()
+        probes = [0.0, total, *(u * total for u in data.draw(st.lists(st.floats(0.0, 1.0), max_size=3)))]
+        if capacity > 1:
+            probes.append(float(ref.tree.nodes[1]))
+        for prefix in probes:
+            assert fast.tree.find(prefix) == ref.tree.find(prefix)
