@@ -4,10 +4,10 @@ Three cases on episode 0 of the default configuration's evaluation stream:
 `phy.apply_slot` through a fresh link (cold: every group and rate is solved),
 through a link that has resolved the same slot before (warm: both come from
 its memos), and one swap-matching trial, `baselines.evaluate_plan` replaying
-the first move of NOMA-MP's initial plan from the plan's record through the
-episode's shared link. A timed round of either `apply_slot` case makes
-CALLS calls, each on its own fresh ledger, so the reported times are per
-CALLS calls.
+the action columns of the first move of NOMA-MP's initial plan from the
+plan's record through the episode's shared link. A timed round of either
+`apply_slot` case makes CALLS calls, each on its own fresh ledger, so the
+reported times are per CALLS calls.
 
 Run from the repository root (tier-1 does not collect this directory):
 
@@ -84,7 +84,10 @@ def test_evaluate_plan_trial(benchmark, world):
     coverage, packet = bl.random_coverage_slice(m, T, rng)
     link = _link(chan)
     plan = bl.initial_rb_allocation(link, coverage, packet, bl.draw_powers("NOMA-MP", m, T, rng), oma=False)
-    record = bl.evaluate_plan(plan, sc, link)
-    t, trial = next(bl._moves(plan, False, F))
+    columns = bl.plan_columns(plan)
+    record = bl.evaluate_plan(columns, sc, link)
+    t, column, _ = next(bl._moves(columns, bl._plan_rows(plan), False, F))
+    trial = columns.copy()
+    trial[t] = column
     ledgers = benchmark(bl.evaluate_plan, trial, sc, link, record, t)
     assert t < len(ledgers) - 1 <= T

@@ -3,12 +3,18 @@
 All three variants draw coverage and slice uniformly at random per slot, then
 assign frequencies greedily by channel gain and locally improve the assignment
 with swap moves, scoring each through the same link layer the learned policy
-is scored by. A move edits one slot, so its trial replays from the current
-plan's recorded ledger at that slot and stops as soon as the ledger matches
-the record again. All trials of one episode share its `phy.EpisodeLink`, so a
-slot configuration the search has scored before costs a memo lookup. OMA
-keeps one transmitter per resource block; the MP variants always use maximum
-power while RP draws a random level.
+is scored by. The search runs on the plan's action columns (`plan_columns`):
+per slot, one tuple per source in `phy.SlotAction` field order, `_SILENT`
+for a source without a resource block. A move edits the frequencies of one
+slot, so it rebuilds the one or two edited sources' tuples of that slot's
+column and shares every other column with the current plan; no plan is
+copied and no array is converted per trial. Its trial replays from the
+current plan's recorded ledger at that slot and stops as soon as the ledger
+matches the record again. All trials of one episode share its
+`phy.EpisodeLink`, so a slot the search has resolved before, from a ledger
+that masks it alike, costs a memo lookup. OMA keeps one transmitter per
+resource block; the MP variants always use maximum power while RP draws a
+random level.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ ACTIVE_POWERS_DBM = tuple(p for p in POWER_LEVELS_DBM if p > phy.SILENCE_POWER_D
 
 INACTIVE = -1  # frequency slot of a source that found no free RB
 _SILENT = phy.SlotAction(phy.PKT_NONE, 0.0, 0, phy.SILENCE_POWER_DBM)  # an INACTIVE source's action
+Column = tuple[tuple[int, float, int, float], ...]  # one slot's per-source actions
 
 
 @dataclass
@@ -98,8 +105,25 @@ def initial_rb_allocation(
     return OfflinePlan(coverage_m.copy(), packet.copy(), freq, power_dbm.copy())
 
 
+def _action(packet: int, coverage_m: float, freq: int, power_dbm: float) -> tuple[int, float, int, float]:
+    """One source's slot action in `phy.SlotAction` field order."""
+    return _SILENT if freq == INACTIVE else (packet, coverage_m, freq, power_dbm)
+
+
+def _plan_rows(plan: OfflinePlan) -> tuple[list[list], ...]:
+    """(packet, coverage_m, freq, power_dbm), each as per-slot lists of
+    per-source Python scalars."""
+    return tuple(a.T.tolist() for a in (plan.packet, plan.coverage_m, plan.freq, plan.power_dbm))
+
+
+def plan_columns(plan: OfflinePlan) -> list[Column]:
+    """The plan as per-slot action columns: one tuple per source in
+    `phy.SlotAction` field order, `_SILENT` for an INACTIVE source."""
+    return [tuple(map(_action, *slot)) for slot in zip(*_plan_rows(plan))]
+
+
 def evaluate_plan(
-    plan: OfflinePlan,
+    plan: OfflinePlan | list[Column],
     scenario: Scenario,
     link: phy.EpisodeLink,
     record: list[phy.DeliveryLedger] | None = None,
@@ -107,23 +131,21 @@ def evaluate_plan(
 ) -> list[phy.DeliveryLedger]:
     """Replay the episode through the same link layer as the online policy.
 
-    Returns the ledger before every slot and after the last, T + 1 of them;
-    the last is the episode's outcome. `record` holds those ledgers for a
-    plan that differs from this one only at slot `start`: the replay then
-    resumes from record[start] and stops after the first slot that leaves
-    the leftover bits, and with them the delivery flags, bit for bit as the
-    record has them.
+    `plan` is a whole `OfflinePlan` or its `plan_columns`, which is how the
+    swap search passes its trials. Returns the ledger before every slot and
+    after the last, T + 1 of them; the last is the episode's outcome.
+    `record` holds those ledgers for a plan that differs from this one only
+    at slot `start`: the replay then resumes from record[start] and stops
+    after the first slot that leaves the leftover bits, and with them the
+    delivery flags, bit for bit as the record has them.
     Every later slot then plays out alike, so this plan delivers what the
     recorded one does; such a replay returns the ledgers up to that slot only.
     """
+    columns = plan_columns(plan) if isinstance(plan, OfflinePlan) else plan
     ledgers = [phy.DeliveryLedger(scenario.packets)] if record is None else record[: start + 1]
-    # per slot from `start` on, the sources' (packet, coverage, freq, power) as Python scalars
-    fields = (plan.packet, plan.coverage_m, plan.freq, plan.power_dbm)
-    columns = zip(*(a[:, start:].T.tolist() for a in fields))
-    for t, column in enumerate(columns, start):
-        actions = [_SILENT if act[2] == INACTIVE else act for act in zip(*column)]
+    for t in range(start, len(columns)):
         ledger = ledgers[-1].copy()
-        phy.apply_slot(ledger, actions, link, t)
+        phy.apply_slot(ledger, columns[t], link, t)
         ledgers.append(ledger)
         # bit-identical progress, so the rest replays exactly as recorded
         if record is not None and ledger.leftover_bits.tobytes() == record[t + 1].leftover_bits.tobytes():
@@ -144,28 +166,34 @@ class BaselineRun:
     slots_replayed: int  # phy.apply_slot calls those scorings made
 
 
-def _moves(current: OfflinePlan, oma: bool, F: int):
-    """(slot, trial plan) per candidate move of `current`, in search order:
-    per slot, pairwise frequency swaps (vacancies included), then
-    single-source retunes respecting OMA exclusivity."""
-    m, T = current.freq.shape
-    for t in range(T):
+def _moves(columns: list[Column], rows: tuple[list[list], ...], oma: bool, F: int):
+    """(slot, edited column, edited freq row) per candidate move of the plan
+    whose columns and `_plan_rows` these are, in search order: per slot,
+    pairwise frequency swaps (vacancies included), then single-source
+    retunes respecting OMA exclusivity. Only the edited sources' actions are
+    rebuilt."""
+    packet, coverage, freqs, power = rows
+    for t, row in enumerate(freqs):
+        m = len(row)
+
+        def retune(*changes: tuple[int, int]):  # (source, new frequency) pairs
+            column, new_row = list(columns[t]), row.copy()
+            for i, f in changes:
+                new_row[i] = f
+                column[i] = _action(packet[t][i], coverage[t][i], f, power[t][i])
+            return t, tuple(column), new_row
+
         for i in range(m):
             for j in range(i + 1, m):
-                if current.freq[i, t] == current.freq[j, t]:
-                    continue
-                trial = current.copy()
-                trial.freq[i, t], trial.freq[j, t] = current.freq[j, t], current.freq[i, t]
-                yield t, trial
+                if row[i] != row[j]:
+                    yield retune((i, row[j]), (j, row[i]))
         for i in range(m):
             for f in range(F):
-                if current.freq[i, t] == f:
+                if row[i] == f:
                     continue
-                if oma and any(current.freq[j, t] == f for j in range(m) if j != i):
+                if oma and any(row[j] == f for j in range(m) if j != i):
                     continue
-                trial = current.copy()
-                trial.freq[i, t] = f
-                yield t, trial
+                yield retune((i, f))
 
 
 def swap_matching(
@@ -177,32 +205,40 @@ def swap_matching(
 ) -> BaselineRun:
     """First-improvement local search over frequency swaps and single moves.
 
-    evaluate(plan, record, start) -> ledgers replays a plan as `evaluate_plan`
-    does: in full when record is None, else from slot `start` against the
-    current plan's ledgers, which every trial differs from at that slot only.
-    A trial that rejoins them (fewer than T + 1 ledgers back) delivers what
-    the current plan does. A move is kept only if the delivered count
-    strictly increases; the objective history holds the count after each
-    accepted move (leading entry: the initial count), and the stats are read
-    off the final plan's recorded ledgers.
+    The search runs on the plan's action columns (`plan_columns`): a move
+    edits one slot's column, and a trial shares every other column with the
+    current plan. evaluate(columns, record, start) -> ledgers replays them as
+    `evaluate_plan` does: in full when record is None, else from slot
+    `start` against the current plan's ledgers, which every trial differs
+    from at that slot only. A trial that rejoins them (fewer than T + 1
+    ledgers back) delivers what the current plan does. A move is kept only if
+    the delivered count strictly increases; the objective history holds the
+    count after each accepted move (leading entry: the initial count), and
+    the stats are read off the final plan's recorded ledgers.
     """
     T = plan.freq.shape[1]
-    current = plan.copy()
-    record = evaluate(current, None, 0)
+    rows = _plan_rows(plan)
+    freqs = rows[2]  # the current plan's per-slot frequencies, INACTIVE included
+    freq = plan.freq.copy()  # the same, as the final plan's array
+    columns = plan_columns(plan)
+    record = evaluate(columns, None, 0)
     history = [delivered_packets(record[-1])]
     evaluations, slots = 1, len(record) - 1
     while len(history) - 1 < max_iters:
-        for t, trial in _moves(current, oma, F):
+        for t, column, row in _moves(columns, rows, oma, F):
+            trial = columns.copy()
+            trial[t] = column
             ledgers = evaluate(trial, record, t)
             evaluations += 1
             slots += len(ledgers) - 1 - t
             if len(ledgers) > T and delivered_packets(ledgers[-1]) > history[-1]:
-                current, record = trial, ledgers
+                columns, record, freqs[t], freq[:, t] = trial, ledgers, row, row
                 history.append(delivered_packets(ledgers[-1]))
                 break
         else:
             break
-    return BaselineRun(phy.reception_stats(record[-1]), current, history, evaluations, slots)
+    final = OfflinePlan(plan.coverage_m.copy(), plan.packet.copy(), freq, plan.power_dbm.copy())
+    return BaselineRun(phy.reception_stats(record[-1]), final, history, evaluations, slots)
 
 
 def run_baseline(
@@ -224,7 +260,7 @@ def run_baseline(
     link = phy.EpisodeLink(chan, channel_cfg, slot_duration_s)
     plan = initial_rb_allocation(link, coverage, packet, powers, oma)
 
-    def evaluate(p: OfflinePlan, record: list[phy.DeliveryLedger] | None, start: int):
-        return evaluate_plan(p, scenario, link, record, start)
+    def evaluate(columns: list[Column], record: list[phy.DeliveryLedger] | None, start: int):
+        return evaluate_plan(columns, scenario, link, record, start)
 
     return swap_matching(plan, evaluate, oma, F, max_iters)

@@ -101,6 +101,12 @@ def _check_out_dir(out: Path) -> None:
     probe.unlink()
 
 
+def _check_count(name: str, value: int) -> None:
+    """Reject a negative count, which would run nothing and write empty output."""
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def sweep_points(cfg: RunConfig, sweep: str) -> list[WorkloadConfig]:
     if sweep == "none":
         return [cfg.workload]
@@ -175,6 +181,7 @@ def _eval_rows(
 
 
 def cmd_eval(cfg: RunConfig, checkpoint: Path, out_path: Path, episodes: int, sweep: str) -> Path:
+    _check_count("episodes", episodes)
     net = load_checkpoint(checkpoint)
     if net.obs_dim != cfg.env.obs_dim or net.n_actions != cfg.env.n_actions:
         raise ValueError(
@@ -192,6 +199,9 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, out_path: Path, episodes: int, sw
 
 
 def cmd_baseline(cfg: RunConfig, names: list[str], out_path: Path, episodes: int, sweep: str) -> Path:
+    _check_count("episodes", episodes)
+    if not names:
+        raise ValueError(f"no baseline named, valid names: {', '.join(bl.BASELINE_NAMES)}")
     for name in names:
         if name not in bl.BASELINE_NAMES:
             raise ValueError(f"unknown baseline {name!r}, valid names: {', '.join(bl.BASELINE_NAMES)}")
@@ -240,6 +250,7 @@ def oracle_instance(
 
 def cmd_oracle(cfg: RunConfig, instances: int, out_path: Path | None) -> list[dict]:
     """Tiny-instance sanity sweep: exhaustive optimum vs every policy."""
+    _check_count("instances", instances)
     results = []
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA11CE]))
     for k in range(instances):

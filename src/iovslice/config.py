@@ -38,6 +38,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.workload.deadline_len_slots > self.env.T:
             raise ValueError("workload deadline cannot exceed the episode length T")
+        if self.eval_episodes < 0:
+            raise ValueError(f"run.eval_episodes must be >= 0, got {self.eval_episodes}")
+        if self.swap_max_iters < 0:
+            raise ValueError(f"run.swap_max_iters must be >= 0, got {self.swap_max_iters}")
 
 
 # Section name -> the class holding its keys; "run" is RunConfig's own scalars.

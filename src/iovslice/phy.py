@@ -20,6 +20,17 @@ solve would. Masking happens before the lookup, so a choice the ledger demotes
 keys as silence. `apply_slot` resolves slots for the environment, the
 baselines and the oracle's replay; the oracle's search resolves its joint
 choices through the same `effective`, `rates` and `drain`.
+
+`apply_slot` first masks every raw choice with `mask_packet_choice`, the one
+mask rule, and then asks `EpisodeLink.resolve` for the slot's effective
+choices and rates. That memo is keyed by (slot, raw per-source choices,
+masked packet ids), and it is exact too: a source's effective choice depends
+only on its masked packet, its raw radius, frequency and power and the
+episode's fixed groups, and the rates only on the slot and the effective
+choices. So the ledger enters the key only through the masked ids, and a hit
+skips `effective`, the group lookups, `power_lin_mw` and hashing the rate
+key. A miss goes through `effective` and `rates`, which is what the oracle's
+search calls, so both solve exactly what a fresh link would.
 """
 
 from __future__ import annotations
@@ -211,7 +222,8 @@ _OFF_AIR = (PKT_NONE, (), 0, 0.0)
 
 class EpisodeLink:
     """One episode's link table: the inputs `apply_slot` resolves slots
-    against, plus memos of the broadcast groups and the slot rates.
+    against, plus memos of the broadcast groups, the slot rates and the
+    masked slot resolutions.
 
     Build one per episode (per channel realization); every replay of that
     episode, however many plans it scores, may share it. The noise and the
@@ -226,6 +238,7 @@ class EpisodeLink:
         self.slot_duration_s = slot_duration_s
         self._groups: dict[tuple[int, float], tuple[int, ...]] = {}
         self._rates: dict[tuple, tuple[float, ...]] = {}
+        self._resolved: dict[tuple, tuple[list, tuple[float, ...]]] = {}
 
     def group(self, src: int, coverage_m: float) -> tuple[int, ...]:
         """`coverage_group` of the source at this radius, computed once."""
@@ -256,6 +269,21 @@ class EpisodeLink:
             )
         return rates
 
+    def resolve(
+        self, slot: int, actions: tuple[tuple[int, float, int, float], ...], masked: tuple[int, ...]
+    ) -> tuple[list[tuple[int, tuple[int, ...], int, float]], tuple[float, ...]]:
+        """(effective choices, rates) of raw per-source choices whose packets
+        `mask_packet_choice` turned into `masked`, solved once per key."""
+        key = (slot, actions, masked)
+        hit = self._resolved.get(key)
+        if hit is None:
+            effective = [
+                self.effective(src, packet_id, coverage_m, freq, power_dbm)
+                for src, (packet_id, (_, coverage_m, freq, power_dbm)) in enumerate(zip(masked, actions))
+            ]
+            hit = self._resolved[key] = (effective, self.rates(slot, effective))
+        return hit
+
 
 def apply_slot(
     ledger: DeliveryLedger,
@@ -269,11 +297,9 @@ def apply_slot(
     A choice of an already-delivered packet, or of a safety packet outside
     its window, is masked to no transmission (`mask_packet_choice`).
     """
-    effective = [
-        link.effective(src, mask_packet_choice(ledger, src, packet_id, slot), coverage_m, freq, power_dbm)
-        for src, (packet_id, coverage_m, freq, power_dbm) in enumerate(actions)
-    ]
-    rates = link.rates(slot, effective)
+    actions = tuple(actions)
+    masked = tuple([mask_packet_choice(ledger, src, act[0], slot) for src, act in enumerate(actions)])
+    effective, rates = link.resolve(slot, actions, masked)
 
     outcomes: list[SourceOutcome] = []
     leftover = ledger.leftover_bits

@@ -128,10 +128,10 @@ def _two_source_conflict():
 def _evaluator(sc, chan, cfg, seen=None):
     link = _link(chan, cfg)
 
-    def evaluate(p, record, start):
+    def evaluate(columns, record, start):
         if seen is not None:
-            seen.append(p)
-        return bl.evaluate_plan(p, sc, link, record, start)
+            seen.append(columns)
+        return bl.evaluate_plan(columns, sc, link, record, start)
 
     return evaluate
 
@@ -139,7 +139,8 @@ def _evaluator(sc, chan, cfg, seen=None):
 def test_swap_matching_finds_improvement():
     sc, chan, cfg, plan = _two_source_conflict()
     evaluate = _evaluator(sc, chan, cfg)
-    assert bl.delivered_packets(evaluate(plan, None, 0)[-1]) == 0  # both parked on the dud frequency
+    columns = bl.plan_columns(plan)
+    assert bl.delivered_packets(evaluate(columns, None, 0)[-1]) == 0  # both parked on the dud frequency
     run = bl.swap_matching(plan, evaluate, oma=False, F=2)
     history = run.objective_history
     assert history[0] == 0 and history[-1] >= 1  # a move converted 0 -> 1
@@ -166,12 +167,18 @@ def test_swap_matching_respects_oma():
     power = bl.draw_powers("OMA-MP", 3, 20, rng)
     plan = bl.initial_rb_allocation(_link(chan, cfg), coverage, packet, power, oma=True)
 
-    history_plans = []
+    history_plans = []  # every scored plan, as action columns
     final = bl.swap_matching(plan, _evaluator(sc, chan, cfg, history_plans), oma=True, F=2).plan
-    for p in (plan, final, *history_plans):
+    for p in (plan, final):
         for t in range(20):
             active = p.freq[:, t][p.freq[:, t] != bl.INACTIVE]
             assert len(set(active.tolist())) == len(active)
+    assert len(history_plans) > 1
+    for columns in history_plans:
+        for column in columns:
+            # an INACTIVE source is `_SILENT`, whose freq 0 is not an RB it holds
+            active = [act[2] for act in column if act is not bl._SILENT]
+            assert len(set(active)) == len(active)
 
 
 def _small_worlds():
@@ -214,7 +221,8 @@ def test_incremental_replay_matches_full_replay():
                     plan.packet[s, t] == phy.PKT_SLICE2 and not pkt.arrival_slot <= t <= pkt.deadline_slot
                     for t in range(T)
                 )
-            record = bl.evaluate_plan(plan, sc, link)
+            columns = bl.plan_columns(plan)
+            record = bl.evaluate_plan(columns, sc, link)
             assert len(record) == T + 1
             for _ in range(10):
                 t = int(rng.integers(T))
@@ -224,7 +232,9 @@ def test_incremental_replay_matches_full_replay():
                     edited.freq[i, t], edited.freq[j, t] = plan.freq[j, t], plan.freq[i, t]
                 else:
                     edited.freq[int(rng.integers(m)), t] = int(rng.integers(F))
-                ledgers = bl.evaluate_plan(edited, sc, link, record, t)
+                trial = columns.copy()  # the edited slot's column, every other one shared
+                trial[t] = bl.plan_columns(edited)[t]
+                ledgers = bl.evaluate_plan(trial, sc, link, record, t)
                 full = bl.evaluate_plan(edited, sc, _link(chan, cfg))
                 assert t < len(ledgers) - 1 and len(ledgers) <= T + 1
                 for a, b in zip(ledgers, full):  # the shared prefix and every replayed slot
@@ -244,41 +254,71 @@ def test_incremental_replay_matches_full_replay():
     assert rejoined > 100 and ran_to_end > 100 and inactive > 0 and closed > 0
 
 
+def _reference_moves(plan, oma, F):
+    """(slot, trial plan) per candidate move, in search order, each trial a
+    whole edited copy of the plan."""
+    m, T = plan.freq.shape
+    for t in range(T):
+        for i in range(m):
+            for j in range(i + 1, m):
+                if plan.freq[i, t] != plan.freq[j, t]:
+                    trial = plan.copy()
+                    trial.freq[i, t], trial.freq[j, t] = plan.freq[j, t], plan.freq[i, t]
+                    yield t, trial
+        for i in range(m):
+            for f in range(F):
+                taken = oma and any(plan.freq[j, t] == f for j in range(m) if j != i)
+                if plan.freq[i, t] != f and not taken:
+                    trial = plan.copy()
+                    trial.freq[i, t] = f
+                    yield t, trial
+
+
+def test_moves_edit_one_column_as_the_edited_plan():
+    # a move rebuilds only the edited sources' actions, and the column it
+    # yields is the one the whole edited plan converts to
+    rng = np.random.default_rng(5)
+    m, T, F = 4, 6, 3
+    edits = 0
+    for k in range(8):
+        plan = bl.OfflinePlan(
+            coverage_m=rng.choice(COVERAGE_LEVELS_M, size=(m, T)),
+            packet=rng.integers(0, 3, size=(m, T)),
+            freq=rng.integers(bl.INACTIVE, F, size=(m, T)),
+            power_dbm=rng.choice(POWER_LEVELS_DBM, size=(m, T)),
+        )
+        oma = bool(k % 2)
+        columns = bl.plan_columns(plan)
+        moves = list(bl._moves(columns, bl._plan_rows(plan), oma, F))
+        reference = list(_reference_moves(plan, oma, F))
+        assert len(moves) == len(reference)
+        for (t, column, row), (ref_t, trial) in zip(moves, reference):
+            assert t == ref_t
+            assert column == bl.plan_columns(trial)[t]
+            assert row == trial.freq[:, t].tolist()
+            kept = [a is b for a, b in zip(column, columns[t])]
+            assert kept.count(False) <= 2  # only the edited sources' tuples are new
+            edits += 1
+    assert edits > 100
+
+
 def _reference_swap_matching(plan, evaluate, oma, F, max_iters=1000):
     """The search scoring every trial by a replay of all T slots; evaluate:
     plan -> delivered count. Returns the plan, its objective history and the
     number of plans scored."""
-    m, T = plan.freq.shape
     current = plan.copy()
     history = [int(evaluate(current))]
     evaluations = 1
     improved = True
     while improved and len(history) - 1 < max_iters:
         improved = False
-        for t in range(T):
-            trials = []
-            for i in range(m):
-                for j in range(i + 1, m):
-                    if current.freq[i, t] != current.freq[j, t]:
-                        trial = current.copy()
-                        trial.freq[i, t], trial.freq[j, t] = current.freq[j, t], current.freq[i, t]
-                        trials.append(trial)
-            for i in range(m):
-                for f in range(F):
-                    taken = oma and any(current.freq[j, t] == f for j in range(m) if j != i)
-                    if current.freq[i, t] != f and not taken:
-                        trial = current.copy()
-                        trial.freq[i, t] = f
-                        trials.append(trial)
-            for trial in trials:
-                score = int(evaluate(trial))
-                evaluations += 1
-                if score > history[-1]:
-                    current = trial
-                    history.append(score)
-                    improved = True
-                    break
-            if improved:
+        for _, trial in _reference_moves(current, oma, F):
+            score = int(evaluate(trial))
+            evaluations += 1
+            if score > history[-1]:
+                current = trial
+                history.append(score)
+                improved = True
                 break
     return current, history, evaluations
 

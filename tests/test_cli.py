@@ -67,6 +67,9 @@ def test_config_rejects_unknown_key():
         ("workload.slice2_bytes = 0", ["train", "--out", "run"]),
         ("workload.slice1_bits_min = 2e6", ["train", "--out", "run"]),  # above the max
         ("workload.slice1_bits_min = 0.0", ["train", "--out", "run"]),
+        # a negative count would run nothing and write a header-only CSV
+        ("run.eval_episodes = -1", ["eval", "--checkpoint", "ckpt.bin", "--out", "eval.csv"]),
+        ("run.swap_max_iters = -1", ["baseline", "--algorithms", "NOMA-MP", "--out", "base.csv"]),
     ],
 )
 def test_main_rejects_malformed_config_value(tmp_path, monkeypatch, capsys, line, command):
@@ -78,6 +81,37 @@ def test_main_rejects_malformed_config_value(tmp_path, monkeypatch, capsys, line
     assert cli.main([command[0], "--config", "run.cfg", *command[1:], "--episodes", "1"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert sorted(tmp_path.iterdir()) == before  # rejected before any output
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["baseline", "--algorithms", "NOMA-MP", "--out", "base.csv", "--episodes", "-2"],
+        ["eval", "--checkpoint", "ckpt.bin", "--out", "eval.csv", "--episodes", "-1"],
+        ["oracle", "--instances", "-5", "--out", "oracle.csv"],
+        ["baseline", "--algorithms", ",", "--out", "base.csv", "--episodes", "1"],
+    ],
+)
+def test_main_rejects_negative_counts_and_empty_algorithms(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    cfg = tiny_cfg()
+    Path("run.cfg").write_text(serialize_config(cfg))
+    save_checkpoint(DuelingQNetwork(cfg.env.obs_dim, (4,), cfg.env.n_actions, rng=None), Path("ckpt.bin"))
+    before = sorted(tmp_path.iterdir())
+    assert cli.main([argv[0], "--config", "run.cfg", *argv[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and out == ""
+    assert sorted(tmp_path.iterdir()) == before  # rejected before any output
+
+
+def test_main_accepts_zero_counts(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = dataclasses.replace(tiny_cfg(), eval_episodes=0, swap_max_iters=0)
+    Path("run.cfg").write_text(serialize_config(cfg))
+    assert cli.main(["baseline", "--config", "run.cfg", "--algorithms", "NOMA-MP", "--out", "base.csv"]) == 0
+    assert Path("base.csv").read_text().count("\n") == 2  # schema line and header, no episode
+    assert cli.main(["oracle", "--config", "run.cfg", "--instances", "0"]) == 0
+    assert "0 instances" in capsys.readouterr().out
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")

@@ -311,6 +311,51 @@ def test_shared_link_replays_match_fresh_links(data):
         phy.apply_slot(ledger, actions, shared, t)
 
 
+def _resolution(ledger, outcomes):
+    """A resolved slot, bit for bit: the ledger after it and every outcome."""
+    return (
+        ledger.leftover_bits.tobytes(),
+        ledger.reached,
+        [(o.packet_id, o.group, o.rate_bps.hex(), o.delivered_now) for o in outcomes],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_slot_resolution_memo_is_exact(data):
+    """One shared link resolves every slot as a fresh link per call does.
+    Each drawn joint choice is played at every slot, some with the slice-2
+    windows closed, from ledgers with other delivered flags and leftovers, so
+    the memo sees the same raw choices under other slots and other masks."""
+    m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    F, T = data.draw(st.integers(1, 2)), data.draw(st.integers(2, 6))
+    workload = WorkloadConfig(
+        slice1_bits_min=1e3, slice1_bits_max=5e4, deadline_len_slots=data.draw(st.integers(1, T - 1))
+    )
+    cfg = ChannelConfig()
+    seed = data.draw(st.integers(0, 999))
+    sc, chan = WorldStream(RoadConfig(), EnvConfig(m=m, n=n, F=F, T=T), cfg, workload, seed, TAG_EVAL)(0)
+    choice = st.tuples(
+        st.integers(0, 2),
+        st.sampled_from(COVERAGE_LEVELS_M),
+        st.integers(0, F - 1),
+        st.sampled_from(POWER_LEVELS_DBM),
+    )
+    columns = data.draw(st.lists(st.tuples(*[choice] * m), min_size=1, max_size=3))
+    ledgers = [phy.DeliveryLedger(sc.packets) for _ in range(3)]
+    for ledger in ledgers[1:]:  # each packet untouched, half drained or delivered
+        for k in range(2 * m):
+            ledger.leftover_bits[k] *= data.draw(st.sampled_from([1.0, 0.5, 0.0]))
+    shared = phy.EpisodeLink(chan, cfg, 0.005)
+    for t in range(T):
+        for column in columns:
+            for ledger in ledgers:
+                got, want = ledger.copy(), ledger.copy()
+                out = phy.apply_slot(got, column, shared, t)
+                fresh = phy.apply_slot(want, column, phy.EpisodeLink(chan, cfg, 0.005), t)
+                assert _resolution(got, out) == _resolution(want, fresh)
+
+
 def test_prr_examples():
     sc = hand_built_scenario([0.0, 300.0], [100.0, 400.0])
     ledger = phy.DeliveryLedger(sc.packets)
