@@ -6,8 +6,9 @@ through a link that has resolved the same slot before (warm: both come from
 its memos), and one swap-matching trial, `baselines.evaluate_plan` replaying
 the action columns of the first move of NOMA-MP's initial plan from the
 plan's record through the episode's shared link. A timed round of either
-`apply_slot` case makes CALLS calls, each on its own fresh ledger, so the
-reported times are per CALLS calls.
+`apply_slot` case makes CALLS calls from the same start-of-episode ledger,
+which `apply_slot` leaves as it is, so the reported times are per CALLS
+calls.
 
 Run from the repository root (tier-1 does not collect this directory):
 
@@ -26,7 +27,7 @@ CFG = RunConfig()
 SLOT = 3  # a slot inside the default slice-2 window
 CALLS, ROUNDS = 50, 200  # apply_slot calls per timed round, rounds per case
 
-# the setups allocate ledgers and links; a collection inside a timed round
+# the setups allocate links; a collection inside a timed round
 # would charge their cleanup to the slot path
 pytestmark = pytest.mark.benchmark(disable_gc=True)
 
@@ -46,35 +47,35 @@ def _slot_actions():
     return [phy.SlotAction(phy.PKT_SLICE1, 400.0, s % CFG.env.F, 30.0) for s in range(CFG.env.m)]
 
 
-def _resolve(ledgers, actions, links):
-    """One round: the slot resolved once per (ledger, link) pair."""
-    return [phy.apply_slot(ledger, actions, link, SLOT) for ledger, link in zip(ledgers, links)]
+def _resolve(ledger, actions, links):
+    """One round: the slot resolved from the ledger once per link."""
+    return [phy.apply_slot(ledger, actions, link, SLOT) for link in links]
 
 
 def test_apply_slot_cold_link(benchmark, world):
     sc, chan = world
-    ledger = phy.DeliveryLedger(sc.packets)
+    ledger = phy.DeliveryLedger.start(sc.packets)
     actions = _slot_actions()
 
     def setup():
-        return ([ledger.copy() for _ in range(CALLS)], actions, [_link(chan) for _ in range(CALLS)]), {}
+        return (ledger, actions, [_link(chan) for _ in range(CALLS)]), {}
 
     out = benchmark.pedantic(_resolve, setup=setup, rounds=ROUNDS, warmup_rounds=5)
-    assert all(o.transmitted for outcomes in out for o in outcomes)
+    assert all(o.transmitted for _, outcomes in out for o in outcomes)
 
 
 def test_apply_slot_warm_link(benchmark, world):
     sc, chan = world
-    ledger = phy.DeliveryLedger(sc.packets)
+    ledger = phy.DeliveryLedger.start(sc.packets)
     actions = _slot_actions()
     link = _link(chan)
-    phy.apply_slot(ledger.copy(), actions, link, SLOT)
+    phy.apply_slot(ledger, actions, link, SLOT)
 
     def setup():
-        return ([ledger.copy() for _ in range(CALLS)], actions, [link] * CALLS), {}
+        return (ledger, actions, [link] * CALLS), {}
 
     out = benchmark.pedantic(_resolve, setup=setup, rounds=ROUNDS, warmup_rounds=5)
-    assert all(o.transmitted for outcomes in out for o in outcomes)
+    assert all(o.transmitted for _, outcomes in out for o in outcomes)
 
 
 def test_evaluate_plan_trial(benchmark, world):

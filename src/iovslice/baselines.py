@@ -8,13 +8,13 @@ per slot, one tuple per source in `phy.SlotAction` field order, `_SILENT`
 for a source without a resource block. A move edits the frequencies of one
 slot, so it rebuilds the one or two edited sources' tuples of that slot's
 column and shares every other column with the current plan; no plan is
-copied and no array is converted per trial. Its trial replays from the
-current plan's recorded ledger at that slot and stops as soon as the ledger
-matches the record again. All trials of one episode share its
-`phy.EpisodeLink`, so a slot the search has resolved before, from a ledger
-that masks it alike, costs a memo lookup. OMA keeps one transmitter per
-resource block; the MP variants always use maximum power while RP draws a
-random level.
+copied and no array is converted per trial. Its trial shares the current
+plan's recorded ledgers up to that slot (`phy.apply_slot` returns a new
+ledger, so none is copied) and stops as soon as its ledger matches the record
+again. All trials of one episode share its `phy.EpisodeLink`, so a slot the
+search has resolved before, from a ledger that masks it alike, costs a memo
+lookup. OMA keeps one transmitter per resource block; the MP variants always
+use maximum power while RP draws a random level.
 """
 
 from __future__ import annotations
@@ -135,26 +135,27 @@ def evaluate_plan(
     swap search passes its trials. Returns the ledger before every slot and
     after the last, T + 1 of them; the last is the episode's outcome.
     `record` holds those ledgers for a plan that differs from this one only
-    at slot `start`: the replay then resumes from record[start] and stops
+    at slot `start`: the replay then shares record[: start + 1] and stops
     after the first slot that leaves the leftover bits, and with them the
     delivery flags, bit for bit as the record has them.
     Every later slot then plays out alike, so this plan delivers what the
     recorded one does; such a replay returns the ledgers up to that slot only.
     """
     columns = plan_columns(plan) if isinstance(plan, OfflinePlan) else plan
-    ledgers = [phy.DeliveryLedger(scenario.packets)] if record is None else record[: start + 1]
+    ledgers = [phy.DeliveryLedger.start(scenario.packets)] if record is None else record[: start + 1]
     for t in range(start, len(columns)):
-        ledger = ledgers[-1].copy()
-        phy.apply_slot(ledger, columns[t], link, t)
+        ledger, _ = phy.apply_slot(ledgers[-1], columns[t], link, t)
         ledgers.append(ledger)
-        # bit-identical progress, so the rest replays exactly as recorded
-        if record is not None and ledger.leftover_bits.tobytes() == record[t + 1].leftover_bits.tobytes():
+        # bit-identical progress, so the rest replays exactly as recorded.
+        # Float equality is bit equality here: leftovers are finite and
+        # nonnegative, and `phy.drain` never yields -0.0.
+        if record is not None and ledger.leftover_bits == record[t + 1].leftover_bits:
             break
     return ledgers
 
 
 def delivered_packets(ledger: phy.DeliveryLedger) -> int:
-    return ledger.leftover_bits.tolist().count(0.0)  # delivered means leftover 0.0
+    return ledger.leftover_bits.count(0.0)  # delivered means leftover 0.0
 
 
 @dataclass

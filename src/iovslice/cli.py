@@ -124,6 +124,7 @@ def sweep_points(cfg: RunConfig, sweep: str) -> list[WorkloadConfig]:
 
 
 def cmd_train(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> tuple[Path, Path]:
+    made_out_dir = not out_dir.exists()
     _check_out_dir(out_dir)
     env = SlicingEnv(cfg.env, cfg.channel)
     stream = WorldStream(cfg.road, cfg.env, cfg.channel, cfg.workload, cfg.seed, TAG_TRAIN)
@@ -136,7 +137,12 @@ def cmd_train(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> tuple[Path,
                 file=sys.stderr,
             )
 
-    net, log = train(stream, env, cfg.train, progress=progress)
+    try:
+        net, log = train(stream, env, cfg.train, progress=progress)
+    except TrainingDiverged:
+        if made_out_dir and not any(out_dir.iterdir()):
+            out_dir.rmdir()
+        raise
     ckpt = out_dir / "checkpoint.bin"
     save_checkpoint(net, ckpt)
     log_path = out_dir / "training_log.csv"

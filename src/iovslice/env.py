@@ -156,7 +156,7 @@ class SlicingEnv:
         self.scenario = scenario
         self.channel = channel
         self.link = phy.EpisodeLink(channel, self.channel_cfg, cfg.slot_duration_s)
-        self.ledger = phy.DeliveryLedger(scenario.packets)
+        self.ledger = phy.DeliveryLedger.start(scenario.packets)
         self.slot = 0
         self.deciding = 0
         self.pending: list[int] = []
@@ -182,6 +182,9 @@ class SlicingEnv:
             for v in (scenario.packet(src, 2).arrival_slot, scenario.packet(src, 2).deadline_slot)
         ]
         self._packet_bits = np.array([p.size_bits for p in self.ledger.packets])
+        # fast fading, clipped exponential power: row t is slot t's, in observation order
+        fade = np.clip(channel.fastfade_pow, 0.0, FADE_CLIP) / FADE_CLIP
+        self._fade_rows = fade.transpose(3, 0, 1, 2).reshape(T, -1)
         self._begin_slot()
         return self.observation()
 
@@ -214,7 +217,7 @@ class SlicingEnv:
 
     def _resolve_slot(self) -> float:
         cfg = self.cfg
-        outcomes = phy.apply_slot(
+        self.ledger, outcomes = phy.apply_slot(
             self.ledger, [action_to_slot_action(idx, cfg.F) for idx in self.pending], self.link, self.slot
         )
         reward = 0.0
@@ -237,7 +240,7 @@ class SlicingEnv:
                         "packet": out.packet_id,
                         "rate_bps": out.rate_bps,
                         "reward": individual_reward(out, self.rate_norm_bps, cfg.reward_upper_bound),
-                        "leftover": self.ledger.leftover_bits.tolist(),
+                        "leftover": list(self.ledger.leftover_bits),
                     }
                 )
         self.slot_rewards.append(reward)
@@ -256,14 +259,12 @@ class SlicingEnv:
         """Write the parts of the observation that change once per slot, and
         clear the peer choices."""
         obs, lay, T = self._obs, self._layout, self.cfg.T
-        # current-slot fast fading, clipped exponential power (the last slot's
-        # once the episode is over)
-        fade = self.channel.fastfade_pow[:, :, :, min(self.slot, T - 1)]
-        obs[lay["fade"]] = np.clip(fade.ravel(), 0.0, FADE_CLIP) / FADE_CLIP
+        # current-slot fast fading (the last slot's once the episode is over)
+        obs[lay["fade"]] = self._fade_rows[min(self.slot, T - 1)]
         # what each source actually sent last slot (one-hot, zeros at slot 0)
         obs[lay["prev"]] = self.prev_choice.ravel()
         # leftover bits, normalized by packet size
-        obs[lay["leftover"]] = self.ledger.leftover_bits / self._packet_bits
+        np.divide(self.ledger.leftover_bits, self._packet_bits, out=obs[lay["leftover"]])
         obs[lay["slot"]] = self.slot / T
         obs[lay["peer"]] = 0.0
 

@@ -7,10 +7,11 @@ environment. It is an upper bound that every policy drawing its choices from
 those levels must respect. `replay_actions` replays a sequence through the
 link layer the environment and the baselines share (`phy.apply_slot`).
 The search does not call `apply_slot` for every joint choice, which would
-mask every choice again, build outcomes and copy ledgers, but it resolves
-slots by the same rules: its choices are put on the air by
+mask every choice again and build outcomes and reached bitmasks, but it
+resolves slots by the same rules: its choices are put on the air by
 `phy.EpisodeLink.effective`, their rates come from the episode link's memo
-(`EpisodeLink.rates`), and leftover bits drop by `phy.drain`.
+(`EpisodeLink.rates`), and leftover bits drop by `phy.drain_slot`, as in
+`apply_slot`.
 
 The search is depth-first over slots, but it does not enumerate raw choices.
 For each (source, slot) it keeps one representative of every choice that can
@@ -24,10 +25,10 @@ packets, slot by slot, and the optimum over the candidates equals the optimum
 over the raw choices.
 
 A packet is delivered exactly when its leftover is 0.0, so the search state
-at a slot is the leftover bits alone. A state reached twice is searched
-once, since everything after a slot depends on it alone; and a branch is cut
-once the packets delivered so far plus those that peak rates could still
-finish (`_peak_bits`) cannot beat the best count found.
+at a slot is the ledger's `leftover_bits` tuple alone. A state reached twice
+is searched once, since everything after a slot depends on it alone; and a
+branch is cut once the packets delivered so far plus those that peak rates
+could still finish (`_peak_bits`) cannot beat the best count found.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ def replay_actions(
     """Replay a full joint action sequence of raw choices through the shared
     link layer."""
     link = phy.EpisodeLink(chan, channel_cfg, slot_duration_s)
-    ledger = phy.DeliveryLedger(scenario.packets)
+    ledger = phy.DeliveryLedger.start(scenario.packets)
     for t, slot_actions in enumerate(actions_per_slot):
-        phy.apply_slot(ledger, slot_actions, link, t)
+        ledger, _ = phy.apply_slot(ledger, slot_actions, link, t)
     return ledger
 
 
@@ -250,27 +251,23 @@ def brute_force_optimal(
         # a delivered packet is masked to silence, which NO_TX already covers
         choices = [[opt for opt in per_source if opt[1] < 0 or leftover[opt[1]] > 0.0] for per_source in options[t]]
         for joint in product(*choices):
-            rates = link.rates(t, [opt[2] for opt in joint])
-            after = list(leftover)
-            for s, (_, k, _) in enumerate(joint):
-                if k >= 0:
-                    after[k] = phy.drain(after[k], rates[s] * slot_duration_s)
+            acts, packets, effective = zip(*joint)
+            after = phy.drain_slot(leftover, packets, link.rates(t, effective), slot_duration_s)
             if t + 1 == T:  # a final state is cheaper to score than to descend into
                 count = after.count(0.0)
                 if count > best_count:
                     best_count = count
-                    best_seq = [*seq, tuple(opt[0] for opt in joint)]
+                    best_seq = [*seq, acts]
             else:
                 # what follows a slot depends only on the leftover it leaves behind
-                state = tuple(after)
-                if state in visited[t + 1]:
+                if after in visited[t + 1]:
                     continue
-                visited[t + 1].add(state)
-                seq.append(tuple(opt[0] for opt in joint))
-                descend(t + 1, state)
+                visited[t + 1].add(after)
+                seq.append(acts)
+                descend(t + 1, after)
                 seq.pop()
             if best_count == bound:
                 return
 
-    descend(0, tuple(float(p.leftover_bits) for p in scenario.packets))
+    descend(0, phy.DeliveryLedger.start(scenario.packets).leftover_bits)
     return OracleResult(best_delivered=best_count, best_actions=tuple(best_seq))

@@ -3,9 +3,12 @@
 Transmitters sharing a resource block are separated by successive interference
 cancellation at each receiver: the strongest signal is decoded against all
 weaker ones, subtracted, and so on. A broadcast succeeds at the rate of its
-worst group member, so one leftover counter per packet is enough. A packet
-is delivered exactly when its leftover is 0.0: `drain` leaves exactly zero
-when a slot carries at least the leftover and a positive remainder otherwise.
+worst group member, so for a fixed group one leftover counter per packet is
+enough. But the group may change from slot to slot, and the ledger's
+`reached` is the union of the packet's groups: a destination that joined late
+still counts once the packet is delivered. A packet is delivered exactly when
+its leftover is 0.0: `drain` leaves exactly zero when a slot carries at least
+the leftover and a positive remainder otherwise.
 
 This module alone knows how a slot is resolved. `EpisodeLink` is one
 episode's link table, the only way a slot resolution sees the channel. It
@@ -19,7 +22,8 @@ episode the slot fixes the gains, so a hit returns the very floats a fresh
 solve would. Masking happens before the lookup, so a choice the ledger demotes
 keys as silence. `apply_slot` resolves slots for the environment, the
 baselines and the oracle's replay; the oracle's search resolves its joint
-choices through the same `effective`, `rates` and `drain`.
+choices through the same `effective` and `rates`, and both drain a slot's
+leftover bits with `drain_slot`.
 
 `apply_slot` first masks every raw choice with `mask_packet_choice`, the one
 mask rule, and then asks `EpisodeLink.resolve` for the slot's effective
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -127,40 +131,37 @@ def drain(left: float, bits: float) -> float:
     return left - min(left, bits)
 
 
-@dataclass
-class DeliveryLedger:
-    """Per-packet leftover bits and reached destinations.
+def drain_slot(
+    leftover: tuple[float, ...], packets: Sequence[int], rates: Sequence[float], slot_duration_s: float
+) -> tuple[float, ...]:
+    """Leftover bits after a slot in which source s sends packet index
+    packets[s] (-1: nothing) at rates[s] for the slot duration."""
+    after = list(leftover)
+    for k, rate in zip(packets, rates):
+        if k >= 0:
+            after[k] = drain(after[k], rate * slot_duration_s)
+    return tuple(after)
+
+
+class DeliveryLedger(NamedTuple):
+    """Per-packet leftover bits and reached destinations; an immutable value
+    that `apply_slot` replaces, so ledgers are shared, never copied.
 
     Packet k belongs to source k // 2; slice is 1 + (k % 2). A packet is
-    delivered exactly when its leftover is 0.0. reached[k] is the union of
-    broadcast-group members over the packet's transmission slots, which is
-    the packet's set of intended receivers.
+    delivered exactly when its leftover is 0.0. Bit d of reached[k] is set
+    once destination d was in one of the packet's broadcast groups: the
+    packet's intended receivers.
     """
 
     packets: tuple[Packet, ...]
-    leftover_bits: np.ndarray = field(init=False)
-    reached: list[set[int]] = field(init=False)
+    leftover_bits: tuple[float, ...]
+    reached: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        self.leftover_bits = np.array([p.leftover_bits for p in self.packets], dtype=np.float64)
-        self.reached = [set() for _ in self.packets]
-
-    @property
-    def delivered(self) -> np.ndarray:
-        """Per-packet delivery flags, derived from the leftover bits; read-only."""
-        flags = self.leftover_bits == 0.0
-        flags.flags.writeable = False
-        return flags
-
-    def index(self, src: int, slice_id: int) -> int:
-        return 2 * src + (slice_id - 1)
-
-    def copy(self) -> "DeliveryLedger":
-        dup = object.__new__(DeliveryLedger)  # skips __post_init__, which would build both anew
-        dup.packets = self.packets
-        dup.leftover_bits = self.leftover_bits.copy()
-        dup.reached = [set(s) for s in self.reached]
-        return dup
+    @classmethod
+    def start(cls, packets: Sequence[Packet]) -> "DeliveryLedger":
+        """The ledger before the first slot: every packet whole, nothing reached."""
+        packets = tuple(packets)
+        return cls(packets, tuple(float(p.leftover_bits) for p in packets), (0,) * len(packets))
 
 
 def mask_packet_choice(ledger: DeliveryLedger, src: int, packet_id: int, slot: int) -> int:
@@ -172,7 +173,7 @@ def mask_packet_choice(ledger: DeliveryLedger, src: int, packet_id: int, slot: i
     """
     if packet_id == PKT_NONE:
         return PKT_NONE
-    k = ledger.index(src, packet_id)
+    k = 2 * src + (packet_id - 1)
     if ledger.leftover_bits[k] == 0.0:
         return PKT_NONE
     pkt = ledger.packets[k]
@@ -182,7 +183,7 @@ def mask_packet_choice(ledger: DeliveryLedger, src: int, packet_id: int, slot: i
 
 
 def slot_rates(
-    effective: list[tuple[int, tuple[int, ...], int, float]],  # (pkt, group, freq, p_mw)
+    effective: Sequence[tuple[int, tuple[int, ...], int, float]],  # (pkt, group, freq, p_mw)
     gain_slot: np.ndarray,  # (m, n, F) linear gains for this slot
     noise_mw: float,
     rb_bandwidth_hz: float,
@@ -237,8 +238,9 @@ class EpisodeLink:
         self.rb_bandwidth_hz = channel_cfg.rb_bandwidth_hz
         self.slot_duration_s = slot_duration_s
         self._groups: dict[tuple[int, float], tuple[int, ...]] = {}
+        self.group_mask: dict[tuple[int, ...], int] = {(): 0}  # bit d set when d is in the group
         self._rates: dict[tuple, tuple[float, ...]] = {}
-        self._resolved: dict[tuple, tuple[list, tuple[float, ...]]] = {}
+        self._resolved: dict[tuple, tuple[list, tuple[float, ...], tuple[int, ...]]] = {}
 
     def group(self, src: int, coverage_m: float) -> tuple[int, ...]:
         """`coverage_group` of the source at this radius, computed once."""
@@ -246,6 +248,7 @@ class EpisodeLink:
         group = self._groups.get(key)
         if group is None:
             group = self._groups[key] = coverage_group(self.dist_m[src], coverage_m)
+            self.group_mask[group] = sum(1 << d for d in group)
         return group
 
     def effective(
@@ -259,7 +262,7 @@ class EpisodeLink:
             return _OFF_AIR
         return (packet_id, self.group(src, coverage_m), freq, p_mw)
 
-    def rates(self, slot: int, effective: list[tuple[int, tuple[int, ...], int, float]]) -> tuple[float, ...]:
+    def rates(self, slot: int, effective: Sequence[tuple[int, tuple[int, ...], int, float]]) -> tuple[float, ...]:
         """`slot_rates` of the effective choices at this slot, solved once."""
         key = (slot, *effective)
         rates = self._rates.get(key)
@@ -271,9 +274,10 @@ class EpisodeLink:
 
     def resolve(
         self, slot: int, actions: tuple[tuple[int, float, int, float], ...], masked: tuple[int, ...]
-    ) -> tuple[list[tuple[int, tuple[int, ...], int, float]], tuple[float, ...]]:
-        """(effective choices, rates) of raw per-source choices whose packets
-        `mask_packet_choice` turned into `masked`, solved once per key."""
+    ) -> tuple[list[tuple[int, tuple[int, ...], int, float]], tuple[float, ...], tuple[int, ...]]:
+        """(effective choices, rates, packet indices) of raw per-source
+        choices whose packets `mask_packet_choice` turned into `masked`,
+        solved once per key. A source off the air has packet index -1."""
         key = (slot, actions, masked)
         hit = self._resolved.get(key)
         if hit is None:
@@ -281,7 +285,8 @@ class EpisodeLink:
                 self.effective(src, packet_id, coverage_m, freq, power_dbm)
                 for src, (packet_id, (_, coverage_m, freq, power_dbm)) in enumerate(zip(masked, actions))
             ]
-            hit = self._resolved[key] = (effective, self.rates(slot, effective))
+            packets = tuple([-1 if e[0] == PKT_NONE else 2 * src + (e[0] - 1) for src, e in enumerate(effective)])
+            hit = self._resolved[key] = (effective, self.rates(slot, effective), packets)
         return hit
 
 
@@ -290,32 +295,29 @@ def apply_slot(
     actions: Sequence[tuple[int, float, int, float]],  # per source, SlotAction fields in order
     link: EpisodeLink,
     slot: int,
-) -> list[SourceOutcome]:
+) -> tuple[DeliveryLedger, list[SourceOutcome]]:
     """Resolve one slot of raw per-source choices: mask, SIC rates per
-    broadcast group, then ledger updates.
+    broadcast group, then the ledger after the slot. Returns that ledger and
+    the per-source outcomes; `ledger` itself is left as it was.
 
     A choice of an already-delivered packet, or of a safety packet outside
     its window, is masked to no transmission (`mask_packet_choice`).
     """
     actions = tuple(actions)
     masked = tuple([mask_packet_choice(ledger, src, act[0], slot) for src, act in enumerate(actions)])
-    effective, rates = link.resolve(slot, actions, masked)
-
+    effective, rates, packets = link.resolve(slot, actions, masked)
+    leftover = drain_slot(ledger.leftover_bits, packets, rates, link.slot_duration_s)
+    reached = list(ledger.reached)
     outcomes: list[SourceOutcome] = []
-    leftover = ledger.leftover_bits
-    for src, (pkt, group, _, _) in enumerate(effective):
-        if pkt == PKT_NONE:
+    for src, (k, (pkt, group, _, _)) in enumerate(zip(packets, effective)):
+        if k < 0:
             outcomes.append(SourceOutcome(PKT_NONE, (), 0.0, False))
             continue
-        k = ledger.index(src, pkt)
-        if group:
-            ledger.reached[k].update(group)
-        rate = rates[src]
+        reached[k] |= link.group_mask[group]
         # the packet was not yet delivered (the mask saw to that), so it is
         # delivered now exactly when this slot drains it to zero
-        left = leftover[k] = drain(leftover.item(k), rate * link.slot_duration_s)
-        outcomes.append(SourceOutcome(pkt, group, rate, left == 0.0))
-    return outcomes
+        outcomes.append(SourceOutcome(pkt, group, rates[src], leftover[k] == 0.0))
+    return DeliveryLedger(ledger.packets, leftover, tuple(reached)), outcomes
 
 
 @dataclass(frozen=True)
@@ -331,24 +333,16 @@ class ReceptionStats:
 
 
 def reception_stats(ledger: DeliveryLedger) -> ReceptionStats:
-    packets = [0, 0]
-    receptions = [0, 0]
-    intended = [0, 0]
-    delivered = ledger.delivered
-    for k, pkt in enumerate(ledger.packets):
+    packets, receptions, intended = [0, 0], [0, 0], [0, 0]
+    for pkt, left, reached in zip(ledger.packets, ledger.leftover_bits, ledger.reached):
         s = pkt.slice_id - 1
-        audience = len(ledger.reached[k])
+        audience = reached.bit_count()
         if audience == 0:
             continue
         intended[s] += audience
-        if delivered[k]:
+        if left == 0.0:
             packets[s] += 1
             receptions[s] += audience
     total_intended = intended[0] + intended[1]
     prr = None if total_intended == 0 else (receptions[0] + receptions[1]) / total_intended
-    return ReceptionStats(
-        packets=(packets[0], packets[1]),
-        receptions=(receptions[0], receptions[1]),
-        intended=(intended[0], intended[1]),
-        prr=prr,
-    )
+    return ReceptionStats(tuple(packets), tuple(receptions), tuple(intended), prr)

@@ -41,9 +41,9 @@ def test_slice2_never_sent_outside_window():
     # replay the final plan and watch the safety packets outside their windows,
     # over a link with 1e-10 mW of noise and 1 MHz resource blocks
     quiet = ChannelConfig(noise_floor_dbm=-100.0, noise_figure_db=0.0)
-    ledger = phy.DeliveryLedger(sc.packets)
+    ledger = phy.DeliveryLedger.start(sc.packets)
     for t in range(20):
-        before = ledger.leftover_bits.copy()
+        before = ledger.leftover_bits
         actions = []
         for s in range(2):
             pkt = phy.mask_packet_choice(ledger, s, int(run.plan.packet[s, t]), t)
@@ -54,9 +54,9 @@ def test_slice2_never_sent_outside_window():
                 actions.append(
                     phy.SlotAction(pkt, float(run.plan.coverage_m[s, t]), f, float(run.plan.power_dbm[s, t]))
                 )
-        phy.apply_slot(ledger, actions, _link(chan, quiet), t)
+        ledger, _ = phy.apply_slot(ledger, actions, _link(chan, quiet), t)
         for s in range(2):
-            k = ledger.index(s, 2)
+            k = 2 * s + 1  # the source's safety packet
             pktdef = sc.packets[k]
             if not (pktdef.arrival_slot <= t <= pktdef.deadline_slot):
                 assert ledger.leftover_bits[k] == before[k]
@@ -237,16 +237,15 @@ def test_incremental_replay_matches_full_replay():
                 ledgers = bl.evaluate_plan(trial, sc, link, record, t)
                 full = bl.evaluate_plan(edited, sc, _link(chan, cfg))
                 assert t < len(ledgers) - 1 and len(ledgers) <= T + 1
+                # the prefix is the record's own ledgers, not copies of them
+                assert all(ledgers[i] is record[i] for i in range(t + 1))
                 for a, b in zip(ledgers, full):  # the shared prefix and every replayed slot
-                    assert np.array_equal(a.leftover_bits, b.leftover_bits)
-                    assert np.array_equal(a.delivered, b.delivered)
-                    assert a.reached == b.reached
+                    assert a == b
                 if len(ledgers) <= T:  # rejoined the record: scores as the recorded plan
                     rejoined += 1
                     score = bl.delivered_packets(record[-1])
                     for a, b in zip(full[len(ledgers) - 1 :], record[len(ledgers) - 1 :]):
-                        assert np.array_equal(a.leftover_bits, b.leftover_bits)
-                        assert np.array_equal(a.delivered, b.delivered)
+                        assert a.leftover_bits == b.leftover_bits  # and with them the delivery flags
                 else:
                     ran_to_end += 1
                     score = bl.delivered_packets(ledgers[-1])

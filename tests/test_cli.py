@@ -123,6 +123,12 @@ def test_main_reports_training_divergence(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite loss at episode ")
     assert "Traceback" not in err
+    assert not Path("run").exists()  # the empty directory train made is gone
+    # a directory that was there before the run stays, empty or not
+    Path("kept").mkdir()
+    assert cli.main(["train", "--config", "run.cfg", "--out", "kept", "--episodes", "10", "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: non-finite loss at episode ")
+    assert Path("kept").is_dir() and not any(Path("kept").iterdir())
 
 
 @pytest.mark.parametrize(

@@ -113,7 +113,7 @@ def test_delivery_reward_is_upper_bound():
     act = encode_action(1, 2, 0, 3, 2)  # coverage 100, slice 2, f0, 30 dBm
     res = env.step(act)
     assert res.reward == pytest.approx(1.0)
-    assert env.ledger.delivered[1]
+    assert env.ledger.leftover_bits[1] == 0.0  # delivered
 
 
 def test_unfinished_rate_reward_scaling():
@@ -192,7 +192,7 @@ def test_determinism_bitwise():
             rewards.append(res.reward)
             observations.append(res.next_observation.copy())
             done = res.terminal
-        return rewards, observations, env.ledger.leftover_bits.copy()
+        return rewards, observations, env.ledger.leftover_bits
 
     r1, o1, l1 = run()
     r2, o2, l2 = run()
@@ -253,7 +253,7 @@ def reference_observation(env):
         np.clip((env.channel.large_scale_db.ravel() - GAIN_DB_LO) / (GAIN_DB_HI - GAIN_DB_LO), 0.0, 1.0),
         np.clip(env.channel.fastfade_pow[:, :, :, min(env.slot, T - 1)].ravel(), 0.0, FADE_CLIP) / FADE_CLIP,
         env.prev_choice.ravel().copy(),
-        env.ledger.leftover_bits / np.array([p.size_bits for p in env.ledger.packets]),
+        np.array(env.ledger.leftover_bits) / np.array([p.size_bits for p in env.ledger.packets]),
         np.array(
             [
                 v / T

@@ -84,7 +84,7 @@ def _best_raw_count(sc, chan, env_cfg):
     for flat in product(raw, repeat=m * T):
         slots = [flat[t * m:(t + 1) * m] for t in range(T)]
         ledger = replay_actions(sc, chan, ChannelConfig(), 0.005, slots)
-        best = max(best, int(ledger.delivered.sum()))
+        best = max(best, ledger.leftover_bits.count(0.0))
     return best
 
 
@@ -109,7 +109,7 @@ def test_oracle_pruning_is_exact():
         res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005, COVERAGE_LEVELS_M, POWER_LEVELS_DBM)
         assert res.best_delivered == _best_raw_count(sc, chan, env_cfg)
         ledger = replay_actions(sc, chan, ChannelConfig(), 0.005, res.best_actions)
-        assert int(ledger.delivered.sum()) == res.best_delivered
+        assert ledger.leftover_bits.count(0.0) == res.best_delivered
         optima.append(res.best_delivered)
     assert max(optima) == 2  # not a suite of empty instances
 
@@ -119,7 +119,7 @@ def test_oracle_replay_matches_env_ledger():
         env_cfg, sc, chan = _random_tiny_instance(seed)
         res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005, COV, POW)
         ledger = replay_actions(sc, chan, ChannelConfig(), 0.005, res.best_actions)
-        assert int(ledger.delivered.sum()) == res.best_delivered
+        assert ledger.leftover_bits.count(0.0) == res.best_delivered
 
         # drive the environment with the same action sequence
         env = SlicingEnv(env_cfg, ChannelConfig())
@@ -129,9 +129,7 @@ def test_oracle_replay_matches_env_ledger():
                 cov_idx = {0.0: 0, 100.0: 1, 400.0: 2, 1000.0: 3, 1400.0: 4}[act.coverage_m]
                 pow_idx = {phy.SILENCE_POWER_DBM: 0, 15.0: 1, 23.0: 2, 30.0: 3}[act.power_dbm]
                 env.step(encode_action(cov_idx, act.packet_id, act.freq, pow_idx, env_cfg.F))
-        assert np.array_equal(env.ledger.leftover_bits, ledger.leftover_bits)
-        assert np.array_equal(env.ledger.delivered, ledger.delivered)
-        assert env.ledger.reached == ledger.reached
+        assert env.ledger == ledger
 
 
 def test_oracle_early_exit_on_full_delivery():
@@ -164,9 +162,9 @@ def test_replay_paths_agree():
             for t in range(T):
                 for s, act in enumerate(acts[t]):
                     if act.packet_id != phy.PKT_NONE:
-                        k = env.ledger.index(s, act.packet_id)
+                        k = 2 * s + (act.packet_id - 1)
                         pkt = sc.packets[k]
-                        delivered_picks += bool(env.ledger.delivered[k])
+                        delivered_picks += env.ledger.leftover_bits[k] == 0.0
                         closed_picks += act.packet_id == phy.PKT_SLICE2 and not (
                             pkt.arrival_slot <= t <= pkt.deadline_slot
                         )
@@ -183,7 +181,5 @@ def test_replay_paths_agree():
                 bl.evaluate_plan(plan, sc, link)[-1],
                 replay_actions(sc, chan, ChannelConfig(), env_cfg.slot_duration_s, acts),
             ):
-                assert np.array_equal(ledger.leftover_bits, env.ledger.leftover_bits)
-                assert np.array_equal(ledger.delivered, env.ledger.delivered)
-                assert ledger.reached == env.ledger.reached
+                assert env.ledger == ledger
     assert delivered_picks > 0 and closed_picks > 0

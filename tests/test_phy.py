@@ -107,12 +107,12 @@ def test_group_rate_min_semantics():
     chan = forced_channel(sc, -80.0)
     chan.large_scale_db[0, 1] = -95.0
     chan.gain_lin[0, 1] = 10 ** (-9.5)
-    ledger = phy.DeliveryLedger(sc.packets)
+    ledger = phy.DeliveryLedger.start(sc.packets)
     act_near = phy.SlotAction(phy.PKT_SLICE1, 100.0, 0, 30.0)
-    out = phy.apply_slot(ledger.copy(), [act_near], *_slot_args(sc, chan, cfg))
+    _, out = phy.apply_slot(ledger, [act_near], *_slot_args(sc, chan, cfg))
     near_rate = out[0].rate_bps
     act_both = phy.SlotAction(phy.PKT_SLICE1, 1400.0, 0, 30.0)
-    out = phy.apply_slot(ledger.copy(), [act_both], *_slot_args(sc, chan, cfg))
+    _, out = phy.apply_slot(ledger, [act_both], *_slot_args(sc, chan, cfg))
     both = out[0]
     assert both.group == (0, 1)
     assert both.rate_bps < near_rate  # min over members
@@ -124,17 +124,17 @@ def test_group_rate_zero_cases():
     cfg = ChannelConfig()
     sc = hand_built_scenario([0.0], [100.0])
     chan = forced_channel(sc, -80.0)
-    ledger = phy.DeliveryLedger(sc.packets)
+    ledger = phy.DeliveryLedger.start(sc.packets)
     # coverage zero: no transmission at all
-    out = phy.apply_slot(
-        ledger.copy(),
+    _, out = phy.apply_slot(
+        ledger,
         [phy.SlotAction(phy.PKT_SLICE1, 0.0, 0, 30.0)],
         *_slot_args(sc, chan, cfg),
     )
     assert not out[0].transmitted and out[0].rate_bps == 0.0
     # coverage 50 m but nearest destination 100 m away: on air, empty group
-    out = phy.apply_slot(
-        ledger.copy(),
+    _, out = phy.apply_slot(
+        ledger,
         [phy.SlotAction(phy.PKT_SLICE1, 50.0, 0, 30.0)],
         *_slot_args(sc, chan, cfg),
     )
@@ -150,17 +150,18 @@ def test_apply_slot_delivery_arithmetic():
     noise = noise_lin_mw(cfg)
     gain = noise / p_mw  # rx power equals noise -> sinr 1 -> 1 Mbps
     chan.gain_lin[:] = gain
-    ledger = phy.DeliveryLedger(sc.packets)
+    ledger = phy.DeliveryLedger.start(sc.packets)
     act = phy.SlotAction(phy.PKT_SLICE2, 100.0, 0, 30.0)
-    out = phy.apply_slot(ledger, [act], *_slot_args(sc, chan, cfg))
+    ledger, out = phy.apply_slot(ledger, [act], *_slot_args(sc, chan, cfg))
     # 1 Mbps * 5 ms = 5000 bits >= 4800: delivered in one slot
     assert out[0].delivered_now
     assert ledger.leftover_bits[1] == 0.0
-    assert ledger.delivered[1]
+    assert phy.reception_stats(ledger).packets == (0, 1)
     # slice 1 at 1 Mbps: 5e5 - 5000 bits left
-    ledger2 = phy.DeliveryLedger(sc.packets)
-    out = phy.apply_slot(
-        ledger2, [phy.SlotAction(phy.PKT_SLICE1, 100.0, 0, 30.0)], *_slot_args(sc, chan, cfg)
+    ledger2, out = phy.apply_slot(
+        phy.DeliveryLedger.start(sc.packets),
+        [phy.SlotAction(phy.PKT_SLICE1, 100.0, 0, 30.0)],
+        *_slot_args(sc, chan, cfg),
     )
     assert not out[0].delivered_now
     assert ledger2.leftover_bits[0] == pytest.approx(5e5 - 5000.0)
@@ -170,12 +171,12 @@ def test_apply_slot_masks_delivered_packets():
     cfg = ChannelConfig()
     sc = hand_built_scenario([0.0], [100.0])
     chan = forced_channel(sc, -60.0)  # very strong link
-    ledger = phy.DeliveryLedger(sc.packets)
+    ledger = phy.DeliveryLedger.start(sc.packets)
     act = phy.SlotAction(phy.PKT_SLICE2, 100.0, 0, 30.0)
-    out = phy.apply_slot(ledger, [act], *_slot_args(sc, chan, cfg, t=0))
+    ledger, out = phy.apply_slot(ledger, [act], *_slot_args(sc, chan, cfg, t=0))
     assert out[0].delivered_now
     # re-choosing the delivered packet is silently a no-op
-    out = phy.apply_slot(ledger, [act], *_slot_args(sc, chan, cfg, t=1))
+    ledger, out = phy.apply_slot(ledger, [act], *_slot_args(sc, chan, cfg, t=1))
     assert not out[0].transmitted
     assert ledger.leftover_bits[1] == 0.0
 
@@ -184,18 +185,17 @@ def test_apply_slot_silences_out_of_window_slice2():
     cfg = ChannelConfig()
     sc = hand_built_scenario([0.0], [100.0])  # slice 2 window is slots 0..7
     chan = forced_channel(sc, -60.0)  # strong enough to deliver in one slot
-    ledger = phy.DeliveryLedger(sc.packets)
     act = phy.SlotAction(phy.PKT_SLICE2, 100.0, 0, 30.0)
-    out = phy.apply_slot(ledger, [act], *_slot_args(sc, chan, cfg, t=8))
+    ledger, out = phy.apply_slot(phy.DeliveryLedger.start(sc.packets), [act], *_slot_args(sc, chan, cfg, t=8))
     assert not out[0].transmitted and out[0].packet_id == phy.PKT_NONE
-    assert np.array_equal(ledger.leftover_bits, [5e5, 4800.0])
-    assert not ledger.delivered.any()
-    assert ledger.reached == [set(), set()]
+    assert ledger.leftover_bits == (5e5, 4800.0)
+    assert 0.0 not in ledger.leftover_bits  # nothing delivered
+    assert ledger.reached == (0, 0)
 
 
 def test_mask_packet_choice_window():
     sc = hand_built_scenario([0.0], [100.0])
-    ledger = phy.DeliveryLedger(sc.packets)
+    ledger = phy.DeliveryLedger.start(sc.packets)
     assert phy.mask_packet_choice(ledger, 0, phy.PKT_SLICE2, 0) == phy.PKT_SLICE2
     assert phy.mask_packet_choice(ledger, 0, phy.PKT_SLICE2, 8) == phy.PKT_NONE
     assert phy.mask_packet_choice(ledger, 0, phy.PKT_NONE, 3) == phy.PKT_NONE
@@ -205,9 +205,7 @@ def test_ledger_monotone_under_random_actions(rng):
     cfg = ChannelConfig()
     sc = hand_built_scenario([0.0, 400.0], [100.0, 700.0])
     chan = forced_channel(sc, -85.0, F=2)
-    ledger = phy.DeliveryLedger(sc.packets)
-    prev_leftover = ledger.leftover_bits.copy()
-    prev_delivered = ledger.delivered.copy()
+    ledger = phy.DeliveryLedger.start(sc.packets)
     for t in range(20):
         actions = [
             phy.SlotAction(
@@ -218,11 +216,32 @@ def test_ledger_monotone_under_random_actions(rng):
             )
             for _ in range(2)
         ]
-        phy.apply_slot(ledger, actions, *_slot_args(sc, chan, cfg, t=t))
-        assert np.all(ledger.leftover_bits <= prev_leftover + 1e-12)
-        assert np.all(ledger.delivered >= prev_delivered)  # flags never unset
-        prev_leftover = ledger.leftover_bits.copy()
-        prev_delivered = ledger.delivered.copy()
+        snapshot = phy.DeliveryLedger(ledger.packets, tuple(ledger.leftover_bits), tuple(ledger.reached))
+        after, out = phy.apply_slot(ledger, actions, *_slot_args(sc, chan, cfg, t=t))
+        assert ledger == snapshot  # the input ledger is left as it was
+        _assert_slot_step(ledger, after, out)
+        assert all(a <= b + 1e-12 for a, b in zip(after.leftover_bits, ledger.leftover_bits))
+        # delivery never comes undone
+        assert all(a == 0.0 for a, b in zip(after.leftover_bits, ledger.leftover_bits) if b == 0.0)
+        ledger = after
+
+
+def _assert_slot_step(before, after, outcomes):
+    """What one `apply_slot` step may do to a ledger: reached bits only
+    grow, and a source's outcome is delivered_now exactly when its packet's
+    leftover went from >0 to 0.0."""
+    assert after.packets is before.packets
+    for new, old in zip(after.reached, before.reached):
+        assert new & old == old
+    for src, o in enumerate(outcomes):
+        drained = [
+            k
+            for k in (2 * src, 2 * src + 1)
+            if before.leftover_bits[k] > 0.0 and after.leftover_bits[k] == 0.0
+        ]
+        assert o.delivered_now == bool(drained)
+        if o.delivered_now:
+            assert drained == [2 * src + (o.packet_id - 1)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -246,19 +265,27 @@ def test_ledger_leftover_never_rises_and_zero_means_delivered(data):
         st.integers(0, F - 1),
         st.sampled_from(POWER_LEVELS_DBM),
     )
-    ledger = phy.DeliveryLedger(sc.packets)
+    ledger = phy.DeliveryLedger.start(sc.packets)
     for t in range(T):
-        before = ledger.leftover_bits.copy()
-        out = phy.apply_slot(ledger, data.draw(st.lists(choice, min_size=m, max_size=m)), link, t)
+        before = ledger
+        snapshot = phy.DeliveryLedger(before.packets, tuple(before.leftover_bits), tuple(before.reached))
+        ledger, out = phy.apply_slot(before, data.draw(st.lists(choice, min_size=m, max_size=m)), link, t)
+        assert before == snapshot  # the input ledger is left as it was
+        _assert_slot_step(before, ledger, out)
         left = ledger.leftover_bits
-        assert np.all(left <= before) and np.all(left >= 0.0)
-        assert np.array_equal(ledger.delivered, left == 0.0)
+        assert all(a <= b for a, b in zip(left, before.leftover_bits)) and min(left) >= 0.0
+        # delivered packets are exactly the zero leftovers, whoever they reached
+        slices = [p.slice_id - 1 for p in ledger.packets]
+        counted = [0, 0]
+        for k, reached in enumerate(ledger.reached):
+            counted[slices[k]] += left[k] == 0.0 and reached != 0
+        assert list(phy.reception_stats(ledger).packets) == counted
         for src, o in enumerate(out):
             if o.delivered_now:
-                k = ledger.index(src, o.packet_id)
-                assert before[k] > 0.0 and left[k] == 0.0
-    with pytest.raises(ValueError):
-        ledger.delivered[0] = True  # derived flags are read-only
+                k = 2 * src + (o.packet_id - 1)
+                assert before.leftover_bits[k] > 0.0 and left[k] == 0.0
+    with pytest.raises(TypeError):
+        ledger.leftover_bits[0] = 0.0  # the ledger is read-only
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,35 +313,39 @@ def test_shared_link_replays_match_fresh_links(data):
     # a few raw joint choices, each played at several slots
     pool = data.draw(st.lists(st.lists(choice, min_size=m, max_size=m), min_size=1, max_size=3))
     shared = fresh_link()
-    ledger = phy.DeliveryLedger(sc.packets)
+    ledger = phy.DeliveryLedger.start(sc.packets)
     for t in range(T):
         actions = pool[data.draw(st.integers(0, len(pool) - 1))]
         # the same slot from a ledger whose delivered packets mask other choices
-        masked = ledger.copy()
-        for k in data.draw(st.sets(st.integers(0, 2 * m - 1))):
-            masked.leftover_bits[k] = 0.0
+        zeroed = data.draw(st.sets(st.integers(0, 2 * m - 1)))
+        masked = ledger._replace(
+            leftover_bits=tuple(0.0 if k in zeroed else left for k, left in enumerate(ledger.leftover_bits))
+        )
         for start in (masked, ledger):
             resolved = []
             for link in (shared, shared, fresh_link()):
-                after = start.copy()
-                out = phy.apply_slot(after, actions, link, t)
+                after, out = phy.apply_slot(start, actions, link, t)
                 resolved.append(
                     (
-                        after.leftover_bits.tobytes(),
-                        after.delivered.tobytes(),
+                        _bits(after.leftover_bits),
                         after.reached,
-                        np.array([o.rate_bps for o in out]).tobytes(),
+                        _bits([o.rate_bps for o in out]),
                         out,
                     )
                 )
             assert resolved[0] == resolved[2] and resolved[1] == resolved[2]
-        phy.apply_slot(ledger, actions, shared, t)
+        ledger, _ = phy.apply_slot(ledger, actions, shared, t)
+
+
+def _bits(floats):
+    """Floats compared bit for bit, -0.0 and NaN included."""
+    return [x.hex() for x in floats]
 
 
 def _resolution(ledger, outcomes):
     """A resolved slot, bit for bit: the ledger after it and every outcome."""
     return (
-        ledger.leftover_bits.tobytes(),
+        _bits(ledger.leftover_bits),
         ledger.reached,
         [(o.packet_id, o.group, o.rate_bps.hex(), o.delivered_now) for o in outcomes],
     )
@@ -342,37 +373,38 @@ def test_slot_resolution_memo_is_exact(data):
         st.sampled_from(POWER_LEVELS_DBM),
     )
     columns = data.draw(st.lists(st.tuples(*[choice] * m), min_size=1, max_size=3))
-    ledgers = [phy.DeliveryLedger(sc.packets) for _ in range(3)]
-    for ledger in ledgers[1:]:  # each packet untouched, half drained or delivered
-        for k in range(2 * m):
-            ledger.leftover_bits[k] *= data.draw(st.sampled_from([1.0, 0.5, 0.0]))
+    start = phy.DeliveryLedger.start(sc.packets)
+    ledgers = [start]
+    for _ in range(2):  # each packet untouched, half drained or delivered
+        scales = [data.draw(st.sampled_from([1.0, 0.5, 0.0])) for _ in range(2 * m)]
+        ledgers.append(start._replace(leftover_bits=tuple(x * c for x, c in zip(start.leftover_bits, scales))))
     shared = phy.EpisodeLink(chan, cfg, 0.005)
     for t in range(T):
         for column in columns:
             for ledger in ledgers:
-                got, want = ledger.copy(), ledger.copy()
-                out = phy.apply_slot(got, column, shared, t)
-                fresh = phy.apply_slot(want, column, phy.EpisodeLink(chan, cfg, 0.005), t)
-                assert _resolution(got, out) == _resolution(want, fresh)
+                got = phy.apply_slot(ledger, column, shared, t)
+                want = phy.apply_slot(ledger, column, phy.EpisodeLink(chan, cfg, 0.005), t)
+                assert _resolution(*got) == _resolution(*want)
 
 
 def test_prr_examples():
     sc = hand_built_scenario([0.0, 300.0], [100.0, 400.0])
-    ledger = phy.DeliveryLedger(sc.packets)
+    ledger = phy.DeliveryLedger.start(sc.packets)
     # nothing reached: PRR undefined
     assert phy.reception_stats(ledger).prr is None
     # packet 0 reached 3 receivers and delivered; packet 2 reached 2, not delivered
-    ledger.reached[0] = {0, 1, 2}
-    ledger.leftover_bits[0] = 0.0
-    ledger.reached[2] = {0, 1}
+    full = ledger.leftover_bits
+    ledger = ledger._replace(
+        leftover_bits=(0.0, *full[1:]),
+        reached=(0b111, 0, 0b11, 0),
+    )
     stats = phy.reception_stats(ledger)
     assert stats.prr == pytest.approx(3 / 5)
     assert stats.receptions == (3, 0)
     assert stats.packets == (1, 0)
     # everything delivered
-    ledger.leftover_bits[2] = 0.0
+    ledger = ledger._replace(leftover_bits=(0.0, full[1], 0.0, full[3]))
     assert phy.reception_stats(ledger).prr == pytest.approx(1.0)
     # nothing delivered
-    ledger.leftover_bits[0] = sc.packets[0].leftover_bits
-    ledger.leftover_bits[2] = sc.packets[2].leftover_bits
+    ledger = ledger._replace(leftover_bits=full)
     assert phy.reception_stats(ledger).prr == 0.0
