@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -136,17 +135,3 @@ def trace_hash(state: ChannelState) -> str:
     h.update(repr(state.gain_lin.shape).encode())
     h.update(np.ascontiguousarray(state.gain_lin).tobytes())
     return h.hexdigest()[:16]
-
-
-def export_trace(state: ChannelState, path: str | Path) -> None:
-    """One row per (source, destination, frequency, slot) with the gain in dB."""
-    lines = ["source\tdestination\tfreq\tslot\tgain_db"]
-    m, n, F, T = state.gain_lin.shape
-    with np.errstate(divide="ignore"):
-        gain_db = 10.0 * np.log10(state.gain_lin)
-    for i in range(m):
-        for j in range(n):
-            for f in range(F):
-                for t in range(T):
-                    lines.append(f"{i}\t{j}\t{f}\t{t}\t{gain_db[i, j, f, t]!r}")
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -124,10 +124,10 @@ def sweep_points(cfg: RunConfig, sweep: str) -> list[WorkloadConfig]:
 
 
 def cmd_train(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> tuple[Path, Path]:
+    stream = WorldStream(cfg.road, cfg.env, cfg.channel, cfg.workload, cfg.seed, TAG_TRAIN)
     made_out_dir = not out_dir.exists()
     _check_out_dir(out_dir)
     env = SlicingEnv(cfg.env, cfg.channel)
-    stream = WorldStream(cfg.road, cfg.env, cfg.channel, cfg.workload, cfg.seed, TAG_TRAIN)
 
     def progress(row: TrainLogRow) -> None:
         if not quiet and row.episode % 100 == 0:

@@ -67,6 +67,17 @@ class TrainConfig:
             raise ValueError("batch size cannot exceed the replay capacity")
         if self.warmup > self.replay_capacity:
             raise ValueError("warmup cannot exceed the replay capacity")
+        if not self.hidden or min(self.hidden) < 1:
+            raise ValueError("need at least one hidden layer, each at least 1 wide")
+        # a negative raw priority raised to alpha is complex
+        if not self.priority_eps > 0:
+            raise ValueError("priority epsilon must be positive")
+        if self.alpha < 0:
+            raise ValueError("priority exponent alpha must be nonnegative")
+        if not (0 <= self.beta_start <= 1 and 0 <= self.beta_end <= 1):
+            raise ValueError("importance exponents beta_start and beta_end must be in [0, 1]")
+        if not 0 <= self.eps_anneal_frac <= 1:
+            raise ValueError("epsilon anneal fraction must be in [0, 1]")
 
 
 def epsilon(episode_idx: int, cfg: TrainConfig) -> float:

@@ -45,6 +45,17 @@ class FlatParams(list):
         self.shapes = shapes
 
 
+def _param_shapes(obs_dim: int, hidden: tuple[int, ...], n_actions: int) -> list[tuple[int, ...]]:
+    """Shapes of [W1, b1, ..., Wk, bk, Wv, bv, Wa, ba] in parameter order, as
+    Python ints, so a size can be checked before anything is allocated."""
+    dims = [obs_dim, *hidden]
+    shapes: list[tuple[int, ...]] = []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        shapes += [(fan_in, fan_out), (fan_out,)]
+    last = hidden[-1]
+    return shapes + [(last, 1), (1,), (last, n_actions), (n_actions,)]  # value, advantage heads
+
+
 class DuelingQNetwork:
     """MLP with hidden ReLU layers and dueling value/advantage heads.
 
@@ -66,12 +77,7 @@ class DuelingQNetwork:
         self.obs_dim = obs_dim
         self.hidden = tuple(int(h) for h in hidden)
         self.n_actions = n_actions
-        dims = [obs_dim, *self.hidden]
-        shapes: list[tuple[int, ...]] = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            shapes += [(fan_in, fan_out), (fan_out,)]
-        last = self.hidden[-1]
-        shapes += [(last, 1), (1,), (last, n_actions), (n_actions,)]  # value, advantage heads
+        shapes = _param_shapes(obs_dim, self.hidden, n_actions)
         self.params = FlatParams(np.zeros(sum(math.prod(s) for s in shapes)), shapes)
         if rng is not None:  # He-normal weights, drawn layer by layer; biases stay zero
             for w in self.params[::2]:
@@ -281,11 +287,14 @@ def load_checkpoint(path: str | Path) -> DuelingQNetwork:
         off += 4
     except struct.error as exc:
         raise CheckpointFormatError(f"{path}: truncated header") from exc
-    net = DuelingQNetwork(obs_dim, hidden, n_act, rng=None)
-    expected = net.params.flat.size * 8
+    if n_hidden < 1:
+        raise CheckpointFormatError(f"{path}: header lists no hidden layer")
+    # checked before the network is built, so absurd header dims allocate nothing
+    expected = 8 * sum(math.prod(s) for s in _param_shapes(obs_dim, hidden, n_act))
     if len(raw) - off != expected:
         raise CheckpointFormatError(
             f"{path}: parameter payload is {len(raw) - off} bytes, expected {expected}"
         )
+    net = DuelingQNetwork(obs_dim, hidden, n_act, rng=None)
     net.params.flat[...] = np.frombuffer(raw, dtype="<f8", offset=off)
     return net

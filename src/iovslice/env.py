@@ -128,14 +128,12 @@ class SlicingEnv:
     """Episodic environment; reset with a scenario and channel, step with flat
     action indices. One instance serves one episode loop at a time."""
 
-    def __init__(self, cfg: EnvConfig, channel_cfg: ChannelConfig, collect_trace: bool = False):
+    def __init__(self, cfg: EnvConfig, channel_cfg: ChannelConfig):
         self.cfg = cfg
         self.channel_cfg = channel_cfg
         self.rate_norm_bps = (
             cfg.rate_norm_bps if cfg.rate_norm_bps is not None else default_rate_norm_bps(channel_cfg)
         )
-        self.collect_trace = collect_trace
-        self.trace: list[dict] = []
         self._layout = _obs_layout(cfg)
         self._ready = False
 
@@ -163,7 +161,6 @@ class SlicingEnv:
         self.prev_choice = np.zeros((cfg.m, N_PACKET_CHOICES), dtype=np.float64)
         self.slot_rewards: list[float] = []
         self.terminal = False
-        self.trace = []
         self._ready = True
         # The observation without its deciding one-hot (left zero): episode
         # constants are written here, per-slot parts by _begin_slot and peer
@@ -225,24 +222,6 @@ class SlicingEnv:
         for src, out in enumerate(outcomes):
             reward += individual_reward(out, self.rate_norm_bps, cfg.reward_upper_bound)
             self.prev_choice[src, out.packet_id] = 1.0
-            if self.collect_trace:
-                cov_idx, pkt_idx, freq_idx, pow_idx = decode_action(self.pending[src], cfg.F)
-                self.trace.append(
-                    {
-                        "slot": self.slot,
-                        "vehicle": src,
-                        "action": self.pending[src],
-                        "coverage_m": COVERAGE_LEVELS_M[cov_idx],
-                        "chosen_packet": pkt_idx,
-                        "freq": freq_idx,
-                        "power_dbm": POWER_LEVELS_DBM[pow_idx],
-                        "transmitted": out.transmitted,
-                        "packet": out.packet_id,
-                        "rate_bps": out.rate_bps,
-                        "reward": individual_reward(out, self.rate_norm_bps, cfg.reward_upper_bound),
-                        "leftover": list(self.ledger.leftover_bits),
-                    }
-                )
         self.slot_rewards.append(reward)
         return reward
 
@@ -272,23 +251,6 @@ class SlicingEnv:
 
     def stats(self) -> phy.ReceptionStats:
         return phy.reception_stats(self.ledger)
-
-    def write_trace(self, path) -> None:
-        from pathlib import Path
-
-        lines = [
-            "slot\tvehicle\taction\tcoverage_m\tchosen_packet\tfreq\tpower_dbm"
-            "\ttransmitted\tpacket\trate_bps\treward\tleftover"
-        ]
-        for row in self.trace:
-            leftover = ",".join(repr(x) for x in row["leftover"])
-            lines.append(
-                f"{row['slot']}\t{row['vehicle']}\t{row['action']}\t{row['coverage_m']!r}"
-                f"\t{row['chosen_packet']}\t{row['freq']}\t{row['power_dbm']!r}"
-                f"\t{int(row['transmitted'])}"
-                f"\t{row['packet']}\t{row['rate_bps']!r}\t{row['reward']!r}\t{leftover}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _obs_sizes(cfg: EnvConfig) -> dict[str, int]:

@@ -8,7 +8,6 @@ road wraps around so the vehicle population stays constant.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +25,10 @@ SLICE_SAFETY = 2
 
 # Mean headway between vehicles in the same lane, in seconds of travel.
 HEADWAY_S = 2.5
+
+# Vehicle drops generate_vehicles makes before it gives up on a road too short
+# to hold m + n vehicles.
+MAX_VEHICLE_DRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -146,11 +149,11 @@ def generate_vehicles(road: RoadConfig, m: int, n: int, rng: np.random.Generator
     Each lane gets an independent stream with mean spacing HEADWAY_S times the
     lane speed; m sources and n destinations are drawn uniformly from the pool
     and the rest are discarded. Regenerates in the unlikely case the pool is
-    too small.
+    too small, at most MAX_VEHICLE_DRAWS times in all.
     """
     if m < 1 or n < 1:
         raise ValueError("need at least one source and one destination")
-    while True:
+    for _ in range(MAX_VEHICLE_DRAWS):
         placed: list[tuple[int, str, float, float]] = []  # (lane, direction, x, speed)
         for lane in range(1, road.total_lanes + 1):
             direction = road.lane_direction(lane)
@@ -160,6 +163,11 @@ def generate_vehicles(road: RoadConfig, m: int, n: int, rng: np.random.Generator
                 placed.append((lane, direction, x, speed))
         if len(placed) >= m + n:
             break
+    else:
+        raise ValueError(
+            f"a road of length {road.length_m!r} m held fewer than m + n = {m + n} vehicles"
+            f" in {MAX_VEHICLE_DRAWS} draws"
+        )
     order = rng.permutation(len(placed))
     sources = tuple(Vehicle(i, SOURCE, *placed[order[i]]) for i in range(m))
     destinations = tuple(Vehicle(m + j, DESTINATION, *placed[order[m + j]]) for j in range(n))
@@ -219,29 +227,3 @@ def generate_packets(
             )
         )
     return tuple(packets)
-
-
-def dump_scenario(scenario: Scenario, path: str | Path) -> None:
-    """Write one vehicle per row for reproducibility debugging."""
-    lines = ["id\trole\tlane\tdirection\tx_m\tspeed_mps"]
-    for v in (*scenario.sources, *scenario.destinations):
-        lines.append(f"{v.id}\t{v.role}\t{v.lane}\t{v.direction}\t{v.x_m!r}\t{v.speed_mps!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_scenario(path: str | Path, road: RoadConfig) -> Scenario:
-    text = Path(path).read_text().strip().splitlines()
-    if not text or text[0].split("\t") != ["id", "role", "lane", "direction", "x_m", "speed_mps"]:
-        raise ValueError(f"{path}: not a scenario table")
-    sources: list[Vehicle] = []
-    destinations: list[Vehicle] = []
-    for line in text[1:]:
-        vid, role, lane, direction, x_m, speed = line.split("\t")
-        v = Vehicle(int(vid), role, int(lane), direction, float(x_m), float(speed))
-        if role == SOURCE:
-            sources.append(v)
-        elif role == DESTINATION:
-            destinations.append(v)
-        else:
-            raise ValueError(f"{path}: unknown role {role!r}")
-    return Scenario(road=road, sources=tuple(sources), destinations=tuple(destinations))

@@ -5,7 +5,6 @@ from iovslice.channel import (
     ChannelConfig,
     breakpoint_distance_m,
     draw_channel,
-    export_trace,
     noise_lin_mw,
     pathloss_db,
     trace_hash,
@@ -102,13 +101,3 @@ def test_trace_hash_distinguishes_draws(rng):
     c = draw_channel(sc, ChannelConfig(), 2, 4, np.random.default_rng(2))
     assert trace_hash(a) == trace_hash(b)
     assert trace_hash(a) != trace_hash(c)
-
-
-def test_export_trace_rows(tmp_path, rng):
-    sc = hand_built_scenario([0.0], [100.0])
-    state = draw_channel(sc, ChannelConfig(), 2, 3, rng)
-    path = tmp_path / "trace.tsv"
-    export_trace(state, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split("\t") == ["source", "destination", "freq", "slot", "gain_db"]
-    assert len(lines) == 1 + 1 * 1 * 2 * 3

@@ -70,6 +70,15 @@ def test_config_rejects_unknown_key():
         # a negative count would run nothing and write a header-only CSV
         ("run.eval_episodes = -1", ["eval", "--checkpoint", "ckpt.bin", "--out", "eval.csv"]),
         ("run.swap_max_iters = -1", ["baseline", "--algorithms", "NOMA-MP", "--out", "base.csv"]),
+        # a 1 m road never holds m + n vehicles, so the vehicle drop must give up
+        ("road.length_m = 1.0", ["train", "--out", "run"]),
+        ("road.length_m = 1.0", ["eval", "--checkpoint", "ckpt.bin", "--out", "eval.csv"]),
+        ("train.priority_eps = -0.5", ["train", "--out", "run"]),
+        ("train.hidden = 0", ["train", "--out", "run"]),
+        ("train.alpha = -1.0", ["train", "--out", "run"]),
+        ("train.beta_start = 2.0", ["train", "--out", "run"]),
+        ("train.beta_end = -0.5", ["train", "--out", "run"]),
+        ("train.eps_anneal_frac = -1.0", ["train", "--out", "run"]),
     ],
 )
 def test_main_rejects_malformed_config_value(tmp_path, monkeypatch, capsys, line, command):

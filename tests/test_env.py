@@ -218,22 +218,6 @@ def test_peer_choices_visible_within_slot():
     assert np.all(peer[1:] == 0.0)
 
 
-def test_trace_export(tmp_path):
-    env, sc, chan = make_env([0.0], [100.0])
-    env.collect_trace = True
-    env.reset(sc, chan)
-    done = False
-    while not done:
-        done = env.step(SILENT).terminal
-    out = tmp_path / "trace.tsv"
-    env.write_trace(out)
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 1 + 20  # header plus one row per (slot, vehicle)
-    assert lines[0].startswith("slot\tvehicle\taction\tcoverage_m")
-    first = lines[1].split("\t")
-    assert first[3] == "0.0" and first[6] == "-100.0"  # decoded silent action
-
-
 def reference_observation(env):
     """The observation built from scratch out of the environment's state."""
     cfg = env.cfg

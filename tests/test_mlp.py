@@ -1,9 +1,12 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 
+from iovslice import cli
 from iovslice.dqn.mlp import (
+    CHECKPOINT_MAGIC,
     Adam,
     CheckpointFormatError,
     DuelingQNetwork,
@@ -234,6 +237,22 @@ def test_checkpoint_truncation_detected(tmp_path):
     path.write_bytes(raw[:-5])
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "obs_dim, hidden, n_actions",
+    [(4, (2**31,), 3), (4_000_000_000, (4_000_000_000,), 4_000_000_000)],
+)
+def test_checkpoint_absurd_header_dims_rejected_before_allocation(tmp_path, capsys, obs_dim, hidden, n_actions):
+    payload = toy_net(seed=18).params.flat.tobytes()
+    header = CHECKPOINT_MAGIC + struct.pack(f"<3I{len(hidden)}II", 1, obs_dim, len(hidden), *hidden, n_actions)
+    path = tmp_path / "net.bin"
+    path.write_bytes(header + payload)
+    with pytest.raises(CheckpointFormatError, match="payload"):
+        load_checkpoint(path)
+    assert cli.main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "eval.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "eval.csv").exists()
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -6,11 +6,9 @@ from iovslice.scenario import (
     FORWARD,
     RoadConfig,
     advance_mobility,
-    dump_scenario,
     generate_packets,
     generate_vehicles,
     lane_speed,
-    load_scenario,
     poisson_positions,
 )
 
@@ -137,12 +135,3 @@ def test_generate_packets_rejects_long_deadline(rng):
     sc = generate_vehicles(RoadConfig(), 1, 1, rng)
     with pytest.raises(ValueError):
         generate_packets(sc, rng, deadline_len_slots=21, T=20)
-
-
-def test_scenario_dump_load_roundtrip(tmp_path, rng):
-    sc = generate_vehicles(RoadConfig(), 3, 4, rng)
-    path = tmp_path / "scenario.tsv"
-    dump_scenario(sc, path)
-    loaded = load_scenario(path, sc.road)
-    assert loaded.sources == sc.sources
-    assert loaded.destinations == sc.destinations
