@@ -2,13 +2,13 @@
 
 Three cases on episode 0 of the default configuration's evaluation stream:
 `phy.apply_slot` through a fresh link (cold: every group and rate is solved),
-through a link that has resolved the same slot before (warm: both come from
-its memos), and one swap-matching trial, `baselines.evaluate_plan` replaying
-the action columns of the first move of NOMA-MP's initial plan from the
-plan's record through the episode's shared link. A timed round of either
-`apply_slot` case makes CALLS calls from the same start-of-episode ledger,
-which `apply_slot` leaves as it is, so the reported times are per CALLS
-calls.
+through a link that has resolved the same slot before (warm: the groups,
+rates and packet indices come from its slot memo), and one swap-matching
+trial, `baselines.evaluate_plan` replaying the action columns of the first
+move of NOMA-MP's initial plan from the plan's record through the episode's
+shared link. A timed round of either `apply_slot` case makes CALLS calls
+from the same start-of-episode ledger, which `apply_slot` leaves as it is,
+so the reported times are per CALLS calls.
 
 Run from the repository root (tier-1 does not collect this directory):
 

@@ -4,7 +4,7 @@ All three variants draw coverage and slice uniformly at random per slot, then
 assign frequencies greedily by channel gain and locally improve the assignment
 with swap moves, scoring each through the same link layer the learned policy
 is scored by. The search runs on the plan's action columns (`plan_columns`):
-per slot, one tuple per source in `phy.SlotAction` field order, `_SILENT`
+per slot, one tuple per source in `phy.SlotAction` field order, `phy.OFF_AIR`
 for a source without a resource block. A move edits the frequencies of one
 slot, so it rebuilds the one or two edited sources' tuples of that slot's
 column and shares every other column with the current plan; no plan is
@@ -34,7 +34,6 @@ MAX_POWER_DBM = max(POWER_LEVELS_DBM)
 ACTIVE_POWERS_DBM = tuple(p for p in POWER_LEVELS_DBM if p > phy.SILENCE_POWER_DBM)
 
 INACTIVE = -1  # frequency slot of a source that found no free RB
-_SILENT = phy.SlotAction(phy.PKT_NONE, 0.0, 0, phy.SILENCE_POWER_DBM)  # an INACTIVE source's action
 Column = tuple[tuple[int, float, int, float], ...]  # one slot's per-source actions
 
 
@@ -107,7 +106,7 @@ def initial_rb_allocation(
 
 def _action(packet: int, coverage_m: float, freq: int, power_dbm: float) -> tuple[int, float, int, float]:
     """One source's slot action in `phy.SlotAction` field order."""
-    return _SILENT if freq == INACTIVE else (packet, coverage_m, freq, power_dbm)
+    return phy.OFF_AIR if freq == INACTIVE else (packet, coverage_m, freq, power_dbm)
 
 
 def _plan_rows(plan: OfflinePlan) -> tuple[list[list], ...]:
@@ -118,7 +117,7 @@ def _plan_rows(plan: OfflinePlan) -> tuple[list[list], ...]:
 
 def plan_columns(plan: OfflinePlan) -> list[Column]:
     """The plan as per-slot action columns: one tuple per source in
-    `phy.SlotAction` field order, `_SILENT` for an INACTIVE source."""
+    `phy.SlotAction` field order, `phy.OFF_AIR` for an INACTIVE source."""
     return [tuple(map(_action, *slot)) for slot in zip(*_plan_rows(plan))]
 
 

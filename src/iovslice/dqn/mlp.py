@@ -289,6 +289,8 @@ def load_checkpoint(path: str | Path) -> DuelingQNetwork:
         raise CheckpointFormatError(f"{path}: truncated header") from exc
     if n_hidden < 1:
         raise CheckpointFormatError(f"{path}: header lists no hidden layer")
+    if 0 in hidden:
+        raise CheckpointFormatError(f"{path}: header lists a zero-width hidden layer {hidden}")
     # checked before the network is built, so absurd header dims allocate nothing
     expected = 8 * sum(math.prod(s) for s in _param_shapes(obs_dim, hidden, n_act))
     if len(raw) - off != expected:

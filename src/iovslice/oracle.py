@@ -7,11 +7,11 @@ environment. It is an upper bound that every policy drawing its choices from
 those levels must respect. `replay_actions` replays a sequence through the
 link layer the environment and the baselines share (`phy.apply_slot`).
 The search does not call `apply_slot` for every joint choice, which would
-mask every choice again and build outcomes and reached bitmasks, but it
-resolves slots by the same rules: its choices are put on the air by
-`phy.EpisodeLink.effective`, their rates come from the episode link's memo
-(`EpisodeLink.rates`), and leftover bits drop by `phy.drain_slot`, as in
-`apply_slot`.
+mask every choice again and build outcomes and reached bitmasks. Its
+candidates are already what `apply_slot` hands the slot memo, `phy.OFF_AIR`
+or an open, undelivered packet on the air, so it resolves them with
+`phy.EpisodeLink.resolve` and drains leftover bits by `phy.drain_slot`, as
+`apply_slot` does.
 
 The search is depth-first over slots, but it does not enumerate raw choices.
 For each (source, slot) it keeps one representative of every choice that can
@@ -46,7 +46,6 @@ class SearchSpaceTooLarge(ValueError):
     """The requested enumeration exceeds the configured budget."""
 
 
-NO_TX = phy.SlotAction(phy.PKT_NONE, 0.0, 0, phy.SILENCE_POWER_DBM)
 # most joint sequences, after pruning, that brute_force_optimal will search
 MAX_SEQUENCES = 1e7
 
@@ -125,14 +124,16 @@ def candidate_actions(
     link: phy.EpisodeLink,
     coverage_options_m: tuple[float, ...],
     power_options_dbm: tuple[float, ...],
+    peaks: list[list[float]],
 ) -> list[list[list[phy.SlotAction]]]:
-    """Per source and slot, the choices the search has to try; NO_TX first.
+    """Per source and slot, the choices the search has to try; `phy.OFF_AIR`
+    first. `peaks` is `_peak_bits` of the same link and levels.
 
     Starting from coverage x packet x frequency x power, a choice is dropped
     when another one (or silence) does at least as well in every sequence:
 
     - Silence. No packet, zero coverage and the silence power all leave the
-      source off the air; NO_TX stands for all of them.
+      source off the air; `phy.OFF_AIR` stands for all of them.
     - Same effect. Choices with the same (packet, broadcast group, frequency,
       linear power) resolve identically, so one coverage level per distinct
       destination group and one power level per distinct linear power remain.
@@ -149,7 +150,6 @@ def candidate_actions(
       only interferes.
     """
     m, _, F, T = link.gain_lin.shape
-    peaks = _peak_bits(link, coverage_options_m, power_options_dbm)
     powers: dict[float, float] = {}  # linear mW -> first dBm level giving it
     for pw in power_options_dbm:
         p_mw = phy.power_lin_mw(pw)
@@ -170,7 +170,7 @@ def candidate_actions(
                 open_slots[pkt] = slots
         out.append(
             [
-                [NO_TX]
+                [phy.OFF_AIR]
                 + [
                     phy.SlotAction(pkt, cov, f, pw)
                     for cov in groups.values()
@@ -206,27 +206,24 @@ def brute_force_optimal(
     """
     m, _, _, T = chan.gain_lin.shape
     link = phy.EpisodeLink(chan, channel_cfg, slot_duration_s)
-    cands = candidate_actions(scenario, link, coverage_options_m, power_options_dbm)
+    peaks = _peak_bits(link, coverage_options_m, power_options_dbm)
+    cands = candidate_actions(scenario, link, coverage_options_m, power_options_dbm, peaks)
     sequences = math.prod(float(len(cands[s][t])) for s in range(m) for t in range(T))
     if sequences > MAX_SEQUENCES:
         raise SearchSpaceTooLarge(
             f"{max(len(c) for per_slot in cands for c in per_slot)} candidate actions per source and slot "
             f"at most, {sequences:.3g} sequences exceeds budget {MAX_SEQUENCES:.3g}"
         )
-    # per slot and source: (raw action, packet index or -1, effective choice)
+    # per slot and source: (packet index or -1, candidate)
     options = [
         [
-            [
-                (act, -1 if act.packet_id == phy.PKT_NONE else 2 * s + (act.packet_id - 1), link.effective(s, *act))
-                for act in cands[s][t]
-            ]
+            [(-1 if act.packet_id == phy.PKT_NONE else 2 * s + (act.packet_id - 1), act) for act in cands[s][t]]
             for s in range(m)
         ]
         for t in range(T)
     ]
     # packets that survived pruning, with the peak bits of their open slots from t on
-    peaks = _peak_bits(link, coverage_options_m, power_options_dbm)
-    live = sorted({opt[1] for per_slot in options for per_source in per_slot for opt in per_source} - {-1})
+    live = sorted({opt[0] for per_slot in options for per_source in per_slot for opt in per_source} - {-1})
     tails = {
         k: [[peaks[k // 2][u] for u in _open_slots(scenario.packets[k], T) if u >= t] for t in range(T + 1)]
         for k in live
@@ -248,11 +245,11 @@ def brute_force_optimal(
             best_count = bound
             best_seq = list(seq)
             return
-        # a delivered packet is masked to silence, which NO_TX already covers
-        choices = [[opt for opt in per_source if opt[1] < 0 or leftover[opt[1]] > 0.0] for per_source in options[t]]
-        for joint in product(*choices):
-            acts, packets, effective = zip(*joint)
-            after = phy.drain_slot(leftover, packets, link.rates(t, effective), slot_duration_s)
+        # a delivered packet is masked to silence, which OFF_AIR already covers
+        choices = [[act for k, act in per_source if k < 0 or leftover[k] > 0.0] for per_source in options[t]]
+        for acts in product(*choices):
+            _, rates, packets = link.resolve(t, acts)
+            after = phy.drain_slot(leftover, packets, rates, slot_duration_s)
             if t + 1 == T:  # a final state is cheaper to score than to descend into
                 count = after.count(0.0)
                 if count > best_count:

@@ -14,27 +14,20 @@ This module alone knows how a slot is resolved. `EpisodeLink` is one
 episode's link table, the only way a slot resolution sees the channel. It
 holds the channel's gains, the noise, the RB bandwidth and the slot duration;
 each source's broadcast group per radius, built by `coverage_group` the first
-time it is asked for; the rule for what a masked choice puts on the air
-(`EpisodeLink.effective`); and a memo of `slot_rates` keyed by (slot,
-effective choices). The memo is exact: the rates are a pure function of the
-effective (packet, group, freq, p_mw) list and the slot's gains, and within an
-episode the slot fixes the gains, so a hit returns the very floats a fresh
-solve would. Masking happens before the lookup, so a choice the ledger demotes
-keys as silence. `apply_slot` resolves slots for the environment, the
-baselines and the oracle's replay; the oracle's search resolves its joint
-choices through the same `effective` and `rates`, and both drain a slot's
-leftover bits with `drain_slot`.
+time it is asked for; and one memo of slot resolutions.
 
-`apply_slot` first masks every raw choice with `mask_packet_choice`, the one
-mask rule, and then asks `EpisodeLink.resolve` for the slot's effective
-choices and rates. That memo is keyed by (slot, raw per-source choices,
-masked packet ids), and it is exact too: a source's effective choice depends
-only on its masked packet, its raw radius, frequency and power and the
-episode's fixed groups, and the rates only on the slot and the effective
-choices. So the ledger enters the key only through the masked ids, and a hit
-skips `effective`, the group lookups, `power_lin_mw` and hashing the rate
-key. A miss goes through `effective` and `rates`, which is what the oracle's
-search calls, so both solve exactly what a fresh link would.
+`apply_slot` masks every raw choice with `mask_packet_choice`, the one mask
+rule, and replaces each choice that puts nothing on the air (no packet, a
+radius of at most 0 or the silence power) by `OFF_AIR`. It then asks
+`EpisodeLink.resolve` for the groups, rates and packet indices of those
+choices, a memo keyed by (slot, choices). The memo is exact: an on-air choice
+fixes its packet, group, frequency and linear power, an off-air source
+neither transmits nor interferes, and within an episode the slot fixes the
+gains, so a hit returns the very floats a fresh `slot_rates` solve would.
+The environment, the baselines and the oracle's replay resolve slots through
+`apply_slot`. The oracle's search, whose candidates already have that form,
+calls `resolve` itself, and both drain a slot's leftover bits with
+`drain_slot`.
 """
 
 from __future__ import annotations
@@ -216,15 +209,14 @@ def slot_rates(
     return rates
 
 
-# the effective choice of a source that is off the air; its frequency and
-# power do not matter to anyone, so all such sources key the rate memo alike
-_OFF_AIR = (PKT_NONE, (), 0, 0.0)
+# a source's choice when it puts nothing on the air; `apply_slot` turns every
+# such choice into this one, so they all key the slot memo alike
+OFF_AIR = SlotAction(PKT_NONE, 0.0, 0, SILENCE_POWER_DBM)
 
 
 class EpisodeLink:
     """One episode's link table: the inputs `apply_slot` resolves slots
-    against, plus memos of the broadcast groups, the slot rates and the
-    masked slot resolutions.
+    against, plus memos of the broadcast groups and the slot resolutions.
 
     Build one per episode (per channel realization); every replay of that
     episode, however many plans it scores, may share it. The noise and the
@@ -239,8 +231,7 @@ class EpisodeLink:
         self.slot_duration_s = slot_duration_s
         self._groups: dict[tuple[int, float], tuple[int, ...]] = {}
         self.group_mask: dict[tuple[int, ...], int] = {(): 0}  # bit d set when d is in the group
-        self._rates: dict[tuple, tuple[float, ...]] = {}
-        self._resolved: dict[tuple, tuple[list, tuple[float, ...], tuple[int, ...]]] = {}
+        self._resolved: dict[tuple, tuple[tuple[tuple[int, ...], ...], tuple[float, ...], tuple[int, ...]]] = {}
 
     def group(self, src: int, coverage_m: float) -> tuple[int, ...]:
         """`coverage_group` of the source at this radius, computed once."""
@@ -251,42 +242,21 @@ class EpisodeLink:
             self.group_mask[group] = sum(1 << d for d in group)
         return group
 
-    def effective(
-        self, src: int, packet_id: int, coverage_m: float, freq: int, power_dbm: float
-    ) -> tuple[int, tuple[int, ...], int, float]:
-        """What a choice whose packet is already masked puts on the air:
-        (packet, group, freq, p_mw), or `_OFF_AIR` for no packet, the silence
-        power or a zero radius."""
-        p_mw = power_lin_mw(power_dbm)
-        if packet_id == PKT_NONE or p_mw == 0.0 or coverage_m <= 0:
-            return _OFF_AIR
-        return (packet_id, self.group(src, coverage_m), freq, p_mw)
-
-    def rates(self, slot: int, effective: Sequence[tuple[int, tuple[int, ...], int, float]]) -> tuple[float, ...]:
-        """`slot_rates` of the effective choices at this slot, solved once."""
-        key = (slot, *effective)
-        rates = self._rates.get(key)
-        if rates is None:
-            rates = self._rates[key] = tuple(
-                slot_rates(effective, self.gain_lin[:, :, :, slot], self.noise_mw, self.rb_bandwidth_hz)
-            )
-        return rates
-
     def resolve(
-        self, slot: int, actions: tuple[tuple[int, float, int, float], ...], masked: tuple[int, ...]
-    ) -> tuple[list[tuple[int, tuple[int, ...], int, float]], tuple[float, ...], tuple[int, ...]]:
-        """(effective choices, rates, packet indices) of raw per-source
-        choices whose packets `mask_packet_choice` turned into `masked`,
-        solved once per key. A source off the air has packet index -1."""
-        key = (slot, actions, masked)
+        self, slot: int, choices: tuple[tuple[int, float, int, float], ...]
+    ) -> tuple[tuple[tuple[int, ...], ...], tuple[float, ...], tuple[int, ...]]:
+        """(groups, rates, packet indices) of per-source choices at this
+        slot, solved once per key. Each choice is masked and on the air, or
+        is `OFF_AIR`, whose source has the empty group, rate 0.0 and packet
+        index -1."""
+        key = (slot, choices)
         hit = self._resolved.get(key)
         if hit is None:
-            effective = [
-                self.effective(src, packet_id, coverage_m, freq, power_dbm)
-                for src, (packet_id, (_, coverage_m, freq, power_dbm)) in enumerate(zip(masked, actions))
-            ]
-            packets = tuple([-1 if e[0] == PKT_NONE else 2 * src + (e[0] - 1) for src, e in enumerate(effective)])
-            hit = self._resolved[key] = (effective, self.rates(slot, effective), packets)
+            groups = tuple([self.group(src, c[1]) for src, c in enumerate(choices)])
+            effective = [(c[0], group, c[2], power_lin_mw(c[3])) for c, group in zip(choices, groups)]
+            rates = tuple(slot_rates(effective, self.gain_lin[:, :, :, slot], self.noise_mw, self.rb_bandwidth_hz))
+            packets = tuple([-1 if c[0] == PKT_NONE else 2 * src + (c[0] - 1) for src, c in enumerate(choices)])
+            hit = self._resolved[key] = (groups, rates, packets)
         return hit
 
 
@@ -301,22 +271,29 @@ def apply_slot(
     the per-source outcomes; `ledger` itself is left as it was.
 
     A choice of an already-delivered packet, or of a safety packet outside
-    its window, is masked to no transmission (`mask_packet_choice`).
+    its window, is masked to no transmission (`mask_packet_choice`), and
+    every choice that puts nothing on the air resolves as `OFF_AIR`.
     """
-    actions = tuple(actions)
-    masked = tuple([mask_packet_choice(ledger, src, act[0], slot) for src, act in enumerate(actions)])
-    effective, rates, packets = link.resolve(slot, actions, masked)
+    choices = tuple(
+        [
+            act
+            if act[1] > 0.0 and act[3] > SILENCE_POWER_DBM and mask_packet_choice(ledger, src, act[0], slot) != PKT_NONE
+            else OFF_AIR
+            for src, act in enumerate(actions)
+        ]
+    )
+    groups, rates, packets = link.resolve(slot, choices)
     leftover = drain_slot(ledger.leftover_bits, packets, rates, link.slot_duration_s)
     reached = list(ledger.reached)
     outcomes: list[SourceOutcome] = []
-    for src, (k, (pkt, group, _, _)) in enumerate(zip(packets, effective)):
+    for k, group, rate, act in zip(packets, groups, rates, choices):
         if k < 0:
             outcomes.append(SourceOutcome(PKT_NONE, (), 0.0, False))
             continue
         reached[k] |= link.group_mask[group]
         # the packet was not yet delivered (the mask saw to that), so it is
         # delivered now exactly when this slot drains it to zero
-        outcomes.append(SourceOutcome(pkt, group, rates[src], leftover[k] == 0.0))
+        outcomes.append(SourceOutcome(act[0], group, rate, leftover[k] == 0.0))
     return DeliveryLedger(ledger.packets, leftover, tuple(reached)), outcomes
 
 

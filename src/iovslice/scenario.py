@@ -29,6 +29,9 @@ HEADWAY_S = 2.5
 # Vehicle drops generate_vehicles makes before it gives up on a road too short
 # to hold m + n vehicles.
 MAX_VEHICLE_DRAWS = 1000
+# Longest road a RoadConfig accepts: generate_vehicles places every Poisson
+# vehicle on every lane, so its time and memory grow with the length.
+MAX_ROAD_LENGTH_M = 1e6
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,8 @@ class RoadConfig:
     def __post_init__(self) -> None:
         if self.length_m <= 0 or self.lane_width_m <= 0:
             raise ValueError("road dimensions must be positive")
+        if self.length_m > MAX_ROAD_LENGTH_M:
+            raise ValueError(f"road length {self.length_m!r} m exceeds {MAX_ROAD_LENGTH_M!r} m")
         if self.lanes_per_direction < 1:
             raise ValueError("need at least one lane per direction")
 

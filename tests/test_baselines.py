@@ -176,8 +176,8 @@ def test_swap_matching_respects_oma():
     assert len(history_plans) > 1
     for columns in history_plans:
         for column in columns:
-            # an INACTIVE source is `_SILENT`, whose freq 0 is not an RB it holds
-            active = [act[2] for act in column if act is not bl._SILENT]
+            # an INACTIVE source is `phy.OFF_AIR`, whose freq 0 is not an RB it holds
+            active = [act[2] for act in column if act is not phy.OFF_AIR]
             assert len(set(active)) == len(active)
 
 

@@ -12,6 +12,7 @@ from iovslice import cli
 from iovslice.config import RunConfig, parse_config, serialize_config
 from iovslice.dqn import DuelingQNetwork, TrainConfig, save_checkpoint
 from iovslice.env import EnvConfig
+from iovslice.scenario import MAX_ROAD_LENGTH_M
 
 
 def tiny_cfg(**run_kw):
@@ -172,6 +173,13 @@ def test_config_rejects_infinite_road_length(value):
     # an infinite road would make poisson_positions loop forever
     with pytest.raises(ValueError, match=r"line 1: road\.length_m: not a finite number"):
         parse_config(f"road.length_m = {value}\n")
+
+
+def test_config_rejects_road_longer_than_cap():
+    # generate_vehicles' time and memory grow with the length; only the config is built here
+    with pytest.raises(ValueError, match=r"road length 1000000000000\.0 m exceeds 1000000\.0 m"):
+        parse_config("road.length_m = 1e12\n")
+    assert parse_config(f"road.length_m = {MAX_ROAD_LENGTH_M!r}\n").road.length_m == MAX_ROAD_LENGTH_M
 
 
 def test_default_config_digest_is_pinned():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from iovslice import cli
+from iovslice.config import RunConfig
 from iovslice.dqn.mlp import (
     CHECKPOINT_MAGIC,
     Adam,
@@ -251,6 +252,23 @@ def test_checkpoint_absurd_header_dims_rejected_before_allocation(tmp_path, caps
     with pytest.raises(CheckpointFormatError, match="payload"):
         load_checkpoint(path)
     assert cli.main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "eval.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "eval.csv").exists()
+
+
+def test_checkpoint_zero_width_hidden_layer_rejected(tmp_path, capsys):
+    """A header whose hidden layer has width 0 would load as a network whose
+    Q is the advantage biases for every observation; it is refused instead,
+    though the payload size matches the header."""
+    cfg = RunConfig()
+    obs_dim, hidden, n_actions = cfg.env.obs_dim, (0,), cfg.env.n_actions
+    header = CHECKPOINT_MAGIC + struct.pack("<3I1II", 1, obs_dim, 1, *hidden, n_actions)
+    payload = np.arange(n_actions + 1, dtype="<f8").tobytes()  # bv and ba: the only nonempty parameters
+    path = tmp_path / "net.bin"
+    path.write_bytes(header + payload)
+    with pytest.raises(CheckpointFormatError, match="zero-width"):
+        load_checkpoint(path)
+    assert cli.main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "eval.csv"), "--episodes", "1"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "eval.csv").exists()
 

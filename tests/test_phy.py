@@ -387,6 +387,77 @@ def test_slot_resolution_memo_is_exact(data):
                 assert _resolution(*got) == _resolution(*want)
 
 
+def _reference_slot(ledger, actions, chan, cfg, slot, slot_duration_s):
+    """One slot resolved from first principles, with no link table and no
+    memo: mask each packet, put nothing on the air for no packet, a radius
+    of at most 0 or zero linear power, solve `phy.slot_rates` on the
+    effective choices, then drain and mark the reached destinations."""
+    effective = []
+    for src, (pkt, coverage_m, freq, power_dbm) in enumerate(actions):
+        pkt = phy.mask_packet_choice(ledger, src, pkt, slot)
+        p_mw = phy.power_lin_mw(power_dbm)
+        if pkt == phy.PKT_NONE or coverage_m <= 0 or p_mw == 0.0:
+            effective.append((phy.PKT_NONE, (), 0, 0.0))
+        else:
+            effective.append((pkt, phy.coverage_group(chan.dist_m[src], coverage_m), freq, p_mw))
+    rates = phy.slot_rates(effective, chan.gain_lin[:, :, :, slot], noise_lin_mw(cfg), cfg.rb_bandwidth_hz)
+    leftover, reached, outcomes = list(ledger.leftover_bits), list(ledger.reached), []
+    for src, ((pkt, group, _, _), rate) in enumerate(zip(effective, rates)):
+        if pkt == phy.PKT_NONE:
+            outcomes.append(phy.SourceOutcome(phy.PKT_NONE, (), 0.0, False))
+            continue
+        k = 2 * src + (pkt - 1)
+        leftover[k] = max(0.0, leftover[k] - rate * slot_duration_s)
+        reached[k] |= sum(1 << d for d in group)
+        outcomes.append(phy.SourceOutcome(pkt, group, rate, leftover[k] == 0.0))
+    return ledger._replace(leftover_bits=tuple(leftover), reached=tuple(reached)), outcomes
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_apply_slot_matches_memo_free_reference(data):
+    """`apply_slot` through a shared link, memo hits included, resolves every
+    slot bit for bit as `_reference_slot` does, over the full action space.
+    Corner cases of the off-air rule are drawn as often as any other choice:
+    a packet with radius 0, a packet at the silence power, no packet with a
+    radius, and packets the ledger masks (delivered by hand, or a slice-2
+    packet outside its window)."""
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    F, T = data.draw(st.integers(1, 2)), data.draw(st.integers(2, 6))
+    workload = WorkloadConfig(
+        slice1_bits_min=1e3, slice1_bits_max=5e4, deadline_len_slots=data.draw(st.integers(1, T - 1))
+    )
+    cfg = ChannelConfig()
+    seed = data.draw(st.integers(0, 999))
+    sc, chan = WorldStream(RoadConfig(), EnvConfig(m=m, n=n, F=F, T=T), cfg, workload, seed, TAG_EVAL)(0)
+    any_choice = st.tuples(
+        st.integers(0, 2),
+        st.sampled_from(COVERAGE_LEVELS_M),
+        st.integers(0, F - 1),
+        st.sampled_from(POWER_LEVELS_DBM),
+    )
+    corner = st.sampled_from(
+        [
+            (phy.PKT_SLICE1, 0.0, F - 1, 30.0),
+            (phy.PKT_SLICE2, 400.0, 0, phy.SILENCE_POWER_DBM),
+            (phy.PKT_NONE, 1400.0, F - 1, 23.0),
+        ]
+    )
+    link = phy.EpisodeLink(chan, cfg, 0.005)
+    ledger = phy.DeliveryLedger.start(sc.packets)
+    for t in range(T):
+        column = data.draw(st.lists(st.one_of(corner, any_choice), min_size=m, max_size=m))
+        zeroed = data.draw(st.sets(st.integers(0, 2 * m - 1)))
+        masked = ledger._replace(
+            leftover_bits=tuple(0.0 if k in zeroed else left for k, left in enumerate(ledger.leftover_bits))
+        )
+        for start in (masked, ledger, ledger):  # the last call is a memo hit
+            want = _resolution(*_reference_slot(start, column, chan, cfg, t, 0.005))
+            got = phy.apply_slot(start, column, link, t)
+            assert _resolution(*got) == want
+        ledger = got[0]
+
+
 def test_prr_examples():
     sc = hand_built_scenario([0.0, 300.0], [100.0, 400.0])
     ledger = phy.DeliveryLedger.start(sc.packets)
