@@ -83,11 +83,12 @@ def test_evaluate_plan_trial(benchmark, world):
     m, _, F, T = chan.gain_lin.shape
     rng = algorithm_rng(CFG.seed, CFG.workload, 0, bl.BASELINE_NAMES.index("NOMA-MP"))
     coverage, packet = bl.random_coverage_slice(m, T, rng)
+    options = bl.slot_options(coverage, packet, bl.draw_powers("NOMA-MP", m, T, rng), F)
     link = _link(chan)
-    plan = bl.initial_rb_allocation(link, coverage, packet, bl.draw_powers("NOMA-MP", m, T, rng), oma=False)
-    columns = bl.plan_columns(plan)
+    freqs = bl.initial_rb_allocation(link, coverage, oma=False)
+    columns = bl.plan_columns(options, freqs)
     record = bl.evaluate_plan(columns, sc, link)
-    t, column, _ = next(bl._moves(columns, bl._plan_rows(plan), False, F))
+    t, column, _ = next(bl._moves(options, columns, freqs, False))
     trial = columns.copy()
     trial[t] = column
     ledgers = benchmark(bl.evaluate_plan, trial, sc, link, record, t)

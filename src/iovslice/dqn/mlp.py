@@ -297,6 +297,9 @@ def load_checkpoint(path: str | Path) -> DuelingQNetwork:
         raise CheckpointFormatError(
             f"{path}: parameter payload is {len(raw) - off} bytes, expected {expected}"
         )
+    params = np.frombuffer(raw, dtype="<f8", offset=off)
+    if not np.isfinite(params).all():
+        raise CheckpointFormatError(f"{path}: parameter payload holds a non-finite value")
     net = DuelingQNetwork(obs_dim, hidden, n_act, rng=None)
-    net.params.flat[...] = np.frombuffer(raw, dtype="<f8", offset=off)
+    net.params.flat[...] = params
     return net

@@ -4,8 +4,9 @@ The optimum is the largest delivered-packet count that any sequence of raw
 per-source choices from the given coverage x packet x frequency x power
 levels can reach, under the same masking and slot resolution as the
 environment. It is an upper bound that every policy drawing its choices from
-those levels must respect. `replay_actions` replays a sequence through the
-link layer the environment and the baselines share (`phy.apply_slot`).
+those levels must respect. `best_actions` is a sequence of per-slot action
+columns, so `baselines.evaluate_plan` replays it through the link layer the
+environment and the baselines share (`phy.apply_slot`).
 The search does not call `apply_slot` for every joint choice, which would
 mask every choice again and build outcomes and reached bitmasks. Its
 candidates are already what `apply_slot` hands the slot memo, `phy.OFF_AIR`
@@ -54,22 +55,6 @@ MAX_SEQUENCES = 1e7
 class OracleResult:
     best_delivered: int
     best_actions: tuple[tuple[phy.SlotAction, ...], ...]  # per slot, per source
-
-
-def replay_actions(
-    scenario: Scenario,
-    chan: ChannelState,
-    channel_cfg: ChannelConfig,
-    slot_duration_s: float,
-    actions_per_slot,
-) -> phy.DeliveryLedger:
-    """Replay a full joint action sequence of raw choices through the shared
-    link layer."""
-    link = phy.EpisodeLink(chan, channel_cfg, slot_duration_s)
-    ledger = phy.DeliveryLedger.start(scenario.packets)
-    for t, slot_actions in enumerate(actions_per_slot):
-        ledger, _ = phy.apply_slot(ledger, slot_actions, link, t)
-    return ledger
 
 
 def _open_slots(packet: Packet, T: int) -> range:
@@ -140,14 +125,13 @@ def candidate_actions(
       Coverage radii are nested, so there are at most n non-empty groups.
     - Empty group. An on-air source whose radius reaches no destination earns
       rate zero and only adds interference; silence dominates it.
-    - Closed window. A packet the mask would demote at this slot (a safety
-      packet outside [arrival, deadline], or one already delivered at the
-      start) is silence.
+    - Closed window. A safety packet outside [arrival, deadline], which the
+      mask demotes, is silence.
     - Undeliverable packet. A broadcast runs at its worst member's rate and
       interference only lowers SINR, so no slot can carry more than
       `_peak_bits`. If those peaks over every open slot of the packet cannot
-      drain its leftover bits, no sequence delivers it, and transmitting it
-      only interferes.
+      drain its size, no sequence delivers it, and transmitting it only
+      interferes.
     """
     m, _, F, T = link.gain_lin.shape
     powers: dict[float, float] = {}  # linear mW -> first dBm level giving it
@@ -166,7 +150,7 @@ def candidate_actions(
         for pkt in (phy.PKT_SLICE1, phy.PKT_SLICE2):
             packet = scenario.packets[2 * s + (pkt - 1)]
             slots = _open_slots(packet, T)
-            if packet.leftover_bits > 0.0 and _drains(packet.leftover_bits, [peaks[s][t] for t in slots]):
+            if _drains(packet.size_bits, [peaks[s][t] for t in slots]):
                 open_slots[pkt] = slots
         out.append(
             [

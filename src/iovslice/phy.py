@@ -24,10 +24,10 @@ choices, a memo keyed by (slot, choices). The memo is exact: an on-air choice
 fixes its packet, group, frequency and linear power, an off-air source
 neither transmits nor interferes, and within an episode the slot fixes the
 gains, so a hit returns the very floats a fresh `slot_rates` solve would.
-The environment, the baselines and the oracle's replay resolve slots through
-`apply_slot`. The oracle's search, whose candidates already have that form,
-calls `resolve` itself, and both drain a slot's leftover bits with
-`drain_slot`.
+The environment and the baselines' `evaluate_plan`, which also replays the
+oracle's best actions, resolve slots through `apply_slot`. The oracle's
+search, whose candidates already have that form, calls `resolve` itself, and
+both drain a slot's leftover bits with `drain_slot`.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ class DeliveryLedger(NamedTuple):
     def start(cls, packets: Sequence[Packet]) -> "DeliveryLedger":
         """The ledger before the first slot: every packet whole, nothing reached."""
         packets = tuple(packets)
-        return cls(packets, tuple(float(p.leftover_bits) for p in packets), (0,) * len(packets))
+        return cls(packets, tuple(float(p.size_bits) for p in packets), (0,) * len(packets))
 
 
 def mask_packet_choice(ledger: DeliveryLedger, src: int, packet_id: int, slot: int) -> int:

@@ -91,20 +91,19 @@ class Vehicle:
 
 @dataclass(frozen=True)
 class Packet:
-    owner: int  # source-vehicle index (0-based position in Scenario.sources)
+    """One source's payload on one slice: packet k of Scenario.packets
+    belongs to source k // 2. The delivery ledger tracks its leftover bits."""
+
     slice_id: int
     size_bits: float
     arrival_slot: int
     deadline_slot: int
-    leftover_bits: float
 
     def __post_init__(self) -> None:
         if self.size_bits <= 0:
             raise ValueError("packet size must be positive")
         if not 0 <= self.arrival_slot <= self.deadline_slot:
             raise ValueError("packet window must satisfy 0 <= arrival <= deadline")
-        if not 0 <= self.leftover_bits <= self.size_bits:
-            raise ValueError("leftover bits outside [0, size]")
 
 
 @dataclass(frozen=True)
@@ -215,20 +214,9 @@ def generate_packets(
         raise ValueError(f"deadline window {deadline_len_slots} exceeds horizon {T}")
     lo, hi = slice1_bits_range
     packets: list[Packet] = []
-    for src in range(scenario.m):
+    for _ in range(scenario.m):
         size1 = float(rng.uniform(lo, hi))
-        packets.append(
-            Packet(src, SLICE_THROUGHPUT, size1, 0, T - 1, size1)
-        )
+        packets.append(Packet(SLICE_THROUGHPUT, size1, 0, T - 1))
         arrival = int(rng.integers(0, T - deadline_len_slots + 1))
-        packets.append(
-            Packet(
-                src,
-                SLICE_SAFETY,
-                float(slice2_bits),
-                arrival,
-                arrival + deadline_len_slots - 1,
-                float(slice2_bits),
-            )
-        )
+        packets.append(Packet(SLICE_SAFETY, float(slice2_bits), arrival, arrival + deadline_len_slots - 1))
     return tuple(packets)

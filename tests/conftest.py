@@ -23,10 +23,7 @@ def hand_built_scenario(src_x, dst_x, packets=None, road=None):
         for j, x in enumerate(dst_x)
     )
     if packets is None:
-        packets = []
-        for i in range(len(src_x)):
-            packets.append(Packet(i, SLICE_THROUGHPUT, 5e5, 0, 19, 5e5))
-            packets.append(Packet(i, SLICE_SAFETY, 4800.0, 0, 7, 4800.0))
+        packets = [Packet(SLICE_THROUGHPUT, 5e5, 0, 19), Packet(SLICE_SAFETY, 4800.0, 0, 7)] * len(src_x)
     return Scenario(road=road, sources=sources, destinations=dests, packets=tuple(packets))
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iovslice import baselines as bl
 from iovslice import phy
@@ -44,22 +46,43 @@ def test_slice2_never_sent_outside_window():
     ledger = phy.DeliveryLedger.start(sc.packets)
     for t in range(20):
         before = ledger.leftover_bits
-        actions = []
-        for s in range(2):
-            pkt = phy.mask_packet_choice(ledger, s, int(run.plan.packet[s, t]), t)
-            f = int(run.plan.freq[s, t])
-            if f == bl.INACTIVE:
-                actions.append(phy.SlotAction(phy.PKT_NONE, 0.0, 0, phy.SILENCE_POWER_DBM))
-            else:
-                actions.append(
-                    phy.SlotAction(pkt, float(run.plan.coverage_m[s, t]), f, float(run.plan.power_dbm[s, t]))
-                )
-        ledger, _ = phy.apply_slot(ledger, actions, _link(chan, quiet), t)
+        ledger, _ = phy.apply_slot(ledger, run.columns[t], _link(chan, quiet), t)
         for s in range(2):
             k = 2 * s + 1  # the source's safety packet
             pktdef = sc.packets[k]
             if not (pktdef.arrival_slot <= t <= pktdef.deadline_slot):
                 assert ledger.leftover_bits[k] == before[k]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_plan_columns_match_hand_built_actions(data):
+    # every source's action is built here from its draws and frequency, by
+    # `phy.SlotAction` or as `phy.OFF_AIR` when INACTIVE; silence and zero
+    # coverage stay on their frequency, for the link layer to mask
+    m, T, F = (data.draw(st.integers(1, hi)) for hi in (4, 5, 3))
+
+    def grid(elements):  # an (m, T) array of draws
+        return np.array(data.draw(st.lists(st.lists(elements, min_size=T, max_size=T), min_size=m, max_size=m)))
+
+    coverage = grid(st.sampled_from(COVERAGE_LEVELS_M))
+    packet = grid(st.integers(phy.PKT_NONE, phy.PKT_SLICE2))
+    power = grid(st.sampled_from(POWER_LEVELS_DBM))
+    freqs = data.draw(
+        st.lists(st.lists(st.integers(bl.INACTIVE, F - 1), min_size=m, max_size=m), min_size=T, max_size=T)
+    )
+    columns = bl.plan_columns(bl.slot_options(coverage, packet, power, F), freqs)
+    assert len(columns) == T
+    for t, column in enumerate(columns):
+        assert len(column) == m
+        for s, act in enumerate(column):
+            f = freqs[t][s]
+            if f == bl.INACTIVE:
+                assert act is phy.OFF_AIR
+            else:
+                assert act is not phy.OFF_AIR
+                assert act == phy.SlotAction(int(packet[s, t]), float(coverage[s, t]), f, float(power[s, t]))
+                assert [type(x) for x in act] == [int, float, int, float]
 
 
 def test_initial_allocation_argmax_single_source():
@@ -69,10 +92,8 @@ def test_initial_allocation_argmax_single_source():
     chan.gain_lin[0, 0, 0, :] = 1e-9
     chan.gain_lin[0, 0, 1, :] = 2e-9
     coverage = np.full((1, 20), 400.0)
-    packet = np.ones((1, 20), dtype=np.int64)
-    power = np.full((1, 20), 30.0)
-    plan = bl.initial_rb_allocation(_link(chan, cfg), coverage, packet, power, oma=False)
-    assert np.all(plan.freq == 1)
+    freqs = bl.initial_rb_allocation(_link(chan, cfg), coverage, oma=False)
+    assert freqs == [[1]] * 20
 
 
 def test_oma_pigeonhole_one_inactive():
@@ -80,13 +101,13 @@ def test_oma_pigeonhole_one_inactive():
     sc = hand_built_scenario([0.0, 300.0, 600.0], [100.0, 400.0, 700.0])
     chan = forced_channel(sc, -80.0, F=2)
     rng = np.random.default_rng(3)
-    coverage, packet = bl.random_coverage_slice(3, 20, rng)
-    power = bl.draw_powers("OMA-MP", 3, 20, rng)
-    plan = bl.initial_rb_allocation(_link(chan, cfg), coverage, packet, power, oma=True)
-    for t in range(20):
-        active = plan.freq[:, t][plan.freq[:, t] != bl.INACTIVE]
+    coverage, _ = bl.random_coverage_slice(3, 20, rng)
+    freqs = bl.initial_rb_allocation(_link(chan, cfg), coverage, oma=True)
+    assert len(freqs) == 20
+    for row in freqs:
+        active = [f for f in row if f != bl.INACTIVE]
         assert len(active) == 2  # pigeonhole with m=3, F=2
-        assert len(set(active.tolist())) == len(active)  # exclusivity
+        assert len(set(active)) == len(active)  # exclusivity
 
 
 def test_noma_everyone_active():
@@ -94,10 +115,9 @@ def test_noma_everyone_active():
     sc = hand_built_scenario([0.0, 300.0, 600.0], [100.0, 400.0, 700.0])
     chan = forced_channel(sc, -80.0, F=2)
     rng = np.random.default_rng(4)
-    coverage, packet = bl.random_coverage_slice(3, 20, rng)
-    power = bl.draw_powers("NOMA-MP", 3, 20, rng)
-    plan = bl.initial_rb_allocation(_link(chan, cfg), coverage, packet, power, oma=False)
-    assert np.all(plan.freq != bl.INACTIVE)
+    coverage, _ = bl.random_coverage_slice(3, 20, rng)
+    freqs = bl.initial_rb_allocation(_link(chan, cfg), coverage, oma=False)
+    assert len(freqs) == 20 and all(bl.INACTIVE not in row for row in freqs)
 
 
 def _two_source_conflict():
@@ -107,10 +127,7 @@ def _two_source_conflict():
     interference, frequency 1 can; the initial plan parks both sources on
     frequency 0, so retuning one of them strictly improves deliveries.
     """
-    packets = []
-    for i in range(2):
-        packets.append(Packet(i, SLICE_THROUGHPUT, 5e9, 0, 0, 5e9))  # undeliverable
-        packets.append(Packet(i, SLICE_SAFETY, 4800.0, 0, 0, 4800.0))
+    packets = [Packet(SLICE_THROUGHPUT, 5e9, 0, 0), Packet(SLICE_SAFETY, 4800.0, 0, 0)] * 2  # slice 1 undeliverable
     sc = hand_built_scenario([0.0, 10.0], [100.0, 110.0], packets=packets)
     chan = forced_channel(sc, -80.0, F=2, T=1)
     cfg = ChannelConfig()
@@ -121,8 +138,7 @@ def _two_source_conflict():
     coverage = np.full((2, 1), 1400.0)
     packet = np.full((2, 1), phy.PKT_SLICE2, dtype=np.int64)
     power = np.full((2, 1), 30.0)
-    plan = bl.OfflinePlan(coverage, packet, np.zeros((2, 1), dtype=np.int64), power)
-    return sc, chan, cfg, plan
+    return sc, chan, cfg, bl.slot_options(coverage, packet, power, F=2)
 
 
 def _evaluator(sc, chan, cfg, seen=None):
@@ -137,24 +153,24 @@ def _evaluator(sc, chan, cfg, seen=None):
 
 
 def test_swap_matching_finds_improvement():
-    sc, chan, cfg, plan = _two_source_conflict()
+    sc, chan, cfg, options = _two_source_conflict()
     evaluate = _evaluator(sc, chan, cfg)
-    columns = bl.plan_columns(plan)
-    assert bl.delivered_packets(evaluate(columns, None, 0)[-1]) == 0  # both parked on the dud frequency
-    run = bl.swap_matching(plan, evaluate, oma=False, F=2)
+    freqs = [[0, 0]]  # both parked on the dud frequency
+    assert bl.delivered_packets(evaluate(bl.plan_columns(options, freqs), None, 0)[-1]) == 0
+    run = bl.swap_matching(options, freqs, evaluate, oma=False)
+    assert freqs == [[0, 0]]  # the caller's rows are left as they were
     history = run.objective_history
     assert history[0] == 0 and history[-1] >= 1  # a move converted 0 -> 1
-    assert 1 in run.plan.freq[:, 0].tolist()
+    assert 1 in [act[2] for act in run.columns[0]]
     assert all(a < b for a, b in zip(history, history[1:]))  # strictly improving
     assert sum(run.stats.packets) == history[-1]
 
 
 def test_swap_matching_fixpoint_returns_unchanged():
-    sc, chan, cfg, plan = _two_source_conflict()
-    plan.freq[0, 0] = 1
-    plan.freq[1, 0] = 1  # both on the good frequency: SIC saves one, local optimum
-    run = bl.swap_matching(plan, _evaluator(sc, chan, cfg), oma=False, F=2)
-    assert np.array_equal(run.plan.freq, plan.freq)
+    sc, chan, cfg, options = _two_source_conflict()
+    freqs = [[1, 1]]  # both on the good frequency: SIC saves one, local optimum
+    run = bl.swap_matching(options, freqs, _evaluator(sc, chan, cfg), oma=False)
+    assert run.columns == bl.plan_columns(options, freqs)
     assert len(run.objective_history) == 1  # no accepted moves
 
 
@@ -164,17 +180,16 @@ def test_swap_matching_respects_oma():
     chan = forced_channel(sc, -85.0, F=2)
     rng = np.random.default_rng(8)
     coverage, packet = bl.random_coverage_slice(3, 20, rng)
-    power = bl.draw_powers("OMA-MP", 3, 20, rng)
-    plan = bl.initial_rb_allocation(_link(chan, cfg), coverage, packet, power, oma=True)
+    options = bl.slot_options(coverage, packet, bl.draw_powers("OMA-MP", 3, 20, rng), F=2)
+    freqs = bl.initial_rb_allocation(_link(chan, cfg), coverage, oma=True)
+    for row in freqs:
+        active = [f for f in row if f != bl.INACTIVE]
+        assert len(set(active)) == len(active)
 
     history_plans = []  # every scored plan, as action columns
-    final = bl.swap_matching(plan, _evaluator(sc, chan, cfg, history_plans), oma=True, F=2).plan
-    for p in (plan, final):
-        for t in range(20):
-            active = p.freq[:, t][p.freq[:, t] != bl.INACTIVE]
-            assert len(set(active.tolist())) == len(active)
+    final = bl.swap_matching(options, freqs, _evaluator(sc, chan, cfg, history_plans), oma=True).columns
     assert len(history_plans) > 1
-    for columns in history_plans:
+    for columns in (*history_plans, final):
         for column in columns:
             # an INACTIVE source is `phy.OFF_AIR`, whose freq 0 is not an RB it holds
             active = [act[2] for act in column if act is not phy.OFF_AIR]
@@ -193,6 +208,16 @@ def _small_worlds():
         yield sc, forced_channel(sc, gain_db, F=2, T=12)
 
 
+def _random_plan(rng, m, T, F):
+    """Slot options from random draws (silence power and zero coverage
+    included) and random frequency rows (INACTIVE included)."""
+    coverage = rng.choice(COVERAGE_LEVELS_M, size=(m, T))
+    packet = rng.integers(0, 3, size=(m, T))
+    freq = rng.integers(bl.INACTIVE, F, size=(m, T))
+    power = rng.choice(POWER_LEVELS_DBM, size=(m, T))
+    return bl.slot_options(coverage, packet, power, F), freq.T.tolist()
+
+
 def test_incremental_replay_matches_full_replay():
     # a plan edited at one slot, replayed from the record, scores as a replay from scratch
     rng = np.random.default_rng(31)
@@ -204,38 +229,32 @@ def test_incremental_replay_matches_full_replay():
         for k in range(12):
             if k % 2:  # OMA: exclusive frequencies, sources without one sit out
                 coverage, packet = bl.random_coverage_slice(m, T, rng)
-                plan = bl.initial_rb_allocation(
-                    link, coverage, packet, bl.draw_powers("NOMA-RP", m, T, rng), oma=True
-                )
+                options = bl.slot_options(coverage, packet, bl.draw_powers("NOMA-RP", m, T, rng), F)
+                freqs = bl.initial_rb_allocation(link, coverage, oma=True)
             else:
-                plan = bl.OfflinePlan(
-                    coverage_m=rng.choice(COVERAGE_LEVELS_M, size=(m, T)),
-                    packet=rng.integers(0, 3, size=(m, T)),
-                    freq=rng.integers(bl.INACTIVE, F, size=(m, T)),
-                    power_dbm=rng.choice(POWER_LEVELS_DBM, size=(m, T)),  # silence included
-                )
-            inactive += int((plan.freq == bl.INACTIVE).sum())
+                options, freqs = _random_plan(rng, m, T, F)
+            inactive += sum(row.count(bl.INACTIVE) for row in freqs)
             for s in range(m):
                 pkt = sc.packets[2 * s + 1]
                 closed += sum(
-                    plan.packet[s, t] == phy.PKT_SLICE2 and not pkt.arrival_slot <= t <= pkt.deadline_slot
+                    options[t][s][0][0] == phy.PKT_SLICE2 and not pkt.arrival_slot <= t <= pkt.deadline_slot
                     for t in range(T)
                 )
-            columns = bl.plan_columns(plan)
+            columns = bl.plan_columns(options, freqs)
             record = bl.evaluate_plan(columns, sc, link)
             assert len(record) == T + 1
             for _ in range(10):
                 t = int(rng.integers(T))
-                edited = plan.copy()
+                edited = [row.copy() for row in freqs]
                 if rng.random() < 0.5:
                     i, j = rng.choice(m, size=2, replace=False)
-                    edited.freq[i, t], edited.freq[j, t] = plan.freq[j, t], plan.freq[i, t]
+                    edited[t][i], edited[t][j] = freqs[t][j], freqs[t][i]
                 else:
-                    edited.freq[int(rng.integers(m)), t] = int(rng.integers(F))
+                    edited[t][int(rng.integers(m))] = int(rng.integers(F))
                 trial = columns.copy()  # the edited slot's column, every other one shared
-                trial[t] = bl.plan_columns(edited)[t]
+                trial[t] = bl.plan_columns(options, edited)[t]
                 ledgers = bl.evaluate_plan(trial, sc, link, record, t)
-                full = bl.evaluate_plan(edited, sc, _link(chan, cfg))
+                full = bl.evaluate_plan(bl.plan_columns(options, edited), sc, _link(chan, cfg))
                 assert t < len(ledgers) - 1 and len(ledgers) <= T + 1
                 # the prefix is the record's own ledgers, not copies of them
                 assert all(ledgers[i] is record[i] for i in range(t + 1))
@@ -253,23 +272,23 @@ def test_incremental_replay_matches_full_replay():
     assert rejoined > 100 and ran_to_end > 100 and inactive > 0 and closed > 0
 
 
-def _reference_moves(plan, oma, F):
-    """(slot, trial plan) per candidate move, in search order, each trial a
-    whole edited copy of the plan."""
-    m, T = plan.freq.shape
-    for t in range(T):
+def _reference_moves(freqs, oma, F):
+    """(slot, trial rows) per candidate move, in search order, each trial a
+    whole edited copy of the frequency rows."""
+    for t, row in enumerate(freqs):
+        m = len(row)
         for i in range(m):
             for j in range(i + 1, m):
-                if plan.freq[i, t] != plan.freq[j, t]:
-                    trial = plan.copy()
-                    trial.freq[i, t], trial.freq[j, t] = plan.freq[j, t], plan.freq[i, t]
+                if row[i] != row[j]:
+                    trial = [r.copy() for r in freqs]
+                    trial[t][i], trial[t][j] = row[j], row[i]
                     yield t, trial
         for i in range(m):
             for f in range(F):
-                taken = oma and any(plan.freq[j, t] == f for j in range(m) if j != i)
-                if plan.freq[i, t] != f and not taken:
-                    trial = plan.copy()
-                    trial.freq[i, t] = f
+                taken = oma and any(row[j] == f for j in range(m) if j != i)
+                if row[i] != f and not taken:
+                    trial = [r.copy() for r in freqs]
+                    trial[t][i] = f
                     yield t, trial
 
 
@@ -280,32 +299,27 @@ def test_moves_edit_one_column_as_the_edited_plan():
     m, T, F = 4, 6, 3
     edits = 0
     for k in range(8):
-        plan = bl.OfflinePlan(
-            coverage_m=rng.choice(COVERAGE_LEVELS_M, size=(m, T)),
-            packet=rng.integers(0, 3, size=(m, T)),
-            freq=rng.integers(bl.INACTIVE, F, size=(m, T)),
-            power_dbm=rng.choice(POWER_LEVELS_DBM, size=(m, T)),
-        )
+        options, freqs = _random_plan(rng, m, T, F)
         oma = bool(k % 2)
-        columns = bl.plan_columns(plan)
-        moves = list(bl._moves(columns, bl._plan_rows(plan), oma, F))
-        reference = list(_reference_moves(plan, oma, F))
+        columns = bl.plan_columns(options, freqs)
+        moves = list(bl._moves(options, columns, freqs, oma))
+        reference = list(_reference_moves(freqs, oma, F))
         assert len(moves) == len(reference)
         for (t, column, row), (ref_t, trial) in zip(moves, reference):
             assert t == ref_t
-            assert column == bl.plan_columns(trial)[t]
-            assert row == trial.freq[:, t].tolist()
+            assert column == bl.plan_columns(options, trial)[t]
+            assert row == trial[t]
             kept = [a is b for a, b in zip(column, columns[t])]
             assert kept.count(False) <= 2  # only the edited sources' tuples are new
             edits += 1
     assert edits > 100
 
 
-def _reference_swap_matching(plan, evaluate, oma, F, max_iters=1000):
+def _reference_swap_matching(freqs, evaluate, oma, F, max_iters=1000):
     """The search scoring every trial by a replay of all T slots; evaluate:
-    plan -> delivered count. Returns the plan, its objective history and the
-    number of plans scored."""
-    current = plan.copy()
+    frequency rows -> delivered count. Returns the final rows, the objective
+    history and the number of plans scored."""
+    current = freqs
     history = [int(evaluate(current))]
     evaluations = 1
     improved = True
@@ -333,21 +347,19 @@ def test_swap_matching_matches_full_replay_search():
             run = bl.run_baseline(name, sc, chan, cfg, 0.005, np.random.default_rng(seed))
             rng = np.random.default_rng(seed)  # the same draws as run_baseline
             coverage, packet = bl.random_coverage_slice(env_cfg.m, env_cfg.T, rng)
-            powers = bl.draw_powers(name, env_cfg.m, env_cfg.T, rng)
+            options = bl.slot_options(coverage, packet, bl.draw_powers(name, env_cfg.m, env_cfg.T, rng), env_cfg.F)
             oma = name.startswith("OMA")
-            plan = bl.initial_rb_allocation(_link(chan, cfg), coverage, packet, powers, oma)
+            freqs = bl.initial_rb_allocation(_link(chan, cfg), coverage, oma)
 
-            def full_score(p):
-                return bl.delivered_packets(bl.evaluate_plan(p, sc, _link(chan, cfg))[-1])
+            def full_score(rows):
+                return bl.delivered_packets(bl.evaluate_plan(bl.plan_columns(options, rows), sc, _link(chan, cfg))[-1])
 
-            ref_plan, ref_history, ref_evaluations = _reference_swap_matching(
-                plan, full_score, oma, env_cfg.F
-            )
-            for field in ("coverage_m", "packet", "freq", "power_dbm"):
-                assert np.array_equal(getattr(run.plan, field), getattr(ref_plan, field))
+            ref_freqs, ref_history, ref_evaluations = _reference_swap_matching(freqs, full_score, oma, env_cfg.F)
+            ref_columns = bl.plan_columns(options, ref_freqs)
+            assert run.columns == ref_columns
             assert run.objective_history == ref_history
             assert run.evaluations == ref_evaluations
-            assert run.stats == phy.reception_stats(bl.evaluate_plan(ref_plan, sc, _link(chan, cfg))[-1])
+            assert run.stats == phy.reception_stats(bl.evaluate_plan(ref_columns, sc, _link(chan, cfg))[-1])
             accepted += len(ref_history) - 1
     assert accepted > 30
 
@@ -383,8 +395,7 @@ def test_run_baseline_seeded_identical():
     a = bl.run_baseline("NOMA-RP", sc, chan, ChannelConfig(), 0.005, np.random.default_rng(7))
     b = bl.run_baseline("NOMA-RP", sc, chan, ChannelConfig(), 0.005, np.random.default_rng(7))
     assert a.stats == b.stats
-    assert np.array_equal(a.plan.freq, b.plan.freq)
-    assert np.array_equal(a.plan.power_dbm, b.plan.power_dbm)
+    assert a.columns == b.columns  # frequencies and drawn powers alike
 
 
 def test_mp_uses_max_power_rp_random():

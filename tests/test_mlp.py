@@ -273,6 +273,21 @@ def test_checkpoint_zero_width_hidden_layer_rejected(tmp_path, capsys):
     assert not (tmp_path / "eval.csv").exists()
 
 
+def test_checkpoint_non_finite_parameter_rejected(tmp_path, capsys):
+    """A payload holding a NaN would load and score every row's argmax as
+    action 0; it is refused instead, and `eval` writes nothing."""
+    cfg = RunConfig()
+    net = DuelingQNetwork(cfg.env.obs_dim, (4,), cfg.env.n_actions, np.random.default_rng(0))  # shapes eval accepts
+    net.params.flat[7] = np.nan
+    path = tmp_path / "net.bin"
+    save_checkpoint(net, path)
+    with pytest.raises(CheckpointFormatError, match="non-finite"):
+        load_checkpoint(path)
+    assert cli.main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "eval.csv"), "--episodes", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "eval.csv").exists()
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTANETX" + b"\x00" * 64)

@@ -15,7 +15,7 @@ from iovslice.env import (
     encode_action,
     n_actions,
 )
-from iovslice.oracle import SearchSpaceTooLarge, brute_force_optimal, replay_actions
+from iovslice.oracle import SearchSpaceTooLarge, brute_force_optimal
 from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY, SLICE_THROUGHPUT
 from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream
 
@@ -35,8 +35,8 @@ def test_oracle_refuses_large_space():
 def test_oracle_certain_single_delivery():
     # only the safety packet fits in a single-slot horizon over a strong link
     packets = [
-        Packet(0, SLICE_THROUGHPUT, 5e9, 0, 0, 5e9),
-        Packet(0, SLICE_SAFETY, 4800.0, 0, 0, 4800.0),
+        Packet(SLICE_THROUGHPUT, 5e9, 0, 0),
+        Packet(SLICE_SAFETY, 4800.0, 0, 0),
     ]
     sc = hand_built_scenario([0.0], [100.0], packets=packets)
     chan = forced_channel(sc, -60.0, F=1, T=1)
@@ -48,14 +48,19 @@ def test_oracle_certain_single_delivery():
 
 def test_oracle_zero_gains_zero_optimum():
     packets = [
-        Packet(0, SLICE_THROUGHPUT, 1e5, 0, 1, 1e5),
-        Packet(0, SLICE_SAFETY, 4800.0, 0, 1, 4800.0),
+        Packet(SLICE_THROUGHPUT, 1e5, 0, 1),
+        Packet(SLICE_SAFETY, 4800.0, 0, 1),
     ]
     sc = hand_built_scenario([0.0], [100.0], packets=packets)
     chan = forced_channel(sc, -80.0, F=1, T=2)
     chan.gain_lin[:] = 0.0
     res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005, COV, POW)
     assert res.best_delivered == 0
+
+
+def _replay(sc, chan, columns, slot_duration_s=0.005):
+    """The ledger after replaying per-slot action columns from a fresh link."""
+    return bl.evaluate_plan(columns, sc, phy.EpisodeLink(chan, ChannelConfig(), slot_duration_s))[-1]
 
 
 def _random_tiny_instance(seed, m=2, T=3, workload=WorkloadConfig(deadline_len_slots=2)):
@@ -83,8 +88,7 @@ def _best_raw_count(sc, chan, env_cfg):
     best = 0
     for flat in product(raw, repeat=m * T):
         slots = [flat[t * m:(t + 1) * m] for t in range(T)]
-        ledger = replay_actions(sc, chan, ChannelConfig(), 0.005, slots)
-        best = max(best, ledger.leftover_bits.count(0.0))
+        best = max(best, _replay(sc, chan, slots).leftover_bits.count(0.0))
     return best
 
 
@@ -99,8 +103,8 @@ def test_oracle_pruning_is_exact():
     instances.append(_random_tiny_instance(5030, 1, 2))
     # the throughput packet needs both slots at 23 dBm or more
     packets = [
-        Packet(0, SLICE_THROUGHPUT, 1.5e5, 0, 1, 1.5e5),
-        Packet(0, SLICE_SAFETY, 5e9, 0, 1, 5e9),
+        Packet(SLICE_THROUGHPUT, 1.5e5, 0, 1),
+        Packet(SLICE_SAFETY, 5e9, 0, 1),
     ]
     sc = hand_built_scenario([0.0], [100.0], packets=packets)
     instances.append((EnvConfig(m=1, n=1, F=1, T=2), sc, forced_channel(sc, -80.0, F=1, T=2)))
@@ -108,8 +112,7 @@ def test_oracle_pruning_is_exact():
     for env_cfg, sc, chan in instances:
         res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005, COVERAGE_LEVELS_M, POWER_LEVELS_DBM)
         assert res.best_delivered == _best_raw_count(sc, chan, env_cfg)
-        ledger = replay_actions(sc, chan, ChannelConfig(), 0.005, res.best_actions)
-        assert ledger.leftover_bits.count(0.0) == res.best_delivered
+        assert _replay(sc, chan, res.best_actions).leftover_bits.count(0.0) == res.best_delivered
         optima.append(res.best_delivered)
     assert max(optima) == 2  # not a suite of empty instances
 
@@ -118,7 +121,7 @@ def test_oracle_replay_matches_env_ledger():
     for seed in range(4):
         env_cfg, sc, chan = _random_tiny_instance(seed)
         res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005, COV, POW)
-        ledger = replay_actions(sc, chan, ChannelConfig(), 0.005, res.best_actions)
+        ledger = _replay(sc, chan, res.best_actions)
         assert ledger.leftover_bits.count(0.0) == res.best_delivered
 
         # drive the environment with the same action sequence
@@ -134,8 +137,8 @@ def test_oracle_replay_matches_env_ledger():
 
 def test_oracle_early_exit_on_full_delivery():
     packets = [
-        Packet(0, SLICE_THROUGHPUT, 100.0, 0, 1, 100.0),  # trivially small
-        Packet(0, SLICE_SAFETY, 100.0, 0, 1, 100.0),
+        Packet(SLICE_THROUGHPUT, 100.0, 0, 1),  # trivially small
+        Packet(SLICE_SAFETY, 100.0, 0, 1),
     ]
     sc = hand_built_scenario([0.0], [100.0], packets=packets)
     chan = forced_channel(sc, -60.0, F=1, T=2)
@@ -144,8 +147,9 @@ def test_oracle_early_exit_on_full_delivery():
 
 
 def test_replay_paths_agree():
-    # the environment, the baselines' evaluator and the oracle's replay feed
-    # the same raw choices to the shared link layer, masked choices included
+    # the environment, the baselines' plan form and a plain replay of the
+    # raw choices feed the same choices to the shared link layer, masked
+    # choices included
     worlds = [_random_tiny_instance(seed, 2, 6) for seed in range(4)]
     for gain_db in (-60.0, -80.0):  # slice 2 delivers in one slot at -60 dB
         sc = hand_built_scenario([0.0, 300.0], [100.0, 400.0])  # slice 2 window 0..7
@@ -170,16 +174,17 @@ def test_replay_paths_agree():
                         )
                 for idx in choices[t]:
                     env.step(int(idx))
-            plan = bl.OfflinePlan(
-                coverage_m=np.array([[a.coverage_m for a in row] for row in acts]).T,
-                packet=np.array([[a.packet_id for a in row] for row in acts]).T,
-                freq=np.array([[a.freq for a in row] for row in acts]).T,
-                power_dbm=np.array([[a.power_dbm for a in row] for row in acts]).T,
+            options = bl.slot_options(
+                np.array([[a.coverage_m for a in row] for row in acts]).T,
+                np.array([[a.packet_id for a in row] for row in acts]).T,
+                np.array([[a.power_dbm for a in row] for row in acts]).T,
+                F,
             )
+            columns = bl.plan_columns(options, [[a.freq for a in row] for row in acts])
             link = phy.EpisodeLink(chan, ChannelConfig(), env_cfg.slot_duration_s)
             for ledger in (
-                bl.evaluate_plan(plan, sc, link)[-1],
-                replay_actions(sc, chan, ChannelConfig(), env_cfg.slot_duration_s, acts),
+                bl.evaluate_plan(columns, sc, link)[-1],
+                _replay(sc, chan, acts, env_cfg.slot_duration_s),
             ):
                 assert env.ledger == ledger
     assert delivered_picks > 0 and closed_picks > 0
