@@ -3,7 +3,8 @@
 Pathloss follows the WINNER+ B1 LOS parametrization with effective antenna
 heights (actual height minus 1 m) in both the breakpoint distance and the
 far branch. All constants sit in ChannelConfig so a run's channel model is
-auditable from its config dump.
+auditable from its config dump. draw_channel samples one episode's radio into
+a ChannelState; shadowing is folded into the large-scale gain, not kept apart.
 """
 
 from __future__ import annotations
@@ -68,38 +69,22 @@ def noise_lin_mw(cfg: ChannelConfig) -> float:
 class ChannelState:
     """Per-episode radio randomness for every source-destination link.
 
-    Arrays are indexed (source, destination) with fading extended by
-    (frequency, slot). large_scale_db already folds in both antenna gains,
-    pathloss and shadowing, so gain_lin = 10^(large_scale_db/10) * fastfade_pow.
+    Arrays are indexed (source, destination), fading extended by (frequency,
+    slot). large_scale_db folds both antenna gains, pathloss and the
+    per-link shadowing draw into one number, so
+    gain_lin = 10^(large_scale_db/10) * fastfade_pow.
     """
 
     dist_m: np.ndarray  # (m, n)
-    shadow_db: np.ndarray  # (m, n)
     large_scale_db: np.ndarray  # (m, n)
     fastfade_pow: np.ndarray  # (m, n, F, T), exponential(1) power gains
     gain_lin: np.ndarray  # (m, n, F, T)
 
-    @property
-    def m(self) -> int:
-        return self.gain_lin.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.gain_lin.shape[1]
-
-    @property
-    def F(self) -> int:
-        return self.gain_lin.shape[2]
-
-    @property
-    def T(self) -> int:
-        return self.gain_lin.shape[3]
-
 
 def link_distances(scenario: Scenario) -> np.ndarray:
     """(m, n) source-to-destination distances using lane-center y offsets."""
-    src = scenario.source_positions()
-    dst = scenario.destination_positions()
+    src = scenario.positions(scenario.sources)
+    dst = scenario.positions(scenario.destinations)
     diff = src[:, None, :] - dst[None, :, :]
     return np.hypot(diff[:, :, 0], diff[:, :, 1])
 
@@ -122,7 +107,6 @@ def draw_channel(
     gain = 10.0 ** (large / 10.0)
     return ChannelState(
         dist_m=dist,
-        shadow_db=shadow,
         large_scale_db=large,
         fastfade_pow=fastfade,
         gain_lin=gain[:, :, None, None] * fastfade,

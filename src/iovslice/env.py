@@ -102,6 +102,11 @@ class EnvConfig:
         return sum(_obs_sizes(self).values())
 
 
+class ContractViolation(RuntimeError):
+    """A caller broke the environment's call protocol: it stepped before
+    reset or after the episode ended."""
+
+
 @dataclass(frozen=True)
 class StepResult:
     reward: float
@@ -135,7 +140,7 @@ class SlicingEnv:
             cfg.rate_norm_bps if cfg.rate_norm_bps is not None else default_rate_norm_bps(channel_cfg)
         )
         self._layout = _obs_layout(cfg)
-        self._ready = False
+        self.terminal = True  # no episode until reset
 
     # -- episode lifecycle ---------------------------------------------------
 
@@ -161,7 +166,6 @@ class SlicingEnv:
         self.prev_choice = np.zeros((cfg.m, N_PACKET_CHOICES), dtype=np.float64)
         self.slot_rewards: list[float] = []
         self.terminal = False
-        self._ready = True
         # The observation without its deciding one-hot (left zero): episode
         # constants are written here, per-slot parts by _begin_slot and peer
         # choices by step.
@@ -186,10 +190,8 @@ class SlicingEnv:
         return self.observation()
 
     def step(self, action_index: int) -> StepResult:
-        if not self._ready:
-            raise RuntimeError("reset the environment before stepping")
         if self.terminal:
-            raise phy.ContractViolation("step called on a finished episode")
+            raise ContractViolation("step called before reset or on a finished episode")
         cfg = self.cfg
         self.pending.append(int(action_index))
         if len(self.pending) < cfg.m:

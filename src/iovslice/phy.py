@@ -51,11 +51,6 @@ PKT_SLICE1 = 1
 PKT_SLICE2 = 2
 
 
-class ContractViolation(RuntimeError):
-    """A caller broke the environment's call protocol, such as stepping a
-    finished episode."""
-
-
 def power_lin_mw(power_dbm: float) -> float:
     """dBm to mW, with the silence level collapsing to exactly zero."""
     if power_dbm <= SILENCE_POWER_DBM:

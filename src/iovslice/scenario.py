@@ -1,8 +1,10 @@
 """Highway world: lane geometry, Poisson vehicle placement, mobility, packet workloads.
 
-The world is a straight multi-lane highway. Vehicle speed is fixed per lane,
-positions are frozen within an episode and advanced between episodes, and the
-road wraps around so the vehicle population stays constant.
+The world is a straight multi-lane highway. Each lane has one signed velocity
+(RoadConfig.lane_velocity): forward lanes move toward +x, backward lanes
+toward -x. A vehicle is its lane, position and velocity; positions are frozen
+within an episode and advanced between episodes, and the road wraps around so
+the vehicle population stays constant.
 """
 
 from __future__ import annotations
@@ -12,11 +14,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 KMH_TO_MPS = 1000.0 / 3600.0
-
-FORWARD = "forward"
-BACKWARD = "backward"
-SOURCE = "source"
-DESTINATION = "destination"
 
 # Slice 1 carries large best-effort payloads over the whole horizon,
 # slice 2 carries small deadline-bound safety payloads.
@@ -47,6 +44,13 @@ class RoadConfig:
             raise ValueError(f"road length {self.length_m!r} m exceeds {MAX_ROAD_LENGTH_M!r} m")
         if self.lanes_per_direction < 1:
             raise ValueError("need at least one lane per direction")
+        slowest = self.lane_velocity(self.total_lanes)  # the outermost backward lane
+        if slowest >= 0:
+            # a lane that stands still has zero mean spacing, so its Poisson drop never ends
+            raise ValueError(
+                f"road.lanes_per_direction = {self.lanes_per_direction} gives backward lane"
+                f" {self.total_lanes} a speed of {-slowest / KMH_TO_MPS:g} km/h; it must be positive"
+            )
 
     @property
     def total_lanes(self) -> int:
@@ -56,37 +60,25 @@ class RoadConfig:
         """y coordinate of a global lane index (1..total_lanes)."""
         return (lane - 0.5) * self.lane_width_m
 
-    def lane_direction(self, lane: int) -> str:
+    def lane_velocity(self, lane: int) -> float:
+        """Signed velocity in m/s of a global lane index (1..total_lanes).
+
+        Forward lanes run 60, 80, 100 km/h toward +x from lane 1 up; backward
+        lanes run 100, 80, 60 km/h toward -x, so the fastest lanes of both
+        directions sit at the median.
+        """
         if not 1 <= lane <= self.total_lanes:
             raise ValueError(f"lane {lane} outside 1..{self.total_lanes}")
-        return FORWARD if lane <= self.lanes_per_direction else BACKWARD
-
-
-def lane_speed(lane: int, direction: str, lanes_per_direction: int = 3) -> float:
-    """Speed in m/s of the per-direction lane index (1-based).
-
-    Forward lanes run 60, 80, 100 km/h from lane 1 up; backward lanes run
-    100, 80, 60 km/h so the fastest lanes of both directions sit at the median.
-    """
-    if not 1 <= lane <= lanes_per_direction:
-        raise ValueError(f"lane {lane} outside 1..{lanes_per_direction}")
-    if direction == FORWARD:
-        kmh = 60.0 + 2.0 * (lane - 1) * 10.0
-    elif direction == BACKWARD:
-        kmh = 100.0 - 2.0 * (lane - 1) * 10.0
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return kmh * KMH_TO_MPS
+        if lane <= self.lanes_per_direction:
+            return (60.0 + 2.0 * (lane - 1) * 10.0) * KMH_TO_MPS
+        return -((100.0 - 2.0 * (lane - self.lanes_per_direction - 1) * 10.0) * KMH_TO_MPS)
 
 
 @dataclass(frozen=True)
 class Vehicle:
-    id: int
-    role: str  # SOURCE or DESTINATION
     lane: int  # global lane index, 1..total_lanes
-    direction: str
     x_m: float
-    speed_mps: float
+    velocity_mps: float  # signed: the lane's velocity
 
 
 @dataclass(frozen=True)
@@ -130,12 +122,6 @@ class Scenario:
             [(v.x_m, self.road.lane_center_y(v.lane)) for v in vehicles], dtype=np.float64
         )
 
-    def source_positions(self) -> np.ndarray:
-        return self.positions(self.sources)
-
-    def destination_positions(self) -> np.ndarray:
-        return self.positions(self.destinations)
-
 
 def poisson_positions(length_m: float, mean_spacing_m: float, rng: np.random.Generator) -> list[float]:
     """1-D Poisson process on [0, length): cumulative exponential gaps."""
@@ -150,21 +136,20 @@ def poisson_positions(length_m: float, mean_spacing_m: float, rng: np.random.Gen
 def generate_vehicles(road: RoadConfig, m: int, n: int, rng: np.random.Generator) -> Scenario:
     """Drop a Poisson stream of vehicles on every lane, then sample roles.
 
-    Each lane gets an independent stream with mean spacing HEADWAY_S times the
-    lane speed; m sources and n destinations are drawn uniformly from the pool
-    and the rest are discarded. Regenerates in the unlikely case the pool is
-    too small, at most MAX_VEHICLE_DRAWS times in all.
+    Each lane, in lane order, gets an independent stream with mean spacing
+    HEADWAY_S times the lane speed. One permutation of the pool then picks the
+    m sources and, after them, the n destinations; the rest are discarded.
+    Regenerates in the unlikely case the pool is too small, at most
+    MAX_VEHICLE_DRAWS times in all.
     """
     if m < 1 or n < 1:
         raise ValueError("need at least one source and one destination")
     for _ in range(MAX_VEHICLE_DRAWS):
-        placed: list[tuple[int, str, float, float]] = []  # (lane, direction, x, speed)
+        placed: list[tuple[int, float, float]] = []  # Vehicle fields: (lane, x, velocity)
         for lane in range(1, road.total_lanes + 1):
-            direction = road.lane_direction(lane)
-            per_dir = lane if direction == FORWARD else lane - road.lanes_per_direction
-            speed = lane_speed(per_dir, direction, road.lanes_per_direction)
-            for x in poisson_positions(road.length_m, HEADWAY_S * speed, rng):
-                placed.append((lane, direction, x, speed))
+            velocity = road.lane_velocity(lane)
+            for x in poisson_positions(road.length_m, HEADWAY_S * abs(velocity), rng):
+                placed.append((lane, x, velocity))
         if len(placed) >= m + n:
             break
     else:
@@ -173,20 +158,18 @@ def generate_vehicles(road: RoadConfig, m: int, n: int, rng: np.random.Generator
             f" in {MAX_VEHICLE_DRAWS} draws"
         )
     order = rng.permutation(len(placed))
-    sources = tuple(Vehicle(i, SOURCE, *placed[order[i]]) for i in range(m))
-    destinations = tuple(Vehicle(m + j, DESTINATION, *placed[order[m + j]]) for j in range(n))
-    return Scenario(road=road, sources=sources, destinations=destinations)
+    picked = [Vehicle(*placed[k]) for k in order[: m + n]]
+    return Scenario(road=road, sources=tuple(picked[:m]), destinations=tuple(picked[m:]))
 
 
 def advance_mobility(scenario: Scenario, elapsed_s: float) -> Scenario:
-    """Shift every vehicle by its signed speed, wrapping at the road ends."""
+    """Shift every vehicle by its signed velocity, wrapping at the road ends."""
     if elapsed_s < 0:
         raise ValueError("elapsed time must be nonnegative")
     length = scenario.road.length_m
 
     def moved(v: Vehicle) -> Vehicle:
-        sign = 1.0 if v.direction == FORWARD else -1.0
-        return replace(v, x_m=(v.x_m + sign * v.speed_mps * elapsed_s) % length)
+        return replace(v, x_m=(v.x_m + v.velocity_mps * elapsed_s) % length)
 
     return replace(
         scenario,

@@ -15,13 +15,8 @@ from iovslice.scenario import (
 def hand_built_scenario(src_x, dst_x, packets=None, road=None):
     """Scenario with vehicles at given x positions, all on lane 1 (y=2 m)."""
     road = road or RoadConfig()
-    sources = tuple(
-        Vehicle(i, "source", 1, "forward", float(x), 60 / 3.6) for i, x in enumerate(src_x)
-    )
-    dests = tuple(
-        Vehicle(len(src_x) + j, "destination", 1, "forward", float(x), 60 / 3.6)
-        for j, x in enumerate(dst_x)
-    )
+    sources = tuple(Vehicle(1, float(x), 60 / 3.6) for x in src_x)
+    dests = tuple(Vehicle(1, float(x), 60 / 3.6) for x in dst_x)
     if packets is None:
         packets = [Packet(SLICE_THROUGHPUT, 5e5, 0, 19), Packet(SLICE_SAFETY, 4800.0, 0, 7)] * len(src_x)
     return Scenario(road=road, sources=sources, destinations=dests, packets=tuple(packets))
@@ -38,7 +33,6 @@ def forced_channel(scenario, gain_db, F=1, T=20):
     gain = 10.0 ** (large / 10.0)
     return ChannelState(
         dist_m=dist,
-        shadow_db=np.zeros((m, n)),
         large_scale_db=large,
         fastfade_pow=fade,
         gain_lin=gain[:, :, None, None] * fade,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iovslice import cli
+from iovslice import cli, scenario
 from iovslice.config import RunConfig, parse_config, serialize_config
 from iovslice.dqn import DuelingQNetwork, TrainConfig, save_checkpoint
 from iovslice.env import EnvConfig
@@ -111,6 +111,22 @@ def test_main_rejects_negative_counts_and_empty_algorithms(tmp_path, monkeypatch
     assert cli.main([argv[0], "--config", "run.cfg", *argv[1:]]) == 1
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and out == ""
+    assert sorted(tmp_path.iterdir()) == before  # rejected before any output
+
+
+def test_main_rejects_a_lane_that_stands_still(tmp_path, monkeypatch, capsys):
+    # with 6 lanes per direction the slowest backward lane runs at 0 km/h and
+    # its Poisson drop would never end, so placement must not be reached
+    def unreachable(*args):
+        raise AssertionError("vehicle placement ran on a road the config should reject")
+
+    monkeypatch.setattr(scenario, "poisson_positions", unreachable)
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(serialize_config(tiny_cfg()) + "road.lanes_per_direction = 6\n")
+    before = sorted(tmp_path.iterdir())
+    assert cli.main(["train", "--config", "run.cfg", "--out", "run", "--episodes", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "road.lanes_per_direction" in err
     assert sorted(tmp_path.iterdir()) == before  # rejected before any output
 
 
@@ -310,6 +326,18 @@ def test_oracle_output_digest_is_pinned(tmp_path):
     cli.cmd_oracle(cfg, instances=25, out_path=out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "da5afebbcd054b11cd355b2a42e902ed1bec2b23815a4a972d2f2bb9e2c02588"
+    )
+
+
+def test_eval_output_digest_is_pinned(tmp_path):
+    """Greedy evaluation of the committed checkpoint over the size sweep at
+    seed 3 writes exactly the recorded bytes, so any drift in the worlds, the
+    environment or one-row inference shows here."""
+    cfg = dataclasses.replace(RunConfig(), seed=3)
+    ckpt = Path(__file__).parent / ".acceptance-cache" / "ad8e64e49a505c85" / "checkpoint.bin"
+    out = cli.cmd_eval(cfg, ckpt, tmp_path / "eval.csv", episodes=10, sweep="sizes")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "991df19919a643feb97a5f4e20a8ceff87485fd6d8f3ab5f46df5c612d1e5a7b"
     )
 
 

@@ -10,6 +10,7 @@ from iovslice.env import (
     GAIN_DB_LO,
     N_PACKET_CHOICES,
     POWER_LEVELS_DBM,
+    ContractViolation,
     EnvConfig,
     SlicingEnv,
     decode_action,
@@ -83,8 +84,16 @@ def test_micro_step_flow_and_terminal():
             assert res.reward == 0.0 and not res.terminal
         done = res.terminal
     assert steps == 2 * 3
-    with pytest.raises(phy.ContractViolation):
+    with pytest.raises(ContractViolation):
         env.step(SILENT)
+
+
+def test_step_before_reset_is_a_contract_violation():
+    env, sc, chan = make_env([0.0], [100.0])
+    with pytest.raises(ContractViolation):
+        env.step(SILENT)
+    env.reset(sc, chan)
+    assert not env.step(SILENT).terminal
 
 
 def test_all_silent_episode_zero_reward():

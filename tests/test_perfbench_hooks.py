@@ -11,6 +11,9 @@ import numpy as np
 from iovslice import baselines
 from iovslice.channel import ChannelConfig
 from iovslice.dqn import mlp
+from iovslice.env import EnvConfig
+from iovslice.scenario import RoadConfig
+from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream
 
 from tests.conftest import forced_channel, hand_built_scenario
 
@@ -47,3 +50,16 @@ def test_traced_baseline_run_reaches_every_baseline_span():
         assert calls[f"baselines.{name}"] == 1
     assert calls["baselines.evaluate_plan"] == run.evaluations
     assert calls["phy.apply_slot"] == run.slots_replayed
+
+
+def test_traced_world_draw_reaches_every_world_span():
+    # WorldStream.__call__ must look the world builders up as worlds globals at call time
+    spans = _spans()
+    world = WorldStream(RoadConfig(), EnvConfig(), ChannelConfig(), WorkloadConfig(), seed=0, tag=TAG_EVAL)
+    recorder = spans.SpanRecorder()
+    with recorder.installed("root"):
+        world(0)
+        world(1)
+    calls = {name: span["calls"] for name, span in recorder.summary()["spans"].items()}
+    for name in ("worlds.episode", "scenario.advance_mobility", "scenario.generate_packets", "channel.draw_channel"):
+        assert calls[name] == 2, name

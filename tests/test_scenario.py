@@ -1,38 +1,48 @@
 import numpy as np
 import pytest
 
+from iovslice.config import parse_config
 from iovslice.scenario import (
-    BACKWARD,
-    FORWARD,
     RoadConfig,
     advance_mobility,
     generate_packets,
     generate_vehicles,
-    lane_speed,
     poisson_positions,
 )
 
 
-def test_lane_speed_paper_values():
-    assert lane_speed(1, FORWARD) == pytest.approx(60 / 3.6, abs=1e-9)
-    assert lane_speed(3, FORWARD) == pytest.approx(100 / 3.6, abs=1e-9)
-    assert lane_speed(1, BACKWARD) == pytest.approx(100 / 3.6, abs=1e-9)
+def test_lane_velocity_paper_values():
+    road = RoadConfig()
+    assert road.lane_velocity(1) == pytest.approx(60 / 3.6, abs=1e-9)
+    assert road.lane_velocity(3) == pytest.approx(100 / 3.6, abs=1e-9)
+    assert road.lane_velocity(4) == pytest.approx(-100 / 3.6, abs=1e-9)
 
 
-def test_lane_speed_full_sets():
-    fwd = [lane_speed(i, FORWARD) * 3.6 for i in (1, 2, 3)]
-    bwd = [lane_speed(i, BACKWARD) * 3.6 for i in (1, 2, 3)]
-    assert fwd == pytest.approx([60.0, 80.0, 100.0])
-    assert bwd == pytest.approx([100.0, 80.0, 60.0])
+def test_lane_velocity_full_sets():
+    # forward lanes 1..3 move toward +x, backward lanes 4..6 toward -x
+    kmh = [RoadConfig().lane_velocity(lane) * 3.6 for lane in range(1, 7)]
+    assert kmh == pytest.approx([60.0, 80.0, 100.0, -100.0, -80.0, -60.0])
 
 
-def test_lane_speed_rejects_bad_lane():
+def test_lane_velocity_rejects_bad_lane():
+    road = RoadConfig()
     with pytest.raises(ValueError):
-        lane_speed(0, FORWARD)
+        road.lane_velocity(0)
     with pytest.raises(ValueError):
-        lane_speed(4, FORWARD)
-    with pytest.raises(ValueError):
-        lane_speed(1, "sideways")
+        road.lane_velocity(7)
+
+
+@pytest.mark.parametrize("lanes", [6, 7])
+def test_road_rejects_a_lane_that_does_not_move(lanes):
+    # 6 lanes per direction leave the slowest backward lane at 0 km/h, whose
+    # zero mean spacing would stall the Poisson drop; 7 would run it at +20 km/h
+    with pytest.raises(ValueError, match=r"road\.lanes_per_direction"):
+        parse_config(f"road.lanes_per_direction = {lanes}\n")
+
+
+def test_road_accepts_five_lanes_per_direction():
+    road = parse_config("road.lanes_per_direction = 5\n").road
+    assert road.lane_velocity(road.total_lanes) * 3.6 == pytest.approx(-20.0)
 
 
 def test_generate_vehicles_counts(rng):
@@ -41,9 +51,8 @@ def test_generate_vehicles_counts(rng):
     for v in (*sc.sources, *sc.destinations):
         assert 0 <= v.x_m < sc.road.length_m
         assert 1 <= v.lane <= 6
-        # the vehicle speed matches its lane
-        per_dir = v.lane if v.direction == FORWARD else v.lane - 3
-        assert v.speed_mps == pytest.approx(lane_speed(per_dir, v.direction))
+        # the vehicle velocity matches its lane
+        assert v.velocity_mps == sc.road.lane_velocity(v.lane)
 
 
 def test_generate_vehicles_rejects_zero_counts(rng):
@@ -82,7 +91,7 @@ def test_advance_mobility_backward_decreases(rng):
     moved = advance_mobility(sc, 0.5)
     for before, after in zip(sc.sources, moved.sources):
         delta = (after.x_m - before.x_m) % sc.road.length_m
-        if before.direction == BACKWARD:
+        if before.lane > sc.road.lanes_per_direction:  # a backward lane
             assert delta > sc.road.length_m / 2  # moved toward decreasing x
         else:
             assert 0 < delta < sc.road.length_m / 2
