@@ -2,8 +2,9 @@
 
 Three cases on episode 0 of the default configuration's evaluation stream:
 `phy.apply_slot` through a fresh link (cold: every group and rate is solved),
-through a link that has resolved the same slot before (warm: the groups,
-rates and packet indices come from its slot memo), and one swap-matching
+through a link that has resolved the same slot before (warm: one memo
+lookup returns the slot's per-source effects, and what is left is the mask
+and one drain-and-mark loop over the sources), and one swap-matching
 trial, `baselines.evaluate_plan` replaying the action columns of the first
 move of NOMA-MP's initial plan from the plan's record through the episode's
 shared link. A timed round of either `apply_slot` case makes CALLS calls

@@ -4,7 +4,9 @@ One case per algorithm: `baselines.run_baseline` on episode 0 of the default
 configuration's evaluation stream, with the algorithm's own draws, as
 `iovslice baseline` runs it. Each call builds its own episode link, so every
 round pays the initial allocation, the whole swap search and every memo miss
-of that episode.
+of that episode. Each case's `extra_info` holds two exact counts of the
+search it timed: `evaluations`, the plans scored, and `slots_replayed`, the
+`phy.apply_slot` calls those scorings made.
 
 Run from the repository root (tier-1 does not collect this directory):
 
@@ -38,3 +40,5 @@ def test_run_baseline(benchmark, world, name):
 
     run = benchmark.pedantic(bl.run_baseline, setup=setup, rounds=ROUNDS, warmup_rounds=2)
     assert run.evaluations > 1 and CFG.env.T <= run.slots_replayed
+    benchmark.extra_info["evaluations"] = run.evaluations
+    benchmark.extra_info["slots_replayed"] = run.slots_replayed

@@ -12,17 +12,19 @@ it picks the one or two edited sources' new actions out of that slot's options
 and shares every other column with the current plan; no plan is copied. Its
 trial shares the current plan's recorded ledgers up to that slot
 (`phy.apply_slot` returns a new ledger, so none is copied) and stops as soon
-as its ledger matches the record again. All trials of one episode share its
-`phy.EpisodeLink`, so a slot the search has resolved before, from a ledger
-that masks it alike, costs a memo lookup. OMA keeps one transmitter per
-resource block; the MP variants always use maximum power while RP draws a
-random level.
+as its leftover bits are, packet by packet, at least the record's: from then
+on it cannot deliver more than the current plan (`evaluate_plan` gives the
+argument). All trials of one episode share its `phy.EpisodeLink`, so a slot
+the search has resolved before, from a ledger that masks it alike, costs a
+memo lookup. OMA keeps one transmitter per resource block; the MP variants
+always use maximum power while RP draws a random level.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import ge
 
 import numpy as np
 
@@ -121,19 +123,30 @@ def evaluate_plan(
     the last is the episode's outcome.
     `record` holds those ledgers for a plan that differs from this one only
     at slot `start`: the replay then shares record[: start + 1] and stops
-    after the first slot that leaves the leftover bits, and with them the
-    delivery flags, bit for bit as the record has them.
-    Every later slot then plays out alike, so this plan delivers what the
-    recorded one does; such a replay returns the ledgers up to that slot only.
+    after the first slot that leaves every packet's leftover bits at least
+    the record's (equal leftovers included), returning the ledgers up to
+    that slot only. Such a plan delivers no more than the recorded one:
+    every later slot plays the same columns, and by induction over them,
+    - each source the record puts on the air is on the air in this plan
+      with the same choice, since its packet is undelivered here too and
+      the windows depend on the slot alone; this plan only adds
+      transmitters, those whose packets the record has delivered;
+    - under ideal SIC an added transmitter is decoded before a source or
+      joins the weaker signals it is decoded against, so no SINR rises;
+    - the tail sums, the division, log2, the product and the min over the
+      group all round monotonically, and so does `phy.drain`, so no rate
+      rises and every leftover stays at least the record's.
+    So only a plan that is never dominated can beat the record, and it
+    replays all T slots. The argument rests on ideal SIC and on the ledger
+    semantics of `phy` (a packet's leftover only falls, and a delivered or
+    closed packet is masked off the air); a change to either must re-derive
+    it.
     """
     ledgers = [phy.DeliveryLedger.start(scenario.packets)] if record is None else record[: start + 1]
     for t in range(start, len(columns)):
         ledger, _ = phy.apply_slot(ledgers[-1], columns[t], link, t)
         ledgers.append(ledger)
-        # bit-identical progress, so the rest replays exactly as recorded.
-        # Float equality is bit equality here: leftovers are finite and
-        # nonnegative, and `phy.drain` never yields -0.0.
-        if record is not None and ledger.leftover_bits == record[t + 1].leftover_bits:
+        if record is not None and all(map(ge, ledger.leftover_bits, record[t + 1].leftover_bits)):
             break
     return ledgers
 
@@ -195,8 +208,10 @@ def swap_matching(
     with the current plan. evaluate(columns, record, start) -> ledgers
     replays them as `evaluate_plan` does: in full when record is None, else
     from slot `start` against the current plan's ledgers, which every trial
-    differs from at that slot only. A trial that rejoins them (fewer than
-    T + 1 ledgers back) delivers what the current plan does. A move is kept
+    differs from at that slot only. A trial stopped once its leftover bits
+    dominate the record's (fewer than T + 1 ledgers back) delivers no more
+    than the current plan, so it loses; a trial that wins therefore replays
+    every slot, and the record stays complete. A move is kept
     only if the delivered count strictly increases; the objective history
     holds the count after each accepted move (leading entry: the initial
     count), and the stats are read off the final plan's recorded ledgers.

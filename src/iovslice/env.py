@@ -9,8 +9,9 @@ vehicle's choice resolves the slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
+import operator
 
 import numpy as np
 
@@ -140,6 +141,20 @@ class SlicingEnv:
             cfg.rate_norm_bps if cfg.rate_norm_bps is not None else default_rate_norm_bps(channel_cfg)
         )
         self._layout = _obs_layout(cfg)
+        # every action index decoded once: its slot action, and its components
+        # normalized to [0, 1] as the vehicles after it see them
+        self._actions = [action_to_slot_action(index, cfg.F) for index in range(cfg.n_actions)]
+        self._peer_rows = np.array(
+            [
+                (
+                    cov / (len(COVERAGE_LEVELS_M) - 1),
+                    pkt / (N_PACKET_CHOICES - 1),
+                    freq / (cfg.F - 1) if cfg.F > 1 else 0.0,
+                    pw / (len(POWER_LEVELS_DBM) - 1),
+                )
+                for cov, pkt, freq, pw in (decode_action(index, cfg.F) for index in range(cfg.n_actions))
+            ]
+        )
         self.terminal = True  # no episode until reset
 
     # -- episode lifecycle ---------------------------------------------------
@@ -190,20 +205,19 @@ class SlicingEnv:
         return self.observation()
 
     def step(self, action_index: int) -> StepResult:
+        """Fix the deciding vehicle's action. An index that is not an integer
+        (TypeError) or is out of range (ValueError) changes nothing."""
         if self.terminal:
             raise ContractViolation("step called before reset or on a finished episode")
         cfg = self.cfg
-        self.pending.append(int(action_index))
+        index = operator.index(action_index)
+        if not 0 <= index < len(self._actions):
+            raise ValueError(f"action index {index} outside 0..{len(self._actions) - 1}")
+        self.pending.append(index)
         if len(self.pending) < cfg.m:
-            # normalized action components, visible to the vehicles after this one
-            cov, pkt, freq, pw = decode_action(self.pending[-1], cfg.F)
+            # visible to the vehicles after this one
             at = self._layout["peer"].start + 4 * self.deciding
-            self._obs[at : at + 4] = (
-                cov / (len(COVERAGE_LEVELS_M) - 1),
-                pkt / (N_PACKET_CHOICES - 1),
-                freq / (cfg.F - 1) if cfg.F > 1 else 0.0,
-                pw / (len(POWER_LEVELS_DBM) - 1),
-            )
+            self._obs[at : at + 4] = self._peer_rows[index]
             self.deciding += 1
             return StepResult(0.0, self.observation(), False)
         reward = self._resolve_slot()
@@ -217,7 +231,7 @@ class SlicingEnv:
     def _resolve_slot(self) -> float:
         cfg = self.cfg
         self.ledger, outcomes = phy.apply_slot(
-            self.ledger, [action_to_slot_action(idx, cfg.F) for idx in self.pending], self.link, self.slot
+            self.ledger, [self._actions[index] for index in self.pending], self.link, self.slot
         )
         reward = 0.0
         self.prev_choice[:] = 0.0

@@ -11,8 +11,8 @@ The search does not call `apply_slot` for every joint choice, which would
 mask every choice again and build outcomes and reached bitmasks. Its
 candidates are already what `apply_slot` hands the slot memo, `phy.OFF_AIR`
 or an open, undelivered packet on the air, so it resolves them with
-`phy.EpisodeLink.resolve` and drains leftover bits by `phy.drain_slot`, as
-`apply_slot` does.
+`phy.EpisodeLink.resolve`, whose memo holds each source's bits for the
+slot, and drains leftover bits by them with `phy.drain_slot`.
 
 The search is depth-first over slots, but it does not enumerate raw choices.
 For each (source, slot) it keeps one representative of every choice that can
@@ -232,8 +232,7 @@ def brute_force_optimal(
         # a delivered packet is masked to silence, which OFF_AIR already covers
         choices = [[act for k, act in per_source if k < 0 or leftover[k] > 0.0] for per_source in options[t]]
         for acts in product(*choices):
-            _, rates, packets = link.resolve(t, acts)
-            after = phy.drain_slot(leftover, packets, rates, slot_duration_s)
+            after = phy.drain_slot(leftover, link.resolve(t, acts))
             if t + 1 == T:  # a final state is cheaper to score than to descend into
                 count = after.count(0.0)
                 if count > best_count:

@@ -18,16 +18,21 @@ time it is asked for; and one memo of slot resolutions.
 
 `apply_slot` masks every raw choice with `mask_packet_choice`, the one mask
 rule, and replaces each choice that puts nothing on the air (no packet, a
-radius of at most 0 or the silence power) by `OFF_AIR`. It then asks
-`EpisodeLink.resolve` for the groups, rates and packet indices of those
-choices, a memo keyed by (slot, choices). The memo is exact: an on-air choice
-fixes its packet, group, frequency and linear power, an off-air source
-neither transmits nor interferes, and within an episode the slot fixes the
-gains, so a hit returns the very floats a fresh `slot_rates` solve would.
-The environment and the baselines' `evaluate_plan`, which also replays the
+radius of at most 0 or the silence power) by `OFF_AIR`. It then makes one
+`EpisodeLink.resolve` lookup, a memo keyed by (slot, choices) whose value is
+the whole slot: per source its `SourceEffect`, that is the packet index, the
+bits the slot carries (rate x slot duration), the group bitmask and the two
+outcomes it can have, still sending or delivered now. What is left is one
+loop that drains each on-air packet, ORs its group into `reached` and picks
+the outcome by whether the leftover reached 0.0. The memo is exact: an
+on-air choice fixes its packet, group, frequency and linear power, an
+off-air source neither transmits nor interferes, and within an episode the
+slot fixes the gains, so a hit returns the very floats a fresh `slot_rates`
+solve would, and the bits are the same multiply made once per key. The
+environment and the baselines' `evaluate_plan`, which also replays the
 oracle's best actions, resolve slots through `apply_slot`. The oracle's
-search, whose candidates already have that form, calls `resolve` itself, and
-both drain a slot's leftover bits with `drain_slot`.
+search, whose candidates already have that form, drains
+`resolve(slot, choices)` with `drain_slot` itself.
 """
 
 from __future__ import annotations
@@ -101,8 +106,10 @@ class SlotAction(NamedTuple):
     power_dbm: float
 
 
-@dataclass(slots=True)
-class SourceOutcome:
+class SourceOutcome(NamedTuple):
+    """One source's part in a resolved slot; immutable, so the slot memo
+    hands out shared instances."""
+
     packet_id: int  # effective packet after masking, PKT_NONE if silent
     group: tuple[int, ...]
     rate_bps: float
@@ -113,21 +120,28 @@ class SourceOutcome:
         return self.packet_id != PKT_NONE
 
 
+# What one source's resolved choice does to the ledger in its slot: the
+# ledger index of the packet on the air (-1 when off the air), the bits the
+# slot carries toward it (rate x slot duration), the group's destination
+# bitmask, and the source's outcome while the packet is still undelivered
+# and when this slot drains it to zero. A plain tuple: slot solves that
+# miss the memo build one per source.
+SourceEffect = tuple[int, float, int, SourceOutcome, SourceOutcome]
+
+
 def drain(left: float, bits: float) -> float:
     """Leftover bits after a slot carrying `bits` toward `left` (both
     nonnegative): exactly 0.0 when bits >= left, positive otherwise."""
     return left - min(left, bits)
 
 
-def drain_slot(
-    leftover: tuple[float, ...], packets: Sequence[int], rates: Sequence[float], slot_duration_s: float
-) -> tuple[float, ...]:
-    """Leftover bits after a slot in which source s sends packet index
-    packets[s] (-1: nothing) at rates[s] for the slot duration."""
+def drain_slot(leftover: tuple[float, ...], effects: Sequence[SourceEffect]) -> tuple[float, ...]:
+    """Leftover bits after a slot whose sources have these effects: each
+    on-air source's packet is drained by its bits."""
     after = list(leftover)
-    for k, rate in zip(packets, rates):
+    for k, bits, _, _, _ in effects:
         if k >= 0:
-            after[k] = drain(after[k], rate * slot_duration_s)
+            after[k] = drain(after[k], bits)
     return tuple(after)
 
 
@@ -208,6 +222,9 @@ def slot_rates(
 # such choice into this one, so they all key the slot memo alike
 OFF_AIR = SlotAction(PKT_NONE, 0.0, 0, SILENCE_POWER_DBM)
 
+_SILENT = SourceOutcome(PKT_NONE, (), 0.0, False)
+_OFF_AIR_EFFECT: SourceEffect = (-1, 0.0, 0, _SILENT, _SILENT)
+
 
 class EpisodeLink:
     """One episode's link table: the inputs `apply_slot` resolves slots
@@ -225,8 +242,8 @@ class EpisodeLink:
         self.rb_bandwidth_hz = channel_cfg.rb_bandwidth_hz
         self.slot_duration_s = slot_duration_s
         self._groups: dict[tuple[int, float], tuple[int, ...]] = {}
-        self.group_mask: dict[tuple[int, ...], int] = {(): 0}  # bit d set when d is in the group
-        self._resolved: dict[tuple, tuple[tuple[tuple[int, ...], ...], tuple[float, ...], tuple[int, ...]]] = {}
+        self._group_mask: dict[tuple[int, ...], int] = {(): 0}  # bit d set when d is in the group
+        self._resolved: dict[tuple, tuple[SourceEffect, ...]] = {}
 
     def group(self, src: int, coverage_m: float) -> tuple[int, ...]:
         """`coverage_group` of the source at this radius, computed once."""
@@ -234,24 +251,34 @@ class EpisodeLink:
         group = self._groups.get(key)
         if group is None:
             group = self._groups[key] = coverage_group(self.dist_m[src], coverage_m)
-            self.group_mask[group] = sum(1 << d for d in group)
+            self._group_mask[group] = sum(1 << d for d in group)
         return group
 
-    def resolve(
-        self, slot: int, choices: tuple[tuple[int, float, int, float], ...]
-    ) -> tuple[tuple[tuple[int, ...], ...], tuple[float, ...], tuple[int, ...]]:
-        """(groups, rates, packet indices) of per-source choices at this
-        slot, solved once per key. Each choice is masked and on the air, or
-        is `OFF_AIR`, whose source has the empty group, rate 0.0 and packet
-        index -1."""
+    def resolve(self, slot: int, choices: tuple[tuple[int, float, int, float], ...]) -> tuple[SourceEffect, ...]:
+        """Per-source effects of these choices at this slot, solved once per
+        key. Each choice is masked and on the air, or is `OFF_AIR`, whose
+        source carries no packet (index -1), no bits and the empty group."""
         key = (slot, choices)
         hit = self._resolved.get(key)
         if hit is None:
-            groups = tuple([self.group(src, c[1]) for src, c in enumerate(choices)])
+            groups = [self.group(src, c[1]) for src, c in enumerate(choices)]
             effective = [(c[0], group, c[2], power_lin_mw(c[3])) for c, group in zip(choices, groups)]
-            rates = tuple(slot_rates(effective, self.gain_lin[:, :, :, slot], self.noise_mw, self.rb_bandwidth_hz))
-            packets = tuple([-1 if c[0] == PKT_NONE else 2 * src + (c[0] - 1) for src, c in enumerate(choices)])
-            hit = self._resolved[key] = (groups, rates, packets)
+            rates = slot_rates(effective, self.gain_lin[:, :, :, slot], self.noise_mw, self.rb_bandwidth_hz)
+            effects = []
+            for src, (c, group, rate) in enumerate(zip(choices, groups, rates)):
+                if c[0] == PKT_NONE:
+                    effects.append(_OFF_AIR_EFFECT)
+                    continue
+                effects.append(
+                    (
+                        2 * src + (c[0] - 1),
+                        rate * self.slot_duration_s,
+                        self._group_mask[group],
+                        SourceOutcome(c[0], group, rate, False),
+                        SourceOutcome(c[0], group, rate, True),
+                    )
+                )
+            hit = self._resolved[key] = tuple(effects)
         return hit
 
 
@@ -261,9 +288,10 @@ def apply_slot(
     link: EpisodeLink,
     slot: int,
 ) -> tuple[DeliveryLedger, list[SourceOutcome]]:
-    """Resolve one slot of raw per-source choices: mask, SIC rates per
-    broadcast group, then the ledger after the slot. Returns that ledger and
-    the per-source outcomes; `ledger` itself is left as it was.
+    """Resolve one slot of raw per-source choices: mask, look the slot's
+    effects up in the link's memo, then drain each on-air packet and mark
+    its group reached. Returns the ledger after the slot and the per-source
+    outcomes; `ledger` itself is left as it was.
 
     A choice of an already-delivered packet, or of a safety packet outside
     its window, is masked to no transmission (`mask_packet_choice`), and
@@ -277,19 +305,18 @@ def apply_slot(
             for src, act in enumerate(actions)
         ]
     )
-    groups, rates, packets = link.resolve(slot, choices)
-    leftover = drain_slot(ledger.leftover_bits, packets, rates, link.slot_duration_s)
-    reached = list(ledger.reached)
+    leftover, reached = list(ledger.leftover_bits), list(ledger.reached)
     outcomes: list[SourceOutcome] = []
-    for k, group, rate, act in zip(packets, groups, rates, choices):
+    for k, bits, group_mask, sending, delivered in link.resolve(slot, choices):
         if k < 0:
-            outcomes.append(SourceOutcome(PKT_NONE, (), 0.0, False))
+            outcomes.append(sending)
             continue
-        reached[k] |= link.group_mask[group]
         # the packet was not yet delivered (the mask saw to that), so it is
         # delivered now exactly when this slot drains it to zero
-        outcomes.append(SourceOutcome(act[0], group, rate, leftover[k] == 0.0))
-    return DeliveryLedger(ledger.packets, leftover, tuple(reached)), outcomes
+        left = leftover[k] = drain(leftover[k], bits)
+        reached[k] |= group_mask
+        outcomes.append(delivered if left == 0.0 else sending)
+    return DeliveryLedger(ledger.packets, tuple(leftover), tuple(reached)), outcomes
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from iovslice import baselines as bl
@@ -218,11 +220,17 @@ def _random_plan(rng, m, T, F):
     return bl.slot_options(coverage, packet, power, F), freq.T.tolist()
 
 
+def _dominates(a, b):
+    """Every packet's leftover in ledger a is at least its leftover in b."""
+    return all(x >= y for x, y in zip(a.leftover_bits, b.leftover_bits))
+
+
 def test_incremental_replay_matches_full_replay():
-    # a plan edited at one slot, replayed from the record, scores as a replay from scratch
+    # a plan edited at one slot, replayed from the record, replays as from
+    # scratch until it stops; a trial that stops delivers no more than the record
     rng = np.random.default_rng(31)
     cfg = ChannelConfig()
-    rejoined = ran_to_end = inactive = closed = 0
+    rejoined = dominated = fewer = ran_to_end = inactive = closed = 0
     for sc, chan in _small_worlds():
         m, _, F, T = chan.gain_lin.shape
         link = _link(chan, cfg)  # shared by the world's incremental replays
@@ -260,16 +268,57 @@ def test_incremental_replay_matches_full_replay():
                 assert all(ledgers[i] is record[i] for i in range(t + 1))
                 for a, b in zip(ledgers, full):  # the shared prefix and every replayed slot
                     assert a == b
-                if len(ledgers) <= T:  # rejoined the record: scores as the recorded plan
-                    rejoined += 1
-                    score = bl.delivered_packets(record[-1])
-                    for a, b in zip(full[len(ledgers) - 1 :], record[len(ledgers) - 1 :]):
-                        assert a.leftover_bits == b.leftover_bits  # and with them the delivery flags
-                else:
+                stop = len(ledgers) - 1
+                if stop == T:  # replayed every slot: scores as the full replay
                     ran_to_end += 1
-                    score = bl.delivered_packets(ledgers[-1])
-                assert score == bl.delivered_packets(full[-1])
-    assert rejoined > 100 and ran_to_end > 100 and inactive > 0 and closed > 0
+                    assert bl.delivered_packets(ledgers[-1]) == bl.delivered_packets(full[-1])
+                    continue
+                assert _dominates(ledgers[stop], record[stop])
+                if ledgers[stop].leftover_bits == record[stop].leftover_bits:
+                    # rejoined the record: scores as the recorded plan
+                    rejoined += 1
+                    for a, b in zip(full[stop:], record[stop:]):
+                        assert a.leftover_bits == b.leftover_bits  # and with them the delivery flags
+                    assert bl.delivered_packets(record[-1]) == bl.delivered_packets(full[-1])
+                else:
+                    # stopped on dominance alone: it stays dominated and delivers no more
+                    dominated += 1
+                    assert all(_dominates(a, b) for a, b in zip(full[stop:], record[stop:]))
+                    assert bl.delivered_packets(full[-1]) <= bl.delivered_packets(record[-1])
+                    fewer += bl.delivered_packets(full[-1]) < bl.delivered_packets(record[-1])
+    assert rejoined > 100 and dominated > 50 and fewer > 0 and ran_to_end > 100
+    assert inactive > 0 and closed > 0
+
+
+@functools.cache
+def _small_world_list():
+    return list(_small_worlds())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dominated_ledger_stays_dominated(data):
+    """The link layer's dominance lemma, on which a swap-matching trial's
+    early stop rests: two plans alike but at one slot, each replayed from
+    scratch. Once the edited plan's leftover bits are at least the
+    original's, packet by packet, they stay so at every later slot, and
+    it delivers no more."""
+    sc, chan = data.draw(st.sampled_from(_small_world_list()))
+    m, _, F, T = chan.gain_lin.shape
+    options, freqs = _random_plan(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), m, T, F)
+    t = data.draw(st.integers(0, T - 1))
+    edited = freqs.copy()
+    edited[t] = data.draw(st.lists(st.integers(bl.INACTIVE, F - 1), min_size=m, max_size=m))
+    cfg = ChannelConfig()
+    record = bl.evaluate_plan(bl.plan_columns(options, freqs), sc, _link(chan, cfg))
+    trial = bl.evaluate_plan(bl.plan_columns(options, edited), sc, _link(chan, cfg))
+    dominated = [q for q in range(t + 1, T + 1) if _dominates(trial[q], record[q])]
+    if not dominated:
+        event("never dominated")
+    else:
+        event("rejoins" if trial[-1].leftover_bits == record[-1].leftover_bits else "stays strictly dominated")
+        assert dominated == list(range(dominated[0], T + 1))
+        assert bl.delivered_packets(trial[-1]) <= bl.delivered_packets(record[-1])
 
 
 def _reference_moves(freqs, oma, F):
@@ -370,7 +419,7 @@ def test_run_baseline_counts_replayed_slots():
     run = bl.run_baseline("NOMA-MP", sc, chan, cfg.channel, cfg.env.slot_duration_s, np.random.default_rng(0))
     T = cfg.env.T
     assert run.evaluations > 1
-    assert T <= run.slots_replayed < run.evaluations * T  # trials stop once they rejoin
+    assert T <= run.slots_replayed < run.evaluations * T  # trials stop once they are dominated
 
 
 def test_run_baseline_rejects_unknown_name():

@@ -96,6 +96,33 @@ def test_step_before_reset_is_a_contract_violation():
     assert not env.step(SILENT).terminal
 
 
+def test_rejected_action_index_changes_nothing():
+    # a bad index mid-slot leaves the episode as an untouched twin's, and it
+    # plays on to the same observation bytes and rewards
+    env_cfg = EnvConfig()
+    world = WorldStream(RoadConfig(), env_cfg, ChannelConfig(), WorkloadConfig(), 3, TAG_TRAIN)(0)
+    env, twin = SlicingEnv(env_cfg, ChannelConfig()), SlicingEnv(env_cfg, ChannelConfig())
+    assert env.reset(*world).tobytes() == twin.reset(*world).tobytes()
+    rng = np.random.default_rng(9)
+    steps = 0
+    done = False
+    while not done:
+        action = int(rng.integers(env_cfg.n_actions))
+        if steps in (1, 7):  # a later vehicle of slot 0, the first of slot 2
+            for bad, error in ((env_cfg.n_actions, ValueError), (-1, ValueError), (2.7, TypeError)):
+                with pytest.raises(error):
+                    env.step(bad)
+            assert env.pending == twin.pending and env.deciding == twin.deciding
+            assert env.observation().tobytes() == twin.observation().tobytes()
+        res, want = env.step(action), twin.step(np.int64(action))
+        assert res.reward == want.reward and res.terminal == want.terminal
+        assert res.next_observation.tobytes() == want.next_observation.tobytes()
+        steps += 1
+        done = res.terminal
+    assert steps == env_cfg.m * env_cfg.T
+    assert env.slot_rewards == twin.slot_rewards and env.ledger == twin.ledger
+
+
 def test_all_silent_episode_zero_reward():
     env, sc, chan = make_env([0.0, 300.0, 600.0], [100.0, 400.0, 700.0, 1000.0])
     env.reset(sc, chan)
