@@ -1,9 +1,9 @@
 """Run configuration as a flat, auditable key = value text format.
 
 Every tunable of every subsystem appears under a dotted key so a config dump
-fully pins an experiment. Parsing is strict: unknown keys, malformed or
-non-finite values and configs the dataclasses reject are errors, and
-parse -> serialize -> parse is the identity.
+fully pins an experiment. Parsing is strict: unknown or repeated keys,
+malformed or non-finite values and configs the dataclasses reject are
+errors, and parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -111,6 +111,7 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def parse_config(text: str) -> RunConfig:
     values: dict[str, dict[str, object]] = {section: {} for section in _SECTIONS}
+    first_set: dict[str, int] = {}  # key -> line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -124,6 +125,9 @@ def parse_config(text: str) -> RunConfig:
         parse = _KEYS.get(section, {}).get(name)
         if parse is None:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in first_set:
+            raise ValueError(f"line {lineno}: duplicate key {key} (first set on line {first_set[key]})")
+        first_set[key] = lineno
         try:
             values[section][name] = parse(value)
         except ValueError as exc:

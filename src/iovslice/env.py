@@ -228,6 +228,17 @@ class SlicingEnv:
         self._begin_slot()
         return StepResult(reward, self.observation(), self.terminal)
 
+    def action_mask(self) -> np.ndarray:
+        """The deciding vehicle's actions that `phy.useful` accepts, as a bool
+        array; when there are none, exactly those that resolve as `OFF_AIR`."""
+        if self.terminal:
+            raise ContractViolation("action_mask called before reset or on a finished episode")
+        src, slot = self.deciding, self.slot
+        mask = np.array([phy.useful(self.ledger, src, act, slot, self.link) for act in self._actions])
+        if not mask.any():
+            mask = np.array([not phy.on_air(self.ledger, src, act, slot) for act in self._actions])
+        return mask
+
     def _resolve_slot(self) -> float:
         cfg = self.cfg
         self.ledger, outcomes = phy.apply_slot(

@@ -8,11 +8,13 @@ those levels must respect. `best_actions` is a sequence of per-slot action
 columns, so `baselines.evaluate_plan` replays it through the link layer the
 environment and the baselines share (`phy.apply_slot`).
 The search does not call `apply_slot` for every joint choice, which would
-mask every choice again and build outcomes and reached bitmasks. Its
-candidates are already what `apply_slot` hands the slot memo, `phy.OFF_AIR`
-or an open, undelivered packet on the air, so it resolves them with
-`phy.EpisodeLink.resolve`, whose memo holds each source's bits for the
-slot, and drains leftover bits by them with `phy.drain_slot`.
+test every choice with `phy.on_air` again and build outcomes and reached
+bitmasks. Its candidates are already what `apply_slot` hands the slot memo,
+`phy.OFF_AIR` or a choice `phy.useful` accepts at the start of the episode,
+and the search drops a candidate once its packet is delivered, so it
+resolves them with `phy.EpisodeLink.resolve`, whose memo holds each
+source's bits for the slot, and drains leftover bits by them with
+`phy.drain_slot`.
 
 The search is depth-first over slots, but it does not enumerate raw choices.
 For each (source, slot) it keeps one representative of every choice that can
@@ -40,7 +42,7 @@ from itertools import product
 
 from . import phy
 from .channel import ChannelConfig, ChannelState
-from .scenario import Packet, Scenario
+from .scenario import Scenario
 
 
 class SearchSpaceTooLarge(ValueError):
@@ -55,13 +57,6 @@ MAX_SEQUENCES = 1e7
 class OracleResult:
     best_delivered: int
     best_actions: tuple[tuple[phy.SlotAction, ...], ...]  # per slot, per source
-
-
-def _open_slots(packet: Packet, T: int) -> range:
-    """Slots at which `phy.mask_packet_choice` lets the packet on the air."""
-    if packet.slice_id == phy.PKT_SLICE2:
-        return range(packet.arrival_slot, min(packet.deadline_slot, T - 1) + 1)
-    return range(T)
 
 
 def _peak_bits(
@@ -117,16 +112,16 @@ def candidate_actions(
     Starting from coverage x packet x frequency x power, a choice is dropped
     when another one (or silence) does at least as well in every sequence:
 
-    - Silence. No packet, zero coverage and the silence power all leave the
-      source off the air; `phy.OFF_AIR` stands for all of them.
     - Same effect. Choices with the same (packet, broadcast group, frequency,
       linear power) resolve identically, so one coverage level per distinct
       destination group and one power level per distinct linear power remain.
       Coverage radii are nested, so there are at most n non-empty groups.
-    - Empty group. An on-air source whose radius reaches no destination earns
-      rate zero and only adds interference; silence dominates it.
-    - Closed window. A safety packet outside [arrival, deadline], which the
-      mask demotes, is silence.
+    - Not useful (`phy.useful` of the episode's start ledger). No packet,
+      zero coverage, the silence power and a packet outside its window
+      [arrival, deadline] all leave the source off the air; `phy.OFF_AIR`
+      stands for all of them. An on-air source whose radius reaches no
+      destination earns rate zero and only adds interference; silence
+      dominates it.
     - Undeliverable packet. A broadcast runs at its worst member's rate and
       interference only lowers SINR, so no slot can carry more than
       `_peak_bits`. If those peaks over every open slot of the packet cannot
@@ -134,38 +129,28 @@ def candidate_actions(
       interferes.
     """
     m, _, F, T = link.gain_lin.shape
+    start = phy.DeliveryLedger.start(scenario.packets)
     powers: dict[float, float] = {}  # linear mW -> first dBm level giving it
     for pw in power_options_dbm:
-        p_mw = phy.power_lin_mw(pw)
-        if p_mw > 0.0:
-            powers.setdefault(p_mw, pw)
+        powers.setdefault(phy.power_lin_mw(pw), pw)
     out = []
     for s in range(m):
         groups: dict[tuple[int, ...], float] = {}  # group -> first radius giving it
         for cov in coverage_options_m:
-            group = link.group(s, cov)
-            if group:
-                groups.setdefault(group, cov)
-        open_slots = {}
+            groups.setdefault(link.group(s, cov), cov)
+        deliverable = []
         for pkt in (phy.PKT_SLICE1, phy.PKT_SLICE2):
             packet = scenario.packets[2 * s + (pkt - 1)]
-            slots = _open_slots(packet, T)
-            if _drains(packet.size_bits, [peaks[s][t] for t in slots]):
-                open_slots[pkt] = slots
-        out.append(
-            [
-                [phy.OFF_AIR]
-                + [
-                    phy.SlotAction(pkt, cov, f, pw)
-                    for cov in groups.values()
-                    for pkt, slots in open_slots.items()
-                    if t in slots
-                    for f in range(F)
-                    for pw in powers.values()
-                ]
-                for t in range(T)
-            ]
-        )
+            if _drains(packet.size_bits, [peaks[s][t] for t in range(T) if packet.open_at(t)]):
+                deliverable.append(pkt)
+        acts = [
+            phy.SlotAction(pkt, cov, f, pw)
+            for cov in groups.values()
+            for pkt in deliverable
+            for f in range(F)
+            for pw in powers.values()
+        ]
+        out.append([[phy.OFF_AIR] + [a for a in acts if phy.useful(start, s, a, t, link)] for t in range(T)])
     return out
 
 
@@ -209,7 +194,7 @@ def brute_force_optimal(
     # packets that survived pruning, with the peak bits of their open slots from t on
     live = sorted({opt[0] for per_slot in options for per_source in per_slot for opt in per_source} - {-1})
     tails = {
-        k: [[peaks[k // 2][u] for u in _open_slots(scenario.packets[k], T) if u >= t] for t in range(T + 1)]
+        k: [[peaks[k // 2][u] for u in range(t, T) if scenario.packets[k].open_at(u)] for t in range(T + 1)]
         for k in live
     }
 
@@ -229,7 +214,7 @@ def brute_force_optimal(
             best_count = bound
             best_seq = list(seq)
             return
-        # a delivered packet is masked to silence, which OFF_AIR already covers
+        # a delivered packet is not on the air (`phy.on_air`), which OFF_AIR already covers
         choices = [[act for k, act in per_source if k < 0 or leftover[k] > 0.0] for per_source in options[t]]
         for acts in product(*choices):
             after = phy.drain_slot(leftover, link.resolve(t, acts))

@@ -16,9 +16,10 @@ holds the channel's gains, the noise, the RB bandwidth and the slot duration;
 each source's broadcast group per radius, built by `coverage_group` the first
 time it is asked for; and one memo of slot resolutions.
 
-`apply_slot` masks every raw choice with `mask_packet_choice`, the one mask
-rule, and replaces each choice that puts nothing on the air (no packet, a
-radius of at most 0 or the silence power) by `OFF_AIR`. It then makes one
+`on_air` is the one rule for whether a choice puts a packet on the air;
+`useful` adds a non-empty group, and the oracle's candidates and the
+environment's action mask read it. `apply_slot` replaces every raw choice
+that is not on the air by `OFF_AIR`. It then makes one
 `EpisodeLink.resolve` lookup, a memo keyed by (slot, choices) whose value is
 the whole slot: per source its `SourceEffect`, that is the packet index, the
 bits the slot carries (rate x slot duration), the group bitmask and the two
@@ -110,7 +111,7 @@ class SourceOutcome(NamedTuple):
     """One source's part in a resolved slot; immutable, so the slot memo
     hands out shared instances."""
 
-    packet_id: int  # effective packet after masking, PKT_NONE if silent
+    packet_id: int  # the packet on the air, PKT_NONE if off the air
     group: tuple[int, ...]
     rate_bps: float
     delivered_now: bool
@@ -166,24 +167,6 @@ class DeliveryLedger(NamedTuple):
         return cls(packets, tuple(float(p.size_bits) for p in packets), (0,) * len(packets))
 
 
-def mask_packet_choice(ledger: DeliveryLedger, src: int, packet_id: int, slot: int) -> int:
-    """Demote useless packet choices to PKT_NONE.
-
-    Already-delivered packets and safety packets outside their arrival/deadline
-    window cannot be scheduled; `apply_slot` masks every choice through this,
-    so all policies share identical semantics.
-    """
-    if packet_id == PKT_NONE:
-        return PKT_NONE
-    k = 2 * src + (packet_id - 1)
-    if ledger.leftover_bits[k] == 0.0:
-        return PKT_NONE
-    pkt = ledger.packets[k]
-    if packet_id == PKT_SLICE2 and not (pkt.arrival_slot <= slot <= pkt.deadline_slot):
-        return PKT_NONE
-    return packet_id
-
-
 def slot_rates(
     effective: Sequence[tuple[int, tuple[int, ...], int, float]],  # (pkt, group, freq, p_mw)
     gain_slot: np.ndarray,  # (m, n, F) linear gains for this slot
@@ -196,10 +179,10 @@ def slot_rates(
     group still radiates interference but earns rate zero.
     """
     m = len(effective)
-    on_air = [s for s in range(m) if effective[s][0] != PKT_NONE]
+    sending = [s for s in range(m) if effective[s][0] != PKT_NONE]
     rates = [0.0] * m
     sinr_cache: dict[tuple[int, int], dict[int, float]] = {}
-    for src in on_air:
+    for src in sending:
         _, group, freq, _ = effective[src]
         if not group:
             continue
@@ -209,7 +192,7 @@ def slot_rates(
             if key not in sinr_cache:
                 txs = [
                     (s, effective[s][3] * float(gain_slot[s, d, freq]))
-                    for s in on_air
+                    for s in sending
                     if effective[s][2] == freq
                 ]
                 sinr_cache[key] = sic_sinr(txs, noise_mw)
@@ -224,6 +207,22 @@ OFF_AIR = SlotAction(PKT_NONE, 0.0, 0, SILENCE_POWER_DBM)
 
 _SILENT = SourceOutcome(PKT_NONE, (), 0.0, False)
 _OFF_AIR_EFFECT: SourceEffect = (-1, 0.0, 0, _SILENT, _SILENT)
+
+
+def on_air(ledger: DeliveryLedger, src: int, act: SlotAction, slot: int) -> bool:
+    """Whether source `src`'s choice puts a packet on the air at this slot:
+    it names a packet, its radius is above 0, its power is above silence,
+    and the packet is undelivered with its window holding the slot."""
+    if act[0] == PKT_NONE or act[1] <= 0.0 or act[3] <= SILENCE_POWER_DBM:
+        return False
+    k = 2 * src + (act[0] - 1)
+    return ledger.leftover_bits[k] > 0.0 and ledger.packets[k].open_at(slot)
+
+
+def useful(ledger: DeliveryLedger, src: int, act: SlotAction, slot: int, link: EpisodeLink) -> bool:
+    """`on_air`, and the choice's broadcast group reaches someone: an
+    on-air source that reaches no one only interferes."""
+    return on_air(ledger, src, act, slot) and bool(link.group(src, act[1]))
 
 
 class EpisodeLink:
@@ -256,7 +255,7 @@ class EpisodeLink:
 
     def resolve(self, slot: int, choices: tuple[tuple[int, float, int, float], ...]) -> tuple[SourceEffect, ...]:
         """Per-source effects of these choices at this slot, solved once per
-        key. Each choice is masked and on the air, or is `OFF_AIR`, whose
+        key. Each choice is on the air (`on_air`) or is `OFF_AIR`, whose
         source carries no packet (index -1), no bits and the empty group."""
         key = (slot, choices)
         hit = self._resolved.get(key)
@@ -288,30 +287,20 @@ def apply_slot(
     link: EpisodeLink,
     slot: int,
 ) -> tuple[DeliveryLedger, list[SourceOutcome]]:
-    """Resolve one slot of raw per-source choices: mask, look the slot's
-    effects up in the link's memo, then drain each on-air packet and mark
-    its group reached. Returns the ledger after the slot and the per-source
-    outcomes; `ledger` itself is left as it was.
-
-    A choice of an already-delivered packet, or of a safety packet outside
-    its window, is masked to no transmission (`mask_packet_choice`), and
-    every choice that puts nothing on the air resolves as `OFF_AIR`.
+    """Resolve one slot of raw per-source choices: turn those `on_air`
+    rejects into `OFF_AIR`, look the slot's effects up in the link's memo,
+    then drain each on-air packet and mark its group reached. Returns the
+    ledger after the slot and the per-source outcomes; `ledger` itself is
+    left as it was. An on-air choice with an empty group stays on the air.
     """
-    choices = tuple(
-        [
-            act
-            if act[1] > 0.0 and act[3] > SILENCE_POWER_DBM and mask_packet_choice(ledger, src, act[0], slot) != PKT_NONE
-            else OFF_AIR
-            for src, act in enumerate(actions)
-        ]
-    )
+    choices = tuple([act if on_air(ledger, src, act, slot) else OFF_AIR for src, act in enumerate(actions)])
     leftover, reached = list(ledger.leftover_bits), list(ledger.reached)
     outcomes: list[SourceOutcome] = []
     for k, bits, group_mask, sending, delivered in link.resolve(slot, choices):
         if k < 0:
             outcomes.append(sending)
             continue
-        # the packet was not yet delivered (the mask saw to that), so it is
+        # the packet was not yet delivered (`on_air` saw to that), so it is
         # delivered now exactly when this slot drains it to zero
         left = leftover[k] = drain(leftover[k], bits)
         reached[k] |= group_mask

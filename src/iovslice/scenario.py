@@ -84,7 +84,8 @@ class Vehicle:
 @dataclass(frozen=True)
 class Packet:
     """One source's payload on one slice: packet k of Scenario.packets
-    belongs to source k // 2. The delivery ledger tracks its leftover bits."""
+    belongs to source k // 2. The delivery ledger tracks its leftover bits.
+    On either slice it goes on the air only within [arrival, deadline]."""
 
     slice_id: int
     size_bits: float
@@ -96,6 +97,10 @@ class Packet:
             raise ValueError("packet size must be positive")
         if not 0 <= self.arrival_slot <= self.deadline_slot:
             raise ValueError("packet window must satisfy 0 <= arrival <= deadline")
+
+    def open_at(self, slot: int) -> bool:
+        """Whether the packet's window holds this slot."""
+        return self.arrival_slot <= slot <= self.deadline_slot
 
 
 @dataclass(frozen=True)

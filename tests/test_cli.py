@@ -1,6 +1,9 @@
 import contextlib
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -27,6 +30,17 @@ def tiny_cfg(**run_kw):
     )
 
 
+def config_text(cfg, overrides):
+    """`serialize_config(cfg)` with each `key = value` line of `overrides` in
+    place of that key's own line, so no key is set twice."""
+    lines = serialize_config(cfg).splitlines()
+    for line in overrides.splitlines():
+        key = line.split("=", 1)[0].strip()
+        (at,) = [i for i, old in enumerate(lines) if old.split("=", 1)[0].strip() == key]
+        lines[at] = line
+    return "\n".join(lines) + "\n"
+
+
 def test_config_roundtrip_defaults():
     text = serialize_config(RunConfig())
     cfg = parse_config(text)
@@ -45,6 +59,14 @@ def test_config_rejects_unknown_key():
         parse_config("env.bogus = 3\n")
     with pytest.raises(ValueError, match="section"):
         parse_config("m = 3\n")
+
+
+def test_config_rejects_duplicate_key():
+    # read top-down, a file whose later line overrode an earlier one would not pin its run
+    with pytest.raises(ValueError, match=r"^line 3: duplicate key env\.T \(first set on line 1\)$"):
+        parse_config("env.T = 20\n# shorter episodes\nenv.T = 12\n")
+    with pytest.raises(ValueError, match="duplicate key train.lr"):
+        parse_config(serialize_config(RunConfig()) + "train.lr = 1e-4\n")
 
 
 @pytest.mark.parametrize(
@@ -85,7 +107,7 @@ def test_config_rejects_unknown_key():
 def test_main_rejects_malformed_config_value(tmp_path, monkeypatch, capsys, line, command):
     monkeypatch.chdir(tmp_path)
     cfg = tiny_cfg()
-    Path("run.cfg").write_text(serialize_config(cfg) + line + "\n")
+    Path("run.cfg").write_text(config_text(cfg, line))
     save_checkpoint(DuelingQNetwork(cfg.env.obs_dim, (4,), cfg.env.n_actions, rng=None), Path("ckpt.bin"))
     before = sorted(tmp_path.iterdir())
     assert cli.main([command[0], "--config", "run.cfg", *command[1:], "--episodes", "1"]) == 1
@@ -122,7 +144,7 @@ def test_main_rejects_a_lane_that_stands_still(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(scenario, "poisson_positions", unreachable)
     monkeypatch.chdir(tmp_path)
-    Path("run.cfg").write_text(serialize_config(tiny_cfg()) + "road.lanes_per_direction = 6\n")
+    Path("run.cfg").write_text(config_text(tiny_cfg(), "road.lanes_per_direction = 6"))
     before = sorted(tmp_path.iterdir())
     assert cli.main(["train", "--config", "run.cfg", "--out", "run", "--episodes", "1"]) == 1
     err = capsys.readouterr().err
@@ -144,7 +166,7 @@ def test_main_accepts_zero_counts(tmp_path, monkeypatch, capsys):
 def test_main_reports_training_divergence(tmp_path, monkeypatch, capsys):
     # a finite but absurd learning rate passes the parser; the loss then goes non-finite
     monkeypatch.chdir(tmp_path)
-    Path("run.cfg").write_text(serialize_config(tiny_cfg()) + "train.lr = 1e300\n")
+    Path("run.cfg").write_text(config_text(tiny_cfg(), "train.lr = 1e300"))
     assert cli.main(["train", "--config", "run.cfg", "--out", "run", "--episodes", "10", "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite loss at episode ")
@@ -304,6 +326,30 @@ def test_train_output_digests_are_pinned(tmp_path, double_q, checkpoint_sha256, 
     ckpt, log_path = cli.cmd_train(cfg, tmp_path / "run", quiet=True)
     assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == checkpoint_sha256
     assert hashlib.sha256(log_path.read_bytes()).hexdigest() == log_sha256
+
+
+def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The pinned 3-episode default training run writes the same checkpoint
+    and log bytes with one BLAS thread and with two. Each run is a fresh
+    process, since BLAS reads its thread count when numpy is imported."""
+    cfg = RunConfig()
+    cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, episodes=3, warmup=60))
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(serialize_config(cfg))
+    src = str(Path(__file__).parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        out = tmp_path / f"threads-{threads}"
+        argv = [sys.executable, "-m", "iovslice.cli", "train", "--config", str(cfg_path), "--out", str(out), "--quiet"]
+        subprocess.run(argv, env=env, check=True, timeout=300)
+        outputs.append([(out / name).read_bytes() for name in ("checkpoint.bin", "training_log.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_baseline_output_digests_are_pinned(tmp_path):

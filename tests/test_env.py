@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iovslice import phy
 from iovslice.channel import ChannelConfig, noise_lin_mw
@@ -13,6 +15,7 @@ from iovslice.env import (
     ContractViolation,
     EnvConfig,
     SlicingEnv,
+    action_to_slot_action,
     decode_action,
     default_rate_norm_bps,
     encode_action,
@@ -309,3 +312,61 @@ def test_cached_observation_matches_from_scratch_build(env_cfg):
     assert env.observation().tobytes() == returned[-1][1].tobytes()
     # no later step or reset wrote into an array handed out earlier
     assert all(obs.tobytes() == snapshot.tobytes() for obs, snapshot in returned)
+
+
+def test_action_mask_counts():
+    # 4 radii above 0 x 2 packets x 2 frequencies x 3 powers above silence put
+    # 48 of the 120 actions on the air at slot 0
+    env, sc, chan = make_env([0.0], [300.0])
+    env.reset(sc, chan)
+    mask = env.action_mask()
+    assert mask.dtype == bool and mask.shape == (120,)
+    assert mask.sum() == 36  # the 100 m radius reaches no one
+    assert all(decode_action(i, 2)[0] >= 2 for i in np.flatnonzero(mask))
+    # a destination beyond every radius: only the 72 off-air actions remain
+    env, sc, chan = make_env([0.0], [1500.0])
+    env.reset(sc, chan)
+    mask = env.action_mask()
+    assert mask.sum() == 72
+    assert all(not phy.on_air(env.ledger, 0, action_to_slot_action(i, 2), 0) for i in np.flatnonzero(mask))
+    for _ in range(env.cfg.T):
+        env.step(SILENT)
+    with pytest.raises(ContractViolation):
+        env.action_mask()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_action_mask_matches_apply_slot(data):
+    """Over random worlds, ledgers and slots: where some action is useful,
+    action i is allowed exactly when `apply_slot`, fed i for the deciding
+    vehicle, puts it on the air with a non-empty group; otherwise exactly
+    the actions `apply_slot` resolves as `OFF_AIR` are allowed."""
+    m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    F, T = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 6))
+    env_cfg = EnvConfig(m=m, n=n, F=F, T=T)
+    workload = WorkloadConfig(
+        slice1_bits_min=1e3, slice1_bits_max=5e4, deadline_len_slots=data.draw(st.integers(1, T))
+    )
+    seed = data.draw(st.integers(0, 999))
+    env = SlicingEnv(env_cfg, ChannelConfig())
+    env.reset(*WorldStream(RoadConfig(), env_cfg, ChannelConfig(), workload, seed, TAG_TRAIN)(0))
+    for _ in range(data.draw(st.integers(0, m * T - 1))):  # on to a random slot and vehicle
+        env.step(data.draw(st.integers(0, env_cfg.n_actions - 1)))
+    zeroed = data.draw(st.sets(st.integers(0, 2 * m - 1)))  # some packets delivered by hand
+    env.ledger = env.ledger._replace(
+        leftover_bits=tuple(0.0 if k in zeroed else left for k, left in enumerate(env.ledger.leftover_bits))
+    )
+    mask = env.action_mask()
+    assert mask.dtype == bool and mask.shape == (env_cfg.n_actions,)
+    src = env.deciding
+    earlier = [action_to_slot_action(i, F) for i in env.pending]
+    outcomes = []
+    for i in range(env_cfg.n_actions):
+        column = earlier + [action_to_slot_action(i, F)] + [phy.OFF_AIR] * (m - src - 1)
+        outcomes.append(phy.apply_slot(env.ledger, column, env.link, env.slot)[1][src])
+    useful = [o.transmitted and o.group != () for o in outcomes]
+    if any(useful):
+        assert mask.tolist() == useful
+    else:
+        assert mask.tolist() == [not o.transmitted for o in outcomes]  # resolved as OFF_AIR

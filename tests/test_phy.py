@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from iovslice import phy
 from iovslice.channel import ChannelConfig, noise_lin_mw
 from iovslice.env import COVERAGE_LEVELS_M, POWER_LEVELS_DBM, EnvConfig
-from iovslice.scenario import RoadConfig
+from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY, SLICE_THROUGHPUT
 from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream
 
 from tests.conftest import forced_channel, hand_built_scenario
@@ -193,12 +193,50 @@ def test_apply_slot_silences_out_of_window_slice2():
     assert ledger.reached == (0, 0)
 
 
-def test_mask_packet_choice_window():
-    sc = hand_built_scenario([0.0], [100.0])
+@pytest.mark.parametrize(
+    "act, slot, delivered, expected",
+    [
+        ((phy.PKT_NONE, 400.0, 0, 30.0), 4, False, False),  # no packet
+        ((phy.PKT_SLICE2, 0.0, 0, 30.0), 4, False, False),  # radius 0
+        ((phy.PKT_SLICE2, 400.0, 0, phy.SILENCE_POWER_DBM), 4, False, False),  # silence
+        ((phy.PKT_SLICE2, 400.0, 0, 30.0), 4, True, False),  # delivered
+        ((phy.PKT_SLICE2, 400.0, 0, 30.0), 2, False, False),  # before arrival
+        ((phy.PKT_SLICE2, 400.0, 0, 30.0), 8, False, False),  # after deadline
+        ((phy.PKT_SLICE1, 400.0, 0, 15.0), 20, False, False),  # after slice 1's deadline
+        ((phy.PKT_SLICE2, 400.0, 1, 15.0), 3, False, True),  # on air, first slot of the window
+        ((phy.PKT_SLICE2, 100.0, 0, 30.0), 7, False, True),  # on air, last slot of the window
+        ((phy.PKT_SLICE1, 1400.0, 0, 23.0), 0, False, True),  # on air
+    ],
+    ids=[
+        "no-packet",
+        "radius-0",
+        "silence",
+        "delivered",
+        "before-arrival",
+        "after-deadline",
+        "slice1-after-deadline",
+        "on-air-at-arrival",
+        "on-air-at-deadline",
+        "on-air",
+    ],
+)
+def test_on_air_clauses(act, slot, delivered, expected):
+    packets = [Packet(SLICE_THROUGHPUT, 5e5, 0, 19), Packet(SLICE_SAFETY, 4800.0, 3, 7)]
+    sc = hand_built_scenario([0.0], [100.0], packets=packets)
     ledger = phy.DeliveryLedger.start(sc.packets)
-    assert phy.mask_packet_choice(ledger, 0, phy.PKT_SLICE2, 0) == phy.PKT_SLICE2
-    assert phy.mask_packet_choice(ledger, 0, phy.PKT_SLICE2, 8) == phy.PKT_NONE
-    assert phy.mask_packet_choice(ledger, 0, phy.PKT_NONE, 3) == phy.PKT_NONE
+    if delivered:
+        k = act[0] - 1
+        ledger = ledger._replace(leftover_bits=tuple(0.0 if j == k else x for j, x in enumerate(ledger.leftover_bits)))
+    assert phy.on_air(ledger, 0, act, slot) is expected
+
+
+def test_useful_needs_a_nonempty_group():
+    sc = hand_built_scenario([0.0], [300.0])
+    link = phy.EpisodeLink(forced_channel(sc, -80.0), ChannelConfig(), 0.005)
+    ledger = phy.DeliveryLedger.start(sc.packets)
+    near, wide = phy.SlotAction(phy.PKT_SLICE1, 100.0, 0, 30.0), phy.SlotAction(phy.PKT_SLICE1, 400.0, 0, 30.0)
+    assert phy.on_air(ledger, 0, near, 0) and not phy.useful(ledger, 0, near, 0, link)
+    assert phy.useful(ledger, 0, wide, 0, link)
 
 
 def test_ledger_monotone_under_random_actions(rng):
@@ -388,13 +426,19 @@ def test_slot_resolution_memo_is_exact(data):
 
 
 def _reference_slot(ledger, actions, chan, cfg, slot, slot_duration_s):
-    """One slot resolved from first principles, with no link table and no
-    memo: mask each packet, put nothing on the air for no packet, a radius
-    of at most 0 or zero linear power, solve `phy.slot_rates` on the
-    effective choices, then drain and mark the reached destinations."""
+    """One slot resolved from first principles, with no link table, no memo
+    and no `phy.on_air`: drop a delivered packet and a safety packet outside
+    its window (slice 1 has no window test here, so the uniform window rule
+    is checked against generated packets), put nothing on the air for no
+    packet, a radius of at most 0 or zero linear power, solve
+    `phy.slot_rates` on the effective choices, then drain and mark the
+    reached destinations."""
     effective = []
     for src, (pkt, coverage_m, freq, power_dbm) in enumerate(actions):
-        pkt = phy.mask_packet_choice(ledger, src, pkt, slot)
+        if pkt != phy.PKT_NONE:
+            packet, left = ledger.packets[2 * src + (pkt - 1)], ledger.leftover_bits[2 * src + (pkt - 1)]
+            if left == 0.0 or (pkt == phy.PKT_SLICE2 and not packet.arrival_slot <= slot <= packet.deadline_slot):
+                pkt = phy.PKT_NONE
         p_mw = phy.power_lin_mw(power_dbm)
         if pkt == phy.PKT_NONE or coverage_m <= 0 or p_mw == 0.0:
             effective.append((phy.PKT_NONE, (), 0, 0.0))

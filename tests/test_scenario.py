@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iovslice.config import parse_config
 from iovslice.scenario import (
@@ -130,6 +132,24 @@ def test_generate_packets_windows_and_sizes(rng):
                 assert p.deadline_slot - p.arrival_slot + 1 == 5
     sizes = np.array(sizes)
     assert sizes.min() >= 1e5 and sizes.max() <= 1e6
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_generated_windows_lie_in_the_horizon(data):
+    """The premise of the one window test `Packet.open_at` applies to both
+    slices: slice 1 spans exactly [0, T-1], and slice 2 spans the configured
+    length inside [0, T-1], so no window needs a cap at the horizon."""
+    T = data.draw(st.integers(1, 40))
+    length = data.draw(st.integers(1, T))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    sc = generate_vehicles(RoadConfig(), data.draw(st.integers(1, 4)), 1, rng)
+    packets = generate_packets(sc, rng, deadline_len_slots=length, T=T)
+    assert len(packets) == 2 * sc.m
+    for p1, p2 in zip(packets[0::2], packets[1::2]):
+        assert (p1.slice_id, p1.arrival_slot, p1.deadline_slot) == (1, 0, T - 1)
+        assert p2.slice_id == 2 and 0 <= p2.arrival_slot <= p2.deadline_slot <= T - 1
+        assert p2.deadline_slot - p2.arrival_slot + 1 == length
 
 
 def test_generate_packets_degenerate_window(rng):
