@@ -1,6 +1,6 @@
 """Layer harness for the oracle's exhaustive search, on pytest-benchmark.
 
-One case: `oracle.brute_force_optimal` over every coverage and power level on
+One case: `oracle.brute_force_optimal` over the whole action table on
 a fixed tiny instance, episode 0 of the evaluation stream at seed 2 with
 m=2 sources, n=4 destinations, F=2 resource blocks and T=3 slots (a 3-slot
 safety window). Its candidate lists leave about 7.5e5 joint sequences; the
@@ -18,7 +18,7 @@ import pytest
 
 from iovslice import oracle
 from iovslice.config import RunConfig
-from iovslice.env import COVERAGE_LEVELS_M, POWER_LEVELS_DBM, EnvConfig
+from iovslice.env import EnvConfig
 from iovslice.worlds import TAG_EVAL, WorldStream
 
 CFG = RunConfig()
@@ -40,7 +40,7 @@ def test_brute_force_optimal(benchmark, instance):
     sc, chan = instance
     res = benchmark.pedantic(
         oracle.brute_force_optimal,
-        args=(sc, chan, CFG.channel, ENV.slot_duration_s, COVERAGE_LEVELS_M, POWER_LEVELS_DBM),
+        args=(sc, chan, CFG.channel, ENV.slot_duration_s),
         rounds=100,
         warmup_rounds=3,
     )

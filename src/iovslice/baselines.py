@@ -1,12 +1,13 @@
 """Offline benchmark schedulers: gain-greedy RB assignment plus swap matching.
 
-All three variants draw coverage and slice uniformly at random per slot, then
-assign frequencies greedily by channel gain and locally improve the assignment
-with swap moves, scoring each through the same link layer the learned policy
-is scored by. Only the frequencies are searched, so a plan is two things: the
-draws, as `slot_options` (per slot and source, the source's action on every
-frequency, then `phy.OFF_AIR` at index INACTIVE), and the search state `freqs`,
-one frequency row per slot. `plan_columns` turns them into the per-slot action
+All three variants draw coverage and slice uniformly at random per slot from
+the levels of `phy`'s action table, then assign frequencies greedily by
+channel gain and locally improve the assignment with swap moves, scoring each
+through the same link layer the learned policy is scored by. Only the
+frequencies are searched, so a plan is two things: the draws, as
+`slot_options` (per slot and source, the source's action on every frequency,
+then `phy.OFF_AIR` at index INACTIVE), and the search state `freqs`, one
+frequency row per slot. `plan_columns` turns them into the per-slot action
 columns the link layer replays. A move edits the frequencies of one slot, so
 it picks the one or two edited sources' new actions out of that slot's options
 and shares every other column with the current plan; no plan is copied. Its
@@ -30,13 +31,12 @@ import numpy as np
 
 from . import phy
 from .channel import ChannelConfig, ChannelState
-from .env import COVERAGE_LEVELS_M, POWER_LEVELS_DBM
 from .scenario import Scenario
 
 BASELINE_NAMES = ("OMA-MP", "NOMA-MP", "NOMA-RP")
 
-MAX_POWER_DBM = max(POWER_LEVELS_DBM)
-ACTIVE_POWERS_DBM = tuple(p for p in POWER_LEVELS_DBM if p > phy.SILENCE_POWER_DBM)
+MAX_POWER_DBM = max(phy.POWER_LEVELS_DBM)
+ACTIVE_POWERS_DBM = tuple(p for p in phy.POWER_LEVELS_DBM if p > phy.SILENCE_POWER_DBM)
 
 INACTIVE = -1  # frequency of a source that found no free RB; its option is phy.OFF_AIR
 Action = tuple[int, float, int, float]  # `phy.SlotAction` field order
@@ -47,8 +47,8 @@ Options = list[list[tuple[Action, ...]]]  # per slot and source: its action per 
 def random_coverage_slice(m: int, T: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Uniform coverage level and packet choice per (source, slot). Illegal
     picks are not filtered here; the link layer masks them when replaying."""
-    coverage = np.array(COVERAGE_LEVELS_M)[rng.integers(0, len(COVERAGE_LEVELS_M), size=(m, T))]
-    packet = rng.integers(0, 3, size=(m, T))
+    coverage = np.array(phy.COVERAGE_LEVELS_M)[rng.integers(0, len(phy.COVERAGE_LEVELS_M), size=(m, T))]
+    packet = np.array(phy.PACKET_CHOICES)[rng.integers(0, len(phy.PACKET_CHOICES), size=(m, T))]
     return coverage, packet
 
 

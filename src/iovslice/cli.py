@@ -29,7 +29,7 @@ from .dqn import (
     save_checkpoint,
     train,
 )
-from .env import COVERAGE_LEVELS_M, POWER_LEVELS_DBM, EnvConfig, SlicingEnv
+from .env import EnvConfig, SlicingEnv
 from .phy import ReceptionStats
 from .scenario import Scenario
 from .worlds import TAG_EVAL, TAG_TRAIN, WorkloadConfig, WorldStream, algorithm_rng
@@ -208,9 +208,11 @@ def cmd_baseline(cfg: RunConfig, names: list[str], out_path: Path, episodes: int
     _check_count("episodes", episodes)
     if not names:
         raise ValueError(f"no baseline named, valid names: {', '.join(bl.BASELINE_NAMES)}")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in bl.BASELINE_NAMES:
             raise ValueError(f"unknown baseline {name!r}, valid names: {', '.join(bl.BASELINE_NAMES)}")
+        if name in names[:i]:
+            raise ValueError(f"duplicate baseline {name}")
     rows: list[list] = []
     for workload in sweep_points(cfg, sweep):
         for name in names:
@@ -232,13 +234,12 @@ def oracle_instance(
     """One tiny instance: episode 0 of the evaluation stream at this seed, its
     exhaustive optimum and every baseline's run on it.
 
-    The optimum searches every coverage and power level of the action space,
-    the levels the baselines draw from, so no policy may exceed it.
+    The optimum searches `phy.action_table`, the one action space the
+    environment and the baselines' draws come from, so no policy may exceed
+    it; nothing the caller passes can narrow it.
     """
     scenario, chan = WorldStream(cfg.road, env_cfg, cfg.channel, workload, seed, TAG_EVAL)(0)
-    best = orc.brute_force_optimal(
-        scenario, chan, cfg.channel, env_cfg.slot_duration_s, COVERAGE_LEVELS_M, POWER_LEVELS_DBM
-    )
+    best = orc.brute_force_optimal(scenario, chan, cfg.channel, env_cfg.slot_duration_s)
     runs = {
         name: bl.run_baseline(
             name,
@@ -289,7 +290,11 @@ def _mean_stderr(values: list[float]) -> tuple[float, float | None]:
 
 
 def cmd_plotdata(inputs: list[Path], out_path: Path) -> Path:
+    """Mean and standard error per (algorithm, slice-2 size, deadline) over
+    the rows of every input; a row repeating one already read (the same
+    algorithm, sweep point, episode and channel) is refused."""
     groups: dict[tuple[str, str, str], list[tuple[float, float]]] = {}
+    seen: set[tuple[str, ...]] = set()
     for path in inputs:
         columns, rows = _read_csv(path, EVAL_SCHEMA)
         missing = [c for c in EVAL_COLUMNS if c not in columns]
@@ -300,6 +305,10 @@ def cmd_plotdata(inputs: list[Path], out_path: Path) -> Path:
             )
         for row in rows:
             key = (row["algorithm"], row["slice2_bytes"], row["deadline_slots"])
+            row_key = (*key, row["episode"], row["channel_hash"])
+            if row_key in seen:
+                raise ValueError(f"{path}: duplicate row for {row['algorithm']} episode {row['episode']}")
+            seen.add(row_key)
             groups.setdefault(key, []).append(
                 (float(row["slice1_delivered"]), float(row["slice2_delivered"]))
             )

@@ -1,15 +1,17 @@
 """Single-agent scheduling MDP over the sliced broadcast network.
 
 The scheduler fixes a (coverage, packet, frequency, power) tuple per source
-vehicle each slot. To keep the action space flat at 120 entries the tuples
-are chosen one vehicle at a time: m micro-steps per slot, with the earlier
-same-slot choices visible in the observation, reward paid out when the last
-vehicle's choice resolves the slot.
+vehicle each slot; an action index is a position in `phy.action_table(F)`.
+To keep the action space flat at 120 entries (F = 2) the tuples are chosen
+one vehicle at a time: m micro-steps per slot, with the earlier same-slot
+choices visible in the observation, reward paid out when the last vehicle's
+choice resolves the slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 import math
 import operator
 
@@ -19,53 +21,17 @@ from . import phy
 from .channel import ChannelConfig, ChannelState, pathloss_db
 from .scenario import Scenario
 
-COVERAGE_LEVELS_M = (0.0, 100.0, 400.0, 1000.0, 1400.0)
-POWER_LEVELS_DBM = (phy.SILENCE_POWER_DBM, 15.0, 23.0, 30.0)
-N_PACKET_CHOICES = 3  # none / slice 1 / slice 2
-
 # Observation normalization bounds.
 GAIN_DB_LO = -160.0
 GAIN_DB_HI = -40.0
 FADE_CLIP = 4.0
 
 
-def n_actions(F: int) -> int:
-    return len(COVERAGE_LEVELS_M) * N_PACKET_CHOICES * F * len(POWER_LEVELS_DBM)
-
-
-def encode_action(cov_idx: int, pkt_idx: int, freq_idx: int, pow_idx: int, F: int) -> int:
-    """Mixed-radix pack, coverage most significant."""
-    if not (0 <= cov_idx < len(COVERAGE_LEVELS_M) and 0 <= pkt_idx < N_PACKET_CHOICES):
-        raise ValueError("coverage or packet index out of range")
-    if not (0 <= freq_idx < F and 0 <= pow_idx < len(POWER_LEVELS_DBM)):
-        raise ValueError("frequency or power index out of range")
-    return ((cov_idx * N_PACKET_CHOICES + pkt_idx) * F + freq_idx) * len(POWER_LEVELS_DBM) + pow_idx
-
-
-def decode_action(index: int, F: int) -> tuple[int, int, int, int]:
-    if not 0 <= index < n_actions(F):
-        raise ValueError(f"action index {index} outside 0..{n_actions(F) - 1}")
-    index, pow_idx = divmod(index, len(POWER_LEVELS_DBM))
-    index, freq_idx = divmod(index, F)
-    cov_idx, pkt_idx = divmod(index, N_PACKET_CHOICES)
-    return cov_idx, pkt_idx, freq_idx, pow_idx
-
-
-def action_to_slot_action(index: int, F: int) -> phy.SlotAction:
-    cov_idx, pkt_idx, freq_idx, pow_idx = decode_action(index, F)
-    return phy.SlotAction(
-        packet_id=pkt_idx,
-        coverage_m=COVERAGE_LEVELS_M[cov_idx],
-        freq=freq_idx,
-        power_dbm=POWER_LEVELS_DBM[pow_idx],
-    )
-
-
 def default_rate_norm_bps(channel_cfg: ChannelConfig, reference_distance_m: float = 100.0) -> float:
     """Reward normalizer: the clean-channel rate at max power over the
     reference distance, a fixed scenario-independent constant."""
     snr_db = (
-        max(POWER_LEVELS_DBM)
+        max(phy.POWER_LEVELS_DBM)
         + 2.0 * channel_cfg.antenna_gain_dbi
         - pathloss_db(reference_distance_m, channel_cfg)
         - (channel_cfg.noise_floor_dbm + channel_cfg.noise_figure_db)
@@ -96,7 +62,7 @@ class EnvConfig:
 
     @property
     def n_actions(self) -> int:
-        return n_actions(self.F)
+        return len(phy.COVERAGE_LEVELS_M) * len(phy.PACKET_CHOICES) * self.F * len(phy.POWER_LEVELS_DBM)
 
     @property
     def obs_dim(self) -> int:
@@ -141,20 +107,11 @@ class SlicingEnv:
             cfg.rate_norm_bps if cfg.rate_norm_bps is not None else default_rate_norm_bps(channel_cfg)
         )
         self._layout = _obs_layout(cfg)
-        # every action index decoded once: its slot action, and its components
-        # normalized to [0, 1] as the vehicles after it see them
-        self._actions = [action_to_slot_action(index, cfg.F) for index in range(cfg.n_actions)]
-        self._peer_rows = np.array(
-            [
-                (
-                    cov / (len(COVERAGE_LEVELS_M) - 1),
-                    pkt / (N_PACKET_CHOICES - 1),
-                    freq / (cfg.F - 1) if cfg.F > 1 else 0.0,
-                    pw / (len(POWER_LEVELS_DBM) - 1),
-                )
-                for cov, pkt, freq, pw in (decode_action(index, cfg.F) for index in range(cfg.n_actions))
-            ]
-        )
+        # the action table, and each entry's level indices normalized to
+        # [0, 1] as the vehicles after it see them
+        self._actions = phy.action_table(cfg.F)
+        sizes = (len(phy.COVERAGE_LEVELS_M), len(phy.PACKET_CHOICES), cfg.F, len(phy.POWER_LEVELS_DBM))
+        self._peer_rows = np.array(list(product(*([i / max(k - 1, 1) for i in range(k)] for k in sizes))))
         self.terminal = True  # no episode until reset
 
     # -- episode lifecycle ---------------------------------------------------
@@ -178,7 +135,7 @@ class SlicingEnv:
         self.slot = 0
         self.deciding = 0
         self.pending: list[int] = []
-        self.prev_choice = np.zeros((cfg.m, N_PACKET_CHOICES), dtype=np.float64)
+        self.prev_choice = np.zeros((cfg.m, len(phy.PACKET_CHOICES)), dtype=np.float64)
         self.slot_rewards: list[float] = []
         self.terminal = False
         # The observation without its deciding one-hot (left zero): episode
@@ -287,7 +244,7 @@ def _obs_sizes(cfg: EnvConfig) -> dict[str, int]:
     return {
         "gain": m * n,  # large-scale gain per link
         "fade": m * n * F,  # fast fading per link and frequency, current slot
-        "prev": m * N_PACKET_CHOICES,  # packet each source sent last slot, one-hot
+        "prev": m * len(phy.PACKET_CHOICES),  # packet each source sent last slot, one-hot
         "leftover": 2 * m,  # leftover bits per packet over its size
         "window": 2 * m,  # slice-2 arrival and deadline per source, over T
         "slot": 1,  # slot index over T

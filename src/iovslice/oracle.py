@@ -1,12 +1,12 @@
 """Exhaustive search over joint action sequences for tiny instances.
 
 The optimum is the largest delivered-packet count that any sequence of raw
-per-source choices from the given coverage x packet x frequency x power
-levels can reach, under the same masking and slot resolution as the
-environment. It is an upper bound that every policy drawing its choices from
-those levels must respect. `best_actions` is a sequence of per-slot action
-columns, so `baselines.evaluate_plan` replays it through the link layer the
-environment and the baselines share (`phy.apply_slot`).
+per-source choices from `phy.action_table(F)` can reach, under the same
+masking and slot resolution as the environment. The environment's actions
+and the baselines' draws come from that table, so the optimum is an upper
+bound that every policy must respect. `best_actions` is a sequence of
+per-slot action columns, so `baselines.evaluate_plan` replays it through the
+link layer the environment and the baselines share (`phy.apply_slot`).
 The search does not call `apply_slot` for every joint choice, which would
 test every choice with `phy.on_air` again and build outcomes and reached
 bitmasks. Its candidates are already what `apply_slot` hands the slot memo,
@@ -59,11 +59,7 @@ class OracleResult:
     best_actions: tuple[tuple[phy.SlotAction, ...], ...]  # per slot, per source
 
 
-def _peak_bits(
-    link: phy.EpisodeLink,
-    coverage_options_m: tuple[float, ...],
-    power_options_dbm: tuple[float, ...],
-) -> list[list[float]]:
+def _peak_bits(link: phy.EpisodeLink) -> list[list[float]]:
     """Per source and slot, the most bits any choice can send: the
     interference-free rate at the highest power to the best destination
     within the widest radius, on the best frequency. It is computed exactly
@@ -72,10 +68,10 @@ def _peak_bits(
     m, _, F, T = link.gain_lin.shape
     noise = link.noise_mw
     bw = link.rb_bandwidth_hz
-    p_max = max((phy.power_lin_mw(pw) for pw in power_options_dbm), default=0.0)
+    p_max = phy.power_lin_mw(max(phy.POWER_LEVELS_DBM))
     peaks = []
     for s in range(m):
-        reach = link.group(s, max(coverage_options_m, default=0.0))
+        reach = link.group(s, max(phy.COVERAGE_LEVELS_M))
         peaks.append(
             [
                 max(
@@ -100,22 +96,18 @@ def _drains(left: float, bits) -> bool:
 
 
 def candidate_actions(
-    scenario: Scenario,
-    link: phy.EpisodeLink,
-    coverage_options_m: tuple[float, ...],
-    power_options_dbm: tuple[float, ...],
-    peaks: list[list[float]],
+    scenario: Scenario, link: phy.EpisodeLink, peaks: list[list[float]]
 ) -> list[list[list[phy.SlotAction]]]:
     """Per source and slot, the choices the search has to try; `phy.OFF_AIR`
-    first. `peaks` is `_peak_bits` of the same link and levels.
+    first. `peaks` is `_peak_bits` of the same link.
 
-    Starting from coverage x packet x frequency x power, a choice is dropped
-    when another one (or silence) does at least as well in every sequence:
+    Starting from `phy.action_table(F)`, a choice is dropped when another one
+    (or silence) does at least as well in every sequence:
 
     - Same effect. Choices with the same (packet, broadcast group, frequency,
-      linear power) resolve identically, so one coverage level per distinct
-      destination group and one power level per distinct linear power remain.
-      Coverage radii are nested, so there are at most n non-empty groups.
+      linear power) resolve identically, so only the first of them in table
+      order remains. Coverage radii are nested, so there are at most n
+      non-empty groups.
     - Not useful (`phy.useful` of the episode's start ledger). No packet,
       zero coverage, the silence power and a packet outside its window
       [arrival, deadline] all leave the source off the air; `phy.OFF_AIR`
@@ -130,27 +122,20 @@ def candidate_actions(
     """
     m, _, F, T = link.gain_lin.shape
     start = phy.DeliveryLedger.start(scenario.packets)
-    powers: dict[float, float] = {}  # linear mW -> first dBm level giving it
-    for pw in power_options_dbm:
-        powers.setdefault(phy.power_lin_mw(pw), pw)
+    table = phy.action_table(F)
     out = []
     for s in range(m):
-        groups: dict[tuple[int, ...], float] = {}  # group -> first radius giving it
-        for cov in coverage_options_m:
-            groups.setdefault(link.group(s, cov), cov)
         deliverable = []
         for pkt in (phy.PKT_SLICE1, phy.PKT_SLICE2):
             packet = scenario.packets[2 * s + (pkt - 1)]
             if _drains(packet.size_bits, [peaks[s][t] for t in range(T) if packet.open_at(t)]):
                 deliverable.append(pkt)
-        acts = [
-            phy.SlotAction(pkt, cov, f, pw)
-            for cov in groups.values()
-            for pkt in deliverable
-            for f in range(F)
-            for pw in powers.values()
-        ]
-        out.append([[phy.OFF_AIR] + [a for a in acts if phy.useful(start, s, a, t, link)] for t in range(T)])
+        firsts: dict[tuple, phy.SlotAction] = {}  # (packet, group, freq, mW) -> first action with it
+        for act in table:
+            if act.packet_id in deliverable:
+                key = (act.packet_id, link.group(s, act.coverage_m), act.freq, phy.power_lin_mw(act.power_dbm))
+                firsts.setdefault(key, act)
+        out.append([[phy.OFF_AIR] + [a for a in firsts.values() if phy.useful(start, s, a, t, link)] for t in range(T)])
     return out
 
 
@@ -159,13 +144,12 @@ def brute_force_optimal(
     chan: ChannelState,
     channel_cfg: ChannelConfig,
     slot_duration_s: float,
-    coverage_options_m: tuple[float, ...],
-    power_options_dbm: tuple[float, ...],
 ) -> OracleResult:
     """Maximum delivered-packet count over every joint action sequence.
 
-    The space searched is every sequence of raw choices from the given
-    levels; `candidate_actions` prunes it without changing the maximum.
+    The space searched is every sequence of raw choices from
+    `phy.action_table(F)`; `candidate_actions` prunes it without changing
+    the maximum.
     `MAX_SEQUENCES` bounds the product, over slots and sources, of the
     candidate-list lengths: the number of joint sequences left after pruning,
     before the search merges repeated states and cuts hopeless branches. The
@@ -175,8 +159,8 @@ def brute_force_optimal(
     """
     m, _, _, T = chan.gain_lin.shape
     link = phy.EpisodeLink(chan, channel_cfg, slot_duration_s)
-    peaks = _peak_bits(link, coverage_options_m, power_options_dbm)
-    cands = candidate_actions(scenario, link, coverage_options_m, power_options_dbm, peaks)
+    peaks = _peak_bits(link)
+    cands = candidate_actions(scenario, link, peaks)
     sequences = math.prod(float(len(cands[s][t])) for s in range(m) for t in range(T))
     if sequences > MAX_SEQUENCES:
         raise SearchSpaceTooLarge(

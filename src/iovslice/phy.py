@@ -16,6 +16,11 @@ holds the channel's gains, the noise, the RB bandwidth and the slot duration;
 each source's broadcast group per radius, built by `coverage_group` the first
 time it is asked for; and one memo of slot resolutions.
 
+The action space is defined here too: `action_table(F)` lists every
+`SlotAction` one source can pick for a slot, in flat action-index order.
+The environment's action indices, the baselines' draws and the oracle's
+candidates all come from it or its levels.
+
 `on_air` is the one rule for whether a choice puts a packet on the air;
 `useful` adds a non-empty group, and the oracle's candidates and the
 environment's action mask read it. `apply_slot` replaces every raw choice
@@ -41,6 +46,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +61,11 @@ SILENCE_POWER_DBM = -100.0
 PKT_NONE = 0
 PKT_SLICE1 = 1
 PKT_SLICE2 = 2
+
+# The levels of the action space; `action_table` orders their product.
+COVERAGE_LEVELS_M = (0.0, 100.0, 400.0, 1000.0, 1400.0)
+PACKET_CHOICES = (PKT_NONE, PKT_SLICE1, PKT_SLICE2)
+POWER_LEVELS_DBM = (SILENCE_POWER_DBM, 15.0, 23.0, 30.0)
 
 
 def power_lin_mw(power_dbm: float) -> float:
@@ -105,6 +116,16 @@ class SlotAction(NamedTuple):
     coverage_m: float
     freq: int
     power_dbm: float
+
+
+def action_table(F: int) -> tuple[SlotAction, ...]:
+    """Every choice of one source for one slot, in flat action-index order:
+    a mixed radix over coverage (most significant), packet, frequency and
+    power. Output i of a policy network means entry i."""
+    return tuple(
+        SlotAction(pkt, cov, f, pw)
+        for cov, pkt, f, pw in product(COVERAGE_LEVELS_M, PACKET_CHOICES, range(F), POWER_LEVELS_DBM)
+    )
 
 
 class SourceOutcome(NamedTuple):

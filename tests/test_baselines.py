@@ -9,7 +9,7 @@ from iovslice import baselines as bl
 from iovslice import phy
 from iovslice.channel import ChannelConfig, noise_lin_mw
 from iovslice.config import RunConfig
-from iovslice.env import COVERAGE_LEVELS_M, POWER_LEVELS_DBM, EnvConfig
+from iovslice.env import EnvConfig
 from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY, SLICE_THROUGHPUT
 from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream
 
@@ -67,9 +67,9 @@ def test_plan_columns_match_hand_built_actions(data):
     def grid(elements):  # an (m, T) array of draws
         return np.array(data.draw(st.lists(st.lists(elements, min_size=T, max_size=T), min_size=m, max_size=m)))
 
-    coverage = grid(st.sampled_from(COVERAGE_LEVELS_M))
+    coverage = grid(st.sampled_from(phy.COVERAGE_LEVELS_M))
     packet = grid(st.integers(phy.PKT_NONE, phy.PKT_SLICE2))
-    power = grid(st.sampled_from(POWER_LEVELS_DBM))
+    power = grid(st.sampled_from(phy.POWER_LEVELS_DBM))
     freqs = data.draw(
         st.lists(st.lists(st.integers(bl.INACTIVE, F - 1), min_size=m, max_size=m), min_size=T, max_size=T)
     )
@@ -213,10 +213,10 @@ def _small_worlds():
 def _random_plan(rng, m, T, F):
     """Slot options from random draws (silence power and zero coverage
     included) and random frequency rows (INACTIVE included)."""
-    coverage = rng.choice(COVERAGE_LEVELS_M, size=(m, T))
+    coverage = rng.choice(phy.COVERAGE_LEVELS_M, size=(m, T))
     packet = rng.integers(0, 3, size=(m, T))
     freq = rng.integers(bl.INACTIVE, F, size=(m, T))
-    power = rng.choice(POWER_LEVELS_DBM, size=(m, T))
+    power = rng.choice(phy.POWER_LEVELS_DBM, size=(m, T))
     return bl.slot_options(coverage, packet, power, F), freq.T.tolist()
 
 

@@ -458,6 +458,23 @@ def test_cmd_baseline_unknown_name(tmp_path):
     assert rc == 1
 
 
+def test_cmd_baseline_rejects_a_repeated_name(tmp_path, monkeypatch):
+    def no_episode(*args, **kwargs):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(cli.bl, "run_baseline", no_episode)
+    with pytest.raises(ValueError, match="duplicate baseline NOMA-MP"):
+        cli.cmd_baseline(tiny_cfg(), ["NOMA-MP", "NOMA-MP"], tmp_path / "x.csv", episodes=3, sweep="none")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cmd_plotdata_rejects_a_repeated_row(tmp_path):
+    base_out = cli.cmd_baseline(tiny_cfg(), ["NOMA-MP"], tmp_path / "base.csv", episodes=3, sweep="none")
+    with pytest.raises(ValueError, match="duplicate row for NOMA-MP episode 0"):
+        cli.cmd_plotdata([base_out, base_out], tmp_path / "plot.csv")
+    assert not (tmp_path / "plot.csv").exists()
+
+
 def test_cmd_plotdata_aggregates(tmp_path):
     cfg = tiny_cfg()
     ckpt, _ = cli.cmd_train(cfg, tmp_path / "run", quiet=True)

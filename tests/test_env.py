@@ -6,29 +6,41 @@ from hypothesis import strategies as st
 from iovslice import phy
 from iovslice.channel import ChannelConfig, noise_lin_mw
 from iovslice.env import (
-    COVERAGE_LEVELS_M,
     FADE_CLIP,
     GAIN_DB_HI,
     GAIN_DB_LO,
-    N_PACKET_CHOICES,
-    POWER_LEVELS_DBM,
     ContractViolation,
     EnvConfig,
     SlicingEnv,
-    action_to_slot_action,
-    decode_action,
     default_rate_norm_bps,
-    encode_action,
     episode_return,
     individual_reward,
-    n_actions,
 )
 from iovslice.scenario import RoadConfig
 from iovslice.worlds import TAG_TRAIN, WorkloadConfig, WorldStream
 
 from tests.conftest import forced_channel, hand_built_scenario
 
-SILENT = encode_action(0, 0, 0, 0, 2)  # coverage 0, no packet, f0, -100 dBm
+# the level counts of the action space, in mixed-radix order: coverage (most
+# significant), packet, frequency, power; the frequency count is F
+RADIX = {"coverage": 5, "packet": 3, "power": 4}
+
+
+def level_indices(index, F):
+    """(coverage, packet, frequency, power) level indices of a flat action
+    index: the mixed-radix digits, decoded here independently of the table."""
+    index, pw = divmod(index, RADIX["power"])
+    index, freq = divmod(index, F)
+    cov, pkt = divmod(index, RADIX["packet"])
+    return cov, pkt, freq, pw
+
+
+def action_index(packet_id, coverage_m, freq, power_dbm, F=2):
+    return phy.action_table(F).index(phy.SlotAction(packet_id, coverage_m, freq, power_dbm))
+
+
+SILENT = action_index(phy.PKT_NONE, 0.0, 0, phy.SILENCE_POWER_DBM)
+SLICE2_100M_30DBM = action_index(phy.PKT_SLICE2, 100.0, 0, 30.0)
 
 
 def make_env(src_x, dst_x, gain_db=-80.0, m=None, n=None, F=2, T=20, **env_kw):
@@ -39,15 +51,16 @@ def make_env(src_x, dst_x, gain_db=-80.0, m=None, n=None, F=2, T=20, **env_kw):
     return env, sc, chan
 
 
-def test_action_space_size_and_roundtrip():
-    assert n_actions(2) == 120
-    for idx in range(120):
-        cov, pkt, f, pw = decode_action(idx, 2)
-        assert encode_action(cov, pkt, f, pw, 2) == idx
-    with pytest.raises(ValueError):
-        decode_action(120, 2)
-    with pytest.raises(ValueError):
-        decode_action(-1, 2)
+def test_action_table_index_order():
+    """Entry i of the table holds the levels at i's mixed-radix digits, so
+    the committed checkpoint's output i still means the same choice."""
+    assert (len(phy.COVERAGE_LEVELS_M), len(phy.PACKET_CHOICES), len(phy.POWER_LEVELS_DBM)) == tuple(RADIX.values())
+    for F in range(1, 5):
+        table = phy.action_table(F)
+        assert len(table) == EnvConfig(F=F).n_actions == 60 * F
+        for i, act in enumerate(table):
+            cov, pkt, freq, pw = level_indices(i, F)
+            assert act == (phy.PACKET_CHOICES[pkt], phy.COVERAGE_LEVELS_M[cov], freq, phy.POWER_LEVELS_DBM[pw])
 
 
 def test_observation_layout_on_reset():
@@ -149,8 +162,7 @@ def test_delivery_reward_is_upper_bound():
     env, sc, chan = make_env([0.0], [100.0])
     _pin_rate(chan, ChannelConfig(), sinr=1.0)  # 1 Mbps: slice 2 fits one slot
     env.reset(sc, chan)
-    act = encode_action(1, 2, 0, 3, 2)  # coverage 100, slice 2, f0, 30 dBm
-    res = env.step(act)
+    res = env.step(SLICE2_100M_30DBM)
     assert res.reward == pytest.approx(1.0)
     assert env.ledger.leftover_bits[1] == 0.0  # delivered
 
@@ -160,8 +172,7 @@ def test_unfinished_rate_reward_scaling():
     cfg = ChannelConfig()
     _pin_rate(chan, cfg, sinr=1.0)  # 1 Mbps on slice 1: far from finishing
     env.reset(sc, chan)
-    act = encode_action(1, 1, 0, 3, 2)
-    res = env.step(act)
+    res = env.step(action_index(phy.PKT_SLICE1, 100.0, 0, 30.0))
     assert res.reward == pytest.approx(1e6 / default_rate_norm_bps(cfg))
 
 
@@ -183,7 +194,7 @@ def test_masking_blocks_double_delivery():
     env, sc, chan = make_env([0.0], [100.0])
     _pin_rate(chan, ChannelConfig(), sinr=1.0)
     env.reset(sc, chan)
-    act = encode_action(1, 2, 0, 3, 2)
+    act = SLICE2_100M_30DBM
     res = env.step(act)
     assert res.reward == 1.0
     # keep hammering the delivered packet: masked to silence, no reward
@@ -197,7 +208,7 @@ def test_out_of_window_slice2_masked_not_fatal():
     env, sc, chan = make_env([0.0], [100.0])
     _pin_rate(chan, ChannelConfig(), sinr=1.0)
     env.reset(sc, chan)
-    act = encode_action(1, 2, 0, 3, 2)
+    act = SLICE2_100M_30DBM
     # slice 2 window for the hand-built scenario is slots 0..7
     for t in range(20):
         res = env.step(act)
@@ -227,7 +238,7 @@ def test_determinism_bitwise():
         rewards, observations = [], [obs.copy()]
         done = False
         while not done:
-            res = env.step(int(rng.integers(n_actions(2))))
+            res = env.step(int(rng.integers(env.cfg.n_actions)))
             rewards.append(res.reward)
             observations.append(res.next_observation.copy())
             done = res.terminal
@@ -249,8 +260,7 @@ def test_episode_return():
 def test_peer_choices_visible_within_slot():
     env, sc, chan = make_env([0.0, 300.0, 600.0], [100.0, 400.0, 700.0, 1000.0])
     env.reset(sc, chan)
-    act = encode_action(2, 1, 1, 3, 2)
-    res = env.step(act)
+    res = env.step(action_index(phy.PKT_SLICE1, 400.0, 1, 30.0))
     m, n, F = 3, 4, 2
     peer = res.next_observation[-4 * m :].reshape(m, 4)
     assert peer[0] == pytest.approx([2 / 4, 1 / 2, 1.0, 3 / 3])
@@ -263,12 +273,12 @@ def reference_observation(env):
     m, F, T = cfg.m, cfg.F, cfg.T
     peer = np.zeros((m, 4))
     for src, idx in enumerate(env.pending):
-        cov, pkt, freq, pw = decode_action(idx, F)
+        cov, pkt, freq, pw = level_indices(idx, F)
         peer[src] = (
-            cov / (len(COVERAGE_LEVELS_M) - 1),
-            pkt / (N_PACKET_CHOICES - 1),
+            cov / (RADIX["coverage"] - 1),
+            pkt / (RADIX["packet"] - 1),
             freq / (F - 1) if F > 1 else 0.0,
-            pw / (len(POWER_LEVELS_DBM) - 1),
+            pw / (RADIX["power"] - 1),
         )
     deciding = np.zeros(m)
     deciding[env.deciding] = 1.0
@@ -304,7 +314,7 @@ def test_cached_observation_matches_from_scratch_build(env_cfg):
         assert obs.tobytes() == reference_observation(env).tobytes()
         done = False
         while not done:
-            res = env.step(int(rng.integers(n_actions(env_cfg.F))))
+            res = env.step(int(rng.integers(env_cfg.n_actions)))
             assert res.next_observation.tobytes() == reference_observation(env).tobytes()
             assert not np.shares_memory(res.next_observation, returned[-1][0])
             returned.append((res.next_observation, res.next_observation.copy()))
@@ -317,18 +327,19 @@ def test_cached_observation_matches_from_scratch_build(env_cfg):
 def test_action_mask_counts():
     # 4 radii above 0 x 2 packets x 2 frequencies x 3 powers above silence put
     # 48 of the 120 actions on the air at slot 0
+    table = phy.action_table(2)
     env, sc, chan = make_env([0.0], [300.0])
     env.reset(sc, chan)
     mask = env.action_mask()
     assert mask.dtype == bool and mask.shape == (120,)
     assert mask.sum() == 36  # the 100 m radius reaches no one
-    assert all(decode_action(i, 2)[0] >= 2 for i in np.flatnonzero(mask))
+    assert all(table[i].coverage_m >= 400.0 for i in np.flatnonzero(mask))
     # a destination beyond every radius: only the 72 off-air actions remain
     env, sc, chan = make_env([0.0], [1500.0])
     env.reset(sc, chan)
     mask = env.action_mask()
     assert mask.sum() == 72
-    assert all(not phy.on_air(env.ledger, 0, action_to_slot_action(i, 2), 0) for i in np.flatnonzero(mask))
+    assert all(not phy.on_air(env.ledger, 0, table[i], 0) for i in np.flatnonzero(mask))
     for _ in range(env.cfg.T):
         env.step(SILENT)
     with pytest.raises(ContractViolation):
@@ -360,10 +371,11 @@ def test_action_mask_matches_apply_slot(data):
     mask = env.action_mask()
     assert mask.dtype == bool and mask.shape == (env_cfg.n_actions,)
     src = env.deciding
-    earlier = [action_to_slot_action(i, F) for i in env.pending]
+    table = phy.action_table(F)
+    earlier = [table[i] for i in env.pending]
     outcomes = []
-    for i in range(env_cfg.n_actions):
-        column = earlier + [action_to_slot_action(i, F)] + [phy.OFF_AIR] * (m - src - 1)
+    for act in table:
+        column = earlier + [act] + [phy.OFF_AIR] * (m - src - 1)
         outcomes.append(phy.apply_slot(env.ledger, column, env.link, env.slot)[1][src])
     useful = [o.transmitted and o.group != () for o in outcomes]
     if any(useful):

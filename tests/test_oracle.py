@@ -2,45 +2,36 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iovslice import baselines as bl
-from iovslice import phy
+from iovslice import oracle, phy
 from iovslice.channel import ChannelConfig
-from iovslice.env import (
-    COVERAGE_LEVELS_M,
-    POWER_LEVELS_DBM,
-    EnvConfig,
-    SlicingEnv,
-    action_to_slot_action,
-    encode_action,
-    n_actions,
-)
+from iovslice.env import EnvConfig, SlicingEnv
 from iovslice.oracle import SearchSpaceTooLarge, brute_force_optimal
 from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY, SLICE_THROUGHPUT
 from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream
 
 from tests.conftest import forced_channel, hand_built_scenario
 
-COV = (0.0, 1400.0)
-POW = (phy.SILENCE_POWER_DBM, 30.0)
-
 
 def test_oracle_refuses_large_space():
     sc = hand_built_scenario([0.0, 300.0], [100.0])
     chan = forced_channel(sc, -80.0, F=2, T=20)
     with pytest.raises(SearchSpaceTooLarge):
-        brute_force_optimal(sc, chan, ChannelConfig(), 0.005, COV, POW)
+        brute_force_optimal(sc, chan, ChannelConfig(), 0.005)
 
 
 def test_oracle_certain_single_delivery():
-    # only the safety packet fits in a single-slot horizon over a strong link
+    # only the safety packet fits in a single-slot horizon, and only at 30 dBm
     packets = [
         Packet(SLICE_THROUGHPUT, 5e9, 0, 0),
         Packet(SLICE_SAFETY, 4800.0, 0, 0),
     ]
     sc = hand_built_scenario([0.0], [100.0], packets=packets)
-    chan = forced_channel(sc, -60.0, F=1, T=1)
-    res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005, COV, POW)
+    chan = forced_channel(sc, -132.0, F=1, T=1)
+    res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005)
     assert res.best_delivered == 1
     best = res.best_actions[0][0]
     assert best.packet_id == phy.PKT_SLICE2 and best.power_dbm == 30.0
@@ -54,7 +45,7 @@ def test_oracle_zero_gains_zero_optimum():
     sc = hand_built_scenario([0.0], [100.0], packets=packets)
     chan = forced_channel(sc, -80.0, F=1, T=2)
     chan.gain_lin[:] = 0.0
-    res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005, COV, POW)
+    res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005)
     assert res.best_delivered == 0
 
 
@@ -70,10 +61,10 @@ def _random_tiny_instance(seed, m=2, T=3, workload=WorkloadConfig(deadline_len_s
 
 
 def test_policies_never_beat_oracle():
-    # the baselines draw from every coverage and power level, so the bound must too
+    # the baselines draw from the levels of the table the bound searches
     for seed in range(6):
         env_cfg, sc, chan = _random_tiny_instance(seed)
-        res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005, COVERAGE_LEVELS_M, POWER_LEVELS_DBM)
+        res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005)
         for name in bl.BASELINE_NAMES:
             run = bl.run_baseline(
                 name, sc, chan, ChannelConfig(), 0.005, np.random.default_rng(seed)
@@ -84,9 +75,8 @@ def test_policies_never_beat_oracle():
 def _best_raw_count(sc, chan, env_cfg):
     """Best delivered count over every raw action sequence, by plain replay."""
     m, T = env_cfg.m, env_cfg.T
-    raw = [action_to_slot_action(i, env_cfg.F) for i in range(n_actions(env_cfg.F))]
     best = 0
-    for flat in product(raw, repeat=m * T):
+    for flat in product(phy.action_table(env_cfg.F), repeat=m * T):
         slots = [flat[t * m:(t + 1) * m] for t in range(T)]
         best = max(best, _replay(sc, chan, slots).leftover_bits.count(0.0))
     return best
@@ -110,28 +100,65 @@ def test_oracle_pruning_is_exact():
     instances.append((EnvConfig(m=1, n=1, F=1, T=2), sc, forced_channel(sc, -80.0, F=1, T=2)))
     optima = []
     for env_cfg, sc, chan in instances:
-        res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005, COVERAGE_LEVELS_M, POWER_LEVELS_DBM)
+        res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005)
         assert res.best_delivered == _best_raw_count(sc, chan, env_cfg)
         assert _replay(sc, chan, res.best_actions).leftover_bits.count(0.0) == res.best_delivered
         optima.append(res.best_delivered)
     assert max(optima) == 2  # not a suite of empty instances
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    n=st.integers(1, 4),
+    F=st.integers(1, 2),
+    T=st.integers(1, 4),
+    deadline=st.integers(1, 4),
+    seed=st.integers(0, 999),
+)
+def test_candidates_cover_every_useful_table_action(m, n, F, T, deadline, seed):
+    """The same-effect rule on its own: per (source, slot), every table
+    action that is useful on the start ledger, for a packet peak rates could
+    deliver, has a candidate with its (packet, group, frequency, linear
+    power), and no two candidates share one."""
+    env_cfg = EnvConfig(m=m, n=n, F=F, T=T)
+    workload = WorkloadConfig(slice1_bits_min=1e3, slice1_bits_max=2e5, deadline_len_slots=min(deadline, T))
+    sc, chan = WorldStream(RoadConfig(), env_cfg, ChannelConfig(), workload, seed, TAG_EVAL)(0)
+    link = phy.EpisodeLink(chan, ChannelConfig(), env_cfg.slot_duration_s)
+    peaks = oracle._peak_bits(link)
+    cands = oracle.candidate_actions(sc, link, peaks)
+    start = phy.DeliveryLedger.start(sc.packets)
+
+    def effect(s, act):
+        return act.packet_id, link.group(s, act.coverage_m), act.freq, phy.power_lin_mw(act.power_dbm)
+
+    for s in range(m):
+        for t in range(T):
+            assert cands[s][t][0] == phy.OFF_AIR
+            have = [effect(s, c) for c in cands[s][t][1:]]
+            assert len(set(have)) == len(have)
+            for act in phy.action_table(F):
+                if not phy.useful(start, s, act, t, link):
+                    continue
+                packet = sc.packets[2 * s + (act.packet_id - 1)]
+                if oracle._drains(packet.size_bits, [peaks[s][u] for u in range(T) if packet.open_at(u)]):
+                    assert effect(s, act) in have
+
+
 def test_oracle_replay_matches_env_ledger():
     for seed in range(4):
         env_cfg, sc, chan = _random_tiny_instance(seed)
-        res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005, COV, POW)
+        res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005)
         ledger = _replay(sc, chan, res.best_actions)
         assert ledger.leftover_bits.count(0.0) == res.best_delivered
 
         # drive the environment with the same action sequence
         env = SlicingEnv(env_cfg, ChannelConfig())
         env.reset(sc, chan)
+        table = phy.action_table(env_cfg.F)
         for slot_actions in res.best_actions:
             for act in slot_actions:
-                cov_idx = {0.0: 0, 100.0: 1, 400.0: 2, 1000.0: 3, 1400.0: 4}[act.coverage_m]
-                pow_idx = {phy.SILENCE_POWER_DBM: 0, 15.0: 1, 23.0: 2, 30.0: 3}[act.power_dbm]
-                env.step(encode_action(cov_idx, act.packet_id, act.freq, pow_idx, env_cfg.F))
+                env.step(table.index(act))
         assert env.ledger == ledger
 
 
@@ -142,7 +169,7 @@ def test_oracle_early_exit_on_full_delivery():
     ]
     sc = hand_built_scenario([0.0], [100.0], packets=packets)
     chan = forced_channel(sc, -60.0, F=1, T=2)
-    res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005, COV, POW)
+    res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005)
     assert res.best_delivered == 2
 
 
@@ -158,9 +185,10 @@ def test_replay_paths_agree():
     delivered_picks = closed_picks = 0
     for env_cfg, sc, chan in worlds:
         m, F, T = env_cfg.m, env_cfg.F, env_cfg.T
+        table = phy.action_table(F)
         for _ in range(5):
-            choices = rng.integers(n_actions(F), size=(T, m))
-            acts = [[action_to_slot_action(int(i), F) for i in row] for row in choices]
+            choices = rng.integers(len(table), size=(T, m))
+            acts = [[table[i] for i in row] for row in choices]
             env = SlicingEnv(env_cfg, ChannelConfig())
             env.reset(sc, chan)
             for t in range(T):

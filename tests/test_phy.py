@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from iovslice import phy
 from iovslice.channel import ChannelConfig, noise_lin_mw
-from iovslice.env import COVERAGE_LEVELS_M, POWER_LEVELS_DBM, EnvConfig
+from iovslice.env import EnvConfig
 from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY, SLICE_THROUGHPUT
 from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream
 
@@ -299,9 +299,9 @@ def test_ledger_leftover_never_rises_and_zero_means_delivered(data):
     choice = st.builds(
         phy.SlotAction,
         st.integers(0, 2),
-        st.sampled_from(COVERAGE_LEVELS_M),
+        st.sampled_from(phy.COVERAGE_LEVELS_M),
         st.integers(0, F - 1),
-        st.sampled_from(POWER_LEVELS_DBM),
+        st.sampled_from(phy.POWER_LEVELS_DBM),
     )
     ledger = phy.DeliveryLedger.start(sc.packets)
     for t in range(T):
@@ -344,9 +344,9 @@ def test_shared_link_replays_match_fresh_links(data):
     choice = st.builds(
         phy.SlotAction,
         st.integers(0, 2),
-        st.sampled_from(COVERAGE_LEVELS_M),
+        st.sampled_from(phy.COVERAGE_LEVELS_M),
         st.integers(0, F - 1),
-        st.sampled_from(POWER_LEVELS_DBM),
+        st.sampled_from(phy.POWER_LEVELS_DBM),
     )
     # a few raw joint choices, each played at several slots
     pool = data.draw(st.lists(st.lists(choice, min_size=m, max_size=m), min_size=1, max_size=3))
@@ -406,9 +406,9 @@ def test_slot_resolution_memo_is_exact(data):
     sc, chan = WorldStream(RoadConfig(), EnvConfig(m=m, n=n, F=F, T=T), cfg, workload, seed, TAG_EVAL)(0)
     choice = st.tuples(
         st.integers(0, 2),
-        st.sampled_from(COVERAGE_LEVELS_M),
+        st.sampled_from(phy.COVERAGE_LEVELS_M),
         st.integers(0, F - 1),
-        st.sampled_from(POWER_LEVELS_DBM),
+        st.sampled_from(phy.POWER_LEVELS_DBM),
     )
     columns = data.draw(st.lists(st.tuples(*[choice] * m), min_size=1, max_size=3))
     start = phy.DeliveryLedger.start(sc.packets)
@@ -476,9 +476,9 @@ def test_apply_slot_matches_memo_free_reference(data):
     sc, chan = WorldStream(RoadConfig(), EnvConfig(m=m, n=n, F=F, T=T), cfg, workload, seed, TAG_EVAL)(0)
     any_choice = st.tuples(
         st.integers(0, 2),
-        st.sampled_from(COVERAGE_LEVELS_M),
+        st.sampled_from(phy.COVERAGE_LEVELS_M),
         st.integers(0, F - 1),
-        st.sampled_from(POWER_LEVELS_DBM),
+        st.sampled_from(phy.POWER_LEVELS_DBM),
     )
     corner = st.sampled_from(
         [
