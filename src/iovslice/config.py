@@ -42,6 +42,10 @@ class RunConfig:
             raise ValueError(f"run.eval_episodes must be >= 0, got {self.eval_episodes}")
         if self.swap_max_iters < 0:
             raise ValueError(f"run.swap_max_iters must be >= 0, got {self.swap_max_iters}")
+        for name in ("size_multipliers", "deadline_sweep_slots"):  # a repeated point would run twice
+            axis = getattr(self, name)
+            if len(set(axis)) < len(axis):
+                raise ValueError(f"run.{name} repeats {next(v for v in axis if axis.count(v) > 1)}")
 
 
 # Section name -> the class holding its keys; "run" is RunConfig's own scalars.

@@ -25,15 +25,16 @@ from .scenario import Scenario
 GAIN_DB_LO = -160.0
 GAIN_DB_HI = -40.0
 FADE_CLIP = 4.0
+RATE_NORM_DISTANCE_M = 100.0  # link length of the reward normalizer's clean-channel rate
 
 
-def default_rate_norm_bps(channel_cfg: ChannelConfig, reference_distance_m: float = 100.0) -> float:
-    """Reward normalizer: the clean-channel rate at max power over the
-    reference distance, a fixed scenario-independent constant."""
+def default_rate_norm_bps(channel_cfg: ChannelConfig) -> float:
+    """Reward normalizer: the clean-channel rate at max power over
+    `RATE_NORM_DISTANCE_M`, a fixed scenario-independent constant."""
     snr_db = (
         max(phy.POWER_LEVELS_DBM)
         + 2.0 * channel_cfg.antenna_gain_dbi
-        - pathloss_db(reference_distance_m, channel_cfg)
+        - pathloss_db(RATE_NORM_DISTANCE_M, channel_cfg)
         - (channel_cfg.noise_floor_dbm + channel_cfg.noise_figure_db)
     )
     return channel_cfg.rb_bandwidth_hz * math.log2(1.0 + 10.0 ** (snr_db / 10.0))
@@ -81,13 +82,16 @@ class StepResult:
     terminal: bool
 
 
-def individual_reward(outcome: phy.SourceOutcome, rate_norm_bps: float, upper_bound: float = 1.0) -> float:
-    """Delivery pays the bound; an unfinished transmission pays its normalized
-    group rate; silence and empty groups pay nothing."""
-    if outcome.delivered_now:
+def individual_reward(
+    delivered_now: bool, group_mask: int, rate_bps: float, rate_norm_bps: float, upper_bound: float
+) -> float:
+    """One source's reward for a slot, read off its `phy.SourceEffect` and the
+    ledger after it: delivery pays the bound; an unfinished transmission pays
+    its normalized group rate; silence and empty groups (mask 0) pay nothing."""
+    if delivered_now:
         return upper_bound
-    if outcome.group:  # on the air to someone; silence has no group
-        return min(max(outcome.rate_bps / rate_norm_bps, 0.0), 1.0) * upper_bound
+    if group_mask:  # on the air to someone; silence has no group
+        return min(max(rate_bps / rate_norm_bps, 0.0), 1.0) * upper_bound
     return 0.0
 
 
@@ -197,15 +201,19 @@ class SlicingEnv:
         return mask
 
     def _resolve_slot(self) -> float:
-        cfg = self.cfg
-        self.ledger, outcomes = phy.apply_slot(
-            self.ledger, [self._actions[index] for index in self.pending], self.link, self.slot
-        )
+        """Resolve the slot and pay it out. A source is on the air when its
+        effect names a packet k >= 0, delivered now when the new ledger's
+        leftover of k is 0.0 (`on_air` admits only undelivered packets)."""
+        norm, upper = self.rate_norm_bps, self.cfg.reward_upper_bound
+        actions = [self._actions[index] for index in self.pending]
+        self.ledger, effects = phy.apply_slot(self.ledger, actions, self.link, self.slot)
+        left = self.ledger.leftover_bits
         reward = 0.0
         self.prev_choice[:] = 0.0
-        for src, out in enumerate(outcomes):
-            reward += individual_reward(out, self.rate_norm_bps, cfg.reward_upper_bound)
-            self.prev_choice[src, out.packet_id] = 1.0
+        for src, (act, (k, _, group_mask, rate)) in enumerate(zip(actions, effects)):
+            on_air = k >= 0
+            reward += individual_reward(on_air and left[k] == 0.0, group_mask, rate, norm, upper)
+            self.prev_choice[src, act.packet_id if on_air else phy.PKT_NONE] = 1.0
         self.slot_rewards.append(reward)
         return reward
 

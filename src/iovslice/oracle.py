@@ -8,13 +8,13 @@ bound that every policy must respect. `best_actions` is a sequence of
 per-slot action columns, so `baselines.evaluate_plan` replays it through the
 link layer the environment and the baselines share (`phy.apply_slot`).
 The search does not call `apply_slot` for every joint choice, which would
-test every choice with `phy.on_air` again and build outcomes and reached
-bitmasks. Its candidates are already what `apply_slot` hands the slot memo,
-`phy.OFF_AIR` or a choice `phy.useful` accepts at the start of the episode,
-and the search drops a candidate once its packet is delivered, so it
-resolves them with `phy.EpisodeLink.resolve`, whose memo holds each
-source's bits for the slot, and drains leftover bits by them with
-`phy.drain_slot`.
+test every choice with `phy.on_air` again and OR in reached bitmasks that
+the search never reads. Its candidates are already what `apply_slot` hands
+the slot memo, `phy.OFF_AIR` or a choice `phy.useful` accepts at the start
+of the episode, and the search drops a candidate once its packet is
+delivered, so it resolves them with `phy.EpisodeLink.resolve`, whose memo
+holds each source's bits for the slot, and drains leftover bits by them
+with `phy.drain_slot`.
 
 The search is depth-first over slots, but it does not enumerate raw choices.
 For each (source, slot) it keeps one representative of every choice that can

@@ -27,10 +27,11 @@ environment's action mask read it. `apply_slot` replaces every raw choice
 that is not on the air by `OFF_AIR`. It then makes one
 `EpisodeLink.resolve` lookup, a memo keyed by (slot, choices) whose value is
 the whole slot: per source its `SourceEffect`, that is the packet index, the
-bits the slot carries (rate x slot duration), the group bitmask and the two
-outcomes it can have, still sending or delivered now. What is left is one
-loop that drains each on-air packet, ORs its group into `reached` and picks
-the outcome by whether the leftover reached 0.0. The memo is exact: an
+bits the slot carries (rate x slot duration), the group bitmask and the
+broadcast rate. What is left is one loop that drains each on-air packet and
+ORs its group into `reached`; `apply_slot` returns the next ledger with the
+very effects tuple the memo holds, and a source's packet is delivered now
+exactly when its leftover in the next ledger is 0.0. The memo is exact: an
 on-air choice fixes its packet, group, frequency and linear power, an
 off-air source neither transmits nor interferes, and within an episode the
 slot fixes the gains, so a hit returns the very floats a fresh `slot_rates`
@@ -128,27 +129,11 @@ def action_table(F: int) -> tuple[SlotAction, ...]:
     )
 
 
-class SourceOutcome(NamedTuple):
-    """One source's part in a resolved slot; immutable, so the slot memo
-    hands out shared instances."""
-
-    packet_id: int  # the packet on the air, PKT_NONE if off the air
-    group: tuple[int, ...]
-    rate_bps: float
-    delivered_now: bool
-
-    @property
-    def transmitted(self) -> bool:
-        return self.packet_id != PKT_NONE
-
-
-# What one source's resolved choice does to the ledger in its slot: the
-# ledger index of the packet on the air (-1 when off the air), the bits the
-# slot carries toward it (rate x slot duration), the group's destination
-# bitmask, and the source's outcome while the packet is still undelivered
-# and when this slot drains it to zero. A plain tuple: slot solves that
-# miss the memo build one per source.
-SourceEffect = tuple[int, float, int, SourceOutcome, SourceOutcome]
+# One source's part in a resolved slot: the ledger index of the packet on
+# the air (-1 when off the air), the bits the slot carries toward it (rate x
+# slot duration), the group's destination bitmask and the broadcast rate. A
+# plain tuple: slot solves that miss the memo build one per source.
+SourceEffect = tuple[int, float, int, float]
 
 
 def drain(left: float, bits: float) -> float:
@@ -161,7 +146,7 @@ def drain_slot(leftover: tuple[float, ...], effects: Sequence[SourceEffect]) -> 
     """Leftover bits after a slot whose sources have these effects: each
     on-air source's packet is drained by its bits."""
     after = list(leftover)
-    for k, bits, _, _, _ in effects:
+    for k, bits, _, _ in effects:
         if k >= 0:
             after[k] = drain(after[k], bits)
     return tuple(after)
@@ -226,8 +211,7 @@ def slot_rates(
 # such choice into this one, so they all key the slot memo alike
 OFF_AIR = SlotAction(PKT_NONE, 0.0, 0, SILENCE_POWER_DBM)
 
-_SILENT = SourceOutcome(PKT_NONE, (), 0.0, False)
-_OFF_AIR_EFFECT: SourceEffect = (-1, 0.0, 0, _SILENT, _SILENT)
+_OFF_AIR_EFFECT: SourceEffect = (-1, 0.0, 0, 0.0)
 
 
 def on_air(ledger: DeliveryLedger, src: int, act: SlotAction, slot: int) -> bool:
@@ -284,21 +268,13 @@ class EpisodeLink:
             groups = [self.group(src, c[1]) for src, c in enumerate(choices)]
             effective = [(c[0], group, c[2], power_lin_mw(c[3])) for c, group in zip(choices, groups)]
             rates = slot_rates(effective, self.gain_lin[:, :, :, slot], self.noise_mw, self.rb_bandwidth_hz)
-            effects = []
-            for src, (c, group, rate) in enumerate(zip(choices, groups, rates)):
-                if c[0] == PKT_NONE:
-                    effects.append(_OFF_AIR_EFFECT)
-                    continue
-                effects.append(
-                    (
-                        2 * src + (c[0] - 1),
-                        rate * self.slot_duration_s,
-                        self._group_mask[group],
-                        SourceOutcome(c[0], group, rate, False),
-                        SourceOutcome(c[0], group, rate, True),
-                    )
-                )
-            hit = self._resolved[key] = tuple(effects)
+            dt, masks = self.slot_duration_s, self._group_mask
+            hit = self._resolved[key] = tuple(
+                [
+                    _OFF_AIR_EFFECT if c[0] == PKT_NONE else (2 * src + (c[0] - 1), rate * dt, masks[group], rate)
+                    for src, (c, group, rate) in enumerate(zip(choices, groups, rates))
+                ]
+            )
         return hit
 
 
@@ -307,26 +283,21 @@ def apply_slot(
     actions: Sequence[tuple[int, float, int, float]],  # per source, SlotAction fields in order
     link: EpisodeLink,
     slot: int,
-) -> tuple[DeliveryLedger, list[SourceOutcome]]:
+) -> tuple[DeliveryLedger, tuple[SourceEffect, ...]]:
     """Resolve one slot of raw per-source choices: turn those `on_air`
     rejects into `OFF_AIR`, look the slot's effects up in the link's memo,
     then drain each on-air packet and mark its group reached. Returns the
-    ledger after the slot and the per-source outcomes; `ledger` itself is
+    ledger after the slot and the effects the memo holds; `ledger` itself is
     left as it was. An on-air choice with an empty group stays on the air.
     """
     choices = tuple([act if on_air(ledger, src, act, slot) else OFF_AIR for src, act in enumerate(actions)])
+    effects = link.resolve(slot, choices)
     leftover, reached = list(ledger.leftover_bits), list(ledger.reached)
-    outcomes: list[SourceOutcome] = []
-    for k, bits, group_mask, sending, delivered in link.resolve(slot, choices):
-        if k < 0:
-            outcomes.append(sending)
-            continue
-        # the packet was not yet delivered (`on_air` saw to that), so it is
-        # delivered now exactly when this slot drains it to zero
-        left = leftover[k] = drain(leftover[k], bits)
-        reached[k] |= group_mask
-        outcomes.append(delivered if left == 0.0 else sending)
-    return DeliveryLedger(ledger.packets, tuple(leftover), tuple(reached)), outcomes
+    for k, bits, group_mask, _ in effects:
+        if k >= 0:
+            leftover[k] = drain(leftover[k], bits)
+            reached[k] |= group_mask
+    return DeliveryLedger(ledger.packets, tuple(leftover), tuple(reached)), effects
 
 
 @dataclass(frozen=True)
@@ -337,21 +308,17 @@ class ReceptionStats:
 
     packets: tuple[int, int]
     receptions: tuple[int, int]
-    intended: tuple[int, int]
     prr: float | None
 
 
 def reception_stats(ledger: DeliveryLedger) -> ReceptionStats:
-    packets, receptions, intended = [0, 0], [0, 0], [0, 0]
+    packets, receptions, intended = [0, 0], [0, 0], 0
     for pkt, left, reached in zip(ledger.packets, ledger.leftover_bits, ledger.reached):
         s = pkt.slice_id - 1
         audience = reached.bit_count()
-        if audience == 0:
-            continue
-        intended[s] += audience
-        if left == 0.0:
+        intended += audience
+        if audience and left == 0.0:
             packets[s] += 1
             receptions[s] += audience
-    total_intended = intended[0] + intended[1]
-    prr = None if total_intended == 0 else (receptions[0] + receptions[1]) / total_intended
-    return ReceptionStats(tuple(packets), tuple(receptions), tuple(intended), prr)
+    prr = None if intended == 0 else (receptions[0] + receptions[1]) / intended
+    return ReceptionStats(tuple(packets), tuple(receptions), prr)

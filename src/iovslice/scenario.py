@@ -186,10 +186,10 @@ def advance_mobility(scenario: Scenario, elapsed_s: float) -> Scenario:
 def generate_packets(
     scenario: Scenario,
     rng: np.random.Generator,
-    slice1_bits_range: tuple[float, float] = (1e5, 1e6),
-    slice2_bits: float = 4800.0,
-    deadline_len_slots: int = 8,
-    T: int = 20,
+    slice1_bits_range: tuple[float, float],
+    slice2_bits: float,
+    deadline_len_slots: int,
+    T: int,
 ) -> tuple[Packet, ...]:
     """Fresh per-source packet pair: one full-horizon payload, one deadline payload.
 

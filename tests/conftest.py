@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from iovslice.channel import ChannelConfig, ChannelState
+from iovslice import phy
+from iovslice.channel import ChannelConfig, ChannelState, noise_lin_mw
 from iovslice.scenario import (
     Packet,
     RoadConfig,
@@ -37,6 +38,40 @@ def forced_channel(scenario, gain_db, F=1, T=20):
         fastfade_pow=fade,
         gain_lin=gain[:, :, None, None] * fade,
     )
+
+
+def reference_slot(ledger, actions, chan, cfg, slot, slot_duration_s):
+    """One slot resolved from first principles, with no link table, no memo
+    and no `phy.on_air`: drop a delivered packet and a safety packet outside
+    its window (slice 1 has no window test here, so the uniform window rule
+    is checked against generated packets), put nothing on the air for no
+    packet, a radius of at most 0 or zero linear power, solve
+    `phy.slot_rates` on the effective choices, then drain and mark the
+    reached destinations. Returns the ledger after the slot and one
+    `phy.SourceEffect` per source: (packet index or -1, bits, group
+    bitmask, rate)."""
+    effective = []
+    for src, (pkt, coverage_m, freq, power_dbm) in enumerate(actions):
+        if pkt != phy.PKT_NONE:
+            packet, left = ledger.packets[2 * src + (pkt - 1)], ledger.leftover_bits[2 * src + (pkt - 1)]
+            if left == 0.0 or (pkt == phy.PKT_SLICE2 and not packet.arrival_slot <= slot <= packet.deadline_slot):
+                pkt = phy.PKT_NONE
+        p_mw = phy.power_lin_mw(power_dbm)
+        if pkt == phy.PKT_NONE or coverage_m <= 0 or p_mw == 0.0:
+            effective.append((phy.PKT_NONE, (), 0, 0.0))
+        else:
+            effective.append((pkt, phy.coverage_group(chan.dist_m[src], coverage_m), freq, p_mw))
+    rates = phy.slot_rates(effective, chan.gain_lin[:, :, :, slot], noise_lin_mw(cfg), cfg.rb_bandwidth_hz)
+    leftover, reached, effects = list(ledger.leftover_bits), list(ledger.reached), []
+    for src, ((pkt, group, _, _), rate) in enumerate(zip(effective, rates)):
+        if pkt == phy.PKT_NONE:
+            effects.append((-1, 0.0, 0, 0.0))
+            continue
+        k, bits, group_mask = 2 * src + (pkt - 1), rate * slot_duration_s, sum(1 << d for d in group)
+        leftover[k] = max(0.0, leftover[k] - bits)
+        reached[k] |= group_mask
+        effects.append((k, bits, group_mask, rate))
+    return ledger._replace(leftover_bits=tuple(leftover), reached=tuple(reached)), effects
 
 
 @pytest.fixture

@@ -69,6 +69,20 @@ def test_config_rejects_duplicate_key():
         parse_config(serialize_config(RunConfig()) + "train.lr = 1e-4\n")
 
 
+@pytest.mark.parametrize("key, sweep", [("size_multipliers", "sizes"), ("deadline_sweep_slots", "deadlines")])
+def test_config_rejects_repeated_sweep_point(tmp_path, monkeypatch, capsys, key, sweep):
+    # a repeated point would run twice and write every one of its rows twice
+    with pytest.raises(ValueError, match=rf"^run\.{key} repeats 3$"):
+        parse_config(f"run.{key} = 2,3,4,3\n")
+    assert getattr(parse_config(f"run.{key} = 2,4\n"), key) == (2, 4)
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(config_text(tiny_cfg(), f"run.{key} = 3,3"))
+    argv = ["baseline", "--config", "run.cfg", "--algorithms", "NOMA-MP", "--episodes", "2", "--sweep", sweep]
+    assert cli.main([*argv, "--out", "base.csv"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: run.{key} repeats 3")
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "run.cfg"]  # rejected before any output
+
+
 @pytest.mark.parametrize(
     "line, command",
     [

@@ -19,7 +19,7 @@ from iovslice.env import (
 from iovslice.scenario import RoadConfig
 from iovslice.worlds import TAG_TRAIN, WorkloadConfig, WorldStream
 
-from tests.conftest import forced_channel, hand_built_scenario
+from tests.conftest import forced_channel, hand_built_scenario, reference_slot
 
 # the level counts of the action space, in mixed-radix order: coverage (most
 # significant), packet, frequency, power; the frequency count is F
@@ -177,17 +177,14 @@ def test_unfinished_rate_reward_scaling():
 
 
 def test_individual_reward_cases():
+    # arguments: delivered now, group bitmask, rate, rate normalizer, upper bound
     norm = 2e6
-    delivered = phy.SourceOutcome(phy.PKT_SLICE2, (0,), 5e5, True)
-    assert individual_reward(delivered, norm) == 1.0
-    half = phy.SourceOutcome(phy.PKT_SLICE1, (0,), 1e6, False)
-    assert individual_reward(half, norm) == pytest.approx(0.5)
-    clipped = phy.SourceOutcome(phy.PKT_SLICE1, (0,), 4e6, False)
-    assert individual_reward(clipped, norm) == 1.0
-    silent = phy.SourceOutcome(phy.PKT_NONE, (), 0.0, False)
-    assert individual_reward(silent, norm) == 0.0
-    empty_group = phy.SourceOutcome(phy.PKT_SLICE1, (), 0.0, False)
-    assert individual_reward(empty_group, norm) == 0.0
+    assert individual_reward(True, 0b1, 5e5, norm, 1.0) == 1.0  # delivered
+    assert individual_reward(True, 0b1, 5e5, norm, 2.5) == 2.5
+    assert individual_reward(False, 0b1, 1e6, norm, 1.0) == pytest.approx(0.5)  # half the normalizer
+    assert individual_reward(False, 0b1, 4e6, norm, 1.0) == 1.0  # clipped
+    assert individual_reward(False, 0, 0.0, norm, 1.0) == 0.0  # silent, or on the air to no one at rate 0
+    assert individual_reward(False, 0, 1e6, norm, 1.0) == 0.0  # an empty group pays nothing, whatever the rate
 
 
 def test_masking_blocks_double_delivery():
@@ -373,12 +370,51 @@ def test_action_mask_matches_apply_slot(data):
     src = env.deciding
     table = phy.action_table(F)
     earlier = [table[i] for i in env.pending]
-    outcomes = []
+    effects = []
     for act in table:
         column = earlier + [act] + [phy.OFF_AIR] * (m - src - 1)
-        outcomes.append(phy.apply_slot(env.ledger, column, env.link, env.slot)[1][src])
-    useful = [o.transmitted and o.group != () for o in outcomes]
+        effects.append(phy.apply_slot(env.ledger, column, env.link, env.slot)[1][src])
+    useful = [k >= 0 and group_mask != 0 for k, _, group_mask, _ in effects]
     if any(useful):
         assert mask.tolist() == useful
     else:
-        assert mask.tolist() == [not o.transmitted for o in outcomes]  # resolved as OFF_AIR
+        assert mask.tolist() == [k < 0 for k, *_ in effects]  # resolved as OFF_AIR
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_slot_reward_matches_memo_free_reference(data):
+    """Over random worlds and raw action indices, every slot's reward and the
+    `prev` one-hot after it are, bit for bit, what `individual_reward` and
+    `reference_slot` give: a source's packet is delivered now when the
+    reference drains its leftover to 0.0, and the one-hot names the packet
+    the reference put on the air, `PKT_NONE` for an off-air source."""
+    m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    F, T = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 6))
+    upper = data.draw(st.sampled_from([1.0, 0.7, 2.5]))
+    env_cfg = EnvConfig(m=m, n=n, F=F, T=T, reward_upper_bound=upper)
+    workload = WorkloadConfig(
+        slice1_bits_min=1e3, slice1_bits_max=5e4, deadline_len_slots=data.draw(st.integers(1, T))
+    )
+    cfg = ChannelConfig()
+    sc, chan = WorldStream(RoadConfig(), env_cfg, cfg, workload, data.draw(st.integers(0, 999)), TAG_TRAIN)(0)
+    env = SlicingEnv(env_cfg, cfg)
+    env.reset(sc, chan)
+    table = phy.action_table(F)
+    prev = slice(m * n * (1 + F), m * n * (1 + F) + m * len(phy.PACKET_CHOICES))
+    ledger = env.ledger
+    for t in range(T):
+        column = data.draw(st.lists(st.integers(0, env_cfg.n_actions - 1), min_size=m, max_size=m))
+        for index in column:
+            res = env.step(index)
+        ledger, effects = reference_slot(ledger, [table[i] for i in column], chan, cfg, t, env_cfg.slot_duration_s)
+        reward = 0.0
+        one_hot = np.zeros((m, len(phy.PACKET_CHOICES)))
+        for src, (k, _, group_mask, rate) in enumerate(effects):
+            delivered_now = k >= 0 and ledger.leftover_bits[k] == 0.0
+            reward += individual_reward(delivered_now, group_mask, rate, env.rate_norm_bps, upper)
+            one_hot[src, k - 2 * src + 1 if k >= 0 else phy.PKT_NONE] = 1.0
+        assert res.reward.hex() == reward.hex()
+        assert env.slot_rewards[-1].hex() == reward.hex()
+        assert res.next_observation[prev].tobytes() == one_hot.ravel().tobytes()
+        assert env.ledger == ledger

@@ -11,7 +11,7 @@ from iovslice.env import EnvConfig
 from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY, SLICE_THROUGHPUT
 from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream
 
-from tests.conftest import forced_channel, hand_built_scenario
+from tests.conftest import forced_channel, hand_built_scenario, reference_slot
 
 
 def test_sic_single_transmitter():
@@ -109,15 +109,15 @@ def test_group_rate_min_semantics():
     chan.gain_lin[0, 1] = 10 ** (-9.5)
     ledger = phy.DeliveryLedger.start(sc.packets)
     act_near = phy.SlotAction(phy.PKT_SLICE1, 100.0, 0, 30.0)
-    _, out = phy.apply_slot(ledger, [act_near], *_slot_args(sc, chan, cfg))
-    near_rate = out[0].rate_bps
+    _, effects = phy.apply_slot(ledger, [act_near], *_slot_args(sc, chan, cfg))
+    near_rate = effects[0][3]
     act_both = phy.SlotAction(phy.PKT_SLICE1, 1400.0, 0, 30.0)
-    _, out = phy.apply_slot(ledger, [act_both], *_slot_args(sc, chan, cfg))
-    both = out[0]
-    assert both.group == (0, 1)
-    assert both.rate_bps < near_rate  # min over members
+    _, effects = phy.apply_slot(ledger, [act_both], *_slot_args(sc, chan, cfg))
+    _, _, group_mask, rate = effects[0]
+    assert group_mask == 0b11
+    assert rate < near_rate  # min over members
     single_far = phy.sic_sinr([(0, 1000.0 * 10 ** (-9.5))], noise_lin_mw(cfg))[0]
-    assert both.rate_bps == pytest.approx(phy.rate_bps(single_far, 1e6))
+    assert rate == pytest.approx(phy.rate_bps(single_far, 1e6))
 
 
 def test_group_rate_zero_cases():
@@ -126,19 +126,21 @@ def test_group_rate_zero_cases():
     chan = forced_channel(sc, -80.0)
     ledger = phy.DeliveryLedger.start(sc.packets)
     # coverage zero: no transmission at all
-    _, out = phy.apply_slot(
+    _, effects = phy.apply_slot(
         ledger,
         [phy.SlotAction(phy.PKT_SLICE1, 0.0, 0, 30.0)],
         *_slot_args(sc, chan, cfg),
     )
-    assert not out[0].transmitted and out[0].rate_bps == 0.0
+    k, _, _, rate = effects[0]
+    assert k < 0 and rate == 0.0
     # coverage 50 m but nearest destination 100 m away: on air, empty group
-    _, out = phy.apply_slot(
+    _, effects = phy.apply_slot(
         ledger,
         [phy.SlotAction(phy.PKT_SLICE1, 50.0, 0, 30.0)],
         *_slot_args(sc, chan, cfg),
     )
-    assert out[0].transmitted and out[0].group == () and out[0].rate_bps == 0.0
+    k, _, group_mask, rate = effects[0]
+    assert k >= 0 and group_mask == 0 and rate == 0.0
 
 
 def test_apply_slot_delivery_arithmetic():
@@ -152,18 +154,19 @@ def test_apply_slot_delivery_arithmetic():
     chan.gain_lin[:] = gain
     ledger = phy.DeliveryLedger.start(sc.packets)
     act = phy.SlotAction(phy.PKT_SLICE2, 100.0, 0, 30.0)
-    ledger, out = phy.apply_slot(ledger, [act], *_slot_args(sc, chan, cfg))
+    ledger, effects = phy.apply_slot(ledger, [act], *_slot_args(sc, chan, cfg))
     # 1 Mbps * 5 ms = 5000 bits >= 4800: delivered in one slot
-    assert out[0].delivered_now
-    assert ledger.leftover_bits[1] == 0.0
+    k, bits, _, _ = effects[0]
+    assert k == 1 and bits == pytest.approx(5000.0)
+    assert ledger.leftover_bits[1] == 0.0  # delivered now
     assert phy.reception_stats(ledger).packets == (0, 1)
     # slice 1 at 1 Mbps: 5e5 - 5000 bits left
-    ledger2, out = phy.apply_slot(
+    ledger2, effects = phy.apply_slot(
         phy.DeliveryLedger.start(sc.packets),
         [phy.SlotAction(phy.PKT_SLICE1, 100.0, 0, 30.0)],
         *_slot_args(sc, chan, cfg),
     )
-    assert not out[0].delivered_now
+    assert effects[0][0] == 0 and ledger2.leftover_bits[0] > 0.0  # still sending
     assert ledger2.leftover_bits[0] == pytest.approx(5e5 - 5000.0)
 
 
@@ -173,11 +176,11 @@ def test_apply_slot_masks_delivered_packets():
     chan = forced_channel(sc, -60.0)  # very strong link
     ledger = phy.DeliveryLedger.start(sc.packets)
     act = phy.SlotAction(phy.PKT_SLICE2, 100.0, 0, 30.0)
-    ledger, out = phy.apply_slot(ledger, [act], *_slot_args(sc, chan, cfg, t=0))
-    assert out[0].delivered_now
+    ledger, effects = phy.apply_slot(ledger, [act], *_slot_args(sc, chan, cfg, t=0))
+    assert effects[0][0] == 1 and ledger.leftover_bits[1] == 0.0  # delivered now
     # re-choosing the delivered packet is silently a no-op
-    ledger, out = phy.apply_slot(ledger, [act], *_slot_args(sc, chan, cfg, t=1))
-    assert not out[0].transmitted
+    ledger, effects = phy.apply_slot(ledger, [act], *_slot_args(sc, chan, cfg, t=1))
+    assert effects[0][0] < 0
     assert ledger.leftover_bits[1] == 0.0
 
 
@@ -186,8 +189,8 @@ def test_apply_slot_silences_out_of_window_slice2():
     sc = hand_built_scenario([0.0], [100.0])  # slice 2 window is slots 0..7
     chan = forced_channel(sc, -60.0)  # strong enough to deliver in one slot
     act = phy.SlotAction(phy.PKT_SLICE2, 100.0, 0, 30.0)
-    ledger, out = phy.apply_slot(phy.DeliveryLedger.start(sc.packets), [act], *_slot_args(sc, chan, cfg, t=8))
-    assert not out[0].transmitted and out[0].packet_id == phy.PKT_NONE
+    ledger, effects = phy.apply_slot(phy.DeliveryLedger.start(sc.packets), [act], *_slot_args(sc, chan, cfg, t=8))
+    assert effects[0] == (-1, 0.0, 0, 0.0)  # off the air
     assert ledger.leftover_bits == (5e5, 4800.0)
     assert 0.0 not in ledger.leftover_bits  # nothing delivered
     assert ledger.reached == (0, 0)
@@ -255,31 +258,31 @@ def test_ledger_monotone_under_random_actions(rng):
             for _ in range(2)
         ]
         snapshot = phy.DeliveryLedger(ledger.packets, tuple(ledger.leftover_bits), tuple(ledger.reached))
-        after, out = phy.apply_slot(ledger, actions, *_slot_args(sc, chan, cfg, t=t))
+        after, effects = phy.apply_slot(ledger, actions, *_slot_args(sc, chan, cfg, t=t))
         assert ledger == snapshot  # the input ledger is left as it was
-        _assert_slot_step(ledger, after, out)
+        _assert_slot_step(ledger, after, effects)
         assert all(a <= b + 1e-12 for a, b in zip(after.leftover_bits, ledger.leftover_bits))
         # delivery never comes undone
         assert all(a == 0.0 for a, b in zip(after.leftover_bits, ledger.leftover_bits) if b == 0.0)
         ledger = after
 
 
-def _assert_slot_step(before, after, outcomes):
+def _assert_slot_step(before, after, effects):
     """What one `apply_slot` step may do to a ledger: reached bits only
-    grow, and a source's outcome is delivered_now exactly when its packet's
-    leftover went from >0 to 0.0."""
+    grow, only a packet an on-air effect of its own source names changes,
+    and a packet's leftover goes from >0 to 0.0 only when such an effect
+    names it."""
     assert after.packets is before.packets
     for new, old in zip(after.reached, before.reached):
         assert new & old == old
-    for src, o in enumerate(outcomes):
-        drained = [
-            k
-            for k in (2 * src, 2 * src + 1)
-            if before.leftover_bits[k] > 0.0 and after.leftover_bits[k] == 0.0
-        ]
-        assert o.delivered_now == bool(drained)
-        if o.delivered_now:
-            assert drained == [2 * src + (o.packet_id - 1)]
+    named = {k for k, *_ in effects if k >= 0}
+    for src, (k, *_) in enumerate(effects):
+        assert k < 0 or k // 2 == src
+    for k in range(len(before.packets)):
+        if k not in named:
+            assert (after.leftover_bits[k], after.reached[k]) == (before.leftover_bits[k], before.reached[k])
+        elif after.leftover_bits[k] == 0.0:
+            assert before.leftover_bits[k] > 0.0  # delivered now: `on_air` names undelivered packets only
 
 
 @settings(max_examples=60, deadline=None)
@@ -307,9 +310,9 @@ def test_ledger_leftover_never_rises_and_zero_means_delivered(data):
     for t in range(T):
         before = ledger
         snapshot = phy.DeliveryLedger(before.packets, tuple(before.leftover_bits), tuple(before.reached))
-        ledger, out = phy.apply_slot(before, data.draw(st.lists(choice, min_size=m, max_size=m)), link, t)
+        ledger, effects = phy.apply_slot(before, data.draw(st.lists(choice, min_size=m, max_size=m)), link, t)
         assert before == snapshot  # the input ledger is left as it was
-        _assert_slot_step(before, ledger, out)
+        _assert_slot_step(before, ledger, effects)
         left = ledger.leftover_bits
         assert all(a <= b for a, b in zip(left, before.leftover_bits)) and min(left) >= 0.0
         # delivered packets are exactly the zero leftovers, whoever they reached
@@ -318,10 +321,6 @@ def test_ledger_leftover_never_rises_and_zero_means_delivered(data):
         for k, reached in enumerate(ledger.reached):
             counted[slices[k]] += left[k] == 0.0 and reached != 0
         assert list(phy.reception_stats(ledger).packets) == counted
-        for src, o in enumerate(out):
-            if o.delivered_now:
-                k = 2 * src + (o.packet_id - 1)
-                assert before.leftover_bits[k] > 0.0 and left[k] == 0.0
     with pytest.raises(TypeError):
         ledger.leftover_bits[0] = 0.0  # the ledger is read-only
 
@@ -362,15 +361,7 @@ def test_shared_link_replays_match_fresh_links(data):
         for start in (masked, ledger):
             resolved = []
             for link in (shared, shared, fresh_link()):
-                after, out = phy.apply_slot(start, actions, link, t)
-                resolved.append(
-                    (
-                        _bits(after.leftover_bits),
-                        after.reached,
-                        _bits([o.rate_bps for o in out]),
-                        out,
-                    )
-                )
+                resolved.append(_resolution(*phy.apply_slot(start, actions, link, t)))
             assert resolved[0] == resolved[2] and resolved[1] == resolved[2]
         ledger, _ = phy.apply_slot(ledger, actions, shared, t)
 
@@ -380,12 +371,12 @@ def _bits(floats):
     return [x.hex() for x in floats]
 
 
-def _resolution(ledger, outcomes):
-    """A resolved slot, bit for bit: the ledger after it and every outcome."""
+def _resolution(ledger, effects):
+    """A resolved slot, bit for bit: the ledger after it and every effect."""
     return (
         _bits(ledger.leftover_bits),
         ledger.reached,
-        [(o.packet_id, o.group, o.rate_bps.hex(), o.delivered_now) for o in outcomes],
+        [(k, bits.hex(), group_mask, rate.hex()) for k, bits, group_mask, rate in effects],
     )
 
 
@@ -425,43 +416,11 @@ def test_slot_resolution_memo_is_exact(data):
                 assert _resolution(*got) == _resolution(*want)
 
 
-def _reference_slot(ledger, actions, chan, cfg, slot, slot_duration_s):
-    """One slot resolved from first principles, with no link table, no memo
-    and no `phy.on_air`: drop a delivered packet and a safety packet outside
-    its window (slice 1 has no window test here, so the uniform window rule
-    is checked against generated packets), put nothing on the air for no
-    packet, a radius of at most 0 or zero linear power, solve
-    `phy.slot_rates` on the effective choices, then drain and mark the
-    reached destinations."""
-    effective = []
-    for src, (pkt, coverage_m, freq, power_dbm) in enumerate(actions):
-        if pkt != phy.PKT_NONE:
-            packet, left = ledger.packets[2 * src + (pkt - 1)], ledger.leftover_bits[2 * src + (pkt - 1)]
-            if left == 0.0 or (pkt == phy.PKT_SLICE2 and not packet.arrival_slot <= slot <= packet.deadline_slot):
-                pkt = phy.PKT_NONE
-        p_mw = phy.power_lin_mw(power_dbm)
-        if pkt == phy.PKT_NONE or coverage_m <= 0 or p_mw == 0.0:
-            effective.append((phy.PKT_NONE, (), 0, 0.0))
-        else:
-            effective.append((pkt, phy.coverage_group(chan.dist_m[src], coverage_m), freq, p_mw))
-    rates = phy.slot_rates(effective, chan.gain_lin[:, :, :, slot], noise_lin_mw(cfg), cfg.rb_bandwidth_hz)
-    leftover, reached, outcomes = list(ledger.leftover_bits), list(ledger.reached), []
-    for src, ((pkt, group, _, _), rate) in enumerate(zip(effective, rates)):
-        if pkt == phy.PKT_NONE:
-            outcomes.append(phy.SourceOutcome(phy.PKT_NONE, (), 0.0, False))
-            continue
-        k = 2 * src + (pkt - 1)
-        leftover[k] = max(0.0, leftover[k] - rate * slot_duration_s)
-        reached[k] |= sum(1 << d for d in group)
-        outcomes.append(phy.SourceOutcome(pkt, group, rate, leftover[k] == 0.0))
-    return ledger._replace(leftover_bits=tuple(leftover), reached=tuple(reached)), outcomes
-
-
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_apply_slot_matches_memo_free_reference(data):
     """`apply_slot` through a shared link, memo hits included, resolves every
-    slot bit for bit as `_reference_slot` does, over the full action space.
+    slot bit for bit as `reference_slot` does, over the full action space.
     Corner cases of the off-air rule are drawn as often as any other choice:
     a packet with radius 0, a packet at the silence power, no packet with a
     radius, and packets the ledger masks (delivered by hand, or a slice-2
@@ -496,7 +455,7 @@ def test_apply_slot_matches_memo_free_reference(data):
             leftover_bits=tuple(0.0 if k in zeroed else left for k, left in enumerate(ledger.leftover_bits))
         )
         for start in (masked, ledger, ledger):  # the last call is a memo hit
-            want = _resolution(*_reference_slot(start, column, chan, cfg, t, 0.005))
+            want = _resolution(*reference_slot(start, column, chan, cfg, t, 0.005))
             got = phy.apply_slot(start, column, link, t)
             assert _resolution(*got) == want
         ledger = got[0]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iovslice.config import parse_config
+from iovslice.env import EnvConfig
 from iovslice.scenario import (
     RoadConfig,
     advance_mobility,
@@ -11,6 +12,9 @@ from iovslice.scenario import (
     generate_vehicles,
     poisson_positions,
 )
+from iovslice.worlds import WorkloadConfig
+
+SIZES = ((1e5, 1e6), 4800.0)  # slice-1 size range and slice-2 size, in bits
 
 
 def test_lane_velocity_paper_values():
@@ -109,7 +113,10 @@ def test_mobility_stays_on_road(rng):
 
 def test_generate_packets_defaults(rng):
     sc = generate_vehicles(RoadConfig(), 3, 4, rng)
-    packets = generate_packets(sc, rng)
+    # the default workload and horizon, passed the way `worlds` passes them
+    w = WorkloadConfig()
+    bits = (w.slice1_bits_min, w.slice1_bits_max)
+    packets = generate_packets(sc, rng, bits, w.slice2_bits, w.deadline_len_slots, EnvConfig().T)
     assert len(packets) == 6
     for src in range(3):
         p1, p2 = packets[2 * src], packets[2 * src + 1]
@@ -123,7 +130,7 @@ def test_generate_packets_windows_and_sizes(rng):
     sc = generate_vehicles(RoadConfig(), 3, 4, rng)
     sizes = []
     for _ in range(350):  # 1050 slice-1 draws
-        for p in generate_packets(sc, rng, deadline_len_slots=5, T=20):
+        for p in generate_packets(sc, rng, *SIZES, deadline_len_slots=5, T=20):
             if p.slice_id == 1:
                 sizes.append(p.size_bits)
                 assert (p.arrival_slot, p.deadline_slot) == (0, 19)
@@ -144,7 +151,7 @@ def test_generated_windows_lie_in_the_horizon(data):
     length = data.draw(st.integers(1, T))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     sc = generate_vehicles(RoadConfig(), data.draw(st.integers(1, 4)), 1, rng)
-    packets = generate_packets(sc, rng, deadline_len_slots=length, T=T)
+    packets = generate_packets(sc, rng, *SIZES, deadline_len_slots=length, T=T)
     assert len(packets) == 2 * sc.m
     for p1, p2 in zip(packets[0::2], packets[1::2]):
         assert (p1.slice_id, p1.arrival_slot, p1.deadline_slot) == (1, 0, T - 1)
@@ -155,7 +162,7 @@ def test_generated_windows_lie_in_the_horizon(data):
 def test_generate_packets_degenerate_window(rng):
     sc = generate_vehicles(RoadConfig(), 2, 2, rng)
     for _ in range(20):
-        for p in generate_packets(sc, rng, deadline_len_slots=20, T=20):
+        for p in generate_packets(sc, rng, *SIZES, deadline_len_slots=20, T=20):
             if p.slice_id == 2:
                 assert p.arrival_slot == 0 and p.deadline_slot == 19
 
@@ -163,4 +170,4 @@ def test_generate_packets_degenerate_window(rng):
 def test_generate_packets_rejects_long_deadline(rng):
     sc = generate_vehicles(RoadConfig(), 1, 1, rng)
     with pytest.raises(ValueError):
-        generate_packets(sc, rng, deadline_len_slots=21, T=20)
+        generate_packets(sc, rng, *SIZES, deadline_len_slots=21, T=20)
