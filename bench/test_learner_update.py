@@ -10,7 +10,7 @@ replay of 100,000 transitions with alpha 0.6):
   corrections divide) and late (t > 37,412, both have rounded to 1.0);
 - `DuelingQNetwork.loss_and_grads` on one batch.
 
-The buffer's tree and priorities are filled to capacity; its observation rows
+The buffer's sum tree is filled to capacity; its observation rows
 stay zero, so setting it up writes no 117 MB of transitions. Each timed round
 is one call.
 
@@ -82,6 +82,9 @@ def test_loss_and_grads(benchmark, net):
     targets = rng.normal(size=BATCH)
     weights = rng.uniform(0.5, 1.0, size=BATCH)
     loss, grads, _ = benchmark.pedantic(
-        net.loss_and_grads, args=(obs, actions, targets, weights), rounds=ROUNDS, warmup_rounds=5
+        net.loss_and_grads,
+        args=(obs, actions, targets, weights, CFG.train.huber_delta),
+        rounds=ROUNDS,
+        warmup_rounds=5,
     )
     assert np.isfinite(loss) and grads.flat.size == net.params.flat.size

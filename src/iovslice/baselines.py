@@ -196,37 +196,37 @@ def _moves(options: Options, columns: list[Column], freqs: list[list[int]], oma:
 def swap_matching(
     options: Options,
     freqs: list[list[int]],
-    evaluate,
+    scenario: Scenario,
+    link: phy.EpisodeLink,
     oma: bool,
-    max_iters: int = 1000,
+    max_iters: int,
 ) -> BaselineRun:
     """First-improvement local search over frequency swaps and single moves.
 
     The search state is one frequency row per slot, starting from `freqs`
     (left as it is); `options` are the `slot_options` the rows index. A move
     edits one slot's row and column, and a trial shares every other column
-    with the current plan. evaluate(columns, record, start) -> ledgers
-    replays them as `evaluate_plan` does: in full when record is None, else
-    from slot `start` against the current plan's ledgers, which every trial
-    differs from at that slot only. A trial stopped once its leftover bits
+    with the current plan. `evaluate_plan` replays the initial plan in full
+    through `link`, and each trial from the slot it edits, against the
+    current plan's recorded ledgers. A trial stopped once its leftover bits
     dominate the record's (fewer than T + 1 ledgers back) delivers no more
     than the current plan, so it loses; a trial that wins therefore replays
-    every slot, and the record stays complete. A move is kept
-    only if the delivered count strictly increases; the objective history
-    holds the count after each accepted move (leading entry: the initial
-    count), and the stats are read off the final plan's recorded ledgers.
+    every slot, and the record stays complete. A move is kept only if the
+    delivered count strictly increases; the objective history holds the
+    count after each accepted move (leading entry: the initial count), and
+    the stats are read off the final plan's recorded ledgers.
     """
     T = len(freqs)
     freqs = freqs.copy()  # rows are replaced, never edited in place
     columns = plan_columns(options, freqs)
-    record = evaluate(columns, None, 0)
+    record = evaluate_plan(columns, scenario, link)
     history = [delivered_packets(record[-1])]
     evaluations, slots = 1, len(record) - 1
     while len(history) - 1 < max_iters:
         for t, column, row in _moves(options, columns, freqs, oma):
             trial = columns.copy()
             trial[t] = column
-            ledgers = evaluate(trial, record, t)
+            ledgers = evaluate_plan(trial, scenario, link, record, t)
             evaluations += 1
             slots += len(ledgers) - 1 - t
             if len(ledgers) > T and delivered_packets(ledgers[-1]) > history[-1]:
@@ -245,7 +245,7 @@ def run_baseline(
     channel_cfg: ChannelConfig,
     slot_duration_s: float,
     rng: np.random.Generator,
-    max_iters: int = 1000,
+    max_iters: int,
 ) -> BaselineRun:
     if name not in BASELINE_NAMES:
         raise ValueError(f"unknown baseline {name!r}, expected one of {BASELINE_NAMES}")
@@ -256,8 +256,4 @@ def run_baseline(
     # the allocation and every trial read this one episode's link table
     link = phy.EpisodeLink(chan, channel_cfg, slot_duration_s)
     freqs = initial_rb_allocation(link, coverage, oma)
-
-    def evaluate(columns: list[Column], record: list[phy.DeliveryLedger] | None, start: int):
-        return evaluate_plan(columns, scenario, link, record, start)
-
-    return swap_matching(options, freqs, evaluate, oma, max_iters)
+    return swap_matching(options, freqs, scenario, link, oma, max_iters)

@@ -291,9 +291,10 @@ def _mean_stderr(values: list[float]) -> tuple[float, float | None]:
 
 def cmd_plotdata(inputs: list[Path], out_path: Path) -> Path:
     """Mean and standard error per (algorithm, slice-2 size, deadline) over
-    the rows of every input; a row repeating one already read (the same
-    algorithm, sweep point, episode and channel) is refused."""
-    groups: dict[tuple[str, str, str], list[tuple[float, float]]] = {}
+    the rows of every input. A row repeating one already read (the same
+    algorithm, sweep point, episode and channel) is refused, and so is a
+    delivered count that is not a nonnegative integer."""
+    groups: dict[tuple[str, str, str], list[tuple[int, int]]] = {}
     seen: set[tuple[str, ...]] = set()
     for path in inputs:
         columns, rows = _read_csv(path, EVAL_SCHEMA)
@@ -309,9 +310,15 @@ def cmd_plotdata(inputs: list[Path], out_path: Path) -> Path:
             if row_key in seen:
                 raise ValueError(f"{path}: duplicate row for {row['algorithm']} episode {row['episode']}")
             seen.add(row_key)
-            groups.setdefault(key, []).append(
-                (float(row["slice1_delivered"]), float(row["slice2_delivered"]))
-            )
+            counts = []
+            for column in ("slice1_delivered", "slice2_delivered"):
+                value = row[column]
+                if not (value.isascii() and value.isdecimal()):
+                    raise ValueError(
+                        f"{path}: episode {row['episode']}: {column} {value!r} is not a nonnegative integer"
+                    )
+                counts.append(int(value))
+            groups.setdefault(key, []).append(tuple(counts))
     out_rows = []
     for (algo, size, deadline), vals in sorted(groups.items()):
         s1 = [v[0] for v in vals]

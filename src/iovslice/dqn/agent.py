@@ -1,9 +1,10 @@
 """Training loop and greedy rollout for the scheduling policy.
 
 Training runs one gradient update per environment micro-step once the replay
-memory is warm, copies the online network into the target every fixed number
-of updates, and logs one row per episode. Everything is driven by a single
-seeded generator, so runs are reproducible bit-for-bit.
+memory holds both the warmup and one batch of transitions, copies the online
+network into the target every fixed number of updates, and logs one row per
+episode. Everything is driven by a single seeded generator, so runs are
+reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class TrainConfig:
     beta_start: float = 0.4
     beta_end: float = 1.0
     priority_eps: float = 1e-3
-    warmup: int = 1000  # stored experiences before updates begin
+    warmup: int = 1000  # stored experiences before updates begin (and at least one batch)
     updates_per_step: int = 1  # gradient updates per environment micro-step
     hidden: tuple[int, ...] = (256, 128, 120)
     huber_delta: float = 1.0
@@ -103,19 +104,20 @@ def td_targets(
     target_net: DuelingQNetwork,
     rewards: np.ndarray,
     next_obs: np.ndarray,
-    terminal: np.ndarray,
-    gamma: float,
+    discount: np.ndarray,
     online_net: DuelingQNetwork | None = None,
 ) -> np.ndarray:
-    """r + gamma * max_a Q_target(s', a), truncated at terminals. If online_net
-    is given, the action is argmaxed online and evaluated on the target."""
+    """r + discount * max_a Q_target(s', a), each transition's discount its
+    `StepResult.discount`, so the learner discounts once per slot as the
+    return does. If online_net is given, the action is argmaxed online and
+    evaluated on the target."""
     q_next = target_net.forward(next_obs)
     if online_net is not None:
         picks = np.argmax(online_net.forward(next_obs), axis=1)
         bootstrap = q_next[np.arange(len(picks)), picks]
     else:
         bootstrap = q_next.max(axis=1)
-    return rewards + gamma * bootstrap * (~terminal)
+    return rewards + discount * bootstrap
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,7 @@ def train(
     memory = PrioritizedReplay(
         cfg.replay_capacity, env.cfg.obs_dim, alpha=cfg.alpha, priority_eps=cfg.priority_eps
     )
-    gamma = env.cfg.gamma
+    start = max(cfg.warmup, cfg.batch_size)  # stored transitions before updates begin
     updates = 0
     returns: list[float] = []
     log: list[TrainLogRow] = []
@@ -163,21 +165,18 @@ def train(
             else:
                 action = int(net.forward(obs).argmax())
             result = env.step(action)
-            memory.add(obs, action, result.reward, result.next_observation, result.terminal)
+            memory.add(obs, action, result.reward, result.next_observation, result.discount)
             obs = result.next_observation
             done = result.terminal
 
-            if len(memory) >= cfg.warmup:
+            if len(memory) >= start:
                 for _ in range(cfg.updates_per_step):
                     batch = memory.sample(cfg.batch_size, beta, rng)
-                    if batch is None:
-                        break
                     targets = td_targets(
                         target,
                         batch.rewards,
                         batch.next_obs,
-                        batch.terminal,
-                        gamma,
+                        batch.discount,
                         online_net=net if cfg.double_q else None,
                     )
                     loss, grads, td_abs = net.loss_and_grads(
@@ -194,7 +193,7 @@ def train(
                         target.copy_from(net)
                     losses.append(loss)
 
-        ret = episode_return(env.slot_rewards, gamma)
+        ret = episode_return(env.slot_rewards, env.cfg.gamma)
         returns.append(ret)
         row = TrainLogRow(
             episode=ep + 1,

@@ -19,6 +19,10 @@ import numpy as np
 CHECKPOINT_MAGIC = b"IOVDQNCK"
 CHECKPOINT_VERSION = 1
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class CheckpointFormatError(ValueError):
     """Corrupt header, wrong magic, or truncated parameter payload."""
@@ -61,8 +65,9 @@ class DuelingQNetwork:
 
     Parameters live in self.params, a FlatParams of per-layer views
     [W1, b1, ..., Wk, bk, Wv, bv, Wa, ba] into the one vector
-    self.params.flat; weight matrices are (in, out). Gradients come back in
-    the same layout.
+    self.params.flat; weight matrices are (in, out). `loss_and_grads` is the
+    one training entry: it keeps each hidden activation of its forward pass
+    and backpropagates through them, returning gradients in the same layout.
     """
 
     def __init__(
@@ -94,20 +99,11 @@ class DuelingQNetwork:
         x = np.asarray(obs, dtype=np.float64)
         if x.shape[-1] != self.obs_dim:
             raise ValueError(f"observation dim {x.shape[-1]} != network input {self.obs_dim}")
-        return self._forward(x)[0]
+        return self._forward(x)
 
-    def forward_cached(self, obs: np.ndarray):
-        """Batch forward pass that also returns the activations backward needs."""
-        x = np.asarray(obs, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.obs_dim:
-            raise ValueError(f"observation batch shape {x.shape} != (B, {self.obs_dim})")
-        acts = [x]
-        q, v, a = self._forward(x, acts)
-        return q, (acts, v, a)
-
-    def _forward(self, x: np.ndarray, acts: list | None = None):
-        """The one layer loop, returning (Q, V, A); appends each hidden
-        activation to `acts` when given one."""
+    def _forward(self, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+        """The one layer loop, returning Q; appends each hidden activation to
+        `acts` when given one."""
         p = self.params
         h = x
         for i in range(0, 2 * len(self.hidden), 2):
@@ -121,14 +117,14 @@ class DuelingQNetwork:
         a = h @ p[-2]
         a += p[-1]
         # Q = V + A - mean(A); np.mean is this sum divided by the count
-        return v + a - a.sum(axis=-1, keepdims=True) / self.n_actions, v, a
+        return v + a - a.sum(axis=-1, keepdims=True) / self.n_actions
 
     # -- gradients ---------------------------------------------------------
 
-    def backward(self, cache, dq: np.ndarray) -> FlatParams:
-        """Gradients for every parameter given dLoss/dQ, in a fresh FlatParams
-        with the layout of self.params."""
-        acts, _, _ = cache
+    def _backward(self, acts: list, dq: np.ndarray) -> FlatParams:
+        """Gradients for every parameter given dLoss/dQ and the forward pass's
+        activations [x, h1, ..., hk], in a fresh FlatParams with the layout of
+        self.params."""
         n_hidden = len(self.hidden)
         grads = FlatParams(np.empty(self.params.flat.size), self.params.shapes)
         h_last = acts[-1]
@@ -156,14 +152,18 @@ class DuelingQNetwork:
         actions: np.ndarray,
         targets: np.ndarray,
         weights: np.ndarray,
-        huber_delta: float = 1.0,
+        huber_delta: float,
     ):
         """Importance-weighted Huber loss on the chosen actions' Q values.
 
         Returns (mean loss, gradients as a FlatParams, |td error| per sample).
         Every call returns new gradient arrays.
         """
-        q, cache = self.forward_cached(obs)
+        x = np.asarray(obs, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.obs_dim:
+            raise ValueError(f"observation batch shape {x.shape} != (B, {self.obs_dim})")
+        acts = [x]
+        q = self._forward(x, acts)
         batch = q.shape[0]
         rows = np.arange(batch)
         delta = q[rows, actions] - targets
@@ -175,16 +175,13 @@ class DuelingQNetwork:
         loss = float(np.mean(weights * loss_per))
         dq = np.zeros_like(q)
         dq[rows, actions] = weights * np.clip(delta, -huber_delta, huber_delta) / batch
-        return loss, self.backward(cache, dq), abs_delta
+        return loss, self._backward(acts, dq), abs_delta
 
     # -- copies ------------------------------------------------------------
 
     def clone(self) -> "DuelingQNetwork":
-        dup = DuelingQNetwork.__new__(DuelingQNetwork)
-        dup.obs_dim = self.obs_dim
-        dup.hidden = self.hidden
-        dup.n_actions = self.n_actions
-        dup.params = FlatParams(self.params.flat.copy(), self.params.shapes)
+        dup = DuelingQNetwork(self.obs_dim, self.hidden, self.n_actions)
+        dup.params.flat[...] = self.params.flat
         return dup
 
     def copy_from(self, other: "DuelingQNetwork") -> None:
@@ -198,17 +195,15 @@ class Adam:
     sequence of in-place ufuncs over FlatParams.flat, in the order of the
     per-tensor formula p -= lr * (m / b1t) / (sqrt(v / b2t) + eps).
 
+    The moment decay rates and eps are ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
     A bias correction 1 - beta**t rounds to exactly 1.0 once beta**t <= 2**-54
-    (for the default betas, b1t from t = 356 and b2t from t = 37,412 on).
+    (b1t from t = 356 and b2t from t = 37,412 on).
     From then on its divide pass is skipped: x / 1.0 is x, so the step's
     bytes are unchanged.
     """
 
-    def __init__(self, params: FlatParams, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: FlatParams, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         size = params.flat.size
         self.m = np.zeros(size)
@@ -218,16 +213,16 @@ class Adam:
 
     def step(self, params: FlatParams, grads: FlatParams) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t = 1.0 - ADAM_BETA1**self.t
+        b2t = 1.0 - ADAM_BETA2**self.t
         p, g, m, v = params.flat, grads.flat, self.m, self.v
         num, den = self._num, self._den
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=num)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=num)
         m += num
-        v *= self.beta2
+        v *= ADAM_BETA2
         np.square(g, out=num)
-        num *= 1.0 - self.beta2
+        num *= 1.0 - ADAM_BETA2
         v += num
         if b1t == 1.0:
             np.multiply(m, self.lr, out=num)
@@ -239,7 +234,7 @@ class Adam:
         else:
             np.divide(v, b2t, out=den)
             np.sqrt(den, out=den)
-        den += self.eps
+        den += ADAM_EPS
         num /= den
         p -= num
 

@@ -1,8 +1,9 @@
 """Prioritized experience replay over a sum tree.
 
 Leaves hold priority^alpha so proportional sampling is a single O(log N)
-prefix descent; raw priorities are kept alongside for inspection. Eviction
-is strictly FIFO through a ring pointer.
+prefix descent; a fresh transition gets `max_priority`, the running max of
+the raw priorities. A transition stores the `StepResult.discount` of its
+step. Eviction is strictly FIFO through a ring pointer.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class ReplayBatch:
     actions: np.ndarray
     rewards: np.ndarray
     next_obs: np.ndarray
-    terminal: np.ndarray
+    discount: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
 
@@ -78,19 +79,18 @@ class PrioritizedReplay:
         self,
         capacity: int,
         obs_dim: int,
-        alpha: float = 0.6,
-        priority_eps: float = 1e-3,
+        alpha: float,
+        priority_eps: float,
     ):
         self.capacity = capacity
         self.alpha = alpha
         self.priority_eps = priority_eps
         self.tree = SumTree(capacity)
-        self.priorities = np.zeros(capacity, dtype=np.float64)  # raw, pre-alpha
         self.obs = np.zeros((capacity, obs_dim), dtype=np.float64)
         self.actions = np.zeros(capacity, dtype=np.int64)
         self.rewards = np.zeros(capacity, dtype=np.float64)
         self.next_obs = np.zeros((capacity, obs_dim), dtype=np.float64)
-        self.terminal = np.zeros(capacity, dtype=bool)
+        self.discount = np.zeros(capacity, dtype=np.float64)
         self.size = 0
         self.write = 0
         self.max_priority = 1.0  # fresh experiences get the running max
@@ -98,22 +98,22 @@ class PrioritizedReplay:
     def __len__(self) -> int:
         return self.size
 
-    def add(self, obs, action: int, reward: float, next_obs, terminal: bool) -> None:
+    def add(self, obs, action: int, reward: float, next_obs, discount: float) -> None:
         i = self.write
         self.obs[i] = obs
         self.actions[i] = action
         self.rewards[i] = reward
         self.next_obs[i] = next_obs
-        self.terminal[i] = terminal
-        self.priorities[i] = self.max_priority
+        self.discount[i] = discount
         self.tree.set(i, self.max_priority**self.alpha)
         self.write = (self.write + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
-    def sample(self, batch: int, beta: float, rng: np.random.Generator) -> ReplayBatch | None:
-        """Proportional draw with importance weights, or None while underfull."""
+    def sample(self, batch: int, beta: float, rng: np.random.Generator) -> ReplayBatch:
+        """Proportional draw with importance weights; ValueError when asked
+        for more transitions than the buffer holds."""
         if self.size < batch:
-            return None
+            raise ValueError(f"cannot sample {batch} transitions from a buffer holding {self.size}")
         tree = self.tree
         total = tree.total()
         last = self.size - 1  # rounding in the inner sums can steer a draw into the zero-mass tail
@@ -127,7 +127,7 @@ class PrioritizedReplay:
             actions=self.actions[indices],
             rewards=self.rewards[indices],
             next_obs=self.next_obs[indices],
-            terminal=self.terminal[indices],
+            discount=self.discount[indices],
             indices=indices,
             weights=weights,
         )
@@ -136,7 +136,6 @@ class PrioritizedReplay:
         """Priority tracks |td error| with a floor so nothing starves."""
         for i, err in zip(indices.tolist(), td_abs.tolist()):
             raw = abs(err) + self.priority_eps
-            self.priorities[i] = raw
             self.tree.set(i, raw**self.alpha)
             if raw > self.max_priority:
                 self.max_priority = raw

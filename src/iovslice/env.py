@@ -80,6 +80,7 @@ class StepResult:
     reward: float
     next_observation: np.ndarray
     terminal: bool
+    discount: float  # on the next state's value: 1.0 within a slot, gamma once it resolves, 0.0 at the end
 
 
 def individual_reward(
@@ -180,14 +181,14 @@ class SlicingEnv:
             at = self._layout["peer"].start + 4 * self.deciding
             self._obs[at : at + 4] = self._peer_rows[index]
             self.deciding += 1
-            return StepResult(0.0, self.observation(), False)
+            return StepResult(0.0, self.observation(), False, 1.0)
         reward = self._resolve_slot()
         self.slot += 1
         self.deciding = 0
         self.pending = []
         self.terminal = self.slot >= cfg.T
         self._begin_slot()
-        return StepResult(reward, self.observation(), self.terminal)
+        return StepResult(reward, self.observation(), self.terminal, 0.0 if self.terminal else cfg.gamma)
 
     def action_mask(self) -> np.ndarray:
         """The deciding vehicle's actions that `phy.useful` accepts, as a bool

@@ -243,7 +243,7 @@ def test_criterion_7_numeric_cores():
     actions = rng.integers(0, 3, size=6)
     targets = rng.normal(scale=3.0, size=6)
     weights = rng.uniform(0.2, 1.0, size=6)
-    _, grads, _ = net.loss_and_grads(obs, actions, targets, weights)
+    _, grads, _ = net.loss_and_grads(obs, actions, targets, weights, 1.0)
 
     def loss_value():
         q = net.forward(obs)
@@ -282,17 +282,18 @@ def test_criterion_7_numeric_cores():
     sic_ok = sic_worst < 1e-9
 
     # prioritized sampling: uniformity and concentration
-    buf = PrioritizedReplay(64, 2)
+    tc = TrainConfig()
+    buf = PrioritizedReplay(64, 2, tc.alpha, tc.priority_eps)
     for i in range(64):
-        buf.add(np.zeros(2), 0, 0.0, np.zeros(2), False)
+        buf.add(np.zeros(2), 0, 0.0, np.zeros(2), 1.0)
     rng = np.random.default_rng(79)
     draws = []
     while len(draws) < 100_000:
         draws.extend(buf.sample(50, beta=1.0, rng=rng).indices)
     _, p_uniform = scipy_stats.chisquare(np.bincount(np.array(draws[:100_000]), minlength=64))
-    buf2 = PrioritizedReplay(16, 2)
+    buf2 = PrioritizedReplay(16, 2, tc.alpha, tc.priority_eps)
     for i in range(16):
-        buf2.add(np.zeros(2), 0, 0.0, np.zeros(2), False)
+        buf2.add(np.zeros(2), 0, 0.0, np.zeros(2), 1.0)
     buf2.update_priorities(np.array([3]), np.array([1e6]))
     draws2 = []
     while len(draws2) < 20_000:

@@ -12,15 +12,16 @@ from iovslice.dqn import (
     td_targets,
     train,
 )
-from iovslice.env import EnvConfig, SlicingEnv
+from iovslice.dqn import mlp
+from iovslice.env import EnvConfig, SlicingEnv, episode_return
 from iovslice.scenario import RoadConfig
 from iovslice.worlds import TAG_TRAIN, WorkloadConfig, WorldStream
 
 DEFAULTS = TrainConfig()
 
 
-def tiny_world(m=2, n=2, F=2, T=6, seed=0):
-    env_cfg = EnvConfig(m=m, n=n, F=F, T=T)
+def tiny_world(m=2, n=2, F=2, T=6, seed=0, gamma=1.0):
+    env_cfg = EnvConfig(m=m, n=n, F=F, T=T, gamma=gamma)
     channel_cfg = ChannelConfig()
     workload = WorkloadConfig(deadline_len_slots=min(4, T))
     stream = WorldStream(RoadConfig(), env_cfg, channel_cfg, workload, seed, TAG_TRAIN)
@@ -57,20 +58,38 @@ def test_td_targets():
     obs = np.random.default_rng(1).normal(size=(3, 3))
     q_max = net.forward(obs).max(axis=1)
     rewards = np.array([1.0, 2.0, 1.0])
-    terminal = np.array([True, False, False])
-    got = td_targets(net, rewards, obs, terminal, gamma=1.0)
+    got = td_targets(net, rewards, obs, np.array([0.0, 1.0, 1.0]))
     assert got[0] == 1.0  # terminal keeps only the reward
     assert got[1] == pytest.approx(2.0 + q_max[1])
-    zero_gamma = td_targets(net, rewards, obs, terminal, gamma=0.0)
-    assert np.allclose(zero_gamma, rewards)
+    zero_discount = td_targets(net, rewards, obs, np.zeros(3))
+    assert np.allclose(zero_discount, rewards)
 
 
 def test_td_target_hand_value():
-    # gamma 1, max_a Q = 0.5, r = 1 -> 1.5
+    # discount 1, max_a Q = 0.5, r = 1 -> 1.5
     net = DuelingQNetwork(2, (2,), 2, rng=None)
     net.params[-3][...] = 0.5  # value-head bias: Q(s, a) = 0.5 everywhere
-    got = td_targets(net, np.array([1.0]), np.zeros((1, 2)), np.array([False]), 1.0)
+    got = td_targets(net, np.array([1.0]), np.zeros((1, 2)), np.array([1.0]))
     assert got[0] == pytest.approx(1.5)
+
+
+def test_td_targets_discount_once_per_slot():
+    """At gamma 0.5 a micro-step inside a slot bootstraps undiscounted, a
+    slot's last micro-step by 0.5 and the episode's last not at all, so the
+    step rewards folded back through the discounts give `episode_return`."""
+    stream, env = tiny_world(m=3, T=4, gamma=0.5)
+    env.reset(*stream(0))
+    steps = [env.step(a) for a in np.random.default_rng(4).integers(env.cfg.n_actions, size=3 * 4)]
+    assert [s.discount for s in steps] == [1.0, 1.0, 0.5] * 3 + [1.0, 1.0, 0.0]
+    folded = 0.0
+    for s in reversed(steps):
+        folded = s.reward + s.discount * folded
+    assert folded == pytest.approx(episode_return(env.slot_rewards, 0.5))
+    net = DuelingQNetwork(env.cfg.obs_dim, (2,), env.cfg.n_actions, rng=None)
+    net.params[-3][...] = 0.5  # value-head bias: Q(s, a) = 0.5 everywhere
+    rewards = np.array([s.reward for s in steps])
+    got = td_targets(net, rewards, np.array([s.next_observation for s in steps]), np.array([s.discount for s in steps]))
+    assert got.tolist() == (rewards + np.array([0.5, 0.5, 0.25] * 3 + [0.5, 0.5, 0.0])).tolist()
 
 
 def test_training_is_deterministic():
@@ -105,6 +124,26 @@ def test_forced_exploration_is_uniform():
     assert counts.sum() == 12 * env.cfg.m * env.cfg.T
     _, p = stats.chisquare(counts)
     assert p > 0.01
+
+
+def test_updates_start_once_a_batch_is_stored(monkeypatch):
+    """With a warmup below the batch size, the first update comes at the
+    micro-step that stores the batch's worth of transitions: one Adam step
+    per micro-step from the batch size-th on."""
+    steps = []
+    real_step = mlp.Adam.step
+
+    def counting_step(opt, params, grads):
+        steps.append(opt.t)
+        real_step(opt, params, grads)
+
+    monkeypatch.setattr(mlp.Adam, "step", counting_step)
+    cfg = TrainConfig(episodes=2, warmup=4, batch_size=8, seed=3)
+    stream, env = tiny_world()
+    _, log = train(stream, env, cfg)
+    micro_steps = cfg.episodes * env.cfg.m * env.cfg.T
+    assert len(steps) == micro_steps - 8 + 1
+    assert all(row.loss_mean is not None for row in log)
 
 
 def test_warmup_gates_updates():

@@ -16,6 +16,9 @@ from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream
 from tests.conftest import forced_channel, hand_built_scenario
 
 
+MAX_ITERS = RunConfig().swap_max_iters
+
+
 def _link(chan, cfg):
     return phy.EpisodeLink(chan, cfg, 0.005)
 
@@ -41,7 +44,7 @@ def test_slice2_never_sent_outside_window():
     sc = hand_built_scenario([0.0, 500.0], [100.0, 600.0])
     chan = forced_channel(sc, -80.0, F=2)
     rng = np.random.default_rng(1)
-    run = bl.run_baseline("NOMA-MP", sc, chan, cfg, 0.005, rng)
+    run = bl.run_baseline("NOMA-MP", sc, chan, cfg, 0.005, rng, MAX_ITERS)
     # replay the final plan and watch the safety packets outside their windows,
     # over a link with 1e-10 mW of noise and 1 MHz resource blocks
     quiet = ChannelConfig(noise_floor_dbm=-100.0, noise_figure_db=0.0)
@@ -143,23 +146,12 @@ def _two_source_conflict():
     return sc, chan, cfg, bl.slot_options(coverage, packet, power, F=2)
 
 
-def _evaluator(sc, chan, cfg, seen=None):
-    link = _link(chan, cfg)
-
-    def evaluate(columns, record, start):
-        if seen is not None:
-            seen.append(columns)
-        return bl.evaluate_plan(columns, sc, link, record, start)
-
-    return evaluate
-
-
 def test_swap_matching_finds_improvement():
     sc, chan, cfg, options = _two_source_conflict()
-    evaluate = _evaluator(sc, chan, cfg)
+    link = _link(chan, cfg)
     freqs = [[0, 0]]  # both parked on the dud frequency
-    assert bl.delivered_packets(evaluate(bl.plan_columns(options, freqs), None, 0)[-1]) == 0
-    run = bl.swap_matching(options, freqs, evaluate, oma=False)
+    assert bl.delivered_packets(bl.evaluate_plan(bl.plan_columns(options, freqs), sc, link)[-1]) == 0
+    run = bl.swap_matching(options, freqs, sc, link, oma=False, max_iters=MAX_ITERS)
     assert freqs == [[0, 0]]  # the caller's rows are left as they were
     history = run.objective_history
     assert history[0] == 0 and history[-1] >= 1  # a move converted 0 -> 1
@@ -171,12 +163,12 @@ def test_swap_matching_finds_improvement():
 def test_swap_matching_fixpoint_returns_unchanged():
     sc, chan, cfg, options = _two_source_conflict()
     freqs = [[1, 1]]  # both on the good frequency: SIC saves one, local optimum
-    run = bl.swap_matching(options, freqs, _evaluator(sc, chan, cfg), oma=False)
+    run = bl.swap_matching(options, freqs, sc, _link(chan, cfg), oma=False, max_iters=MAX_ITERS)
     assert run.columns == bl.plan_columns(options, freqs)
     assert len(run.objective_history) == 1  # no accepted moves
 
 
-def test_swap_matching_respects_oma():
+def test_swap_matching_respects_oma(monkeypatch):
     cfg = ChannelConfig()
     sc = hand_built_scenario([0.0, 300.0, 600.0], [100.0, 400.0, 700.0])
     chan = forced_channel(sc, -85.0, F=2)
@@ -189,7 +181,16 @@ def test_swap_matching_respects_oma():
         assert len(set(active)) == len(active)
 
     history_plans = []  # every scored plan, as action columns
-    final = bl.swap_matching(options, freqs, _evaluator(sc, chan, cfg, history_plans), oma=True).columns
+    real_evaluate = bl.evaluate_plan
+
+    def recording_evaluate(columns, *args):
+        history_plans.append(columns)
+        return real_evaluate(columns, *args)
+
+    monkeypatch.setattr(bl, "evaluate_plan", recording_evaluate)
+    run = bl.swap_matching(options, freqs, sc, _link(chan, cfg), oma=True, max_iters=MAX_ITERS)
+    final = run.columns
+    assert len(history_plans) == run.evaluations
     assert len(history_plans) > 1
     for columns in (*history_plans, final):
         for column in columns:
@@ -393,7 +394,7 @@ def test_swap_matching_matches_full_replay_search():
     for seed in range(30):
         sc, chan = WorldStream(RoadConfig(), env_cfg, cfg, workload, seed, TAG_EVAL)(0)
         for name in bl.BASELINE_NAMES:
-            run = bl.run_baseline(name, sc, chan, cfg, 0.005, np.random.default_rng(seed))
+            run = bl.run_baseline(name, sc, chan, cfg, 0.005, np.random.default_rng(seed), MAX_ITERS)
             rng = np.random.default_rng(seed)  # the same draws as run_baseline
             coverage, packet = bl.random_coverage_slice(env_cfg.m, env_cfg.T, rng)
             options = bl.slot_options(coverage, packet, bl.draw_powers(name, env_cfg.m, env_cfg.T, rng), env_cfg.F)
@@ -416,7 +417,8 @@ def test_swap_matching_matches_full_replay_search():
 def test_run_baseline_counts_replayed_slots():
     cfg = RunConfig()
     sc, chan = WorldStream(cfg.road, cfg.env, cfg.channel, cfg.workload, cfg.seed, TAG_EVAL)(0)
-    run = bl.run_baseline("NOMA-MP", sc, chan, cfg.channel, cfg.env.slot_duration_s, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    run = bl.run_baseline("NOMA-MP", sc, chan, cfg.channel, cfg.env.slot_duration_s, rng, cfg.swap_max_iters)
     T = cfg.env.T
     assert run.evaluations > 1
     assert T <= run.slots_replayed < run.evaluations * T  # trials stop once they are dominated
@@ -426,7 +428,7 @@ def test_run_baseline_rejects_unknown_name():
     sc = hand_built_scenario([0.0], [100.0])
     chan = forced_channel(sc, -80.0, F=2)
     with pytest.raises(ValueError, match="OMA-MP"):
-        bl.run_baseline("JUNK", sc, chan, ChannelConfig(), 0.005, np.random.default_rng(0))
+        bl.run_baseline("JUNK", sc, chan, ChannelConfig(), 0.005, np.random.default_rng(0), MAX_ITERS)
 
 
 def test_run_baseline_zero_gains_zero_delivered():
@@ -434,15 +436,15 @@ def test_run_baseline_zero_gains_zero_delivered():
     chan = forced_channel(sc, -80.0, F=2)
     chan.gain_lin[:] = 0.0
     for name in bl.BASELINE_NAMES:
-        run = bl.run_baseline(name, sc, chan, ChannelConfig(), 0.005, np.random.default_rng(1))
+        run = bl.run_baseline(name, sc, chan, ChannelConfig(), 0.005, np.random.default_rng(1), MAX_ITERS)
         assert run.stats.packets == (0, 0)
 
 
 def test_run_baseline_seeded_identical():
     sc = hand_built_scenario([0.0, 300.0], [100.0, 400.0])
     chan = forced_channel(sc, -85.0, F=2)
-    a = bl.run_baseline("NOMA-RP", sc, chan, ChannelConfig(), 0.005, np.random.default_rng(7))
-    b = bl.run_baseline("NOMA-RP", sc, chan, ChannelConfig(), 0.005, np.random.default_rng(7))
+    a = bl.run_baseline("NOMA-RP", sc, chan, ChannelConfig(), 0.005, np.random.default_rng(7), MAX_ITERS)
+    b = bl.run_baseline("NOMA-RP", sc, chan, ChannelConfig(), 0.005, np.random.default_rng(7), MAX_ITERS)
     assert a.stats == b.stats
     assert a.columns == b.columns  # frequencies and drawn powers alike
 

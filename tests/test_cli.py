@@ -489,6 +489,37 @@ def test_cmd_plotdata_rejects_a_repeated_row(tmp_path):
     assert not (tmp_path / "plot.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "column, value",
+    [
+        ("slice1_delivered", "nan"),
+        ("slice1_delivered", "inf"),
+        ("slice2_delivered", "-1"),
+        ("slice2_delivered", "1.5"),
+        ("slice1_delivered", "abc"),
+    ],
+)
+def test_cmd_plotdata_rejects_a_non_count(tmp_path, capsys, column, value):
+    """A delivered count that is not a nonnegative integer fails naming the
+    file and episode, and no output is written."""
+    rows = [dict(zip(cli.EVAL_COLUMNS, ["DQL", ep, 2, 1, 0.5, 600, 8, 3, 3, "90eac777210bf0f4"])) for ep in range(3)]
+    eval_csv = tmp_path / "eval.csv"
+
+    def write_rows():
+        cli._write_csv(eval_csv, cli.EVAL_SCHEMA, cli.EVAL_COLUMNS, [list(r.values()) for r in rows])
+
+    write_rows()
+    plot = cli.cmd_plotdata([eval_csv], tmp_path / "good.csv").read_text().splitlines()
+    assert plot[2].split(",")[3:5] == ["3", "2.0"]  # episodes, slice1_mean
+    rows[1][column] = value
+    write_rows()
+    out = tmp_path / "plot.csv"
+    assert cli.main(["plotdata", "--inputs", str(eval_csv), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {eval_csv}: episode 1: {column} {value!r}")
+    assert not out.exists()
+
+
 def test_cmd_plotdata_aggregates(tmp_path):
     cfg = tiny_cfg()
     ckpt, _ = cli.cmd_train(cfg, tmp_path / "run", quiet=True)

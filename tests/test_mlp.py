@@ -7,6 +7,9 @@ import pytest
 from iovslice import cli
 from iovslice.config import RunConfig
 from iovslice.dqn.mlp import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     CHECKPOINT_MAGIC,
     Adam,
     CheckpointFormatError,
@@ -41,7 +44,8 @@ def test_constant_advantage_collapses_to_value():
     ba[...] = 3.7
     x = np.random.default_rng(1).normal(size=(5, 4))
     q = net.forward(x)
-    acts, v, _ = net.forward_cached(x)[1]
+    h = np.maximum(x @ net.params[0] + net.params[1], 0.0)  # the one hidden layer
+    v = h @ net.params[-4] + net.params[-3]
     assert np.allclose(q, v)  # Q == V for every action
     assert np.allclose(q[:, 0:1], q)  # identical across actions
 
@@ -64,7 +68,7 @@ def test_gradients_match_finite_differences():
     # targets spread so both Huber branches are exercised
     targets = rng.normal(scale=3.0, size=batch)
     weights = rng.uniform(0.2, 1.0, size=batch)
-    _, grads, _ = net.loss_and_grads(obs, actions, targets, weights)
+    _, grads, _ = net.loss_and_grads(obs, actions, targets, weights, 1.0)
     eps = 1e-6
     for p_idx, p in enumerate(net.params):
         flat = p.ravel()
@@ -87,7 +91,7 @@ def test_zero_td_error_zero_gradients():
     obs = np.random.default_rng(7).normal(size=(4, 4))
     actions = np.array([0, 1, 2, 0])
     targets = net.forward(obs)[np.arange(4), actions]
-    loss, grads, td = net.loss_and_grads(obs, actions, targets, np.ones(4))
+    loss, grads, td = net.loss_and_grads(obs, actions, targets, np.ones(4), 1.0)
     assert loss == 0.0
     assert np.all(td == 0.0)
     for g in grads:
@@ -101,8 +105,8 @@ def test_importance_weights_scale_gradients():
     actions = rng.integers(0, 3, size=5)
     targets = rng.normal(size=5)
     w = rng.uniform(0.5, 1.5, size=5)
-    _, g1, _ = net.loss_and_grads(obs, actions, targets, w)
-    _, g2, _ = net.loss_and_grads(obs, actions, targets, 3.0 * w)
+    _, g1, _ = net.loss_and_grads(obs, actions, targets, w, 1.0)
+    _, g2, _ = net.loss_and_grads(obs, actions, targets, 3.0 * w, 1.0)
     for a, b in zip(g1, g2):
         assert np.allclose(3.0 * a, b)
 
@@ -124,11 +128,11 @@ def test_adam_reduces_simple_loss():
     actions = rng.integers(0, 3, size=16)
     targets = rng.normal(size=16)
     w = np.ones(16)
-    first, *_ = net.loss_and_grads(obs, actions, targets, w)
+    first, *_ = net.loss_and_grads(obs, actions, targets, w, 1.0)
     for _ in range(200):
-        _, grads, _ = net.loss_and_grads(obs, actions, targets, w)
+        _, grads, _ = net.loss_and_grads(obs, actions, targets, w, 1.0)
         opt.step(net.params, grads)
-    last, *_ = net.loss_and_grads(obs, actions, targets, w)
+    last, *_ = net.loss_and_grads(obs, actions, targets, w, 1.0)
     assert last < first * 0.1
 
 
@@ -157,8 +161,8 @@ def test_adam_matches_per_tensor_formula():
     """50 steps, some with all-zero and some with partly zero gradients,
     against the per-tensor update p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)."""
     net = DuelingQNetwork(6, (5, 4), 3, np.random.default_rng(23))
-    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
-    opt = Adam(net.params, lr, b1, b2, eps)
+    lr, b1, b2, eps = 1e-3, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    opt = Adam(net.params, lr)
     ref = [p.copy() for p in net.params]
     m = [np.zeros_like(p) for p in ref]
     v = [np.zeros_like(p) for p in ref]
@@ -187,8 +191,8 @@ def test_adam_matches_per_tensor_formula_across_bias_cutoffs(beta, cutoff):
     to 1.0, from nonzero moments, against the per-tensor formula."""
     assert 1.0 - beta ** (cutoff - 1) != 1.0 == 1.0 - beta**cutoff
     net = DuelingQNetwork(6, (5, 4), 3, np.random.default_rng(25))
-    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
-    opt = Adam(net.params, lr, b1, b2, eps)
+    lr, b1, b2, eps = 1e-3, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    opt = Adam(net.params, lr)
     rng = np.random.default_rng(26)
     opt.m[...] = rng.normal(size=opt.m.size)
     opt.v[...] = rng.uniform(0.0, 2.0, size=opt.v.size)

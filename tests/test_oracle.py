@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from iovslice import baselines as bl
 from iovslice import oracle, phy
 from iovslice.channel import ChannelConfig
+from iovslice.config import RunConfig
 from iovslice.env import EnvConfig, SlicingEnv
 from iovslice.oracle import SearchSpaceTooLarge, brute_force_optimal
 from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY, SLICE_THROUGHPUT
@@ -67,7 +68,7 @@ def test_policies_never_beat_oracle():
         res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005)
         for name in bl.BASELINE_NAMES:
             run = bl.run_baseline(
-                name, sc, chan, ChannelConfig(), 0.005, np.random.default_rng(seed)
+                name, sc, chan, ChannelConfig(), 0.005, np.random.default_rng(seed), RunConfig().swap_max_iters
             )
             assert sum(run.stats.packets) <= res.best_delivered
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from iovslice import baselines
 from iovslice.channel import ChannelConfig
+from iovslice.config import RunConfig
 from iovslice.dqn import mlp
 from iovslice.env import EnvConfig
 from iovslice.scenario import RoadConfig
@@ -42,7 +43,9 @@ def test_traced_baseline_run_reaches_every_baseline_span():
     chan = forced_channel(sc, -85.0, F=2)
     recorder = spans.SpanRecorder()
     with recorder.installed("root"):
-        run = baselines.run_baseline("NOMA-MP", sc, chan, ChannelConfig(), 0.005, np.random.default_rng(0))
+        run = baselines.run_baseline(
+            "NOMA-MP", sc, chan, ChannelConfig(), 0.005, np.random.default_rng(0), RunConfig().swap_max_iters
+        )
     assert len(run.objective_history) >= 1
     assert recorder.swap_accepted == len(run.objective_history) - 1
     calls = {name: span["calls"] for name, span in recorder.summary()["spans"].items()}

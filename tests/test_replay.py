@@ -7,11 +7,16 @@ from scipy import stats
 from iovslice.dqn.replay import PrioritizedReplay, ReplayBatch, SumTree
 
 
-def filled_buffer(n, obs_dim=3, capacity=64, **kw):
-    buf = PrioritizedReplay(capacity, obs_dim, **kw)
+def filled_buffer(n, obs_dim=3, capacity=64, alpha=0.6, priority_eps=1e-3):
+    buf = PrioritizedReplay(capacity, obs_dim, alpha, priority_eps)
     for i in range(n):
-        buf.add(np.full(obs_dim, i, dtype=float), i % 5, float(i), np.zeros(obs_dim), False)
+        buf.add(np.full(obs_dim, i, dtype=float), i % 5, float(i), np.zeros(obs_dim), 1.0)
     return buf
+
+
+def leaf_priorities(buf):
+    """priority^alpha of every slot, read off the tree's leaves."""
+    return np.array([buf.tree.get(i) for i in range(buf.capacity)])
 
 
 def test_sum_tree_totals_and_find():
@@ -37,9 +42,13 @@ def test_fifo_eviction():
     assert stored == {8.0, 9.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0}
 
 
-def test_underfull_returns_not_ready():
+def test_underfull_sample_raises():
     buf = filled_buffer(4)
-    assert buf.sample(8, beta=0.4, rng=np.random.default_rng(0)) is None
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="holding 4"):
+        buf.sample(8, beta=0.4, rng=rng)
+    assert rng.random() == np.random.default_rng(0).random()  # no draw taken
+    assert len(buf.sample(4, beta=0.4, rng=rng).indices) == 4
 
 
 def collect_draws(buf, total, batch, rng, beta=1.0):
@@ -76,23 +85,29 @@ def test_beta_zero_unit_weights():
 def test_priority_floor_and_monotonicity():
     buf = filled_buffer(8, priority_eps=1e-3)
     buf.update_priorities(np.array([0, 1, 2]), np.array([0.0, 0.5, 2.0]))
-    assert buf.priorities[0] == pytest.approx(1e-3)  # zero error never starves
-    assert buf.priorities[0] < buf.priorities[1] < buf.priorities[2]
-    assert np.all(buf.priorities[: len(buf)] > 0)
+    leaves = leaf_priorities(buf)
+    assert leaves[0] == 1e-3**buf.alpha  # zero error never starves
+    assert leaves[0] < leaves[1] < leaves[2]
+    assert np.all(leaves[: len(buf)] > 0)
+    assert buf.max_priority == 2.0 + 1e-3
 
 
 def test_update_leaves_other_priorities_alone():
     buf = filled_buffer(8)
-    before = buf.priorities.copy()
+    before = leaf_priorities(buf)
     buf.update_priorities(np.array([3]), np.array([9.0]))
+    after = leaf_priorities(buf)
     untouched = [i for i in range(8) if i != 3]
-    assert np.array_equal(buf.priorities[untouched], before[untouched])
+    assert np.array_equal(after[untouched], before[untouched])
+    assert after[3] == (9.0 + buf.priority_eps) ** buf.alpha
 
 
 def test_sampling_probabilities_follow_alpha():
     buf = filled_buffer(4, capacity=4, alpha=0.6)
-    buf.update_priorities(np.arange(4), np.array([0.1, 0.4, 1.2, 3.0]))
-    raw = buf.priorities[:4]
+    td = [0.1, 0.4, 1.2, 3.0]
+    buf.update_priorities(np.arange(4), np.array(td))
+    assert leaf_priorities(buf).tolist() == [(e + buf.priority_eps) ** 0.6 for e in td]
+    raw = np.array(td) + buf.priority_eps
     expected = raw**0.6 / np.sum(raw**0.6)
     draws = collect_draws(buf, 100_000, 4, np.random.default_rng(5), beta=0.5)
     freqs = np.bincount(draws, minlength=4) / len(draws)
@@ -102,9 +117,10 @@ def test_sampling_probabilities_follow_alpha():
 def test_new_experience_gets_max_priority():
     buf = filled_buffer(8)
     buf.update_priorities(np.array([2]), np.array([7.0]))
-    buf.add(np.zeros(3), 0, 0.0, np.zeros(3), False)
+    buf.add(np.zeros(3), 0, 0.0, np.zeros(3), 1.0)
     newest = (buf.write - 1) % buf.capacity
-    assert buf.priorities[newest] == pytest.approx(7.0 + buf.priority_eps)
+    assert buf.max_priority == 7.0 + buf.priority_eps
+    assert buf.tree.get(newest) == buf.max_priority**buf.alpha
 
 
 def test_weights_correct_for_bias():
@@ -202,13 +218,13 @@ class ScalarReplay(PrioritizedReplay):
     """sample and update_priorities as loops over numpy scalars, over the
     reference tree."""
 
-    def __init__(self, capacity, obs_dim, **kw):
-        super().__init__(capacity, obs_dim, **kw)
+    def __init__(self, capacity, obs_dim, alpha, priority_eps):
+        super().__init__(capacity, obs_dim, alpha, priority_eps)
         self.tree = ScalarSumTree(capacity)
 
     def sample(self, batch, beta, rng):
         if self.size < batch:
-            return None
+            raise ValueError("underfull")
         total = self.tree.total()
         indices = np.empty(batch, dtype=np.int64)
         for k, u in enumerate(rng.random(batch)):
@@ -222,7 +238,7 @@ class ScalarReplay(PrioritizedReplay):
             actions=self.actions[indices],
             rewards=self.rewards[indices],
             next_obs=self.next_obs[indices],
-            terminal=self.terminal[indices],
+            discount=self.discount[indices],
             indices=indices,
             weights=weights,
         )
@@ -230,15 +246,22 @@ class ScalarReplay(PrioritizedReplay):
     def update_priorities(self, indices, td_abs):
         for i, err in zip(indices, td_abs):
             raw = float(abs(err)) + self.priority_eps
-            self.priorities[i] = raw
             self.tree.set(int(i), raw**self.alpha)
             if raw > self.max_priority:
                 self.max_priority = raw
 
 
+def draw_or_none(buf, batch, beta, rng):
+    """The buffer's sample, or None where it raises for being underfull."""
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):  # a drifted total may read 0
+            return buf.sample(batch, beta, rng)
+    except ValueError:
+        return None
+
+
 def assert_same_state(fast, ref):
     assert fast.tree.nodes.tobytes() == ref.tree.nodes.tobytes()
-    assert fast.priorities.tobytes() == ref.priorities.tobytes()
     assert fast.max_priority.hex() == ref.max_priority.hex()
     assert (fast.size, fast.write) == (ref.size, ref.write)
 
@@ -260,18 +283,16 @@ _TD = st.one_of(
     data=st.data(),
 )
 def test_replay_matches_numpy_scalar_reference(capacity, alpha, seed, data):
-    fast = PrioritizedReplay(capacity, 1, alpha=alpha)
-    ref = ScalarReplay(capacity, 1, alpha=alpha)
+    fast = PrioritizedReplay(capacity, 1, alpha, 1e-3)
+    ref = ScalarReplay(capacity, 1, alpha, 1e-3)
     rng_fast, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     last = None  # the indices of the latest batch, which an update may reuse
 
     def sample(batch):
         nonlocal last
         beta = data.draw(st.sampled_from([0.0, 0.4, 0.73, 1.0]), label="beta")
-        with np.errstate(divide="ignore", invalid="ignore"):  # a drifted total may read 0
-            got = fast.sample(batch, beta, rng_fast)
-            want = ref.sample(batch, beta, rng_ref)
-        assert (got is None) == (want is None)
+        got, want = (draw_or_none(buf, batch, beta, rng) for buf, rng in ((fast, rng_fast), (ref, rng_ref)))
+        assert (got is None) == (want is None) == (batch > len(ref))
         if got is not None:
             assert got.indices.dtype == want.indices.dtype
             assert got.indices.tobytes() == want.indices.tobytes()
@@ -287,7 +308,7 @@ def test_replay_matches_numpy_scalar_reference(capacity, alpha, seed, data):
         if op == "add":
             for _ in range(data.draw(st.integers(1, capacity + 1), label="adds")):  # may evict
                 for buf in (fast, ref):
-                    buf.add(np.zeros(1), 0, 0.0, np.zeros(1), False)
+                    buf.add(np.zeros(1), 0, 0.0, np.zeros(1), 1.0)
         elif op == "sample":
             sample(data.draw(st.integers(1, 8), label="batch"))
         elif len(fast) == 0:
