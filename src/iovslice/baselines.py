@@ -19,6 +19,13 @@ argument). All trials of one episode share its `phy.EpisodeLink`, so a slot
 the search has resolved before, from a ledger that masks it alike, costs a
 memo lookup. OMA keeps one transmitter per resource block; the MP variants
 always use maximum power while RP draws a random level.
+
+The greedy assignment scores every (source, frequency, slot) at once: the
+coverage grid of all sources and slots comes from `phy.in_coverage`, the
+rule `phy.coverage_group` applies to one source, and the group gain sums are
+the very floats a per-slot sum over each group gives
+(`initial_rb_allocation` says why). Only OMA's taking of frequencies in rank
+order runs slot by slot.
 """
 
 from __future__ import annotations
@@ -81,30 +88,40 @@ def initial_rb_allocation(link: phy.EpisodeLink, coverage_m: np.ndarray, oma: bo
     Per slot, sources are ranked by their best achievable sum of gains to the
     current broadcast group; each takes the frequency maximizing that sum.
     Under OMA a taken frequency is gone, and a source left without one sits
-    the slot out (INACTIVE).
+    the slot out (INACTIVE). Ties go to the lower source and the lower
+    frequency.
+
+    The group sums of every slot come from one array pass, and they are the
+    floats a sum over each group's members gives: numpy sums a (members, F)
+    block with F >= 2 down its rows, one row at a time from 0.0, so adding
+    every destination in index order, a non-member as an exact 0.0, makes
+    the same additions. With one frequency the block is a column, which
+    numpy sums pairwise from 8 members on; such groups are summed as that
+    block.
     """
     m, n, F, T = link.gain_lin.shape
+    member = phy.in_coverage(link.dist_m[:, :, None], coverage_m[:, None, :])  # (m, n, T)
+    group_gain = np.zeros((m, F, T))
+    for d in range(n):
+        group_gain += np.where(member[:, d, None, :], link.gain_lin[:, d], 0.0)
+    if F == 1:
+        for s, t in zip(*np.nonzero(member.sum(axis=1) >= 8)):
+            group_gain[s, :, t] = link.gain_lin[s, np.flatnonzero(member[s, :, t]), :, t].sum(axis=0)
+    if not oma:  # every source takes its best frequency, the lowest of tied ones
+        return group_gain.argmax(axis=1).T.tolist()
+    # per slot: sources strongest first, and each source's frequencies best first
+    orders = np.argsort(-group_gain.max(axis=1), axis=0, kind="stable").T.tolist()
+    prefs = np.argsort(-group_gain, axis=1, kind="stable").transpose(2, 0, 1).tolist()
     freqs = []
-    for t in range(T):
-        group_gain = np.zeros((m, F))
-        for s in range(m):
-            members = link.group(s, float(coverage_m[s, t]))
-            if members:
-                group_gain[s] = link.gain_lin[s, members, :, t].sum(axis=0)
-        best = group_gain.max(axis=1)
-        order = sorted(range(m), key=lambda s: (-best[s], s))
+    for order, slot_prefs in zip(orders, prefs):
         row = [INACTIVE] * m
         taken: set[int] = set()
         for s in order:
-            prefs = np.argsort(-group_gain[s], kind="stable")
-            if oma:
-                free = [int(f) for f in prefs if int(f) not in taken]
-                if not free:
-                    continue
-                row[s] = free[0]
-                taken.add(free[0])
-            else:
-                row[s] = int(prefs[0])
+            for f in slot_prefs[s]:
+                if f not in taken:
+                    row[s] = f
+                    taken.add(f)
+                    break
         freqs.append(row)
     return freqs
 

@@ -155,35 +155,37 @@ def cmd_train(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> tuple[Path,
     return ckpt, log_path
 
 
-def _eval_rows(
-    cfg: RunConfig,
-    name: str,
-    workload: WorkloadConfig,
-    episodes: int,
-    play: Callable[[int, Scenario, ChannelState], ReceptionStats],
-) -> list[list]:
-    """One EVAL_COLUMNS row per episode of the paired evaluation stream;
-    play(ep, scenario, chan) runs the algorithm on the episode's world."""
+Policy = tuple[str, Callable[[int, Scenario, ChannelState], ReceptionStats]]
+
+
+def _eval_rows(cfg: RunConfig, workload: WorkloadConfig, episodes: int, policies: list[Policy]) -> list[list]:
+    """EVAL_COLUMNS rows of every (name, play) policy on the paired
+    evaluation stream at this sweep point, policy by policy and, within a
+    policy, episode by episode. Each episode's world is drawn and hashed
+    once and serves every policy: play(ep, scenario, chan) runs one
+    algorithm on it and leaves it as it was."""
     stream = WorldStream(cfg.road, cfg.env, cfg.channel, workload, cfg.seed, TAG_EVAL)
-    rows = []
+    rows: list[list[list]] = [[] for _ in policies]
     for ep in range(episodes):
         scenario, chan = stream(ep)
-        st = play(ep, scenario, chan)
-        rows.append(
-            [
-                name,
-                ep,
-                st.receptions[0],
-                st.receptions[1],
-                st.prr,
-                workload.slice2_bytes,
-                workload.deadline_len_slots,
-                st.packets[0],
-                st.packets[1],
-                trace_hash(chan),
-            ]
-        )
-    return rows
+        channel_hash = trace_hash(chan)
+        for policy_rows, (name, play) in zip(rows, policies):
+            st = play(ep, scenario, chan)
+            policy_rows.append(
+                [
+                    name,
+                    ep,
+                    st.receptions[0],
+                    st.receptions[1],
+                    st.prr,
+                    workload.slice2_bytes,
+                    workload.deadline_len_slots,
+                    st.packets[0],
+                    st.packets[1],
+                    channel_hash,
+                ]
+            )
+    return [row for policy_rows in rows for row in policy_rows]
 
 
 def cmd_eval(cfg: RunConfig, checkpoint: Path, out_path: Path, episodes: int, sweep: str) -> Path:
@@ -195,16 +197,18 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, out_path: Path, episodes: int, sw
             f"config ({cfg.env.obs_dim} obs, {cfg.env.n_actions} actions)"
         )
     env = SlicingEnv(cfg.env, cfg.channel)
+    dql: Policy = ("DQL", lambda ep, sc, ch: greedy_episode(net, env, sc, ch))
     rows: list[list] = []
     for workload in sweep_points(cfg, sweep):
-        rows.extend(
-            _eval_rows(cfg, "DQL", workload, episodes, lambda ep, sc, ch: greedy_episode(net, env, sc, ch))
-        )
+        rows.extend(_eval_rows(cfg, workload, episodes, [dql]))
     _write_csv(out_path, EVAL_SCHEMA, EVAL_COLUMNS, rows)
     return out_path
 
 
 def cmd_baseline(cfg: RunConfig, names: list[str], out_path: Path, episodes: int, sweep: str) -> Path:
+    """Rows of the named baselines over the paired evaluation stream, per
+    sweep point algorithm by algorithm. The algorithms share each episode's
+    one world; each makes its own draws from its `algorithm_rng`."""
     _check_count("episodes", episodes)
     if not names:
         raise ValueError(f"no baseline named, valid names: {', '.join(bl.BASELINE_NAMES)}")
@@ -213,17 +217,19 @@ def cmd_baseline(cfg: RunConfig, names: list[str], out_path: Path, episodes: int
             raise ValueError(f"unknown baseline {name!r}, valid names: {', '.join(bl.BASELINE_NAMES)}")
         if name in names[:i]:
             raise ValueError(f"duplicate baseline {name}")
+
+    def baseline(name: str, workload: WorkloadConfig) -> Policy:
+        def play(ep: int, scenario: Scenario, chan: ChannelState) -> ReceptionStats:
+            rng = algorithm_rng(cfg.seed, workload, ep, bl.BASELINE_NAMES.index(name))
+            return bl.run_baseline(
+                name, scenario, chan, cfg.channel, cfg.env.slot_duration_s, rng, cfg.swap_max_iters
+            ).stats
+
+        return name, play
+
     rows: list[list] = []
     for workload in sweep_points(cfg, sweep):
-        for name in names:
-
-            def play(ep: int, scenario: Scenario, chan: ChannelState) -> ReceptionStats:
-                rng = algorithm_rng(cfg.seed, workload, ep, bl.BASELINE_NAMES.index(name))
-                return bl.run_baseline(
-                    name, scenario, chan, cfg.channel, cfg.env.slot_duration_s, rng, cfg.swap_max_iters
-                ).stats
-
-            rows.extend(_eval_rows(cfg, name, workload, episodes, play))
+        rows.extend(_eval_rows(cfg, workload, episodes, [baseline(name, workload) for name in names]))
     _write_csv(out_path, EVAL_SCHEMA, EVAL_COLUMNS, rows)
     return out_path
 

@@ -42,8 +42,13 @@ class RunConfig:
             raise ValueError(f"run.eval_episodes must be >= 0, got {self.eval_episodes}")
         if self.swap_max_iters < 0:
             raise ValueError(f"run.swap_max_iters must be >= 0, got {self.swap_max_iters}")
-        for name in ("size_multipliers", "deadline_sweep_slots"):  # a repeated point would run twice
+        # a point below 1 makes no workload, and a repeated one would run twice;
+        # a deadline past T is checked when its sweep runs, so small-T configs
+        # keep the default axis
+        for name in ("size_multipliers", "deadline_sweep_slots"):
             axis = getattr(self, name)
+            if any(v < 1 for v in axis):
+                raise ValueError(f"run.{name} entries must be >= 1, got {min(axis)}")
             if len(set(axis)) < len(axis):
                 raise ValueError(f"run.{name} repeats {next(v for v in axis if axis.count(v) > 1)}")
 

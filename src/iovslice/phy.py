@@ -14,7 +14,9 @@ This module alone knows how a slot is resolved. `EpisodeLink` is one
 episode's link table, the only way a slot resolution sees the channel. It
 holds the channel's gains, the noise, the RB bandwidth and the slot duration;
 each source's broadcast group per radius, built by `coverage_group` the first
-time it is asked for; and one memo of slot resolutions.
+time it is asked for; and one memo of slot resolutions. `in_coverage` is the
+one radius rule: `coverage_group` applies it to one source's destinations,
+and the baselines' greedy allocation to every source and slot at once.
 
 The action space is defined here too: `action_table(F)` lists every
 `SlotAction` one source can pick for a slot, in flat action-index order.
@@ -102,11 +104,15 @@ def rate_bps(sinr: float, rb_bandwidth_hz: float) -> float:
     return rb_bandwidth_hz * math.log2(1.0 + sinr)
 
 
+def in_coverage(dist_m: np.ndarray, coverage_m: np.ndarray | float) -> np.ndarray:
+    """Whether each destination lies within the broadcast radius, elementwise
+    (the two broadcast together); a radius of 0 or less covers no one."""
+    return (dist_m <= coverage_m) & (coverage_m > 0)
+
+
 def coverage_group(dist_row: np.ndarray, coverage_m: float) -> tuple[int, ...]:
     """Destination indices within the broadcast radius; empty for radius 0."""
-    if coverage_m <= 0:
-        return ()
-    return tuple(int(j) for j in np.flatnonzero(dist_row <= coverage_m))
+    return tuple(np.flatnonzero(in_coverage(dist_row, coverage_m)).tolist())
 
 
 class SlotAction(NamedTuple):

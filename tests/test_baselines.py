@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from iovslice import baselines as bl
 from iovslice import phy
-from iovslice.channel import ChannelConfig, noise_lin_mw
+from iovslice.channel import ChannelConfig, ChannelState, noise_lin_mw
 from iovslice.config import RunConfig
 from iovslice.env import EnvConfig
 from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY, SLICE_THROUGHPUT
@@ -123,6 +123,85 @@ def test_noma_everyone_active():
     coverage, _ = bl.random_coverage_slice(3, 20, rng)
     freqs = bl.initial_rb_allocation(_link(chan, cfg), coverage, oma=False)
     assert len(freqs) == 20 and all(bl.INACTIVE not in row for row in freqs)
+
+
+def _reference_rb_allocation(link, coverage_m, oma):
+    """The greedy allocation slot by slot: each group's gains summed over its
+    members, sources ranked by their best sum, frequencies taken in turn."""
+    m, n, F, T = link.gain_lin.shape
+    freqs = []
+    for t in range(T):
+        group_gain = np.zeros((m, F))
+        for s in range(m):
+            members = link.group(s, float(coverage_m[s, t]))
+            if members:
+                group_gain[s] = link.gain_lin[s, members, :, t].sum(axis=0)
+        best = group_gain.max(axis=1)
+        order = sorted(range(m), key=lambda s: (-best[s], s))
+        row = [bl.INACTIVE] * m
+        taken: set[int] = set()
+        for s in order:
+            prefs = np.argsort(-group_gain[s], kind="stable")
+            if oma:
+                free = [int(f) for f in prefs if int(f) not in taken]
+                if not free:
+                    continue
+                row[s] = free[0]
+                taken.add(free[0])
+            else:
+                row[s] = int(prefs[0])
+        freqs.append(row)
+    return freqs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_initial_allocation_matches_per_slot_reference(data):
+    # up to 12 destinations, so one-frequency groups reach numpy's 8-term
+    # pairwise block; few distinct gains make tied sums and tied frequencies
+    m, n, F, T = (data.draw(st.integers(1, hi)) for hi in (4, 12, 3, 6))
+    gains = data.draw(
+        st.sampled_from(["zero", "tied", "any"]).map(
+            {
+                "zero": st.just(0.0),
+                "tied": st.sampled_from([0.0, 1e-9, 3e-9]),
+                "any": st.floats(1e-13, 1e-6) | st.just(0.0),
+            }.get
+        )
+    )
+
+    def array(elements, *shape):
+        size = int(np.prod(shape))
+        return np.array(data.draw(st.lists(elements, min_size=size, max_size=size))).reshape(shape)
+
+    dist = array(st.sampled_from([50.0, 100.0, 399.0, 400.0, 1400.0, 1500.0]), m, n)
+    coverage = array(st.sampled_from(phy.COVERAGE_LEVELS_M), m, T)
+    fade = np.ones((m, n, F, T))
+    chan = ChannelState(dist, np.zeros((m, n)), fade, array(gains, m, n, F, T))
+    for oma in (False, True):
+        freqs = bl.initial_rb_allocation(_link(chan, ChannelConfig()), coverage, oma)
+        assert freqs == _reference_rb_allocation(_link(chan, ChannelConfig()), coverage, oma)
+        assert all(type(f) is int for row in freqs for f in row)
+    largest = max(len(phy.coverage_group(dist[s], c)) for s in range(m) for c in coverage[s])
+    event(f"F={F}, largest group {largest}")
+
+
+def test_initial_allocation_sums_one_frequency_groups_as_numpy():
+    # numpy sums a one-frequency group of 8 or more members pairwise, which
+    # here rounds above the in-order sum; a second source whose one gain is
+    # that pairwise sum ties the first, and the tie goes to source 0
+    n = 9
+    group = np.array([1e-9] + [1e-25] * (n - 1))
+    pairwise = float(group[:, None].sum(axis=0)[0])
+    assert pairwise > sum(group.tolist())
+    gain_lin = np.zeros((2, n, 1, 1))
+    gain_lin[0, :, 0, 0] = group
+    gain_lin[1, 0, 0, 0] = pairwise
+    dist = np.array([[50.0] * n, [50.0] + [1500.0] * (n - 1)])
+    chan = ChannelState(dist, np.zeros((2, n)), np.ones((2, n, 1, 1)), gain_lin)
+    link, coverage = _link(chan, ChannelConfig()), np.full((2, 1), 1000.0)
+    assert bl.initial_rb_allocation(link, coverage, oma=True) == [[0, bl.INACTIVE]]
+    assert _reference_rb_allocation(link, coverage, oma=True) == [[0, bl.INACTIVE]]
 
 
 def _two_source_conflict():

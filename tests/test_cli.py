@@ -83,6 +83,23 @@ def test_config_rejects_repeated_sweep_point(tmp_path, monkeypatch, capsys, key,
     assert sorted(tmp_path.iterdir()) == [tmp_path / "run.cfg"]  # rejected before any output
 
 
+@pytest.mark.parametrize("key", ["size_multipliers", "deadline_sweep_slots"])
+@pytest.mark.parametrize("value, low", [("0", 0), ("0,3", 0), ("4,-2", -2)])
+def test_config_rejects_sweep_point_below_one(tmp_path, monkeypatch, capsys, key, value, low):
+    # such a point makes no payload or deadline; it is refused when the config
+    # is read, even by a run that sweeps nothing
+    with pytest.raises(ValueError, match=rf"^run\.{key} entries must be >= 1, got {low}$"):
+        parse_config(f"run.{key} = {value}\n")
+    with pytest.raises(ValueError, match=rf"^run\.{key} entries must be >= 1"):
+        RunConfig(**{key: (0,)})
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(config_text(tiny_cfg(), f"run.{key} = {value}"))
+    argv = ["baseline", "--config", "run.cfg", "--algorithms", "NOMA-MP", "--episodes", "1", "--sweep", "none"]
+    assert cli.main([*argv, "--out", "base.csv"]) == 1
+    assert capsys.readouterr().err == f"error: run.{key} entries must be >= 1, got {low}\n"
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
+
 @pytest.mark.parametrize(
     "line, command",
     [
@@ -459,6 +476,43 @@ def test_cmd_baseline_paired_hashes(tmp_path):
         by_episode.setdefault(row["episode"], set()).add(row["channel_hash"])
     for ep, hashes in by_episode.items():
         assert len(hashes) == 1  # identical channel across algorithms
+
+
+def test_cmd_baseline_draws_each_world_once(tmp_path, monkeypatch):
+    # every algorithm plays the one world drawn and hashed per (sweep point,
+    # episode); a run of two algorithms writes, per point, each one's rows
+    # as a run of that algorithm alone does
+    cfg = tiny_cfg(size_multipliers=(2, 4))
+    draws, hashed = [], []
+    draw_world, hash_world = cli.WorldStream.__call__, cli.trace_hash
+
+    def spy_draw(stream, ep):
+        world = draw_world(stream, ep)
+        draws.append((stream.workload.slice2_bytes, ep, id(world[1])))
+        return world
+
+    def spy_hash(chan):
+        hashed.append(id(chan))
+        return hash_world(chan)
+
+    monkeypatch.setattr(cli.WorldStream, "__call__", spy_draw)
+    monkeypatch.setattr(cli, "trace_hash", spy_hash)
+    cli.cmd_baseline(cfg, list(cli.bl.BASELINE_NAMES), tmp_path / "all.csv", episodes=3, sweep="sizes")
+    assert [d[:2] for d in draws] == [(size, ep) for size in (600, 1200) for ep in range(3)]
+    assert hashed == [d[2] for d in draws]
+
+    def rows(names, path):
+        cli.cmd_baseline(cfg, names, path, episodes=3, sweep="sizes")
+        return path.read_text().splitlines()[2:]
+
+    pair = rows(["NOMA-RP", "OMA-MP"], tmp_path / "pair.csv")
+    alone = {name: rows([name], tmp_path / f"{name}.csv") for name in ("NOMA-RP", "OMA-MP")}
+    assert len(pair) == 2 * 2 * 3
+    for point in range(2):  # three rows per algorithm and point
+        assert pair[6 * point : 6 * point + 6] == [
+            *alone["NOMA-RP"][3 * point : 3 * point + 3],
+            *alone["OMA-MP"][3 * point : 3 * point + 3],
+        ]
 
 
 def test_cmd_baseline_unknown_name(tmp_path):

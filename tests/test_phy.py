@@ -96,6 +96,31 @@ def test_coverage_group():
     assert phy.coverage_group(dist, 1400.0) == (0, 1, 2)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_in_coverage_grid_matches_coverage_group(data):
+    # the (source, destination, slot) membership grid the baselines' allocation
+    # builds in one call, against each group on its own and a hand rule; radii
+    # are the action table's levels, 0 and the link distances themselves
+    m, n, T = (data.draw(st.integers(1, hi)) for hi in (4, 12, 6))
+    levels = st.sampled_from(phy.COVERAGE_LEVELS_M)
+
+    def grid(elements, cols):  # an (m, cols) array of draws
+        return np.array(data.draw(st.lists(st.lists(elements, min_size=cols, max_size=cols), min_size=m, max_size=m)))
+
+    dist = grid(levels | st.floats(0.0, 2000.0), n)
+    coverage = grid(levels | st.sampled_from(dist.ravel().tolist()), T)
+    member = phy.in_coverage(dist[:, :, None], coverage[:, None, :])
+    assert member.shape == (m, n, T)
+    for s in range(m):
+        for t in range(T):
+            cov = float(coverage[s, t])
+            group = phy.coverage_group(dist[s], cov)
+            assert group == tuple(d for d in range(n) if cov > 0 and dist[s, d] <= cov)
+            assert group == tuple(np.flatnonzero(member[s, :, t]).tolist())
+            assert all(type(d) is int for d in group)
+
+
 def _slot_args(sc, chan, cfg, t=0):
     return (phy.EpisodeLink(chan, cfg, 0.005), t)
 
