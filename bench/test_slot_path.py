@@ -1,15 +1,16 @@
 """Layer harness for the slot path, on pytest-benchmark.
 
-Three cases on episode 0 of the default configuration's evaluation stream:
+Four cases on episode 0 of the default configuration's evaluation stream:
 `phy.apply_slot` through a fresh link (cold: every group and rate is solved),
 through a link that has resolved the same slot before (warm: one memo
 lookup returns the slot's per-source effects, and what is left is the mask
-and one drain-and-mark loop over the sources), and one swap-matching
-trial, `baselines.evaluate_plan` replaying the action columns of the first
-move of NOMA-MP's initial plan from the plan's record through the episode's
-shared link. A timed round of either `apply_slot` case makes CALLS calls
-from the same start-of-episode ledger, which `apply_slot` leaves as it is,
-so the reported times are per CALLS calls.
+and one drain-and-mark loop over the sources), one swap-matching trial,
+`baselines.evaluate_plan` replaying the action columns of the first move of
+NOMA-MP's initial plan from the plan's record through the episode's shared
+link, and one `SlicingEnv.action_mask` call mid-episode (the second vehicle
+of slot SLOT, after random actions). A timed round of either `apply_slot`
+case makes CALLS calls from the same start-of-episode ledger, which
+`apply_slot` leaves as it is, so the reported times are per CALLS calls.
 
 Run from the repository root (tier-1 does not collect this directory):
 
@@ -22,6 +23,7 @@ import pytest
 from iovslice import baselines as bl
 from iovslice import phy
 from iovslice.config import RunConfig
+from iovslice.env import SlicingEnv
 from iovslice.worlds import TAG_EVAL, WorldStream, algorithm_rng
 
 CFG = RunConfig()
@@ -94,3 +96,13 @@ def test_evaluate_plan_trial(benchmark, world):
     trial[t] = column
     ledgers = benchmark(bl.evaluate_plan, trial, sc, link, record, t)
     assert t < len(ledgers) - 1 <= T
+
+
+def test_action_mask_mid_episode(benchmark, world):
+    env = SlicingEnv(CFG.env, CFG.channel)
+    env.reset(*world)
+    rng = np.random.default_rng(0)
+    for _ in range(SLOT * CFG.env.m + 1):
+        env.step(int(rng.integers(CFG.env.n_actions)))
+    mask = benchmark(env.action_mask)
+    assert mask.shape == (CFG.env.n_actions,) and mask.any()

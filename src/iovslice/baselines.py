@@ -42,9 +42,6 @@ from .scenario import Scenario
 
 BASELINE_NAMES = ("OMA-MP", "NOMA-MP", "NOMA-RP")
 
-MAX_POWER_DBM = max(phy.POWER_LEVELS_DBM)
-ACTIVE_POWERS_DBM = tuple(p for p in phy.POWER_LEVELS_DBM if p > phy.SILENCE_POWER_DBM)
-
 INACTIVE = -1  # frequency of a source that found no free RB; its option is phy.OFF_AIR
 Action = tuple[int, float, int, float]  # `phy.SlotAction` field order
 Column = tuple[Action, ...]  # one slot's per-source actions
@@ -61,8 +58,9 @@ def random_coverage_slice(m: int, T: int, rng: np.random.Generator) -> tuple[np.
 
 def draw_powers(variant: str, m: int, T: int, rng: np.random.Generator) -> np.ndarray:
     if variant.endswith("MP"):
-        return np.full((m, T), MAX_POWER_DBM)
-    return np.array(ACTIVE_POWERS_DBM)[rng.integers(0, len(ACTIVE_POWERS_DBM), size=(m, T))]
+        return np.full((m, T), max(phy.POWER_LEVELS_DBM))
+    active = [p for p in phy.POWER_LEVELS_DBM if p > phy.SILENCE_POWER_DBM]
+    return np.array(active)[rng.integers(0, len(active), size=(m, T))]
 
 
 def slot_options(coverage_m: np.ndarray, packet: np.ndarray, power_dbm: np.ndarray, F: int) -> Options:

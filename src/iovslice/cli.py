@@ -37,6 +37,7 @@ from .worlds import TAG_EVAL, TAG_TRAIN, WorkloadConfig, WorldStream, algorithm_
 TRAINING_LOG_SCHEMA = "# schema: iovslice-training-log/1"
 EVAL_SCHEMA = "# schema: iovslice-eval/1"
 PLOTDATA_SCHEMA = "# schema: iovslice-plotdata/1"
+ORACLE_SCHEMA = "# schema: iovslice-oracle/1"
 
 EVAL_COLUMNS = [
     "algorithm",
@@ -278,12 +279,7 @@ def cmd_oracle(cfg: RunConfig, instances: int, out_path: Path | None) -> list[di
         results.append({"instance": k, "m": m, "T": T, "optimum": optimum, **counts})
     if out_path is not None:
         cols = ["instance", "m", "T", "optimum", *bl.BASELINE_NAMES]
-        _write_csv(
-            out_path,
-            "# schema: iovslice-oracle/1",
-            cols,
-            [[r[c] for c in cols] for r in results],
-        )
+        _write_csv(out_path, ORACLE_SCHEMA, cols, [[r[c] for c in cols] for r in results])
     return results
 
 
@@ -423,7 +419,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {out}")
             return 0
         parser.error(f"unhandled command {args.command}")
-        return 2
     except (ValueError, OSError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,13 +5,13 @@ vehicle each slot; an action index is a position in `phy.action_table(F)`.
 To keep the action space flat at 120 entries (F = 2) the tuples are chosen
 one vehicle at a time: m micro-steps per slot, with the earlier same-slot
 choices visible in the observation, reward paid out when the last vehicle's
-choice resolves the slot.
+choice resolves the slot (`SlicingEnv.step_slot`, which takes whole slots).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate
 import math
 import operator
 
@@ -63,7 +63,7 @@ class EnvConfig:
 
     @property
     def n_actions(self) -> int:
-        return len(phy.COVERAGE_LEVELS_M) * len(phy.PACKET_CHOICES) * self.F * len(phy.POWER_LEVELS_DBM)
+        return len(phy.action_levels(self.F))
 
     @property
     def obs_dim(self) -> int:
@@ -72,7 +72,7 @@ class EnvConfig:
 
 class ContractViolation(RuntimeError):
     """A caller broke the environment's call protocol: it stepped before
-    reset or after the episode ended."""
+    reset, after the episode ended or, with a whole slot, mid-slot."""
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,14 @@ class SlicingEnv:
         self.rate_norm_bps = (
             cfg.rate_norm_bps if cfg.rate_norm_bps is not None else default_rate_norm_bps(channel_cfg)
         )
-        self._layout = _obs_layout(cfg)
-        # the action table, and each entry's level indices normalized to
-        # [0, 1] as the vehicles after it see them
+        # observation fields in order, as slices of the flat vector
+        sizes = _obs_sizes(cfg)
+        self._layout = {name: slice(end - sizes[name], end) for name, end in zip(sizes, accumulate(sizes.values()))}
+        # the action table, and each entry's level indices i of k normalized
+        # to i / max(k - 1, 1) as the vehicles after it see them
         self._actions = phy.action_table(cfg.F)
-        sizes = (len(phy.COVERAGE_LEVELS_M), len(phy.PACKET_CHOICES), cfg.F, len(phy.POWER_LEVELS_DBM))
-        self._peer_rows = np.array(list(product(*([i / max(k - 1, 1) for i in range(k)] for k in sizes))))
+        levels = phy.action_levels(cfg.F)
+        self._peer_rows = levels / np.maximum(levels.max(axis=0), 1)
         self.terminal = True  # no episode until reset
 
     # -- episode lifecycle ---------------------------------------------------
@@ -138,8 +140,7 @@ class SlicingEnv:
         self.link = phy.EpisodeLink(channel, self.channel_cfg, cfg.slot_duration_s)
         self.ledger = phy.DeliveryLedger.start(scenario.packets)
         self.slot = 0
-        self.deciding = 0
-        self.pending: list[int] = []
+        self.pending: list[int] = []  # this slot's action indices so far
         self.prev_choice = np.zeros((cfg.m, len(phy.PACKET_CHOICES)), dtype=np.float64)
         self.slot_rewards: list[float] = []
         self.terminal = False
@@ -166,47 +167,40 @@ class SlicingEnv:
         self._begin_slot()
         return self.observation()
 
+    @property
+    def deciding(self) -> int:  # the source whose action the next `step` fixes
+        return len(self.pending)
+
     def step(self, action_index: int) -> StepResult:
-        """Fix the deciding vehicle's action. An index that is not an integer
-        (TypeError) or is out of range (ValueError) changes nothing."""
+        """Fix the deciding vehicle's action, the last one's via `step_slot`; a
+        non-integer (TypeError) or out-of-range index (ValueError) changes nothing."""
         if self.terminal:
             raise ContractViolation("step called before reset or on a finished episode")
-        cfg = self.cfg
         index = operator.index(action_index)
         if not 0 <= index < len(self._actions):
             raise ValueError(f"action index {index} outside 0..{len(self._actions) - 1}")
-        self.pending.append(index)
-        if len(self.pending) < cfg.m:
+        if self.deciding + 1 < self.cfg.m:
             # visible to the vehicles after this one
             at = self._layout["peer"].start + 4 * self.deciding
             self._obs[at : at + 4] = self._peer_rows[index]
-            self.deciding += 1
+            self.pending.append(index)
             return StepResult(0.0, self.observation(), False, 1.0)
-        reward = self._resolve_slot()
-        self.slot += 1
-        self.deciding = 0
+        column = [self._actions[i] for i in self.pending] + [self._actions[index]]
         self.pending = []
-        self.terminal = self.slot >= cfg.T
-        self._begin_slot()
-        return StepResult(reward, self.observation(), self.terminal, 0.0 if self.terminal else cfg.gamma)
+        return self.step_slot(column)
 
-    def action_mask(self) -> np.ndarray:
-        """The deciding vehicle's actions that `phy.useful` accepts, as a bool
-        array; when there are none, exactly those that resolve as `OFF_AIR`."""
-        if self.terminal:
-            raise ContractViolation("action_mask called before reset or on a finished episode")
-        src, slot = self.deciding, self.slot
-        mask = np.array([phy.useful(self.ledger, src, act, slot, self.link) for act in self._actions])
-        if not mask.any():
-            mask = np.array([not phy.on_air(self.ledger, src, act, slot) for act in self._actions])
-        return mask
-
-    def _resolve_slot(self) -> float:
-        """Resolve the slot and pay it out. A source is on the air when its
-        effect names a packet k >= 0, delivered now when the new ledger's
+    def step_slot(self, actions: list[phy.SlotAction]) -> StepResult:
+        """Resolve, pay and advance the slot with one raw choice per source;
+        change nothing mid-slot, before reset or after the end (ContractViolation)
+        or given other than m choices (ValueError). A source is on the air when
+        its effect names a packet k >= 0, delivered now when the new ledger's
         leftover of k is 0.0 (`on_air` admits only undelivered packets)."""
-        norm, upper = self.rate_norm_bps, self.cfg.reward_upper_bound
-        actions = [self._actions[index] for index in self.pending]
+        if self.terminal or self.pending:
+            raise ContractViolation("step_slot called mid-slot, before reset or on a finished episode")
+        cfg = self.cfg
+        if len(actions) != cfg.m:
+            raise ValueError(f"{len(actions)} choices for {cfg.m} sources")
+        norm, upper = self.rate_norm_bps, cfg.reward_upper_bound
         self.ledger, effects = phy.apply_slot(self.ledger, actions, self.link, self.slot)
         left = self.ledger.leftover_bits
         reward = 0.0
@@ -214,9 +208,20 @@ class SlicingEnv:
         for src, (act, (k, _, group_mask, rate)) in enumerate(zip(actions, effects)):
             on_air = k >= 0
             reward += individual_reward(on_air and left[k] == 0.0, group_mask, rate, norm, upper)
-            self.prev_choice[src, act.packet_id if on_air else phy.PKT_NONE] = 1.0
+            self.prev_choice[src, act[0] if on_air else phy.PKT_NONE] = 1.0
         self.slot_rewards.append(reward)
-        return reward
+        self.slot += 1
+        self.terminal = self.slot >= cfg.T
+        self._begin_slot()
+        return StepResult(reward, self.observation(), self.terminal, 0.0 if self.terminal else cfg.gamma)
+
+    def action_mask(self) -> np.ndarray:
+        """The deciding vehicle's useful actions (`phy.useful_mask`) as a bool
+        array; when there are none, exactly those that resolve as `OFF_AIR`."""
+        if self.terminal:
+            raise ContractViolation("action_mask called before reset or on a finished episode")
+        air, useful = phy.useful_mask(self.ledger, self.deciding, self.slot, self.link, self.cfg.F)
+        return useful if useful.any() else ~air
 
     # -- observation ---------------------------------------------------------
 
@@ -260,12 +265,3 @@ def _obs_sizes(cfg: EnvConfig) -> dict[str, int]:
         "deciding": m,  # one-hot of the vehicle deciding now
         "peer": 4 * m,  # coverage, packet, frequency, power already fixed this slot
     }
-
-
-def _obs_layout(cfg: EnvConfig) -> dict[str, slice]:
-    """Observation fields in order, as slices of the flat vector."""
-    layout, pos = {}, 0
-    for name, size in _obs_sizes(cfg).items():
-        layout[name] = slice(pos, pos + size)
-        pos += size
-    return layout

@@ -10,8 +10,8 @@ link layer the environment and the baselines share (`phy.apply_slot`).
 The search does not call `apply_slot` for every joint choice, which would
 test every choice with `phy.on_air` again and OR in reached bitmasks that
 the search never reads. Its candidates are already what `apply_slot` hands
-the slot memo, `phy.OFF_AIR` or a choice `phy.useful` accepts at the start
-of the episode, and the search drops a candidate once its packet is
+the slot memo, `phy.OFF_AIR` or a choice `phy.useful_mask` calls useful at
+the start of the episode, and the search drops a candidate once its packet is
 delivered, so it resolves them with `phy.EpisodeLink.resolve`, whose memo
 holds each source's bits for the slot, and drains leftover bits by them
 with `phy.drain_slot`.
@@ -108,7 +108,7 @@ def candidate_actions(
       linear power) resolve identically, so only the first of them in table
       order remains. Coverage radii are nested, so there are at most n
       non-empty groups.
-    - Not useful (`phy.useful` of the episode's start ledger). No packet,
+    - Not useful (`phy.useful_mask` of the episode's start ledger). No packet,
       zero coverage, the silence power and a packet outside its window
       [arrival, deadline] all leave the source off the air; `phy.OFF_AIR`
       stands for all of them. An on-air source whose radius reaches no
@@ -130,12 +130,13 @@ def candidate_actions(
             packet = scenario.packets[2 * s + (pkt - 1)]
             if _drains(packet.size_bits, [peaks[s][t] for t in range(T) if packet.open_at(t)]):
                 deliverable.append(pkt)
-        firsts: dict[tuple, phy.SlotAction] = {}  # (packet, group, freq, mW) -> first action with it
-        for act in table:
+        firsts: dict[tuple, int] = {}  # (packet, group, freq, mW) -> index of the first action with it
+        for i, act in enumerate(table):
             if act.packet_id in deliverable:
                 key = (act.packet_id, link.group(s, act.coverage_m), act.freq, phy.power_lin_mw(act.power_dbm))
-                firsts.setdefault(key, act)
-        out.append([[phy.OFF_AIR] + [a for a in firsts.values() if phy.useful(start, s, a, t, link)] for t in range(T)])
+                firsts.setdefault(key, i)
+        useful = [phy.useful_mask(start, s, t, link, F)[1] for t in range(T)]
+        out.append([[phy.OFF_AIR] + [table[i] for i in firsts.values() if useful[t][i]] for t in range(T)])
     return out
 
 

@@ -18,15 +18,15 @@ time it is asked for; and one memo of slot resolutions. `in_coverage` is the
 one radius rule: `coverage_group` applies it to one source's destinations,
 and the baselines' greedy allocation to every source and slot at once.
 
-The action space is defined here too: `action_table(F)` lists every
-`SlotAction` one source can pick for a slot, in flat action-index order.
-The environment's action indices, the baselines' draws and the oracle's
-candidates all come from it or its levels.
+The action space is defined here too: `action_levels(F)` is its one mixed
+radix, and `action_table(F)` decodes it into every `SlotAction` one source
+can pick for a slot. The environment's action indices, the baselines' draws
+and the oracle's candidates all come from them or their levels.
 
 `on_air` is the one rule for whether a choice puts a packet on the air;
-`useful` adds a non-empty group, and the oracle's candidates and the
-environment's action mask read it. `apply_slot` replaces every raw choice
-that is not on the air by `OFF_AIR`. It then makes one
+`useful_mask` applies it, and a non-empty group, to the whole table, for the
+oracle's candidates and the environment's action mask. `apply_slot` replaces
+every raw choice that is not on the air by `OFF_AIR`. It then makes one
 `EpisodeLink.resolve` lookup, a memo keyed by (slot, choices) whose value is
 the whole slot: per source its `SourceEffect`, that is the packet index, the
 bits the slot carries (rate x slot duration), the group bitmask and the
@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import product
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -65,7 +65,7 @@ PKT_NONE = 0
 PKT_SLICE1 = 1
 PKT_SLICE2 = 2
 
-# The levels of the action space; `action_table` orders their product.
+# The levels of the action space; `action_levels` orders their product.
 COVERAGE_LEVELS_M = (0.0, 100.0, 400.0, 1000.0, 1400.0)
 PACKET_CHOICES = (PKT_NONE, PKT_SLICE1, PKT_SLICE2)
 POWER_LEVELS_DBM = (SILENCE_POWER_DBM, 15.0, 23.0, 30.0)
@@ -125,13 +125,21 @@ class SlotAction(NamedTuple):
     power_dbm: float
 
 
+@cache
+def action_levels(F: int) -> np.ndarray:
+    """Row i (read-only) holds the (coverage, packet, frequency, power) level
+    indices of flat action index i: a mixed radix, coverage most significant."""
+    levels = np.indices((len(COVERAGE_LEVELS_M), len(PACKET_CHOICES), F, len(POWER_LEVELS_DBM))).reshape(4, -1).T
+    levels.flags.writeable = False
+    return levels
+
+
 def action_table(F: int) -> tuple[SlotAction, ...]:
     """Every choice of one source for one slot, in flat action-index order:
-    a mixed radix over coverage (most significant), packet, frequency and
-    power. Output i of a policy network means entry i."""
+    `action_levels(F)` decoded."""
     return tuple(
-        SlotAction(pkt, cov, f, pw)
-        for cov, pkt, f, pw in product(COVERAGE_LEVELS_M, PACKET_CHOICES, range(F), POWER_LEVELS_DBM)
+        SlotAction(PACKET_CHOICES[pkt], COVERAGE_LEVELS_M[cov], f, POWER_LEVELS_DBM[pw])
+        for cov, pkt, f, pw in action_levels(F).tolist()
     )
 
 
@@ -230,10 +238,21 @@ def on_air(ledger: DeliveryLedger, src: int, act: SlotAction, slot: int) -> bool
     return ledger.leftover_bits[k] > 0.0 and ledger.packets[k].open_at(slot)
 
 
-def useful(ledger: DeliveryLedger, src: int, act: SlotAction, slot: int, link: EpisodeLink) -> bool:
-    """`on_air`, and the choice's broadcast group reaches someone: an
-    on-air source that reaches no one only interferes."""
-    return on_air(ledger, src, act, slot) and bool(link.group(src, act[1]))
+def useful_mask(ledger: DeliveryLedger, src: int, slot: int, link: EpisodeLink, F: int) -> tuple[np.ndarray, ...]:
+    """Over `action_table(F)`, source `src`'s choices `on_air` at this slot,
+    and those also useful, with a group that reaches someone. Each clause of
+    `on_air` reads one level (packet: named, undelivered, in its window;
+    radius: above 0; power: above silence; frequency: none) and the group the
+    radius alone, so each flag is a product of per-level flags."""
+    levels = action_levels(F)
+    cov, pkt, pw = levels[:, 0], levels[:, 1], levels[:, 3]
+    sends = [
+        p != PKT_NONE and ledger.leftover_bits[2 * src + p - 1] > 0.0 and ledger.packets[2 * src + p - 1].open_at(slot)
+        for p in PACKET_CHOICES
+    ]
+    reaches = np.array([r > 0.0 and bool(link.group(src, r)) for r in COVERAGE_LEVELS_M])
+    air = np.array(sends)[pkt] & np.array([p > SILENCE_POWER_DBM for p in POWER_LEVELS_DBM])[pw]
+    return air & np.array([r > 0.0 for r in COVERAGE_LEVELS_M])[cov], air & reaches[cov]
 
 
 class EpisodeLink:

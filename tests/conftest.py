@@ -74,6 +74,12 @@ def reference_slot(ledger, actions, chan, cfg, slot, slot_duration_s):
     return ledger._replace(leftover_bits=tuple(leftover), reached=tuple(reached)), effects
 
 
+def reference_useful(ledger, src, act, slot, link):
+    """The useful rule one choice at a time: `phy.on_air`, and a broadcast
+    group that reaches someone."""
+    return phy.on_air(ledger, src, act, slot) and bool(link.group(src, act[1]))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -418,3 +418,50 @@ def test_slot_reward_matches_memo_free_reference(data):
         assert env.slot_rewards[-1].hex() == reward.hex()
         assert res.next_observation[prev].tobytes() == one_hot.ravel().tobytes()
         assert env.ledger == ledger
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_step_slot_matches_micro_steps(data):
+    """Over random worlds and raw action columns, one `step_slot(column)` per
+    slot plays the episode bit for bit as m `step` calls per slot do."""
+    m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    F, T = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 6))
+    env_cfg = EnvConfig(m=m, n=n, F=F, T=T, gamma=data.draw(st.sampled_from([1.0, 0.9])))
+    workload = WorkloadConfig(
+        slice1_bits_min=1e3, slice1_bits_max=5e4, deadline_len_slots=data.draw(st.integers(1, T))
+    )
+    world = WorldStream(RoadConfig(), env_cfg, ChannelConfig(), workload, data.draw(st.integers(0, 999)), TAG_TRAIN)(0)
+    whole, micro = SlicingEnv(env_cfg, ChannelConfig()), SlicingEnv(env_cfg, ChannelConfig())
+    assert whole.reset(*world).tobytes() == micro.reset(*world).tobytes()
+    table = phy.action_table(F)
+    for _ in range(T):
+        column = data.draw(st.lists(st.integers(0, env_cfg.n_actions - 1), min_size=m, max_size=m))
+        got = whole.step_slot([table[i] for i in column])
+        for index in column:
+            want = micro.step(index)
+        assert got.reward.hex() == want.reward.hex()
+        assert got.next_observation.tobytes() == want.next_observation.tobytes()
+        assert (got.discount, got.terminal) == (want.discount, want.terminal)
+        assert whole.ledger == micro.ledger and whole.slot_rewards == micro.slot_rewards
+    assert whole.terminal
+
+
+def test_step_slot_contract_errors():
+    env, sc, chan = make_env([0.0, 300.0], [100.0, 400.0], T=2)
+    silent = [phy.OFF_AIR] * 2
+    with pytest.raises(ContractViolation):  # before reset
+        env.step_slot(silent)
+    env.reset(sc, chan)
+    env.step(SILENT)
+    with pytest.raises(ContractViolation):  # mid-slot
+        env.step_slot(silent)
+    env.step(SILENT)
+    before = (env.slot, env.ledger, list(env.slot_rewards), env.observation().tobytes())
+    for wrong in ([], silent[:1], silent * 2):
+        with pytest.raises(ValueError):
+            env.step_slot(wrong)
+    assert (env.slot, env.ledger, env.slot_rewards, env.observation().tobytes()) == before
+    assert env.step_slot(silent).terminal
+    with pytest.raises(ContractViolation):  # after the end
+        env.step_slot(silent)

@@ -14,7 +14,7 @@ from iovslice.oracle import SearchSpaceTooLarge, brute_force_optimal
 from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY, SLICE_THROUGHPUT
 from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream
 
-from tests.conftest import forced_channel, hand_built_scenario
+from tests.conftest import forced_channel, hand_built_scenario, reference_useful
 
 
 def test_oracle_refuses_large_space():
@@ -139,7 +139,7 @@ def test_candidates_cover_every_useful_table_action(m, n, F, T, deadline, seed):
             have = [effect(s, c) for c in cands[s][t][1:]]
             assert len(set(have)) == len(have)
             for act in phy.action_table(F):
-                if not phy.useful(start, s, act, t, link):
+                if not reference_useful(start, s, act, t, link):
                     continue
                 packet = sc.packets[2 * s + (act.packet_id - 1)]
                 if oracle._drains(packet.size_bits, [peaks[s][u] for u in range(T) if packet.open_at(u)]):

@@ -12,7 +12,8 @@ from iovslice import baselines
 from iovslice.channel import ChannelConfig
 from iovslice.config import RunConfig
 from iovslice.dqn import mlp
-from iovslice.env import EnvConfig
+from iovslice.dqn.agent import greedy_episode
+from iovslice.env import EnvConfig, SlicingEnv
 from iovslice.scenario import RoadConfig
 from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream
 
@@ -66,3 +67,20 @@ def test_traced_world_draw_reaches_every_world_span():
     calls = {name: span["calls"] for name, span in recorder.summary()["spans"].items()}
     for name in ("worlds.episode", "scenario.advance_mobility", "scenario.generate_packets", "channel.draw_channel"):
         assert calls[name] == 2, name
+
+
+def test_traced_greedy_rollout_reaches_every_env_span():
+    # greedy_episode must reach SlicingEnv.reset and step as class
+    # attributes, and the env must call phy.apply_slot as a phy global
+    spans = _spans()
+    env_cfg = EnvConfig(m=3, n=2, F=2, T=5)
+    sc = hand_built_scenario([0.0, 300.0, 600.0], [100.0, 400.0])
+    chan = forced_channel(sc, -85.0, F=2, T=5)
+    net = mlp.DuelingQNetwork(env_cfg.obs_dim, (4,), env_cfg.n_actions, np.random.default_rng(0))
+    recorder = spans.SpanRecorder()
+    with recorder.installed("root"):
+        greedy_episode(net, SlicingEnv(env_cfg, ChannelConfig()), sc, chan)
+    calls = {name: span["calls"] for name, span in recorder.summary()["spans"].items()}
+    assert calls["env.reset"] == 1
+    assert calls["env.step"] == calls["dqn.forward_row"] == env_cfg.m * env_cfg.T
+    assert calls["phy.apply_slot"] == env_cfg.T

@@ -11,7 +11,7 @@ from iovslice.env import EnvConfig
 from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY, SLICE_THROUGHPUT
 from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream
 
-from tests.conftest import forced_channel, hand_built_scenario, reference_slot
+from tests.conftest import forced_channel, hand_built_scenario, reference_slot, reference_useful
 
 
 def test_sic_single_transmitter():
@@ -263,8 +263,35 @@ def test_useful_needs_a_nonempty_group():
     link = phy.EpisodeLink(forced_channel(sc, -80.0), ChannelConfig(), 0.005)
     ledger = phy.DeliveryLedger.start(sc.packets)
     near, wide = phy.SlotAction(phy.PKT_SLICE1, 100.0, 0, 30.0), phy.SlotAction(phy.PKT_SLICE1, 400.0, 0, 30.0)
-    assert phy.on_air(ledger, 0, near, 0) and not phy.useful(ledger, 0, near, 0, link)
-    assert phy.useful(ledger, 0, wide, 0, link)
+    assert phy.on_air(ledger, 0, near, 0) and not reference_useful(ledger, 0, near, 0, link)
+    assert reference_useful(ledger, 0, wide, 0, link)
+    table = phy.action_table(1)
+    air, useful = phy.useful_mask(ledger, 0, 0, link, 1)
+    assert air[table.index(near)] and not useful[table.index(near)]
+    assert useful[table.index(wide)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_useful_mask_matches_scalar_rule(data):
+    """Over random worlds, ledgers, sources and slots, the table-wide flags
+    are `phy.on_air` and the scalar useful rule, entry by entry."""
+    m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    F, T = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 6))
+    env_cfg = EnvConfig(m=m, n=n, F=F, T=T)
+    workload = WorkloadConfig(deadline_len_slots=data.draw(st.integers(1, T)))
+    seed = data.draw(st.integers(0, 999))
+    sc, chan = WorldStream(RoadConfig(), env_cfg, ChannelConfig(), workload, seed, TAG_EVAL)(0)
+    link = phy.EpisodeLink(chan, ChannelConfig(), env_cfg.slot_duration_s)
+    zeroed = data.draw(st.sets(st.integers(0, 2 * m - 1)))  # some packets delivered by hand
+    ledger = phy.DeliveryLedger.start(sc.packets)
+    ledger = ledger._replace(leftover_bits=tuple(0.0 if k in zeroed else x for k, x in enumerate(ledger.leftover_bits)))
+    src, slot = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, T - 1))
+    table = phy.action_table(F)
+    air, useful = phy.useful_mask(ledger, src, slot, link, F)
+    assert air.dtype == useful.dtype == bool and air.shape == useful.shape == (len(table),)
+    assert air.tolist() == [phy.on_air(ledger, src, act, slot) for act in table]
+    assert useful.tolist() == [reference_useful(ledger, src, act, slot, link) for act in table]
 
 
 def test_ledger_monotone_under_random_actions(rng):
