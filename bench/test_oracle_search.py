@@ -5,7 +5,8 @@ a fixed tiny instance, episode 0 of the evaluation stream at seed 2 with
 m=2 sources, n=4 destinations, F=2 resource blocks and T=3 slots (a 3-slot
 safety window). Its candidate lists leave about 7.5e5 joint sequences; the
 state merge and the peak-rate cut bring the search down to 173 slot solves.
-Each timed call builds its own link, so no memo carries over.
+Each timed call gets a fresh link of the instance's channel, so no memo
+carries over.
 
 Run from the repository root (tier-1 does not collect this directory):
 
@@ -16,7 +17,7 @@ import dataclasses
 
 import pytest
 
-from iovslice import oracle
+from iovslice import oracle, phy
 from iovslice.config import RunConfig
 from iovslice.env import EnvConfig
 from iovslice.worlds import TAG_EVAL, WorldStream
@@ -37,11 +38,10 @@ def instance():
 
 
 def test_brute_force_optimal(benchmark, instance):
-    sc, chan = instance
-    res = benchmark.pedantic(
-        oracle.brute_force_optimal,
-        args=(sc, chan, CFG.channel, ENV.slot_duration_s),
-        rounds=100,
-        warmup_rounds=3,
-    )
+    sc, link = instance
+
+    def setup():
+        return (sc, phy.EpisodeLink(link.chan, CFG.channel, ENV.slot_duration_s)), {}
+
+    res = benchmark.pedantic(oracle.brute_force_optimal, setup=setup, rounds=100, warmup_rounds=3)
     assert res.best_delivered == 2 and len(res.best_actions) == ENV.T

@@ -1,13 +1,13 @@
 """Layer harness for the slot path, on pytest-benchmark.
 
 Four cases on episode 0 of the default configuration's evaluation stream:
-`phy.apply_slot` through a fresh link (cold: every group and rate is solved),
-through a link that has resolved the same slot before (warm: one memo
-lookup returns the slot's per-source effects, and what is left is the mask
-and one drain-and-mark loop over the sources), one swap-matching trial,
-`baselines.evaluate_plan` replaying the action columns of the first move of
-NOMA-MP's initial plan from the plan's record through the episode's shared
-link, and one `SlicingEnv.action_mask` call mid-episode (the second vehicle
+`phy.apply_slot` through a fresh link of the episode's channel (cold: every
+group and rate is solved), through a link that has resolved the same slot
+before (warm: one memo lookup returns the slot's per-source effects, and
+what is left is the mask and one drain-and-mark loop over the sources), one
+swap-matching trial, `baselines.evaluate_plan` replaying the action columns
+of the first move of NOMA-MP's initial plan from the plan's record through
+the episode's shared link, and one `SlicingEnv.action_mask` call mid-episode (the second vehicle
 of slot SLOT, after random actions). A timed round of either `apply_slot`
 case makes CALLS calls from the same start-of-episode ledger, which
 `apply_slot` leaves as it is, so the reported times are per CALLS calls.
@@ -40,8 +40,9 @@ def world():
     return WorldStream(CFG.road, CFG.env, CFG.channel, CFG.workload, CFG.seed, TAG_EVAL)(0)
 
 
-def _link(chan):
-    return phy.EpisodeLink(chan, CFG.channel, CFG.env.slot_duration_s)
+def _link(world):
+    """A fresh link table of the world's channel, with empty memos."""
+    return phy.EpisodeLink(world[1].chan, CFG.channel, CFG.env.slot_duration_s)
 
 
 def _slot_actions():
@@ -56,22 +57,20 @@ def _resolve(ledger, actions, links):
 
 
 def test_apply_slot_cold_link(benchmark, world):
-    sc, chan = world
-    ledger = phy.DeliveryLedger.start(sc.packets)
+    ledger = phy.DeliveryLedger.start(world[0].packets)
     actions = _slot_actions()
 
     def setup():
-        return (ledger, actions, [_link(chan) for _ in range(CALLS)]), {}
+        return (ledger, actions, [_link(world) for _ in range(CALLS)]), {}
 
     out = benchmark.pedantic(_resolve, setup=setup, rounds=ROUNDS, warmup_rounds=5)
     assert all(k >= 0 for _, effects in out for k, *_ in effects)  # every source on the air
 
 
 def test_apply_slot_warm_link(benchmark, world):
-    sc, chan = world
-    ledger = phy.DeliveryLedger.start(sc.packets)
+    ledger = phy.DeliveryLedger.start(world[0].packets)
     actions = _slot_actions()
-    link = _link(chan)
+    link = _link(world)
     phy.apply_slot(ledger, actions, link, SLOT)
 
     def setup():
@@ -82,12 +81,12 @@ def test_apply_slot_warm_link(benchmark, world):
 
 
 def test_evaluate_plan_trial(benchmark, world):
-    sc, chan = world
-    m, _, F, T = chan.gain_lin.shape
+    sc = world[0]
+    link = _link(world)
+    m, _, F, T = link.gain_lin.shape
     rng = algorithm_rng(CFG.seed, CFG.workload, 0, bl.BASELINE_NAMES.index("NOMA-MP"))
     coverage, packet = bl.random_coverage_slice(m, T, rng)
     options = bl.slot_options(coverage, packet, bl.draw_powers("NOMA-MP", m, T, rng), F)
-    link = _link(chan)
     freqs = bl.initial_rb_allocation(link, coverage, oma=False)
     columns = bl.plan_columns(options, freqs)
     record = bl.evaluate_plan(columns, sc, link)

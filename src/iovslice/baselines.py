@@ -15,10 +15,11 @@ trial shares the current plan's recorded ledgers up to that slot
 (`phy.apply_slot` returns a new ledger, so none is copied) and stops as soon
 as its leftover bits are, packet by packet, at least the record's: from then
 on it cannot deliver more than the current plan (`evaluate_plan` gives the
-argument). All trials of one episode share its `phy.EpisodeLink`, so a slot
-the search has resolved before, from a ledger that masks it alike, costs a
-memo lookup. OMA keeps one transmitter per resource block; the MP variants
-always use maximum power while RP draws a random level.
+argument). All trials read the world's `phy.EpisodeLink`, which the caller
+hands in and may share with other policies on the world, so a slot resolved
+before, from a ledger that masks it alike, costs a memo lookup. OMA keeps
+one transmitter per resource block; the MP variants always use maximum
+power while RP draws a random level.
 
 The greedy assignment scores every (source, frequency, slot) at once: the
 coverage grid of all sources and slots comes from `phy.in_coverage`, the
@@ -37,7 +38,6 @@ from operator import ge
 import numpy as np
 
 from . import phy
-from .channel import ChannelConfig, ChannelState
 from .scenario import Scenario
 
 BASELINE_NAMES = ("OMA-MP", "NOMA-MP", "NOMA-RP")
@@ -254,21 +254,15 @@ def swap_matching(
 
 
 def run_baseline(
-    name: str,
-    scenario: Scenario,
-    chan: ChannelState,
-    channel_cfg: ChannelConfig,
-    slot_duration_s: float,
-    rng: np.random.Generator,
-    max_iters: int,
+    name: str, scenario: Scenario, link: phy.EpisodeLink, rng: np.random.Generator, max_iters: int
 ) -> BaselineRun:
+    """The named scheduler on the world (scenario, link); its draws come
+    from `rng`, and the allocation and every trial read `link`."""
     if name not in BASELINE_NAMES:
         raise ValueError(f"unknown baseline {name!r}, expected one of {BASELINE_NAMES}")
     oma = name.startswith("OMA")
-    m, _, F, T = chan.gain_lin.shape
+    m, _, F, T = link.gain_lin.shape
     coverage, packet = random_coverage_slice(m, T, rng)
     options = slot_options(coverage, packet, draw_powers(name, m, T, rng), F)
-    # the allocation and every trial read this one episode's link table
-    link = phy.EpisodeLink(chan, channel_cfg, slot_duration_s)
     freqs = initial_rb_allocation(link, coverage, oma)
     return swap_matching(options, freqs, scenario, link, oma, max_iters)

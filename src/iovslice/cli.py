@@ -19,7 +19,7 @@ import numpy as np
 
 from . import baselines as bl
 from . import oracle as orc
-from .channel import ChannelState, trace_hash
+from .channel import trace_hash
 from .config import RunConfig, load_config, serialize_config
 from .dqn import (
     TrainingDiverged,
@@ -30,7 +30,7 @@ from .dqn import (
     train,
 )
 from .env import EnvConfig, SlicingEnv
-from .phy import ReceptionStats
+from .phy import EpisodeLink, ReceptionStats
 from .scenario import Scenario
 from .worlds import TAG_EVAL, TAG_TRAIN, WorkloadConfig, WorldStream, algorithm_rng
 
@@ -156,22 +156,23 @@ def cmd_train(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> tuple[Path,
     return ckpt, log_path
 
 
-Policy = tuple[str, Callable[[int, Scenario, ChannelState], ReceptionStats]]
+Policy = tuple[str, Callable[[int, Scenario, EpisodeLink], ReceptionStats]]
 
 
 def _eval_rows(cfg: RunConfig, workload: WorkloadConfig, episodes: int, policies: list[Policy]) -> list[list]:
     """EVAL_COLUMNS rows of every (name, play) policy on the paired
     evaluation stream at this sweep point, policy by policy and, within a
-    policy, episode by episode. Each episode's world is drawn and hashed
-    once and serves every policy: play(ep, scenario, chan) runs one
-    algorithm on it and leaves it as it was."""
+    policy, episode by episode. Each episode's world (scenario, link) is
+    drawn and its channel hashed once, and it serves every policy:
+    play(ep, scenario, link) runs one algorithm on it, sharing the link's
+    memo, and leaves the scenario and channel as they were."""
     stream = WorldStream(cfg.road, cfg.env, cfg.channel, workload, cfg.seed, TAG_EVAL)
     rows: list[list[list]] = [[] for _ in policies]
     for ep in range(episodes):
-        scenario, chan = stream(ep)
-        channel_hash = trace_hash(chan)
+        scenario, link = stream(ep)
+        channel_hash = trace_hash(link.chan)
         for policy_rows, (name, play) in zip(rows, policies):
-            st = play(ep, scenario, chan)
+            st = play(ep, scenario, link)
             policy_rows.append(
                 [
                     name,
@@ -198,7 +199,7 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, out_path: Path, episodes: int, sw
             f"config ({cfg.env.obs_dim} obs, {cfg.env.n_actions} actions)"
         )
     env = SlicingEnv(cfg.env, cfg.channel)
-    dql: Policy = ("DQL", lambda ep, sc, ch: greedy_episode(net, env, sc, ch))
+    dql: Policy = ("DQL", lambda ep, scenario, link: greedy_episode(net, env, scenario, link))
     rows: list[list] = []
     for workload in sweep_points(cfg, sweep):
         rows.extend(_eval_rows(cfg, workload, episodes, [dql]))
@@ -220,11 +221,9 @@ def cmd_baseline(cfg: RunConfig, names: list[str], out_path: Path, episodes: int
             raise ValueError(f"duplicate baseline {name}")
 
     def baseline(name: str, workload: WorkloadConfig) -> Policy:
-        def play(ep: int, scenario: Scenario, chan: ChannelState) -> ReceptionStats:
+        def play(ep: int, scenario: Scenario, link: EpisodeLink) -> ReceptionStats:
             rng = algorithm_rng(cfg.seed, workload, ep, bl.BASELINE_NAMES.index(name))
-            return bl.run_baseline(
-                name, scenario, chan, cfg.channel, cfg.env.slot_duration_s, rng, cfg.swap_max_iters
-            ).stats
+            return bl.run_baseline(name, scenario, link, rng, cfg.swap_max_iters).stats
 
         return name, play
 
@@ -237,29 +236,22 @@ def cmd_baseline(cfg: RunConfig, names: list[str], out_path: Path, episodes: int
 
 def oracle_instance(
     cfg: RunConfig, env_cfg: EnvConfig, workload: WorkloadConfig, seed: int
-) -> tuple[Scenario, ChannelState, int, dict[str, bl.BaselineRun]]:
-    """One tiny instance: episode 0 of the evaluation stream at this seed, its
-    exhaustive optimum and every baseline's run on it.
+) -> tuple[Scenario, EpisodeLink, int, dict[str, bl.BaselineRun]]:
+    """One tiny instance: the world (scenario, link) of episode 0 of the
+    evaluation stream at this seed, its exhaustive optimum and every
+    baseline's run on it, all on that one link.
 
     The optimum searches `phy.action_table`, the one action space the
     environment and the baselines' draws come from, so no policy may exceed
     it; nothing the caller passes can narrow it.
     """
-    scenario, chan = WorldStream(cfg.road, env_cfg, cfg.channel, workload, seed, TAG_EVAL)(0)
-    best = orc.brute_force_optimal(scenario, chan, cfg.channel, env_cfg.slot_duration_s)
+    scenario, link = WorldStream(cfg.road, env_cfg, cfg.channel, workload, seed, TAG_EVAL)(0)
+    best = orc.brute_force_optimal(scenario, link)
     runs = {
-        name: bl.run_baseline(
-            name,
-            scenario,
-            chan,
-            cfg.channel,
-            env_cfg.slot_duration_s,
-            algorithm_rng(seed, workload, 0, i),
-            cfg.swap_max_iters,
-        )
+        name: bl.run_baseline(name, scenario, link, algorithm_rng(seed, workload, 0, i), cfg.swap_max_iters)
         for i, name in enumerate(bl.BASELINE_NAMES)
     }
-    return scenario, chan, best.best_delivered, runs
+    return scenario, link, best.best_delivered, runs
 
 
 def cmd_oracle(cfg: RunConfig, instances: int, out_path: Path | None) -> list[dict]:
@@ -346,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", type=Path, default=None, help="key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        seed_help = "override run.seed (worlds, baseline draws, oracle instances); the learner reads train.seed"
+        p.add_argument("--seed", type=int, default=None, help=seed_help)
 
     p_train = sub.add_parser("train", help="train the scheduler and write a checkpoint")
     add_common(p_train)

@@ -15,9 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..channel import ChannelState
 from ..env import SlicingEnv, episode_return
-from ..phy import ReceptionStats
+from ..phy import EpisodeLink, ReceptionStats
 from ..scenario import Scenario
 from .mlp import Adam, DuelingQNetwork
 from .replay import PrioritizedReplay
@@ -129,7 +128,7 @@ class TrainLogRow:
     loss_mean: float | None  # None until updates start
 
 
-WorldFn = Callable[[int], tuple[Scenario, ChannelState]]
+WorldFn = Callable[[int], tuple[Scenario, EpisodeLink]]  # episode index -> world
 
 
 def train(
@@ -153,8 +152,7 @@ def train(
     log: list[TrainLogRow] = []
 
     for ep in range(cfg.episodes):
-        scenario, chan = world_fn(ep)
-        obs = env.reset(scenario, chan)
+        obs = env.reset(*world_fn(ep))
         eps = epsilon(ep, cfg)
         beta = replay_beta(ep, cfg)
         losses: list[float] = []
@@ -208,11 +206,10 @@ def train(
     return net, log
 
 
-def greedy_episode(
-    net: DuelingQNetwork, env: SlicingEnv, scenario: Scenario, chan: ChannelState
-) -> ReceptionStats:
-    """One greedy rollout (argmax Q, ties to the lowest action index)."""
-    obs = env.reset(scenario, chan)
+def greedy_episode(net: DuelingQNetwork, env: SlicingEnv, scenario: Scenario, link: EpisodeLink) -> ReceptionStats:
+    """One greedy rollout (argmax Q, ties to the lowest action index) on the
+    world (scenario, link)."""
+    obs = env.reset(scenario, link)
     done = False
     while not done:
         step = env.step(int(net.forward(obs).argmax()))

@@ -18,7 +18,7 @@ import operator
 import numpy as np
 
 from . import phy
-from .channel import ChannelConfig, ChannelState, pathloss_db
+from .channel import ChannelConfig, pathloss_db
 from .scenario import Scenario
 
 # Observation normalization bounds.
@@ -102,42 +102,44 @@ def episode_return(slot_rewards: list[float], gamma: float) -> float:
 
 
 class SlicingEnv:
-    """Episodic environment; reset with a scenario and channel, step with flat
-    action indices. One instance serves one episode loop at a time."""
+    """Episodic environment; reset with a world (a scenario and its episode's
+    `phy.EpisodeLink`), step with flat action indices. One instance serves
+    one episode loop at a time."""
 
     def __init__(self, cfg: EnvConfig, channel_cfg: ChannelConfig):
         self.cfg = cfg
-        self.channel_cfg = channel_cfg
         self.rate_norm_bps = (
             cfg.rate_norm_bps if cfg.rate_norm_bps is not None else default_rate_norm_bps(channel_cfg)
         )
         # observation fields in order, as slices of the flat vector
         sizes = _obs_sizes(cfg)
         self._layout = {name: slice(end - sizes[name], end) for name, end in zip(sizes, accumulate(sizes.values()))}
-        # the action table, and each entry's level indices i of k normalized
-        # to i / max(k - 1, 1) as the vehicles after it see them
+        # the action table (as a set, the only choices step_slot takes), and each
+        # entry's level indices i of k normalized to i / max(k - 1, 1) as later vehicles see them
         self._actions = phy.action_table(cfg.F)
+        self._table = frozenset(self._actions)
         levels = phy.action_levels(cfg.F)
         self._peer_rows = levels / np.maximum(levels.max(axis=0), 1)
         self.terminal = True  # no episode until reset
 
     # -- episode lifecycle ---------------------------------------------------
 
-    def reset(self, scenario: Scenario, channel: ChannelState) -> np.ndarray:
+    def reset(self, scenario: Scenario, link: phy.EpisodeLink) -> np.ndarray:
+        """Start an episode on this world; a scenario or link that does not
+        fit the config (ValueError) changes nothing."""
         cfg = self.cfg
         if scenario.m != cfg.m or scenario.n != cfg.n:
             raise ValueError(
                 f"scenario has {scenario.m}x{scenario.n} vehicles, config wants {cfg.m}x{cfg.n}"
             )
-        if channel.gain_lin.shape != (cfg.m, cfg.n, cfg.F, cfg.T):
-            raise ValueError(
-                f"channel shape {channel.gain_lin.shape} != {(cfg.m, cfg.n, cfg.F, cfg.T)}"
-            )
+        if link.gain_lin.shape != (cfg.m, cfg.n, cfg.F, cfg.T):
+            raise ValueError(f"link gain shape {link.gain_lin.shape} != {(cfg.m, cfg.n, cfg.F, cfg.T)}")
+        if link.slot_duration_s != cfg.slot_duration_s:
+            raise ValueError(f"link slot duration {link.slot_duration_s} s != config {cfg.slot_duration_s} s")
         if len(scenario.packets) != 2 * cfg.m:
             raise ValueError("scenario is missing its per-source packet pairs")
         self.scenario = scenario
-        self.channel = channel
-        self.link = phy.EpisodeLink(channel, self.channel_cfg, cfg.slot_duration_s)
+        self.link = link
         self.ledger = phy.DeliveryLedger.start(scenario.packets)
         self.slot = 0
         self.pending: list[int] = []  # this slot's action indices so far
@@ -152,7 +154,7 @@ class SlicingEnv:
         lay = self._layout
         # large-scale link gains, affine dB -> [0, 1]
         obs[lay["gain"]] = np.clip(
-            (channel.large_scale_db.ravel() - GAIN_DB_LO) / (GAIN_DB_HI - GAIN_DB_LO), 0.0, 1.0
+            (link.chan.large_scale_db.ravel() - GAIN_DB_LO) / (GAIN_DB_HI - GAIN_DB_LO), 0.0, 1.0
         )
         # safety-packet window, slots normalized by the horizon
         obs[lay["window"]] = [
@@ -162,7 +164,7 @@ class SlicingEnv:
         ]
         self._packet_bits = np.array([p.size_bits for p in self.ledger.packets])
         # fast fading, clipped exponential power: row t is slot t's, in observation order
-        fade = np.clip(channel.fastfade_pow, 0.0, FADE_CLIP) / FADE_CLIP
+        fade = np.clip(link.chan.fastfade_pow, 0.0, FADE_CLIP) / FADE_CLIP
         self._fade_rows = fade.transpose(3, 0, 1, 2).reshape(T, -1)
         self._begin_slot()
         return self.observation()
@@ -191,15 +193,19 @@ class SlicingEnv:
 
     def step_slot(self, actions: list[phy.SlotAction]) -> StepResult:
         """Resolve, pay and advance the slot with one raw choice per source;
-        change nothing mid-slot, before reset or after the end (ContractViolation)
-        or given other than m choices (ValueError). A source is on the air when
-        its effect names a packet k >= 0, delivered now when the new ledger's
-        leftover of k is 0.0 (`on_air` admits only undelivered packets)."""
+        change nothing mid-slot, before reset or after the end (ContractViolation),
+        or given other than m choices or one outside `phy.action_table(F)`
+        (ValueError). A source is on the air when its effect names a packet
+        k >= 0, delivered now when the new ledger's leftover of k is 0.0
+        (`on_air` admits only undelivered packets)."""
         if self.terminal or self.pending:
             raise ContractViolation("step_slot called mid-slot, before reset or on a finished episode")
         cfg = self.cfg
         if len(actions) != cfg.m:
             raise ValueError(f"{len(actions)} choices for {cfg.m} sources")
+        if not self._table.issuperset(actions):
+            bad = next(act for act in actions if act not in self._table)
+            raise ValueError(f"choice {tuple(bad)} is not in the action table")
         norm, upper = self.rate_norm_bps, cfg.reward_upper_bound
         self.ledger, effects = phy.apply_slot(self.ledger, actions, self.link, self.slot)
         left = self.ledger.leftover_bits

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import phy
-from .channel import ChannelConfig, ChannelState
 from .scenario import Scenario
 
 
@@ -140,13 +139,10 @@ def candidate_actions(
     return out
 
 
-def brute_force_optimal(
-    scenario: Scenario,
-    chan: ChannelState,
-    channel_cfg: ChannelConfig,
-    slot_duration_s: float,
-) -> OracleResult:
-    """Maximum delivered-packet count over every joint action sequence.
+def brute_force_optimal(scenario: Scenario, link: phy.EpisodeLink) -> OracleResult:
+    """Maximum delivered-packet count over every joint action sequence on
+    the world (scenario, link); the search resolves its slots through
+    `link`'s memo, which other policies on the world may share.
 
     The space searched is every sequence of raw choices from
     `phy.action_table(F)`; `candidate_actions` prunes it without changing
@@ -158,8 +154,7 @@ def brute_force_optimal(
     fails. `best_actions` replays to the optimum; it ends early when no
     further packet could be delivered.
     """
-    m, _, _, T = chan.gain_lin.shape
-    link = phy.EpisodeLink(chan, channel_cfg, slot_duration_s)
+    m, _, _, T = link.gain_lin.shape
     peaks = _peak_bits(link)
     cands = candidate_actions(scenario, link, peaks)
     sequences = math.prod(float(len(cands[s][t])) for s in range(m) for t in range(T))

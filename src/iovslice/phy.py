@@ -259,12 +259,15 @@ class EpisodeLink:
     """One episode's link table: the inputs `apply_slot` resolves slots
     against, plus memos of the broadcast groups and the slot resolutions.
 
-    Build one per episode (per channel realization); every replay of that
-    episode, however many plans it scores, may share it. The noise and the
-    RB bandwidth come from the channel configuration.
+    `worlds.WorldStream` builds one per episode (per channel realization)
+    and hands it out with the scenario; every policy and every replay of
+    that episode, however many plans it scores, shares it. It keeps the
+    `ChannelState` it came from as `chan`. The noise and the RB bandwidth
+    come from the channel configuration.
     """
 
     def __init__(self, chan: ChannelState, channel_cfg: ChannelConfig, slot_duration_s: float) -> None:
+        self.chan = chan
         self.gain_lin = chan.gain_lin  # (m, n, F, T) linear gains
         self.dist_m = chan.dist_m  # (m, n)
         self.noise_mw = noise_lin_mw(channel_cfg)

@@ -4,7 +4,9 @@ A stream owns one base scenario; episode k moves the base by k episode
 durations and draws fresh packets and channel from a seed derived from
 (master seed, stream tag, workload point, episode index). Evaluation streams
 are therefore pairable: every algorithm sees bit-identical worlds at the same
-episode index.
+episode index. A world is the scenario and its `phy.EpisodeLink`, the one
+link table of the episode's channel: every policy played on the world shares
+it, and nothing else builds one.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelConfig, ChannelState, draw_channel
+from . import phy
+from .channel import ChannelConfig, draw_channel
 from .env import EnvConfig
 from .scenario import (
     RoadConfig,
@@ -50,7 +53,7 @@ class WorkloadConfig:
 
 
 class WorldStream:
-    """Callable episode factory: world(k) -> (scenario, channel)."""
+    """Callable episode factory: world(k) -> (scenario, link)."""
 
     def __init__(
         self,
@@ -85,7 +88,7 @@ class WorldStream:
             np.random.SeedSequence([self.seed, self.tag, 0x0C4A, episode_idx])
         )
 
-    def __call__(self, episode_idx: int) -> tuple[Scenario, ChannelState]:
+    def __call__(self, episode_idx: int) -> tuple[Scenario, phy.EpisodeLink]:
         cfg = self.env_cfg
         w = self.workload
         elapsed = episode_idx * cfg.T * cfg.slot_duration_s
@@ -100,7 +103,7 @@ class WorldStream:
         )
         scenario = replace(scenario, packets=packets)
         channel = draw_channel(scenario, self.channel_cfg, cfg.F, cfg.T, self.channel_rng(episode_idx))
-        return scenario, channel
+        return scenario, phy.EpisodeLink(channel, self.channel_cfg, cfg.slot_duration_s)
 
 
 def algorithm_rng(seed: int, workload: WorkloadConfig, episode_idx: int, algo_idx: int) -> np.random.Generator:

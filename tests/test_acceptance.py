@@ -208,7 +208,7 @@ def test_criterion_6_oracle_bounds(default_cfg):
         m = 1 + instances % 2
         T = 2 + (instances // 2) % 3  # cycle 2, 3, 4
         env_cfg = EnvConfig(m=m, n=2, F=1, T=T)
-        scenario, chan, optimum, runs = cli.oracle_instance(
+        scenario, link, optimum, runs = cli.oracle_instance(
             default_cfg, env_cfg, WorkloadConfig(deadline_len_slots=2), 5000 + instances
         )
         # every baseline policy is bounded by the optimum
@@ -219,7 +219,7 @@ def test_criterion_6_oracle_bounds(default_cfg):
                 swap_violations += 1
         # a greedy rollout of a random network is bounded too
         net = DuelingQNetwork(env_cfg.obs_dim, (16, 16), env_cfg.n_actions, rng)
-        if sum(greedy_episode(net, SlicingEnv(env_cfg, channel_cfg), scenario, chan).packets) > optimum:
+        if sum(greedy_episode(net, SlicingEnv(env_cfg, channel_cfg), scenario, link).packets) > optimum:
             policy_violations += 1
         instances += 1
     passed = policy_violations == 0 and swap_violations == 0

@@ -44,7 +44,7 @@ def test_slice2_never_sent_outside_window():
     sc = hand_built_scenario([0.0, 500.0], [100.0, 600.0])
     chan = forced_channel(sc, -80.0, F=2)
     rng = np.random.default_rng(1)
-    run = bl.run_baseline("NOMA-MP", sc, chan, cfg, 0.005, rng, MAX_ITERS)
+    run = bl.run_baseline("NOMA-MP", sc, _link(chan, cfg), rng, MAX_ITERS)
     # replay the final plan and watch the safety packets outside their windows,
     # over a link with 1e-10 mW of noise and 1 MHz resource blocks
     quiet = ChannelConfig(noise_floor_dbm=-100.0, noise_figure_db=0.0)
@@ -284,7 +284,8 @@ def _small_worlds():
     workload = WorkloadConfig(deadline_len_slots=3)
     for seed in range(6):
         env_cfg = EnvConfig(m=3, n=3, F=2, T=8)
-        yield WorldStream(RoadConfig(), env_cfg, ChannelConfig(), workload, seed, TAG_EVAL)(0)
+        sc, link = WorldStream(RoadConfig(), env_cfg, ChannelConfig(), workload, seed, TAG_EVAL)(0)
+        yield sc, link.chan
     for gain_db in (-60.0, -85.0):
         sc = hand_built_scenario([0.0, 300.0, 600.0], [100.0, 400.0])  # slice-2 window 0..7
         yield sc, forced_channel(sc, gain_db, F=2, T=12)
@@ -471,9 +472,10 @@ def test_swap_matching_matches_full_replay_search():
     workload = WorkloadConfig(deadline_len_slots=3)
     accepted = 0
     for seed in range(30):
-        sc, chan = WorldStream(RoadConfig(), env_cfg, cfg, workload, seed, TAG_EVAL)(0)
+        sc, link = WorldStream(RoadConfig(), env_cfg, cfg, workload, seed, TAG_EVAL)(0)
+        chan = link.chan
         for name in bl.BASELINE_NAMES:
-            run = bl.run_baseline(name, sc, chan, cfg, 0.005, np.random.default_rng(seed), MAX_ITERS)
+            run = bl.run_baseline(name, sc, _link(chan, cfg), np.random.default_rng(seed), MAX_ITERS)
             rng = np.random.default_rng(seed)  # the same draws as run_baseline
             coverage, packet = bl.random_coverage_slice(env_cfg.m, env_cfg.T, rng)
             options = bl.slot_options(coverage, packet, bl.draw_powers(name, env_cfg.m, env_cfg.T, rng), env_cfg.F)
@@ -495,9 +497,9 @@ def test_swap_matching_matches_full_replay_search():
 
 def test_run_baseline_counts_replayed_slots():
     cfg = RunConfig()
-    sc, chan = WorldStream(cfg.road, cfg.env, cfg.channel, cfg.workload, cfg.seed, TAG_EVAL)(0)
+    sc, link = WorldStream(cfg.road, cfg.env, cfg.channel, cfg.workload, cfg.seed, TAG_EVAL)(0)
     rng = np.random.default_rng(0)
-    run = bl.run_baseline("NOMA-MP", sc, chan, cfg.channel, cfg.env.slot_duration_s, rng, cfg.swap_max_iters)
+    run = bl.run_baseline("NOMA-MP", sc, link, rng, cfg.swap_max_iters)
     T = cfg.env.T
     assert run.evaluations > 1
     assert T <= run.slots_replayed < run.evaluations * T  # trials stop once they are dominated
@@ -507,7 +509,7 @@ def test_run_baseline_rejects_unknown_name():
     sc = hand_built_scenario([0.0], [100.0])
     chan = forced_channel(sc, -80.0, F=2)
     with pytest.raises(ValueError, match="OMA-MP"):
-        bl.run_baseline("JUNK", sc, chan, ChannelConfig(), 0.005, np.random.default_rng(0), MAX_ITERS)
+        bl.run_baseline("JUNK", sc, _link(chan, ChannelConfig()), np.random.default_rng(0), MAX_ITERS)
 
 
 def test_run_baseline_zero_gains_zero_delivered():
@@ -515,15 +517,15 @@ def test_run_baseline_zero_gains_zero_delivered():
     chan = forced_channel(sc, -80.0, F=2)
     chan.gain_lin[:] = 0.0
     for name in bl.BASELINE_NAMES:
-        run = bl.run_baseline(name, sc, chan, ChannelConfig(), 0.005, np.random.default_rng(1), MAX_ITERS)
+        run = bl.run_baseline(name, sc, _link(chan, ChannelConfig()), np.random.default_rng(1), MAX_ITERS)
         assert run.stats.packets == (0, 0)
 
 
 def test_run_baseline_seeded_identical():
     sc = hand_built_scenario([0.0, 300.0], [100.0, 400.0])
     chan = forced_channel(sc, -85.0, F=2)
-    a = bl.run_baseline("NOMA-RP", sc, chan, ChannelConfig(), 0.005, np.random.default_rng(7), MAX_ITERS)
-    b = bl.run_baseline("NOMA-RP", sc, chan, ChannelConfig(), 0.005, np.random.default_rng(7), MAX_ITERS)
+    a = bl.run_baseline("NOMA-RP", sc, _link(chan, ChannelConfig()), np.random.default_rng(7), MAX_ITERS)
+    b = bl.run_baseline("NOMA-RP", sc, _link(chan, ChannelConfig()), np.random.default_rng(7), MAX_ITERS)
     assert a.stats == b.stats
     assert a.columns == b.columns  # frequencies and drawn powers alike
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iovslice import cli, scenario
+from iovslice import cli, phy, scenario
 from iovslice.config import RunConfig, parse_config, serialize_config
 from iovslice.dqn import DuelingQNetwork, TrainConfig, save_checkpoint
 from iovslice.env import EnvConfig
@@ -488,7 +488,7 @@ def test_cmd_baseline_draws_each_world_once(tmp_path, monkeypatch):
 
     def spy_draw(stream, ep):
         world = draw_world(stream, ep)
-        draws.append((stream.workload.slice2_bytes, ep, id(world[1])))
+        draws.append((stream.workload.slice2_bytes, ep, id(world[1].chan)))
         return world
 
     def spy_hash(chan):
@@ -513,6 +513,30 @@ def test_cmd_baseline_draws_each_world_once(tmp_path, monkeypatch):
             *alone["NOMA-RP"][3 * point : 3 * point + 3],
             *alone["OMA-MP"][3 * point : 3 * point + 3],
         ]
+
+
+def test_each_world_builds_one_link(tmp_path, monkeypatch):
+    # the world stream builds the only link tables: every algorithm, the
+    # oracle and the greedy rollout play a world on the link it came with
+    built = []
+
+    class SpyLink(phy.EpisodeLink):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(phy, "EpisodeLink", SpyLink)
+    cfg = tiny_cfg(size_multipliers=(2, 4))
+    cli.cmd_baseline(cfg, list(cli.bl.BASELINE_NAMES), tmp_path / "base.csv", episodes=3, sweep="sizes")
+    assert len(built) == 2 * 3  # sweep points x episodes
+    built.clear()
+    cli.cmd_oracle(cfg, instances=4, out_path=None)
+    assert len(built) == 4
+    built.clear()
+    ckpt = tmp_path / "ckpt.bin"
+    save_checkpoint(DuelingQNetwork(cfg.env.obs_dim, (4,), cfg.env.n_actions, rng=None), ckpt)
+    cli.cmd_eval(cfg, ckpt, tmp_path / "eval.csv", episodes=3, sweep="none")
+    assert len(built) == 3
 
 
 def test_cmd_baseline_unknown_name(tmp_path):

@@ -16,8 +16,9 @@ from iovslice.env import (
     episode_return,
     individual_reward,
 )
+from iovslice.config import RunConfig
 from iovslice.scenario import RoadConfig
-from iovslice.worlds import TAG_TRAIN, WorkloadConfig, WorldStream
+from iovslice.worlds import TAG_EVAL, TAG_TRAIN, WorkloadConfig, WorldStream
 
 from tests.conftest import forced_channel, hand_built_scenario, reference_slot
 
@@ -45,10 +46,10 @@ SLICE2_100M_30DBM = action_index(phy.PKT_SLICE2, 100.0, 0, 30.0)
 
 def make_env(src_x, dst_x, gain_db=-80.0, m=None, n=None, F=2, T=20, **env_kw):
     sc = hand_built_scenario(src_x, dst_x)
-    chan = forced_channel(sc, gain_db, F=F, T=T)
     cfg = EnvConfig(m=len(src_x), n=len(dst_x), F=F, T=T, **env_kw)
+    link = phy.EpisodeLink(forced_channel(sc, gain_db, F=F, T=T), ChannelConfig(), cfg.slot_duration_s)
     env = SlicingEnv(cfg, ChannelConfig())
-    return env, sc, chan
+    return env, sc, link
 
 
 def test_action_table_index_order():
@@ -64,8 +65,8 @@ def test_action_table_index_order():
 
 
 def test_observation_layout_on_reset():
-    env, sc, chan = make_env([0.0, 300.0, 600.0], [100.0, 400.0, 700.0, 1000.0])
-    obs = env.reset(sc, chan)
+    env, sc, link = make_env([0.0, 300.0, 600.0], [100.0, 400.0, 700.0, 1000.0])
+    obs = env.reset(sc, link)
     assert obs.shape == (73,)
     assert np.all((obs >= 0.0) & (obs <= 1.0))
     m, n, F = 3, 4, 2
@@ -79,18 +80,27 @@ def test_observation_layout_on_reset():
 
 
 def test_reset_rejects_mismatched_world():
-    env, sc, chan = make_env([0.0, 300.0], [100.0, 400.0])
-    other = hand_built_scenario([0.0], [100.0])
-    with pytest.raises(ValueError):
-        env.reset(other, chan)
-    bad_chan = forced_channel(sc, -80.0, F=1, T=20)
-    with pytest.raises(ValueError):
-        env.reset(sc, bad_chan)
+    # a scenario, gain shape or slot duration the config does not fit is
+    # refused mid-episode, and the episode plays on as it was
+    env, sc, link = make_env([0.0, 300.0], [100.0, 400.0])
+    env.reset(sc, link)
+    env.step(SLICE2_100M_30DBM)
+    before = (env.scenario, env.link, env.slot, env.pending, env.ledger, env.observation().tobytes())
+    cfg = ChannelConfig()
+    for bad in (
+        (hand_built_scenario([0.0], [100.0]), link),
+        (sc, phy.EpisodeLink(forced_channel(sc, -80.0, F=1, T=20), cfg, env.cfg.slot_duration_s)),
+        (sc, phy.EpisodeLink(forced_channel(sc, -80.0, F=2, T=19), cfg, env.cfg.slot_duration_s)),
+        (sc, phy.EpisodeLink(link.chan, cfg, 2 * env.cfg.slot_duration_s)),
+    ):
+        with pytest.raises(ValueError):
+            env.reset(*bad)
+        assert (env.scenario, env.link, env.slot, env.pending, env.ledger, env.observation().tobytes()) == before
 
 
 def test_micro_step_flow_and_terminal():
-    env, sc, chan = make_env([0.0, 300.0], [100.0, 400.0], T=3)
-    env.reset(sc, chan)
+    env, sc, link = make_env([0.0, 300.0], [100.0, 400.0], T=3)
+    env.reset(sc, link)
     steps = 0
     done = False
     while not done:
@@ -105,10 +115,10 @@ def test_micro_step_flow_and_terminal():
 
 
 def test_step_before_reset_is_a_contract_violation():
-    env, sc, chan = make_env([0.0], [100.0])
+    env, sc, link = make_env([0.0], [100.0])
     with pytest.raises(ContractViolation):
         env.step(SILENT)
-    env.reset(sc, chan)
+    env.reset(sc, link)
     assert not env.step(SILENT).terminal
 
 
@@ -140,8 +150,8 @@ def test_rejected_action_index_changes_nothing():
 
 
 def test_all_silent_episode_zero_reward():
-    env, sc, chan = make_env([0.0, 300.0, 600.0], [100.0, 400.0, 700.0, 1000.0])
-    env.reset(sc, chan)
+    env, sc, link = make_env([0.0, 300.0, 600.0], [100.0, 400.0, 700.0, 1000.0])
+    env.reset(sc, link)
     total = 0.0
     done = False
     while not done:
@@ -152,26 +162,27 @@ def test_all_silent_episode_zero_reward():
     assert env.stats().packets == (0, 0)
 
 
-def _pin_rate(chan, cfg, sinr):
-    """Set all gains so a 30 dBm transmission sees exactly this sinr."""
+def _pin_rate(link, cfg, sinr):
+    """Set all gains so a 30 dBm transmission sees exactly this sinr; only
+    before the link resolves its first slot."""
     gain = sinr * noise_lin_mw(cfg) / phy.power_lin_mw(30.0)
-    chan.gain_lin[:] = gain
+    link.gain_lin[:] = gain
 
 
 def test_delivery_reward_is_upper_bound():
-    env, sc, chan = make_env([0.0], [100.0])
-    _pin_rate(chan, ChannelConfig(), sinr=1.0)  # 1 Mbps: slice 2 fits one slot
-    env.reset(sc, chan)
+    env, sc, link = make_env([0.0], [100.0])
+    _pin_rate(link, ChannelConfig(), sinr=1.0)  # 1 Mbps: slice 2 fits one slot
+    env.reset(sc, link)
     res = env.step(SLICE2_100M_30DBM)
     assert res.reward == pytest.approx(1.0)
     assert env.ledger.leftover_bits[1] == 0.0  # delivered
 
 
 def test_unfinished_rate_reward_scaling():
-    env, sc, chan = make_env([0.0], [100.0])
+    env, sc, link = make_env([0.0], [100.0])
     cfg = ChannelConfig()
-    _pin_rate(chan, cfg, sinr=1.0)  # 1 Mbps on slice 1: far from finishing
-    env.reset(sc, chan)
+    _pin_rate(link, cfg, sinr=1.0)  # 1 Mbps on slice 1: far from finishing
+    env.reset(sc, link)
     res = env.step(action_index(phy.PKT_SLICE1, 100.0, 0, 30.0))
     assert res.reward == pytest.approx(1e6 / default_rate_norm_bps(cfg))
 
@@ -188,9 +199,9 @@ def test_individual_reward_cases():
 
 
 def test_masking_blocks_double_delivery():
-    env, sc, chan = make_env([0.0], [100.0])
-    _pin_rate(chan, ChannelConfig(), sinr=1.0)
-    env.reset(sc, chan)
+    env, sc, link = make_env([0.0], [100.0])
+    _pin_rate(link, ChannelConfig(), sinr=1.0)
+    env.reset(sc, link)
     act = SLICE2_100M_30DBM
     res = env.step(act)
     assert res.reward == 1.0
@@ -202,9 +213,9 @@ def test_masking_blocks_double_delivery():
 
 
 def test_out_of_window_slice2_masked_not_fatal():
-    env, sc, chan = make_env([0.0], [100.0])
-    _pin_rate(chan, ChannelConfig(), sinr=1.0)
-    env.reset(sc, chan)
+    env, sc, link = make_env([0.0], [100.0])
+    _pin_rate(link, ChannelConfig(), sinr=1.0)
+    env.reset(sc, link)
     act = SLICE2_100M_30DBM
     # slice 2 window for the hand-built scenario is slots 0..7
     for t in range(20):
@@ -216,8 +227,8 @@ def test_out_of_window_slice2_masked_not_fatal():
 
 
 def test_reward_bounds():
-    env, sc, chan = make_env([0.0, 300.0, 600.0], [100.0, 400.0, 700.0, 1000.0], gain_db=-60.0)
-    env.reset(sc, chan)
+    env, sc, link = make_env([0.0, 300.0, 600.0], [100.0, 400.0, 700.0, 1000.0], gain_db=-60.0)
+    env.reset(sc, link)
     rng = np.random.default_rng(3)
     done = False
     while not done:
@@ -229,8 +240,8 @@ def test_reward_bounds():
 
 def test_determinism_bitwise():
     def run():
-        env, sc, chan = make_env([0.0, 300.0], [100.0, 400.0])
-        obs = env.reset(sc, chan)
+        env, sc, link = make_env([0.0, 300.0], [100.0, 400.0])
+        obs = env.reset(sc, link)
         rng = np.random.default_rng(17)
         rewards, observations = [], [obs.copy()]
         done = False
@@ -255,8 +266,8 @@ def test_episode_return():
 
 
 def test_peer_choices_visible_within_slot():
-    env, sc, chan = make_env([0.0, 300.0, 600.0], [100.0, 400.0, 700.0, 1000.0])
-    env.reset(sc, chan)
+    env, sc, link = make_env([0.0, 300.0, 600.0], [100.0, 400.0, 700.0, 1000.0])
+    env.reset(sc, link)
     res = env.step(action_index(phy.PKT_SLICE1, 400.0, 1, 30.0))
     m, n, F = 3, 4, 2
     peer = res.next_observation[-4 * m :].reshape(m, 4)
@@ -280,8 +291,8 @@ def reference_observation(env):
     deciding = np.zeros(m)
     deciding[env.deciding] = 1.0
     parts = [
-        np.clip((env.channel.large_scale_db.ravel() - GAIN_DB_LO) / (GAIN_DB_HI - GAIN_DB_LO), 0.0, 1.0),
-        np.clip(env.channel.fastfade_pow[:, :, :, min(env.slot, T - 1)].ravel(), 0.0, FADE_CLIP) / FADE_CLIP,
+        np.clip((env.link.chan.large_scale_db.ravel() - GAIN_DB_LO) / (GAIN_DB_HI - GAIN_DB_LO), 0.0, 1.0),
+        np.clip(env.link.chan.fastfade_pow[:, :, :, min(env.slot, T - 1)].ravel(), 0.0, FADE_CLIP) / FADE_CLIP,
         env.prev_choice.ravel().copy(),
         np.array(env.ledger.leftover_bits) / np.array([p.size_bits for p in env.ledger.packets]),
         np.array(
@@ -325,15 +336,15 @@ def test_action_mask_counts():
     # 4 radii above 0 x 2 packets x 2 frequencies x 3 powers above silence put
     # 48 of the 120 actions on the air at slot 0
     table = phy.action_table(2)
-    env, sc, chan = make_env([0.0], [300.0])
-    env.reset(sc, chan)
+    env, sc, link = make_env([0.0], [300.0])
+    env.reset(sc, link)
     mask = env.action_mask()
     assert mask.dtype == bool and mask.shape == (120,)
     assert mask.sum() == 36  # the 100 m radius reaches no one
     assert all(table[i].coverage_m >= 400.0 for i in np.flatnonzero(mask))
     # a destination beyond every radius: only the 72 off-air actions remain
-    env, sc, chan = make_env([0.0], [1500.0])
-    env.reset(sc, chan)
+    env, sc, link = make_env([0.0], [1500.0])
+    env.reset(sc, link)
     mask = env.action_mask()
     assert mask.sum() == 72
     assert all(not phy.on_air(env.ledger, 0, table[i], 0) for i in np.flatnonzero(mask))
@@ -397,9 +408,9 @@ def test_slot_reward_matches_memo_free_reference(data):
         slice1_bits_min=1e3, slice1_bits_max=5e4, deadline_len_slots=data.draw(st.integers(1, T))
     )
     cfg = ChannelConfig()
-    sc, chan = WorldStream(RoadConfig(), env_cfg, cfg, workload, data.draw(st.integers(0, 999)), TAG_TRAIN)(0)
+    sc, link = WorldStream(RoadConfig(), env_cfg, cfg, workload, data.draw(st.integers(0, 999)), TAG_TRAIN)(0)
     env = SlicingEnv(env_cfg, cfg)
-    env.reset(sc, chan)
+    env.reset(sc, link)
     table = phy.action_table(F)
     prev = slice(m * n * (1 + F), m * n * (1 + F) + m * len(phy.PACKET_CHOICES))
     ledger = env.ledger
@@ -407,7 +418,7 @@ def test_slot_reward_matches_memo_free_reference(data):
         column = data.draw(st.lists(st.integers(0, env_cfg.n_actions - 1), min_size=m, max_size=m))
         for index in column:
             res = env.step(index)
-        ledger, effects = reference_slot(ledger, [table[i] for i in column], chan, cfg, t, env_cfg.slot_duration_s)
+        ledger, effects = reference_slot(ledger, [table[i] for i in column], link.chan, cfg, t, env_cfg.slot_duration_s)
         reward = 0.0
         one_hot = np.zeros((m, len(phy.PACKET_CHOICES)))
         for src, (k, _, group_mask, rate) in enumerate(effects):
@@ -448,11 +459,11 @@ def test_step_slot_matches_micro_steps(data):
 
 
 def test_step_slot_contract_errors():
-    env, sc, chan = make_env([0.0, 300.0], [100.0, 400.0], T=2)
+    env, sc, link = make_env([0.0, 300.0], [100.0, 400.0], T=2)
     silent = [phy.OFF_AIR] * 2
     with pytest.raises(ContractViolation):  # before reset
         env.step_slot(silent)
-    env.reset(sc, chan)
+    env.reset(sc, link)
     env.step(SILENT)
     with pytest.raises(ContractViolation):  # mid-slot
         env.step_slot(silent)
@@ -465,3 +476,32 @@ def test_step_slot_contract_errors():
     assert env.step_slot(silent).terminal
     with pytest.raises(ContractViolation):  # after the end
         env.step_slot(silent)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        phy.SlotAction(3, 1400.0, 0, 30.0),  # no packet 3: would drain the next source's slice-1 packet
+        phy.SlotAction(phy.PKT_SLICE1, 1400.0, -1, 30.0),  # would play on the last frequency
+        phy.SlotAction(phy.PKT_SLICE1, 1400.0, 2, 30.0),  # frequency F
+        phy.SlotAction(phy.PKT_SLICE1, 250.0, 0, 30.0),  # not a coverage level
+        phy.SlotAction(phy.PKT_SLICE1, 1400.0, 0, 27.0),  # not a power level
+    ],
+)
+def test_step_slot_rejects_a_choice_outside_the_action_table(bad):
+    # on the default evaluation world, a choice that is not in
+    # phy.action_table(F) is refused whichever source makes it, and the
+    # episode is left as it was
+    cfg = RunConfig()
+    world = WorldStream(cfg.road, cfg.env, cfg.channel, cfg.workload, 0, TAG_EVAL)(0)
+    env = SlicingEnv(cfg.env, cfg.channel)
+    env.reset(*world)
+    env.step_slot([phy.SlotAction(phy.PKT_SLICE2, 400.0, 1, 30.0)] * cfg.env.m)
+    before = (env.slot, env.ledger, list(env.slot_rewards), env.prev_choice.copy(), env.observation().tobytes())
+    for src in range(cfg.env.m):
+        column = [phy.OFF_AIR] * cfg.env.m
+        column[src] = bad
+        with pytest.raises(ValueError, match="action table"):
+            env.step_slot(column)
+        assert (env.slot, env.ledger, env.slot_rewards) == before[:3]
+        assert np.array_equal(env.prev_choice, before[3]) and env.observation().tobytes() == before[4]

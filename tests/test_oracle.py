@@ -9,19 +9,25 @@ from iovslice import baselines as bl
 from iovslice import oracle, phy
 from iovslice.channel import ChannelConfig
 from iovslice.config import RunConfig
+from iovslice.dqn import DuelingQNetwork, greedy_episode
 from iovslice.env import EnvConfig, SlicingEnv
 from iovslice.oracle import SearchSpaceTooLarge, brute_force_optimal
 from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY, SLICE_THROUGHPUT
-from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream
+from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream, algorithm_rng
 
 from tests.conftest import forced_channel, hand_built_scenario, reference_useful
+
+
+def _link(chan, slot_duration_s=0.005):
+    """A fresh link table of this channel."""
+    return phy.EpisodeLink(chan, ChannelConfig(), slot_duration_s)
 
 
 def test_oracle_refuses_large_space():
     sc = hand_built_scenario([0.0, 300.0], [100.0])
     chan = forced_channel(sc, -80.0, F=2, T=20)
     with pytest.raises(SearchSpaceTooLarge):
-        brute_force_optimal(sc, chan, ChannelConfig(), 0.005)
+        brute_force_optimal(sc, _link(chan))
 
 
 def test_oracle_certain_single_delivery():
@@ -32,7 +38,7 @@ def test_oracle_certain_single_delivery():
     ]
     sc = hand_built_scenario([0.0], [100.0], packets=packets)
     chan = forced_channel(sc, -132.0, F=1, T=1)
-    res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005)
+    res = brute_force_optimal(sc, _link(chan))
     assert res.best_delivered == 1
     best = res.best_actions[0][0]
     assert best.packet_id == phy.PKT_SLICE2 and best.power_dbm == 30.0
@@ -46,30 +52,28 @@ def test_oracle_zero_gains_zero_optimum():
     sc = hand_built_scenario([0.0], [100.0], packets=packets)
     chan = forced_channel(sc, -80.0, F=1, T=2)
     chan.gain_lin[:] = 0.0
-    res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005)
+    res = brute_force_optimal(sc, _link(chan))
     assert res.best_delivered == 0
 
 
 def _replay(sc, chan, columns, slot_duration_s=0.005):
     """The ledger after replaying per-slot action columns from a fresh link."""
-    return bl.evaluate_plan(columns, sc, phy.EpisodeLink(chan, ChannelConfig(), slot_duration_s))[-1]
+    return bl.evaluate_plan(columns, sc, _link(chan, slot_duration_s))[-1]
 
 
 def _random_tiny_instance(seed, m=2, T=3, workload=WorkloadConfig(deadline_len_slots=2)):
     env_cfg = EnvConfig(m=m, n=2, F=1, T=T)
-    stream = WorldStream(RoadConfig(), env_cfg, ChannelConfig(), workload, seed, TAG_EVAL)
-    return env_cfg, *stream(0)
+    sc, link = WorldStream(RoadConfig(), env_cfg, ChannelConfig(), workload, seed, TAG_EVAL)(0)
+    return env_cfg, sc, link.chan
 
 
 def test_policies_never_beat_oracle():
     # the baselines draw from the levels of the table the bound searches
     for seed in range(6):
         env_cfg, sc, chan = _random_tiny_instance(seed)
-        res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005)
+        res = brute_force_optimal(sc, _link(chan))
         for name in bl.BASELINE_NAMES:
-            run = bl.run_baseline(
-                name, sc, chan, ChannelConfig(), 0.005, np.random.default_rng(seed), RunConfig().swap_max_iters
-            )
+            run = bl.run_baseline(name, sc, _link(chan), np.random.default_rng(seed), RunConfig().swap_max_iters)
             assert sum(run.stats.packets) <= res.best_delivered
 
 
@@ -101,7 +105,7 @@ def test_oracle_pruning_is_exact():
     instances.append((EnvConfig(m=1, n=1, F=1, T=2), sc, forced_channel(sc, -80.0, F=1, T=2)))
     optima = []
     for env_cfg, sc, chan in instances:
-        res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005)
+        res = brute_force_optimal(sc, _link(chan))
         assert res.best_delivered == _best_raw_count(sc, chan, env_cfg)
         assert _replay(sc, chan, res.best_actions).leftover_bits.count(0.0) == res.best_delivered
         optima.append(res.best_delivered)
@@ -124,8 +128,7 @@ def test_candidates_cover_every_useful_table_action(m, n, F, T, deadline, seed):
     power), and no two candidates share one."""
     env_cfg = EnvConfig(m=m, n=n, F=F, T=T)
     workload = WorkloadConfig(slice1_bits_min=1e3, slice1_bits_max=2e5, deadline_len_slots=min(deadline, T))
-    sc, chan = WorldStream(RoadConfig(), env_cfg, ChannelConfig(), workload, seed, TAG_EVAL)(0)
-    link = phy.EpisodeLink(chan, ChannelConfig(), env_cfg.slot_duration_s)
+    sc, link = WorldStream(RoadConfig(), env_cfg, ChannelConfig(), workload, seed, TAG_EVAL)(0)
     peaks = oracle._peak_bits(link)
     cands = oracle.candidate_actions(sc, link, peaks)
     start = phy.DeliveryLedger.start(sc.packets)
@@ -149,13 +152,13 @@ def test_candidates_cover_every_useful_table_action(m, n, F, T, deadline, seed):
 def test_oracle_replay_matches_env_ledger():
     for seed in range(4):
         env_cfg, sc, chan = _random_tiny_instance(seed)
-        res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005)
+        res = brute_force_optimal(sc, _link(chan))
         ledger = _replay(sc, chan, res.best_actions)
         assert ledger.leftover_bits.count(0.0) == res.best_delivered
 
         # drive the environment with the same action sequence
         env = SlicingEnv(env_cfg, ChannelConfig())
-        env.reset(sc, chan)
+        env.reset(sc, _link(chan))
         table = phy.action_table(env_cfg.F)
         for slot_actions in res.best_actions:
             for act in slot_actions:
@@ -170,7 +173,7 @@ def test_oracle_early_exit_on_full_delivery():
     ]
     sc = hand_built_scenario([0.0], [100.0], packets=packets)
     chan = forced_channel(sc, -60.0, F=1, T=2)
-    res = brute_force_optimal(sc, chan, ChannelConfig(), 0.005)
+    res = brute_force_optimal(sc, _link(chan))
     assert res.best_delivered == 2
 
 
@@ -191,7 +194,7 @@ def test_replay_paths_agree():
             choices = rng.integers(len(table), size=(T, m))
             acts = [[table[i] for i in row] for row in choices]
             env = SlicingEnv(env_cfg, ChannelConfig())
-            env.reset(sc, chan)
+            env.reset(sc, _link(chan, env_cfg.slot_duration_s))
             for t in range(T):
                 for s, act in enumerate(acts[t]):
                     if act.packet_id != phy.PKT_NONE:
@@ -210,10 +213,57 @@ def test_replay_paths_agree():
                 F,
             )
             columns = bl.plan_columns(options, [[a.freq for a in row] for row in acts])
-            link = phy.EpisodeLink(chan, ChannelConfig(), env_cfg.slot_duration_s)
             for ledger in (
-                bl.evaluate_plan(columns, sc, link)[-1],
+                bl.evaluate_plan(columns, sc, _link(chan, env_cfg.slot_duration_s))[-1],
                 _replay(sc, chan, acts, env_cfg.slot_duration_s),
             ):
                 assert env.ledger == ledger
     assert delivered_picks > 0 and closed_picks > 0
+
+
+@pytest.mark.parametrize("tiny", [True, False])
+def test_shared_link_replays_match_fresh_links_across_policies(tiny, monkeypatch):
+    """The three baselines, the oracle (on tiny instances, where it fits the
+    budget) and a random network's greedy rollout, played in sequence on a
+    world's one link in either order, each give what they give on a fresh
+    link of that world: every `BaselineRun` field, the `OracleResult` and
+    the rollout's stats. Sharing does save solves."""
+    cfg = RunConfig()
+    solves = []
+    real_slot_rates = phy.slot_rates
+
+    def counted(*args):
+        solves[-1] += 1
+        return real_slot_rates(*args)
+
+    monkeypatch.setattr(phy, "slot_rates", counted)
+    fresh_solves = shared_solves = 0
+    for seed in range(8 if tiny else 4):
+        if tiny:
+            env_cfg, workload = EnvConfig(m=1 + seed % 2, n=2, F=1, T=3), WorkloadConfig(deadline_len_slots=2)
+        else:
+            env_cfg, workload = cfg.env, cfg.workload
+        stream = WorldStream(cfg.road, env_cfg, cfg.channel, workload, seed, TAG_EVAL)
+        sc = stream(0)[0]
+        net = DuelingQNetwork(env_cfg.obs_dim, (16, 16), env_cfg.n_actions, np.random.default_rng(seed))
+        plays = {
+            name: lambda link, name=name, i=i: bl.run_baseline(
+                name, sc, link, algorithm_rng(seed, workload, 0, i), cfg.swap_max_iters
+            )
+            for i, name in enumerate(bl.BASELINE_NAMES)
+        }
+        plays["DQL"] = lambda link: greedy_episode(net, SlicingEnv(env_cfg, cfg.channel), sc, link)
+        if tiny:
+            plays["oracle"] = lambda link: brute_force_optimal(sc, link)
+        want = {}
+        for name, play in plays.items():
+            solves.append(0)
+            want[name] = play(stream(0)[1])
+            fresh_solves += solves[-1]
+        for order in (list(plays), list(reversed(plays))):
+            link = stream(0)[1]
+            solves.append(0)
+            for name in order:
+                assert plays[name](link) == want[name], (seed, name, order)
+            shared_solves += solves[-1]
+    assert 0 < shared_solves < 2 * fresh_solves

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from iovslice import baselines
+from iovslice import baselines, phy
 from iovslice.channel import ChannelConfig
 from iovslice.config import RunConfig
 from iovslice.dqn import mlp
@@ -41,12 +41,10 @@ def test_traced_baseline_run_reaches_every_baseline_span():
     # run_baseline must look its helpers up as module globals at call time
     spans = _spans()
     sc = hand_built_scenario([0.0, 300.0, 600.0], [100.0, 400.0])
-    chan = forced_channel(sc, -85.0, F=2)
+    link = phy.EpisodeLink(forced_channel(sc, -85.0, F=2), ChannelConfig(), 0.005)
     recorder = spans.SpanRecorder()
     with recorder.installed("root"):
-        run = baselines.run_baseline(
-            "NOMA-MP", sc, chan, ChannelConfig(), 0.005, np.random.default_rng(0), RunConfig().swap_max_iters
-        )
+        run = baselines.run_baseline("NOMA-MP", sc, link, np.random.default_rng(0), RunConfig().swap_max_iters)
     assert len(run.objective_history) >= 1
     assert recorder.swap_accepted == len(run.objective_history) - 1
     calls = {name: span["calls"] for name, span in recorder.summary()["spans"].items()}
@@ -75,11 +73,11 @@ def test_traced_greedy_rollout_reaches_every_env_span():
     spans = _spans()
     env_cfg = EnvConfig(m=3, n=2, F=2, T=5)
     sc = hand_built_scenario([0.0, 300.0, 600.0], [100.0, 400.0])
-    chan = forced_channel(sc, -85.0, F=2, T=5)
+    link = phy.EpisodeLink(forced_channel(sc, -85.0, F=2, T=5), ChannelConfig(), env_cfg.slot_duration_s)
     net = mlp.DuelingQNetwork(env_cfg.obs_dim, (4,), env_cfg.n_actions, np.random.default_rng(0))
     recorder = spans.SpanRecorder()
     with recorder.installed("root"):
-        greedy_episode(net, SlicingEnv(env_cfg, ChannelConfig()), sc, chan)
+        greedy_episode(net, SlicingEnv(env_cfg, ChannelConfig()), sc, link)
     calls = {name: span["calls"] for name, span in recorder.summary()["spans"].items()}
     assert calls["env.reset"] == 1
     assert calls["env.step"] == calls["dqn.forward_row"] == env_cfg.m * env_cfg.T
