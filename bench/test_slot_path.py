@@ -98,7 +98,7 @@ def test_evaluate_plan_trial(benchmark, world):
 
 
 def test_action_mask_mid_episode(benchmark, world):
-    env = SlicingEnv(CFG.env, CFG.channel)
+    env = SlicingEnv(CFG.env)
     env.reset(*world)
     rng = np.random.default_rng(0)
     for _ in range(SLOT * CFG.env.m + 1):

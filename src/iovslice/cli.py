@@ -85,14 +85,26 @@ def _write_csv(path: Path, schema: str, columns: list[str], rows: list[list]) ->
 
 
 def _read_csv(path: Path, expected_schema: str) -> tuple[list[str], list[dict[str, str]]]:
+    """The header and the rows (as dicts keyed by it) after the schema line;
+    blank lines are skipped. A row with more or fewer fields than the header,
+    or a field over csv's size limit, is refused (ValueError)."""
     with open(path, newline="") as fh:
         first = fh.readline().rstrip("\n")
         if first != expected_schema:
             raise ValueError(
                 f"{path}: schema line {first!r} does not match expected {expected_schema!r}"
             )
-        reader = csv.DictReader(fh)
-        return list(reader.fieldnames or []), [dict(r) for r in reader]
+        reader = csv.reader(fh)
+        rows = []
+        try:
+            header = next(reader, [])
+            for fields in filter(None, reader):
+                if len(fields) != len(header):
+                    raise ValueError(f"{path}: line {reader.line_num + 1}: {len(fields)} fields, not {len(header)}")
+                rows.append(dict(zip(header, fields)))
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num + 1}: {exc}") from None
+        return header, rows
 
 
 def _check_out_dir(out: Path) -> None:
@@ -128,7 +140,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> tuple[Path,
     stream = WorldStream(cfg.road, cfg.env, cfg.channel, cfg.workload, cfg.seed, TAG_TRAIN)
     made_out_dir = not out_dir.exists()
     _check_out_dir(out_dir)
-    env = SlicingEnv(cfg.env, cfg.channel)
+    env = SlicingEnv(cfg.env)
 
     def progress(row: TrainLogRow) -> None:
         if not quiet and row.episode % 100 == 0:
@@ -198,7 +210,7 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, out_path: Path, episodes: int, sw
             f"checkpoint shapes ({net.obs_dim} obs, {net.n_actions} actions) do not match "
             f"config ({cfg.env.obs_dim} obs, {cfg.env.n_actions} actions)"
         )
-    env = SlicingEnv(cfg.env, cfg.channel)
+    env = SlicingEnv(cfg.env)
     dql: Policy = ("DQL", lambda ep, scenario, link: greedy_episode(net, env, scenario, link))
     rows: list[list] = []
     for workload in sweep_points(cfg, sweep):
@@ -285,15 +297,16 @@ def _mean_stderr(values: list[float]) -> tuple[float, float | None]:
 
 def cmd_plotdata(inputs: list[Path], out_path: Path) -> Path:
     """Mean and standard error per (algorithm, slice-2 size, deadline) over
-    the rows of every input. A row repeating one already read (the same
-    algorithm, sweep point, episode and channel) is refused, and so is a
-    delivered count that is not a nonnegative integer."""
+    the rows of every input. A header that misses, adds or repeats a column,
+    a row repeating one already read (the same algorithm, sweep point,
+    episode and channel) and a delivered count that is not a nonnegative
+    integer are refused; so are the malformed rows `_read_csv` refuses."""
     groups: dict[tuple[str, str, str], list[tuple[int, int]]] = {}
     seen: set[tuple[str, ...]] = set()
     for path in inputs:
         columns, rows = _read_csv(path, EVAL_SCHEMA)
         missing = [c for c in EVAL_COLUMNS if c not in columns]
-        extra = [c for c in columns if c not in EVAL_COLUMNS]
+        extra = [c for i, c in enumerate(columns) if c not in EVAL_COLUMNS or c in columns[:i]]  # repeats too
         if missing or extra:
             raise ValueError(
                 f"{path}: eval column mismatch, missing={missing}, unexpected={extra}"

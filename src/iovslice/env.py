@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-import math
 import operator
 
 import numpy as np
@@ -37,7 +36,7 @@ def default_rate_norm_bps(channel_cfg: ChannelConfig) -> float:
         - pathloss_db(RATE_NORM_DISTANCE_M, channel_cfg)
         - (channel_cfg.noise_floor_dbm + channel_cfg.noise_figure_db)
     )
-    return channel_cfg.rb_bandwidth_hz * math.log2(1.0 + 10.0 ** (snr_db / 10.0))
+    return phy.rate_bps(10.0 ** (snr_db / 10.0), channel_cfg.rb_bandwidth_hz)
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,7 @@ class EnvConfig:
     slot_duration_s: float = 0.005
     gamma: float = 1.0
     reward_upper_bound: float = 1.0
-    rate_norm_bps: float | None = None  # None: derive from the channel config
+    rate_norm_bps: float | None = None  # None: derive from each world's channel config
 
     def __post_init__(self) -> None:
         if self.T < 1 or self.F < 1 or self.m < 1 or self.n < 1:
@@ -106,11 +105,8 @@ class SlicingEnv:
     `phy.EpisodeLink`), step with flat action indices. One instance serves
     one episode loop at a time."""
 
-    def __init__(self, cfg: EnvConfig, channel_cfg: ChannelConfig):
+    def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
-        self.rate_norm_bps = (
-            cfg.rate_norm_bps if cfg.rate_norm_bps is not None else default_rate_norm_bps(channel_cfg)
-        )
         # observation fields in order, as slices of the flat vector
         sizes = _obs_sizes(cfg)
         self._layout = {name: slice(end - sizes[name], end) for name, end in zip(sizes, accumulate(sizes.values()))}
@@ -140,6 +136,8 @@ class SlicingEnv:
             raise ValueError("scenario is missing its per-source packet pairs")
         self.scenario = scenario
         self.link = link
+        norm = cfg.rate_norm_bps  # else the world's: its link's channel config sets it
+        self.rate_norm_bps = norm if norm is not None else default_rate_norm_bps(link.channel_cfg)
         self.ledger = phy.DeliveryLedger.start(scenario.packets)
         self.slot = 0
         self.pending: list[int] = []  # this slot's action indices so far
@@ -226,7 +224,7 @@ class SlicingEnv:
         array; when there are none, exactly those that resolve as `OFF_AIR`."""
         if self.terminal:
             raise ContractViolation("action_mask called before reset or on a finished episode")
-        air, useful = phy.useful_mask(self.ledger, self.deciding, self.slot, self.link, self.cfg.F)
+        air, useful = phy.useful_mask(self.ledger, self.deciding, self.slot, self.link)
         return useful if useful.any() else ~air
 
     # -- observation ---------------------------------------------------------

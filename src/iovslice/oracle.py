@@ -134,7 +134,7 @@ def candidate_actions(
             if act.packet_id in deliverable:
                 key = (act.packet_id, link.group(s, act.coverage_m), act.freq, phy.power_lin_mw(act.power_dbm))
                 firsts.setdefault(key, i)
-        useful = [phy.useful_mask(start, s, t, link, F)[1] for t in range(T)]
+        useful = [phy.useful_mask(start, s, t, link)[1] for t in range(T)]
         out.append([[phy.OFF_AIR] + [table[i] for i in firsts.values() if useful[t][i]] for t in range(T)])
     return out
 

@@ -238,13 +238,13 @@ def on_air(ledger: DeliveryLedger, src: int, act: SlotAction, slot: int) -> bool
     return ledger.leftover_bits[k] > 0.0 and ledger.packets[k].open_at(slot)
 
 
-def useful_mask(ledger: DeliveryLedger, src: int, slot: int, link: EpisodeLink, F: int) -> tuple[np.ndarray, ...]:
-    """Over `action_table(F)`, source `src`'s choices `on_air` at this slot,
-    and those also useful, with a group that reaches someone. Each clause of
-    `on_air` reads one level (packet: named, undelivered, in its window;
-    radius: above 0; power: above silence; frequency: none) and the group the
-    radius alone, so each flag is a product of per-level flags."""
-    levels = action_levels(F)
+def useful_mask(ledger: DeliveryLedger, src: int, slot: int, link: EpisodeLink) -> tuple[np.ndarray, ...]:
+    """Over `action_table(F)` (F: the link's), source `src`'s choices `on_air`
+    at this slot, and those also useful, with a group that reaches someone.
+    Each clause of `on_air` reads one level (packet: named, undelivered, in
+    its window; radius: above 0; power: above silence; frequency: none) and
+    the group the radius alone, so each flag is a product of per-level flags."""
+    levels = action_levels(link.gain_lin.shape[2])
     cov, pkt, pw = levels[:, 0], levels[:, 1], levels[:, 3]
     sends = [
         p != PKT_NONE and ledger.leftover_bits[2 * src + p - 1] > 0.0 and ledger.packets[2 * src + p - 1].open_at(slot)
@@ -262,12 +262,13 @@ class EpisodeLink:
     `worlds.WorldStream` builds one per episode (per channel realization)
     and hands it out with the scenario; every policy and every replay of
     that episode, however many plans it scores, shares it. It keeps the
-    `ChannelState` it came from as `chan`. The noise and the RB bandwidth
-    come from the channel configuration.
+    `ChannelState` and the `ChannelConfig` it came from as `chan` and
+    `channel_cfg`; `resolve` reads that config's noise and RB bandwidth.
     """
 
     def __init__(self, chan: ChannelState, channel_cfg: ChannelConfig, slot_duration_s: float) -> None:
         self.chan = chan
+        self.channel_cfg = channel_cfg
         self.gain_lin = chan.gain_lin  # (m, n, F, T) linear gains
         self.dist_m = chan.dist_m  # (m, n)
         self.noise_mw = noise_lin_mw(channel_cfg)

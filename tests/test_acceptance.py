@@ -199,7 +199,6 @@ def test_criterion_4_size_trend(default_cfg, trained):
 
 
 def test_criterion_6_oracle_bounds(default_cfg):
-    channel_cfg = default_cfg.channel
     instances = 0
     policy_violations = 0
     swap_violations = 0
@@ -219,7 +218,7 @@ def test_criterion_6_oracle_bounds(default_cfg):
                 swap_violations += 1
         # a greedy rollout of a random network is bounded too
         net = DuelingQNetwork(env_cfg.obs_dim, (16, 16), env_cfg.n_actions, rng)
-        if sum(greedy_episode(net, SlicingEnv(env_cfg, channel_cfg), scenario, link).packets) > optimum:
+        if sum(greedy_episode(net, SlicingEnv(env_cfg), scenario, link).packets) > optimum:
             policy_violations += 1
         instances += 1
     passed = policy_violations == 0 and swap_violations == 0

@@ -25,7 +25,7 @@ def tiny_world(m=2, n=2, F=2, T=6, seed=0, gamma=1.0):
     channel_cfg = ChannelConfig()
     workload = WorkloadConfig(deadline_len_slots=min(4, T))
     stream = WorldStream(RoadConfig(), env_cfg, channel_cfg, workload, seed, TAG_TRAIN)
-    env = SlicingEnv(env_cfg, channel_cfg)
+    env = SlicingEnv(env_cfg)
     return stream, env
 
 

@@ -598,6 +598,39 @@ def test_cmd_plotdata_rejects_a_non_count(tmp_path, capsys, column, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "case, says",
+    [
+        ("short row", "line 4: 9 fields, not 10"),
+        ("extra field", "line 4: 11 fields, not 10"),
+        ("long field", "line 4: field larger than field limit"),
+        ("repeated column", "unexpected=['slice1_delivered']"),
+    ],
+)
+def test_cmd_plotdata_rejects_a_malformed_file(tmp_path, capsys, case, says):
+    """A row with fewer or more fields than the header, a field over csv's
+    size limit and a header naming a column twice each fail naming the
+    file, and no output is written."""
+    header = list(cli.EVAL_COLUMNS)
+    rows = [["DQL", ep, 2, 1, 0.5, 600, 8, 3, 3, "90eac777210bf0f4"] for ep in range(3)]
+    if case == "short row":
+        rows[1].pop()
+    elif case == "extra field":
+        rows[1].append(7)
+    elif case == "long field":
+        rows[1][-1] = "f" * 200_000
+    else:  # a second slice1_delivered, which must not replace the first
+        header.append("slice1_delivered")
+        rows = [row + [9] for row in rows]
+    eval_csv = tmp_path / "eval.csv"
+    cli._write_csv(eval_csv, cli.EVAL_SCHEMA, header, rows)
+    out = tmp_path / "plot.csv"
+    assert cli.main(["plotdata", "--inputs", str(eval_csv), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {eval_csv}: ") and says in err
+    assert not out.exists()
+
+
 def test_cmd_plotdata_aggregates(tmp_path):
     cfg = tiny_cfg()
     ckpt, _ = cli.cmd_train(cfg, tmp_path / "run", quiet=True)

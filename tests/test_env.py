@@ -48,7 +48,7 @@ def make_env(src_x, dst_x, gain_db=-80.0, m=None, n=None, F=2, T=20, **env_kw):
     sc = hand_built_scenario(src_x, dst_x)
     cfg = EnvConfig(m=len(src_x), n=len(dst_x), F=F, T=T, **env_kw)
     link = phy.EpisodeLink(forced_channel(sc, gain_db, F=F, T=T), ChannelConfig(), cfg.slot_duration_s)
-    env = SlicingEnv(cfg, ChannelConfig())
+    env = SlicingEnv(cfg)
     return env, sc, link
 
 
@@ -127,7 +127,7 @@ def test_rejected_action_index_changes_nothing():
     # plays on to the same observation bytes and rewards
     env_cfg = EnvConfig()
     world = WorldStream(RoadConfig(), env_cfg, ChannelConfig(), WorkloadConfig(), 3, TAG_TRAIN)(0)
-    env, twin = SlicingEnv(env_cfg, ChannelConfig()), SlicingEnv(env_cfg, ChannelConfig())
+    env, twin = SlicingEnv(env_cfg), SlicingEnv(env_cfg)
     assert env.reset(*world).tobytes() == twin.reset(*world).tobytes()
     rng = np.random.default_rng(9)
     steps = 0
@@ -185,6 +185,38 @@ def test_unfinished_rate_reward_scaling():
     env.reset(sc, link)
     res = env.step(action_index(phy.PKT_SLICE1, 100.0, 0, 30.0))
     assert res.reward == pytest.approx(1e6 / default_rate_norm_bps(cfg))
+
+
+def test_reward_normalizer_follows_the_world():
+    """Unless the config fixes it, each reset reads the normalizer off the
+    world's link: a world drawn under a 2 MHz, -110 dBm channel pays its
+    rates against that channel's clean-channel rate, and the next world, a
+    default one, on the same env against the default's."""
+    env_cfg = EnvConfig()
+    wide = ChannelConfig(rb_bandwidth_hz=2e6, noise_floor_dbm=-110.0)
+    worlds = [
+        (cfg, WorldStream(RoadConfig(), env_cfg, cfg, WorkloadConfig(), 0, TAG_EVAL)(0)) for cfg in (wide, ChannelConfig())
+    ]
+    column = [phy.SlotAction(phy.PKT_SLICE1, 400.0, src % env_cfg.F, 30.0) for src in range(env_cfg.m)]
+    env = SlicingEnv(env_cfg)
+    for cfg, (sc, link) in worlds:
+        env.reset(sc, link)
+        assert env.rate_norm_bps.hex() == default_rate_norm_bps(cfg).hex()
+        after, effects = phy.apply_slot(phy.DeliveryLedger.start(sc.packets), column, link, 0)
+        norms = {default_rate_norm_bps(c) for c in (wide, ChannelConfig())}
+        rewards = {
+            norm: sum(
+                individual_reward(k >= 0 and after.leftover_bits[k] == 0.0, group_mask, rate, norm, 1.0)
+                for k, _, group_mask, rate in effects
+            )
+            for norm in norms
+        }
+        assert len(set(rewards.values())) == 2  # the normalizer shows in the reward
+        assert env.step_slot(column).reward.hex() == rewards[default_rate_norm_bps(cfg)].hex()
+    fixed = SlicingEnv(EnvConfig(rate_norm_bps=3e6))
+    for _, world in worlds:
+        fixed.reset(*world)
+        assert fixed.rate_norm_bps == 3e6
 
 
 def test_individual_reward_cases():
@@ -313,7 +345,7 @@ def reference_observation(env):
 def test_cached_observation_matches_from_scratch_build(env_cfg):
     workload = WorkloadConfig(deadline_len_slots=min(4, env_cfg.T))
     stream = WorldStream(RoadConfig(), env_cfg, ChannelConfig(), workload, 11, TAG_TRAIN)
-    env = SlicingEnv(env_cfg, ChannelConfig())
+    env = SlicingEnv(env_cfg)
     rng = np.random.default_rng(5)
     returned = []
     for episode in range(3):  # a new world per reset
@@ -368,7 +400,7 @@ def test_action_mask_matches_apply_slot(data):
         slice1_bits_min=1e3, slice1_bits_max=5e4, deadline_len_slots=data.draw(st.integers(1, T))
     )
     seed = data.draw(st.integers(0, 999))
-    env = SlicingEnv(env_cfg, ChannelConfig())
+    env = SlicingEnv(env_cfg)
     env.reset(*WorldStream(RoadConfig(), env_cfg, ChannelConfig(), workload, seed, TAG_TRAIN)(0))
     for _ in range(data.draw(st.integers(0, m * T - 1))):  # on to a random slot and vehicle
         env.step(data.draw(st.integers(0, env_cfg.n_actions - 1)))
@@ -409,7 +441,7 @@ def test_slot_reward_matches_memo_free_reference(data):
     )
     cfg = ChannelConfig()
     sc, link = WorldStream(RoadConfig(), env_cfg, cfg, workload, data.draw(st.integers(0, 999)), TAG_TRAIN)(0)
-    env = SlicingEnv(env_cfg, cfg)
+    env = SlicingEnv(env_cfg)
     env.reset(sc, link)
     table = phy.action_table(F)
     prev = slice(m * n * (1 + F), m * n * (1 + F) + m * len(phy.PACKET_CHOICES))
@@ -443,7 +475,7 @@ def test_step_slot_matches_micro_steps(data):
         slice1_bits_min=1e3, slice1_bits_max=5e4, deadline_len_slots=data.draw(st.integers(1, T))
     )
     world = WorldStream(RoadConfig(), env_cfg, ChannelConfig(), workload, data.draw(st.integers(0, 999)), TAG_TRAIN)(0)
-    whole, micro = SlicingEnv(env_cfg, ChannelConfig()), SlicingEnv(env_cfg, ChannelConfig())
+    whole, micro = SlicingEnv(env_cfg), SlicingEnv(env_cfg)
     assert whole.reset(*world).tobytes() == micro.reset(*world).tobytes()
     table = phy.action_table(F)
     for _ in range(T):
@@ -494,7 +526,7 @@ def test_step_slot_rejects_a_choice_outside_the_action_table(bad):
     # episode is left as it was
     cfg = RunConfig()
     world = WorldStream(cfg.road, cfg.env, cfg.channel, cfg.workload, 0, TAG_EVAL)(0)
-    env = SlicingEnv(cfg.env, cfg.channel)
+    env = SlicingEnv(cfg.env)
     env.reset(*world)
     env.step_slot([phy.SlotAction(phy.PKT_SLICE2, 400.0, 1, 30.0)] * cfg.env.m)
     before = (env.slot, env.ledger, list(env.slot_rewards), env.prev_choice.copy(), env.observation().tobytes())

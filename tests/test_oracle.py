@@ -157,7 +157,7 @@ def test_oracle_replay_matches_env_ledger():
         assert ledger.leftover_bits.count(0.0) == res.best_delivered
 
         # drive the environment with the same action sequence
-        env = SlicingEnv(env_cfg, ChannelConfig())
+        env = SlicingEnv(env_cfg)
         env.reset(sc, _link(chan))
         table = phy.action_table(env_cfg.F)
         for slot_actions in res.best_actions:
@@ -193,7 +193,7 @@ def test_replay_paths_agree():
         for _ in range(5):
             choices = rng.integers(len(table), size=(T, m))
             acts = [[table[i] for i in row] for row in choices]
-            env = SlicingEnv(env_cfg, ChannelConfig())
+            env = SlicingEnv(env_cfg)
             env.reset(sc, _link(chan, env_cfg.slot_duration_s))
             for t in range(T):
                 for s, act in enumerate(acts[t]):
@@ -252,7 +252,7 @@ def test_shared_link_replays_match_fresh_links_across_policies(tiny, monkeypatch
             )
             for i, name in enumerate(bl.BASELINE_NAMES)
         }
-        plays["DQL"] = lambda link: greedy_episode(net, SlicingEnv(env_cfg, cfg.channel), sc, link)
+        plays["DQL"] = lambda link: greedy_episode(net, SlicingEnv(env_cfg), sc, link)
         if tiny:
             plays["oracle"] = lambda link: brute_force_optimal(sc, link)
         want = {}

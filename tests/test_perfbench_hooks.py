@@ -77,7 +77,7 @@ def test_traced_greedy_rollout_reaches_every_env_span():
     net = mlp.DuelingQNetwork(env_cfg.obs_dim, (4,), env_cfg.n_actions, np.random.default_rng(0))
     recorder = spans.SpanRecorder()
     with recorder.installed("root"):
-        greedy_episode(net, SlicingEnv(env_cfg, ChannelConfig()), sc, link)
+        greedy_episode(net, SlicingEnv(env_cfg), sc, link)
     calls = {name: span["calls"] for name, span in recorder.summary()["spans"].items()}
     assert calls["env.reset"] == 1
     assert calls["env.step"] == calls["dqn.forward_row"] == env_cfg.m * env_cfg.T

@@ -266,7 +266,7 @@ def test_useful_needs_a_nonempty_group():
     assert phy.on_air(ledger, 0, near, 0) and not reference_useful(ledger, 0, near, 0, link)
     assert reference_useful(ledger, 0, wide, 0, link)
     table = phy.action_table(1)
-    air, useful = phy.useful_mask(ledger, 0, 0, link, 1)
+    air, useful = phy.useful_mask(ledger, 0, 0, link)
     assert air[table.index(near)] and not useful[table.index(near)]
     assert useful[table.index(wide)]
 
@@ -288,7 +288,7 @@ def test_useful_mask_matches_scalar_rule(data):
     ledger = ledger._replace(leftover_bits=tuple(0.0 if k in zeroed else x for k, x in enumerate(ledger.leftover_bits)))
     src, slot = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, T - 1))
     table = phy.action_table(F)
-    air, useful = phy.useful_mask(ledger, src, slot, link, F)
+    air, useful = phy.useful_mask(ledger, src, slot, link)
     assert air.dtype == useful.dtype == bool and air.shape == useful.shape == (len(table),)
     assert air.tolist() == [phy.on_air(ledger, src, act, slot) for act in table]
     assert useful.tolist() == [reference_useful(ledger, src, act, slot, link) for act in table]
