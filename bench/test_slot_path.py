@@ -6,8 +6,8 @@ group and rate is solved), through a link that has resolved the same slot
 before (warm: one memo lookup returns the slot's per-source effects, and
 what is left is the mask and one drain-and-mark loop over the sources), one
 swap-matching trial, `baselines.evaluate_plan` replaying the action columns
-of the first move of NOMA-MP's initial plan from the plan's record through
-the episode's shared link, and one `SlicingEnv.action_mask` call mid-episode (the second vehicle
+of the first move `baselines._moves` yields for NOMA-MP's initial plan from
+the plan's `Record` through the episode's shared link, and one `SlicingEnv.action_mask` call mid-episode (the second vehicle
 of slot SLOT, after random actions). A timed round of either `apply_slot`
 case makes CALLS calls from the same start-of-episode ledger, which
 `apply_slot` leaves as it is, so the reported times are per CALLS calls.
@@ -89,8 +89,8 @@ def test_evaluate_plan_trial(benchmark, world):
     options = bl.slot_options(coverage, packet, bl.draw_powers("NOMA-MP", m, T, rng), F)
     freqs = bl.initial_rb_allocation(link, coverage, oma=False)
     columns = bl.plan_columns(options, freqs)
-    record = bl.evaluate_plan(columns, sc, link)
-    t, column, _ = next(bl._moves(options, columns, freqs, False))
+    record = bl.plan_record(columns, sc, link)
+    t, column, _ = next(bl._moves(options, columns, freqs, record.ledgers, False))
     trial = columns.copy()
     trial[t] = column
     ledgers = benchmark(bl.evaluate_plan, trial, sc, link, record, t)

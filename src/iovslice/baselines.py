@@ -10,16 +10,15 @@ then `phy.OFF_AIR` at index INACTIVE), and the search state `freqs`, one
 frequency row per slot. `plan_columns` turns them into the per-slot action
 columns the link layer replays. A move edits the frequencies of one slot, so
 it picks the one or two edited sources' new actions out of that slot's options
-and shares every other column with the current plan; no plan is copied. Its
-trial shares the current plan's recorded ledgers up to that slot
-(`phy.apply_slot` returns a new ledger, so none is copied) and stops as soon
-as its leftover bits are, packet by packet, at least the record's: from then
-on it cannot deliver more than the current plan (`evaluate_plan` gives the
-argument). All trials read the world's `phy.EpisodeLink`, which the caller
-hands in and may share with other policies on the world, so a slot resolved
-before, from a ledger that masks it alike, costs a memo lookup. OMA keeps
-one transmitter per resource block; the MP variants always use maximum
-power while RP draws a random level.
+and shares every other column with the current plan; no plan is copied.
+A trial shares the current plan's recorded ledgers up to that slot
+(`phy.apply_slot` returns a new ledger, so none is copied) and stops as
+soon as it cannot deliver more than the current plan (`swap_matching`
+lists the cuts). All trials read the world's `phy.EpisodeLink`, which the
+caller hands in and may share with other policies on the world, so a slot
+resolved before, from a ledger that masks it alike, costs a memo lookup.
+OMA keeps one transmitter per resource block; the MP variants always use
+maximum power while RP draws a random level.
 
 The greedy assignment scores every (source, frequency, slot) at once: the
 coverage grid of all sources and slots comes from `phy.in_coverage`, the
@@ -34,6 +33,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import ge
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,11 +124,26 @@ def initial_rb_allocation(link: phy.EpisodeLink, coverage_m: np.ndarray, oma: bo
     return freqs
 
 
+class Record(NamedTuple):
+    """The current plan of a swap search, as its trials read it.
+
+    `ledgers` are the plan's ledgers before every slot and after the last
+    (T + 1), `delivered` the count they deliver, and `tails[k]` (k = 0..T)
+    maps a packet index to the lone bits (`phy.EpisodeLink.lone_bits`) of
+    the plan's columns at slots k..T-1 that name the packet within its
+    window, in slot order; a packet no such column names is absent.
+    """
+
+    ledgers: list[phy.DeliveryLedger]
+    delivered: int
+    tails: list[dict[int, tuple[float, ...]]]
+
+
 def evaluate_plan(
     columns: Sequence[Column],
     scenario: Scenario,
     link: phy.EpisodeLink,
-    record: list[phy.DeliveryLedger] | None = None,
+    record: Record | None = None,
     start: int = 0,
 ) -> list[phy.DeliveryLedger]:
     """Replay per-slot action columns through the same link layer as the
@@ -136,33 +151,56 @@ def evaluate_plan(
 
     Returns the ledger before every slot and after the last, T + 1 of them;
     the last is the episode's outcome.
-    `record` holds those ledgers for a plan that differs from this one only
-    at slot `start`: the replay then shares record[: start + 1] and stops
-    after the first slot that leaves every packet's leftover bits at least
-    the record's (equal leftovers included), returning the ledgers up to
-    that slot only. Such a plan delivers no more than the recorded one:
-    every later slot plays the same columns, and by induction over them,
-    - each source the record puts on the air is on the air in this plan
-      with the same choice, since its packet is undelivered here too and
-      the windows depend on the slot alone; this plan only adds
-      transmitters, those whose packets the record has delivered;
-    - under ideal SIC an added transmitter is decoded before a source or
-      joins the weaker signals it is decoded against, so no SINR rises;
-    - the tail sums, the division, log2, the product and the min over the
-      group all round monotonically, and so does `phy.drain`, so no rate
-      rises and every leftover stays at least the record's.
-    So only a plan that is never dominated can beat the record, and it
-    replays all T slots. The argument rests on ideal SIC and on the ledger
-    semantics of `phy` (a packet's leftover only falls, and a delivered or
-    closed packet is masked off the air); a change to either must re-derive
-    it.
+    `record` is the `Record` of a plan that differs from this one only at
+    slot `start`: the replay then shares record.ledgers[: start + 1] and
+    stops after the first slot whose ledger shows that it cannot deliver
+    more than `record.delivered`, returning the ledgers up to that slot
+    only. With k the next slot, from which on this plan plays the record's
+    columns, either of two tests shows it; both are exact, so a plan that
+    delivers more replays all T slots.
+    - Dominance: every packet's leftover bits are at least the record's
+      (equal leftovers included). By induction over the later slots,
+      - each source the record puts on the air is on the air in this plan
+        with the same choice, since its packet is undelivered here too and
+        the windows depend on the slot alone; this plan only adds
+        transmitters, those whose packets the record has delivered;
+      - under ideal SIC an added transmitter is decoded before a source or
+        joins the weaker signals it is decoded against, so no SINR rises;
+      - the tail sums, the division, log2, the product and the min over
+        the group all round monotonically, and so does `phy.drain`, so no
+        rate rises and every leftover stays at least the record's.
+    - Reach: the packets delivered so far, plus the undelivered ones that
+      `phy.drains` within `record.tails[k]`, are at most
+      `record.delivered`. A later slot carries a packet's bits only if its
+      column names the packet within its window, and then no more than the
+      source's lone bits (`phy.EpisodeLink.lone_bits`), since interference
+      only lowers SINR under SIC and the roundings are monotone;
+      `phy.drain` is monotone in both arguments, so a packet that those
+      carries cannot empty is never delivered.
+    Both arguments rest on ideal SIC and on the ledger semantics of `phy`
+    (a packet's leftover only falls, and a delivered or closed packet is
+    masked off the air); a change to either must re-derive them.
     """
-    ledgers = [phy.DeliveryLedger.start(scenario.packets)] if record is None else record[: start + 1]
+    if record is None:
+        ledgers = [phy.DeliveryLedger.start(scenario.packets)]
+    else:
+        ledgers = record.ledgers[: start + 1]
     for t in range(start, len(columns)):
         ledger, _ = phy.apply_slot(ledgers[-1], columns[t], link, t)
         ledgers.append(ledger)
-        if record is not None and all(map(ge, ledger.leftover_bits, record[t + 1].leftover_bits)):
-            break
+        if record is not None:
+            left = ledger.leftover_bits
+            if all(map(ge, left, record.ledgers[t + 1].leftover_bits)):
+                break
+            # undelivered packets that must still finish to beat the record
+            need = record.delivered + 1 - left.count(0.0)
+            for p, bits in record.tails[t + 1].items():
+                if need <= 0:
+                    break
+                if left[p] > 0.0 and phy.drains(left[p], bits):
+                    need -= 1
+            if need > 0:
+                break
     return ledgers
 
 
@@ -175,18 +213,54 @@ class BaselineRun:
     stats: phy.ReceptionStats
     columns: list[Column]  # the final plan's per-slot actions
     objective_history: list[int]
-    evaluations: int  # plans scored by the swap search, the initial plan included
-    slots_replayed: int  # phy.apply_slot calls those scorings made
+    evaluations: int  # plans replayed by the swap search, the initial plan included
+    slots_replayed: int  # phy.apply_slot calls those replays made
 
 
-def _moves(options: Options, columns: list[Column], freqs: list[list[int]], oma: bool):
+def _tails(
+    columns: Sequence[Column], scenario: Scenario, link: phy.EpisodeLink, t: int, later: dict[int, tuple[float, ...]]
+) -> list[dict[int, tuple[float, ...]]]:
+    """`Record.tails[: t + 1]` of the plan with these columns, given its
+    tails[t + 1] (`later`): each slot k prepends to the tails after it the
+    lone bits of every source whose choice names a packet open at k and
+    carries bits alone."""
+    out = []
+    tail = later
+    for k in range(t, -1, -1):
+        tail = tail.copy()
+        for s, act in enumerate(columns[k]):
+            p = 2 * s + (act[0] - 1)
+            if act[0] != phy.PKT_NONE and scenario.packets[p].open_at(k):
+                bits = link.lone_bits(k, s, link.group(s, act[1]), act[2], phy.power_lin_mw(act[3]))
+                if bits > 0.0:
+                    tail[p] = (bits, *tail.get(p, ()))
+        out.append(tail)
+    return out[::-1]
+
+
+def plan_record(columns: Sequence[Column], scenario: Scenario, link: phy.EpisodeLink) -> Record:
+    """A plan's `Record`: its full replay (one `evaluate_plan`) and tails."""
+    ledgers = evaluate_plan(columns, scenario, link)
+    tails = _tails(columns, scenario, link, len(columns) - 1, {})
+    return Record(ledgers, delivered_packets(ledgers[-1]), [*tails, {}])
+
+
+def _moves(
+    options: Options, columns: list[Column], freqs: list[list[int]], ledgers: list[phy.DeliveryLedger], oma: bool
+):
     """(slot, edited column, edited freq row) per candidate move of the plan
-    whose columns and frequency rows these are, in search order: per slot,
-    pairwise frequency swaps (vacancies included), then single-source
-    retunes respecting OMA exclusivity. Only the edited sources' actions
-    change, each picked from its options."""
+    whose columns, frequency rows and ledgers these are, in search order:
+    per slot, pairwise frequency swaps (vacancies included), then
+    single-source retunes respecting OMA exclusivity. Only the edited
+    sources' actions change, each picked from its options.
+
+    A move is left out when every source it edits draws a choice that
+    `phy.on_air` rejects at that slot: it ignores the frequency, and
+    INACTIVE is `phy.OFF_AIR`, so `phy.apply_slot` masks the edited column
+    to the plan's own and the trial would replay to the plan's ledgers."""
     for t, (slot, row) in enumerate(zip(options, freqs)):
         m = len(row)
+        air = [phy.on_air(ledgers[t], s, slot[s][0], t) for s in range(m)]
 
         def retune(*changes: tuple[int, int]):  # (source, new frequency) pairs
             column, new_row = list(columns[t]), row.copy()
@@ -197,9 +271,11 @@ def _moves(options: Options, columns: list[Column], freqs: list[list[int]], oma:
 
         for i in range(m):
             for j in range(i + 1, m):
-                if row[i] != row[j]:
+                if row[i] != row[j] and (air[i] or air[j]):
                     yield retune((i, row[j]), (j, row[i]))
         for i in range(m):
+            if not air[i]:
+                continue
             for f in range(len(slot[i]) - 1):
                 if row[i] == f:
                     continue
@@ -223,34 +299,41 @@ def swap_matching(
     edits one slot's row and column, and a trial shares every other column
     with the current plan. `evaluate_plan` replays the initial plan in full
     through `link`, and each trial from the slot it edits, against the
-    current plan's recorded ledgers. A trial stopped once its leftover bits
-    dominate the record's (fewer than T + 1 ledgers back) delivers no more
-    than the current plan, so it loses; a trial that wins therefore replays
-    every slot, and the record stays complete. A move is kept only if the
+    current plan's `Record`. Two exact cuts keep a trial that cannot win
+    from costing replays, so neither changes the search's path: `_moves`
+    leaves out a move whose edited sources are all off the air, and
+    `evaluate_plan` stops a trial on dominance or reach; each docstring
+    carries its argument. A trial that wins therefore replays every slot,
+    and the record stays complete; one stopped before its last slot has
+    fewer than T + 1 ledgers and loses. A move is kept only if the
     delivered count strictly increases; the objective history holds the
     count after each accepted move (leading entry: the initial count), and
-    the stats are read off the final plan's recorded ledgers.
+    the stats are read off the final plan's recorded ledgers. An accepted
+    move at slot t changes the record's tails at slots 0..t only, and only
+    those are rebuilt.
     """
     T = len(freqs)
     freqs = freqs.copy()  # rows are replaced, never edited in place
     columns = plan_columns(options, freqs)
-    record = evaluate_plan(columns, scenario, link)
-    history = [delivered_packets(record[-1])]
-    evaluations, slots = 1, len(record) - 1
+    record = plan_record(columns, scenario, link)
+    history = [record.delivered]
+    evaluations, slots = 1, T
     while len(history) - 1 < max_iters:
-        for t, column, row in _moves(options, columns, freqs, oma):
+        for t, column, row in _moves(options, columns, freqs, record.ledgers, oma):
             trial = columns.copy()
             trial[t] = column
             ledgers = evaluate_plan(trial, scenario, link, record, t)
             evaluations += 1
             slots += len(ledgers) - 1 - t
-            if len(ledgers) > T and delivered_packets(ledgers[-1]) > history[-1]:
-                columns, record, freqs[t] = trial, ledgers, row
-                history.append(delivered_packets(ledgers[-1]))
+            if len(ledgers) > T and delivered_packets(ledgers[-1]) > record.delivered:
+                columns, freqs[t] = trial, row
+                tails = _tails(columns, scenario, link, t, record.tails[t + 1]) + record.tails[t + 1 :]
+                record = Record(ledgers, delivered_packets(ledgers[-1]), tails)
+                history.append(record.delivered)
                 break
         else:
             break
-    return BaselineRun(phy.reception_stats(record[-1]), columns, history, evaluations, slots)
+    return BaselineRun(phy.reception_stats(record.ledgers[-1]), columns, history, evaluations, slots)
 
 
 def run_baseline(

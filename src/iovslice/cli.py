@@ -168,38 +168,46 @@ def cmd_train(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> tuple[Path,
     return ckpt, log_path
 
 
-Policy = tuple[str, Callable[[int, Scenario, EpisodeLink], ReceptionStats]]
+Policy = tuple[str, Callable[[WorkloadConfig, int, Scenario, EpisodeLink], ReceptionStats]]
 
 
-def _eval_rows(cfg: RunConfig, workload: WorkloadConfig, episodes: int, policies: list[Policy]) -> list[list]:
+def _eval_rows(cfg: RunConfig, workloads: list[WorkloadConfig], episodes: int, policies: list[Policy]) -> list[list]:
     """EVAL_COLUMNS rows of every (name, play) policy on the paired
-    evaluation stream at this sweep point, policy by policy and, within a
-    policy, episode by episode. Each episode's world (scenario, link) is
-    drawn and its channel hashed once, and it serves every policy:
-    play(ep, scenario, link) runs one algorithm on it, sharing the link's
-    memo, and leaves the scenario and channel as they were."""
-    stream = WorldStream(cfg.road, cfg.env, cfg.channel, workload, cfg.seed, TAG_EVAL)
-    rows: list[list[list]] = [[] for _ in policies]
+    evaluation stream at every sweep point: point by point, within a point
+    policy by policy, and within a policy episode by episode. Each episode's
+    world (scenario, link) is drawn and its channel hashed once, and it
+    serves every point and policy: the channel draw has no workload term, so
+    each further point takes the episode's scenario at that point
+    (`WorldStream.with_workload`, its own packets) on the same link.
+    play(workload, ep, scenario, link) runs one algorithm on it, sharing the
+    link's memo, and leaves the scenario and channel as they were."""
+    if not workloads:
+        return []
+    stream = WorldStream(cfg.road, cfg.env, cfg.channel, workloads[0], cfg.seed, TAG_EVAL)
+    rows: list[list[list[list]]] = [[[] for _ in policies] for _ in workloads]
     for ep in range(episodes):
         scenario, link = stream(ep)
         channel_hash = trace_hash(link.chan)
-        for policy_rows, (name, play) in zip(rows, policies):
-            st = play(ep, scenario, link)
-            policy_rows.append(
-                [
-                    name,
-                    ep,
-                    st.receptions[0],
-                    st.receptions[1],
-                    st.prr,
-                    workload.slice2_bytes,
-                    workload.deadline_len_slots,
-                    st.packets[0],
-                    st.packets[1],
-                    channel_hash,
-                ]
-            )
-    return [row for policy_rows in rows for row in policy_rows]
+        for i, (workload, point_rows) in enumerate(zip(workloads, rows)):
+            if i:
+                scenario = stream.with_workload(scenario, workload, ep)
+            for policy_rows, (name, play) in zip(point_rows, policies):
+                st = play(workload, ep, scenario, link)
+                policy_rows.append(
+                    [
+                        name,
+                        ep,
+                        st.receptions[0],
+                        st.receptions[1],
+                        st.prr,
+                        workload.slice2_bytes,
+                        workload.deadline_len_slots,
+                        st.packets[0],
+                        st.packets[1],
+                        channel_hash,
+                    ]
+                )
+    return [row for point_rows in rows for policy_rows in point_rows for row in policy_rows]
 
 
 def cmd_eval(cfg: RunConfig, checkpoint: Path, out_path: Path, episodes: int, sweep: str) -> Path:
@@ -211,18 +219,17 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, out_path: Path, episodes: int, sw
             f"config ({cfg.env.obs_dim} obs, {cfg.env.n_actions} actions)"
         )
     env = SlicingEnv(cfg.env)
-    dql: Policy = ("DQL", lambda ep, scenario, link: greedy_episode(net, env, scenario, link))
-    rows: list[list] = []
-    for workload in sweep_points(cfg, sweep):
-        rows.extend(_eval_rows(cfg, workload, episodes, [dql]))
+    dql: Policy = ("DQL", lambda workload, ep, scenario, link: greedy_episode(net, env, scenario, link))
+    rows = _eval_rows(cfg, sweep_points(cfg, sweep), episodes, [dql])
     _write_csv(out_path, EVAL_SCHEMA, EVAL_COLUMNS, rows)
     return out_path
 
 
 def cmd_baseline(cfg: RunConfig, names: list[str], out_path: Path, episodes: int, sweep: str) -> Path:
     """Rows of the named baselines over the paired evaluation stream, per
-    sweep point algorithm by algorithm. The algorithms share each episode's
-    one world; each makes its own draws from its `algorithm_rng`."""
+    sweep point algorithm by algorithm. The algorithms and sweep points
+    share each episode's one link; each algorithm makes its own draws from
+    its `algorithm_rng` at the point."""
     _check_count("episodes", episodes)
     if not names:
         raise ValueError(f"no baseline named, valid names: {', '.join(bl.BASELINE_NAMES)}")
@@ -232,16 +239,14 @@ def cmd_baseline(cfg: RunConfig, names: list[str], out_path: Path, episodes: int
         if name in names[:i]:
             raise ValueError(f"duplicate baseline {name}")
 
-    def baseline(name: str, workload: WorkloadConfig) -> Policy:
-        def play(ep: int, scenario: Scenario, link: EpisodeLink) -> ReceptionStats:
+    def baseline(name: str) -> Policy:
+        def play(workload: WorkloadConfig, ep: int, scenario: Scenario, link: EpisodeLink) -> ReceptionStats:
             rng = algorithm_rng(cfg.seed, workload, ep, bl.BASELINE_NAMES.index(name))
             return bl.run_baseline(name, scenario, link, rng, cfg.swap_max_iters).stats
 
         return name, play
 
-    rows: list[list] = []
-    for workload in sweep_points(cfg, sweep):
-        rows.extend(_eval_rows(cfg, workload, episodes, [baseline(name, workload) for name in names]))
+    rows = _eval_rows(cfg, sweep_points(cfg, sweep), episodes, [baseline(name) for name in names])
     _write_csv(out_path, EVAL_SCHEMA, EVAL_COLUMNS, rows)
     return out_path
 
@@ -295,12 +300,28 @@ def _mean_stderr(values: list[float]) -> tuple[float, float | None]:
     return mean, float(arr.std(ddof=1) / np.sqrt(len(arr)))
 
 
+def _is_canonical_count(value: str) -> bool:
+    """Whether `value` is a nonnegative integer as `str(int)` writes it."""
+    return value.isascii() and value.isdecimal() and (value == "0" or value[0] != "0")
+
+
+def _is_ratio(value: str) -> bool:
+    """Whether `value` parses as a float in [0, 1] (nan is not)."""
+    try:
+        return 0.0 <= float(value) <= 1.0
+    except ValueError:
+        return False
+
+
 def cmd_plotdata(inputs: list[Path], out_path: Path) -> Path:
     """Mean and standard error per (algorithm, slice-2 size, deadline) over
     the rows of every input. A header that misses, adds or repeats a column,
     a row repeating one already read (the same algorithm, sweep point,
-    episode and channel) and a delivered count that is not a nonnegative
-    integer are refused; so are the malformed rows `_read_csv` refuses."""
+    episode and channel), an episode, slice-2 size or deadline that is not
+    a nonnegative integer in canonical form (so `600` and `0600` cannot
+    split one sweep point), a prr that is neither empty nor a number in
+    [0, 1] and a delivered count that is not a nonnegative integer are
+    refused; so are the malformed rows `_read_csv` refuses."""
     groups: dict[tuple[str, str, str], list[tuple[int, int]]] = {}
     seen: set[tuple[str, ...]] = set()
     for path in inputs:
@@ -312,6 +333,14 @@ def cmd_plotdata(inputs: list[Path], out_path: Path) -> Path:
                 f"{path}: eval column mismatch, missing={missing}, unexpected={extra}"
             )
         for row in rows:
+            for column in ("episode", "slice2_bytes", "deadline_slots"):
+                if not _is_canonical_count(row[column]):
+                    where = "" if column == "episode" else f"episode {row['episode']}: "
+                    raise ValueError(f"{path}: {where}{column} {row[column]!r} is not a canonical nonnegative integer")
+            if row["prr"] and not _is_ratio(row["prr"]):
+                raise ValueError(
+                    f"{path}: episode {row['episode']}: prr {row['prr']!r} is neither empty nor a number in [0, 1]"
+                )
             key = (row["algorithm"], row["slice2_bytes"], row["deadline_slots"])
             row_key = (*key, row["episode"], row["channel_hash"])
             if row_key in seen:

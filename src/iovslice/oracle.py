@@ -61,37 +61,21 @@ class OracleResult:
 def _peak_bits(link: phy.EpisodeLink) -> list[list[float]]:
     """Per source and slot, the most bits any choice can send: the
     interference-free rate at the highest power to the best destination
-    within the widest radius, on the best frequency. It is computed exactly
-    as `phy.slot_rates` computes a lone transmitter's rate, so no real
+    within the widest radius, on the best frequency. Each term is
+    `phy.EpisodeLink.lone_bits` of a one-member group, so no real
     transmission can exceed it."""
     m, _, F, T = link.gain_lin.shape
-    noise = link.noise_mw
-    bw = link.rb_bandwidth_hz
     p_max = phy.power_lin_mw(max(phy.POWER_LEVELS_DBM))
     peaks = []
     for s in range(m):
         reach = link.group(s, max(phy.COVERAGE_LEVELS_M))
         peaks.append(
             [
-                max(
-                    (
-                        phy.rate_bps(p_max * float(link.gain_lin[s, d, f, t]) / noise, bw) * link.slot_duration_s
-                        for d in reach
-                        for f in range(F)
-                    ),
-                    default=0.0,
-                )
+                max((link.lone_bits(t, s, (d,), f, p_max) for d in reach for f in range(F)), default=0.0)
                 for t in range(T)
             ]
         )
     return peaks
-
-
-def _drains(left: float, bits) -> bool:
-    """Whether sending at most bits[0], bits[1], ... in turn can empty `left`."""
-    for b in bits:
-        left = phy.drain(left, b)
-    return left == 0.0
 
 
 def candidate_actions(
@@ -127,7 +111,7 @@ def candidate_actions(
         deliverable = []
         for pkt in (phy.PKT_SLICE1, phy.PKT_SLICE2):
             packet = scenario.packets[2 * s + (pkt - 1)]
-            if _drains(packet.size_bits, [peaks[s][t] for t in range(T) if packet.open_at(t)]):
+            if phy.drains(packet.size_bits, [peaks[s][t] for t in range(T) if packet.open_at(t)]):
                 deliverable.append(pkt)
         firsts: dict[tuple, int] = {}  # (packet, group, freq, mW) -> index of the first action with it
         for i, act in enumerate(table):
@@ -187,7 +171,7 @@ def brute_force_optimal(scenario: Scenario, link: phy.EpisodeLink) -> OracleResu
         nonlocal best_count, best_seq
         done = leftover.count(0.0)
         # delivered so far plus every open packet that peak rates could still finish
-        bound = done + sum(1 for k in live if leftover[k] > 0.0 and _drains(leftover[k], tails[k][t]))
+        bound = done + sum(1 for k in live if leftover[k] > 0.0 and phy.drains(leftover[k], tails[k][t]))
         if bound <= best_count:
             return
         if done == bound:  # nothing more can be delivered

@@ -47,7 +47,7 @@ search, whose candidates already have that form, drains
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
@@ -154,6 +154,15 @@ def drain(left: float, bits: float) -> float:
     """Leftover bits after a slot carrying `bits` toward `left` (both
     nonnegative): exactly 0.0 when bits >= left, positive otherwise."""
     return left - min(left, bits)
+
+
+def drains(left: float, bits: Iterable[float]) -> bool:
+    """Whether slots carrying at most bits[0], bits[1], ... in turn can
+    empty `left`: `drain` by each in turn reaches 0.0 (`drain` is monotone
+    in both arguments)."""
+    for b in bits:
+        left = drain(left, b)
+    return left == 0.0
 
 
 def drain_slot(leftover: tuple[float, ...], effects: Sequence[SourceEffect]) -> tuple[float, ...]:
@@ -286,6 +295,19 @@ class EpisodeLink:
             group = self._groups[key] = coverage_group(self.dist_m[src], coverage_m)
             self._group_mask[group] = sum(1 << d for d in group)
         return group
+
+    def lone_bits(self, slot: int, src: int, group: tuple[int, ...], freq: int, p_mw: float) -> float:
+        """Bits the slot carries for source `src` alone on resource block
+        `freq`, broadcasting at `p_mw` to `group`: the interference-free
+        rate to the group's worst member times the slot duration, 0.0 for
+        the empty group: the very floats `slot_rates` gives a source alone
+        on its RB, and an upper bound on its bits under SIC (the reach
+        argument of `baselines.evaluate_plan`)."""
+        if not group:
+            return 0.0
+        gain = self.gain_lin
+        worst = min([p_mw * float(gain[src, d, freq, slot]) for d in group])
+        return rate_bps(worst / self.noise_mw, self.rb_bandwidth_hz) * self.slot_duration_s
 
     def resolve(self, slot: int, choices: tuple[tuple[int, float, int, float], ...]) -> tuple[SourceEffect, ...]:
         """Per-source effects of these choices at this slot, solved once per

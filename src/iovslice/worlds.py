@@ -6,7 +6,9 @@ durations and draws fresh packets and channel from a seed derived from
 are therefore pairable: every algorithm sees bit-identical worlds at the same
 episode index. A world is the scenario and its `phy.EpisodeLink`, the one
 link table of the episode's channel: every policy played on the world shares
-it, and nothing else builds one.
+it, and nothing else builds one. The channel has no workload term, so the
+scenario at another workload point (`WorldStream.with_workload`) shares the
+episode's link too.
 """
 
 from __future__ import annotations
@@ -73,14 +75,6 @@ class WorldStream:
         base_rng = np.random.default_rng(np.random.SeedSequence([seed, TAG_BASE, tag]))
         self.base = generate_vehicles(road, env_cfg.m, env_cfg.n, base_rng)
 
-    def packet_rng(self, episode_idx: int) -> np.random.Generator:
-        w = self.workload
-        return np.random.default_rng(
-            np.random.SeedSequence(
-                [self.seed, self.tag, w.slice2_bytes, w.deadline_len_slots, episode_idx]
-            )
-        )
-
     def channel_rng(self, episode_idx: int) -> np.random.Generator:
         # no workload terms in the key: sweep points share channel draws, so a
         # workload sweep compares payloads over identical radio conditions
@@ -88,20 +82,29 @@ class WorldStream:
             np.random.SeedSequence([self.seed, self.tag, 0x0C4A, episode_idx])
         )
 
-    def __call__(self, episode_idx: int) -> tuple[Scenario, phy.EpisodeLink]:
-        cfg = self.env_cfg
-        w = self.workload
-        elapsed = episode_idx * cfg.T * cfg.slot_duration_s
-        scenario = advance_mobility(self.base, elapsed)
+    def with_workload(self, scenario: Scenario, workload: WorkloadConfig, episode_idx: int) -> Scenario:
+        """The episode's scenario at workload point `workload`: its vehicles,
+        with the packets that point draws for the episode. Only the packets
+        read the workload, so the episode's channel and link serve every point."""
+        rng = np.random.default_rng(
+            np.random.SeedSequence(
+                [self.seed, self.tag, workload.slice2_bytes, workload.deadline_len_slots, episode_idx]
+            )
+        )
         packets = generate_packets(
             scenario,
-            self.packet_rng(episode_idx),
-            slice1_bits_range=(w.slice1_bits_min, w.slice1_bits_max),
-            slice2_bits=w.slice2_bits,
-            deadline_len_slots=w.deadline_len_slots,
-            T=cfg.T,
+            rng,
+            slice1_bits_range=(workload.slice1_bits_min, workload.slice1_bits_max),
+            slice2_bits=workload.slice2_bits,
+            deadline_len_slots=workload.deadline_len_slots,
+            T=self.env_cfg.T,
         )
-        scenario = replace(scenario, packets=packets)
+        return replace(scenario, packets=packets)
+
+    def __call__(self, episode_idx: int) -> tuple[Scenario, phy.EpisodeLink]:
+        cfg = self.env_cfg
+        elapsed = episode_idx * cfg.T * cfg.slot_duration_s
+        scenario = self.with_workload(advance_mobility(self.base, elapsed), self.workload, episode_idx)
         channel = draw_channel(scenario, self.channel_cfg, cfg.F, cfg.T, self.channel_rng(episode_idx))
         return scenario, phy.EpisodeLink(channel, self.channel_cfg, cfg.slot_duration_s)
 

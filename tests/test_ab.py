@@ -1,0 +1,79 @@
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from bench import ab
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+def unload(*names):
+    for name in [key for key in sys.modules if key.split(".")[0] in names]:
+        del sys.modules[name]
+
+
+@pytest.fixture(scope="module")
+def two_copies():
+    """This tree's package imported twice, under two names."""
+    names = ("iovslice_test_ab_a", "iovslice_test_ab_b")
+    yield [ab.load_package(SRC, name) for name in names]
+    unload(*names)
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout")
+def test_head_src_extracts_and_loads(tmp_path):
+    src = ab.extract_src("HEAD", tmp_path)
+    assert src == tmp_path / "src" and (src / "iovslice" / "cli.py").is_file()
+    try:
+        head = ab.load_package(src, "iovslice_test_ab_head")
+        assert head.cli.__file__ == str(src / "iovslice" / "cli.py")
+        assert ab.default_checkpoint(head).is_file()
+    finally:
+        unload("iovslice_test_ab_head")
+
+
+def test_copies_are_distinct_modules(two_copies):
+    a, b = two_copies
+    assert a.phy is not b.phy and a.phy.__name__ == "iovslice_test_ab_a.phy"
+    assert a.baselines.BASELINE_NAMES == b.baselines.BASELINE_NAMES
+
+
+def test_two_copies_of_one_tree_give_a_finite_ratio(two_copies, tmp_path):
+    # a tiny case: one swap-matching algorithm on one small world per round
+    def prepare(pkg):
+        def at(r):
+            env_cfg = pkg.env.EnvConfig(m=2, n=2, F=2, T=4)
+            workload = pkg.worlds.WorkloadConfig(deadline_len_slots=2)
+            channel_cfg = pkg.channel.ChannelConfig()
+            scenario, link = pkg.worlds.WorldStream(
+                pkg.scenario.RoadConfig(), env_cfg, channel_cfg, workload, r, pkg.worlds.TAG_EVAL
+            )(0)
+            rng = pkg.worlds.algorithm_rng(r, workload, 0, 1)
+            return lambda: pkg.baselines.run_baseline("NOMA-MP", scenario, link, rng, 1000).stats
+
+        return at
+
+    a, b = two_copies
+    times_a, times_b = ab.interleave(prepare(a), prepare(b), 6)
+    assert len(times_a) == len(times_b) == 6
+    ratio, lo, hi = ab.median_ratio(times_a, times_b)
+    assert all(math.isfinite(x) and x > 0 for x in (ratio, lo, hi))
+    assert lo <= ratio <= hi
+
+
+def test_differing_outputs_are_refused():
+    calls = []
+
+    def side(value):
+        def at(r):
+            return lambda: calls.append(r) or (r, value)
+
+        return at
+
+    with pytest.raises(ab.OutputsDiffer, match="round 0"):
+        ab.interleave(side("a"), side("b"), 4)
+    assert calls == [0, 0]  # both sides ran round 0, and no round after it
+    assert [len(times) for times in ab.interleave(side("a"), side("a"), 4)] == [4, 4]

@@ -307,11 +307,11 @@ def _dominates(a, b):
 
 
 def test_incremental_replay_matches_full_replay():
-    # a plan edited at one slot, replayed from the record, replays as from
+    # a plan edited at one slot, replayed against the record, replays as from
     # scratch until it stops; a trial that stops delivers no more than the record
     rng = np.random.default_rng(31)
     cfg = ChannelConfig()
-    rejoined = dominated = fewer = ran_to_end = inactive = closed = 0
+    rejoined = dominated = fewer = out_of_reach = ran_to_end = inactive = closed = 0
     for sc, chan in _small_worlds():
         m, _, F, T = chan.gain_lin.shape
         link = _link(chan, cfg)  # shared by the world's incremental replays
@@ -330,8 +330,8 @@ def test_incremental_replay_matches_full_replay():
                     for t in range(T)
                 )
             columns = bl.plan_columns(options, freqs)
-            record = bl.evaluate_plan(columns, sc, link)
-            assert len(record) == T + 1
+            record = bl.plan_record(columns, sc, link)
+            assert len(record.ledgers) == T + 1 and record.delivered == bl.delivered_packets(record.ledgers[-1])
             for _ in range(10):
                 t = int(rng.integers(T))
                 edited = [row.copy() for row in freqs]
@@ -346,7 +346,7 @@ def test_incremental_replay_matches_full_replay():
                 full = bl.evaluate_plan(bl.plan_columns(options, edited), sc, _link(chan, cfg))
                 assert t < len(ledgers) - 1 and len(ledgers) <= T + 1
                 # the prefix is the record's own ledgers, not copies of them
-                assert all(ledgers[i] is record[i] for i in range(t + 1))
+                assert all(ledgers[i] is record.ledgers[i] for i in range(t + 1))
                 for a, b in zip(ledgers, full):  # the shared prefix and every replayed slot
                     assert a == b
                 stop = len(ledgers) - 1
@@ -354,20 +354,26 @@ def test_incremental_replay_matches_full_replay():
                     ran_to_end += 1
                     assert bl.delivered_packets(ledgers[-1]) == bl.delivered_packets(full[-1])
                     continue
-                assert _dominates(ledgers[stop], record[stop])
-                if ledgers[stop].leftover_bits == record[stop].leftover_bits:
+                assert bl.delivered_packets(full[-1]) <= record.delivered  # a stopped trial loses
+                if not _dominates(ledgers[stop], record.ledgers[stop]):
+                    # stopped on reach: even interference-free, the rest cannot beat the record
+                    out_of_reach += 1
+                    left = ledgers[stop].leftover_bits
+                    tail = record.tails[stop]
+                    reach = sum(1 for p in range(len(left)) if left[p] > 0.0 and phy.drains(left[p], tail.get(p, ())))
+                    assert left.count(0.0) + reach <= record.delivered
+                elif ledgers[stop].leftover_bits == record.ledgers[stop].leftover_bits:
                     # rejoined the record: scores as the recorded plan
                     rejoined += 1
-                    for a, b in zip(full[stop:], record[stop:]):
+                    for a, b in zip(full[stop:], record.ledgers[stop:]):
                         assert a.leftover_bits == b.leftover_bits  # and with them the delivery flags
-                    assert bl.delivered_packets(record[-1]) == bl.delivered_packets(full[-1])
+                    assert bl.delivered_packets(full[-1]) == record.delivered
                 else:
                     # stopped on dominance alone: it stays dominated and delivers no more
                     dominated += 1
-                    assert all(_dominates(a, b) for a, b in zip(full[stop:], record[stop:]))
-                    assert bl.delivered_packets(full[-1]) <= bl.delivered_packets(record[-1])
-                    fewer += bl.delivered_packets(full[-1]) < bl.delivered_packets(record[-1])
-    assert rejoined > 100 and dominated > 50 and fewer > 0 and ran_to_end > 100
+                    assert all(_dominates(a, b) for a, b in zip(full[stop:], record.ledgers[stop:]))
+                    fewer += bl.delivered_packets(full[-1]) < record.delivered
+    assert rejoined > 100 and dominated > 50 and fewer > 0 and out_of_reach > 50 and ran_to_end > 100
     assert inactive > 0 and closed > 0
 
 
@@ -402,6 +408,46 @@ def test_dominated_ledger_stays_dominated(data):
         assert bl.delivered_packets(trial[-1]) <= bl.delivered_packets(record[-1])
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lone_bits_bound_every_replayed_slot(data):
+    """The premises of the reach cut, on random tiny worlds and plans: along
+    a full replay no source carries more than its lone bits (and exactly
+    them when no other source is on its RB), and every packet delivered at
+    or after slot k drains within its tail at k, so the packets delivered
+    by k plus those that drain within their tails bound the final count."""
+    m, n, F, T = (data.draw(st.integers(1, hi)) for hi in (4, 4, 3, 8))
+    workload = WorkloadConfig(1e3, 1e5, data.draw(st.integers(1, 600)), data.draw(st.integers(1, T)))
+    stream = WorldStream(RoadConfig(), EnvConfig(m=m, n=n, F=F, T=T), ChannelConfig(), workload, 0, TAG_EVAL)
+    sc, link = stream(data.draw(st.integers(0, 999)))
+    options, freqs = _random_plan(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), m, T, F)
+    columns = bl.plan_columns(options, freqs)
+    record = bl.plan_record(columns, sc, link)
+    ledgers = [phy.DeliveryLedger.start(sc.packets)]
+    for t, column in enumerate(columns):
+        ledger, effects = phy.apply_slot(ledgers[-1], column, link, t)
+        on_rb = [act[2] for act, (k, *_) in zip(column, effects) if k >= 0]
+        for s, (act, (k, bits, _, _)) in enumerate(zip(column, effects)):
+            if k >= 0:
+                lone = link.lone_bits(t, s, link.group(s, act[1]), act[2], phy.power_lin_mw(act[3]))
+                assert bits <= lone
+                if on_rb.count(act[2]) == 1:
+                    assert bits == lone
+                    event("a lone transmitter")
+        ledgers.append(ledger)
+    assert ledgers == record.ledgers
+    final = ledgers[-1].leftover_bits
+    for k, ledger in enumerate(ledgers):
+        left, tail = ledger.leftover_bits, record.tails[k]
+        for p in range(2 * m):
+            if final[p] == 0.0 < left[p]:
+                assert phy.drains(left[p], tail.get(p, ()))
+        reach = sum(1 for p in range(2 * m) if left[p] > 0.0 and phy.drains(left[p], tail.get(p, ())))
+        assert final.count(0.0) <= left.count(0.0) + reach
+    if final.count(0.0):
+        event("delivers")
+
+
 def _reference_moves(freqs, oma, F):
     """(slot, trial rows) per candidate move, in search order, each trial a
     whole edited copy of the frequency rows."""
@@ -422,18 +468,36 @@ def _reference_moves(freqs, oma, F):
                     yield t, trial
 
 
+def _inert(options, freqs, ledgers, t, trial):
+    """Whether every source a move edits draws a choice off the air at its
+    slot, judged on the plan's own ledger there."""
+    edited = [i for i, (a, b) in enumerate(zip(freqs[t], trial[t])) if a != b]
+    return not any(phy.on_air(ledgers[t], i, options[t][i][0], t) for i in edited)
+
+
 def test_moves_edit_one_column_as_the_edited_plan():
     # a move rebuilds only the edited sources' actions, and the column it
-    # yields is the one the whole edited plan converts to
+    # yields is the one the whole edited plan converts to; the moves left
+    # out are the inert ones, whose full replays are the plan's own
     rng = np.random.default_rng(5)
     m, T, F = 4, 6, 3
-    edits = 0
+    packets = [Packet(SLICE_THROUGHPUT, 5e5, 0, T - 1), Packet(SLICE_SAFETY, 4800.0, 2, 4)] * m
+    sc = hand_built_scenario([0.0, 300.0, 600.0, 900.0], [100.0, 400.0], packets=packets)
+    chan = forced_channel(sc, -70.0, F=F, T=T)
+    edits = inert = 0
     for k in range(8):
         options, freqs = _random_plan(rng, m, T, F)
         oma = bool(k % 2)
         columns = bl.plan_columns(options, freqs)
-        moves = list(bl._moves(options, columns, freqs, oma))
-        reference = list(_reference_moves(freqs, oma, F))
+        ledgers = bl.evaluate_plan(columns, sc, _link(chan, ChannelConfig()))
+        moves = list(bl._moves(options, columns, freqs, ledgers, oma))
+        reference = []
+        for t, trial in _reference_moves(freqs, oma, F):
+            if _inert(options, freqs, ledgers, t, trial):
+                inert += 1
+                assert bl.evaluate_plan(bl.plan_columns(options, trial), sc, _link(chan, ChannelConfig())) == ledgers
+            else:
+                reference.append((t, trial))
         assert len(moves) == len(reference)
         for (t, column, row), (ref_t, trial) in zip(moves, reference):
             assert t == ref_t
@@ -442,36 +506,52 @@ def test_moves_edit_one_column_as_the_edited_plan():
             kept = [a is b for a, b in zip(column, columns[t])]
             assert kept.count(False) <= 2  # only the edited sources' tuples are new
             edits += 1
-    assert edits > 100
+    assert edits > 100 and inert > 50
 
 
-def _reference_swap_matching(freqs, evaluate, oma, F, max_iters=1000):
-    """The search scoring every trial by a replay of all T slots; evaluate:
-    frequency rows -> delivered count. Returns the final rows, the objective
-    history and the number of plans scored."""
+def _reference_swap_matching(options, freqs, replay, oma, F, max_iters=1000):
+    """The search replaying every trial over all T slots; replay: frequency
+    rows -> the plan's T + 1 ledgers. Returns the final rows, the objective
+    history and the number of plans replayed but for the inert moves, which
+    it re-derives from its own ledgers and checks replay to them."""
     current = freqs
-    history = [int(evaluate(current))]
+    ledgers = replay(current)
+    history = [bl.delivered_packets(ledgers[-1])]
     evaluations = 1
     improved = True
     while improved and len(history) - 1 < max_iters:
         improved = False
-        for _, trial in _reference_moves(current, oma, F):
-            score = int(evaluate(trial))
+        for t, trial in _reference_moves(current, oma, F):
+            trial_ledgers = replay(trial)
+            if _inert(options, current, ledgers, t, trial):
+                assert trial_ledgers == ledgers
+                continue
             evaluations += 1
-            if score > history[-1]:
-                current = trial
-                history.append(score)
+            if bl.delivered_packets(trial_ledgers[-1]) > history[-1]:
+                current, ledgers = trial, trial_ledgers
+                history.append(bl.delivered_packets(ledgers[-1]))
                 improved = True
                 break
     return current, history, evaluations
 
 
-def test_swap_matching_matches_full_replay_search():
+def test_swap_matching_matches_full_replay_search(monkeypatch):
+    # the search with both cuts follows the full-replay search move for move,
+    # and replays every plan but the inert moves'; each trial reads a record
+    # whose tails past the trial's slot are those of the trial's own plan
     cfg = ChannelConfig()
-    env_cfg = EnvConfig(m=5, n=4, F=2, T=6)
     workload = WorkloadConfig(deadline_len_slots=3)
+    real_evaluate = bl.evaluate_plan
+
+    def checked_evaluate(columns, scenario, link, record=None, start=0):
+        if record is not None:
+            assert record.tails[start + 1 :] == bl.plan_record(columns, scenario, link).tails[start + 1 :]
+        return real_evaluate(columns, scenario, link, record, start)
+
+    monkeypatch.setattr(bl, "evaluate_plan", checked_evaluate)
     accepted = 0
-    for seed in range(30):
+    for F, seed in [(2, seed) for seed in range(30)] + [(F, seed) for F in (1, 3) for seed in range(12)]:
+        env_cfg = EnvConfig(m=5, n=4, F=F, T=6)
         sc, link = WorldStream(RoadConfig(), env_cfg, cfg, workload, seed, TAG_EVAL)(0)
         chan = link.chan
         for name in bl.BASELINE_NAMES:
@@ -482,17 +562,17 @@ def test_swap_matching_matches_full_replay_search():
             oma = name.startswith("OMA")
             freqs = bl.initial_rb_allocation(_link(chan, cfg), coverage, oma)
 
-            def full_score(rows):
-                return bl.delivered_packets(bl.evaluate_plan(bl.plan_columns(options, rows), sc, _link(chan, cfg))[-1])
+            def replay(rows):
+                return real_evaluate(bl.plan_columns(options, rows), sc, _link(chan, cfg))
 
-            ref_freqs, ref_history, ref_evaluations = _reference_swap_matching(freqs, full_score, oma, env_cfg.F)
+            ref_freqs, ref_history, ref_evaluations = _reference_swap_matching(options, freqs, replay, oma, F)
             ref_columns = bl.plan_columns(options, ref_freqs)
             assert run.columns == ref_columns
             assert run.objective_history == ref_history
             assert run.evaluations == ref_evaluations
-            assert run.stats == phy.reception_stats(bl.evaluate_plan(ref_columns, sc, _link(chan, cfg))[-1])
+            assert run.stats == phy.reception_stats(replay(ref_freqs)[-1])
             accepted += len(ref_history) - 1
-    assert accepted > 30
+    assert accepted > 50
 
 
 def test_run_baseline_counts_replayed_slots():

@@ -479,27 +479,36 @@ def test_cmd_baseline_paired_hashes(tmp_path):
 
 
 def test_cmd_baseline_draws_each_world_once(tmp_path, monkeypatch):
-    # every algorithm plays the one world drawn and hashed per (sweep point,
-    # episode); a run of two algorithms writes, per point, each one's rows
-    # as a run of that algorithm alone does
+    # every algorithm at every sweep point plays the one world drawn and
+    # hashed per episode index; a run of two algorithms writes, per point,
+    # each one's rows as a run of that algorithm alone does
     cfg = tiny_cfg(size_multipliers=(2, 4))
-    draws, hashed = [], []
+    draws, hashed, played = [], [], []
     draw_world, hash_world = cli.WorldStream.__call__, cli.trace_hash
+    run_baseline = cli.bl.run_baseline
 
     def spy_draw(stream, ep):
         world = draw_world(stream, ep)
-        draws.append((stream.workload.slice2_bytes, ep, id(world[1].chan)))
+        draws.append((ep, world[1]))
         return world
 
     def spy_hash(chan):
-        hashed.append(id(chan))
+        hashed.append(chan)
         return hash_world(chan)
+
+    def spy_run(name, world_scenario, link, rng, max_iters):
+        played.append((world_scenario.packets[1].size_bits, link))
+        return run_baseline(name, world_scenario, link, rng, max_iters)
 
     monkeypatch.setattr(cli.WorldStream, "__call__", spy_draw)
     monkeypatch.setattr(cli, "trace_hash", spy_hash)
+    monkeypatch.setattr(cli.bl, "run_baseline", spy_run)
     cli.cmd_baseline(cfg, list(cli.bl.BASELINE_NAMES), tmp_path / "all.csv", episodes=3, sweep="sizes")
-    assert [d[:2] for d in draws] == [(size, ep) for size in (600, 1200) for ep in range(3)]
-    assert hashed == [d[2] for d in draws]
+    assert [ep for ep, _ in draws] == [0, 1, 2]
+    links = [link for _, link in draws]
+    assert len(hashed) == 3 and all(chan is link.chan for chan, link in zip(hashed, links))
+    # per episode, each point's own safety payload, on that episode's one link
+    assert played == [(8.0 * size, link) for link in links for size in (600, 1200) for _ in cli.bl.BASELINE_NAMES]
 
     def rows(names, path):
         cli.cmd_baseline(cfg, names, path, episodes=3, sweep="sizes")
@@ -515,6 +524,21 @@ def test_cmd_baseline_draws_each_world_once(tmp_path, monkeypatch):
         ]
 
 
+@pytest.mark.parametrize("point", [{"slice2_bytes": 3000}, {"deadline_len_slots": 2}])
+def test_world_at_another_point_is_that_points_world(point):
+    # a sweep point's scenario on the first point's stream equals the world a
+    # stream of its own draws, down to the channel and the packets
+    cfg = tiny_cfg()
+    workload = dataclasses.replace(cfg.workload, **point)
+    first = cli.WorldStream(cfg.road, cfg.env, cfg.channel, cfg.workload, cfg.seed, cli.TAG_EVAL)
+    own = cli.WorldStream(cfg.road, cfg.env, cfg.channel, workload, cfg.seed, cli.TAG_EVAL)
+    for ep in range(3):
+        first_scenario, first_link = first(ep)
+        own_scenario, own_link = own(ep)
+        assert first.with_workload(first_scenario, workload, ep) == own_scenario != first_scenario
+        assert cli.trace_hash(first_link.chan) == cli.trace_hash(own_link.chan)
+
+
 def test_each_world_builds_one_link(tmp_path, monkeypatch):
     # the world stream builds the only link tables: every algorithm, the
     # oracle and the greedy rollout play a world on the link it came with
@@ -528,7 +552,7 @@ def test_each_world_builds_one_link(tmp_path, monkeypatch):
     monkeypatch.setattr(phy, "EpisodeLink", SpyLink)
     cfg = tiny_cfg(size_multipliers=(2, 4))
     cli.cmd_baseline(cfg, list(cli.bl.BASELINE_NAMES), tmp_path / "base.csv", episodes=3, sweep="sizes")
-    assert len(built) == 2 * 3  # sweep points x episodes
+    assert len(built) == 3  # one per episode, whatever the sweep points
     built.clear()
     cli.cmd_oracle(cfg, instances=4, out_path=None)
     assert len(built) == 4
@@ -595,6 +619,38 @@ def test_cmd_plotdata_rejects_a_non_count(tmp_path, capsys, column, value):
     assert cli.main(["plotdata", "--inputs", str(eval_csv), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {eval_csv}: episode 1: {column} {value!r}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "column, value, says",
+    [
+        ("slice2_bytes", "0600", "episode 1: slice2_bytes '0600' is not a canonical nonnegative integer"),
+        ("deadline_slots", "+8", "episode 1: deadline_slots '+8' is not a canonical nonnegative integer"),
+        ("deadline_slots", "8.0", "episode 1: deadline_slots '8.0' is not a canonical nonnegative integer"),
+        ("episode", "x", "episode 'x' is not a canonical nonnegative integer"),
+        ("episode", "01", "episode '01' is not a canonical nonnegative integer"),
+        ("prr", "nope", "episode 1: prr 'nope' is neither empty nor a number in [0, 1]"),
+        ("prr", "nan", "episode 1: prr 'nan' is neither empty nor a number in [0, 1]"),
+        ("prr", "1.5", "episode 1: prr '1.5' is neither empty nor a number in [0, 1]"),
+    ],
+)
+def test_cmd_plotdata_rejects_a_non_canonical_field(tmp_path, capsys, column, value, says):
+    """A hand-written eval file whose second row spells its sweep point or
+    episode other than `str(int)` does (`0600` would group apart from
+    `600`) or carries a prr outside [0, 1] fails naming the file, and no
+    output is written; the same file with canonical fields, an empty prr and
+    prr 0 and 1 aggregates into one row."""
+    rows = [["DQL", ep, 2, 1, prr, 600, 8, 3, 3, "90eac777210bf0f4"] for ep, prr in enumerate(["", 0.0, 1])]
+    eval_csv = tmp_path / "eval.csv"
+    cli._write_csv(eval_csv, cli.EVAL_SCHEMA, cli.EVAL_COLUMNS, rows)
+    plot = cli.cmd_plotdata([eval_csv], tmp_path / "good.csv").read_text().splitlines()
+    assert [line.split(",")[:4] for line in plot[2:]] == [["DQL", "600", "8", "3"]]
+    rows[1][cli.EVAL_COLUMNS.index(column)] = value
+    cli._write_csv(eval_csv, cli.EVAL_SCHEMA, cli.EVAL_COLUMNS, rows)
+    out = tmp_path / "plot.csv"
+    assert cli.main(["plotdata", "--inputs", str(eval_csv), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {eval_csv}: {says}\n"
     assert not out.exists()
 
 

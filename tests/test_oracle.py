@@ -145,7 +145,7 @@ def test_candidates_cover_every_useful_table_action(m, n, F, T, deadline, seed):
                 if not reference_useful(start, s, act, t, link):
                     continue
                 packet = sc.packets[2 * s + (act.packet_id - 1)]
-                if oracle._drains(packet.size_bits, [peaks[s][u] for u in range(T) if packet.open_at(u)]):
+                if phy.drains(packet.size_bits, [peaks[s][u] for u in range(T) if packet.open_at(u)]):
                     assert effect(s, act) in have
 
 
