@@ -1,55 +1,111 @@
-"""Interleaved in-process A/B timing of two source trees of iovslice.
+"""Interleaved in-process A/B timing of two source trees of iovslice, the
+one timing harness for the program's layers and commands.
 
 Side A is the `src/` of a git revision, written out of `git archive` into a
 temporary directory; side B is this checkout's `src/`. Both `iovslice`
 packages are imported into this one process under distinct module names,
 and a case calls the same entry point of each on the same inputs for
 ROUNDS rounds, alternating which side runs first. A round whose two
-outputs differ is refused. The report is each side's median time and the median paired
+outputs differ in any bit is refused. The report is one line naming the
+machine, the numpy and BLAS builds, the BLAS thread count and the base
+commit, over a table of each side's median time and the median paired
 ratio B / A with a bootstrap interval over the rounds, so a ratio under 1
 means B is faster.
 
-Run from the repository root, one BLAS thread:
+Run from the repository root; BLAS runs one thread unless
+OPENBLAS_NUM_THREADS says otherwise:
 
-    OPENBLAS_NUM_THREADS=1 python bench/ab.py --base HEAD~1 --case run_baseline
-    OPENBLAS_NUM_THREADS=1 python bench/ab.py --base HEAD~1 --case cmd_baseline
+    python bench/ab.py --base HEAD~1 --case run_baseline
 
-Cases (each round r uses episode or seed r, the same on both sides):
-- `run_baseline`: the three swap-matching algorithms on episode r of the
-  default evaluation stream, each on a fresh link; outputs are the final
-  columns, the objective history and the stats.
+Each round prepares fresh inputs for both sides and times only the call.
+The collector runs before each timed call and is off during it, so a
+sweep of what set-up or the other side left behind is not charged to the
+call. An entry point that runs in under about 1 ms is called CALLS times
+in one timed call (the cases marked "xCALLS"), so those times are per
+CALLS calls.
+
+Cases (round r uses episode or seed r, the same on both sides). The slot
+path and the baselines play episode r of the default evaluation stream,
+and SLOT is a slot inside its slice-2 window:
+- `apply_slot_cold` (xCALLS): `phy.apply_slot` at SLOT from the
+  start-of-episode ledger, every source on the air at 30 dBm with its
+  slice-1 packet over 400 m, the sources spread over the resource blocks;
+  each call through a fresh link of the episode's channel, so every group
+  and rate is solved.
+- `apply_slot_warm` (xCALLS): the same call through one link that has
+  resolved it before: one memo lookup returns the slot's per-source
+  effects, and what is left is the mask and one drain-and-mark loop.
+- `evaluate_plan` (xCALLS): one swap-matching trial, `baselines.evaluate_plan`
+  replaying the columns of the first move `baselines._moves` yields for
+  NOMA-MP's initial plan, from the plan's `Record`, through the episode's
+  link.
+- `action_mask` (xCALLS): `SlicingEnv.action_mask` for the second vehicle
+  of slot SLOT, after random actions.
+- `initial_rb_allocation_oma`, `initial_rb_allocation_noma` (xCALLS): the
+  greedy start on OMA-MP's coverage draws, under OMA and under NOMA, each
+  call on a fresh link.
+- `run_baseline`: the three swap-matching algorithms, each on a fresh link;
+  outputs are the final columns, the objective history and the stats.
 - `cmd_baseline`: `cli.cmd_baseline` of the three algorithms, 10 episodes
   at seed r; output is the CSV's bytes.
 - `cmd_eval`: `cli.cmd_eval` of the committed checkpoint of the default
   config (the acceptance cache names it by the config's digest) over the
   sizes sweep, 6 episodes per point at seed r; output is the CSV's bytes.
+- `cmd_train`: `cli.cmd_train` of the default config cut to 8 episodes with
+  a warmup of 100 transitions, so 381 gradient updates run, at run and
+  train seed r; output is the checkpoint's bytes and the log's.
+The learner cases run at the default sizes (73 inputs, hidden (256, 128,
+120), 120 actions, batch 32):
+- `replay_sample` (xCALLS): `PrioritizedReplay.sample` of a batch (beta
+  0.4) from a buffer filled to its capacity of 100,000 with priorities
+  drawn at seed r; its observation rows stay zero, so setting it up writes
+  no 117 MB of transitions.
+- `replay_update` (xCALLS): `update_priorities` of a sampled batch on such
+  a buffer.
+- `adam_early`, `adam_late` (xCALLS): one `Adam` step over every parameter
+  from t = 0 (t < 356: both bias corrections divide) and from t = 40,000
+  (t > 37,412: both have rounded to 1.0).
+- `loss_and_grads` (xCALLS): `DuelingQNetwork.loss_and_grads` on one batch.
+The oracle case:
+- `brute_force_optimal`: the exhaustive search on episode r of the
+  evaluation stream at seed 2 with m=2 sources, n=4 destinations, F=2
+  resource blocks and T=3 slots (a 3-slot safety window), on the world's
+  fresh link.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import gc
 import hashlib
 import importlib
 import importlib.util
 import io
+import os
+import platform
 import subprocess
 import sys
 import tarfile
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 from types import ModuleType
 from typing import Callable
 
-import numpy as np
+# numpy reads this once, when it is first imported
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 20
 RESAMPLES = 2000
+CALLS = 50  # calls per timed call of an entry point that runs in under about 1 ms
+SLOT = 3  # a slot inside the default slice-2 window
 
 # prepare(package, round, scratch directory) -> the timed call; the call's
-# result is compared across sides by its repr
+# result is compared across sides through `exact`
 Case = Callable[[ModuleType, int, Path], Callable[[], object]]
 
 
@@ -83,6 +139,28 @@ def extract_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
+def exact(value: object) -> object:
+    """`value` as nested tuples that are equal exactly when two outputs
+    match bit for bit: an array or numpy scalar by its dtype, shape and
+    bytes, a float by its hex form, and a list, tuple or dataclass item by
+    item, each tagged with its type's name. The two sides' classes
+    live under different module names, so `==` between them and pickle
+    cannot compare them, and a repr rounds floats and elides long arrays."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        array = np.asarray(value)
+        return ("ndarray", array.dtype.str, array.shape, array.tobytes())
+    if isinstance(value, float):
+        return ("float", value.hex())
+    name = type(value).__qualname__
+    if dataclasses.is_dataclass(value):
+        return (name, tuple(exact(getattr(value, field.name)) for field in dataclasses.fields(value)))
+    if isinstance(value, (list, tuple)):
+        return (name, tuple(exact(item) for item in value))
+    if value is None or isinstance(value, (int, str, bytes)):
+        return (name, value)
+    raise TypeError(f"no exact encoding for a {name}")
+
+
 def interleave(
     prepare_a: Callable[[int], Callable[[], object]],
     prepare_b: Callable[[int], Callable[[], object]],
@@ -96,10 +174,15 @@ def interleave(
         calls = (prepare_a(r), prepare_b(r))
         outs: list[object] = [None, None]
         for side in (0, 1) if r % 2 == 0 else (1, 0):
-            start = time.perf_counter()
-            outs[side] = calls[side]()
-            times[side].append(time.perf_counter() - start)
-        if repr(outs[0]) != repr(outs[1]):
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                outs[side] = calls[side]()
+                times[side].append(time.perf_counter() - start)
+            finally:
+                gc.enable()
+        if exact(outs[0]) != exact(outs[1]):
             raise OutputsDiffer(f"round {r}: the two sides' outputs differ")
     return times
 
@@ -113,17 +196,78 @@ def median_ratio(a: list[float], b: list[float]) -> tuple[float, float, float]:
     return float(np.median(ratios)), float(lo), float(hi)
 
 
+def _world(pkg: ModuleType, r: int):
+    """The default config and episode r of its evaluation stream."""
+    cfg = pkg.config.RunConfig()
+    return cfg, pkg.worlds.WorldStream(cfg.road, cfg.env, cfg.channel, cfg.workload, cfg.seed, pkg.worlds.TAG_EVAL)(r)
+
+
+def _fresh(pkg: ModuleType, cfg, link):
+    """A link of `link`'s channel with empty memos."""
+    return pkg.phy.EpisodeLink(link.chan, cfg.channel, cfg.env.slot_duration_s)
+
+
+def _apply_slot(warm: bool) -> Case:
+    def prepare(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
+        phy = pkg.phy
+        cfg, (scenario, link) = _world(pkg, r)
+        ledger = phy.DeliveryLedger.start(scenario.packets)
+        actions = [phy.SlotAction(phy.PKT_SLICE1, 400.0, s % cfg.env.F, 30.0) for s in range(cfg.env.m)]
+        if warm:
+            phy.apply_slot(ledger, actions, link, SLOT)
+        links = [link] * CALLS if warm else [_fresh(pkg, cfg, link) for _ in range(CALLS)]
+        return lambda: [phy.apply_slot(ledger, actions, each, SLOT) for each in links]
+
+    return prepare
+
+
+def _evaluate_plan(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
+    bl = pkg.baselines
+    cfg, (scenario, link) = _world(pkg, r)
+    m, _, F, T = link.gain_lin.shape
+    rng = pkg.worlds.algorithm_rng(cfg.seed, cfg.workload, r, bl.BASELINE_NAMES.index("NOMA-MP"))
+    coverage, packet = bl.random_coverage_slice(m, T, rng)
+    options = bl.slot_options(coverage, packet, bl.draw_powers("NOMA-MP", m, T, rng), F)
+    freqs = bl.initial_rb_allocation(link, coverage, oma=False)
+    columns = bl.plan_columns(options, freqs)
+    record = bl.plan_record(columns, scenario, link)
+    t, column, _ = next(bl._moves(options, columns, freqs, record.ledgers, False))
+    trial = columns.copy()
+    trial[t] = column
+    return lambda: [bl.evaluate_plan(trial, scenario, link, record, t) for _ in range(CALLS)]
+
+
+def _action_mask(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
+    cfg, world = _world(pkg, r)
+    env = pkg.env.SlicingEnv(cfg.env)
+    env.reset(*world)
+    rng = np.random.default_rng(r)
+    for _ in range(SLOT * cfg.env.m + 1):
+        env.step(int(rng.integers(cfg.env.n_actions)))
+    return lambda: [env.action_mask() for _ in range(CALLS)]
+
+
+def _initial_rb_allocation(oma: bool) -> Case:
+    def prepare(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
+        bl = pkg.baselines
+        cfg, (_, link) = _world(pkg, r)
+        m, _, _, T = link.gain_lin.shape
+        coverage, _ = bl.random_coverage_slice(m, T, pkg.worlds.algorithm_rng(cfg.seed, cfg.workload, r, 0))
+        links = [_fresh(pkg, cfg, link) for _ in range(CALLS)]
+        return lambda: [bl.initial_rb_allocation(each, coverage, oma) for each in links]
+
+    return prepare
+
+
 def _run_baseline(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
-    bl, cfg = pkg.baselines, pkg.config.RunConfig()
-    stream = pkg.worlds.WorldStream(cfg.road, cfg.env, cfg.channel, cfg.workload, cfg.seed, pkg.worlds.TAG_EVAL)
-    scenario, link = stream(r)
+    bl = pkg.baselines
+    cfg, (scenario, link) = _world(pkg, r)
 
     def call():
         runs = []
         for i, name in enumerate(bl.BASELINE_NAMES):
-            fresh = pkg.phy.EpisodeLink(link.chan, cfg.channel, cfg.env.slot_duration_s)
             rng = pkg.worlds.algorithm_rng(cfg.seed, cfg.workload, r, i)
-            run = bl.run_baseline(name, scenario, fresh, rng, cfg.swap_max_iters)
+            run = bl.run_baseline(name, scenario, _fresh(pkg, cfg, link), rng, cfg.swap_max_iters)
             runs.append((run.columns, run.objective_history, run.stats))
         return runs
 
@@ -140,19 +284,137 @@ def default_checkpoint(pkg: ModuleType) -> Path:
 
 def _csv_case(command: Callable[[ModuleType, object, Path], Path]) -> Case:
     def prepare(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
-        cfg = replace(pkg.config.RunConfig(), seed=r)
+        cfg = dataclasses.replace(pkg.config.RunConfig(), seed=r)
         return lambda: command(pkg, cfg, work / f"{pkg.__name__}.csv").read_bytes()
 
     return prepare
 
 
+def _cmd_train(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
+    cfg = pkg.config.RunConfig()
+    cfg = dataclasses.replace(cfg, seed=r, train=dataclasses.replace(cfg.train, episodes=8, warmup=100, seed=r))
+
+    def call():
+        checkpoint, log = pkg.cli.cmd_train(cfg, work / pkg.__name__, quiet=True)
+        return checkpoint.read_bytes(), log.read_bytes()
+
+    return call
+
+
+def _full_replay(pkg: ModuleType, r: int):
+    """The default buffer filled to capacity, and the default batch size."""
+    cfg = pkg.config.RunConfig()
+    tc = cfg.train
+    buf = pkg.dqn.PrioritizedReplay(tc.replay_capacity, cfg.env.obs_dim, alpha=tc.alpha, priority_eps=tc.priority_eps)
+    buf.size = tc.replay_capacity
+    buf.update_priorities(np.arange(buf.size), np.random.default_rng(r).exponential(size=buf.size))
+    return buf, tc.batch_size
+
+
+def _replay_sample(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
+    buf, batch = _full_replay(pkg, r)
+    rng = np.random.default_rng(r)
+    return lambda: [buf.sample(batch, 0.4, rng) for _ in range(CALLS)]
+
+
+def _replay_update(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
+    buf, batch = _full_replay(pkg, r)
+    rng = np.random.default_rng(r)
+    updates = [(buf.sample(batch, 0.4, rng).indices, rng.exponential(size=batch)) for _ in range(CALLS)]
+
+    def call():
+        for indices, td_abs in updates:
+            buf.update_priorities(indices, td_abs)
+        return buf.tree.nodes, buf.max_priority
+
+    return call
+
+
+def _net(pkg: ModuleType, r: int):
+    cfg = pkg.config.RunConfig()
+    return cfg, pkg.dqn.DuelingQNetwork(cfg.env.obs_dim, cfg.train.hidden, cfg.env.n_actions, np.random.default_rng(r))
+
+
+def _adam(t0: int) -> Case:
+    def prepare(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
+        cfg, net = _net(pkg, r)
+        params, grads = net.params, net.clone().params
+        grads.flat[...] = np.random.default_rng(r).normal(size=grads.flat.size)
+        opt = pkg.dqn.Adam(params, cfg.train.lr)
+        opt.t = t0
+
+        def call():
+            for _ in range(CALLS):
+                opt.step(params, grads)
+            return params.flat, opt.t
+
+        return call
+
+    return prepare
+
+
+def _loss_and_grads(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
+    cfg, net = _net(pkg, r)
+    obs_dim, n_actions, batch = cfg.env.obs_dim, cfg.env.n_actions, cfg.train.batch_size
+    rng = np.random.default_rng(r)
+    args = (
+        rng.uniform(size=(batch, obs_dim)),
+        rng.integers(n_actions, size=batch),
+        rng.normal(size=batch),
+        rng.uniform(0.5, 1.0, size=batch),
+        cfg.train.huber_delta,
+    )
+
+    def call():
+        for _ in range(CALLS - 1):
+            net.loss_and_grads(*args)
+        return net.loss_and_grads(*args)  # the inputs repeat, so the last output stands for all
+
+    return call
+
+
+def _brute_force_optimal(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
+    cfg = pkg.config.RunConfig()
+    env = pkg.env.EnvConfig(m=2, n=4, F=2, T=3)
+    workload = dataclasses.replace(cfg.workload, deadline_len_slots=3)
+    scenario, link = pkg.worlds.WorldStream(cfg.road, env, cfg.channel, workload, 2, pkg.worlds.TAG_EVAL)(r)
+    return lambda: pkg.oracle.brute_force_optimal(scenario, link)
+
+
 CASES: dict[str, Case] = {
+    "apply_slot_cold": _apply_slot(warm=False),
+    "apply_slot_warm": _apply_slot(warm=True),
+    "evaluate_plan": _evaluate_plan,
+    "action_mask": _action_mask,
+    "initial_rb_allocation_oma": _initial_rb_allocation(oma=True),
+    "initial_rb_allocation_noma": _initial_rb_allocation(oma=False),
     "run_baseline": _run_baseline,
     "cmd_baseline": _csv_case(
         lambda pkg, cfg, out: pkg.cli.cmd_baseline(cfg, list(pkg.baselines.BASELINE_NAMES), out, 10, "none")
     ),
     "cmd_eval": _csv_case(lambda pkg, cfg, out: pkg.cli.cmd_eval(cfg, default_checkpoint(pkg), out, 6, "sizes")),
+    "cmd_train": _cmd_train,
+    "replay_sample": _replay_sample,
+    "replay_update": _replay_update,
+    "adam_early": _adam(0),
+    "adam_late": _adam(40_000),
+    "loss_and_grads": _loss_and_grads,
+    "brute_force_optimal": _brute_force_optimal,
 }
+
+
+def machine_line(base: str) -> str:
+    """The machine, the numpy and BLAS builds, the BLAS thread count and the
+    commit `base` resolves to."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    commit = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{base}^{{commit}}"], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
+    return (
+        f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}, numpy {np.__version__},"
+        f" BLAS {blas.get('name')} {blas.get('version')}, OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']},"
+        f" base {base} = {commit}"
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -161,16 +423,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--case", choices=sorted(CASES), required=True)
     args = parser.parse_args(argv)
     case = CASES[args.case]
+    header = machine_line(args.base)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         a = load_package(extract_src(args.base, work / "base"), "iovslice_ab_a")
         b = load_package(ROOT / "src", "iovslice_ab_b")
         case(a, 0, work)()  # warm both sides: imports, caches, first allocations
         case(b, 0, work)()
-        times_a, times_b = interleave(
-            lambda r: case(a, r, work), lambda r: case(b, r, work), ROUNDS
-        )
+        times_a, times_b = interleave(lambda r: case(a, r, work), lambda r: case(b, r, work), ROUNDS)
     ratio, lo, hi = median_ratio(times_a, times_b)
+    print(header)
     print(f"| case | rounds | A {args.base} median ms | B median ms | B/A median | 95% interval |")
     print("| --- | --- | --- | --- | --- | --- |")
     print(

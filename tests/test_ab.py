@@ -2,6 +2,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bench import ab
@@ -77,3 +78,26 @@ def test_differing_outputs_are_refused():
         ab.interleave(side("a"), side("b"), 4)
     assert calls == [0, 0]  # both sides ran round 0, and no round after it
     assert [len(times) for times in ab.interleave(side("a"), side("a"), 4)] == [4, 4]
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.array([0.123456789012]), np.array([0.123456789099])),  # equal to 8 significant digits
+        (np.zeros(2000), np.concatenate([np.zeros(1000), [1e-300], np.zeros(999)])),  # a repr elides the middle
+    ],
+    ids=["tenth-digit", "long-array"],
+)
+def test_outputs_differing_in_any_bit_are_refused(a, b):
+    with pytest.raises(ab.OutputsDiffer):
+        ab.interleave(lambda r: lambda: a, lambda r: lambda: b, 1)
+
+
+@pytest.mark.parametrize("name", sorted(ab.CASES))
+def test_every_case_gives_equal_outputs_on_two_copies(two_copies, tmp_path, name):
+    """Each case's round 0 on two copies of this tree, timing unread, so a
+    changed signature in the layers a case calls cannot break it unnoticed."""
+    case = ab.CASES[name]
+    a, b = two_copies
+    times_a, times_b = ab.interleave(lambda r: case(a, r, tmp_path), lambda r: case(b, r, tmp_path), 1)
+    assert len(times_a) == len(times_b) == 1
