@@ -51,6 +51,11 @@ and SLOT is a slot inside its slice-2 window:
 - `cmd_eval`: `cli.cmd_eval` of the committed checkpoint of the default
   config (the acceptance cache names it by the config's digest) over the
   sizes sweep, 6 episodes per point at seed r; output is the CSV's bytes.
+- `cmd_oracle`: `cli.cmd_oracle`, 20 tiny instances at seed r; output is
+  the CSV's bytes.
+- `cmd_plotdata`: `cli.cmd_plotdata` of the acceptance cache's sizes-sweep
+  DQL rows and default-point baseline rows (1,600 rows), the same every
+  round; output is the CSV's bytes.
 - `cmd_train`: `cli.cmd_train` of the default config cut to 8 episodes with
   a warmup of 100 transitions, so 381 gradient updates run, at run and
   train seed r; output is the checkpoint's bytes and the log's.
@@ -99,6 +104,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+CACHE = ROOT / "tests" / ".acceptance-cache"
+PLOT_INPUTS = [CACHE / "eval-sizes" / "dql.csv", CACHE / "eval-default" / "baselines.csv"]
 ROUNDS = 20
 RESAMPLES = 2000
 CALLS = 50  # calls per timed call of an entry point that runs in under about 1 ms
@@ -279,13 +286,19 @@ def default_checkpoint(pkg: ModuleType) -> Path:
     directory named by the config's digest."""
     config = pkg.config
     key = hashlib.sha256(config.serialize_config(config.RunConfig()).encode()).hexdigest()[:16]
-    return ROOT / "tests" / ".acceptance-cache" / key / "checkpoint.bin"
+    return CACHE / key / "checkpoint.bin"
 
 
-def _csv_case(command: Callable[[ModuleType, object, Path], Path]) -> Case:
+def _csv_case(command: Callable[[ModuleType, object, Path], object]) -> Case:
     def prepare(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
         cfg = dataclasses.replace(pkg.config.RunConfig(), seed=r)
-        return lambda: command(pkg, cfg, work / f"{pkg.__name__}.csv").read_bytes()
+        out = work / f"{pkg.__name__}.csv"
+
+        def call():
+            command(pkg, cfg, out)
+            return out.read_bytes()
+
+        return call
 
     return prepare
 
@@ -393,6 +406,8 @@ CASES: dict[str, Case] = {
         lambda pkg, cfg, out: pkg.cli.cmd_baseline(cfg, list(pkg.baselines.BASELINE_NAMES), out, 10, "none")
     ),
     "cmd_eval": _csv_case(lambda pkg, cfg, out: pkg.cli.cmd_eval(cfg, default_checkpoint(pkg), out, 6, "sizes")),
+    "cmd_oracle": _csv_case(lambda pkg, cfg, out: pkg.cli.cmd_oracle(cfg, 20, out)),
+    "cmd_plotdata": _csv_case(lambda pkg, cfg, out: pkg.cli.cmd_plotdata(PLOT_INPUTS, out)),
     "cmd_train": _cmd_train,
     "replay_sample": _replay_sample,
     "replay_update": _replay_update,

@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,77 +34,108 @@ from .phy import EpisodeLink, ReceptionStats
 from .scenario import Scenario
 from .worlds import TAG_EVAL, TAG_TRAIN, WorkloadConfig, WorldStream, algorithm_rng
 
-TRAINING_LOG_SCHEMA = "# schema: iovslice-training-log/1"
-EVAL_SCHEMA = "# schema: iovslice-eval/1"
-PLOTDATA_SCHEMA = "# schema: iovslice-plotdata/1"
-ORACLE_SCHEMA = "# schema: iovslice-oracle/1"
 
-EVAL_COLUMNS = [
-    "algorithm",
-    "episode",
-    "slice1_delivered",
-    "slice2_delivered",
-    "prr",
-    "slice2_bytes",
-    "deadline_slots",
-    "slice1_packets",
-    "slice2_packets",
-    "channel_hash",
-]
-
-PLOTDATA_COLUMNS = [
-    "algorithm",
-    "slice2_bytes",
-    "deadline_slots",
-    "episodes",
-    "slice1_mean",
-    "slice1_stderr",
-    "slice2_mean",
-    "slice2_stderr",
-    "total_mean",
-    "total_stderr",
-]
+def _count(text: str) -> int:
+    """A nonnegative integer as `str(int)` writes it (`0600` would split a sweep point)."""
+    if not (text.isascii() and text.isdecimal() and (text == "0" or text[0] != "0")):
+        raise ValueError("is not a canonical nonnegative integer")
+    return int(text)
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _prr(text: str) -> float | None:
+    """None for an empty field, else a float in [0, 1]; nan is refused."""
+    if not text:
+        return None
+    try:
+        if 0.0 <= (value := float(text)) <= 1.0:
+            return value
+    except ValueError:
+        pass
+    raise ValueError("is neither empty nor a number in [0, 1]")
 
 
-def _write_csv(path: Path, schema: str, columns: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(schema + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+class Table(NamedTuple):
+    """One CSV format: a schema line, then a header of the columns in file
+    order. A format that is read maps each column to its field's parser,
+    one only written maps each to None. csv writes None as an empty field
+    and a float as its repr."""
+
+    schema: str
+    columns: dict[str, Callable[[str], object] | None]
+
+    def write(self, path: Path, rows: Iterable[Sequence]) -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(self.schema + "\n")
+            writer = csv.writer(fh)
+            writer.writerow(self.columns)
+            writer.writerows(rows)
+
+    def read(self, path: Path) -> list[dict[str, object]]:
+        """The parsed rows, keyed by column, blank lines skipped. A ValueError
+        naming the file refuses another schema line, a header that misses,
+        adds or repeats a column, a row of more or fewer fields, a field over
+        csv's size limit or that its parser refuses, and non-UTF-8 bytes."""
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                first = fh.readline().rstrip("\n")
+                if first != self.schema:
+                    raise ValueError(f"{path}: schema line {first!r} does not match expected {self.schema!r}")
+                header = next(reader, [])
+                missing = [c for c in self.columns if c not in header]
+                extra = [c for i, c in enumerate(header) if c not in self.columns or c in header[:i]]  # repeats too
+                if missing or extra:
+                    raise ValueError(f"{path}: column mismatch, missing={missing}, unexpected={extra}")
+                at = [(name, header.index(name), parse) for name, parse in self.columns.items()]
+                rows = []
+                for fields in filter(None, reader):
+                    if len(fields) != len(header):
+                        raise ValueError(f"{path}: line {reader.line_num + 1}: {len(fields)} fields, not {len(header)}")
+                    row = {}
+                    for name, i, parse in at:
+                        try:
+                            row[name] = parse(fields[i])
+                        except ValueError as exc:
+                            where = f"episode {row['episode']}: " if "episode" in row else ""
+                            raise ValueError(f"{path}: {where}{name} {fields[i]!r} {exc}") from None
+                    rows.append(row)
+            except csv.Error as exc:
+                raise ValueError(f"{path}: line {reader.line_num + 1}: {exc}") from None
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+        return rows
 
 
-def _read_csv(path: Path, expected_schema: str) -> tuple[list[str], list[dict[str, str]]]:
-    """The header and the rows (as dicts keyed by it) after the schema line;
-    blank lines are skipped. A row with more or fewer fields than the header,
-    or a field over csv's size limit, is refused (ValueError)."""
-    with open(path, newline="") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != expected_schema:
-            raise ValueError(
-                f"{path}: schema line {first!r} does not match expected {expected_schema!r}"
-            )
-        reader = csv.reader(fh)
-        rows = []
-        try:
-            header = next(reader, [])
-            for fields in filter(None, reader):
-                if len(fields) != len(header):
-                    raise ValueError(f"{path}: line {reader.line_num + 1}: {len(fields)} fields, not {len(header)}")
-                rows.append(dict(zip(header, fields)))
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num + 1}: {exc}") from None
-        return header, rows
+TRAINING_LOG = Table(
+    "# schema: iovslice-training-log/1",
+    dict.fromkeys(["episode", "return", "moving_avg_200", "epsilon", "loss_mean"]),  # TrainLogRow's fields
+)
+EVAL = Table(
+    "# schema: iovslice-eval/1",
+    {
+        "algorithm": str,
+        "episode": _count,
+        "slice1_delivered": _count,
+        "slice2_delivered": _count,
+        "prr": _prr,
+        "slice2_bytes": _count,
+        "deadline_slots": _count,
+        "slice1_packets": _count,
+        "slice2_packets": _count,
+        "channel_hash": str,
+    },
+)
+PLOTDATA = Table(
+    "# schema: iovslice-plotdata/1",
+    dict.fromkeys(
+        [
+            "algorithm", "slice2_bytes", "deadline_slots", "episodes",
+            "slice1_mean", "slice1_stderr", "slice2_mean", "slice2_stderr", "total_mean", "total_stderr",
+        ]
+    ),
+)
+ORACLE = Table("# schema: iovslice-oracle/1", dict.fromkeys(["instance", "m", "T", "optimum", *bl.BASELINE_NAMES]))
 
 
 def _check_out_dir(out: Path) -> None:
@@ -159,12 +190,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> tuple[Path,
     ckpt = out_dir / "checkpoint.bin"
     save_checkpoint(net, ckpt)
     log_path = out_dir / "training_log.csv"
-    _write_csv(
-        log_path,
-        TRAINING_LOG_SCHEMA,
-        ["episode", "return", "moving_avg_200", "epsilon", "loss_mean"],
-        [[r.episode, r.episode_return, r.moving_avg_200, r.epsilon, r.loss_mean] for r in log],
-    )
+    TRAINING_LOG.write(log_path, map(astuple, log))
     return ckpt, log_path
 
 
@@ -172,9 +198,9 @@ Policy = tuple[str, Callable[[WorkloadConfig, int, Scenario, EpisodeLink], Recep
 
 
 def _eval_rows(cfg: RunConfig, workloads: list[WorkloadConfig], episodes: int, policies: list[Policy]) -> list[list]:
-    """EVAL_COLUMNS rows of every (name, play) policy on the paired
-    evaluation stream at every sweep point: point by point, within a point
-    policy by policy, and within a policy episode by episode. Each episode's
+    """EVAL rows of every (name, play) policy on the paired evaluation
+    stream at every sweep point: point by point, within a point policy by
+    policy, and within a policy episode by episode. Each episode's
     world (scenario, link) is drawn and its channel hashed once, and it
     serves every point and policy: the channel draw has no workload term, so
     each further point takes the episode's scenario at that point
@@ -220,8 +246,9 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, out_path: Path, episodes: int, sw
         )
     env = SlicingEnv(cfg.env)
     dql: Policy = ("DQL", lambda workload, ep, scenario, link: greedy_episode(net, env, scenario, link))
-    rows = _eval_rows(cfg, sweep_points(cfg, sweep), episodes, [dql])
-    _write_csv(out_path, EVAL_SCHEMA, EVAL_COLUMNS, rows)
+    workloads = sweep_points(cfg, sweep)
+    _check_out_dir(out_path.parent)
+    EVAL.write(out_path, _eval_rows(cfg, workloads, episodes, [dql]))
     return out_path
 
 
@@ -246,8 +273,9 @@ def cmd_baseline(cfg: RunConfig, names: list[str], out_path: Path, episodes: int
 
         return name, play
 
-    rows = _eval_rows(cfg, sweep_points(cfg, sweep), episodes, [baseline(name) for name in names])
-    _write_csv(out_path, EVAL_SCHEMA, EVAL_COLUMNS, rows)
+    workloads = sweep_points(cfg, sweep)
+    _check_out_dir(out_path.parent)
+    EVAL.write(out_path, _eval_rows(cfg, workloads, episodes, [baseline(name) for name in names]))
     return out_path
 
 
@@ -274,6 +302,8 @@ def oracle_instance(
 def cmd_oracle(cfg: RunConfig, instances: int, out_path: Path | None) -> list[dict]:
     """Tiny-instance sanity sweep: exhaustive optimum vs every policy."""
     _check_count("instances", instances)
+    if out_path is not None:
+        _check_out_dir(out_path.parent)
     results = []
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA11CE]))
     for k in range(instances):
@@ -284,11 +314,10 @@ def cmd_oracle(cfg: RunConfig, instances: int, out_path: Path | None) -> list[di
             cfg.workload, deadline_len_slots=min(cfg.workload.deadline_len_slots, T)
         )
         _, _, optimum, runs = oracle_instance(cfg, env_cfg, workload, cfg.seed + k)
-        counts = {name: sum(run.stats.packets) for name, run in runs.items()}
-        results.append({"instance": k, "m": m, "T": T, "optimum": optimum, **counts})
+        counts = [sum(run.stats.packets) for run in runs.values()]  # in BASELINE_NAMES order
+        results.append(dict(zip(ORACLE.columns, [k, m, T, optimum, *counts])))
     if out_path is not None:
-        cols = ["instance", "m", "T", "optimum", *bl.BASELINE_NAMES]
-        _write_csv(out_path, ORACLE_SCHEMA, cols, [[r[c] for c in cols] for r in results])
+        ORACLE.write(out_path, map(dict.values, results))
     return results
 
 
@@ -300,61 +329,21 @@ def _mean_stderr(values: list[float]) -> tuple[float, float | None]:
     return mean, float(arr.std(ddof=1) / np.sqrt(len(arr)))
 
 
-def _is_canonical_count(value: str) -> bool:
-    """Whether `value` is a nonnegative integer as `str(int)` writes it."""
-    return value.isascii() and value.isdecimal() and (value == "0" or value[0] != "0")
-
-
-def _is_ratio(value: str) -> bool:
-    """Whether `value` parses as a float in [0, 1] (nan is not)."""
-    try:
-        return 0.0 <= float(value) <= 1.0
-    except ValueError:
-        return False
-
-
 def cmd_plotdata(inputs: list[Path], out_path: Path) -> Path:
     """Mean and standard error per (algorithm, slice-2 size, deadline) over
-    the rows of every input. A header that misses, adds or repeats a column,
-    a row repeating one already read (the same algorithm, sweep point,
-    episode and channel), an episode, slice-2 size or deadline that is not
-    a nonnegative integer in canonical form (so `600` and `0600` cannot
-    split one sweep point), a prr that is neither empty nor a number in
-    [0, 1] and a delivered count that is not a nonnegative integer are
-    refused; so are the malformed rows `_read_csv` refuses."""
+    every input's rows, grouped and sorted on the key's text (600 after
+    3000). A row repeating one already read (same algorithm, sweep point,
+    episode and channel) is refused, as is what `EVAL.read` refuses."""
     groups: dict[tuple[str, str, str], list[tuple[int, int]]] = {}
-    seen: set[tuple[str, ...]] = set()
+    seen: set[tuple] = set()
     for path in inputs:
-        columns, rows = _read_csv(path, EVAL_SCHEMA)
-        missing = [c for c in EVAL_COLUMNS if c not in columns]
-        extra = [c for i, c in enumerate(columns) if c not in EVAL_COLUMNS or c in columns[:i]]  # repeats too
-        if missing or extra:
-            raise ValueError(
-                f"{path}: eval column mismatch, missing={missing}, unexpected={extra}"
-            )
-        for row in rows:
-            for column in ("episode", "slice2_bytes", "deadline_slots"):
-                if not _is_canonical_count(row[column]):
-                    where = "" if column == "episode" else f"episode {row['episode']}: "
-                    raise ValueError(f"{path}: {where}{column} {row[column]!r} is not a canonical nonnegative integer")
-            if row["prr"] and not _is_ratio(row["prr"]):
-                raise ValueError(
-                    f"{path}: episode {row['episode']}: prr {row['prr']!r} is neither empty nor a number in [0, 1]"
-                )
-            key = (row["algorithm"], row["slice2_bytes"], row["deadline_slots"])
+        for row in EVAL.read(path):
+            key = (row["algorithm"], str(row["slice2_bytes"]), str(row["deadline_slots"]))
             row_key = (*key, row["episode"], row["channel_hash"])
             if row_key in seen:
                 raise ValueError(f"{path}: duplicate row for {row['algorithm']} episode {row['episode']}")
             seen.add(row_key)
-            counts = []
-            for column in ("slice1_delivered", "slice2_delivered"):
-                value = row[column]
-                if not (value.isascii() and value.isdecimal()):
-                    raise ValueError(
-                        f"{path}: episode {row['episode']}: {column} {value!r} is not a nonnegative integer"
-                    )
-                counts.append(int(value))
-            groups.setdefault(key, []).append(tuple(counts))
+            groups.setdefault(key, []).append((row["slice1_delivered"], row["slice2_delivered"]))
     out_rows = []
     for (algo, size, deadline), vals in sorted(groups.items()):
         s1 = [v[0] for v in vals]
@@ -364,7 +353,7 @@ def cmd_plotdata(inputs: list[Path], out_path: Path) -> Path:
         m2, e2 = _mean_stderr(s2)
         mt, et = _mean_stderr(tot)
         out_rows.append([algo, size, deadline, len(vals), m1, e1, m2, e2, mt, et])
-    _write_csv(out_path, PLOTDATA_SCHEMA, PLOTDATA_COLUMNS, out_rows)
+    PLOTDATA.write(out_path, out_rows)
     return out_path
 
 

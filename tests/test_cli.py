@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import os
@@ -309,7 +310,7 @@ def test_cmd_train_writes_outputs(tmp_path):
     ckpt, log_path = cli.cmd_train(cfg, tmp_path / "run", quiet=True)
     assert ckpt.exists() and log_path.exists()
     lines = log_path.read_text().splitlines()
-    assert lines[0] == cli.TRAINING_LOG_SCHEMA
+    assert lines[0] == cli.TRAINING_LOG.schema
     assert lines[1] == "episode,return,moving_avg_200,epsilon,loss_mean"
     assert len(lines) == 2 + 3
 
@@ -418,14 +419,28 @@ def test_eval_output_digest_is_pinned(tmp_path):
     )
 
 
+def test_plotdata_output_digest_is_pinned(tmp_path):
+    """`plotdata` of the committed sizes-sweep DQL rows and default-point
+    baseline rows writes exactly the recorded bytes. Groups sort by the
+    key's text, so `600` comes after `3000` among the DQL rows."""
+    cache = Path(__file__).parent / ".acceptance-cache"
+    inputs = [cache / "eval-sizes" / "dql.csv", cache / "eval-default" / "baselines.csv"]
+    out = cli.cmd_plotdata(inputs, tmp_path / "plot.csv")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "4f7d7e652ecdc50f46ceb306a95ad08bf6ec62781f0720711af928bcb7252147"
+    )
+    dql = [line.split(",") for line in out.read_text().splitlines()[2:] if line.startswith("DQL,")]
+    assert dql[-1][1] == "600"
+
+
 def test_cmd_eval_rows_and_bounds(tmp_path):
     cfg = tiny_cfg()
     ckpt, _ = cli.cmd_train(cfg, tmp_path / "run", quiet=True)
     out = cli.cmd_eval(cfg, ckpt, tmp_path / "eval.csv", episodes=3, sweep="none")
     lines = out.read_text().splitlines()
-    assert lines[0] == cli.EVAL_SCHEMA
+    assert lines[0] == cli.EVAL.schema
     header = lines[1].split(",")
-    assert header == cli.EVAL_COLUMNS
+    assert header == list(cli.EVAL.columns)
     rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
     assert len(rows) == 3
     m, n = cfg.env.m, cfg.env.n
@@ -599,16 +614,19 @@ def test_cmd_plotdata_rejects_a_repeated_row(tmp_path):
         ("slice2_delivered", "-1"),
         ("slice2_delivered", "1.5"),
         ("slice1_delivered", "abc"),
+        ("slice1_delivered", "007"),
+        ("slice2_packets", "x"),
     ],
 )
 def test_cmd_plotdata_rejects_a_non_count(tmp_path, capsys, column, value):
-    """A delivered count that is not a nonnegative integer fails naming the
-    file and episode, and no output is written."""
-    rows = [dict(zip(cli.EVAL_COLUMNS, ["DQL", ep, 2, 1, 0.5, 600, 8, 3, 3, "90eac777210bf0f4"])) for ep in range(3)]
+    """A delivered or packet count that is not a nonnegative integer as
+    `str(int)` writes it fails naming the file and episode, and no output
+    is written."""
+    rows = [dict(zip(cli.EVAL.columns, ["DQL", ep, 2, 1, 0.5, 600, 8, 3, 3, "90eac777210bf0f4"])) for ep in range(3)]
     eval_csv = tmp_path / "eval.csv"
 
     def write_rows():
-        cli._write_csv(eval_csv, cli.EVAL_SCHEMA, cli.EVAL_COLUMNS, [list(r.values()) for r in rows])
+        cli.EVAL.write(eval_csv, [list(r.values()) for r in rows])
 
     write_rows()
     plot = cli.cmd_plotdata([eval_csv], tmp_path / "good.csv").read_text().splitlines()
@@ -643,11 +661,11 @@ def test_cmd_plotdata_rejects_a_non_canonical_field(tmp_path, capsys, column, va
     prr 0 and 1 aggregates into one row."""
     rows = [["DQL", ep, 2, 1, prr, 600, 8, 3, 3, "90eac777210bf0f4"] for ep, prr in enumerate(["", 0.0, 1])]
     eval_csv = tmp_path / "eval.csv"
-    cli._write_csv(eval_csv, cli.EVAL_SCHEMA, cli.EVAL_COLUMNS, rows)
+    cli.EVAL.write(eval_csv, rows)
     plot = cli.cmd_plotdata([eval_csv], tmp_path / "good.csv").read_text().splitlines()
     assert [line.split(",")[:4] for line in plot[2:]] == [["DQL", "600", "8", "3"]]
-    rows[1][cli.EVAL_COLUMNS.index(column)] = value
-    cli._write_csv(eval_csv, cli.EVAL_SCHEMA, cli.EVAL_COLUMNS, rows)
+    rows[1][list(cli.EVAL.columns).index(column)] = value
+    cli.EVAL.write(eval_csv, rows)
     out = tmp_path / "plot.csv"
     assert cli.main(["plotdata", "--inputs", str(eval_csv), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {eval_csv}: {says}\n"
@@ -661,13 +679,13 @@ def test_cmd_plotdata_rejects_a_non_canonical_field(tmp_path, capsys, column, va
         ("extra field", "line 4: 11 fields, not 10"),
         ("long field", "line 4: field larger than field limit"),
         ("repeated column", "unexpected=['slice1_delivered']"),
+        ("not utf-8", "'utf-8' codec can't decode byte 0xff"),
     ],
 )
 def test_cmd_plotdata_rejects_a_malformed_file(tmp_path, capsys, case, says):
     """A row with fewer or more fields than the header, a field over csv's
-    size limit and a header naming a column twice each fail naming the
-    file, and no output is written."""
-    header = list(cli.EVAL_COLUMNS)
+    size limit, a header naming a column twice and bytes that are not UTF-8
+    each fail naming the file, and no output is written."""
     rows = [["DQL", ep, 2, 1, 0.5, 600, 8, 3, 3, "90eac777210bf0f4"] for ep in range(3)]
     if case == "short row":
         rows[1].pop()
@@ -675,16 +693,37 @@ def test_cmd_plotdata_rejects_a_malformed_file(tmp_path, capsys, case, says):
         rows[1].append(7)
     elif case == "long field":
         rows[1][-1] = "f" * 200_000
-    else:  # a second slice1_delivered, which must not replace the first
-        header.append("slice1_delivered")
-        rows = [row + [9] for row in rows]
     eval_csv = tmp_path / "eval.csv"
-    cli._write_csv(eval_csv, cli.EVAL_SCHEMA, header, rows)
+    cli.EVAL.write(eval_csv, rows)
+    if case == "repeated column":  # a second slice1_delivered, which must not replace the first
+        with open(eval_csv, "w", newline="") as fh:
+            fh.write(cli.EVAL.schema + "\n")
+            csv.writer(fh).writerows([[*cli.EVAL.columns, "slice1_delivered"], *(row + [9] for row in rows)])
+    elif case == "not utf-8":
+        eval_csv.write_bytes(eval_csv.read_bytes().replace(b"DQL,1,", b"DQ\xff,1,"))
     out = tmp_path / "plot.csv"
     assert cli.main(["plotdata", "--inputs", str(eval_csv), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {eval_csv}: ") and says in err
     assert not out.exists()
+
+
+_COUNT = st.integers(min_value=0)
+_TEXT = st.text(st.characters(blacklist_categories=["Cs"]))  # a lone surrogate has no UTF-8 form
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(_TEXT, *[_COUNT] * 3, st.none() | st.floats(0.0, 1.0), *[_COUNT] * 4, _TEXT)))
+def test_eval_table_round_trip(tmp_path_factory, rows):
+    """EVAL rows of valid values read back as written: counts as ints, a
+    float prr bit for bit, a None prr through an empty field and back."""
+    path = tmp_path_factory.mktemp("eval") / "eval.csv"
+    cli.EVAL.write(path, rows)
+
+    def exact(row):
+        return [v.hex() if isinstance(v, float) else v for v in row]
+
+    assert [exact(row.values()) for row in cli.EVAL.read(path)] == [exact(row) for row in rows]
 
 
 def test_cmd_plotdata_aggregates(tmp_path):
@@ -694,9 +733,9 @@ def test_cmd_plotdata_aggregates(tmp_path):
     base_out = cli.cmd_baseline(cfg, ["NOMA-MP"], tmp_path / "base.csv", episodes=3, sweep="none")
     plot = cli.cmd_plotdata([eval_out, base_out], tmp_path / "plot.csv")
     lines = plot.read_text().splitlines()
-    assert lines[0] == cli.PLOTDATA_SCHEMA
+    assert lines[0] == cli.PLOTDATA.schema
     header = lines[1].split(",")
-    assert header == cli.PLOTDATA_COLUMNS
+    assert header == list(cli.PLOTDATA.columns)
     rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
     assert len(rows) == 2  # algorithms x one sweep point
     for row in rows:
@@ -721,7 +760,7 @@ def test_cmd_plotdata_rejects_wrong_schema(tmp_path):
     with pytest.raises(ValueError, match="schema"):
         cli.cmd_plotdata([bad], tmp_path / "plot.csv")
     mangled = tmp_path / "mangled.csv"
-    mangled.write_text(cli.EVAL_SCHEMA + "\nalgorithm,episode\nDQL,0\n")
+    mangled.write_text(cli.EVAL.schema + "\nalgorithm,episode\nDQL,0\n")
     with pytest.raises(ValueError, match="missing"):
         cli.cmd_plotdata([mangled], tmp_path / "plot.csv")
 
@@ -745,6 +784,33 @@ def test_cmd_train_unwritable_out_fails_fast(tmp_path):
     with pytest.raises(OSError):
         cli.cmd_train(cfg, blocked / "run", quiet=True)
     assert time.time() - t0 < 2.0  # failed before any training compute
+
+
+@pytest.mark.parametrize("command", ["eval", "baseline", "oracle"])
+def test_unwritable_out_fails_before_the_first_episode(tmp_path, monkeypatch, command):
+    # a file where a directory should be defeats even a root test runner
+    blocked = tmp_path / "blocked"
+    blocked.write_text("")
+    cfg = tiny_cfg()
+    ckpt = tmp_path / "ckpt.bin"
+    save_checkpoint(DuelingQNetwork(cfg.env.obs_dim, (4,), cfg.env.n_actions, rng=None), ckpt)
+    starts = []
+    draw_world = cli.WorldStream.__call__
+
+    def spy(stream, ep):
+        starts.append(ep)
+        return draw_world(stream, ep)
+
+    monkeypatch.setattr(cli.WorldStream, "__call__", spy)
+    out = blocked / f"{command}.csv"
+    with pytest.raises(OSError):
+        if command == "eval":
+            cli.cmd_eval(cfg, ckpt, out, episodes=3, sweep="none")
+        elif command == "baseline":
+            cli.cmd_baseline(cfg, ["NOMA-MP"], out, episodes=3, sweep="none")
+        else:
+            cli.cmd_oracle(cfg, instances=3, out_path=out)
+    assert starts == []
 
 
 def test_cmd_oracle_runs(tmp_path):
