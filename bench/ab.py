@@ -10,7 +10,10 @@ outputs differ in any bit is refused. The report is one line naming the
 machine, the numpy and BLAS builds, the BLAS thread count and the base
 commit, over a table of each side's median time and the median paired
 ratio B / A with a bootstrap interval over the rounds, so a ratio under 1
-means B is faster.
+means B is faster. Only the ratio and its interval compare across
+invocations: on a shared VM the medians of separate runs drift (two runs
+15 minutes apart on a 2-vCPU VM read `apply_slot_cold` 1.91 and then
+2.64 ms, while every B/A stayed within 0.97-1.03).
 
 Run from the repository root; BLAS runs one thread unless
 OPENBLAS_NUM_THREADS says otherwise:

@@ -131,7 +131,8 @@ class Record(NamedTuple):
     (T + 1), `delivered` the count they deliver, and `tails[k]` (k = 0..T)
     maps a packet index to the lone bits (`phy.EpisodeLink.lone_bits`) of
     the plan's columns at slots k..T-1 that name the packet within its
-    window, in slot order; a packet no such column names is absent.
+    window, in slot order; a packet no such column names is absent. That
+    is the tails format `phy.reach` reads.
     """
 
     ledgers: list[phy.DeliveryLedger]
@@ -169,14 +170,12 @@ def evaluate_plan(
       - the tail sums, the division, log2, the product and the min over
         the group all round monotonically, and so does `phy.drain`, so no
         rate rises and every leftover stays at least the record's.
-    - Reach: the packets delivered so far, plus the undelivered ones that
-      `phy.drains` within `record.tails[k]`, are at most
-      `record.delivered`. A later slot carries a packet's bits only if its
-      column names the packet within its window, and then no more than the
-      source's lone bits (`phy.EpisodeLink.lone_bits`), since interference
-      only lowers SINR under SIC and the roundings are monotone;
-      `phy.drain` is monotone in both arguments, so a packet that those
-      carries cannot empty is never delivered.
+    - Reach: `phy.reach` of the leftover over `record.tails[k]` is at most
+      `record.delivered`. Its premise holds: the later columns are the
+      record's, and a column carries a packet only if it names the packet
+      within its window, and then no more than the source's lone bits
+      (`phy.EpisodeLink.lone_bits`), since interference only lowers SINR
+      under SIC and the roundings are monotone.
     Both arguments rest on ideal SIC and on the ledger semantics of `phy`
     (a packet's leftover only falls, and a delivered or closed packet is
     masked off the air); a change to either must re-derive them.
@@ -192,14 +191,7 @@ def evaluate_plan(
             left = ledger.leftover_bits
             if all(map(ge, left, record.ledgers[t + 1].leftover_bits)):
                 break
-            # undelivered packets that must still finish to beat the record
-            need = record.delivered + 1 - left.count(0.0)
-            for p, bits in record.tails[t + 1].items():
-                if need <= 0:
-                    break
-                if left[p] > 0.0 and phy.drains(left[p], bits):
-                    need -= 1
-            if need > 0:
+            if phy.reach(left, record.tails[t + 1]) <= record.delivered:
                 break
     return ledgers
 

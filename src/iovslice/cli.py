@@ -331,14 +331,15 @@ def _mean_stderr(values: list[float]) -> tuple[float, float | None]:
 
 def cmd_plotdata(inputs: list[Path], out_path: Path) -> Path:
     """Mean and standard error per (algorithm, slice-2 size, deadline) over
-    every input's rows, grouped and sorted on the key's text (600 after
-    3000). A row repeating one already read (same algorithm, sweep point,
-    episode and channel) is refused, as is what `EVAL.read` refuses."""
-    groups: dict[tuple[str, str, str], list[tuple[int, int]]] = {}
+    every input's rows, grouped and sorted on the algorithm's name and the
+    parsed counts (600 before 3000). A row repeating one already read (same
+    algorithm, sweep point, episode and channel) is refused, as is what
+    `EVAL.read` refuses."""
+    groups: dict[tuple[str, int, int], list[tuple[int, int]]] = {}
     seen: set[tuple] = set()
     for path in inputs:
         for row in EVAL.read(path):
-            key = (row["algorithm"], str(row["slice2_bytes"]), str(row["deadline_slots"]))
+            key = (row["algorithm"], row["slice2_bytes"], row["deadline_slots"])
             row_key = (*key, row["episode"], row["channel_hash"])
             if row_key in seen:
                 raise ValueError(f"{path}: duplicate row for {row['algorithm']} episode {row['episode']}")

@@ -30,13 +30,14 @@ over the raw choices.
 A packet is delivered exactly when its leftover is 0.0, so the search state
 at a slot is the ledger's `leftover_bits` tuple alone. A state reached twice
 is searched once, since everything after a slot depends on it alone; and a
-branch is cut once the packets delivered so far plus those that peak rates
-could still finish (`_peak_bits`) cannot beat the best count found.
+branch is cut once `phy.reach` of its leftover over the peak tails
+(`_peak_tails`) cannot beat the best count found.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass
 from itertools import product
 
@@ -58,31 +59,37 @@ class OracleResult:
     best_actions: tuple[tuple[phy.SlotAction, ...], ...]  # per slot, per source
 
 
-def _peak_bits(link: phy.EpisodeLink) -> list[list[float]]:
-    """Per source and slot, the most bits any choice can send: the
-    interference-free rate at the highest power to the best destination
-    within the widest radius, on the best frequency. Each term is
-    `phy.EpisodeLink.lone_bits` of a one-member group, so no real
-    transmission can exceed it."""
+def _peak_tails(scenario: Scenario, link: phy.EpisodeLink) -> list[dict[int, tuple[float, ...]]]:
+    """The peaks in `baselines.Record.tails`' format: per slot t (T + 1
+    entries), each deliverable packet mapped to the positive peak bits of
+    its open slots from t on. A source's peak at a slot is the most bits any
+    choice sends: the lone bits (`phy.EpisodeLink.lone_bits`) at the
+    highest power to the best destination of the widest radius, on the best
+    frequency. A broadcast runs at its worst member's rate, so these tails
+    dominate every sequence (`phy.reach`); a packet whose peaks do not drain
+    its size is not deliverable, and no sequence delivers it."""
     m, _, F, T = link.gain_lin.shape
     p_max = phy.power_lin_mw(max(phy.POWER_LEVELS_DBM))
-    peaks = []
+    tails: list[dict[int, tuple[float, ...]]] = [{} for _ in range(T + 1)]
     for s in range(m):
-        reach = link.group(s, max(phy.COVERAGE_LEVELS_M))
-        peaks.append(
-            [
-                max((link.lone_bits(t, s, (d,), f, p_max) for d in reach for f in range(F)), default=0.0)
-                for t in range(T)
-            ]
-        )
-    return peaks
+        group = link.group(s, max(phy.COVERAGE_LEVELS_M))
+        peaks = [
+            max((link.lone_bits(t, s, (d,), f, p_max) for d in group for f in range(F)), default=0.0) for t in range(T)
+        ]
+        for k in (2 * s, 2 * s + 1):
+            slots = [t for t in range(T) if peaks[t] > 0.0 and scenario.packets[k].open_at(t)]
+            if phy.drains(scenario.packets[k].size_bits, [peaks[t] for t in slots]):
+                for t in range(T + 1):
+                    tails[t][k] = tuple([peaks[u] for u in slots if u >= t])
+    return tails
 
 
 def candidate_actions(
-    scenario: Scenario, link: phy.EpisodeLink, peaks: list[list[float]]
+    scenario: Scenario, link: phy.EpisodeLink, deliverable: Collection[int]
 ) -> list[list[list[phy.SlotAction]]]:
     """Per source and slot, the choices the search has to try; `phy.OFF_AIR`
-    first. `peaks` is `_peak_bits` of the same link.
+    first. `deliverable` holds the packets `_peak_tails` of the same link
+    maps.
 
     Starting from `phy.action_table(F)`, a choice is dropped when another one
     (or silence) does at least as well in every sequence:
@@ -97,25 +104,17 @@ def candidate_actions(
       stands for all of them. An on-air source whose radius reaches no
       destination earns rate zero and only adds interference; silence
       dominates it.
-    - Undeliverable packet. A broadcast runs at its worst member's rate and
-      interference only lowers SINR, so no slot can carry more than
-      `_peak_bits`. If those peaks over every open slot of the packet cannot
-      drain its size, no sequence delivers it, and transmitting it only
-      interferes.
+    - Undeliverable packet. No sequence delivers a packet outside
+      `deliverable` (`_peak_tails`), so transmitting it only interferes.
     """
     m, _, F, T = link.gain_lin.shape
     start = phy.DeliveryLedger.start(scenario.packets)
     table = phy.action_table(F)
     out = []
     for s in range(m):
-        deliverable = []
-        for pkt in (phy.PKT_SLICE1, phy.PKT_SLICE2):
-            packet = scenario.packets[2 * s + (pkt - 1)]
-            if phy.drains(packet.size_bits, [peaks[s][t] for t in range(T) if packet.open_at(t)]):
-                deliverable.append(pkt)
         firsts: dict[tuple, int] = {}  # (packet, group, freq, mW) -> index of the first action with it
         for i, act in enumerate(table):
-            if act.packet_id in deliverable:
+            if act.packet_id != phy.PKT_NONE and 2 * s + (act.packet_id - 1) in deliverable:
                 key = (act.packet_id, link.group(s, act.coverage_m), act.freq, phy.power_lin_mw(act.power_dbm))
                 firsts.setdefault(key, i)
         useful = [phy.useful_mask(start, s, t, link)[1] for t in range(T)]
@@ -139,8 +138,8 @@ def brute_force_optimal(scenario: Scenario, link: phy.EpisodeLink) -> OracleResu
     further packet could be delivered.
     """
     m, _, _, T = link.gain_lin.shape
-    peaks = _peak_bits(link)
-    cands = candidate_actions(scenario, link, peaks)
+    tails = _peak_tails(scenario, link)
+    cands = candidate_actions(scenario, link, tails[0].keys())
     sequences = math.prod(float(len(cands[s][t])) for s in range(m) for t in range(T))
     if sequences > MAX_SEQUENCES:
         raise SearchSpaceTooLarge(
@@ -155,12 +154,6 @@ def brute_force_optimal(scenario: Scenario, link: phy.EpisodeLink) -> OracleResu
         ]
         for t in range(T)
     ]
-    # packets that survived pruning, with the peak bits of their open slots from t on
-    live = sorted({opt[0] for per_slot in options for per_source in per_slot for opt in per_source} - {-1})
-    tails = {
-        k: [[peaks[k // 2][u] for u in range(t, T) if scenario.packets[k].open_at(u)] for t in range(T + 1)]
-        for k in live
-    }
 
     visited: list[set] = [set() for _ in range(T)]  # per slot: leftover states already searched
     best_count = -1
@@ -170,8 +163,7 @@ def brute_force_optimal(scenario: Scenario, link: phy.EpisodeLink) -> OracleResu
     def descend(t: int, leftover: tuple[float, ...]) -> None:
         nonlocal best_count, best_seq
         done = leftover.count(0.0)
-        # delivered so far plus every open packet that peak rates could still finish
-        bound = done + sum(1 for k in live if leftover[k] > 0.0 and phy.drains(leftover[k], tails[k][t]))
+        bound = phy.reach(leftover, tails[t])
         if bound <= best_count:
             return
         if done == bound:  # nothing more can be delivered

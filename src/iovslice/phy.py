@@ -47,7 +47,7 @@ search, whose candidates already have that form, drains
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
@@ -157,12 +157,22 @@ def drain(left: float, bits: float) -> float:
 
 
 def drains(left: float, bits: Iterable[float]) -> bool:
-    """Whether slots carrying at most bits[0], bits[1], ... in turn can
-    empty `left`: `drain` by each in turn reaches 0.0 (`drain` is monotone
-    in both arguments)."""
+    """Whether `drain` by bits[0], bits[1], ... in turn empties `left`."""
     for b in bits:
         left = drain(left, b)
     return left == 0.0
+
+
+def reach(leftover: Sequence[float], tails: Mapping[int, Iterable[float]]) -> int:
+    """The packets delivered (leftover 0.0), plus the undelivered packets k
+    that `drains` within `tails[k]`. This bounds the count delivered by the
+    episode's end when every later slot carries packet k at most its entry
+    in `tails[k]`, in slot order (a slot left out carries it nothing), and
+    no undelivered packet `tails` leaves out can be delivered: `drain` is
+    monotone in both arguments, so a packet its tail cannot empty stays
+    undelivered. The swap search's reach stop and the oracle's cut both
+    read it; each argues only that its tails dominate."""
+    return leftover.count(0.0) + sum(1 for k, bits in tails.items() if leftover[k] > 0.0 and drains(leftover[k], bits))
 
 
 def drain_slot(leftover: tuple[float, ...], effects: Sequence[SourceEffect]) -> tuple[float, ...]:
@@ -301,8 +311,8 @@ class EpisodeLink:
         `freq`, broadcasting at `p_mw` to `group`: the interference-free
         rate to the group's worst member times the slot duration, 0.0 for
         the empty group: the very floats `slot_rates` gives a source alone
-        on its RB, and an upper bound on its bits under SIC (the reach
-        argument of `baselines.evaluate_plan`)."""
+        on its RB, and an upper bound on its bits under SIC, of which the
+        swap search's and the oracle's tails for `reach` are made."""
         if not group:
             return 0.0
         gain = self.gain_lin

@@ -6,7 +6,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from iovslice import baselines as bl
-from iovslice import phy
+from iovslice import oracle, phy
 from iovslice.channel import ChannelConfig, ChannelState, noise_lin_mw
 from iovslice.config import RunConfig
 from iovslice.env import EnvConfig
@@ -414,8 +414,9 @@ def test_lone_bits_bound_every_replayed_slot(data):
     """The premises of the reach cut, on random tiny worlds and plans: along
     a full replay no source carries more than its lone bits (and exactly
     them when no other source is on its RB), and every packet delivered at
-    or after slot k drains within its tail at k, so the packets delivered
-    by k plus those that drain within their tails bound the final count."""
+    or after slot k drains within its tail at k, so `phy.reach` at k over
+    the record's tails bounds the final count; so does `phy.reach` over
+    the oracle's peak tails, which dominate every plan."""
     m, n, F, T = (data.draw(st.integers(1, hi)) for hi in (4, 4, 3, 8))
     workload = WorkloadConfig(1e3, 1e5, data.draw(st.integers(1, 600)), data.draw(st.integers(1, T)))
     stream = WorldStream(RoadConfig(), EnvConfig(m=m, n=n, F=F, T=T), ChannelConfig(), workload, 0, TAG_EVAL)
@@ -437,13 +438,14 @@ def test_lone_bits_bound_every_replayed_slot(data):
         ledgers.append(ledger)
     assert ledgers == record.ledgers
     final = ledgers[-1].leftover_bits
+    peak_tails = oracle._peak_tails(sc, link)
     for k, ledger in enumerate(ledgers):
         left, tail = ledger.leftover_bits, record.tails[k]
         for p in range(2 * m):
             if final[p] == 0.0 < left[p]:
                 assert phy.drains(left[p], tail.get(p, ()))
-        reach = sum(1 for p in range(2 * m) if left[p] > 0.0 and phy.drains(left[p], tail.get(p, ())))
-        assert final.count(0.0) <= left.count(0.0) + reach
+        assert final.count(0.0) <= phy.reach(left, tail)
+        assert final.count(0.0) <= phy.reach(left, peak_tails[k])
     if final.count(0.0):
         event("delivers")
 

@@ -421,16 +421,16 @@ def test_eval_output_digest_is_pinned(tmp_path):
 
 def test_plotdata_output_digest_is_pinned(tmp_path):
     """`plotdata` of the committed sizes-sweep DQL rows and default-point
-    baseline rows writes exactly the recorded bytes. Groups sort by the
-    key's text, so `600` comes after `3000` among the DQL rows."""
+    baseline rows writes exactly the recorded bytes. Groups sort on the
+    parsed counts, so the DQL sizes read in numeric order."""
     cache = Path(__file__).parent / ".acceptance-cache"
     inputs = [cache / "eval-sizes" / "dql.csv", cache / "eval-default" / "baselines.csv"]
     out = cli.cmd_plotdata(inputs, tmp_path / "plot.csv")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "4f7d7e652ecdc50f46ceb306a95ad08bf6ec62781f0720711af928bcb7252147"
+        "77adef38c80c789955b92c2681eaf573468bff7da126bf7946f780c3d21b948f"
     )
     dql = [line.split(",") for line in out.read_text().splitlines()[2:] if line.startswith("DQL,")]
-    assert dql[-1][1] == "600"
+    assert [row[1] for row in dql] == ["600", "1200", "1800", "2400", "3000"]
 
 
 def test_cmd_eval_rows_and_bounds(tmp_path):

@@ -129,8 +129,8 @@ def test_candidates_cover_every_useful_table_action(m, n, F, T, deadline, seed):
     env_cfg = EnvConfig(m=m, n=n, F=F, T=T)
     workload = WorkloadConfig(slice1_bits_min=1e3, slice1_bits_max=2e5, deadline_len_slots=min(deadline, T))
     sc, link = WorldStream(RoadConfig(), env_cfg, ChannelConfig(), workload, seed, TAG_EVAL)(0)
-    peaks = oracle._peak_bits(link)
-    cands = oracle.candidate_actions(sc, link, peaks)
+    deliverable = oracle._peak_tails(sc, link)[0]
+    cands = oracle.candidate_actions(sc, link, deliverable.keys())
     start = phy.DeliveryLedger.start(sc.packets)
 
     def effect(s, act):
@@ -144,8 +144,7 @@ def test_candidates_cover_every_useful_table_action(m, n, F, T, deadline, seed):
             for act in phy.action_table(F):
                 if not reference_useful(start, s, act, t, link):
                     continue
-                packet = sc.packets[2 * s + (act.packet_id - 1)]
-                if phy.drains(packet.size_bits, [peaks[s][u] for u in range(T) if packet.open_at(u)]):
+                if 2 * s + (act.packet_id - 1) in deliverable:
                     assert effect(s, act) in have
 
 

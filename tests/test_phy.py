@@ -195,6 +195,20 @@ def test_apply_slot_delivery_arithmetic():
     assert ledger2.leftover_bits[0] == pytest.approx(5e5 - 5000.0)
 
 
+@pytest.mark.parametrize(
+    "leftover, tails, expected",
+    [
+        ((0.0, 5.0, 0.0), {}, 2),  # no tails: the delivered count
+        ((0.0, 5.0), {0: (1.0,), 1: ()}, 1),  # a delivered packet still listed counts once
+        ((3.0,), {0: (1.0, 2.0)}, 1),  # a tail summing exactly to the leftover drains it
+        ((3.0,), {0: (1.0, math.nextafter(2.0, 0.0))}, 0),  # one a ulp short does not
+    ],
+    ids=["no-tails", "delivered-listed", "exact-sum", "ulp-short"],
+)
+def test_reach_table(leftover, tails, expected):
+    assert phy.reach(leftover, tails) == expected
+
+
 def test_apply_slot_masks_delivered_packets():
     cfg = ChannelConfig()
     sc = hand_built_scenario([0.0], [100.0])
