@@ -34,14 +34,15 @@ and SLOT is a slot inside its slice-2 window:
   start-of-episode ledger, every source on the air at 30 dBm with its
   slice-1 packet over 400 m, the sources spread over the resource blocks;
   each call through a fresh link of the episode's channel, so every group
-  and rate is solved.
+  and rate is solved. Outputs are each next ledger without its packets
+  (the input's, whose fields may differ between trees) and the effects.
 - `apply_slot_warm` (xCALLS): the same call through one link that has
   resolved it before: one memo lookup returns the slot's per-source
   effects, and what is left is the mask and one drain-and-mark loop.
 - `evaluate_plan` (xCALLS): one swap-matching trial, `baselines.evaluate_plan`
   replaying the columns of the first move `baselines._moves` yields for
   NOMA-MP's initial plan, from the plan's `Record`, through the episode's
-  link.
+  link; outputs are its ledgers without their packets.
 - `action_mask` (xCALLS): `SlicingEnv.action_mask` for the second vehicle
   of slot SLOT, after random actions.
 - `initial_rb_allocation_oma`, `initial_rb_allocation_noma` (xCALLS): the
@@ -222,11 +223,16 @@ def _apply_slot(warm: bool) -> Case:
         phy = pkg.phy
         cfg, (scenario, link) = _world(pkg, r)
         ledger = phy.DeliveryLedger.start(scenario.packets)
-        actions = [phy.SlotAction(phy.PKT_SLICE1, 400.0, s % cfg.env.F, 30.0) for s in range(cfg.env.m)]
+        actions = [phy.SlotAction(pkg.scenario.SLICE_THROUGHPUT, 400.0, s % cfg.env.F, 30.0) for s in range(cfg.env.m)]
         if warm:
             phy.apply_slot(ledger, actions, link, SLOT)
         links = [link] * CALLS if warm else [_fresh(pkg, cfg, link) for _ in range(CALLS)]
-        return lambda: [phy.apply_slot(ledger, actions, each, SLOT) for each in links]
+
+        def call():
+            out = [phy.apply_slot(ledger, actions, each, SLOT) for each in links]
+            return [(after[1:], effects) for after, effects in out]  # a ledger's packets are its input's
+
+        return call
 
     return prepare
 
@@ -244,7 +250,11 @@ def _evaluate_plan(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
     t, column, _ = next(bl._moves(options, columns, freqs, record.ledgers, False))
     trial = columns.copy()
     trial[t] = column
-    return lambda: [bl.evaluate_plan(trial, scenario, link, record, t) for _ in range(CALLS)]
+    def call():
+        out = [bl.evaluate_plan(trial, scenario, link, record, t) for _ in range(CALLS)]
+        return [[ledger[1:] for ledger in ledgers] for ledgers in out]  # a ledger's packets are its input's
+
+    return call
 
 
 def _action_mask(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:

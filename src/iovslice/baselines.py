@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import phy
-from .scenario import Scenario
+from .scenario import Scenario, packet_index
 
 BASELINE_NAMES = ("OMA-MP", "NOMA-MP", "NOMA-RP")
 
@@ -221,8 +221,7 @@ def _tails(
     for k in range(t, -1, -1):
         tail = tail.copy()
         for s, act in enumerate(columns[k]):
-            p = 2 * s + (act[0] - 1)
-            if act[0] != phy.PKT_NONE and scenario.packets[p].open_at(k):
+            if act[0] != phy.PKT_NONE and scenario.packets[p := packet_index(s, act[0])].open_at(k):
                 bits = link.lone_bits(k, s, link.group(s, act[1]), act[2], phy.power_lin_mw(act[3]))
                 if bits > 0.0:
                     tail[p] = (bits, *tail.get(p, ()))

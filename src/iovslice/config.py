@@ -38,10 +38,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.workload.deadline_len_slots > self.env.T:
             raise ValueError("workload deadline cannot exceed the episode length T")
-        if self.eval_episodes < 0:
-            raise ValueError(f"run.eval_episodes must be >= 0, got {self.eval_episodes}")
-        if self.swap_max_iters < 0:
-            raise ValueError(f"run.swap_max_iters must be >= 0, got {self.swap_max_iters}")
+        for name in ("seed", "eval_episodes", "swap_max_iters"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"run.{name} must be >= 0, got {getattr(self, name)}")
         # a point below 1 makes no workload, and a repeated one would run twice;
         # a deadline past T is checked when its sweep runs, so small-T configs
         # keep the default axis
@@ -148,4 +147,7 @@ def parse_config(text: str) -> RunConfig:
 def load_config(path: str | Path | None) -> RunConfig:
     if path is None:
         return RunConfig()
-    return parse_config(Path(path).read_text())
+    try:
+        return parse_config(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # a UnicodeDecodeError too; name the file
+        raise ValueError(f"{path}: {exc}") from None

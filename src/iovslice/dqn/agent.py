@@ -78,6 +78,8 @@ class TrainConfig:
             raise ValueError("importance exponents beta_start and beta_end must be in [0, 1]")
         if not 0 <= self.eps_anneal_frac <= 1:
             raise ValueError("epsilon anneal fraction must be in [0, 1]")
+        if self.seed < 0:  # np.random.default_rng refuses it mid-command
+            raise ValueError(f"train.seed must be >= 0, got {self.seed}")
 
 
 def epsilon(episode_idx: int, cfg: TrainConfig) -> float:

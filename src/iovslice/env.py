@@ -18,7 +18,7 @@ import numpy as np
 
 from . import phy
 from .channel import ChannelConfig, pathloss_db
-from .scenario import Scenario
+from .scenario import SLICE_SAFETY, Scenario
 
 # Observation normalization bounds.
 GAIN_DB_LO = -160.0
@@ -155,11 +155,8 @@ class SlicingEnv:
             (link.chan.large_scale_db.ravel() - GAIN_DB_LO) / (GAIN_DB_HI - GAIN_DB_LO), 0.0, 1.0
         )
         # safety-packet window, slots normalized by the horizon
-        obs[lay["window"]] = [
-            v / T
-            for src in range(m)
-            for v in (scenario.packet(src, 2).arrival_slot, scenario.packet(src, 2).deadline_slot)
-        ]
+        safety = [scenario.packet(src, SLICE_SAFETY) for src in range(m)]
+        obs[lay["window"]] = [v / T for p in safety for v in (p.arrival_slot, p.deadline_slot)]
         self._packet_bits = np.array([p.size_bits for p in self.ledger.packets])
         # fast fading, clipped exponential power: row t is slot t's, in observation order
         fade = np.clip(link.chan.fastfade_pow, 0.0, FADE_CLIP) / FADE_CLIP

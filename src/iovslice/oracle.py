@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import phy
-from .scenario import Scenario
+from .scenario import SLICE_SAFETY, SLICE_THROUGHPUT, Scenario, packet_index
 
 
 class SearchSpaceTooLarge(ValueError):
@@ -76,7 +76,7 @@ def _peak_tails(scenario: Scenario, link: phy.EpisodeLink) -> list[dict[int, tup
         peaks = [
             max((link.lone_bits(t, s, (d,), f, p_max) for d in group for f in range(F)), default=0.0) for t in range(T)
         ]
-        for k in (2 * s, 2 * s + 1):
+        for k in (packet_index(s, SLICE_THROUGHPUT), packet_index(s, SLICE_SAFETY)):
             slots = [t for t in range(T) if peaks[t] > 0.0 and scenario.packets[k].open_at(t)]
             if phy.drains(scenario.packets[k].size_bits, [peaks[t] for t in slots]):
                 for t in range(T + 1):
@@ -86,10 +86,9 @@ def _peak_tails(scenario: Scenario, link: phy.EpisodeLink) -> list[dict[int, tup
 
 def candidate_actions(
     scenario: Scenario, link: phy.EpisodeLink, deliverable: Collection[int]
-) -> list[list[list[phy.SlotAction]]]:
-    """Per source and slot, the choices the search has to try; `phy.OFF_AIR`
-    first. `deliverable` holds the packets `_peak_tails` of the same link
-    maps.
+) -> list[list[list[tuple[int, phy.SlotAction]]]]:
+    """Per slot and source, the choices the search has to try with their packet indices,
+    `(-1, phy.OFF_AIR)` first; `deliverable` holds the packets `_peak_tails` of the same link maps.
 
     Starting from `phy.action_table(F)`, a choice is dropped when another one
     (or silence) does at least as well in every sequence:
@@ -110,16 +109,17 @@ def candidate_actions(
     m, _, F, T = link.gain_lin.shape
     start = phy.DeliveryLedger.start(scenario.packets)
     table = phy.action_table(F)
-    out = []
+    firsts: list[dict[tuple, tuple[int, int]]] = [{} for _ in range(m)]  # (packet, group, freq, mW) -> (k, i)
     for s in range(m):
-        firsts: dict[tuple, int] = {}  # (packet, group, freq, mW) -> index of the first action with it
         for i, act in enumerate(table):
-            if act.packet_id != phy.PKT_NONE and 2 * s + (act.packet_id - 1) in deliverable:
+            if act.packet_id != phy.PKT_NONE and (k := packet_index(s, act.packet_id)) in deliverable:
                 key = (act.packet_id, link.group(s, act.coverage_m), act.freq, phy.power_lin_mw(act.power_dbm))
-                firsts.setdefault(key, i)
-        useful = [phy.useful_mask(start, s, t, link)[1] for t in range(T)]
-        out.append([[phy.OFF_AIR] + [table[i] for i in firsts.values() if useful[t][i]] for t in range(T)])
-    return out
+                firsts[s].setdefault(key, (k, i))
+    useful = [[phy.useful_mask(start, s, t, link)[1] for s in range(m)] for t in range(T)]
+    return [
+        [[(-1, phy.OFF_AIR)] + [(k, table[i]) for k, i in firsts[s].values() if useful[t][s][i]] for s in range(m)]
+        for t in range(T)
+    ]
 
 
 def brute_force_optimal(scenario: Scenario, link: phy.EpisodeLink) -> OracleResult:
@@ -137,23 +137,15 @@ def brute_force_optimal(scenario: Scenario, link: phy.EpisodeLink) -> OracleResu
     fails. `best_actions` replays to the optimum; it ends early when no
     further packet could be delivered.
     """
-    m, _, _, T = link.gain_lin.shape
+    T = link.gain_lin.shape[3]
     tails = _peak_tails(scenario, link)
-    cands = candidate_actions(scenario, link, tails[0].keys())
-    sequences = math.prod(float(len(cands[s][t])) for s in range(m) for t in range(T))
+    options = candidate_actions(scenario, link, tails[0].keys())
+    sequences = math.prod(float(len(c)) for per_slot in options for c in per_slot)
     if sequences > MAX_SEQUENCES:
         raise SearchSpaceTooLarge(
-            f"{max(len(c) for per_slot in cands for c in per_slot)} candidate actions per source and slot "
+            f"{max(len(c) for per_slot in options for c in per_slot)} candidate actions per source and slot "
             f"at most, {sequences:.3g} sequences exceeds budget {MAX_SEQUENCES:.3g}"
         )
-    # per slot and source: (packet index or -1, candidate)
-    options = [
-        [
-            [(-1 if act.packet_id == phy.PKT_NONE else 2 * s + (act.packet_id - 1), act) for act in cands[s][t]]
-            for s in range(m)
-        ]
-        for t in range(T)
-    ]
 
     visited: list[set] = [set() for _ in range(T)]  # per slot: leftover states already searched
     best_count = -1

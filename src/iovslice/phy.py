@@ -55,19 +55,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelConfig, ChannelState, noise_lin_mw
-from .scenario import Packet
+from .scenario import SLICE_SAFETY, SLICE_THROUGHPUT, Packet, packet_index, packet_slice
 
 # Power level meaning "radio off"; mapped to exactly zero transmit power so
 # that not transmitting is bit-exact, never a -100 dBm whisper.
 SILENCE_POWER_DBM = -100.0
 
-PKT_NONE = 0
-PKT_SLICE1 = 1
-PKT_SLICE2 = 2
+PKT_NONE = 0  # the packet choice of no packet; the others are the slice ids
 
 # The levels of the action space; `action_levels` orders their product.
 COVERAGE_LEVELS_M = (0.0, 100.0, 400.0, 1000.0, 1400.0)
-PACKET_CHOICES = (PKT_NONE, PKT_SLICE1, PKT_SLICE2)
+PACKET_CHOICES = (PKT_NONE, SLICE_THROUGHPUT, SLICE_SAFETY)
 POWER_LEVELS_DBM = (SILENCE_POWER_DBM, 15.0, 23.0, 30.0)
 
 
@@ -119,7 +117,7 @@ class SlotAction(NamedTuple):
     """One source vehicle's choice for one slot, already decoded. Any
     4-tuple in this field order is read the same way."""
 
-    packet_id: int  # PKT_NONE / PKT_SLICE1 / PKT_SLICE2
+    packet_id: int  # PKT_NONE or a slice id
     coverage_m: float
     freq: int
     power_dbm: float
@@ -189,7 +187,7 @@ class DeliveryLedger(NamedTuple):
     """Per-packet leftover bits and reached destinations; an immutable value
     that `apply_slot` replaces, so ledgers are shared, never copied.
 
-    Packet k belongs to source k // 2; slice is 1 + (k % 2). A packet is
+    Packets sit where `scenario.packet_index` puts them. A packet is
     delivered exactly when its leftover is 0.0. Bit d of reached[k] is set
     once destination d was in one of the packet's broadcast groups: the
     packet's intended receivers.
@@ -253,7 +251,7 @@ def on_air(ledger: DeliveryLedger, src: int, act: SlotAction, slot: int) -> bool
     and the packet is undelivered with its window holding the slot."""
     if act[0] == PKT_NONE or act[1] <= 0.0 or act[3] <= SILENCE_POWER_DBM:
         return False
-    k = 2 * src + (act[0] - 1)
+    k = packet_index(src, act[0])
     return ledger.leftover_bits[k] > 0.0 and ledger.packets[k].open_at(slot)
 
 
@@ -266,7 +264,7 @@ def useful_mask(ledger: DeliveryLedger, src: int, slot: int, link: EpisodeLink) 
     levels = action_levels(link.gain_lin.shape[2])
     cov, pkt, pw = levels[:, 0], levels[:, 1], levels[:, 3]
     sends = [
-        p != PKT_NONE and ledger.leftover_bits[2 * src + p - 1] > 0.0 and ledger.packets[2 * src + p - 1].open_at(slot)
+        p != PKT_NONE and ledger.leftover_bits[k := packet_index(src, p)] > 0.0 and ledger.packets[k].open_at(slot)
         for p in PACKET_CHOICES
     ]
     reaches = np.array([r > 0.0 and bool(link.group(src, r)) for r in COVERAGE_LEVELS_M])
@@ -332,7 +330,7 @@ class EpisodeLink:
             dt, masks = self.slot_duration_s, self._group_mask
             hit = self._resolved[key] = tuple(
                 [
-                    _OFF_AIR_EFFECT if c[0] == PKT_NONE else (2 * src + (c[0] - 1), rate * dt, masks[group], rate)
+                    _OFF_AIR_EFFECT if c[0] == PKT_NONE else (packet_index(src, c[0]), rate * dt, masks[group], rate)
                     for src, (c, group, rate) in enumerate(zip(choices, groups, rates))
                 ]
             )
@@ -374,8 +372,8 @@ class ReceptionStats:
 
 def reception_stats(ledger: DeliveryLedger) -> ReceptionStats:
     packets, receptions, intended = [0, 0], [0, 0], 0
-    for pkt, left, reached in zip(ledger.packets, ledger.leftover_bits, ledger.reached):
-        s = pkt.slice_id - 1
+    for k, (left, reached) in enumerate(zip(ledger.leftover_bits, ledger.reached)):
+        s = packet_slice(k) - 1
         audience = reached.bit_count()
         intended += audience
         if audience and left == 0.0:

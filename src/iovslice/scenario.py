@@ -20,6 +20,17 @@ KMH_TO_MPS = 1000.0 / 3600.0
 SLICE_THROUGHPUT = 1
 SLICE_SAFETY = 2
 
+
+def packet_index(src: int, slice_id: int) -> int:
+    """Where source `src`'s packet on a slice sits in `Scenario.packets` and every ledger."""
+    return 2 * src + (slice_id - 1)
+
+
+def packet_slice(k: int) -> int:
+    """The slice of packet k, which `packet_index` fixes by its position."""
+    return k % 2 + 1
+
+
 # Mean headway between vehicles in the same lane, in seconds of travel.
 HEADWAY_S = 2.5
 
@@ -83,11 +94,9 @@ class Vehicle:
 
 @dataclass(frozen=True)
 class Packet:
-    """One source's payload on one slice: packet k of Scenario.packets
-    belongs to source k // 2. The delivery ledger tracks its leftover bits.
-    On either slice it goes on the air only within [arrival, deadline]."""
+    """A source's payload on a slice, both fixed by its position (`packet_index`), whose leftover
+    bits the ledger tracks; on either slice it goes on the air only within [arrival, deadline]."""
 
-    slice_id: int
     size_bits: float
     arrival_slot: int
     deadline_slot: int
@@ -108,7 +117,7 @@ class Scenario:
     road: RoadConfig
     sources: tuple[Vehicle, ...]
     destinations: tuple[Vehicle, ...]
-    packets: tuple[Packet, ...] = ()  # 2 per source: (slice 1, slice 2), source-major
+    packets: tuple[Packet, ...] = ()  # 2 per source, laid out by `packet_index`
 
     @property
     def m(self) -> int:
@@ -119,7 +128,7 @@ class Scenario:
         return len(self.destinations)
 
     def packet(self, src: int, slice_id: int) -> Packet:
-        return self.packets[2 * src + (slice_id - 1)]
+        return self.packets[packet_index(src, slice_id)]
 
     def positions(self, vehicles: tuple[Vehicle, ...]) -> np.ndarray:
         """(len, 2) array of (x, y) coordinates."""
@@ -193,8 +202,8 @@ def generate_packets(
 ) -> tuple[Packet, ...]:
     """Fresh per-source packet pair: one full-horizon payload, one deadline payload.
 
-    The slice 2 arrival slot is uniform over every start that leaves the full
-    window inside the horizon.
+    The pairs sit in `packet_index` order. The slice 2 arrival slot is
+    uniform over every start that leaves the full window inside the horizon.
     """
     if deadline_len_slots < 1:
         raise ValueError("deadline window must span at least one slot")
@@ -204,7 +213,7 @@ def generate_packets(
     packets: list[Packet] = []
     for _ in range(scenario.m):
         size1 = float(rng.uniform(lo, hi))
-        packets.append(Packet(SLICE_THROUGHPUT, size1, 0, T - 1))
+        packets.append(Packet(size1, 0, T - 1))
         arrival = int(rng.integers(0, T - deadline_len_slots + 1))
-        packets.append(Packet(SLICE_SAFETY, float(slice2_bits), arrival, arrival + deadline_len_slots - 1))
+        packets.append(Packet(float(slice2_bits), arrival, arrival + deadline_len_slots - 1))
     return tuple(packets)

@@ -9,7 +9,6 @@ from iovslice.scenario import (
     Scenario,
     Vehicle,
     SLICE_SAFETY,
-    SLICE_THROUGHPUT,
 )
 
 
@@ -19,7 +18,7 @@ def hand_built_scenario(src_x, dst_x, packets=None, road=None):
     sources = tuple(Vehicle(1, float(x), 60 / 3.6) for x in src_x)
     dests = tuple(Vehicle(1, float(x), 60 / 3.6) for x in dst_x)
     if packets is None:
-        packets = [Packet(SLICE_THROUGHPUT, 5e5, 0, 19), Packet(SLICE_SAFETY, 4800.0, 0, 7)] * len(src_x)
+        packets = [Packet(5e5, 0, 19), Packet(4800.0, 0, 7)] * len(src_x)
     return Scenario(road=road, sources=sources, destinations=dests, packets=tuple(packets))
 
 
@@ -54,7 +53,7 @@ def reference_slot(ledger, actions, chan, cfg, slot, slot_duration_s):
     for src, (pkt, coverage_m, freq, power_dbm) in enumerate(actions):
         if pkt != phy.PKT_NONE:
             packet, left = ledger.packets[2 * src + (pkt - 1)], ledger.leftover_bits[2 * src + (pkt - 1)]
-            if left == 0.0 or (pkt == phy.PKT_SLICE2 and not packet.arrival_slot <= slot <= packet.deadline_slot):
+            if left == 0.0 or (pkt == SLICE_SAFETY and not packet.arrival_slot <= slot <= packet.deadline_slot):
                 pkt = phy.PKT_NONE
         p_mw = phy.power_lin_mw(power_dbm)
         if pkt == phy.PKT_NONE or coverage_m <= 0 or p_mw == 0.0:

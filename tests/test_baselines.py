@@ -10,7 +10,7 @@ from iovslice import oracle, phy
 from iovslice.channel import ChannelConfig, ChannelState, noise_lin_mw
 from iovslice.config import RunConfig
 from iovslice.env import EnvConfig
-from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY, SLICE_THROUGHPUT
+from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY
 from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream
 
 from tests.conftest import forced_channel, hand_built_scenario
@@ -71,7 +71,7 @@ def test_plan_columns_match_hand_built_actions(data):
         return np.array(data.draw(st.lists(st.lists(elements, min_size=T, max_size=T), min_size=m, max_size=m)))
 
     coverage = grid(st.sampled_from(phy.COVERAGE_LEVELS_M))
-    packet = grid(st.integers(phy.PKT_NONE, phy.PKT_SLICE2))
+    packet = grid(st.integers(phy.PKT_NONE, SLICE_SAFETY))
     power = grid(st.sampled_from(phy.POWER_LEVELS_DBM))
     freqs = data.draw(
         st.lists(st.lists(st.integers(bl.INACTIVE, F - 1), min_size=m, max_size=m), min_size=T, max_size=T)
@@ -211,7 +211,7 @@ def _two_source_conflict():
     interference, frequency 1 can; the initial plan parks both sources on
     frequency 0, so retuning one of them strictly improves deliveries.
     """
-    packets = [Packet(SLICE_THROUGHPUT, 5e9, 0, 0), Packet(SLICE_SAFETY, 4800.0, 0, 0)] * 2  # slice 1 undeliverable
+    packets = [Packet(5e9, 0, 0), Packet(4800.0, 0, 0)] * 2  # slice 1 undeliverable
     sc = hand_built_scenario([0.0, 10.0], [100.0, 110.0], packets=packets)
     chan = forced_channel(sc, -80.0, F=2, T=1)
     cfg = ChannelConfig()
@@ -220,7 +220,7 @@ def _two_source_conflict():
     chan.gain_lin[:, :, 0, 0] = 0.5 * noise / p_mw  # sinr 0.5: 2924 bits, short
     chan.gain_lin[:, :, 1, 0] = 1.2 * noise / p_mw  # sinr 1.2: 5687 bits, enough
     coverage = np.full((2, 1), 1400.0)
-    packet = np.full((2, 1), phy.PKT_SLICE2, dtype=np.int64)
+    packet = np.full((2, 1), SLICE_SAFETY, dtype=np.int64)
     power = np.full((2, 1), 30.0)
     return sc, chan, cfg, bl.slot_options(coverage, packet, power, F=2)
 
@@ -326,7 +326,7 @@ def test_incremental_replay_matches_full_replay():
             for s in range(m):
                 pkt = sc.packets[2 * s + 1]
                 closed += sum(
-                    options[t][s][0][0] == phy.PKT_SLICE2 and not pkt.arrival_slot <= t <= pkt.deadline_slot
+                    options[t][s][0][0] == SLICE_SAFETY and not pkt.arrival_slot <= t <= pkt.deadline_slot
                     for t in range(T)
                 )
             columns = bl.plan_columns(options, freqs)
@@ -483,7 +483,7 @@ def test_moves_edit_one_column_as_the_edited_plan():
     # out are the inert ones, whose full replays are the plan's own
     rng = np.random.default_rng(5)
     m, T, F = 4, 6, 3
-    packets = [Packet(SLICE_THROUGHPUT, 5e5, 0, T - 1), Packet(SLICE_SAFETY, 4800.0, 2, 4)] * m
+    packets = [Packet(5e5, 0, T - 1), Packet(4800.0, 2, 4)] * m
     sc = hand_built_scenario([0.0, 300.0, 600.0, 900.0], [100.0, 400.0], packets=packets)
     chan = forced_channel(sc, -70.0, F=F, T=T)
     edits = inert = 0

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iovslice import cli, phy, scenario
-from iovslice.config import RunConfig, parse_config, serialize_config
+from iovslice.config import RunConfig, load_config, parse_config, serialize_config
 from iovslice.dqn import DuelingQNetwork, TrainConfig, save_checkpoint
 from iovslice.env import EnvConfig
 from iovslice.scenario import MAX_ROAD_LENGTH_M
@@ -80,7 +81,7 @@ def test_config_rejects_repeated_sweep_point(tmp_path, monkeypatch, capsys, key,
     Path("run.cfg").write_text(config_text(tiny_cfg(), f"run.{key} = 3,3"))
     argv = ["baseline", "--config", "run.cfg", "--algorithms", "NOMA-MP", "--episodes", "2", "--sweep", sweep]
     assert cli.main([*argv, "--out", "base.csv"]) == 1
-    assert capsys.readouterr().err.startswith(f"error: run.{key} repeats 3")
+    assert capsys.readouterr().err.startswith(f"error: run.cfg: run.{key} repeats 3")
     assert sorted(tmp_path.iterdir()) == [tmp_path / "run.cfg"]  # rejected before any output
 
 
@@ -97,8 +98,43 @@ def test_config_rejects_sweep_point_below_one(tmp_path, monkeypatch, capsys, key
     Path("run.cfg").write_text(config_text(tiny_cfg(), f"run.{key} = {value}"))
     argv = ["baseline", "--config", "run.cfg", "--algorithms", "NOMA-MP", "--episodes", "1", "--sweep", "none"]
     assert cli.main([*argv, "--out", "base.csv"]) == 1
-    assert capsys.readouterr().err == f"error: run.{key} entries must be >= 1, got {low}\n"
+    assert capsys.readouterr().err == f"error: run.cfg: run.{key} entries must be >= 1, got {low}\n"
     assert sorted(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
+
+@pytest.mark.parametrize(
+    "line, argv, says",
+    [
+        ("train.seed = -1", ["train", "--out", "run"], "run.cfg: train.seed must be >= 0, got -1"),
+        ("run.seed = -5", ["baseline", "--out", "out/base.csv"], "run.cfg: run.seed must be >= 0, got -5"),
+        (None, ["eval", "--checkpoint", "ckpt.bin", "--out", "out/eval.csv", "--seed", "-2"],
+         "run.seed must be >= 0, got -2"),
+    ],
+    ids=["train.seed", "run.seed", "--seed"],
+)
+def test_main_rejects_a_negative_seed(tmp_path, monkeypatch, capsys, line, argv, says):
+    # numpy's seeding refuses it too, but mid-command, naming nothing, after the output directory exists
+    monkeypatch.chdir(tmp_path)
+    cfg = tiny_cfg()
+    Path("run.cfg").write_text(serialize_config(cfg) if line is None else config_text(cfg, line))
+    save_checkpoint(DuelingQNetwork(cfg.env.obs_dim, (4,), cfg.env.n_actions, rng=None), Path("ckpt.bin"))
+    before = sorted(tmp_path.iterdir())
+    assert cli.main([argv[0], "--config", "run.cfg", *argv[1:], "--episodes", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {says}\n"
+    assert sorted(tmp_path.iterdir()) == before  # rejected before any output
+
+
+def test_load_config_names_its_file(tmp_path):
+    # parse_config's own messages start at the line; the file read adds the path
+    path = tmp_path / "run.cfg"
+    path.write_text("env.q = 3\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 1: unknown config key 'env.q'$"):
+        load_config(path)
+    path.write_bytes(b"env.T = 12  # caf\xe9\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xe9"):
+        load_config(path)
+    path.write_bytes("env.T = 12  # café\n".encode("utf-8"))
+    assert load_config(path).env.T == 12
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from iovslice.env import (
     individual_reward,
 )
 from iovslice.config import RunConfig
-from iovslice.scenario import RoadConfig
+from iovslice.scenario import SLICE_SAFETY, SLICE_THROUGHPUT, RoadConfig
 from iovslice.worlds import TAG_EVAL, TAG_TRAIN, WorkloadConfig, WorldStream
 
 from tests.conftest import forced_channel, hand_built_scenario, reference_slot
@@ -41,7 +41,7 @@ def action_index(packet_id, coverage_m, freq, power_dbm, F=2):
 
 
 SILENT = action_index(phy.PKT_NONE, 0.0, 0, phy.SILENCE_POWER_DBM)
-SLICE2_100M_30DBM = action_index(phy.PKT_SLICE2, 100.0, 0, 30.0)
+SLICE2_100M_30DBM = action_index(SLICE_SAFETY, 100.0, 0, 30.0)
 
 
 def make_env(src_x, dst_x, gain_db=-80.0, m=None, n=None, F=2, T=20, **env_kw):
@@ -183,7 +183,7 @@ def test_unfinished_rate_reward_scaling():
     cfg = ChannelConfig()
     _pin_rate(link, cfg, sinr=1.0)  # 1 Mbps on slice 1: far from finishing
     env.reset(sc, link)
-    res = env.step(action_index(phy.PKT_SLICE1, 100.0, 0, 30.0))
+    res = env.step(action_index(SLICE_THROUGHPUT, 100.0, 0, 30.0))
     assert res.reward == pytest.approx(1e6 / default_rate_norm_bps(cfg))
 
 
@@ -197,7 +197,7 @@ def test_reward_normalizer_follows_the_world():
     worlds = [
         (cfg, WorldStream(RoadConfig(), env_cfg, cfg, WorkloadConfig(), 0, TAG_EVAL)(0)) for cfg in (wide, ChannelConfig())
     ]
-    column = [phy.SlotAction(phy.PKT_SLICE1, 400.0, src % env_cfg.F, 30.0) for src in range(env_cfg.m)]
+    column = [phy.SlotAction(SLICE_THROUGHPUT, 400.0, src % env_cfg.F, 30.0) for src in range(env_cfg.m)]
     env = SlicingEnv(env_cfg)
     for cfg, (sc, link) in worlds:
         env.reset(sc, link)
@@ -300,7 +300,7 @@ def test_episode_return():
 def test_peer_choices_visible_within_slot():
     env, sc, link = make_env([0.0, 300.0, 600.0], [100.0, 400.0, 700.0, 1000.0])
     env.reset(sc, link)
-    res = env.step(action_index(phy.PKT_SLICE1, 400.0, 1, 30.0))
+    res = env.step(action_index(SLICE_THROUGHPUT, 400.0, 1, 30.0))
     m, n, F = 3, 4, 2
     peer = res.next_observation[-4 * m :].reshape(m, 4)
     assert peer[0] == pytest.approx([2 / 4, 1 / 2, 1.0, 3 / 3])
@@ -514,10 +514,10 @@ def test_step_slot_contract_errors():
     "bad",
     [
         phy.SlotAction(3, 1400.0, 0, 30.0),  # no packet 3: would drain the next source's slice-1 packet
-        phy.SlotAction(phy.PKT_SLICE1, 1400.0, -1, 30.0),  # would play on the last frequency
-        phy.SlotAction(phy.PKT_SLICE1, 1400.0, 2, 30.0),  # frequency F
-        phy.SlotAction(phy.PKT_SLICE1, 250.0, 0, 30.0),  # not a coverage level
-        phy.SlotAction(phy.PKT_SLICE1, 1400.0, 0, 27.0),  # not a power level
+        phy.SlotAction(SLICE_THROUGHPUT, 1400.0, -1, 30.0),  # would play on the last frequency
+        phy.SlotAction(SLICE_THROUGHPUT, 1400.0, 2, 30.0),  # frequency F
+        phy.SlotAction(SLICE_THROUGHPUT, 250.0, 0, 30.0),  # not a coverage level
+        phy.SlotAction(SLICE_THROUGHPUT, 1400.0, 0, 27.0),  # not a power level
     ],
 )
 def test_step_slot_rejects_a_choice_outside_the_action_table(bad):
@@ -528,7 +528,7 @@ def test_step_slot_rejects_a_choice_outside_the_action_table(bad):
     world = WorldStream(cfg.road, cfg.env, cfg.channel, cfg.workload, 0, TAG_EVAL)(0)
     env = SlicingEnv(cfg.env)
     env.reset(*world)
-    env.step_slot([phy.SlotAction(phy.PKT_SLICE2, 400.0, 1, 30.0)] * cfg.env.m)
+    env.step_slot([phy.SlotAction(SLICE_SAFETY, 400.0, 1, 30.0)] * cfg.env.m)
     before = (env.slot, env.ledger, list(env.slot_rewards), env.prev_choice.copy(), env.observation().tobytes())
     for src in range(cfg.env.m):
         column = [phy.OFF_AIR] * cfg.env.m

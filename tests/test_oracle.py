@@ -12,7 +12,7 @@ from iovslice.config import RunConfig
 from iovslice.dqn import DuelingQNetwork, greedy_episode
 from iovslice.env import EnvConfig, SlicingEnv
 from iovslice.oracle import SearchSpaceTooLarge, brute_force_optimal
-from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY, SLICE_THROUGHPUT
+from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY
 from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream, algorithm_rng
 
 from tests.conftest import forced_channel, hand_built_scenario, reference_useful
@@ -33,21 +33,21 @@ def test_oracle_refuses_large_space():
 def test_oracle_certain_single_delivery():
     # only the safety packet fits in a single-slot horizon, and only at 30 dBm
     packets = [
-        Packet(SLICE_THROUGHPUT, 5e9, 0, 0),
-        Packet(SLICE_SAFETY, 4800.0, 0, 0),
+        Packet(5e9, 0, 0),
+        Packet(4800.0, 0, 0),
     ]
     sc = hand_built_scenario([0.0], [100.0], packets=packets)
     chan = forced_channel(sc, -132.0, F=1, T=1)
     res = brute_force_optimal(sc, _link(chan))
     assert res.best_delivered == 1
     best = res.best_actions[0][0]
-    assert best.packet_id == phy.PKT_SLICE2 and best.power_dbm == 30.0
+    assert best.packet_id == SLICE_SAFETY and best.power_dbm == 30.0
 
 
 def test_oracle_zero_gains_zero_optimum():
     packets = [
-        Packet(SLICE_THROUGHPUT, 1e5, 0, 1),
-        Packet(SLICE_SAFETY, 4800.0, 0, 1),
+        Packet(1e5, 0, 1),
+        Packet(4800.0, 0, 1),
     ]
     sc = hand_built_scenario([0.0], [100.0], packets=packets)
     chan = forced_channel(sc, -80.0, F=1, T=2)
@@ -98,8 +98,8 @@ def test_oracle_pruning_is_exact():
     instances.append(_random_tiny_instance(5030, 1, 2))
     # the throughput packet needs both slots at 23 dBm or more
     packets = [
-        Packet(SLICE_THROUGHPUT, 1.5e5, 0, 1),
-        Packet(SLICE_SAFETY, 5e9, 0, 1),
+        Packet(1.5e5, 0, 1),
+        Packet(5e9, 0, 1),
     ]
     sc = hand_built_scenario([0.0], [100.0], packets=packets)
     instances.append((EnvConfig(m=1, n=1, F=1, T=2), sc, forced_channel(sc, -80.0, F=1, T=2)))
@@ -138,8 +138,9 @@ def test_candidates_cover_every_useful_table_action(m, n, F, T, deadline, seed):
 
     for s in range(m):
         for t in range(T):
-            assert cands[s][t][0] == phy.OFF_AIR
-            have = [effect(s, c) for c in cands[s][t][1:]]
+            assert cands[t][s][0] == (-1, phy.OFF_AIR)
+            assert all(k == 2 * s + (c.packet_id - 1) for k, c in cands[t][s][1:])
+            have = [effect(s, c) for _, c in cands[t][s][1:]]
             assert len(set(have)) == len(have)
             for act in phy.action_table(F):
                 if not reference_useful(start, s, act, t, link):
@@ -167,8 +168,8 @@ def test_oracle_replay_matches_env_ledger():
 
 def test_oracle_early_exit_on_full_delivery():
     packets = [
-        Packet(SLICE_THROUGHPUT, 100.0, 0, 1),  # trivially small
-        Packet(SLICE_SAFETY, 100.0, 0, 1),
+        Packet(100.0, 0, 1),  # trivially small
+        Packet(100.0, 0, 1),
     ]
     sc = hand_built_scenario([0.0], [100.0], packets=packets)
     chan = forced_channel(sc, -60.0, F=1, T=2)
@@ -200,7 +201,7 @@ def test_replay_paths_agree():
                         k = 2 * s + (act.packet_id - 1)
                         pkt = sc.packets[k]
                         delivered_picks += env.ledger.leftover_bits[k] == 0.0
-                        closed_picks += act.packet_id == phy.PKT_SLICE2 and not (
+                        closed_picks += act.packet_id == SLICE_SAFETY and not (
                             pkt.arrival_slot <= t <= pkt.deadline_slot
                         )
                 for idx in choices[t]:

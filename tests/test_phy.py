@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from iovslice import phy
 from iovslice.channel import ChannelConfig, noise_lin_mw
 from iovslice.env import EnvConfig
-from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY, SLICE_THROUGHPUT
+from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY, SLICE_THROUGHPUT, packet_index
 from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream
 
 from tests.conftest import forced_channel, hand_built_scenario, reference_slot, reference_useful
@@ -133,10 +133,10 @@ def test_group_rate_min_semantics():
     chan.large_scale_db[0, 1] = -95.0
     chan.gain_lin[0, 1] = 10 ** (-9.5)
     ledger = phy.DeliveryLedger.start(sc.packets)
-    act_near = phy.SlotAction(phy.PKT_SLICE1, 100.0, 0, 30.0)
+    act_near = phy.SlotAction(SLICE_THROUGHPUT, 100.0, 0, 30.0)
     _, effects = phy.apply_slot(ledger, [act_near], *_slot_args(sc, chan, cfg))
     near_rate = effects[0][3]
-    act_both = phy.SlotAction(phy.PKT_SLICE1, 1400.0, 0, 30.0)
+    act_both = phy.SlotAction(SLICE_THROUGHPUT, 1400.0, 0, 30.0)
     _, effects = phy.apply_slot(ledger, [act_both], *_slot_args(sc, chan, cfg))
     _, _, group_mask, rate = effects[0]
     assert group_mask == 0b11
@@ -153,7 +153,7 @@ def test_group_rate_zero_cases():
     # coverage zero: no transmission at all
     _, effects = phy.apply_slot(
         ledger,
-        [phy.SlotAction(phy.PKT_SLICE1, 0.0, 0, 30.0)],
+        [phy.SlotAction(SLICE_THROUGHPUT, 0.0, 0, 30.0)],
         *_slot_args(sc, chan, cfg),
     )
     k, _, _, rate = effects[0]
@@ -161,7 +161,7 @@ def test_group_rate_zero_cases():
     # coverage 50 m but nearest destination 100 m away: on air, empty group
     _, effects = phy.apply_slot(
         ledger,
-        [phy.SlotAction(phy.PKT_SLICE1, 50.0, 0, 30.0)],
+        [phy.SlotAction(SLICE_THROUGHPUT, 50.0, 0, 30.0)],
         *_slot_args(sc, chan, cfg),
     )
     k, _, group_mask, rate = effects[0]
@@ -178,7 +178,7 @@ def test_apply_slot_delivery_arithmetic():
     gain = noise / p_mw  # rx power equals noise -> sinr 1 -> 1 Mbps
     chan.gain_lin[:] = gain
     ledger = phy.DeliveryLedger.start(sc.packets)
-    act = phy.SlotAction(phy.PKT_SLICE2, 100.0, 0, 30.0)
+    act = phy.SlotAction(SLICE_SAFETY, 100.0, 0, 30.0)
     ledger, effects = phy.apply_slot(ledger, [act], *_slot_args(sc, chan, cfg))
     # 1 Mbps * 5 ms = 5000 bits >= 4800: delivered in one slot
     k, bits, _, _ = effects[0]
@@ -188,7 +188,7 @@ def test_apply_slot_delivery_arithmetic():
     # slice 1 at 1 Mbps: 5e5 - 5000 bits left
     ledger2, effects = phy.apply_slot(
         phy.DeliveryLedger.start(sc.packets),
-        [phy.SlotAction(phy.PKT_SLICE1, 100.0, 0, 30.0)],
+        [phy.SlotAction(SLICE_THROUGHPUT, 100.0, 0, 30.0)],
         *_slot_args(sc, chan, cfg),
     )
     assert effects[0][0] == 0 and ledger2.leftover_bits[0] > 0.0  # still sending
@@ -214,7 +214,7 @@ def test_apply_slot_masks_delivered_packets():
     sc = hand_built_scenario([0.0], [100.0])
     chan = forced_channel(sc, -60.0)  # very strong link
     ledger = phy.DeliveryLedger.start(sc.packets)
-    act = phy.SlotAction(phy.PKT_SLICE2, 100.0, 0, 30.0)
+    act = phy.SlotAction(SLICE_SAFETY, 100.0, 0, 30.0)
     ledger, effects = phy.apply_slot(ledger, [act], *_slot_args(sc, chan, cfg, t=0))
     assert effects[0][0] == 1 and ledger.leftover_bits[1] == 0.0  # delivered now
     # re-choosing the delivered packet is silently a no-op
@@ -227,7 +227,7 @@ def test_apply_slot_silences_out_of_window_slice2():
     cfg = ChannelConfig()
     sc = hand_built_scenario([0.0], [100.0])  # slice 2 window is slots 0..7
     chan = forced_channel(sc, -60.0)  # strong enough to deliver in one slot
-    act = phy.SlotAction(phy.PKT_SLICE2, 100.0, 0, 30.0)
+    act = phy.SlotAction(SLICE_SAFETY, 100.0, 0, 30.0)
     ledger, effects = phy.apply_slot(phy.DeliveryLedger.start(sc.packets), [act], *_slot_args(sc, chan, cfg, t=8))
     assert effects[0] == (-1, 0.0, 0, 0.0)  # off the air
     assert ledger.leftover_bits == (5e5, 4800.0)
@@ -239,15 +239,15 @@ def test_apply_slot_silences_out_of_window_slice2():
     "act, slot, delivered, expected",
     [
         ((phy.PKT_NONE, 400.0, 0, 30.0), 4, False, False),  # no packet
-        ((phy.PKT_SLICE2, 0.0, 0, 30.0), 4, False, False),  # radius 0
-        ((phy.PKT_SLICE2, 400.0, 0, phy.SILENCE_POWER_DBM), 4, False, False),  # silence
-        ((phy.PKT_SLICE2, 400.0, 0, 30.0), 4, True, False),  # delivered
-        ((phy.PKT_SLICE2, 400.0, 0, 30.0), 2, False, False),  # before arrival
-        ((phy.PKT_SLICE2, 400.0, 0, 30.0), 8, False, False),  # after deadline
-        ((phy.PKT_SLICE1, 400.0, 0, 15.0), 20, False, False),  # after slice 1's deadline
-        ((phy.PKT_SLICE2, 400.0, 1, 15.0), 3, False, True),  # on air, first slot of the window
-        ((phy.PKT_SLICE2, 100.0, 0, 30.0), 7, False, True),  # on air, last slot of the window
-        ((phy.PKT_SLICE1, 1400.0, 0, 23.0), 0, False, True),  # on air
+        ((SLICE_SAFETY, 0.0, 0, 30.0), 4, False, False),  # radius 0
+        ((SLICE_SAFETY, 400.0, 0, phy.SILENCE_POWER_DBM), 4, False, False),  # silence
+        ((SLICE_SAFETY, 400.0, 0, 30.0), 4, True, False),  # delivered
+        ((SLICE_SAFETY, 400.0, 0, 30.0), 2, False, False),  # before arrival
+        ((SLICE_SAFETY, 400.0, 0, 30.0), 8, False, False),  # after deadline
+        ((SLICE_THROUGHPUT, 400.0, 0, 15.0), 20, False, False),  # after slice 1's deadline
+        ((SLICE_SAFETY, 400.0, 1, 15.0), 3, False, True),  # on air, first slot of the window
+        ((SLICE_SAFETY, 100.0, 0, 30.0), 7, False, True),  # on air, last slot of the window
+        ((SLICE_THROUGHPUT, 1400.0, 0, 23.0), 0, False, True),  # on air
     ],
     ids=[
         "no-packet",
@@ -263,7 +263,7 @@ def test_apply_slot_silences_out_of_window_slice2():
     ],
 )
 def test_on_air_clauses(act, slot, delivered, expected):
-    packets = [Packet(SLICE_THROUGHPUT, 5e5, 0, 19), Packet(SLICE_SAFETY, 4800.0, 3, 7)]
+    packets = [Packet(5e5, 0, 19), Packet(4800.0, 3, 7)]
     sc = hand_built_scenario([0.0], [100.0], packets=packets)
     ledger = phy.DeliveryLedger.start(sc.packets)
     if delivered:
@@ -276,7 +276,7 @@ def test_useful_needs_a_nonempty_group():
     sc = hand_built_scenario([0.0], [300.0])
     link = phy.EpisodeLink(forced_channel(sc, -80.0), ChannelConfig(), 0.005)
     ledger = phy.DeliveryLedger.start(sc.packets)
-    near, wide = phy.SlotAction(phy.PKT_SLICE1, 100.0, 0, 30.0), phy.SlotAction(phy.PKT_SLICE1, 400.0, 0, 30.0)
+    near, wide = phy.SlotAction(SLICE_THROUGHPUT, 100.0, 0, 30.0), phy.SlotAction(SLICE_THROUGHPUT, 400.0, 0, 30.0)
     assert phy.on_air(ledger, 0, near, 0) and not reference_useful(ledger, 0, near, 0, link)
     assert reference_useful(ledger, 0, wide, 0, link)
     table = phy.action_table(1)
@@ -306,6 +306,48 @@ def test_useful_mask_matches_scalar_rule(data):
     assert air.dtype == useful.dtype == bool and air.shape == useful.shape == (len(table),)
     assert air.tolist() == [phy.on_air(ledger, src, act, slot) for act in table]
     assert useful.tolist() == [reference_useful(ledger, src, act, slot, link) for act in table]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_reader_agrees_on_the_packet_layout(data):
+    """Over generated worlds, every choice `phy.on_air` admits drains the
+    packet `packet_index` names, the one generated for the chosen slice
+    (slice-1 sizes are drawn above the safety size, so the size tells the
+    slices apart), and no other; `useful_mask` flags a choice only while
+    that packet is undelivered and open; and `reception_stats` credits its
+    delivery to the chosen slice."""
+    m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    F, T = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 5))
+    env_cfg = EnvConfig(m=m, n=n, F=F, T=T)
+    workload = WorkloadConfig(slice1_bits_min=5e3, slice1_bits_max=5e4, deadline_len_slots=data.draw(st.integers(1, T)))
+    seed = data.draw(st.integers(0, 999))
+    sc, chan = WorldStream(RoadConfig(), env_cfg, ChannelConfig(), workload, seed, TAG_EVAL)(0)
+    link = phy.EpisodeLink(chan, ChannelConfig(), env_cfg.slot_duration_s)
+    zeroed = data.draw(st.sets(st.integers(0, 2 * m - 1)))  # some packets delivered by hand, reaching no one
+    ledger = phy.DeliveryLedger.start(sc.packets)
+    ledger = ledger._replace(leftover_bits=tuple(0.0 if k in zeroed else x for k, x in enumerate(ledger.leftover_bits)))
+    credited = phy.reception_stats(ledger).packets
+    table = phy.action_table(F)
+    for t in range(T):
+        for src in range(m):
+            useful = phy.useful_mask(ledger, src, t, link)[1]
+            for act, flagged in zip(table, useful.tolist()):
+                if not phy.on_air(ledger, src, act, t):
+                    assert not flagged
+                    continue
+                k = packet_index(src, act.packet_id)
+                assert (sc.packets[k].size_bits == workload.slice2_bits) == (act.packet_id == SLICE_SAFETY)
+                assert ledger.leftover_bits[k] > 0.0 and sc.packets[k].open_at(t)
+                column = [phy.OFF_AIR] * m
+                column[src] = act
+                after, effects = phy.apply_slot(ledger, column, link, t)
+                assert effects[src][0] == k
+                fell = [j for j, (a, b) in enumerate(zip(after.leftover_bits, ledger.leftover_bits)) if a < b]
+                assert fell == ([k] if effects[src][1] > 0.0 else [])
+                expected = list(credited)
+                expected[act.packet_id - 1] += after.leftover_bits[k] == 0.0 and after.reached[k] != 0
+                assert list(phy.reception_stats(after).packets) == expected
 
 
 def test_ledger_monotone_under_random_actions(rng):
@@ -382,10 +424,9 @@ def test_ledger_leftover_never_rises_and_zero_means_delivered(data):
         left = ledger.leftover_bits
         assert all(a <= b for a, b in zip(left, before.leftover_bits)) and min(left) >= 0.0
         # delivered packets are exactly the zero leftovers, whoever they reached
-        slices = [p.slice_id - 1 for p in ledger.packets]
         counted = [0, 0]
         for k, reached in enumerate(ledger.reached):
-            counted[slices[k]] += left[k] == 0.0 and reached != 0
+            counted[k % 2] += left[k] == 0.0 and reached != 0  # slices alternate, throughput first
         assert list(phy.reception_stats(ledger).packets) == counted
     with pytest.raises(TypeError):
         ledger.leftover_bits[0] = 0.0  # the ledger is read-only
@@ -507,8 +548,8 @@ def test_apply_slot_matches_memo_free_reference(data):
     )
     corner = st.sampled_from(
         [
-            (phy.PKT_SLICE1, 0.0, F - 1, 30.0),
-            (phy.PKT_SLICE2, 400.0, 0, phy.SILENCE_POWER_DBM),
+            (SLICE_THROUGHPUT, 0.0, F - 1, 30.0),
+            (SLICE_SAFETY, 400.0, 0, phy.SILENCE_POWER_DBM),
             (phy.PKT_NONE, 1400.0, F - 1, 23.0),
         ]
     )

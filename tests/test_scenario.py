@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 from iovslice.config import parse_config
 from iovslice.env import EnvConfig
 from iovslice.scenario import (
+    SLICE_SAFETY,
+    SLICE_THROUGHPUT,
     RoadConfig,
     advance_mobility,
     generate_packets,
@@ -118,9 +122,10 @@ def test_generate_packets_defaults(rng):
     bits = (w.slice1_bits_min, w.slice1_bits_max)
     packets = generate_packets(sc, rng, bits, w.slice2_bits, w.deadline_len_slots, EnvConfig().T)
     assert len(packets) == 6
+    sc = replace(sc, packets=packets)
     for src in range(3):
         p1, p2 = packets[2 * src], packets[2 * src + 1]
-        assert p1.slice_id == 1 and p2.slice_id == 2
+        assert (sc.packet(src, SLICE_THROUGHPUT), sc.packet(src, SLICE_SAFETY)) == (p1, p2)
         assert p2.size_bits == 4800.0  # 600 bytes
         assert p1.arrival_slot == 0 and p1.deadline_slot == 19
         assert p2.deadline_slot - p2.arrival_slot + 1 == 8
@@ -130,13 +135,13 @@ def test_generate_packets_windows_and_sizes(rng):
     sc = generate_vehicles(RoadConfig(), 3, 4, rng)
     sizes = []
     for _ in range(350):  # 1050 slice-1 draws
-        for p in generate_packets(sc, rng, *SIZES, deadline_len_slots=5, T=20):
-            if p.slice_id == 1:
-                sizes.append(p.size_bits)
-                assert (p.arrival_slot, p.deadline_slot) == (0, 19)
-            else:
-                assert 0 <= p.arrival_slot <= p.deadline_slot <= 19
-                assert p.deadline_slot - p.arrival_slot + 1 == 5
+        world = replace(sc, packets=generate_packets(sc, rng, *SIZES, deadline_len_slots=5, T=20))
+        for src in range(sc.m):
+            p1, p2 = world.packet(src, SLICE_THROUGHPUT), world.packet(src, SLICE_SAFETY)
+            sizes.append(p1.size_bits)
+            assert (p1.arrival_slot, p1.deadline_slot) == (0, 19)
+            assert 0 <= p2.arrival_slot <= p2.deadline_slot <= 19
+            assert p2.deadline_slot - p2.arrival_slot + 1 == 5
     sizes = np.array(sizes)
     assert sizes.min() >= 1e5 and sizes.max() <= 1e6
 
@@ -153,18 +158,21 @@ def test_generated_windows_lie_in_the_horizon(data):
     sc = generate_vehicles(RoadConfig(), data.draw(st.integers(1, 4)), 1, rng)
     packets = generate_packets(sc, rng, *SIZES, deadline_len_slots=length, T=T)
     assert len(packets) == 2 * sc.m
-    for p1, p2 in zip(packets[0::2], packets[1::2]):
-        assert (p1.slice_id, p1.arrival_slot, p1.deadline_slot) == (1, 0, T - 1)
-        assert p2.slice_id == 2 and 0 <= p2.arrival_slot <= p2.deadline_slot <= T - 1
+    sc = replace(sc, packets=packets)
+    for src in range(sc.m):
+        p1, p2 = sc.packet(src, SLICE_THROUGHPUT), sc.packet(src, SLICE_SAFETY)
+        assert (p1.arrival_slot, p1.deadline_slot) == (0, T - 1)
+        assert 0 <= p2.arrival_slot <= p2.deadline_slot <= T - 1
         assert p2.deadline_slot - p2.arrival_slot + 1 == length
 
 
 def test_generate_packets_degenerate_window(rng):
     sc = generate_vehicles(RoadConfig(), 2, 2, rng)
     for _ in range(20):
-        for p in generate_packets(sc, rng, *SIZES, deadline_len_slots=20, T=20):
-            if p.slice_id == 2:
-                assert p.arrival_slot == 0 and p.deadline_slot == 19
+        world = replace(sc, packets=generate_packets(sc, rng, *SIZES, deadline_len_slots=20, T=20))
+        for src in range(sc.m):
+            p2 = world.packet(src, SLICE_SAFETY)
+            assert p2.arrival_slot == 0 and p2.deadline_slot == 19
 
 
 def test_generate_packets_rejects_long_deadline(rng):
