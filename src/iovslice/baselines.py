@@ -209,16 +209,14 @@ class BaselineRun:
     slots_replayed: int  # phy.apply_slot calls those replays made
 
 
-def _tails(
-    columns: Sequence[Column], scenario: Scenario, link: phy.EpisodeLink, t: int, later: dict[int, tuple[float, ...]]
-) -> list[dict[int, tuple[float, ...]]]:
-    """`Record.tails[: t + 1]` of the plan with these columns, given its
-    tails[t + 1] (`later`): each slot k prepends to the tails after it the
-    lone bits of every source whose choice names a packet open at k and
-    carries bits alone."""
-    out = []
-    tail = later
-    for k in range(t, -1, -1):
+def _tails(columns: Sequence[Column], scenario: Scenario, link: phy.EpisodeLink) -> list[dict[int, tuple[float, ...]]]:
+    """`Record.tails` of the plan with these columns: from the empty tails
+    after the last slot, each slot k prepends to the tails after it the lone
+    bits of every source whose choice names a packet open at k and carries
+    bits alone."""
+    tail: dict[int, tuple[float, ...]] = {}
+    out = [tail]
+    for k in range(len(columns) - 1, -1, -1):
         tail = tail.copy()
         for s, act in enumerate(columns[k]):
             if act[0] != phy.PKT_NONE and scenario.packets[p := packet_index(s, act[0])].open_at(k):
@@ -232,8 +230,7 @@ def _tails(
 def plan_record(columns: Sequence[Column], scenario: Scenario, link: phy.EpisodeLink) -> Record:
     """A plan's `Record`: its full replay (one `evaluate_plan`) and tails."""
     ledgers = evaluate_plan(columns, scenario, link)
-    tails = _tails(columns, scenario, link, len(columns) - 1, {})
-    return Record(ledgers, delivered_packets(ledgers[-1]), [*tails, {}])
+    return Record(ledgers, delivered_packets(ledgers[-1]), _tails(columns, scenario, link))
 
 
 def _moves(
@@ -299,9 +296,7 @@ def swap_matching(
     fewer than T + 1 ledgers and loses. A move is kept only if the
     delivered count strictly increases; the objective history holds the
     count after each accepted move (leading entry: the initial count), and
-    the stats are read off the final plan's recorded ledgers. An accepted
-    move at slot t changes the record's tails at slots 0..t only, and only
-    those are rebuilt.
+    the stats are read off the final plan's recorded ledgers.
     """
     T = len(freqs)
     freqs = freqs.copy()  # rows are replaced, never edited in place
@@ -318,8 +313,7 @@ def swap_matching(
             slots += len(ledgers) - 1 - t
             if len(ledgers) > T and delivered_packets(ledgers[-1]) > record.delivered:
                 columns, freqs[t] = trial, row
-                tails = _tails(columns, scenario, link, t, record.tails[t + 1]) + record.tails[t + 1 :]
-                record = Record(ledgers, delivered_packets(ledgers[-1]), tails)
+                record = Record(ledgers, delivered_packets(ledgers[-1]), _tails(columns, scenario, link))
                 history.append(record.delivered)
                 break
         else:

@@ -32,12 +32,13 @@ class ChannelConfig:
     min_distance_m: float = 3.0  # clamp below this to dodge the d->0 singularity
 
     def __post_init__(self) -> None:
-        if self.fc_ghz <= 0 or self.rb_bandwidth_hz <= 0 or self.min_distance_m <= 0:
-            raise ValueError("carrier, bandwidth and distance clamp must be positive")
-        if self.antenna_height_m <= 1.0:
-            raise ValueError("antenna height must exceed 1 m (effective height h-1)")
-        if self.shadow_sigma_db < 0:
-            raise ValueError("shadowing sigma must be nonnegative")
+        for name in ("fc_ghz", "rb_bandwidth_hz", "min_distance_m"):
+            if not (value := getattr(self, name)) > 0:
+                raise ValueError(f"channel.{name} must be > 0, got {value}")
+        if not self.antenna_height_m > 1.0:  # the effective height is h - 1
+            raise ValueError(f"channel.antenna_height_m must be > 1.0, got {self.antenna_height_m}")
+        if not self.shadow_sigma_db >= 0:
+            raise ValueError(f"channel.shadow_sigma_db must be >= 0, got {self.shadow_sigma_db}")
 
 
 def breakpoint_distance_m(cfg: ChannelConfig) -> float:

@@ -3,13 +3,16 @@
 Every tunable of every subsystem appears under a dotted key so a config dump
 fully pins an experiment. Parsing is strict: unknown or repeated keys,
 malformed or non-finite values and configs the dataclasses reject are
-errors, and parse -> serialize -> parse is the identity.
+errors, and parse -> serialize -> parse is the identity. A section's refusal
+names `section.key` and its value (a bound on another key names both), and
+`parse_config` prefixes it with the last line that set a key it names.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, get_type_hints
@@ -36,11 +39,11 @@ class RunConfig:
     swap_max_iters: int = 1000
 
     def __post_init__(self) -> None:
-        if self.workload.deadline_len_slots > self.env.T:
-            raise ValueError("workload deadline cannot exceed the episode length T")
+        if (deadline := self.workload.deadline_len_slots) > self.env.T:
+            raise ValueError(f"workload.deadline_len_slots must be <= env.T, got {deadline} > {self.env.T}")
         for name in ("seed", "eval_episodes", "swap_max_iters"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"run.{name} must be >= 0, got {getattr(self, name)}")
+            if (value := getattr(self, name)) < 0:
+                raise ValueError(f"run.{name} must be >= 0, got {value}")
         # a point below 1 makes no workload, and a repeated one would run twice;
         # a deadline past T is checked when its sweep runs, so small-T configs
         # keep the default axis
@@ -141,7 +144,11 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
     run = values.pop("run")
-    return RunConfig(**{section: _SECTIONS[section](**kw) for section, kw in values.items()}, **run)
+    try:
+        return RunConfig(**{section: _SECTIONS[section](**kw) for section, kw in values.items()}, **run)
+    except ValueError as exc:
+        lines = [first_set[key] for key in re.findall(r"[\w.]+", str(exc)) if key in first_set]
+        raise ValueError(f"line {max(lines)}: {exc}" if lines else exc) from None
 
 
 def load_config(path: str | Path | None) -> RunConfig:

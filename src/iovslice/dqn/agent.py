@@ -48,38 +48,25 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if not 0 < self.eps_end <= self.eps_start <= 1:
-            raise ValueError("need 0 < eps_end <= eps_start <= 1")
-        if self.episodes < 1 or self.batch_size < 1:
-            raise ValueError("episodes and batch size must be positive")
-        if self.target_copy_period < 1:
-            raise ValueError("target copy period must be at least 1 update")
-        # each of these would leave training a silent no-op
-        if self.updates_per_step < 1:
-            raise ValueError("updates per step must be at least 1")
-        if not self.huber_delta > 0:
-            raise ValueError("Huber delta must be positive")
-        if self.replay_capacity < 1:
-            raise ValueError("replay capacity must be positive")
-        if self.batch_size > self.replay_capacity:
-            raise ValueError("batch size cannot exceed the replay capacity")
-        if self.warmup > self.replay_capacity:
-            raise ValueError("warmup cannot exceed the replay capacity")
+        # a count below 1 leaves training a silent no-op, a negative raw priority raised
+        # to alpha is complex, and numpy's seeding refuses a negative seed mid-command
+        for name in ("episodes", "batch_size", "target_copy_period", "replay_capacity", "updates_per_step"):
+            if (value := getattr(self, name)) < 1:
+                raise ValueError(f"train.{name} must be >= 1, got {value}")
+        for name in ("lr", "eps_end", "huber_delta", "priority_eps"):
+            if not (value := getattr(self, name)) > 0:
+                raise ValueError(f"train.{name} must be > 0, got {value}")
+        for name in ("alpha", "seed"):
+            if not (value := getattr(self, name)) >= 0:
+                raise ValueError(f"train.{name} must be >= 0, got {value}")
+        for name in ("eps_start", "eps_anneal_frac", "beta_start", "beta_end"):
+            if not 0 <= (value := getattr(self, name)) <= 1:
+                raise ValueError(f"train.{name} must be in [0, 1], got {value}")
+        for low, high in (("eps_end", "eps_start"), ("batch_size", "replay_capacity"), ("warmup", "replay_capacity")):
+            if (small := getattr(self, low)) > (large := getattr(self, high)):
+                raise ValueError(f"train.{low} must be <= train.{high}, got {small} > {large}")
         if not self.hidden or min(self.hidden) < 1:
-            raise ValueError("need at least one hidden layer, each at least 1 wide")
-        # a negative raw priority raised to alpha is complex
-        if not self.priority_eps > 0:
-            raise ValueError("priority epsilon must be positive")
-        if self.alpha < 0:
-            raise ValueError("priority exponent alpha must be nonnegative")
-        if not (0 <= self.beta_start <= 1 and 0 <= self.beta_end <= 1):
-            raise ValueError("importance exponents beta_start and beta_end must be in [0, 1]")
-        if not 0 <= self.eps_anneal_frac <= 1:
-            raise ValueError("epsilon anneal fraction must be in [0, 1]")
-        if self.seed < 0:  # np.random.default_rng refuses it mid-command
-            raise ValueError(f"train.seed must be >= 0, got {self.seed}")
+            raise ValueError(f"train.hidden entries must be >= 1, got {self.hidden}")
 
 
 def epsilon(episode_idx: int, cfg: TrainConfig) -> float:

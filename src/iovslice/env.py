@@ -18,7 +18,7 @@ import numpy as np
 
 from . import phy
 from .channel import ChannelConfig, pathloss_db
-from .scenario import SLICE_SAFETY, Scenario
+from .scenario import SLICE_SAFETY, Scenario, packet_count
 
 # Observation normalization bounds.
 GAIN_DB_LO = -160.0
@@ -51,14 +51,15 @@ class EnvConfig:
     rate_norm_bps: float | None = None  # None: derive from each world's channel config
 
     def __post_init__(self) -> None:
-        if self.T < 1 or self.F < 1 or self.m < 1 or self.n < 1:
-            raise ValueError("m, n, F, T must all be at least 1")
+        for name in ("m", "n", "F", "T"):
+            if (value := getattr(self, name)) < 1:
+                raise ValueError(f"env.{name} must be >= 1, got {value}")
         if not 0 < self.gamma <= 1:
-            raise ValueError("discount must be in (0, 1]")
+            raise ValueError(f"env.gamma must be in (0, 1], got {self.gamma}")
         if not self.slot_duration_s > 0:
-            raise ValueError("slot duration must be positive")
+            raise ValueError(f"env.slot_duration_s must be > 0, got {self.slot_duration_s}")
         if self.rate_norm_bps is not None and not self.rate_norm_bps > 0:
-            raise ValueError("rate normalizer must be positive, or auto")
+            raise ValueError(f"env.rate_norm_bps must be > 0 or auto, got {self.rate_norm_bps}")
 
     @property
     def n_actions(self) -> int:
@@ -132,8 +133,8 @@ class SlicingEnv:
             raise ValueError(f"link gain shape {link.gain_lin.shape} != {(cfg.m, cfg.n, cfg.F, cfg.T)}")
         if link.slot_duration_s != cfg.slot_duration_s:
             raise ValueError(f"link slot duration {link.slot_duration_s} s != config {cfg.slot_duration_s} s")
-        if len(scenario.packets) != 2 * cfg.m:
-            raise ValueError("scenario is missing its per-source packet pairs")
+        if len(scenario.packets) != packet_count(cfg.m):
+            raise ValueError(f"scenario has {len(scenario.packets)} packets, config wants {packet_count(cfg.m)}")
         self.scenario = scenario
         self.link = link
         norm = cfg.rate_norm_bps  # else the world's: its link's channel config sets it
@@ -260,7 +261,7 @@ def _obs_sizes(cfg: EnvConfig) -> dict[str, int]:
         "gain": m * n,  # large-scale gain per link
         "fade": m * n * F,  # fast fading per link and frequency, current slot
         "prev": m * len(phy.PACKET_CHOICES),  # packet each source sent last slot, one-hot
-        "leftover": 2 * m,  # leftover bits per packet over its size
+        "leftover": packet_count(m),  # leftover bits per packet over its size
         "window": 2 * m,  # slice-2 arrival and deadline per source, over T
         "slot": 1,  # slot index over T
         "deciding": m,  # one-hot of the vehicle deciding now

@@ -26,6 +26,11 @@ def packet_index(src: int, slice_id: int) -> int:
     return 2 * src + (slice_id - 1)
 
 
+def packet_count(m: int) -> int:
+    """How many packets `packet_index` lays out for m sources."""
+    return 2 * m
+
+
 def packet_slice(k: int) -> int:
     """The slice of packet k, which `packet_index` fixes by its position."""
     return k % 2 + 1
@@ -49,18 +54,19 @@ class RoadConfig:
     lanes_per_direction: int = 3
 
     def __post_init__(self) -> None:
-        if self.length_m <= 0 or self.lane_width_m <= 0:
-            raise ValueError("road dimensions must be positive")
+        for name in ("length_m", "lane_width_m"):
+            if not (value := getattr(self, name)) > 0:
+                raise ValueError(f"road.{name} must be > 0, got {value}")
         if self.length_m > MAX_ROAD_LENGTH_M:
-            raise ValueError(f"road length {self.length_m!r} m exceeds {MAX_ROAD_LENGTH_M!r} m")
+            raise ValueError(f"road.length_m must be <= {MAX_ROAD_LENGTH_M}, got {self.length_m}")
         if self.lanes_per_direction < 1:
-            raise ValueError("need at least one lane per direction")
+            raise ValueError(f"road.lanes_per_direction must be >= 1, got {self.lanes_per_direction}")
         slowest = self.lane_velocity(self.total_lanes)  # the outermost backward lane
         if slowest >= 0:
             # a lane that stands still has zero mean spacing, so its Poisson drop never ends
             raise ValueError(
-                f"road.lanes_per_direction = {self.lanes_per_direction} gives backward lane"
-                f" {self.total_lanes} a speed of {-slowest / KMH_TO_MPS:g} km/h; it must be positive"
+                f"road.lanes_per_direction must leave every lane moving, got {self.lanes_per_direction}:"
+                f" backward lane {self.total_lanes} runs at {-slowest / KMH_TO_MPS:g} km/h"
             )
 
     @property
@@ -117,7 +123,7 @@ class Scenario:
     road: RoadConfig
     sources: tuple[Vehicle, ...]
     destinations: tuple[Vehicle, ...]
-    packets: tuple[Packet, ...] = ()  # 2 per source, laid out by `packet_index`
+    packets: tuple[Packet, ...] = ()  # `packet_count(m)`, laid out by `packet_index`
 
     @property
     def m(self) -> int:
@@ -202,7 +208,7 @@ def generate_packets(
 ) -> tuple[Packet, ...]:
     """Fresh per-source packet pair: one full-horizon payload, one deadline payload.
 
-    The pairs sit in `packet_index` order. The slice 2 arrival slot is
+    Each packet sits at its `packet_index`. The slice 2 arrival slot is
     uniform over every start that leaves the full window inside the horizon.
     """
     if deadline_len_slots < 1:
@@ -210,10 +216,9 @@ def generate_packets(
     if deadline_len_slots > T:
         raise ValueError(f"deadline window {deadline_len_slots} exceeds horizon {T}")
     lo, hi = slice1_bits_range
-    packets: list[Packet] = []
-    for _ in range(scenario.m):
-        size1 = float(rng.uniform(lo, hi))
-        packets.append(Packet(size1, 0, T - 1))
+    packets: list[Packet | None] = [None] * packet_count(scenario.m)
+    for src in range(scenario.m):
+        packets[packet_index(src, SLICE_THROUGHPUT)] = Packet(float(rng.uniform(lo, hi)), 0, T - 1)
         arrival = int(rng.integers(0, T - deadline_len_slots + 1))
-        packets.append(Packet(float(slice2_bits), arrival, arrival + deadline_len_slots - 1))
+        packets[packet_index(src, SLICE_SAFETY)] = Packet(float(slice2_bits), arrival, arrival + deadline_len_slots - 1)
     return tuple(packets)

@@ -42,12 +42,13 @@ class WorkloadConfig:
     deadline_len_slots: int = 8
 
     def __post_init__(self) -> None:
-        if self.deadline_len_slots < 1:
-            raise ValueError("deadline must be at least 1 slot")
-        if self.slice2_bytes < 1:
-            raise ValueError("safety payload must be at least 1 byte")
-        if not 0 < self.slice1_bits_min <= self.slice1_bits_max:
-            raise ValueError("need 0 < slice1_bits_min <= slice1_bits_max")
+        for name in ("deadline_len_slots", "slice2_bytes"):
+            if (value := getattr(self, name)) < 1:
+                raise ValueError(f"workload.{name} must be >= 1, got {value}")
+        if not self.slice1_bits_min > 0:
+            raise ValueError(f"workload.slice1_bits_min must be > 0, got {self.slice1_bits_min}")
+        if not (low := self.slice1_bits_min) <= (high := self.slice1_bits_max):
+            raise ValueError(f"workload.slice1_bits_min must be <= workload.slice1_bits_max, got {low} > {high}")
 
     @property
     def slice2_bits(self) -> float:

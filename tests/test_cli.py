@@ -32,14 +32,19 @@ def tiny_cfg(**run_kw):
     )
 
 
+def line_of(text, key):
+    """The line of `text` that sets `key`, counted from 1."""
+    (lineno,) = [i for i, line in enumerate(text.splitlines(), start=1) if line.split("=", 1)[0].strip() == key]
+    return lineno
+
+
 def config_text(cfg, overrides):
     """`serialize_config(cfg)` with each `key = value` line of `overrides` in
     place of that key's own line, so no key is set twice."""
-    lines = serialize_config(cfg).splitlines()
+    text = serialize_config(cfg)
+    lines = text.splitlines()
     for line in overrides.splitlines():
-        key = line.split("=", 1)[0].strip()
-        (at,) = [i for i, old in enumerate(lines) if old.split("=", 1)[0].strip() == key]
-        lines[at] = line
+        lines[line_of(text, line.split("=", 1)[0].strip()) - 1] = line
     return "\n".join(lines) + "\n"
 
 
@@ -74,14 +79,15 @@ def test_config_rejects_duplicate_key():
 @pytest.mark.parametrize("key, sweep", [("size_multipliers", "sizes"), ("deadline_sweep_slots", "deadlines")])
 def test_config_rejects_repeated_sweep_point(tmp_path, monkeypatch, capsys, key, sweep):
     # a repeated point would run twice and write every one of its rows twice
-    with pytest.raises(ValueError, match=rf"^run\.{key} repeats 3$"):
+    with pytest.raises(ValueError, match=rf"^line 1: run\.{key} repeats 3$"):
         parse_config(f"run.{key} = 2,3,4,3\n")
     assert getattr(parse_config(f"run.{key} = 2,4\n"), key) == (2, 4)
     monkeypatch.chdir(tmp_path)
-    Path("run.cfg").write_text(config_text(tiny_cfg(), f"run.{key} = 3,3"))
+    text = config_text(tiny_cfg(), f"run.{key} = 3,3")
+    Path("run.cfg").write_text(text)
     argv = ["baseline", "--config", "run.cfg", "--algorithms", "NOMA-MP", "--episodes", "2", "--sweep", sweep]
     assert cli.main([*argv, "--out", "base.csv"]) == 1
-    assert capsys.readouterr().err.startswith(f"error: run.cfg: run.{key} repeats 3")
+    assert capsys.readouterr().err == f"error: run.cfg: line {line_of(text, f'run.{key}')}: run.{key} repeats 3\n"
     assert sorted(tmp_path.iterdir()) == [tmp_path / "run.cfg"]  # rejected before any output
 
 
@@ -90,23 +96,25 @@ def test_config_rejects_repeated_sweep_point(tmp_path, monkeypatch, capsys, key,
 def test_config_rejects_sweep_point_below_one(tmp_path, monkeypatch, capsys, key, value, low):
     # such a point makes no payload or deadline; it is refused when the config
     # is read, even by a run that sweeps nothing
-    with pytest.raises(ValueError, match=rf"^run\.{key} entries must be >= 1, got {low}$"):
+    with pytest.raises(ValueError, match=rf"^line 1: run\.{key} entries must be >= 1, got {low}$"):
         parse_config(f"run.{key} = {value}\n")
     with pytest.raises(ValueError, match=rf"^run\.{key} entries must be >= 1"):
         RunConfig(**{key: (0,)})
     monkeypatch.chdir(tmp_path)
-    Path("run.cfg").write_text(config_text(tiny_cfg(), f"run.{key} = {value}"))
+    text = config_text(tiny_cfg(), f"run.{key} = {value}")
+    Path("run.cfg").write_text(text)
     argv = ["baseline", "--config", "run.cfg", "--algorithms", "NOMA-MP", "--episodes", "1", "--sweep", "none"]
     assert cli.main([*argv, "--out", "base.csv"]) == 1
-    assert capsys.readouterr().err == f"error: run.cfg: run.{key} entries must be >= 1, got {low}\n"
+    n = line_of(text, f"run.{key}")
+    assert capsys.readouterr().err == f"error: run.cfg: line {n}: run.{key} entries must be >= 1, got {low}\n"
     assert sorted(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
 
 
 @pytest.mark.parametrize(
     "line, argv, says",
     [
-        ("train.seed = -1", ["train", "--out", "run"], "run.cfg: train.seed must be >= 0, got -1"),
-        ("run.seed = -5", ["baseline", "--out", "out/base.csv"], "run.cfg: run.seed must be >= 0, got -5"),
+        ("train.seed = -1", ["train", "--out", "run"], "train.seed must be >= 0, got -1"),
+        ("run.seed = -5", ["baseline", "--out", "out/base.csv"], "run.seed must be >= 0, got -5"),
         (None, ["eval", "--checkpoint", "ckpt.bin", "--out", "out/eval.csv", "--seed", "-2"],
          "run.seed must be >= 0, got -2"),
     ],
@@ -116,11 +124,13 @@ def test_main_rejects_a_negative_seed(tmp_path, monkeypatch, capsys, line, argv,
     # numpy's seeding refuses it too, but mid-command, naming nothing, after the output directory exists
     monkeypatch.chdir(tmp_path)
     cfg = tiny_cfg()
-    Path("run.cfg").write_text(serialize_config(cfg) if line is None else config_text(cfg, line))
+    text = serialize_config(cfg) if line is None else config_text(cfg, line)
+    Path("run.cfg").write_text(text)
     save_checkpoint(DuelingQNetwork(cfg.env.obs_dim, (4,), cfg.env.n_actions, rng=None), Path("ckpt.bin"))
     before = sorted(tmp_path.iterdir())
     assert cli.main([argv[0], "--config", "run.cfg", *argv[1:], "--episodes", "1"]) == 1
-    assert capsys.readouterr().err == f"error: {says}\n"
+    where = "" if line is None else f"run.cfg: line {line_of(text, line.split(' =')[0])}: "  # --seed is no line
+    assert capsys.readouterr().err == f"error: {where}{says}\n"
     assert sorted(tmp_path.iterdir()) == before  # rejected before any output
 
 
@@ -130,6 +140,10 @@ def test_load_config_names_its_file(tmp_path):
     path.write_text("env.q = 3\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 1: unknown config key 'env.q'$"):
         load_config(path)
+    path.write_text("env.T = 4\n")  # below the default deadline, a key the file never set
+    says = "line 1: workload.deadline_len_slots must be <= env.T, got 8 > 4"
+    with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}: {says}')}$"):
+        load_config(path)
     path.write_bytes(b"env.T = 12  # caf\xe9\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xe9"):
         load_config(path)
@@ -137,49 +151,63 @@ def test_load_config_names_its_file(tmp_path):
     assert load_config(path).env.T == 12
 
 
+TRAIN = ["train", "--out", "run"]
+EVAL = ["eval", "--checkpoint", "ckpt.bin", "--out", "eval.csv"]
+BASELINE = ["baseline", "--algorithms", "NOMA-MP", "--out", "base.csv"]
+
+MALFORMED = [
+    ("train.target_copy_period = 0", TRAIN, "train.target_copy_period must be >= 1, got 0"),
+    ("env.rate_norm_bps = 0.0", EVAL, "env.rate_norm_bps must be > 0 or auto, got 0.0"),
+    ("env.slot_duration_s = -0.005", EVAL, "env.slot_duration_s must be > 0, got -0.005"),
+    ("train.updates_per_step = 0", TRAIN, "train.updates_per_step must be >= 1, got 0"),
+    ("train.huber_delta = 0.0", TRAIN, "train.huber_delta must be > 0, got 0.0"),
+    # warmup 16 fits, but a batch of 21 is never stored
+    ("train.replay_capacity = 20\ntrain.batch_size = 21", TRAIN,
+     "train.batch_size must be <= train.replay_capacity, got 21 > 20"),
+    ("train.replay_capacity = 0", TRAIN, "train.replay_capacity must be >= 1, got 0"),
+    # the replay never holds the 16 warmup transitions, so no update would run
+    ("train.replay_capacity = 10", TRAIN, "train.warmup must be <= train.replay_capacity, got 16 > 10"),
+    # min(left, nan) is left, so every broadcast would "deliver"
+    ("channel.rb_bandwidth_hz = nan", BASELINE, "channel.rb_bandwidth_hz: not a finite number: 'nan'"),
+    ("train.lr = nan", TRAIN, "train.lr: not a finite number: 'nan'"),
+    ("workload.deadline_len_slots = 7", TRAIN, "workload.deadline_len_slots must be <= env.T, got 7 > 6"),
+    ("workload.deadline_len_slots = 0", TRAIN, "workload.deadline_len_slots must be >= 1, got 0"),
+    ("workload.slice2_bytes = 0", TRAIN, "workload.slice2_bytes must be >= 1, got 0"),
+    ("workload.slice1_bits_min = 2e6", TRAIN,
+     "workload.slice1_bits_min must be <= workload.slice1_bits_max, got 2000000.0 > 1000000.0"),
+    ("workload.slice1_bits_min = 0.0", TRAIN, "workload.slice1_bits_min must be > 0, got 0.0"),
+    # a negative count would run nothing and write a header-only CSV
+    ("run.eval_episodes = -1", EVAL, "run.eval_episodes must be >= 0, got -1"),
+    ("run.swap_max_iters = -1", BASELINE, "run.swap_max_iters must be >= 0, got -1"),
+    # a 1 m road never holds m + n vehicles, so the vehicle drop must give up
+    ("road.length_m = 1.0", TRAIN, None),
+    ("road.length_m = 1.0", EVAL, None),
+    ("train.priority_eps = -0.5", TRAIN, "train.priority_eps must be > 0, got -0.5"),
+    ("train.hidden = 0", TRAIN, "train.hidden entries must be >= 1, got (0,)"),
+    ("train.alpha = -1.0", TRAIN, "train.alpha must be >= 0, got -1.0"),
+    ("train.beta_start = 2.0", TRAIN, "train.beta_start must be in [0, 1], got 2.0"),
+    ("train.beta_end = -0.5", TRAIN, "train.beta_end must be in [0, 1], got -0.5"),
+    ("train.eps_anneal_frac = -1.0", TRAIN, "train.eps_anneal_frac must be in [0, 1], got -1.0"),
+]
+
+
 @pytest.mark.parametrize(
-    "line, command",
-    [
-        ("train.target_copy_period = 0", ["train", "--out", "run"]),
-        ("env.rate_norm_bps = 0.0", ["eval", "--checkpoint", "ckpt.bin", "--out", "eval.csv"]),
-        ("env.slot_duration_s = -0.005", ["eval", "--checkpoint", "ckpt.bin", "--out", "eval.csv"]),
-        ("train.updates_per_step = 0", ["train", "--out", "run"]),
-        ("train.huber_delta = 0.0", ["train", "--out", "run"]),
-        # warmup 16 fits, but a batch of 21 is never stored
-        ("train.replay_capacity = 20\ntrain.batch_size = 21", ["train", "--out", "run"]),
-        ("train.replay_capacity = 0", ["train", "--out", "run"]),
-        # the replay never holds the 16 warmup transitions, so no update would run
-        ("train.replay_capacity = 10", ["train", "--out", "run"]),
-        # min(left, nan) is left, so every broadcast would "deliver"
-        ("channel.rb_bandwidth_hz = nan", ["baseline", "--algorithms", "NOMA-MP", "--out", "base.csv"]),
-        ("train.lr = nan", ["train", "--out", "run"]),
-        ("workload.deadline_len_slots = 7", ["train", "--out", "run"]),  # longer than T = 6
-        ("workload.deadline_len_slots = 0", ["train", "--out", "run"]),
-        ("workload.slice2_bytes = 0", ["train", "--out", "run"]),
-        ("workload.slice1_bits_min = 2e6", ["train", "--out", "run"]),  # above the max
-        ("workload.slice1_bits_min = 0.0", ["train", "--out", "run"]),
-        # a negative count would run nothing and write a header-only CSV
-        ("run.eval_episodes = -1", ["eval", "--checkpoint", "ckpt.bin", "--out", "eval.csv"]),
-        ("run.swap_max_iters = -1", ["baseline", "--algorithms", "NOMA-MP", "--out", "base.csv"]),
-        # a 1 m road never holds m + n vehicles, so the vehicle drop must give up
-        ("road.length_m = 1.0", ["train", "--out", "run"]),
-        ("road.length_m = 1.0", ["eval", "--checkpoint", "ckpt.bin", "--out", "eval.csv"]),
-        ("train.priority_eps = -0.5", ["train", "--out", "run"]),
-        ("train.hidden = 0", ["train", "--out", "run"]),
-        ("train.alpha = -1.0", ["train", "--out", "run"]),
-        ("train.beta_start = 2.0", ["train", "--out", "run"]),
-        ("train.beta_end = -0.5", ["train", "--out", "run"]),
-        ("train.eps_anneal_frac = -1.0", ["train", "--out", "run"]),
-    ],
+    "line, command, says", MALFORMED, ids=[f"{line}-command{i}" for i, (line, _, _) in enumerate(MALFORMED)]
 )
-def test_main_rejects_malformed_config_value(tmp_path, monkeypatch, capsys, line, command):
+def test_main_rejects_malformed_config_value(tmp_path, monkeypatch, capsys, line, command, says):
     monkeypatch.chdir(tmp_path)
     cfg = tiny_cfg()
-    Path("run.cfg").write_text(config_text(cfg, line))
+    text = config_text(cfg, line)
+    Path("run.cfg").write_text(text)
     save_checkpoint(DuelingQNetwork(cfg.env.obs_dim, (4,), cfg.env.n_actions, rng=None), Path("ckpt.bin"))
     before = sorted(tmp_path.iterdir())
     assert cli.main([command[0], "--config", "run.cfg", *command[1:], "--episodes", "1"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    if says is None:  # refused at vehicle placement, not by the config
+        assert err.startswith("error: ")
+    else:  # the line is the last one that set a key the refusal names
+        lineno = max(line_of(text, key) for key in re.findall(r"[a-z]\w*\.\w+", says))
+        assert err == f"error: run.cfg: line {lineno}: {says}\n"
     assert sorted(tmp_path.iterdir()) == before  # rejected before any output
 
 
@@ -283,7 +311,7 @@ def test_config_rejects_infinite_road_length(value):
 
 def test_config_rejects_road_longer_than_cap():
     # generate_vehicles' time and memory grow with the length; only the config is built here
-    with pytest.raises(ValueError, match=r"road length 1000000000000\.0 m exceeds 1000000\.0 m"):
+    with pytest.raises(ValueError, match=r"^line 1: road\.length_m must be <= 1000000\.0, got 1000000000000\.0$"):
         parse_config("road.length_m = 1e12\n")
     assert parse_config(f"road.length_m = {MAX_ROAD_LENGTH_M!r}\n").road.length_m == MAX_ROAD_LENGTH_M
 
@@ -313,6 +341,92 @@ def _config_keys():
                 yield f.name, g.name, section_hints[g.name]
         else:
             yield None, f.name, hints[f.name]
+
+
+# One refused value per bound of every config key, and the exact refusal.
+REFUSALS = [
+    ("road.length_m", 0.0, "road.length_m must be > 0, got 0.0"),
+    ("road.length_m", 1e12, "road.length_m must be <= 1000000.0, got 1000000000000.0"),
+    ("road.lane_width_m", -4.0, "road.lane_width_m must be > 0, got -4.0"),
+    ("road.lanes_per_direction", 0, "road.lanes_per_direction must be >= 1, got 0"),
+    ("road.lanes_per_direction", 6,
+     "road.lanes_per_direction must leave every lane moving, got 6: backward lane 12 runs at 0 km/h"),
+    ("channel.fc_ghz", 0.0, "channel.fc_ghz must be > 0, got 0.0"),
+    ("channel.antenna_height_m", 1.0, "channel.antenna_height_m must be > 1.0, got 1.0"),
+    ("channel.shadow_sigma_db", -3.0, "channel.shadow_sigma_db must be >= 0, got -3.0"),
+    ("channel.rb_bandwidth_hz", -1.0, "channel.rb_bandwidth_hz must be > 0, got -1.0"),
+    ("channel.min_distance_m", 0.0, "channel.min_distance_m must be > 0, got 0.0"),
+    ("env.m", 0, "env.m must be >= 1, got 0"),
+    ("env.n", -1, "env.n must be >= 1, got -1"),
+    ("env.F", 0, "env.F must be >= 1, got 0"),
+    ("env.T", 0, "env.T must be >= 1, got 0"),
+    ("env.T", 4, "workload.deadline_len_slots must be <= env.T, got 8 > 4"),
+    ("env.slot_duration_s", 0.0, "env.slot_duration_s must be > 0, got 0.0"),
+    ("env.gamma", 0.0, "env.gamma must be in (0, 1], got 0.0"),
+    ("env.gamma", 1.5, "env.gamma must be in (0, 1], got 1.5"),
+    ("env.rate_norm_bps", -1.0, "env.rate_norm_bps must be > 0 or auto, got -1.0"),
+    ("train.episodes", 0, "train.episodes must be >= 1, got 0"),
+    ("train.lr", -1.0, "train.lr must be > 0, got -1.0"),
+    ("train.batch_size", 0, "train.batch_size must be >= 1, got 0"),
+    ("train.batch_size", 100_001, "train.batch_size must be <= train.replay_capacity, got 100001 > 100000"),
+    ("train.target_copy_period", 0, "train.target_copy_period must be >= 1, got 0"),
+    ("train.eps_start", 1.5, "train.eps_start must be in [0, 1], got 1.5"),
+    ("train.eps_start", 0.01, "train.eps_end must be <= train.eps_start, got 0.02 > 0.01"),
+    ("train.eps_end", 0.0, "train.eps_end must be > 0, got 0.0"),
+    ("train.eps_anneal_frac", 2.0, "train.eps_anneal_frac must be in [0, 1], got 2.0"),
+    ("train.replay_capacity", 0, "train.replay_capacity must be >= 1, got 0"),
+    ("train.alpha", -1.0, "train.alpha must be >= 0, got -1.0"),
+    ("train.beta_start", -0.5, "train.beta_start must be in [0, 1], got -0.5"),
+    ("train.beta_end", 2.0, "train.beta_end must be in [0, 1], got 2.0"),
+    ("train.priority_eps", 0.0, "train.priority_eps must be > 0, got 0.0"),
+    ("train.warmup", 100_001, "train.warmup must be <= train.replay_capacity, got 100001 > 100000"),
+    ("train.updates_per_step", 0, "train.updates_per_step must be >= 1, got 0"),
+    ("train.hidden", (4, 0), "train.hidden entries must be >= 1, got (4, 0)"),
+    ("train.huber_delta", 0.0, "train.huber_delta must be > 0, got 0.0"),
+    ("train.seed", -1, "train.seed must be >= 0, got -1"),
+    ("workload.slice1_bits_min", 0.0, "workload.slice1_bits_min must be > 0, got 0.0"),
+    ("workload.slice1_bits_max", 10.0,
+     "workload.slice1_bits_min must be <= workload.slice1_bits_max, got 100000.0 > 10.0"),
+    ("workload.slice2_bytes", 0, "workload.slice2_bytes must be >= 1, got 0"),
+    ("workload.deadline_len_slots", 0, "workload.deadline_len_slots must be >= 1, got 0"),
+    ("workload.deadline_len_slots", 21, "workload.deadline_len_slots must be <= env.T, got 21 > 20"),
+    ("run.seed", -1, "run.seed must be >= 0, got -1"),
+    ("run.eval_episodes", -1, "run.eval_episodes must be >= 0, got -1"),
+    ("run.size_multipliers", (2, 0), "run.size_multipliers entries must be >= 1, got 0"),
+    ("run.size_multipliers", (2, 2), "run.size_multipliers repeats 2"),
+    ("run.deadline_sweep_slots", (0,), "run.deadline_sweep_slots entries must be >= 1, got 0"),
+    ("run.deadline_sweep_slots", (3, 3), "run.deadline_sweep_slots repeats 3"),
+    ("run.swap_max_iters", -1, "run.swap_max_iters must be >= 0, got -1"),
+]
+# config keys that accept any value their parser does
+UNBOUNDED = {
+    "channel.antenna_gain_dbi", "channel.noise_figure_db", "channel.noise_floor_dbm",
+    "env.reward_upper_bound", "train.double_q",
+}
+
+
+@pytest.mark.parametrize("key, value, says", REFUSALS)
+def test_config_refusal_names_key_value_and_line(key, value, says):
+    # a refusal names the key it refuses and its value (a bound on another key
+    # names both), and parse_config adds the line that set the key
+    text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    with pytest.raises(ValueError, match=rf"^line 1: {re.escape(says)}$"):
+        parse_config(f"{key} = {text}\n")
+    section, name = key.split(".")
+    with pytest.raises(ValueError, match=rf"^{re.escape(says)}$"):
+        if section == "run":
+            RunConfig(**{name: value})
+        else:
+            RunConfig(**{section: dataclasses.replace(getattr(RunConfig(), section), **{name: value})})
+    assert key in says
+
+
+def test_every_config_key_is_bounded_or_free():
+    keys = {f"{section or 'run'}.{name}" for section, name, _ in _config_keys()}
+    assert {key for key, _, _ in REFUSALS} | UNBOUNDED == keys
+    for key in UNBOUNDED:
+        for text in ("true", "false") if key == "train.double_q" else ("-1e300", "0.0", "1e300"):
+            parse_config(f"{key} = {text}\n")
 
 
 @settings(max_examples=60, deadline=None)
@@ -448,7 +562,8 @@ def test_eval_output_digest_is_pinned(tmp_path):
     seed 3 writes exactly the recorded bytes, so any drift in the worlds, the
     environment or one-row inference shows here."""
     cfg = dataclasses.replace(RunConfig(), seed=3)
-    ckpt = Path(__file__).parent / ".acceptance-cache" / "ad8e64e49a505c85" / "checkpoint.bin"
+    key = hashlib.sha256(serialize_config(RunConfig()).encode()).hexdigest()[:16]  # the cache's directory
+    ckpt = Path(__file__).parent / ".acceptance-cache" / key / "checkpoint.bin"
     out = cli.cmd_eval(cfg, ckpt, tmp_path / "eval.csv", episodes=10, sweep="sizes")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "991df19919a643feb97a5f4e20a8ceff87485fd6d8f3ab5f46df5c612d1e5a7b"

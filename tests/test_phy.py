@@ -295,8 +295,7 @@ def test_useful_mask_matches_scalar_rule(data):
     env_cfg = EnvConfig(m=m, n=n, F=F, T=T)
     workload = WorkloadConfig(deadline_len_slots=data.draw(st.integers(1, T)))
     seed = data.draw(st.integers(0, 999))
-    sc, chan = WorldStream(RoadConfig(), env_cfg, ChannelConfig(), workload, seed, TAG_EVAL)(0)
-    link = phy.EpisodeLink(chan, ChannelConfig(), env_cfg.slot_duration_s)
+    sc, link = WorldStream(RoadConfig(), env_cfg, ChannelConfig(), workload, seed, TAG_EVAL)(0)
     zeroed = data.draw(st.sets(st.integers(0, 2 * m - 1)))  # some packets delivered by hand
     ledger = phy.DeliveryLedger.start(sc.packets)
     ledger = ledger._replace(leftover_bits=tuple(0.0 if k in zeroed else x for k, x in enumerate(ledger.leftover_bits)))
@@ -322,8 +321,7 @@ def test_every_reader_agrees_on_the_packet_layout(data):
     env_cfg = EnvConfig(m=m, n=n, F=F, T=T)
     workload = WorkloadConfig(slice1_bits_min=5e3, slice1_bits_max=5e4, deadline_len_slots=data.draw(st.integers(1, T)))
     seed = data.draw(st.integers(0, 999))
-    sc, chan = WorldStream(RoadConfig(), env_cfg, ChannelConfig(), workload, seed, TAG_EVAL)(0)
-    link = phy.EpisodeLink(chan, ChannelConfig(), env_cfg.slot_duration_s)
+    sc, link = WorldStream(RoadConfig(), env_cfg, ChannelConfig(), workload, seed, TAG_EVAL)(0)
     zeroed = data.draw(st.sets(st.integers(0, 2 * m - 1)))  # some packets delivered by hand, reaching no one
     ledger = phy.DeliveryLedger.start(sc.packets)
     ledger = ledger._replace(leftover_bits=tuple(0.0 if k in zeroed else x for k, x in enumerate(ledger.leftover_bits)))
@@ -405,8 +403,7 @@ def test_ledger_leftover_never_rises_and_zero_means_delivered(data):
     )
     cfg = ChannelConfig()
     seed = data.draw(st.integers(0, 999))
-    sc, chan = WorldStream(RoadConfig(), EnvConfig(m=m, n=n, F=F, T=T), cfg, workload, seed, TAG_EVAL)(0)
-    link = phy.EpisodeLink(chan, cfg, 0.005)
+    sc, link = WorldStream(RoadConfig(), EnvConfig(m=m, n=n, F=F, T=T), cfg, workload, seed, TAG_EVAL)(0)
     choice = st.builds(
         phy.SlotAction,
         st.integers(0, 2),
@@ -442,10 +439,10 @@ def test_shared_link_replays_match_fresh_links(data):
     workload = WorkloadConfig(deadline_len_slots=data.draw(st.integers(1, T)))
     cfg = ChannelConfig()
     seed = data.draw(st.integers(0, 999))
-    sc, chan = WorldStream(RoadConfig(), EnvConfig(m=m, n=n, F=F, T=T), cfg, workload, seed, TAG_EVAL)(0)
+    sc, link = WorldStream(RoadConfig(), EnvConfig(m=m, n=n, F=F, T=T), cfg, workload, seed, TAG_EVAL)(0)
 
     def fresh_link():
-        return phy.EpisodeLink(chan, cfg, 0.005)
+        return phy.EpisodeLink(link.chan, cfg, 0.005)
 
     choice = st.builds(
         phy.SlotAction,
@@ -501,7 +498,7 @@ def test_slot_resolution_memo_is_exact(data):
     )
     cfg = ChannelConfig()
     seed = data.draw(st.integers(0, 999))
-    sc, chan = WorldStream(RoadConfig(), EnvConfig(m=m, n=n, F=F, T=T), cfg, workload, seed, TAG_EVAL)(0)
+    sc, shared = WorldStream(RoadConfig(), EnvConfig(m=m, n=n, F=F, T=T), cfg, workload, seed, TAG_EVAL)(0)
     choice = st.tuples(
         st.integers(0, 2),
         st.sampled_from(phy.COVERAGE_LEVELS_M),
@@ -514,12 +511,11 @@ def test_slot_resolution_memo_is_exact(data):
     for _ in range(2):  # each packet untouched, half drained or delivered
         scales = [data.draw(st.sampled_from([1.0, 0.5, 0.0])) for _ in range(2 * m)]
         ledgers.append(start._replace(leftover_bits=tuple(x * c for x, c in zip(start.leftover_bits, scales))))
-    shared = phy.EpisodeLink(chan, cfg, 0.005)
     for t in range(T):
         for column in columns:
             for ledger in ledgers:
                 got = phy.apply_slot(ledger, column, shared, t)
-                want = phy.apply_slot(ledger, column, phy.EpisodeLink(chan, cfg, 0.005), t)
+                want = phy.apply_slot(ledger, column, phy.EpisodeLink(shared.chan, cfg, 0.005), t)
                 assert _resolution(*got) == _resolution(*want)
 
 
@@ -539,7 +535,7 @@ def test_apply_slot_matches_memo_free_reference(data):
     )
     cfg = ChannelConfig()
     seed = data.draw(st.integers(0, 999))
-    sc, chan = WorldStream(RoadConfig(), EnvConfig(m=m, n=n, F=F, T=T), cfg, workload, seed, TAG_EVAL)(0)
+    sc, link = WorldStream(RoadConfig(), EnvConfig(m=m, n=n, F=F, T=T), cfg, workload, seed, TAG_EVAL)(0)
     any_choice = st.tuples(
         st.integers(0, 2),
         st.sampled_from(phy.COVERAGE_LEVELS_M),
@@ -553,7 +549,6 @@ def test_apply_slot_matches_memo_free_reference(data):
             (phy.PKT_NONE, 1400.0, F - 1, 23.0),
         ]
     )
-    link = phy.EpisodeLink(chan, cfg, 0.005)
     ledger = phy.DeliveryLedger.start(sc.packets)
     for t in range(T):
         column = data.draw(st.lists(st.one_of(corner, any_choice), min_size=m, max_size=m))
@@ -562,7 +557,7 @@ def test_apply_slot_matches_memo_free_reference(data):
             leftover_bits=tuple(0.0 if k in zeroed else left for k, left in enumerate(ledger.leftover_bits))
         )
         for start in (masked, ledger, ledger):  # the last call is a memo hit
-            want = _resolution(*reference_slot(start, column, chan, cfg, t, 0.005))
+            want = _resolution(*reference_slot(start, column, link.chan, cfg, t, 0.005))
             got = phy.apply_slot(start, column, link, t)
             assert _resolution(*got) == want
         ledger = got[0]
