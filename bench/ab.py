@@ -7,8 +7,10 @@ packages are imported into this one process under distinct module names,
 and a case calls the same entry point of each on the same inputs for
 ROUNDS rounds, alternating which side runs first. A round whose two
 outputs differ in any bit is refused. The report is one line naming the
-machine, the numpy and BLAS builds, the BLAS thread count and the base
-commit, over a table of each side's median time and the median paired
+machine, the numpy and BLAS builds, the BLAS thread count, the base commit
+and, per side, whether its learner ran on the compiled kernels of
+`iovslice.dqn.kernels` (and which compiler built them) or on the numpy
+fallback, over a table of each side's median time and the median paired
 ratio B / A with a bootstrap interval over the rounds, so a ratio under 1
 means B is faster. Only the ratio and its interval compare across
 invocations: on a shared VM the medians of separate runs drift (two runs
@@ -445,6 +447,21 @@ def machine_line(base: str) -> str:
     )
 
 
+def learner_kernels(pkg: ModuleType) -> str:
+    """What `pkg`'s Adam and replay ran on: "no kernels" for a tree without
+    the loader, "kernels unused" where nothing built them, "fallback" where
+    the build failed, else the compiler that built them."""
+    kernels = getattr(pkg.dqn, "kernels", None)
+    if kernels is None:
+        return "no kernels"
+    if kernels._handle is kernels._UNSET:
+        return "kernels unused"
+    if kernels._handle is None:
+        return "fallback (the kernels did not build)"
+    version = subprocess.run([*kernels.compiler(), "--version"], capture_output=True, text=True).stdout
+    return f"kernels built by {version.splitlines()[0] if version else ' '.join(kernels.compiler())}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision of side A")
@@ -460,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
         case(b, 0, work)()
         times_a, times_b = interleave(lambda r: case(a, r, work), lambda r: case(b, r, work), ROUNDS)
     ratio, lo, hi = median_ratio(times_a, times_b)
-    print(header)
+    print(f"{header}; A: {learner_kernels(a)}; B: {learner_kernels(b)}")
     print(f"| case | rounds | A {args.base} median ms | B median ms | B/A median | 95% interval |")
     print("| --- | --- | --- | --- | --- | --- |")
     print(

@@ -157,9 +157,10 @@ def sweep_points(cfg: RunConfig, sweep: str) -> list[WorkloadConfig]:
     if sweep == "sizes":
         return [replace(cfg.workload, slice2_bytes=300 * mult) for mult in cfg.size_multipliers]
     if sweep == "deadlines":
-        for d in cfg.deadline_sweep_slots:  # fail before the first point runs
-            if d > cfg.env.T:
-                raise ValueError(f"deadline window {d} exceeds horizon {cfg.env.T}")
+        # checked here, before the first point runs, and not by RunConfig: a
+        # small-T config stays valid with the default axis until it sweeps it
+        if (deadline := max(cfg.deadline_sweep_slots, default=0)) > cfg.env.T:
+            raise ValueError(f"run.deadline_sweep_slots entries must be <= env.T, got {deadline} > {cfg.env.T}")
         return [replace(cfg.workload, deadline_len_slots=d) for d in cfg.deadline_sweep_slots]
     raise ValueError(f"unknown sweep {sweep!r}, expected none, sizes or deadlines")
 

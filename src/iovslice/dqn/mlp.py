@@ -4,7 +4,9 @@ ReLU hidden stack feeding two linear heads: a scalar state value and one
 advantage per action, combined as Q = V + A - mean(A). All parameters live in
 one contiguous float64 vector with per-layer views, so an Adam step, a target
 copy and a checkpoint read or write each touch that one vector. Everything is
-float64 and single-threaded so a seed pins training bit-for-bit.
+float64 and single-threaded so a seed pins training bit-for-bit; the Adam step
+runs in `_kernels.c`, whose header says why it writes the bytes of the numpy
+path kept for machines where it cannot be built.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import struct
 from pathlib import Path
 
 import numpy as np
+
+from . import kernels
 
 CHECKPOINT_MAGIC = b"IOVDQNCK"
 CHECKPOINT_VERSION = 1
@@ -191,14 +195,17 @@ class DuelingQNetwork:
 class Adam:
     """Standard Adam with bias correction over one flat parameter vector.
 
-    The moments and two scratch vectors are allocated once; a step is a fixed
-    sequence of in-place ufuncs over FlatParams.flat, in the order of the
-    per-tensor formula p -= lr * (m / b1t) / (sqrt(v / b2t) + eps).
+    A step is the per-tensor formula p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
+    over FlatParams.flat, in two passes of `_kernels.c` (moments, then
+    parameters). Where the kernels cannot be built it is a fixed sequence of
+    in-place ufuncs over two scratch vectors, allocated on its first step;
+    both paths perform the same operations per element in the same order
+    (see `_kernels.c`'s header), so they write the same bytes.
 
     The moment decay rates and eps are ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
     A bias correction 1 - beta**t rounds to exactly 1.0 once beta**t <= 2**-54
     (b1t from t = 356 and b2t from t = 37,412 on).
-    From then on its divide pass is skipped: x / 1.0 is x, so the step's
+    From then on its divide is skipped: x / 1.0 is x, so the step's
     bytes are unchanged.
     """
 
@@ -208,15 +215,25 @@ class Adam:
         size = params.flat.size
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self._num = np.empty(size)
-        self._den = np.empty(size)
+        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
 
     def step(self, params: FlatParams, grads: FlatParams) -> None:
         self.t += 1
         b1t = 1.0 - ADAM_BETA1**self.t
         b2t = 1.0 - ADAM_BETA2**self.t
         p, g, m, v = params.flat, grads.flat, self.m, self.v
-        num, den = self._num, self._den
+        lib = kernels.library()
+        if lib is not None:
+            for a in (p, g):  # the kernels read raw memory
+                if a.dtype != np.float64 or a.shape != m.shape or not a.flags.c_contiguous:
+                    raise ValueError(f"Adam needs contiguous float64 vectors of {m.size} parameters")
+            size, pm, pv = m.size, m.ctypes.data, v.ctypes.data
+            lib.adam_moments(pm, pv, g.ctypes.data, size, ADAM_BETA1, 1.0 - ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA2)
+            lib.adam_update(p.ctypes.data, pm, pv, size, self.lr, b1t, b2t, ADAM_EPS)
+            return
+        if self._scratch is None:
+            self._scratch = (np.empty(m.size), np.empty(m.size))
+        num, den = self._scratch
         m *= ADAM_BETA1
         np.multiply(g, 1.0 - ADAM_BETA1, out=num)
         m += num

@@ -3,25 +3,31 @@
 Leaves hold priority^alpha so proportional sampling is a single O(log N)
 prefix descent; a fresh transition gets `max_priority`, the running max of
 the raw priorities. A transition stores the `StepResult.discount` of its
-step. Eviction is strictly FIFO through a ring pointer.
+step. Eviction is strictly FIFO through a ring pointer. The tree's walks run
+in `_kernels.c`, whose header says why they write the bytes of the Python
+walks kept for machines where it cannot be built.
 """
 
 from __future__ import annotations
 
+from ctypes import byref, c_double, c_int64
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import kernels
 
 
 class SumTree:
     """Fixed-capacity binary tree where every node stores the sum of its leaves.
 
     `nodes` is a float64 array in heap layout (children of i at 2i+1, 2i+2;
-    leaf j at capacity - 1 + j). The methods read and write it through a
-    memoryview held beside it: indexing a memoryview gives a plain Python
-    float where indexing the array boxes a numpy scalar, and the per-node
-    walks are pure Python. Every add, subtract and compare is the same IEEE
-    double operation either way, so the sums match the array's bit for bit.
+    leaf j at capacity - 1 + j). `set`, `find` and their batched forms walk
+    it in `_kernels.c`; where that cannot be built they walk it in Python
+    through a memoryview held beside it, whose indexing gives plain Python
+    floats. Both paths perform each add, subtract and compare as the same
+    IEEE double operation in the same order (see `_kernels.c`'s header), so
+    the sums and the leaves found match bit for bit.
     """
 
     def __init__(self, capacity: int):
@@ -30,15 +36,41 @@ class SumTree:
         self.capacity = capacity
         self.nodes = np.zeros(2 * capacity - 1, dtype=np.float64)
         self._view = memoryview(self.nodes)
+        self._address = self.nodes.ctypes.data
 
     def set(self, leaf: int, value: float) -> None:
+        lib = kernels.library()
+        if lib is None:
+            self.set_many([leaf], [value])
+        elif lib.tree_set_many(self._address, self.capacity, byref(c_int64(leaf)), byref(c_double(value)), 1) >= 0:
+            raise IndexError(f"leaf {leaf} outside a tree of capacity {self.capacity}")
+
+    def set_many(self, leaves: list[int], values: list[float]) -> None:
+        """`set(leaf, value)` for each pair, in order; IndexError, with
+        nothing written, when a leaf lies outside the tree."""
+        if len(leaves) != len(values):
+            raise ValueError(f"{len(leaves)} leaves but {len(values)} values")
+        lib = kernels.library()
+        if lib is not None:
+            idx = np.array(leaves, dtype=np.int64)
+            val = np.array(values, dtype=np.float64)
+            bad = lib.tree_set_many(self._address, self.capacity, idx.ctypes.data, val.ctypes.data, len(idx))
+        else:
+            bad = next((k for k, leaf in enumerate(leaves) if not 0 <= leaf < self.capacity), -1)
+            if bad < 0:
+                self._walk_set(leaves, values)
+        if bad >= 0:
+            raise IndexError(f"leaf {leaves[bad]} outside a tree of capacity {self.capacity}")
+
+    def _walk_set(self, leaves: list[int], values: list[float]) -> None:
         nodes = self._view
-        idx = leaf + self.capacity - 1
-        change = value - nodes[idx]
-        nodes[idx] = value
-        while idx > 0:
-            idx = (idx - 1) // 2
-            nodes[idx] += change
+        for leaf, value in zip(leaves, values):
+            idx = leaf + self.capacity - 1
+            change = value - nodes[idx]
+            nodes[idx] = value
+            while idx > 0:
+                idx = (idx - 1) // 2
+                nodes[idx] += change
 
     def get(self, leaf: int) -> float:
         return self._view[leaf + self.capacity - 1]
@@ -48,6 +80,27 @@ class SumTree:
 
     def find(self, prefix: float) -> int:
         """Leaf index whose cumulative range contains the prefix sum."""
+        leaves, _ = self.find_many(np.array([prefix], dtype=np.float64), 1.0, self.capacity - 1)  # prefix * 1.0 is prefix
+        return int(leaves[0])
+
+    def find_many(self, u: np.ndarray, total: float, last: int) -> tuple[np.ndarray, np.ndarray]:
+        """For each draw u[k]: the leaf `min(find(u[k] * total), last)` and
+        its value, as an int64 and a float64 array."""
+        if not 0 <= last < self.capacity:
+            raise ValueError(f"last leaf {last} outside a tree of capacity {self.capacity}")
+        u = np.ascontiguousarray(u, dtype=np.float64)
+        lib = kernels.library()
+        if lib is None:
+            leaves = [min(self._walk_find(x * total), last) for x in u.tolist()]
+            return np.array(leaves, dtype=np.int64), np.array([self.get(i) for i in leaves], dtype=np.float64)
+        leaves = np.empty(len(u), dtype=np.int64)
+        values = np.empty(len(u), dtype=np.float64)
+        lib.tree_find_many(
+            self._address, self.capacity, u.ctypes.data, total, len(u), last, leaves.ctypes.data, values.ctypes.data
+        )
+        return leaves, values
+
+    def _walk_find(self, prefix: float) -> int:
         nodes = self._view
         inner = self.capacity - 1
         idx = 0
@@ -114,12 +167,10 @@ class PrioritizedReplay:
         for more transitions than the buffer holds."""
         if self.size < batch:
             raise ValueError(f"cannot sample {batch} transitions from a buffer holding {self.size}")
-        tree = self.tree
-        total = tree.total()
+        total = self.tree.total()
         last = self.size - 1  # rounding in the inner sums can steer a draw into the zero-mass tail
-        picks = [min(tree.find(u * total), last) for u in rng.random(batch).tolist()]
-        indices = np.array(picks, dtype=np.int64)
-        probs = np.array([tree.get(i) for i in picks]) / total
+        indices, leaf_values = self.tree.find_many(rng.random(batch), total, last)
+        probs = leaf_values / total
         weights = (self.size * probs) ** (-beta)
         weights /= weights.max()
         return ReplayBatch(
@@ -134,8 +185,10 @@ class PrioritizedReplay:
 
     def update_priorities(self, indices: np.ndarray, td_abs: np.ndarray) -> None:
         """Priority tracks |td error| with a floor so nothing starves."""
-        for i, err in zip(indices.tolist(), td_abs.tolist()):
+        values = []
+        for err in td_abs.tolist():
             raw = abs(err) + self.priority_eps
-            self.tree.set(i, raw**self.alpha)
+            values.append(raw**self.alpha)
             if raw > self.max_priority:
                 self.max_priority = raw
+        self.tree.set_many(indices.tolist(), values)

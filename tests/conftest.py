@@ -1,7 +1,10 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from iovslice import phy
+from iovslice.dqn import kernels
 from iovslice.channel import ChannelConfig, ChannelState, noise_lin_mw
 from iovslice.scenario import (
     Packet,
@@ -87,3 +90,17 @@ def rng():
 @pytest.fixture
 def channel_cfg():
     return ChannelConfig()
+
+
+@contextlib.contextmanager
+def forced_fallback():
+    """Run Adam and the replay on their numpy and memoryview code, as a
+    failed build of `_kernels.c` would make them."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "library", lambda: None)
+        yield
+
+
+def require_kernels():
+    if kernels.library() is None:
+        pytest.skip("the kernels cannot be built here")

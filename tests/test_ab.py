@@ -1,6 +1,7 @@
 import math
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -101,3 +102,15 @@ def test_every_case_gives_equal_outputs_on_two_copies(two_copies, tmp_path, name
     a, b = two_copies
     times_a, times_b = ab.interleave(lambda r: case(a, r, tmp_path), lambda r: case(b, r, tmp_path), 1)
     assert len(times_a) == len(times_b) == 1
+
+
+def test_header_names_each_sides_learner_path(two_copies, tmp_path, monkeypatch):
+    old = ModuleType("old")
+    old.dqn = ModuleType("old.dqn")  # a tree from before the kernels
+    assert ab.learner_kernels(old) == "no kernels"
+    a, _ = two_copies
+    ab.CASES["adam_early"](a, 0, tmp_path)()
+    built = a.dqn.kernels.library() is not None
+    assert ab.learner_kernels(a).startswith("kernels built by " if built else "fallback ")
+    monkeypatch.setattr(a.dqn.kernels, "_handle", a.dqn.kernels._UNSET)
+    assert ab.learner_kernels(a) == "kernels unused"

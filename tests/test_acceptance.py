@@ -2,12 +2,16 @@
 
 One full default-configuration training run backs criteria 1-5; it is cached
 per session (and on disk under .acceptance-cache keyed by the config) because
-it takes minutes, not because any tolerance depends on it. Each criterion
-prints a PASS/FAIL line so a log scan shows the whole gate at a glance.
+it takes minutes, not because any tolerance depends on it. Beside the cached
+checkpoint sits the training stamp of the code that trained it; a learner
+whose stamp differs retrains the cache. Each criterion prints a PASS/FAIL
+line so a log scan shows the whole gate at a glance.
 """
 
+import dataclasses
 import hashlib
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +26,8 @@ from iovslice.dqn.replay import PrioritizedReplay
 from iovslice.env import EnvConfig, SlicingEnv
 from iovslice.worlds import WorkloadConfig
 
+from conftest import forced_fallback
+
 CACHE_DIR = Path(__file__).parent / ".acceptance-cache"
 EVAL_EPISODES = 200
 
@@ -35,15 +41,51 @@ def default_cfg() -> RunConfig:
     return RunConfig()
 
 
+def stamp_configs(cfg: RunConfig) -> list[RunConfig]:
+    """The stamp's short runs of `cfg`, without and with double-Q: 3 episodes
+    and 100 updates each, which copy the target every 30 updates, wrap a
+    100-transition replay and run at the epsilon floor from the second
+    episode on, all branches the pinned 3-episode digest run never reaches."""
+    train = dataclasses.replace(
+        cfg.train, episodes=3, warmup=80, replay_capacity=100, target_copy_period=30, eps_anneal_frac=0.3
+    )
+    return [dataclasses.replace(cfg, train=dataclasses.replace(train, double_q=dq)) for dq in (False, True)]
+
+
+def training_stamp(cfg: RunConfig) -> str:
+    """sha256 over the checkpoints and logs of the stamp runs, in order."""
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, run in enumerate(stamp_configs(cfg)):
+            for path in cli.cmd_train(run, Path(tmp) / str(i), quiet=True):
+                digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def cache_paths(cfg: RunConfig) -> tuple[Path, Path, Path]:
+    """The cache's checkpoint, training log and stamp of `cfg`, in the
+    directory named by its config digest."""
+    out_dir = CACHE_DIR / hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:16]
+    return out_dir / "checkpoint.bin", out_dir / "training_log.csv", out_dir / "stamp.sha256"
+
+
 @pytest.fixture(scope="session")
 def trained(default_cfg):
-    """Full default training run, cached on disk keyed by the exact config."""
-    key = hashlib.sha256(serialize_config(default_cfg).encode()).hexdigest()[:16]
-    out_dir = CACHE_DIR / key
-    ckpt = out_dir / "checkpoint.bin"
-    log = out_dir / "training_log.csv"
-    if not (ckpt.exists() and log.exists()):
-        cli.cmd_train(default_cfg, out_dir, quiet=True)
+    """Full default training run and the DQL eval CSVs of its checkpoint.
+
+    They are regenerated when missing or when today's training stamp differs
+    from the committed one: then the learner's arithmetic has changed, and
+    the cached checkpoint is not what this code would train."""
+    ckpt, log, stamp_path = cache_paths(default_cfg)
+    stamp = training_stamp(default_cfg)
+    stale = not (ckpt.exists() and log.exists() and stamp_path.exists()) or stamp_path.read_text().strip() != stamp
+    if stale:
+        cli.cmd_train(default_cfg, ckpt.parent, quiet=True)
+        stamp_path.write_text(stamp + "\n")
+    for sweep, name in (("none", "eval-default"), ("sizes", "eval-sizes")):
+        dql = CACHE_DIR / name / "dql.csv"
+        if stale or not dql.exists():
+            cli.cmd_eval(default_cfg, ckpt, dql, episodes=EVAL_EPISODES, sweep=sweep)
     return ckpt, log
 
 
@@ -56,12 +98,9 @@ def read_log(path: Path):
 @pytest.fixture(scope="session")
 def eval_rows(default_cfg, trained):
     """Paired-seed evaluation at the default point: DQL plus all baselines."""
-    ckpt, _ = trained
     out_dir = CACHE_DIR / "eval-default"
     dql = out_dir / "dql.csv"
     base = out_dir / "baselines.csv"
-    if not dql.exists():
-        cli.cmd_eval(default_cfg, ckpt, dql, episodes=EVAL_EPISODES, sweep="none")
     if not base.exists():
         cli.cmd_baseline(
             default_cfg, list(bl.BASELINE_NAMES), base, episodes=EVAL_EPISODES, sweep="none"
@@ -72,6 +111,39 @@ def eval_rows(default_cfg, trained):
         header = lines[1].split(",")
         rows.extend(dict(zip(header, line.split(","))) for line in lines[2:])
     return rows
+
+
+def test_training_stamp_runs_reach_every_learner_branch(default_cfg, tmp_path, monkeypatch):
+    """Each stamp run copies the target, evicts from its full replay and
+    reaches the epsilon floor; the first runs without double-Q, the second
+    with it."""
+    copies, evictions = [], []
+    copy_from, add = DuelingQNetwork.copy_from, PrioritizedReplay.add
+
+    def copy_spy(net, other):
+        copies.append(other)
+        copy_from(net, other)
+
+    def add_spy(buf, *args):
+        evictions.append(len(buf) == buf.capacity)
+        add(buf, *args)
+
+    monkeypatch.setattr(DuelingQNetwork, "copy_from", copy_spy)
+    monkeypatch.setattr(PrioritizedReplay, "add", add_spy)
+    runs = stamp_configs(default_cfg)
+    assert [run.train.double_q for run in runs] == [False, True]
+    for i, run in enumerate(runs):
+        copies.clear()
+        evictions.clear()
+        _, log = cli.cmd_train(run, tmp_path / str(i), quiet=True)
+        assert copies and any(evictions)
+        assert float(read_log(log)[-1]["epsilon"]) == run.train.eps_end
+
+
+def test_training_stamp_is_the_same_on_the_fallback(default_cfg, trained):
+    *_, stamp_path = cache_paths(default_cfg)
+    with forced_fallback():
+        assert training_stamp(default_cfg) == stamp_path.read_text().strip()
 
 
 def totals_by_algorithm(rows):
@@ -165,12 +237,8 @@ def test_cached_eval_rows_reproduce(default_cfg, trained, tmp_path):
 # -- criterion 4: size trend ---------------------------------------------------
 
 
-def test_criterion_4_size_trend(default_cfg, trained):
-    ckpt, _ = trained
-    out = CACHE_DIR / "eval-sizes" / "dql.csv"
-    if not out.exists():
-        cli.cmd_eval(default_cfg, ckpt, out, episodes=EVAL_EPISODES, sweep="sizes")
-    lines = out.read_text().splitlines()
+def test_criterion_4_size_trend(trained):
+    lines = (CACHE_DIR / "eval-sizes" / "dql.csv").read_text().splitlines()
     header = lines[1].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
     by_size: dict[int, list[float]] = {}

@@ -19,6 +19,8 @@ from iovslice.dqn import DuelingQNetwork, TrainConfig, save_checkpoint
 from iovslice.env import EnvConfig
 from iovslice.scenario import MAX_ROAD_LENGTH_M
 
+from conftest import forced_fallback
+
 
 def tiny_cfg(**run_kw):
     from iovslice.worlds import WorkloadConfig
@@ -297,7 +299,7 @@ def test_deadline_sweep_past_horizon_fails_before_any_episode(tmp_path, monkeypa
     monkeypatch.setattr(cli.WorldStream, "__call__", spy)
     argv = [command[0], "--config", "run.cfg", *command[1:], "--episodes", "1", "--sweep", "deadlines"]
     assert cli.main(argv) == 1
-    assert capsys.readouterr().err == "error: deadline window 7 exceeds horizon 6\n"
+    assert capsys.readouterr().err == "error: run.deadline_sweep_slots entries must be <= env.T, got 8 > 6\n"
     assert starts == []
     assert not Path(command[-1]).exists()
 
@@ -505,9 +507,30 @@ def test_train_output_digests_are_pinned(tmp_path, double_q, checkpoint_sha256, 
     environment, network, optimizer or replay arithmetic shows here."""
     cfg = RunConfig()
     cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, episodes=3, warmup=60, double_q=double_q))
-    ckpt, log_path = cli.cmd_train(cfg, tmp_path / "run", quiet=True)
-    assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == checkpoint_sha256
-    assert hashlib.sha256(log_path.read_bytes()).hexdigest() == log_sha256
+    for fallback in (False, True):  # on the kernels where they build, then on the fallback
+        with forced_fallback() if fallback else contextlib.nullcontext():
+            ckpt, log_path = cli.cmd_train(cfg, tmp_path / f"run-{fallback}", quiet=True)
+        assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == checkpoint_sha256
+        assert hashlib.sha256(log_path.read_bytes()).hexdigest() == log_sha256
+
+
+# `python -c` programs that run `cli.main` on their arguments: one with the
+# learner forced onto its fallback, one that prints whether the process left
+# the kernels unbuilt
+FALLBACK_MAIN = (
+    "import sys; from iovslice import cli; from iovslice.dqn import kernels;"
+    " kernels.library = lambda: None; sys.exit(cli.main(sys.argv[1:]))"
+)
+UNBUILT_MAIN = (
+    "import sys; from iovslice import cli; from iovslice.dqn import kernels;"
+    " code = cli.main(sys.argv[1:]); print(kernels._handle is kernels._UNSET); sys.exit(code)"
+)
+
+
+def cli_env(**extra):
+    """This environment with `src/` on PYTHONPATH, for a fresh `python`."""
+    src = str(Path(__file__).parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra}
 
 
 def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -518,20 +541,41 @@ def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
     cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, episodes=3, warmup=60))
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(serialize_config(cfg))
-    src = str(Path(__file__).parents[1] / "src")
     outputs = []
     for threads in ("1", "2"):
-        env = {
-            **os.environ,
-            "OPENBLAS_NUM_THREADS": threads,
-            "OMP_NUM_THREADS": threads,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-        }
-        out = tmp_path / f"threads-{threads}"
-        argv = [sys.executable, "-m", "iovslice.cli", "train", "--config", str(cfg_path), "--out", str(out), "--quiet"]
-        subprocess.run(argv, env=env, check=True, timeout=300)
-        outputs.append([(out / name).read_bytes() for name in ("checkpoint.bin", "training_log.csv")])
-    assert outputs[0] == outputs[1]
+        for main in (["-m", "iovslice.cli"], ["-c", FALLBACK_MAIN]):  # kernels where they build, then the fallback
+            out = tmp_path / f"threads-{threads}-{main[0]}"
+            argv = [sys.executable, *main, "train", "--config", str(cfg_path), "--out", str(out), "--quiet"]
+            env = cli_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            subprocess.run(argv, env=env, check=True, timeout=300)
+            outputs.append([(out / name).read_bytes() for name in ("checkpoint.bin", "training_log.csv")])
+    assert all(each == outputs[0] for each in outputs)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["eval", "--checkpoint", "ckpt.bin", "--out", "eval.csv", "--episodes", "1"],
+        ["baseline", "--out", "base.csv", "--episodes", "1"],
+        ["oracle", "--instances", "2", "--out", "oracle.csv"],
+        ["plotdata", "--inputs", "eval.csv", "--out", "plot.csv"],
+        ["train", "--out", "run", "--episodes", "1"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_only_training_builds_the_kernels(tmp_path, command):
+    """Each command in a fresh process: all but `train` leave the kernel
+    loader unset, so their set-up time and memory do not carry the build;
+    `train` shows that the probe sees a build."""
+    cfg = dataclasses.replace(tiny_cfg(), train=TrainConfig(episodes=1, warmup=8, batch_size=8, seed=1))
+    (tmp_path / "run.cfg").write_text(serialize_config(cfg))
+    save_checkpoint(DuelingQNetwork(cfg.env.obs_dim, (4,), cfg.env.n_actions, rng=None), tmp_path / "ckpt.bin")
+    if command[0] == "plotdata":
+        cli.cmd_eval(cfg, tmp_path / "ckpt.bin", tmp_path / "eval.csv", episodes=1, sweep="none")
+    config = [] if command[0] == "plotdata" else ["--config", "run.cfg"]
+    argv = [sys.executable, "-c", UNBUILT_MAIN, command[0], *config, *command[1:]]
+    done = subprocess.run(argv, env=cli_env(), cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stdout.splitlines()[-1:]) == (0, [str(command[0] != "train")]), done.stderr
 
 
 def test_baseline_output_digests_are_pinned(tmp_path):

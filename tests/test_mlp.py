@@ -1,4 +1,5 @@
 import hashlib
+import shutil
 import struct
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from iovslice import cli
 from iovslice.config import RunConfig
+from iovslice.dqn import kernels
 from iovslice.dqn.mlp import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -19,6 +21,8 @@ from iovslice.dqn.mlp import (
     load_checkpoint,
     save_checkpoint,
 )
+
+from conftest import forced_fallback, require_kernels
 
 
 def toy_net(seed=0, obs=4, hidden=(2,), actions=3):
@@ -213,6 +217,51 @@ def test_adam_matches_per_tensor_formula_across_bias_cutoffs(beta, cutoff):
             p_ref -= lr * (m_ / b1t) / (np.sqrt(v_ / b2t) + eps)
         for p, p_ref in zip(net.params, ref):
             assert p.tobytes() == p_ref.tobytes()
+
+
+def test_kernels_build_where_the_interpreter_names_a_compiler():
+    """A build that fails where a compiler is installed would send every
+    kernel test to the fallback unnoticed."""
+    cc = kernels.compiler()
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip("the interpreter names no installed C compiler")
+    assert kernels.library() is not None
+
+
+@pytest.mark.parametrize("t0", [0, 353, 37_409], ids=["both-divide", "b1t-is-one-from-356", "both-one-from-37412"])
+def test_adam_kernels_match_the_numpy_path(t0):
+    """Eight steps at the default network size from step t0 + 1, on the
+    kernels and on the fallback, from the same nonzero moments: parameters and
+    both moments stay identical bit for bit. The gradients mix normal values
+    with zeros, subnormals and values near the float64 extremes."""
+    cfg = RunConfig()
+    net = DuelingQNetwork(cfg.env.obs_dim, cfg.train.hidden, cfg.env.n_actions, np.random.default_rng(27))
+    rng = np.random.default_rng(28)
+    fast, ref = Adam(net.params, 1e-3), Adam(net.params, 1e-3)
+    fast.t = ref.t = t0
+    fast.m[...] = ref.m[...] = rng.normal(size=fast.m.size)
+    fast.v[...] = ref.v[...] = rng.uniform(0.0, 2.0, size=fast.v.size)
+    p_fast, p_ref = net.params, net.clone().params
+    special = np.array([0.0, -0.0, 5e-324, -1e-310, 1e-160, 1e150, -1e150])
+    require_kernels()
+    for _ in range(8):
+        grads = FlatParams(rng.normal(size=p_fast.flat.size), p_fast.shapes)
+        grads.flat[rng.integers(grads.flat.size, size=64)] = rng.choice(special, size=64)
+        fast.step(p_fast, grads)
+        with forced_fallback():
+            ref.step(p_ref, grads)
+        assert fast.t == ref.t
+        for a, b in ((p_fast.flat, p_ref.flat), (fast.m, ref.m), (fast.v, ref.v)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_adam_kernels_refuse_a_mismatched_vector():
+    net = toy_net(seed=29)
+    opt = Adam(net.params, lr=0.1)
+    require_kernels()
+    for bad in (np.zeros(net.params.flat.size + 1), np.zeros(net.params.flat.size, np.float32)):
+        with pytest.raises(ValueError, match="contiguous float64"):
+            opt.step(net.params, FlatParams(bad, net.params.shapes))
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from iovslice.dqn.replay import PrioritizedReplay, ReplayBatch, SumTree
+
+from conftest import forced_fallback
 
 
 def filled_buffer(n, obs_dim=3, capacity=64, alpha=0.6, priority_eps=1e-3):
@@ -32,6 +36,20 @@ def test_sum_tree_totals_and_find():
     assert tree.find(sum(values) - 1e-9) == 7
     tree.set(0, 10.0)
     assert tree.total() == pytest.approx(sum(values) + 7.0)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["kernels", "fallback"])
+def test_out_of_range_leaf_is_refused_with_nothing_written(fallback):
+    tree = SumTree(4)
+    tree.set(1, 2.0)
+    before = tree.nodes.tobytes()
+    with forced_fallback() if fallback else contextlib.nullcontext():
+        for leaves in ([-1], [4], [0, 2, -3]):
+            with pytest.raises(IndexError, match=f"leaf {leaves[-1]} outside a tree of capacity 4"):
+                tree.set_many(leaves, [1.0] * len(leaves))
+        with pytest.raises(IndexError, match="leaf -1 outside"):
+            tree.set(-1, 1.0)
+    assert tree.nodes.tobytes() == before
 
 
 def test_fifo_eviction():
@@ -160,15 +178,19 @@ def leaves_in_prefix_order(capacity):
 @given(capacity=st.sampled_from([1, 2, 3, 5, 8, 100_000]), data=st.data())
 def test_sum_tree_matches_exact_prefix_sums(capacity, data):
     # Integer masses keep every sum exact, so nodes and prefixes compare with ==.
-    tree = SumTree(capacity)
+    # The tree runs on the kernels where they build; `slow` on the fallback.
+    tree, slow = SumTree(capacity), SumTree(capacity)
     mass = np.zeros(capacity)
     last = data.draw(st.integers(0, capacity - 1))  # leaves after it: a zero-mass tail
     pool = data.draw(st.lists(st.integers(0, last), min_size=1, max_size=3))
     leaf = st.sampled_from(pool) | st.integers(0, last)  # so that leaves get rewritten
     for j, value in data.draw(st.lists(st.tuples(leaf, st.integers(0, 1000)), min_size=1, max_size=40)):
         tree.set(j, float(value))
+        with forced_fallback():
+            slow.set(j, float(value))
         mass[j] = value
     inner = capacity - 1
+    assert tree.nodes.tobytes() == slow.nodes.tobytes()
     assert tree.nodes[inner:].tolist() == mass.tolist()
     assert tree.nodes[:inner].tolist() == (tree.nodes[1 : 2 * inner : 2] + tree.nodes[2 : 2 * inner + 1 : 2]).tolist()
     assert tree.total() == mass.sum()
@@ -177,6 +199,8 @@ def test_sum_tree_matches_exact_prefix_sums(capacity, data):
         if mass[j] > 0:  # its range is [start, start + mass); check both ends and the middle
             for prefix in (start, start + mass[j] / 2, start + mass[j] - 0.5):
                 assert tree.find(prefix) == j
+                with forced_fallback():
+                    assert slow.find(prefix) == j
         start += mass[j]
 
 
@@ -277,38 +301,47 @@ _TD = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(
-    capacity=st.sampled_from([1, 3, 5, 8, 100]),
+    capacity=st.sampled_from([1, 3, 5, 8, 100, 100_000]),
     alpha=st.sampled_from([0.6, 1.0, 0.35]),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
 def test_replay_matches_numpy_scalar_reference(capacity, alpha, seed, data):
+    # `fast` runs on the kernels where they build, `slow` on the fallback
     fast = PrioritizedReplay(capacity, 1, alpha, 1e-3)
+    slow = PrioritizedReplay(capacity, 1, alpha, 1e-3)
     ref = ScalarReplay(capacity, 1, alpha, 1e-3)
-    rng_fast, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for _ in range(3)]
     last = None  # the indices of the latest batch, which an update may reuse
+
+    def each(call):
+        """call(buffer, its rng) on fast, slow and ref, in that order."""
+        out = [call(fast, rngs[0])]
+        with forced_fallback():
+            out.append(call(slow, rngs[1]))
+        return out + [call(ref, rngs[2])]
 
     def sample(batch):
         nonlocal last
         beta = data.draw(st.sampled_from([0.0, 0.4, 0.73, 1.0]), label="beta")
-        got, want = (draw_or_none(buf, batch, beta, rng) for buf, rng in ((fast, rng_fast), (ref, rng_ref)))
-        assert (got is None) == (want is None) == (batch > len(ref))
-        if got is not None:
-            assert got.indices.dtype == want.indices.dtype
-            assert got.indices.tobytes() == want.indices.tobytes()
-            assert got.weights.tobytes() == want.weights.tobytes()
+        *got, want = each(lambda buf, rng: draw_or_none(buf, batch, beta, rng))
+        for out in got:
+            assert (out is None) == (want is None) == (batch > len(ref))
+            if out is not None:
+                assert out.indices.dtype == want.indices.dtype
+                assert out.indices.tobytes() == want.indices.tobytes()
+                assert out.weights.tobytes() == want.weights.tobytes()
+        if want is not None:
             last = want.indices
 
     def update(idx, td):
-        fast.update_priorities(idx, td)
-        ref.update_priorities(idx, td)
+        each(lambda buf, rng: buf.update_priorities(idx, td))
 
     ops = st.sampled_from(["add", "sample", "update", "update-batch", "drift"])
     for op in data.draw(st.lists(ops, min_size=3, max_size=25), label="ops"):
         if op == "add":
-            for _ in range(data.draw(st.integers(1, capacity + 1), label="adds")):  # may evict
-                for buf in (fast, ref):
-                    buf.add(np.zeros(1), 0, 0.0, np.zeros(1), 1.0)
+            for _ in range(data.draw(st.integers(1, min(capacity + 1, 101)), label="adds")):  # may evict
+                each(lambda buf, rng: buf.add(np.zeros(1), 0, 0.0, np.zeros(1), 1.0))
         elif op == "sample":
             sample(data.draw(st.integers(1, 8), label="batch"))
         elif len(fast) == 0:
@@ -331,6 +364,7 @@ def test_replay_matches_numpy_scalar_reference(capacity, alpha, seed, data):
                 idx = np.array(data.draw(st.lists(st.integers(0, len(fast) - 1), min_size=1, max_size=8)))
             update(idx, np.array(data.draw(st.lists(_TD, min_size=len(idx), max_size=len(idx)), label="td")))
         assert_same_state(fast, ref)
+        assert_same_state(slow, ref)
         # prefixes on the root's split, at both ends and inside the range
         total = ref.tree.total()
         probes = [0.0, total, *(u * total for u in data.draw(st.lists(st.floats(0.0, 1.0), max_size=3)))]
@@ -338,3 +372,5 @@ def test_replay_matches_numpy_scalar_reference(capacity, alpha, seed, data):
             probes.append(float(ref.tree.nodes[1]))
         for prefix in probes:
             assert fast.tree.find(prefix) == ref.tree.find(prefix)
+            with forced_fallback():
+                assert slow.tree.find(prefix) == ref.tree.find(prefix)
