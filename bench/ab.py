@@ -73,6 +73,14 @@ The learner cases run at the default sizes (73 inputs, hidden (256, 128,
   no 117 MB of transitions.
 - `replay_update` (xCALLS): `update_priorities` of a sampled batch on such
   a buffer.
+- `replay_add` (xCALLS): `PrioritizedReplay.add` of one transition with
+  observations drawn at seed r into such a buffer, each evicting the oldest.
+- `train_update` (xCALLS): one whole update as `train` runs it, on a buffer
+  of 1,500 transitions drawn at seed r, their priorities set from
+  exponential draws: `sample` (beta 0.4), `td_targets` from a target copy of
+  the network, `loss_and_grads`, `Adam.step` from t = 0 and
+  `update_priorities`. Outputs are the parameter bytes, the tree's nodes and
+  `max_priority`.
 - `adam_early`, `adam_late` (xCALLS): one `Adam` step over every parameter
   from t = 0 (t < 356: both bias corrections divide) and from t = 40,000
   (t > 37,412: both have rounded to 1.0).
@@ -358,6 +366,41 @@ def _replay_update(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
     return call
 
 
+def _replay_add(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
+    buf, _ = _full_replay(pkg, r)
+    rng = np.random.default_rng(r)
+    rows = [(rng.uniform(size=buf.obs.shape[1]), int(rng.integers(100)), rng.normal()) for _ in range(CALLS)]
+
+    def call():
+        for obs, action, reward in rows:
+            buf.add(obs, action, reward, obs, 1.0)
+        return buf.tree.nodes, buf.max_priority, buf.obs[:CALLS]
+
+    return call
+
+
+def _train_update(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
+    cfg, net = _net(pkg, r)
+    tc, obs_dim, n_actions = cfg.train, cfg.env.obs_dim, cfg.env.n_actions
+    buf = pkg.dqn.PrioritizedReplay(tc.replay_capacity, obs_dim, alpha=tc.alpha, priority_eps=tc.priority_eps)
+    rng = np.random.default_rng(r)
+    for _ in range(1500):
+        buf.add(rng.uniform(size=obs_dim), int(rng.integers(n_actions)), rng.normal(), rng.uniform(size=obs_dim), 1.0)
+    buf.update_priorities(np.arange(len(buf)), rng.exponential(size=len(buf)))
+    target, opt = net.clone(), pkg.dqn.Adam(net.params, tc.lr)
+
+    def call():
+        for _ in range(CALLS):
+            batch = buf.sample(tc.batch_size, 0.4, rng)
+            targets = pkg.dqn.td_targets(target, batch.rewards, batch.next_obs, batch.discount)
+            _, grads, td_abs = net.loss_and_grads(batch.obs, batch.actions, targets, batch.weights, tc.huber_delta)
+            opt.step(net.params, grads)
+            buf.update_priorities(batch.indices, td_abs)
+        return net.params.flat, buf.tree.nodes, buf.max_priority
+
+    return call
+
+
 def _net(pkg: ModuleType, r: int):
     cfg = pkg.config.RunConfig()
     return cfg, pkg.dqn.DuelingQNetwork(cfg.env.obs_dim, cfg.train.hidden, cfg.env.n_actions, np.random.default_rng(r))
@@ -426,6 +469,8 @@ CASES: dict[str, Case] = {
     "cmd_train": _cmd_train,
     "replay_sample": _replay_sample,
     "replay_update": _replay_update,
+    "replay_add": _replay_add,
+    "train_update": _train_update,
     "adam_early": _adam(0),
     "adam_late": _adam(40_000),
     "loss_and_grads": _loss_and_grads,

@@ -1,5 +1,5 @@
 /* Compiled passes of the learner: Adam's step over the flat parameter vector
- * and the prioritized replay's sum-tree walks.
+ * and the prioritized replay's sum-tree walks and priority update.
  *
  * `kernels.py` builds this file once per process and binds it through
  * ctypes; `Adam.step`, `SumTree` and `PrioritizedReplay` call it, and keep
@@ -12,6 +12,16 @@
  *   ufunc pass or one float operation there, and each result rounds to a
  *   double before the next reads it (FLT_EVAL_METHOD, checked below).
  *   Elements never mix, so vectorising a loop changes nothing but speed.
+ * - Adam's one pass keeps the new m and v in locals where the Python path
+ *   stores them and reads them back. A local holds the double that was
+ *   stored, so no value is read back rounded differently.
+ * - `pow` is the libm function that Python's float `**` calls for a
+ *   positive finite base other than 1 and a finite nonzero exponent. The
+ *   other cases a raw priority |td| + eps (eps > 0) can reach, exponent 0,
+ *   base 1 and an infinite or NaN operand, Python answers itself with the
+ *   values pow returns; where pow overflows from finite operands, Python
+ *   raises OverflowError, and `replay_update` refuses. It is a plain call:
+ *   without `-ffast-math` glibc declares no vector variant of it.
  * - `-ffp-contract=off` forbids fusing a multiply and an add into one FMA,
  *   which rounds once instead of twice; GCC's default allows it wherever
  *   the target has FMA instructions (aarch64 always, x86-64 under -march).
@@ -34,26 +44,23 @@
 #error "double expressions must round to double at every operation"
 #endif
 
-/* m = m * beta1 + g * c1 and v = v * beta2 + (g * g) * c2, with c1 and c2 the
- * Python values of 1 - beta1 and 1 - beta2. */
-void adam_moments(double *m, double *v, const double *g, int64_t n,
-                  double beta1, double c1, double beta2, double c2)
+/* One Adam step over n parameters, each read once and written once:
+ * m = m * beta1 + g * c1, v = v * beta2 + (g * g) * c2, with c1 and c2 the
+ * Python values of 1 - beta1 and 1 - beta2, then
+ * p -= (m / b1t) * lr / (sqrt(v / b2t) + eps) from the new m and v. A
+ * correction that has rounded to exactly 1.0 is not divided by, as in the
+ * Python path; x / 1.0 is x, so skipping it changes no byte. */
+void adam_step(double *p, double *m, double *v, const double *g, int64_t n,
+               double beta1, double c1, double beta2, double c2,
+               double lr, double b1t, double b2t, double eps)
 {
     for (int64_t i = 0; i < n; i++) {
-        m[i] = m[i] * beta1 + g[i] * c1;
-        v[i] = v[i] * beta2 + (g[i] * g[i]) * c2;
-    }
-}
-
-/* p -= (m / b1t) * lr / (sqrt(v / b2t) + eps). A correction that has
- * rounded to exactly 1.0 is not divided by, as in the Python path; x / 1.0
- * is x, so skipping it changes no byte. */
-void adam_update(double *p, const double *m, const double *v, int64_t n,
-                 double lr, double b1t, double b2t, double eps)
-{
-    for (int64_t i = 0; i < n; i++) {
-        double num = (b1t == 1.0 ? m[i] : m[i] / b1t) * lr;
-        double den = sqrt(b2t == 1.0 ? v[i] : v[i] / b2t) + eps;
+        double mi = m[i] * beta1 + g[i] * c1;
+        double vi = v[i] * beta2 + (g[i] * g[i]) * c2;
+        m[i] = mi;
+        v[i] = vi;
+        double num = (b1t == 1.0 ? mi : mi / b1t) * lr;
+        double den = sqrt(b2t == 1.0 ? vi : vi / b2t) + eps;
         p[i] = p[i] - num / den;
     }
 }
@@ -86,24 +93,77 @@ void tree_find_many(const double *nodes, int64_t capacity, const double *u,
     }
 }
 
-/* Set leaves[k] to values[k] for k = 0, 1, ..., adding each change up the
- * leaf's path to the root, in order. Returns -1, or the first k whose leaf
- * lies outside [0, capacity), in which case nothing is written. */
-int64_t tree_set_many(double *nodes, int64_t capacity, const int64_t *leaves,
-                      const double *values, int64_t n)
+/* Set one leaf to `value`, adding the change up its path to the root. */
+static void set_leaf(double *nodes, int64_t capacity, int64_t leaf, double value)
+{
+    int64_t idx = leaf + capacity - 1;
+    double change = value - nodes[idx];
+    nodes[idx] = value;
+    while (idx > 0) {
+        idx = (idx - 1) / 2;
+        nodes[idx] += change;
+    }
+}
+
+/* -1, or the first k whose leaf lies outside [0, capacity) */
+static int64_t first_bad_leaf(int64_t capacity, const int64_t *leaves, int64_t n)
 {
     for (int64_t k = 0; k < n; k++) {
         if (leaves[k] < 0 || leaves[k] >= capacity)
             return k;
     }
+    return -1;
+}
+
+/* Set one leaf. Returns -1, or 0 with nothing written when the leaf lies
+ * outside [0, capacity). */
+int64_t tree_set(double *nodes, int64_t capacity, int64_t leaf, double value)
+{
+    if (leaf < 0 || leaf >= capacity)
+        return 0;
+    set_leaf(nodes, capacity, leaf, value);
+    return -1;
+}
+
+/* Set leaves[k] to values[k] for k = 0, 1, ..., in order. Returns -1, or
+ * the first k whose leaf lies outside [0, capacity), in which case nothing
+ * is written. */
+int64_t tree_set_many(double *nodes, int64_t capacity, const int64_t *leaves,
+                      const double *values, int64_t n)
+{
+    int64_t bad = first_bad_leaf(capacity, leaves, n);
+    if (bad >= 0)
+        return bad;
+    for (int64_t k = 0; k < n; k++)
+        set_leaf(nodes, capacity, leaves[k], values[k]);
+    return -1;
+}
+
+/* The replay's priority update. For each k: raw = |td[k]| + eps, the leaf
+ * value pow(raw, alpha) into out[k], and the running max of max_priority
+ * and the raws, in order, into out[n]; then leaves[k] is set to out[k] for
+ * k = 0, 1, ..., in order. Returns -1; or, with nothing written to `nodes`,
+ * n + k for the first k whose pow overflows from a finite raw and alpha
+ * (where Python's float ** raises OverflowError), else the first k whose
+ * leaf lies outside [0, capacity). */
+int64_t replay_update(double *nodes, int64_t capacity, const int64_t *leaves,
+                      const double *td, int64_t n, double alpha, double eps,
+                      double max_priority, double *out)
+{
     for (int64_t k = 0; k < n; k++) {
-        int64_t idx = leaves[k] + capacity - 1;
-        double change = values[k] - nodes[idx];
-        nodes[idx] = values[k];
-        while (idx > 0) {
-            idx = (idx - 1) / 2;
-            nodes[idx] += change;
-        }
+        double raw = fabs(td[k]) + eps;
+        double value = pow(raw, alpha);
+        if (isinf(value) && isfinite(raw) && isfinite(alpha))
+            return n + k;
+        out[k] = value;
+        if (raw > max_priority)
+            max_priority = raw;
     }
+    int64_t bad = first_bad_leaf(capacity, leaves, n);
+    if (bad >= 0)
+        return bad;
+    out[n] = max_priority;
+    for (int64_t k = 0; k < n; k++)
+        set_leaf(nodes, capacity, leaves[k], out[k]);
     return -1;
 }

@@ -196,9 +196,9 @@ class Adam:
     """Standard Adam with bias correction over one flat parameter vector.
 
     A step is the per-tensor formula p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
-    over FlatParams.flat, in two passes of `_kernels.c` (moments, then
-    parameters). Where the kernels cannot be built it is a fixed sequence of
-    in-place ufuncs over two scratch vectors, allocated on its first step;
+    over FlatParams.flat, in one pass of `_kernels.c` that reads and writes
+    each element once. Where the kernels cannot be built it is a fixed
+    sequence of in-place ufuncs over two scratch vectors, allocated on its first step;
     both paths perform the same operations per element in the same order
     (see `_kernels.c`'s header), so they write the same bytes.
 
@@ -227,9 +227,10 @@ class Adam:
             for a in (p, g):  # the kernels read raw memory
                 if a.dtype != np.float64 or a.shape != m.shape or not a.flags.c_contiguous:
                     raise ValueError(f"Adam needs contiguous float64 vectors of {m.size} parameters")
-            size, pm, pv = m.size, m.ctypes.data, v.ctypes.data
-            lib.adam_moments(pm, pv, g.ctypes.data, size, ADAM_BETA1, 1.0 - ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA2)
-            lib.adam_update(p.ctypes.data, pm, pv, size, self.lr, b1t, b2t, ADAM_EPS)
+            lib.adam_step(
+                p.ctypes.data, m.ctypes.data, v.ctypes.data, g.ctypes.data, m.size,
+                ADAM_BETA1, 1.0 - ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA2, self.lr, b1t, b2t, ADAM_EPS,
+            )
             return
         if self._scratch is None:
             self._scratch = (np.empty(m.size), np.empty(m.size))

@@ -3,14 +3,13 @@
 Leaves hold priority^alpha so proportional sampling is a single O(log N)
 prefix descent; a fresh transition gets `max_priority`, the running max of
 the raw priorities. A transition stores the `StepResult.discount` of its
-step. Eviction is strictly FIFO through a ring pointer. The tree's walks run
-in `_kernels.c`, whose header says why they write the bytes of the Python
-walks kept for machines where it cannot be built.
+step. Eviction is strictly FIFO through a ring pointer. The tree's walks and
+the priority update run in `_kernels.c`, whose header says why they write
+the bytes of the Python code kept for machines where it cannot be built.
 """
 
 from __future__ import annotations
 
-from ctypes import byref, c_double, c_int64
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ class SumTree:
         lib = kernels.library()
         if lib is None:
             self.set_many([leaf], [value])
-        elif lib.tree_set_many(self._address, self.capacity, byref(c_int64(leaf)), byref(c_double(value)), 1) >= 0:
+        elif lib.tree_set(self._address, self.capacity, leaf, value) >= 0:
             raise IndexError(f"leaf {leaf} outside a tree of capacity {self.capacity}")
 
     def set_many(self, leaves: list[int], values: list[float]) -> None:
@@ -184,11 +183,31 @@ class PrioritizedReplay:
         )
 
     def update_priorities(self, indices: np.ndarray, td_abs: np.ndarray) -> None:
-        """Priority tracks |td error| with a floor so nothing starves."""
-        values = []
-        for err in td_abs.tolist():
-            raw = abs(err) + self.priority_eps
-            values.append(raw**self.alpha)
-            if raw > self.max_priority:
-                self.max_priority = raw
-        self.tree.set_many(indices.tolist(), values)
+        """Priority tracks |td error| with a floor so nothing starves. Every
+        leaf is checked and every value computed before anything is written,
+        so a ValueError, an OverflowError (a priority^alpha past the largest
+        double) or an IndexError leaves the tree and `max_priority` as they
+        were."""
+        if len(indices) != len(td_abs):
+            raise ValueError(f"{len(indices)} leaves but {len(td_abs)} values")
+        lib = kernels.library()
+        if lib is None:
+            raws = [abs(err) + self.priority_eps for err in td_abs.tolist()]
+            values = [raw**self.alpha for raw in raws]
+            self.tree.set_many(indices.tolist(), values)
+            self.max_priority = max([self.max_priority, *raws])  # a raw replaces the max only where it is >
+            return
+        n = len(td_abs)
+        leaves = np.ascontiguousarray(indices, dtype=np.int64)
+        td = np.ascontiguousarray(td_abs, dtype=np.float64)
+        out = np.empty(n + 1)
+        bad = lib.replay_update(
+            self.tree._address, self.capacity, leaves.ctypes.data, td.ctypes.data, n,
+            self.alpha, self.priority_eps, self.max_priority, out.ctypes.data,
+        )
+        if bad >= n:
+            raw = abs(td.item(bad - n)) + self.priority_eps
+            raise OverflowError(f"priority {raw!r} raised to alpha {self.alpha!r} overflows")
+        if bad >= 0:
+            raise IndexError(f"leaf {leaves[bad]} outside a tree of capacity {self.capacity}")
+        self.max_priority = out.item(n)

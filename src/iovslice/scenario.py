@@ -210,11 +210,14 @@ def generate_packets(
 
     Each packet sits at its `packet_index`. The slice 2 arrival slot is
     uniform over every start that leaves the full window inside the horizon.
+    The config sections already refuse both bad windows for every run's
+    `WorldStream`: `WorkloadConfig` one under a slot, `RunConfig` and the
+    deadline sweep one longer than `env.T`; these checks guard other callers.
     """
     if deadline_len_slots < 1:
-        raise ValueError("deadline window must span at least one slot")
+        raise ValueError(f"workload.deadline_len_slots must be >= 1, got {deadline_len_slots}")
     if deadline_len_slots > T:
-        raise ValueError(f"deadline window {deadline_len_slots} exceeds horizon {T}")
+        raise ValueError(f"workload.deadline_len_slots must be <= env.T, got {deadline_len_slots} > {T}")
     lo, hi = slice1_bits_range
     packets: list[Packet | None] = [None] * packet_count(scenario.m)
     for src in range(scenario.m):

@@ -43,13 +43,23 @@ def test_out_of_range_leaf_is_refused_with_nothing_written(fallback):
     tree = SumTree(4)
     tree.set(1, 2.0)
     before = tree.nodes.tobytes()
+    buf = filled_buffer(5, capacity=8, alpha=40.0)
+    buf_before = (buf.tree.nodes.tobytes(), buf.max_priority.hex())
     with forced_fallback() if fallback else contextlib.nullcontext():
         for leaves in ([-1], [4], [0, 2, -3]):
             with pytest.raises(IndexError, match=f"leaf {leaves[-1]} outside a tree of capacity 4"):
                 tree.set_many(leaves, [1.0] * len(leaves))
         with pytest.raises(IndexError, match="leaf -1 outside"):
             tree.set(-1, 1.0)
+        # each refusal comes after a raw priority (50.001) above max_priority
+        with pytest.raises(IndexError, match="leaf 99 outside a tree of capacity 8"):
+            buf.update_priorities(np.array([1, 99]), np.array([50.0, 1.0]))
+        with pytest.raises(OverflowError):  # (1e10 + 1e-3) ** 40 is past the largest double
+            buf.update_priorities(np.array([1, 2]), np.array([50.0, 1e10]))
+        with pytest.raises(ValueError, match="1 leaves but 2 values"):
+            buf.update_priorities(np.array([1]), np.array([50.0, 1.0]))
     assert tree.nodes.tobytes() == before
+    assert (buf.tree.nodes.tobytes(), buf.max_priority.hex()) == buf_before
 
 
 def test_fifo_eviction():
@@ -302,7 +312,7 @@ _TD = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(
     capacity=st.sampled_from([1, 3, 5, 8, 100, 100_000]),
-    alpha=st.sampled_from([0.6, 1.0, 0.35]),
+    alpha=st.sampled_from([0.6, 1.0, 0.35, 0.0]),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
@@ -337,7 +347,8 @@ def test_replay_matches_numpy_scalar_reference(capacity, alpha, seed, data):
     def update(idx, td):
         each(lambda buf, rng: buf.update_priorities(idx, td))
 
-    ops = st.sampled_from(["add", "sample", "update", "update-batch", "drift"])
+    kinds = ["add", "sample", "update", "update-batch", "drift"]
+    ops = st.sampled_from(kinds if alpha > 0 else kinds[:-1])  # at alpha 0 every leaf is 1.0, so none drifts
     for op in data.draw(st.lists(ops, min_size=3, max_size=25), label="ops"):
         if op == "add":
             for _ in range(data.draw(st.integers(1, min(capacity + 1, 101)), label="adds")):  # may evict

@@ -177,5 +177,7 @@ def test_generate_packets_degenerate_window(rng):
 
 def test_generate_packets_rejects_long_deadline(rng):
     sc = generate_vehicles(RoadConfig(), 1, 1, rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^workload.deadline_len_slots must be <= env.T, got 21 > 20$"):
         generate_packets(sc, rng, *SIZES, deadline_len_slots=21, T=20)
+    with pytest.raises(ValueError, match=r"^workload.deadline_len_slots must be >= 1, got 0$"):
+        generate_packets(sc, rng, *SIZES, deadline_len_slots=0, T=20)
