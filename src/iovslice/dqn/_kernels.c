@@ -115,16 +115,6 @@ static int64_t first_bad_leaf(int64_t capacity, const int64_t *leaves, int64_t n
     return -1;
 }
 
-/* Set one leaf. Returns -1, or 0 with nothing written when the leaf lies
- * outside [0, capacity). */
-int64_t tree_set(double *nodes, int64_t capacity, int64_t leaf, double value)
-{
-    if (leaf < 0 || leaf >= capacity)
-        return 0;
-    set_leaf(nodes, capacity, leaf, value);
-    return -1;
-}
-
 /* Set leaves[k] to values[k] for k = 0, 1, ..., in order. Returns -1, or
  * the first k whose leaf lies outside [0, capacity), in which case nothing
  * is written. */
@@ -137,6 +127,12 @@ int64_t tree_set_many(double *nodes, int64_t capacity, const int64_t *leaves,
     for (int64_t k = 0; k < n; k++)
         set_leaf(nodes, capacity, leaves[k], values[k]);
     return -1;
+}
+
+/* `tree_set_many` of one pair, passed by value. */
+int64_t tree_set(double *nodes, int64_t capacity, int64_t leaf, double value)
+{
+    return tree_set_many(nodes, capacity, &leaf, &value, 1);
 }
 
 /* The replay's priority update. For each k: raw = |td[k]| + eps, the leaf
