@@ -1,5 +1,5 @@
 /* Compiled passes of the learner: Adam's step over the flat parameter vector
- * and the prioritized replay's sum-tree walks and priority update.
+ * and the prioritized replay's batched sum-tree walks.
  *
  * `kernels.py` builds this file once per process and binds it through
  * ctypes; `Adam.step`, `SumTree` and `PrioritizedReplay` call it, and keep
@@ -15,13 +15,6 @@
  * - Adam's one pass keeps the new m and v in locals where the Python path
  *   stores them and reads them back. A local holds the double that was
  *   stored, so no value is read back rounded differently.
- * - `pow` is the libm function that Python's float `**` calls for a
- *   positive finite base other than 1 and a finite nonzero exponent. The
- *   other cases a raw priority |td| + eps (eps > 0) can reach, exponent 0,
- *   base 1 and an infinite or NaN operand, Python answers itself with the
- *   values pow returns; where pow overflows from finite operands, Python
- *   raises OverflowError, and `replay_update` refuses. It is a plain call:
- *   without `-ffast-math` glibc declares no vector variant of it.
  * - `-ffp-contract=off` forbids fusing a multiply and an add into one FMA,
  *   which rounds once instead of twice; GCC's default allows it wherever
  *   the target has FMA instructions (aarch64 always, x86-64 under -march).
@@ -93,73 +86,24 @@ void tree_find_many(const double *nodes, int64_t capacity, const double *u,
     }
 }
 
-/* Set one leaf to `value`, adding the change up its path to the root. */
-static void set_leaf(double *nodes, int64_t capacity, int64_t leaf, double value)
-{
-    int64_t idx = leaf + capacity - 1;
-    double change = value - nodes[idx];
-    nodes[idx] = value;
-    while (idx > 0) {
-        idx = (idx - 1) / 2;
-        nodes[idx] += change;
-    }
-}
-
-/* -1, or the first k whose leaf lies outside [0, capacity) */
-static int64_t first_bad_leaf(int64_t capacity, const int64_t *leaves, int64_t n)
+/* Set leaves[k] to values[k] for k = 0, 1, ..., adding each change up the
+ * leaf's path to the root, in order. Returns -1, or the first k whose leaf
+ * lies outside [0, capacity), in which case nothing is written. */
+int64_t tree_set_many(double *nodes, int64_t capacity, const int64_t *leaves,
+                      const double *values, int64_t n)
 {
     for (int64_t k = 0; k < n; k++) {
         if (leaves[k] < 0 || leaves[k] >= capacity)
             return k;
     }
-    return -1;
-}
-
-/* Set leaves[k] to values[k] for k = 0, 1, ..., in order. Returns -1, or
- * the first k whose leaf lies outside [0, capacity), in which case nothing
- * is written. */
-int64_t tree_set_many(double *nodes, int64_t capacity, const int64_t *leaves,
-                      const double *values, int64_t n)
-{
-    int64_t bad = first_bad_leaf(capacity, leaves, n);
-    if (bad >= 0)
-        return bad;
-    for (int64_t k = 0; k < n; k++)
-        set_leaf(nodes, capacity, leaves[k], values[k]);
-    return -1;
-}
-
-/* `tree_set_many` of one pair, passed by value. */
-int64_t tree_set(double *nodes, int64_t capacity, int64_t leaf, double value)
-{
-    return tree_set_many(nodes, capacity, &leaf, &value, 1);
-}
-
-/* The replay's priority update. For each k: raw = |td[k]| + eps, the leaf
- * value pow(raw, alpha) into out[k], and the running max of max_priority
- * and the raws, in order, into out[n]; then leaves[k] is set to out[k] for
- * k = 0, 1, ..., in order. Returns -1; or, with nothing written to `nodes`,
- * n + k for the first k whose pow overflows from a finite raw and alpha
- * (where Python's float ** raises OverflowError), else the first k whose
- * leaf lies outside [0, capacity). */
-int64_t replay_update(double *nodes, int64_t capacity, const int64_t *leaves,
-                      const double *td, int64_t n, double alpha, double eps,
-                      double max_priority, double *out)
-{
     for (int64_t k = 0; k < n; k++) {
-        double raw = fabs(td[k]) + eps;
-        double value = pow(raw, alpha);
-        if (isinf(value) && isfinite(raw) && isfinite(alpha))
-            return n + k;
-        out[k] = value;
-        if (raw > max_priority)
-            max_priority = raw;
+        int64_t idx = leaves[k] + capacity - 1;
+        double change = values[k] - nodes[idx];
+        nodes[idx] = values[k];
+        while (idx > 0) {
+            idx = (idx - 1) / 2;
+            nodes[idx] += change;
+        }
     }
-    int64_t bad = first_bad_leaf(capacity, leaves, n);
-    if (bad >= 0)
-        return bad;
-    out[n] = max_priority;
-    for (int64_t k = 0; k < n; k++)
-        set_leaf(nodes, capacity, leaves[k], out[k]);
     return -1;
 }

@@ -28,9 +28,7 @@ _F = ctypes.c_double
 _SIGNATURES = {
     "adam_step": (None, [_P, _P, _P, _P, _N, _F, _F, _F, _F, _F, _F, _F, _F]),
     "tree_find_many": (None, [_P, _N, _P, _F, _N, _N, _P, _P]),
-    "tree_set": (_N, [_P, _N, _N, _F]),
     "tree_set_many": (_N, [_P, _N, _P, _P, _N]),
-    "replay_update": (_N, [_P, _N, _P, _P, _N, _F, _F, _F, _P]),
 }
 
 

@@ -3,9 +3,9 @@
 Leaves hold priority^alpha so proportional sampling is a single O(log N)
 prefix descent; a fresh transition gets `max_priority`, the running max of
 the raw priorities. A transition stores the `StepResult.discount` of its
-step. Eviction is strictly FIFO through a ring pointer. The tree's walks and
-the priority update run in `_kernels.c`, whose header says why they write
-the bytes of the Python code kept for machines where it cannot be built.
+step. Eviction is strictly FIFO through a ring pointer. The tree's batched
+walks run in `_kernels.c`, whose header says why they write the bytes of the
+Python code kept for machines where it cannot be built.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ class SumTree:
     """Fixed-capacity binary tree where every node stores the sum of its leaves.
 
     `nodes` is a float64 array in heap layout (children of i at 2i+1, 2i+2;
-    leaf j at capacity - 1 + j). `set`, `find` and their batched forms walk
-    it in `_kernels.c`; where that cannot be built they walk it in Python
-    through a memoryview held beside it, whose indexing gives plain Python
-    floats. Both paths perform each add, subtract and compare as the same
+    leaf j at capacity - 1 + j). `set_many`, `find` and `find_many` walk it
+    in `_kernels.c`; `set` of one leaf, and all of them where that cannot be
+    built, walk it in Python through a memoryview held beside it, whose
+    indexing gives plain Python floats. Both paths perform each add, subtract and compare as the same
     IEEE double operation in the same order (see `_kernels.c`'s header), so
     the sums and the leaves found match bit for bit.
     """
@@ -38,11 +38,9 @@ class SumTree:
         self._address = self.nodes.ctypes.data
 
     def set(self, leaf: int, value: float) -> None:
-        lib = kernels.library()
-        if lib is None:
-            self.set_many([leaf], [value])
-        elif lib.tree_set(self._address, self.capacity, leaf, value) >= 0:
+        if not 0 <= leaf < self.capacity:
             raise IndexError(f"leaf {leaf} outside a tree of capacity {self.capacity}")
+        self._walk_set([leaf], [value])  # one walk in Python costs less than a ctypes call
 
     def set_many(self, leaves: list[int], values: list[float]) -> None:
         """`set(leaf, value)` for each pair, in order; IndexError, with
@@ -188,26 +186,7 @@ class PrioritizedReplay:
         so a ValueError, an OverflowError (a priority^alpha past the largest
         double) or an IndexError leaves the tree and `max_priority` as they
         were."""
-        if len(indices) != len(td_abs):
-            raise ValueError(f"{len(indices)} leaves but {len(td_abs)} values")
-        lib = kernels.library()
-        if lib is None:
-            raws = [abs(err) + self.priority_eps for err in td_abs.tolist()]
-            values = [raw**self.alpha for raw in raws]
-            self.tree.set_many(indices.tolist(), values)
-            self.max_priority = max([self.max_priority, *raws])  # a raw replaces the max only where it is >
-            return
-        n = len(td_abs)
-        leaves = np.ascontiguousarray(indices, dtype=np.int64)
-        td = np.ascontiguousarray(td_abs, dtype=np.float64)
-        out = np.empty(n + 1)
-        bad = lib.replay_update(
-            self.tree._address, self.capacity, leaves.ctypes.data, td.ctypes.data, n,
-            self.alpha, self.priority_eps, self.max_priority, out.ctypes.data,
-        )
-        if bad >= n:
-            raw = abs(td.item(bad - n)) + self.priority_eps
-            raise OverflowError(f"priority {raw!r} raised to alpha {self.alpha!r} overflows")
-        if bad >= 0:
-            raise IndexError(f"leaf {leaves[bad]} outside a tree of capacity {self.capacity}")
-        self.max_priority = out.item(n)
+        raws = [abs(err) + self.priority_eps for err in td_abs.tolist()]
+        values = [raw**self.alpha for raw in raws]
+        self.tree.set_many(indices.tolist(), values)
+        self.max_priority = max([self.max_priority, *raws])  # a raw replaces the max only where it is >

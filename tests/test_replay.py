@@ -49,8 +49,9 @@ def test_out_of_range_leaf_is_refused_with_nothing_written(fallback):
         for leaves in ([-1], [4], [0, 2, -3]):
             with pytest.raises(IndexError, match=f"leaf {leaves[-1]} outside a tree of capacity 4"):
                 tree.set_many(leaves, [1.0] * len(leaves))
-        with pytest.raises(IndexError, match="leaf -1 outside"):
-            tree.set(-1, 1.0)
+        for leaf in (-1, 4, 2**64 + 1):  # 2**64 + 1 is leaf 1 modulo 2**64
+            with pytest.raises(IndexError, match=f"leaf {leaf} outside a tree of capacity 4"):
+                tree.set(leaf, 1.0)
         # each refusal comes after a raw priority (50.001) above max_priority
         with pytest.raises(IndexError, match="leaf 99 outside a tree of capacity 8"):
             buf.update_priorities(np.array([1, 99]), np.array([50.0, 1.0]))
