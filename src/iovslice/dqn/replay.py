@@ -5,7 +5,7 @@ prefix descent; a fresh transition gets `max_priority`, the running max of
 the raw priorities. A transition stores the `StepResult.discount` of its
 step. Eviction is strictly FIFO through a ring pointer. The tree's batched
 walks run in `_kernels.c`, whose header says why they write the bytes of the
-Python code kept for machines where it cannot be built.
+Python walks kept for machines where it cannot be built.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ class SumTree:
     leaf j at capacity - 1 + j). `set_many`, `find` and `find_many` walk it
     in `_kernels.c`; `set` of one leaf, and all of them where that cannot be
     built, walk it in Python through a memoryview held beside it, whose
-    indexing gives plain Python floats. Both paths perform each add, subtract and compare as the same
-    IEEE double operation in the same order (see `_kernels.c`'s header), so
-    the sums and the leaves found match bit for bit.
+    indexing gives plain Python floats. Both paths perform each add,
+    subtract and compare as the same IEEE double operation in the same
+    order (see `_kernels.c`'s header), so the sums and the leaves found
+    match bit for bit.
     """
 
     def __init__(self, capacity: int):
@@ -40,7 +41,7 @@ class SumTree:
     def set(self, leaf: int, value: float) -> None:
         if not 0 <= leaf < self.capacity:
             raise IndexError(f"leaf {leaf} outside a tree of capacity {self.capacity}")
-        self._walk_set([leaf], [value])  # one walk in Python costs less than a ctypes call
+        self._walk_set([leaf], [value])  # one path; a ctypes call would save about 1 us
 
     def set_many(self, leaves: list[int], values: list[float]) -> None:
         """`set(leaf, value)` for each pair, in order; IndexError, with
@@ -186,7 +187,12 @@ class PrioritizedReplay:
         so a ValueError, an OverflowError (a priority^alpha past the largest
         double) or an IndexError leaves the tree and `max_priority` as they
         were."""
-        raws = [abs(err) + self.priority_eps for err in td_abs.tolist()]
-        values = [raw**self.alpha for raw in raws]
+        values = []
+        top = self.max_priority
+        for err in td_abs.tolist():
+            raw = abs(err) + self.priority_eps
+            values.append(raw**self.alpha)
+            if raw > top:
+                top = raw
         self.tree.set_many(indices.tolist(), values)
-        self.max_priority = max([self.max_priority, *raws])  # a raw replaces the max only where it is >
+        self.max_priority = top
