@@ -198,9 +198,9 @@ class Adam:
     A step is the per-tensor formula p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
     over FlatParams.flat, in one pass of `_kernels.c` that reads and writes
     each element once. Where the kernels cannot be built it is a fixed
-    sequence of in-place ufuncs over two scratch vectors, allocated on its first step;
-    both paths perform the same operations per element in the same order
-    (see `_kernels.c`'s header), so they write the same bytes.
+    sequence of in-place ufuncs over two scratch vectors, allocated on its
+    first step; both paths perform the same operations per element in the
+    same order (see `_kernels.c`'s header), so they write the same bytes.
 
     The moment decay rates and eps are ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
     A bias correction 1 - beta**t rounds to exactly 1.0 once beta**t <= 2**-54
