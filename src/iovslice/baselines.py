@@ -1,31 +1,15 @@
 """Offline benchmark schedulers: gain-greedy RB assignment plus swap matching.
 
-All three variants draw coverage and slice uniformly at random per slot from
-the levels of `phy`'s action table, then assign frequencies greedily by
-channel gain and locally improve the assignment with swap moves, scoring each
-through the same link layer the learned policy is scored by. Only the
-frequencies are searched, so a plan is two things: the draws, as
-`slot_options` (per slot and source, the source's action on every frequency,
-then `phy.OFF_AIR` at index INACTIVE), and the search state `freqs`, one
-frequency row per slot. `plan_columns` turns them into the per-slot action
-columns the link layer replays. A move edits the frequencies of one slot, so
-it picks the one or two edited sources' new actions out of that slot's options
-and shares every other column with the current plan; no plan is copied.
-A trial shares the current plan's recorded ledgers up to that slot
-(`phy.apply_slot` returns a new ledger, so none is copied) and stops as
-soon as it cannot deliver more than the current plan (`swap_matching`
-lists the cuts). All trials read the world's `phy.EpisodeLink`, which the
-caller hands in and may share with other policies on the world, so a slot
-resolved before, from a ledger that masks it alike, costs a memo lookup.
-OMA keeps one transmitter per resource block; the MP variants always use
-maximum power while RP draws a random level.
-
-The greedy assignment scores every (source, frequency, slot) at once: the
-coverage grid of all sources and slots comes from `phy.in_coverage`, the
-rule `phy.coverage_group` applies to one source, and the group gain sums are
-the very floats a per-slot sum over each group gives
-(`initial_rb_allocation` says why). Only OMA's taking of frequencies in rank
-order runs slot by slot.
+`run_baseline` plays one of `BASELINE_NAMES` on a world. All three draw
+coverage and slice uniformly per slot from the levels of `phy`'s action
+table; the MP variants always use maximum power while RP draws a random
+level, and OMA keeps one transmitter per resource block. Only frequencies
+are searched, so a plan is the draws (`slot_options`) plus one frequency row
+per slot, and `plan_columns` turns it into per-slot action columns.
+`initial_rb_allocation` is the greedy start and `swap_matching` the local
+search. Every plan is scored by `evaluate_plan` through the world's
+`phy.EpisodeLink`, the link layer the learned policy is scored by, whose
+memo the caller may share with other policies on the world.
 """
 
 from __future__ import annotations

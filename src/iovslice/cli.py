@@ -151,6 +151,9 @@ def _check_count(name: str, value: int) -> None:
         raise ValueError(f"{name} must be >= 0, got {value}")
 
 
+SWEEPS = ("none", "sizes", "deadlines")  # the `--sweep` choices, each a branch of sweep_points
+
+
 def sweep_points(cfg: RunConfig, sweep: str) -> list[WorkloadConfig]:
     if sweep == "none":
         return [cfg.workload]
@@ -162,7 +165,7 @@ def sweep_points(cfg: RunConfig, sweep: str) -> list[WorkloadConfig]:
         if (deadline := max(cfg.deadline_sweep_slots, default=0)) > cfg.env.T:
             raise ValueError(f"run.deadline_sweep_slots entries must be <= env.T, got {deadline} > {cfg.env.T}")
         return [replace(cfg.workload, deadline_len_slots=d) for d in cfg.deadline_sweep_slots]
-    raise ValueError(f"unknown sweep {sweep!r}, expected none, sizes or deadlines")
+    raise ValueError(f"unknown sweep {sweep!r}, expected {', '.join(SWEEPS[:-1])} or {SWEEPS[-1]}")
 
 
 # -- subcommands --------------------------------------------------------------
@@ -203,9 +206,8 @@ def _eval_rows(cfg: RunConfig, workloads: list[WorkloadConfig], episodes: int, p
     stream at every sweep point: point by point, within a point policy by
     policy, and within a policy episode by episode. Each episode's
     world (scenario, link) is drawn and its channel hashed once, and it
-    serves every point and policy: the channel draw has no workload term, so
-    each further point takes the episode's scenario at that point
-    (`WorldStream.with_workload`, its own packets) on the same link.
+    serves every point and policy: each further point takes the episode's
+    scenario at that point on the same link (`worlds.WorldStream.with_workload`).
     play(workload, ep, scenario, link) runs one algorithm on it, sharing the
     link's memo, and leaves the scenario and channel as they were."""
     if not workloads:
@@ -287,9 +289,8 @@ def oracle_instance(
     evaluation stream at this seed, its exhaustive optimum and every
     baseline's run on it, all on that one link.
 
-    The optimum searches `phy.action_table`, the one action space the
-    environment and the baselines' draws come from, so no policy may exceed
-    it; nothing the caller passes can narrow it.
+    Nothing the caller passes can narrow the optimum's action space
+    (`oracle.brute_force_optimal`).
     """
     scenario, link = WorldStream(cfg.road, env_cfg, cfg.channel, workload, seed, TAG_EVAL)(0)
     best = orc.brute_force_optimal(scenario, link)
@@ -385,14 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", type=Path, required=True)
     p_eval.add_argument("--out", type=Path, required=True, help="output CSV path")
     p_eval.add_argument("--episodes", type=int, default=None)
-    p_eval.add_argument("--sweep", choices=["none", "sizes", "deadlines"], default="none")
+    p_eval.add_argument("--sweep", choices=SWEEPS, default="none")
 
     p_base = sub.add_parser("baseline", help="run offline benchmark schedulers")
     add_common(p_base)
     p_base.add_argument("--algorithms", default=",".join(bl.BASELINE_NAMES))
     p_base.add_argument("--out", type=Path, required=True, help="output CSV path")
     p_base.add_argument("--episodes", type=int, default=None)
-    p_base.add_argument("--sweep", choices=["none", "sizes", "deadlines"], default="none")
+    p_base.add_argument("--sweep", choices=SWEEPS, default="none")
 
     p_orc = sub.add_parser("oracle", help="exhaustive-search bound on tiny instances")
     add_common(p_orc)

@@ -3,9 +3,12 @@
 Every tunable of every subsystem appears under a dotted key so a config dump
 fully pins an experiment. Parsing is strict: unknown or repeated keys,
 malformed or non-finite values and configs the dataclasses reject are
-errors, and parse -> serialize -> parse is the identity. A section's refusal
-names `section.key` and its value (a bound on another key names both), and
-`parse_config` prefixes it with the last line that set a key it names.
+errors, and parse -> serialize -> parse is the identity. Every refusal has
+one form: a section names `section.key` and its value (a bound on another
+key names both), `parse_config` prefixes the last line that set a key it
+names, and `load_config` the file's path. A file holding only `env.T = 4`
+is refused with
+`<path>: line 1: workload.deadline_len_slots must be <= env.T, got 8 > 4`.
 """
 
 from __future__ import annotations

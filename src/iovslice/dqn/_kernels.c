@@ -41,8 +41,8 @@
  * m = m * beta1 + g * c1, v = v * beta2 + (g * g) * c2, with c1 and c2 the
  * Python values of 1 - beta1 and 1 - beta2, then
  * p -= (m / b1t) * lr / (sqrt(v / b2t) + eps) from the new m and v. A
- * correction that has rounded to exactly 1.0 is not divided by, as in the
- * Python path; x / 1.0 is x, so skipping it changes no byte. */
+ * correction that has rounded to exactly 1.0 is not divided by, as `Adam`
+ * says. */
 void adam_step(double *p, double *m, double *v, const double *g, int64_t n,
                double beta1, double c1, double beta2, double c2,
                double lr, double b1t, double b2t, double eps)

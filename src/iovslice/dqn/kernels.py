@@ -4,9 +4,10 @@
 built with (sysconfig's CC) into a temporary directory, loads it through
 ctypes and deletes the directory. It does so at most once per process, on
 the first Adam step or replay operation, and returns the bound library, or
-None where the compiler is missing or the build fails: then `Adam` and the
-replay take their numpy and memoryview path, which writes the same bytes
-(see `_kernels.c`'s header). Nothing but the build's outcome picks the path.
+None where the compiler is missing or the build fails: then `Adam` and
+`SumTree` take their numpy and memoryview path. Nothing but the build's
+outcome picks the path; `_kernels.c`'s header says why both paths write the
+same bytes.
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@ ReLU hidden stack feeding two linear heads: a scalar state value and one
 advantage per action, combined as Q = V + A - mean(A). All parameters live in
 one contiguous float64 vector with per-layer views, so an Adam step, a target
 copy and a checkpoint read or write each touch that one vector. Everything is
-float64 and single-threaded so a seed pins training bit-for-bit; the Adam step
-runs in `_kernels.c`, whose header says why it writes the bytes of the numpy
-path kept for machines where it cannot be built.
+float64 and single-threaded so a seed pins training bit-for-bit, on either of
+`Adam`'s paths (`kernels`).
 """
 
 from __future__ import annotations
@@ -197,10 +196,9 @@ class Adam:
 
     A step is the per-tensor formula p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
     over FlatParams.flat, in one pass of `_kernels.c` that reads and writes
-    each element once. Where the kernels cannot be built it is a fixed
+    each element once. Where `kernels.library` builds nothing it is a fixed
     sequence of in-place ufuncs over two scratch vectors, allocated on its
-    first step; both paths perform the same operations per element in the
-    same order (see `_kernels.c`'s header), so they write the same bytes.
+    first step.
 
     The moment decay rates and eps are ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
     A bias correction 1 - beta**t rounds to exactly 1.0 once beta**t <= 2**-54

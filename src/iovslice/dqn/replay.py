@@ -4,8 +4,7 @@ Leaves hold priority^alpha so proportional sampling is a single O(log N)
 prefix descent; a fresh transition gets `max_priority`, the running max of
 the raw priorities. A transition stores the `StepResult.discount` of its
 step. Eviction is strictly FIFO through a ring pointer. The tree's batched
-walks run in `_kernels.c`, whose header says why they write the bytes of the
-Python walks kept for machines where it cannot be built.
+walks run in `_kernels.c` where it can be built (`kernels`).
 """
 
 from __future__ import annotations
@@ -22,12 +21,9 @@ class SumTree:
 
     `nodes` is a float64 array in heap layout (children of i at 2i+1, 2i+2;
     leaf j at capacity - 1 + j). `set_many`, `find` and `find_many` walk it
-    in `_kernels.c`; `set` of one leaf, and all of them where that cannot be
-    built, walk it in Python through a memoryview held beside it, whose
-    indexing gives plain Python floats. Both paths perform each add,
-    subtract and compare as the same IEEE double operation in the same
-    order (see `_kernels.c`'s header), so the sums and the leaves found
-    match bit for bit.
+    in `_kernels.c`; `set` of one leaf, and all of them where
+    `kernels.library` builds nothing, walk it in Python through a memoryview
+    held beside it, whose indexing gives plain Python floats.
     """
 
     def __init__(self, capacity: int):
@@ -50,7 +46,11 @@ class SumTree:
             raise ValueError(f"{len(leaves)} leaves but {len(values)} values")
         lib = kernels.library()
         if lib is not None:
-            idx = np.array(leaves, dtype=np.int64)
+            try:
+                idx = np.array(leaves, dtype=np.int64)
+            except OverflowError:  # past int64, so outside the tree: refused below as without kernels
+                lib = None
+        if lib is not None:
             val = np.array(values, dtype=np.float64)
             bad = lib.tree_set_many(self._address, self.capacity, idx.ctypes.data, val.ctypes.data, len(idx))
         else:

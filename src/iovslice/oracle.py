@@ -1,37 +1,12 @@
 """Exhaustive search over joint action sequences for tiny instances.
 
-The optimum is the largest delivered-packet count that any sequence of raw
-per-source choices from `phy.action_table(F)` can reach, under the same
-masking and slot resolution as the environment. The environment's actions
-and the baselines' draws come from that table, so the optimum is an upper
-bound that every policy must respect. `best_actions` is a sequence of
-per-slot action columns, so `baselines.evaluate_plan` replays it through the
-link layer the environment and the baselines share (`phy.apply_slot`).
-The search does not call `apply_slot` for every joint choice, which would
-test every choice with `phy.on_air` again and OR in reached bitmasks that
-the search never reads. Its candidates are already what `apply_slot` hands
-the slot memo, `phy.OFF_AIR` or a choice `phy.useful_mask` calls useful at
-the start of the episode, and the search drops a candidate once its packet is
-delivered, so it resolves them with `phy.EpisodeLink.resolve`, whose memo
-holds each source's bits for the slot, and drains leftover bits by them
-with `phy.drain_slot`.
-
-The search is depth-first over slots, but it does not enumerate raw choices.
-For each (source, slot) it keeps one representative of every choice that can
-change the outcome; `candidate_actions` lists the rules. Every rule rests on
-one monotonicity fact: under SIC a transmitter's SINR at a receiver only
-depends on the weaker signals on its resource block (`phy.sic_sinr`), so
-taking a transmitter off the air never lowers anyone else's broadcast rate,
-and a higher rate never delivers a packet later. Replacing a pruned choice by
-its representative (or by silence) therefore delivers a superset of the
-packets, slot by slot, and the optimum over the candidates equals the optimum
-over the raw choices.
-
-A packet is delivered exactly when its leftover is 0.0, so the search state
-at a slot is the ledger's `leftover_bits` tuple alone. A state reached twice
-is searched once, since everything after a slot depends on it alone; and a
-branch is cut once `phy.reach` of its leftover over the peak tails
-(`_peak_tails`) cannot beat the best count found.
+`brute_force_optimal` finds the largest delivered-packet count that any
+sequence of raw per-source choices from `phy.action_table(F)` can reach, under
+the environment's masking and slot resolution. The environment's actions and
+the baselines' draws come from that table, so the optimum bounds every
+policy, and its `best_actions` replay through `baselines.evaluate_plan`.
+`candidate_actions` prunes the raw choices and `phy.reach` over `_peak_tails`
+cuts branches, neither changing the optimum; their docstrings say why.
 """
 
 from __future__ import annotations
@@ -105,6 +80,14 @@ def candidate_actions(
       dominates it.
     - Undeliverable packet. No sequence delivers a packet outside
       `deliverable` (`_peak_tails`), so transmitting it only interferes.
+
+    Every rule rests on one monotonicity fact: under SIC a transmitter's
+    SINR at a receiver only depends on the weaker signals on its resource
+    block (`phy.sic_sinr`), so taking a transmitter off the air never lowers
+    anyone else's broadcast rate, and a higher rate never delivers a packet
+    later. Replacing a pruned choice by its representative (or by silence)
+    therefore delivers a superset of the packets, slot by slot, and the
+    optimum over the candidates equals the optimum over the raw choices.
     """
     m, _, F, T = link.gain_lin.shape
     start = phy.DeliveryLedger.start(scenario.packets)
@@ -136,6 +119,17 @@ def brute_force_optimal(scenario: Scenario, link: phy.EpisodeLink) -> OracleResu
     check runs before any search, and SearchSpaceTooLarge is raised if it
     fails. `best_actions` replays to the optimum; it ends early when no
     further packet could be delivered.
+
+    The search is depth-first over slots. It does not call `phy.apply_slot`
+    for every joint choice, which would test each choice with `phy.on_air`
+    again and OR in reached bitmasks it never reads: its candidates are
+    already what `apply_slot` hands the slot memo, `phy.OFF_AIR` or a choice
+    useful at the episode's start, and it drops a candidate once its packet
+    is delivered. So it drains leftover bits by `link.resolve` with
+    `phy.drain_slot`. A packet is delivered exactly when its leftover is
+    0.0, so the state at a slot is the leftover tuple alone: a state reached
+    twice is searched once, and a branch is cut once `phy.reach` of its
+    leftover over the peak tails cannot beat the best count found.
     """
     T = link.gain_lin.shape[3]
     tails = _peak_tails(scenario, link)

@@ -1,47 +1,23 @@
 """Link layer: power-domain multiple access with SIC, broadcast groups, delivery accounting.
 
 Transmitters sharing a resource block are separated by successive interference
-cancellation at each receiver: the strongest signal is decoded against all
-weaker ones, subtracted, and so on. A broadcast succeeds at the rate of its
-worst group member, so for a fixed group one leftover counter per packet is
-enough. But the group may change from slot to slot, and the ledger's
-`reached` is the union of the packet's groups: a destination that joined late
-still counts once the packet is delivered. A packet is delivered exactly when
-its leftover is 0.0: `drain` leaves exactly zero when a slot carries at least
-the leftover and a positive remainder otherwise.
-
-This module alone knows how a slot is resolved. `EpisodeLink` is one
-episode's link table, the only way a slot resolution sees the channel. It
-holds the channel's gains, the noise, the RB bandwidth and the slot duration;
-each source's broadcast group per radius, built by `coverage_group` the first
-time it is asked for; and one memo of slot resolutions. `in_coverage` is the
-one radius rule: `coverage_group` applies it to one source's destinations,
-and the baselines' greedy allocation to every source and slot at once.
-
-The action space is defined here too: `action_levels(F)` is its one mixed
-radix, and `action_table(F)` decodes it into every `SlotAction` one source
-can pick for a slot. The environment's action indices, the baselines' draws
-and the oracle's candidates all come from them or their levels.
-
-`on_air` is the one rule for whether a choice puts a packet on the air;
-`useful_mask` applies it, and a non-empty group, to the whole table, for the
-oracle's candidates and the environment's action mask. `apply_slot` replaces
-every raw choice that is not on the air by `OFF_AIR`. It then makes one
-`EpisodeLink.resolve` lookup, a memo keyed by (slot, choices) whose value is
-the whole slot: per source its `SourceEffect`, that is the packet index, the
-bits the slot carries (rate x slot duration), the group bitmask and the
-broadcast rate. What is left is one loop that drains each on-air packet and
-ORs its group into `reached`; `apply_slot` returns the next ledger with the
-very effects tuple the memo holds, and a source's packet is delivered now
-exactly when its leftover in the next ledger is 0.0. The memo is exact: an
-on-air choice fixes its packet, group, frequency and linear power, an
-off-air source neither transmits nor interferes, and within an episode the
-slot fixes the gains, so a hit returns the very floats a fresh `slot_rates`
-solve would, and the bits are the same multiply made once per key. The
-environment and the baselines' `evaluate_plan`, which also replays the
-oracle's best actions, resolve slots through `apply_slot`. The oracle's
-search, whose candidates already have that form, drains
-`resolve(slot, choices)` with `drain_slot` itself.
+cancellation at each receiver (`sic_sinr`), and a broadcast runs at the rate of
+its worst group member (`slot_rates`). This module alone knows how a slot is
+resolved, and each of its rules has one home:
+- the action space: `action_levels(F)`, its one mixed radix, and
+  `action_table(F)`, every `SlotAction` one source can pick; the
+  environment's action indices, the baselines' draws and the oracle's
+  candidates all come from them;
+- `on_air`, whether a choice puts a packet on the air, and `useful_mask`,
+  which applies it and a non-empty group over the whole table;
+- `in_coverage`, the one radius rule (`coverage_group` per source);
+- `DeliveryLedger`, what a slot changes; `drain`, the one drain formula; and
+  `reach`, the bound on what the rest of an episode can still deliver;
+- `EpisodeLink`, one episode's link table and the only way a slot resolution
+  sees the channel, with its exact memo of slot resolutions, `resolve`;
+- `apply_slot`, one slot of raw choices resolved from a ledger, which the
+  environment and `baselines.evaluate_plan` play; the oracle's search drains
+  `resolve` with `drain_slot` instead (`oracle.brute_force_optimal`).
 """
 
 from __future__ import annotations
@@ -188,9 +164,12 @@ class DeliveryLedger(NamedTuple):
     that `apply_slot` replaces, so ledgers are shared, never copied.
 
     Packets sit where `scenario.packet_index` puts them. A packet is
-    delivered exactly when its leftover is 0.0. Bit d of reached[k] is set
-    once destination d was in one of the packet's broadcast groups: the
-    packet's intended receivers.
+    delivered exactly when its leftover is 0.0 (`drain`). Bit d of
+    reached[k] is set once destination d was in one of the packet's
+    broadcast groups: the packet's intended receivers. Since a broadcast
+    runs at its worst member's rate, one leftover counter per packet is
+    enough for a fixed group; the group may change from slot to slot, and a
+    destination that joined late still counts once the packet is delivered.
     """
 
     packets: tuple[Packet, ...]
@@ -320,7 +299,13 @@ class EpisodeLink:
     def resolve(self, slot: int, choices: tuple[tuple[int, float, int, float], ...]) -> tuple[SourceEffect, ...]:
         """Per-source effects of these choices at this slot, solved once per
         key. Each choice is on the air (`on_air`) or is `OFF_AIR`, whose
-        source carries no packet (index -1), no bits and the empty group."""
+        source carries no packet (index -1), no bits and the empty group.
+
+        The memo is exact: an on-air choice fixes its packet, group,
+        frequency and linear power, an off-air source neither transmits nor
+        interferes, and within an episode the slot fixes the gains, so a hit
+        returns the very floats a fresh `slot_rates` solve would, and the
+        bits are the same multiply made once per key."""
         key = (slot, choices)
         hit = self._resolved.get(key)
         if hit is None:

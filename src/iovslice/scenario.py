@@ -22,7 +22,10 @@ SLICE_SAFETY = 2
 
 
 def packet_index(src: int, slice_id: int) -> int:
-    """Where source `src`'s packet on a slice sits in `Scenario.packets` and every ledger."""
+    """Where source `src`'s packet on a slice sits in `Scenario.packets` and
+    every ledger: the one packet layout, source-major, each source's
+    throughput packet before its safety packet, `packet_count(m)` in all, so
+    a packet's slice is its position (`packet_slice`)."""
     return 2 * src + (slice_id - 1)
 
 

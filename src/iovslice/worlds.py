@@ -1,14 +1,14 @@
 """Deterministic episode worlds, shared by training, evaluation and baselines.
 
 A stream owns one base scenario; episode k moves the base by k episode
-durations and draws fresh packets and channel from a seed derived from
-(master seed, stream tag, workload point, episode index). Evaluation streams
+durations and draws fresh packets from a seed derived from (master seed,
+stream tag, workload point, episode index), and a fresh channel from one
+without the workload point (`WorldStream.channel_rng`). Evaluation streams
 are therefore pairable: every algorithm sees bit-identical worlds at the same
 episode index. A world is the scenario and its `phy.EpisodeLink`, the one
 link table of the episode's channel: every policy played on the world shares
-it, and nothing else builds one. The channel has no workload term, so the
-scenario at another workload point (`WorldStream.with_workload`) shares the
-episode's link too.
+it, at every workload point (`WorldStream.with_workload`), and nothing else
+builds one.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -114,3 +115,15 @@ def test_header_names_each_sides_learner_path(two_copies, tmp_path, monkeypatch)
     assert ab.learner_kernels(a).startswith("kernels built by " if built else "fallback ")
     monkeypatch.setattr(a.dqn.kernels, "_handle", a.dqn.kernels._UNSET)
     assert ab.learner_kernels(a) == "kernels unused"
+
+
+def test_docstring_lists_every_case_and_no_other():
+    """The module docstring is where the cases are described: each bullet
+    names its cases in backticks before its colon."""
+    listed = [
+        name
+        for line in ab.__doc__.splitlines()
+        if line.startswith("- ")
+        for name in re.findall(r"`(\w+)`", line.split(":", 1)[0])
+    ]
+    assert sorted(listed) == sorted(ab.CASES)

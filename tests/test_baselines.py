@@ -13,7 +13,7 @@ from iovslice.env import EnvConfig
 from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY
 from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream
 
-from tests.conftest import forced_channel, hand_built_scenario
+from conftest import forced_channel, hand_built_scenario
 
 
 MAX_ITERS = RunConfig().swap_max_iters

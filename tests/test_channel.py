@@ -11,7 +11,7 @@ from iovslice.channel import (
 )
 from iovslice.scenario import RoadConfig, generate_vehicles
 
-from tests.conftest import hand_built_scenario
+from conftest import hand_built_scenario
 
 
 def test_breakpoint_distance():

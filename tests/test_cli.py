@@ -304,6 +304,17 @@ def test_deadline_sweep_past_horizon_fails_before_any_episode(tmp_path, monkeypa
     assert not Path(command[-1]).exists()
 
 
+def test_unknown_sweep_is_refused_naming_every_sweep():
+    with pytest.raises(ValueError, match="unknown sweep 'bogus'") as info:
+        cli.sweep_points(RunConfig(), "bogus")
+    named = re.findall(r"\w+", str(info.value).split("expected", 1)[1])
+    assert [word for word in named if word != "or"] == list(cli.SWEEPS)
+    for sweep in cli.SWEEPS:  # each one the parser offers is a branch
+        assert cli.sweep_points(RunConfig(), sweep)
+        for command in (["eval", "--checkpoint", "c.bin"], ["baseline"]):
+            assert cli.build_parser().parse_args([*command, "--out", "o.csv", "--sweep", sweep]).sweep == sweep
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf"])
 def test_config_rejects_infinite_road_length(value):
     # an infinite road would make poisson_positions loop forever

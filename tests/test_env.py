@@ -20,7 +20,7 @@ from iovslice.config import RunConfig
 from iovslice.scenario import SLICE_SAFETY, SLICE_THROUGHPUT, RoadConfig
 from iovslice.worlds import TAG_EVAL, TAG_TRAIN, WorkloadConfig, WorldStream
 
-from tests.conftest import forced_channel, hand_built_scenario, reference_slot
+from conftest import forced_channel, hand_built_scenario, reference_slot
 
 # the level counts of the action space, in mixed-radix order: coverage (most
 # significant), packet, frequency, power; the frequency count is F

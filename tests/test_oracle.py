@@ -15,7 +15,7 @@ from iovslice.oracle import SearchSpaceTooLarge, brute_force_optimal
 from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY
 from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream, algorithm_rng
 
-from tests.conftest import forced_channel, hand_built_scenario, reference_useful
+from conftest import forced_channel, hand_built_scenario, reference_useful
 
 
 def _link(chan, slot_duration_s=0.005):

@@ -17,7 +17,7 @@ from iovslice.env import EnvConfig, SlicingEnv
 from iovslice.scenario import RoadConfig
 from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream
 
-from tests.conftest import forced_channel, hand_built_scenario
+from conftest import forced_channel, hand_built_scenario
 
 SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 

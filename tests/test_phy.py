@@ -11,7 +11,7 @@ from iovslice.env import EnvConfig
 from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY, SLICE_THROUGHPUT, packet_index
 from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream
 
-from tests.conftest import forced_channel, hand_built_scenario, reference_slot, reference_useful
+from conftest import forced_channel, hand_built_scenario, reference_slot, reference_useful
 
 
 def test_sic_single_transmitter():

@@ -46,7 +46,7 @@ def test_out_of_range_leaf_is_refused_with_nothing_written(fallback):
     buf = filled_buffer(5, capacity=8, alpha=40.0)
     buf_before = (buf.tree.nodes.tobytes(), buf.max_priority.hex())
     with forced_fallback() if fallback else contextlib.nullcontext():
-        for leaves in ([-1], [4], [0, 2, -3]):
+        for leaves in ([-1], [4], [0, 2, -3], [2**64 + 1], [-(2**64)], [0, 2**63]):
             with pytest.raises(IndexError, match=f"leaf {leaves[-1]} outside a tree of capacity 4"):
                 tree.set_many(leaves, [1.0] * len(leaves))
         for leaf in (-1, 4, 2**64 + 1):  # 2**64 + 1 is leaf 1 modulo 2**64

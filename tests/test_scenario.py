@@ -89,7 +89,7 @@ def test_advance_mobility_identity(rng):
 
 
 def test_advance_mobility_wraps():
-    from tests.conftest import hand_built_scenario
+    from conftest import hand_built_scenario
 
     sc = hand_built_scenario([1990.0], [0.0])
     moved = advance_mobility(sc, 1.0)
