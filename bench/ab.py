@@ -10,9 +10,10 @@ outputs differ in any bit is refused. The report is one line naming the
 machine, the numpy and BLAS builds, the BLAS thread count, the base commit
 and, per side, whether its learner ran on the compiled kernels of
 `iovslice.dqn.kernels` (and which compiler built them) or on the numpy
-fallback, over a table of each side's median time and the median paired
-ratio B / A with a bootstrap interval over the rounds, so a ratio under 1
-means B is faster. Only the ratio and its interval compare across
+fallback, and whether its network passes called numpy's BLAS from those
+kernels or ran as numpy code, over a table of each side's median time and
+the median paired ratio B / A with a bootstrap interval over the rounds, so
+a ratio under 1 means B is faster. Only the ratio and its interval compare across
 invocations: on a shared VM the medians of separate runs drift (two runs
 15 minutes apart on a 2-vCPU VM read `apply_slot_cold` 1.91 and then
 2.64 ms, while every B/A stayed within 0.97-1.03).
@@ -85,6 +86,11 @@ The learner cases run at the default sizes (73 inputs, hidden (256, 128,
   from t = 0 (t < 356: both bias corrections divide) and from t = 40,000
   (t > 37,412: both have rounded to 1.0).
 - `loss_and_grads` (xCALLS): `DuelingQNetwork.loss_and_grads` on one batch.
+- `forward_row` (xCALLS): `greedy_episode`'s `int(net.forward(obs).argmax())`
+  with the committed checkpoint of the default config, over the first CALLS
+  observations of its greedy rollout of episode r; outputs are the Q rows.
+- `forward_batch` (xCALLS): `td_targets`' forward of a batch of observation
+  rows drawn at seed r; outputs are the Q arrays.
 The oracle case:
 - `brute_force_optimal`: the exhaustive search on episode r of the
   evaluation stream at seed 2 with m=2 sources, n=4 destinations, F=2
@@ -444,6 +450,31 @@ def _loss_and_grads(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]
     return call
 
 
+def _forward_row(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
+    cfg, world = _world(pkg, r)
+    net = pkg.dqn.load_checkpoint(default_checkpoint(pkg))
+    env = pkg.env.SlicingEnv(cfg.env)
+    rows = [env.reset(*world)]
+    while len(rows) < CALLS:
+        rows.append(env.step(int(net.forward(rows[-1]).argmax())).next_observation)
+
+    def call():
+        out = []
+        for obs in rows:
+            q = net.forward(obs)
+            int(q.argmax())
+            out.append(q)
+        return out
+
+    return call
+
+
+def _forward_batch(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
+    cfg, net = _net(pkg, r)
+    batches = np.random.default_rng(r).uniform(size=(CALLS, cfg.train.batch_size, cfg.env.obs_dim))
+    return lambda: [net.forward(batch) for batch in batches]
+
+
 def _brute_force_optimal(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
     cfg = pkg.config.RunConfig()
     env = pkg.env.EnvConfig(m=2, n=4, F=2, T=3)
@@ -474,6 +505,8 @@ CASES: dict[str, Case] = {
     "adam_early": _adam(0),
     "adam_late": _adam(40_000),
     "loss_and_grads": _loss_and_grads,
+    "forward_row": _forward_row,
+    "forward_batch": _forward_batch,
     "brute_force_optimal": _brute_force_optimal,
 }
 
@@ -507,6 +540,20 @@ def learner_kernels(pkg: ModuleType) -> str:
     return f"kernels built by {version.splitlines()[0] if version else ' '.join(kernels.compiler())}"
 
 
+def network_passes(pkg: ModuleType) -> str:
+    """What `pkg`'s network passes ran on: numpy code for a tree without the
+    BLAS lookup or where it found nothing, else numpy's BLAS called from the
+    kernels; "BLAS not looked up" where no pass asked for it."""
+    kernels = getattr(pkg.dqn, "kernels", None)
+    if not hasattr(kernels, "_blas"):
+        return "network on numpy"
+    if kernels._blas is kernels._UNSET:
+        return "network's BLAS not looked up"
+    if not kernels._blas:
+        return "network on numpy (numpy's BLAS not found)"
+    return "network on numpy's BLAS, called from the kernels"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision of side A")
@@ -522,7 +569,7 @@ def main(argv: list[str] | None = None) -> int:
         case(b, 0, work)()
         times_a, times_b = interleave(lambda r: case(a, r, work), lambda r: case(b, r, work), ROUNDS)
     ratio, lo, hi = median_ratio(times_a, times_b)
-    print(f"{header}; A: {learner_kernels(a)}; B: {learner_kernels(b)}")
+    print(f"{header}; A: {learner_kernels(a)}, {network_passes(a)}; B: {learner_kernels(b)}, {network_passes(b)}")
     print(f"| case | rounds | A {args.base} median ms | B median ms | B/A median | 95% interval |")
     print("| --- | --- | --- | --- | --- | --- |")
     print(

@@ -3,11 +3,15 @@
 `library()` compiles `_kernels.c` with the C compiler the interpreter was
 built with (sysconfig's CC) into a temporary directory, loads it through
 ctypes and deletes the directory. It does so at most once per process, on
-the first Adam step or replay operation, and returns the bound library, or
-None where the compiler is missing or the build fails: then `Adam` and
-`SumTree` take their numpy and memoryview path. Nothing but the build's
-outcome picks the path; `_kernels.c`'s header says why both paths write the
-same bytes.
+the first network pass, Adam step or replay operation, and returns the bound
+library, or None where the compiler is missing or the build fails: then
+`Adam` and `SumTree` take their numpy and memoryview path. `blas()` is that
+library once numpy's own cblas routines are bound into it, resolved once
+through the handle of numpy's `_multiarray_umath` (which links
+scipy-openblas64, ILP64, as `BLAS_SYMBOLS` name them), or None where either
+is missing: then `DuelingQNetwork` runs its numpy passes. Nothing but the
+build's and the lookup's outcomes picks a path; `_kernels.c`'s header says
+why every path writes the same bytes.
 """
 
 from __future__ import annotations
@@ -20,8 +24,12 @@ SOURCE = Path(__file__).with_name("_kernels.c")
 # fixed flags; `_kernels.c`'s header says why each is there and what is absent
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 
+# numpy's cblas_dgemm, cblas_dgemv and cblas_ddot, in `blas_bind`'s order
+BLAS_SYMBOLS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
+
 _UNSET = object()
 _handle: ctypes.CDLL | None | object = _UNSET  # the one build's outcome
+_blas: bool | object = _UNSET  # whether the one lookup bound numpy's BLAS
 
 _P = ctypes.c_void_p
 _N = ctypes.c_int64
@@ -30,7 +38,30 @@ _SIGNATURES = {
     "adam_step": (None, [_P, _P, _P, _P, _N, _F, _F, _F, _F, _F, _F, _F, _F]),
     "tree_find_many": (None, [_P, _N, _P, _F, _N, _N, _P, _P]),
     "tree_set_many": (_N, [_P, _N, _P, _P, _N]),
+    "blas_bind": (None, [_P, _P, _P]),
+    "dueling_scratch_size": (_N, [_P]),
+    "dueling_forward": (None, [_P, _N]),
+    "dueling_loss_and_grads": (_N, [_P, _N, _F, _P]),
 }
+
+
+class Net(ctypes.Structure):
+    """`struct net` of `_kernels.c`: a network's dims, parameters and buffers."""
+
+    _fields_ = [
+        ("n_hidden", _N),
+        ("dims", _P),
+        ("params", _P),
+        ("rows", _N),
+        ("x", _P),
+        ("q", _P),
+        ("actions", _P),
+        ("targets", _P),
+        ("weights", _P),
+        ("abs_delta", _P),
+        ("loss", _F),
+        ("scratch", _P),
+    ]
 
 
 def library() -> ctypes.CDLL | None:
@@ -39,6 +70,30 @@ def library() -> ctypes.CDLL | None:
     if _handle is _UNSET:
         _handle = _build()
     return _handle
+
+
+def blas() -> ctypes.CDLL | None:
+    """`library()` with numpy's BLAS bound into it, for the network's
+    passes; None where the kernels or numpy's entry points are missing."""
+    global _blas
+    lib = library()
+    if lib is None:
+        return None
+    if _blas is _UNSET:
+        _blas = _bind_blas(lib)
+    return lib if _blas else None
+
+
+def _bind_blas(lib: ctypes.CDLL) -> bool:
+    try:
+        from numpy._core import _multiarray_umath
+
+        numpy_ext = ctypes.CDLL(_multiarray_umath.__file__)  # the loaded module's handle
+        addresses = [ctypes.cast(getattr(numpy_ext, name), _P).value for name in BLAS_SYMBOLS]
+    except (ImportError, OSError, AttributeError):
+        return False
+    lib.blas_bind(*addresses)
+    return True
 
 
 def compiler() -> list[str]:
@@ -50,7 +105,7 @@ def compiler() -> list[str]:
 
 
 def _build() -> ctypes.CDLL | None:
-    import subprocess  # imported here, so commands that never train do not pay for it
+    import subprocess  # imported here, so commands that never build the kernels do not pay for it
 
     cc = compiler()
     if not cc or not SOURCE.is_file():

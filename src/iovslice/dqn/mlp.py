@@ -4,12 +4,15 @@ ReLU hidden stack feeding two linear heads: a scalar state value and one
 advantage per action, combined as Q = V + A - mean(A). All parameters live in
 one contiguous float64 vector with per-layer views, so an Adam step, a target
 copy and a checkpoint read or write each touch that one vector. Everything is
-float64 and single-threaded so a seed pins training bit-for-bit, on either of
-`Adam`'s paths (`kernels`).
+float64 and single-threaded so a seed pins training bit-for-bit. The network's
+passes and Adam's step each run as one call into `_kernels.c` where `kernels`
+builds it, and as numpy code elsewhere; the header of `_kernels.c` says why
+both paths write the same bytes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import struct
@@ -90,6 +93,7 @@ class DuelingQNetwork:
         if rng is not None:  # He-normal weights, drawn layer by layer; biases stay zero
             for w in self.params[::2]:
                 w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
+        self._buffers: _Buffers | None = None  # the C passes' buffers, made on their first call
 
     # -- inference -------------------------------------------------------
 
@@ -102,7 +106,27 @@ class DuelingQNetwork:
         x = np.asarray(obs, dtype=np.float64)
         if x.shape[-1] != self.obs_dim:
             raise ValueError(f"observation dim {x.shape[-1]} != network input {self.obs_dim}")
+        lib = kernels.blas()
+        if lib is not None and x.ndim == 1 and x.flags.c_contiguous:
+            buf = self._buffers_for(lib, 1)
+            buf.row_in[...] = x
+            lib.dueling_forward(buf.address, 1)
+            return buf.row_out.copy()
+        if lib is not None and x.ndim == 2 and len(x) and x.flags.c_contiguous:
+            rows = len(x)
+            buf = self._buffers_for(lib, rows)
+            buf.x[:rows] = x
+            lib.dueling_forward(buf.address, rows)
+            return buf.q[:rows].copy()
         return self._forward(x)
+
+    def _buffers_for(self, lib, rows: int) -> "_Buffers":
+        """Buffers for `rows` rows of the C passes, made anew when the
+        parameter vector is not the one they point to or holds fewer rows."""
+        buf = self._buffers
+        if buf is None or buf.rows < rows or buf.flat is not self.params.flat:
+            buf = self._buffers = _Buffers(lib, self, max(rows, buf.rows if buf is not None else 0))
+        return buf
 
     def _forward(self, x: np.ndarray, acts: list | None = None) -> np.ndarray:
         """The one layer loop, returning Q; appends each hidden activation to
@@ -165,9 +189,28 @@ class DuelingQNetwork:
         x = np.asarray(obs, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.obs_dim:
             raise ValueError(f"observation batch shape {x.shape} != (B, {self.obs_dim})")
+        batch = len(x)
+        lib = kernels.blas()
+        if (
+            lib is not None
+            and batch
+            and x.flags.c_contiguous
+            and _column(actions, np.int64, batch)
+            and _column(targets, np.float64, batch)
+            and _column(weights, np.float64, batch)
+            and isinstance(huber_delta, float)
+        ):  # anything else, numpy broadcasts, wraps or refuses below
+            buf = self._buffers_for(lib, batch)
+            buf.x[:batch] = x
+            buf.actions[:batch] = actions
+            buf.targets[:batch] = targets
+            buf.weights[:batch] = weights
+            grads = FlatParams(np.empty(self.params.flat.size), self.params.shapes)
+            if lib.dueling_loss_and_grads(buf.address, batch, huber_delta, grads.flat.ctypes.data) < 0:
+                return buf.net.loss, grads, buf.abs_delta[:batch].copy()
+            # an action outside [0, n_actions): numpy wraps a negative one and refuses the rest
         acts = [x]
         q = self._forward(x, acts)
-        batch = q.shape[0]
         rows = np.arange(batch)
         delta = q[rows, actions] - targets
         abs_delta = np.abs(delta)
@@ -189,6 +232,35 @@ class DuelingQNetwork:
 
     def copy_from(self, other: "DuelingQNetwork") -> None:
         self.params.flat[...] = other.params.flat
+
+
+def _column(a: object, dtype: type, rows: int) -> bool:
+    return isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == (rows,)
+
+
+class _Buffers:
+    """One network's `kernels.Net` and the arrays it points to, for `rows`
+    rows: the inputs a call copies in, the outputs it copies out, and the
+    passes' scratch. Their addresses are resolved here, once."""
+
+    def __init__(self, lib, net: DuelingQNetwork, rows: int):
+        self.flat, self.rows = net.params.flat, rows
+        self.x = np.empty((rows, net.obs_dim))
+        self.q = np.empty((rows, net.n_actions))
+        self.row_in, self.row_out = self.x[0], self.q[0]
+        self.actions = np.empty(rows, dtype=np.int64)
+        self.targets, self.weights, self.abs_delta = np.empty(rows), np.empty(rows), np.empty(rows)
+        self.dims = np.array([net.obs_dim, *net.hidden, net.n_actions], dtype=np.int64)
+        arrays = ("dims", "x", "q", "actions", "targets", "weights", "abs_delta")
+        self.net = kernels.Net(
+            n_hidden=len(net.hidden),
+            params=self.flat.ctypes.data,
+            rows=rows,
+            **{name: getattr(self, name).ctypes.data for name in arrays},
+        )
+        self.address = ctypes.addressof(self.net)
+        self.scratch = np.empty(lib.dueling_scratch_size(self.address))
+        self.net.scratch = self.scratch.ctypes.data
 
 
 class Adam:

@@ -115,6 +115,17 @@ def test_header_names_each_sides_learner_path(two_copies, tmp_path, monkeypatch)
     assert ab.learner_kernels(a).startswith("kernels built by " if built else "fallback ")
     monkeypatch.setattr(a.dqn.kernels, "_handle", a.dqn.kernels._UNSET)
     assert ab.learner_kernels(a) == "kernels unused"
+    monkeypatch.undo()
+    assert ab.network_passes(old) == "network on numpy"
+    ab.CASES["forward_batch"](a, 0, tmp_path)()
+    if a.dqn.kernels.blas() is not None:
+        assert ab.network_passes(a) == "network on numpy's BLAS, called from the kernels"
+    else:
+        assert ab.network_passes(a) in ("network on numpy (numpy's BLAS not found)", "network's BLAS not looked up")
+    monkeypatch.setattr(a.dqn.kernels, "_blas", a.dqn.kernels._UNSET)
+    assert ab.network_passes(a) == "network's BLAS not looked up"
+    monkeypatch.setattr(a.dqn.kernels, "_blas", False)
+    assert ab.network_passes(a) == "network on numpy (numpy's BLAS not found)"
 
 
 def test_docstring_lists_every_case_and_no_other():

@@ -575,9 +575,10 @@ def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
     ids=lambda command: command[0],
 )
 def test_only_training_builds_the_kernels(tmp_path, command):
-    """Each command in a fresh process: all but `train` leave the kernel
-    loader unset, so their set-up time and memory do not carry the build;
-    `train` shows that the probe sees a build."""
+    """Each command in a fresh process: those that run no network pass leave
+    the kernel loader unset, so their set-up time and memory do not carry
+    the build; `train` and `eval`, whose network passes run in the kernels
+    from the first one on, show that the probe sees a build."""
     cfg = dataclasses.replace(tiny_cfg(), train=TrainConfig(episodes=1, warmup=8, batch_size=8, seed=1))
     (tmp_path / "run.cfg").write_text(serialize_config(cfg))
     save_checkpoint(DuelingQNetwork(cfg.env.obs_dim, (4,), cfg.env.n_actions, rng=None), tmp_path / "ckpt.bin")
@@ -586,7 +587,8 @@ def test_only_training_builds_the_kernels(tmp_path, command):
     config = [] if command[0] == "plotdata" else ["--config", "run.cfg"]
     argv = [sys.executable, "-c", UNBUILT_MAIN, command[0], *config, *command[1:]]
     done = subprocess.run(argv, env=cli_env(), cwd=tmp_path, capture_output=True, text=True, timeout=300)
-    assert (done.returncode, done.stdout.splitlines()[-1:]) == (0, [str(command[0] != "train")]), done.stderr
+    unbuilt = command[0] not in ("train", "eval")
+    assert (done.returncode, done.stdout.splitlines()[-1:]) == (0, [str(unbuilt)]), done.stderr
 
 
 def test_baseline_output_digests_are_pinned(tmp_path):

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import shutil
 import struct
@@ -7,6 +8,7 @@ import pytest
 
 from iovslice import cli
 from iovslice.config import RunConfig
+from iovslice.env import EnvConfig
 from iovslice.dqn import kernels
 from iovslice.dqn.mlp import (
     ADAM_BETA1,
@@ -27,6 +29,16 @@ from conftest import forced_fallback, require_kernels
 
 def toy_net(seed=0, obs=4, hidden=(2,), actions=3):
     return DuelingQNetwork(obs, hidden, actions, np.random.default_rng(seed))
+
+
+def on_path(fallback):
+    """The numpy passes when `fallback`, else the C passes where they run."""
+    return forced_fallback() if fallback else contextlib.nullcontext()
+
+
+def require_passes(fallback):
+    if not fallback and kernels.blas() is None:
+        pytest.skip("the network's C passes cannot run here")
 
 
 def huber_loss(net, obs, actions, targets, weights):
@@ -64,6 +76,12 @@ def test_advantage_shift_preserves_argmax():
 
 
 def test_gradients_match_finite_differences():
+    """On the C passes where they build and on the numpy passes."""
+    for fallback in (False, True):
+        check_gradients_by_finite_differences(fallback)
+
+
+def check_gradients_by_finite_differences(fallback):
     rng = np.random.default_rng(42)
     net = toy_net(seed=5)
     batch = 7
@@ -72,7 +90,8 @@ def test_gradients_match_finite_differences():
     # targets spread so both Huber branches are exercised
     targets = rng.normal(scale=3.0, size=batch)
     weights = rng.uniform(0.2, 1.0, size=batch)
-    _, grads, _ = net.loss_and_grads(obs, actions, targets, weights, 1.0)
+    with on_path(fallback):
+        _, grads, _ = net.loss_and_grads(obs, actions, targets, weights, 1.0)
     eps = 1e-6
     for p_idx, p in enumerate(net.params):
         flat = p.ravel()
@@ -157,8 +176,307 @@ def test_clone_and_copy_from():
 
 def test_row_forward_equals_one_row_batch():
     net = DuelingQNetwork(73, (256, 128, 120), 120, np.random.default_rng(21))
-    for x in np.random.default_rng(22).uniform(size=(20, 73)):
-        assert net.forward(x).tobytes() == net.forward(x[None])[0].tobytes()
+    for fallback in (False, True):
+        with on_path(fallback):
+            for x in np.random.default_rng(22).uniform(size=(20, 73)):
+                assert net.forward(x).tobytes() == net.forward(x[None])[0].tobytes()
+
+
+# -- the C passes against the numpy passes ------------------------------------
+
+
+def default_net(seed, hidden=None, F=2, rng=True):
+    """A network of the default env's shapes at F resource blocks (F = 3:
+    85 inputs, 180 actions), with the default hidden widths unless given."""
+    env = EnvConfig(F=F)
+    hidden = hidden or RunConfig().train.hidden
+    return DuelingQNetwork(env.obs_dim, hidden, env.n_actions, np.random.default_rng(seed) if rng else None)
+
+
+def batch_inputs(net, rows, seed):
+    """Observations, actions, targets spread over both Huber branches, and
+    importance weights."""
+    rng = np.random.default_rng(seed)
+    return [
+        rng.uniform(-1.0, 1.0, size=(rows, net.obs_dim)),
+        rng.integers(net.n_actions, size=rows),
+        rng.normal(scale=3.0, size=rows),
+        rng.uniform(0.2, 1.0, size=rows),
+    ]
+
+
+def passes(net, obs, actions, targets, weights, huber_delta=1.0):
+    """forward's Q and loss_and_grads' loss, gradients and |td error|, as bytes."""
+    loss, grads, td = net.loss_and_grads(obs, actions, targets, weights, huber_delta)
+    return net.forward(obs).tobytes(), loss.hex(), grads.flat.tobytes(), td.tobytes()
+
+
+def outcome(call):
+    """What `call` returns, or the type of the IndexError or ValueError it raises."""
+    try:
+        return call()
+    except (IndexError, ValueError) as exc:
+        return type(exc)
+
+
+def batches(rows):
+    def case():
+        net = default_net(30 + rows)
+        return net, *batch_inputs(net, rows, 31 + rows)
+
+    return case
+
+
+def shaped(hidden, F=2):
+    def case():
+        net = default_net(32, hidden, F)
+        return net, *batch_inputs(net, 32, 33)
+
+    return case
+
+
+def huber_edges():
+    """Q exact in binary (zero head weights, dyadic biases), so the targets
+    put |delta| at exactly 0, exactly huber_delta and on both sides of it."""
+    net = default_net(34, (16, 8))
+    net.params[-4][...] = 0.0
+    net.params[-2][...] = 0.0
+    net.params[-3][...] = 0.5
+    net.params[-1][...] = (np.arange(net.n_actions) - (net.n_actions - 1) / 2) * 0.25
+    obs, actions, _, weights = batch_inputs(net, 12, 35)
+    offsets = np.array([0.0, 1.0, -1.0, 0.5, -0.5, 3.0, -3.0, 1.0, -1.0, 0.0, 2.5, -0.25])
+    q = 0.5 + net.params[-1][actions]
+    targets = q + offsets
+    assert np.array_equal(np.abs(net.forward(obs)[np.arange(12), actions] - targets), np.abs(offsets))
+    return net, obs, actions, targets, weights
+
+
+def zero_importance_weights():
+    net = default_net(36)
+    obs, actions, targets, weights = batch_inputs(net, 32, 37)
+    weights[::3] = 0.0  # their gradient rows are 0.0 * clip(delta), signed zeros
+    return net, obs, actions, targets, weights
+
+
+def zero_network():
+    net = default_net(0, rng=False)
+    return net, *batch_inputs(net, 32, 38)
+
+
+def negative_zero_observations():
+    net = default_net(39)
+    obs, actions, targets, weights = batch_inputs(net, 32, 40)
+    obs[obs < 0.0] = -0.0
+    return net, obs, actions, targets, weights
+
+
+def zero_pre_activations():
+    """Units whose pre-activation is exactly zero: zero incoming weights with
+    a +0.0 or -0.0 bias, and an all-zero observation row."""
+    net = default_net(41, (16, 8))
+    w1, b1 = net.params[0], net.params[1]
+    w1[:, :3] = 0.0
+    b1[:2] = 0.0
+    b1[2] = -0.0
+    obs, actions, targets, weights = batch_inputs(net, 8, 42)
+    obs[0] = 0.0
+    return net, obs, actions, targets, weights
+
+
+def float32_observations():
+    net = default_net(43)
+    obs, actions, targets, weights = batch_inputs(net, 32, 44)
+    return net, obs.astype(np.float32), actions, targets, weights
+
+
+def strided_observations(step_axis):
+    def case():
+        net = default_net(45)
+        _, actions, targets, weights = batch_inputs(net, 32, 46)
+        wide = np.random.default_rng(47).uniform(size=(64, 2 * net.obs_dim))
+        obs = wide[::2, : net.obs_dim] if step_axis == 0 else wide[:32, ::2]
+        return net, obs, actions, targets, weights
+
+    return case
+
+
+PASS_CASES = {
+    "B=1": batches(1),
+    "B=2": batches(2),
+    "B=32": batches(32),
+    "B=200": batches(200),  # np.mean's pairwise sum splits past 128
+    "F=3": shaped(None, F=3),  # 180 actions: the row sums split too
+    "one-hidden-layer": shaped((64,)),
+    "four-hidden-layers": shaped((64, 48, 32, 16)),
+    "last-hidden-width-1": shaped((1,)),
+    "middle-hidden-width-1": shaped((8, 1, 8)),
+    "huber-edges": huber_edges,
+    "zero-importance-weights": zero_importance_weights,
+    "zero-network": zero_network,
+    "negative-zero-observations": negative_zero_observations,
+    "zero-pre-activations": zero_pre_activations,
+    "float32-observations": float32_observations,
+    "row-strided-observations": strided_observations(0),
+    "column-strided-observations": strided_observations(1),
+}
+
+
+NUMPY_ONLY = {"row-strided-observations", "column-strided-observations"}  # numpy may not call BLAS on these
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["kernels", "fallback"])
+@pytest.mark.parametrize("case", list(PASS_CASES))
+def test_network_passes_match_the_numpy_passes(case, fallback, monkeypatch):
+    """forward and loss_and_grads on the path under test against the numpy
+    passes, bit for bit. On the kernels every case but NUMPY_ONLY's must not
+    reach the numpy passes at all."""
+    require_passes(fallback)
+    net, *inputs = PASS_CASES[case]()
+    with forced_fallback():
+        expected = passes(net, *inputs)
+    if not fallback and case not in NUMPY_ONLY:
+        monkeypatch.setattr(DuelingQNetwork, "_forward", None)
+    with on_path(fallback):
+        assert passes(net, *inputs) == expected
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["kernels", "fallback"])
+@pytest.mark.parametrize("hidden, F", [(None, 2), (None, 3), ((1,), 2), ((8, 1, 8), 2), ((64, 48, 32, 16), 2)])
+def test_row_forward_matches_the_numpy_passes(hidden, F, fallback):
+    """One-row forwards, as `greedy_episode` makes them, including float32,
+    strided and signed-zero rows and an all-zero row."""
+    require_passes(fallback)
+    net = default_net(48, hidden, F)
+    rows = list(np.random.default_rng(49).uniform(-1.0, 1.0, size=(20, net.obs_dim)))
+    rows[1] = np.where(rows[1] < 0.0, -0.0, rows[1])
+    rows[2] = np.zeros(net.obs_dim)
+    rows[3] = rows[3].astype(np.float32)
+    rows[4] = np.random.default_rng(50).uniform(size=2 * net.obs_dim)[::2]
+    with forced_fallback():
+        expected = [net.forward(x).tobytes() for x in rows]
+    with on_path(fallback):
+        assert [net.forward(x).tobytes() for x in rows] == expected
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["kernels", "fallback"])
+def test_non_finite_observations_give_numpys_q_and_loss(fallback):
+    """NaN and infinite entries give numpy's Q, loss and |td error| bytes,
+    and NaN gradients where numpy's are NaN; a NaN gradient's sign bit may
+    differ (the header of `_kernels.c`)."""
+    require_passes(fallback)
+    net = default_net(64, (16, 8))
+    obs, actions, targets, weights = batch_inputs(net, 8, 65)
+    obs[2, 5], obs[4], obs[5, 0] = np.nan, np.inf, -np.inf
+
+    def run():
+        loss, grads, td = net.loss_and_grads(obs, actions, targets, weights, 1.0)
+        qs = [net.forward(obs).tobytes()] + [net.forward(x).tobytes() for x in obs]
+        return qs, loss.hex(), td.tobytes(), np.isnan(grads.flat), np.where(np.isnan(grads.flat), 0.0, grads.flat)
+
+    with np.errstate(all="ignore"):
+        with forced_fallback():
+            expected = run()
+        with on_path(fallback):
+            got = run()
+    assert got[:3] == expected[:3]
+    assert np.array_equal(got[3], expected[3]) and got[4].tobytes() == expected[4].tobytes()
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["kernels", "fallback"])
+def test_one_network_serves_rows_batches_and_updates_in_any_order(fallback):
+    """The C passes' buffers grow with the batch and read the parameters in
+    place, so an Adam step or a new parameter vector is seen at once."""
+    require_passes(fallback)
+    net, ref = default_net(51, (16, 8)), default_net(51, (16, 8))
+    opt, ref_opt = Adam(net.params, 1e-2), Adam(ref.params, 1e-2)
+    for step, rows in enumerate((1, 32, 2, 200, 32)):
+        inputs = batch_inputs(net, rows, 52 + step)
+        with forced_fallback():
+            expected = ref.forward(inputs[0][0]).tobytes(), passes(ref, *inputs)
+            ref_opt.step(ref.params, ref.loss_and_grads(*inputs, 1.0)[1])
+        with on_path(fallback):
+            assert (net.forward(inputs[0][0]).tobytes(), passes(net, *inputs)) == expected
+            opt.step(net.params, net.loss_and_grads(*inputs, 1.0)[1])
+    flat = np.random.default_rng(53).normal(size=net.params.flat.size)
+    net.params = FlatParams(flat.copy(), net.params.shapes)
+    ref.params = FlatParams(flat.copy(), ref.params.shapes)
+    inputs = batch_inputs(net, 32, 54)
+    with forced_fallback():
+        expected = passes(ref, *inputs)
+    with on_path(fallback):
+        assert passes(net, *inputs) == expected
+
+
+# Inputs the C passes do not take go to numpy, which broadcasts, wraps or
+# refuses them as it always has; nothing reads outside an array.
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["kernels", "fallback"])
+def test_negative_actions_wrap_as_numpy_indexing_does(fallback):
+    require_passes(fallback)
+    net = default_net(55, (16, 8))
+    obs, actions, targets, weights = batch_inputs(net, 8, 56)
+    actions[[1, 5]] = [-1, -net.n_actions]
+    with forced_fallback():
+        expected = passes(net, obs, actions % net.n_actions, targets, weights)
+    with on_path(fallback):
+        assert passes(net, obs, actions, targets, weights) == expected
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["kernels", "fallback"])
+@pytest.mark.parametrize("bad", [lambda k: k, lambda k: 2**62, lambda k: -k - 1], ids=["n_actions", "2**62", "-n_actions-1"])
+def test_an_action_outside_the_network_is_refused(bad, fallback):
+    require_passes(fallback)
+    net = default_net(57, (16, 8))
+    obs, actions, targets, weights = batch_inputs(net, 8, 58)
+    actions[6] = bad(net.n_actions)
+    with on_path(fallback), pytest.raises(IndexError):
+        net.loss_and_grads(obs, actions, targets, weights, 1.0)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["kernels", "fallback"])
+@pytest.mark.parametrize("which", ["targets", "weights"])
+@pytest.mark.parametrize("length", [1, 7, 9])
+def test_targets_or_weights_of_another_length_behave_as_numpy(length, which, fallback):
+    """A length of 1 broadcasts; any other length than the batch's is refused."""
+    require_passes(fallback)
+    net = default_net(59, (16, 8))
+    obs, actions, targets, weights = batch_inputs(net, 8, 60)
+    inputs = {"targets": targets, "weights": weights}
+    inputs[which] = np.random.default_rng(61).uniform(size=length)
+
+    def call():
+        return passes(net, obs, actions, inputs["targets"], inputs["weights"])
+
+    with forced_fallback():
+        expected = outcome(call)
+    with on_path(fallback):
+        assert outcome(call) == expected
+    assert (expected is ValueError) == (length != 1)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["kernels", "fallback"])
+def test_an_empty_batch_behaves_as_numpy(fallback):
+    require_passes(fallback)
+    net = default_net(62, (16, 8))
+    obs, actions, targets, weights = (a[:0] for a in batch_inputs(net, 8, 63))
+    with np.errstate(all="ignore"), pytest.warns(RuntimeWarning, match="empty"):
+        with forced_fallback():
+            expected = passes(net, obs, actions, targets, weights)
+        with on_path(fallback):
+            assert passes(net, obs, actions, targets, weights) == expected
+    assert net.forward(obs).shape == (0, net.n_actions)
+
+
+def test_numpy_blas_resolves_where_numpy_is_built_on_scipy_openblas():
+    """A lookup that failed unnoticed would send every network pass to numpy,
+    and the identity tests above would compare the numpy passes with
+    themselves."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas.get("name") != "scipy-openblas" or "USE64BITINT" not in blas.get("openblas configuration", ""):
+        pytest.skip("numpy is not built on the ILP64 scipy-openblas")
+    require_kernels()
+    assert kernels.blas() is not None
 
 
 def test_adam_matches_per_tensor_formula():
