@@ -85,10 +85,18 @@ The learner cases run at the default sizes (73 inputs, hidden (256, 128,
 - `adam_early`, `adam_late` (xCALLS): one `Adam` step over every parameter
   from t = 0 (t < 356: both bias corrections divide) and from t = 40,000
   (t > 37,412: both have rounded to 1.0).
+- `adam_stuck` (xCALLS): the `adam_late` step on a state where every tenth
+  element has a zero gradient and a first moment of +-k * 2^-1074, k in
+  1..5, stuck at a fixed point of m * 0.9 as dead units' moments get in a
+  long training; outputs are the parameters and both moments.
 - `loss_and_grads` (xCALLS): `DuelingQNetwork.loss_and_grads` on one batch.
-- `forward_row` (xCALLS): `greedy_episode`'s `int(net.forward(obs).argmax())`
-  with the committed checkpoint of the default config, over the first CALLS
-  observations of its greedy rollout of episode r; outputs are the Q rows.
+- `forward_row` (xCALLS): `int(net.forward(obs).argmax())`, the action
+  `DuelingQNetwork.greedy_action` picks, with the committed checkpoint of
+  the default config, over the first CALLS observations of its greedy
+  rollout of episode r; outputs are the Q rows.
+- `greedy_episode`: `greedy_episode` of the committed checkpoint of the
+  default config on episode r of the evaluation stream, through a fresh
+  link of its channel; output is the episode's stats.
 - `forward_batch` (xCALLS): `td_targets`' forward of a batch of observation
   rows drawn at seed r; outputs are the Q arrays.
 The oracle case:
@@ -412,18 +420,25 @@ def _net(pkg: ModuleType, r: int):
     return cfg, pkg.dqn.DuelingQNetwork(cfg.env.obs_dim, cfg.train.hidden, cfg.env.n_actions, np.random.default_rng(r))
 
 
-def _adam(t0: int) -> Case:
+def _adam(t0: int, stuck: bool = False) -> Case:
     def prepare(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
         cfg, net = _net(pkg, r)
         params, grads = net.params, net.clone().params
-        grads.flat[...] = np.random.default_rng(r).normal(size=grads.flat.size)
+        rng = np.random.default_rng(r)
+        grads.flat[...] = rng.normal(size=grads.flat.size)
         opt = pkg.dqn.Adam(params, cfg.train.lr)
         opt.t = t0
+        if stuck:
+            opt.m[...] = rng.normal(scale=1e-4, size=opt.m.size)
+            opt.v[...] = rng.uniform(0.0, 1e-6, size=opt.v.size)
+            dead = np.arange(0, opt.m.size, 10)
+            grads.flat[dead] = 0.0
+            opt.m[dead] = rng.choice([-1.0, 1.0], size=dead.size) * rng.integers(1, 6, size=dead.size) * 5e-324
 
         def call():
             for _ in range(CALLS):
                 opt.step(params, grads)
-            return params.flat, opt.t
+            return (params.flat, opt.m, opt.v) if stuck else (params.flat, opt.t)
 
         return call
 
@@ -469,6 +484,13 @@ def _forward_row(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
     return call
 
 
+def _greedy_episode(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
+    cfg, (scenario, link) = _world(pkg, r)
+    net = pkg.dqn.load_checkpoint(default_checkpoint(pkg))
+    env, fresh = pkg.env.SlicingEnv(cfg.env), _fresh(pkg, cfg, link)
+    return lambda: pkg.dqn.greedy_episode(net, env, scenario, fresh)
+
+
 def _forward_batch(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
     cfg, net = _net(pkg, r)
     batches = np.random.default_rng(r).uniform(size=(CALLS, cfg.train.batch_size, cfg.env.obs_dim))
@@ -504,8 +526,10 @@ CASES: dict[str, Case] = {
     "train_update": _train_update,
     "adam_early": _adam(0),
     "adam_late": _adam(40_000),
+    "adam_stuck": _adam(40_000, stuck=True),
     "loss_and_grads": _loss_and_grads,
     "forward_row": _forward_row,
+    "greedy_episode": _greedy_episode,
     "forward_batch": _forward_batch,
     "brute_force_optimal": _brute_force_optimal,
 }

@@ -1,11 +1,13 @@
-/* Compiled passes of the learner: the dueling network's forward pass and
- * its loss and gradients on numpy's own BLAS, Adam's step over the flat
- * parameter vector, and the prioritized replay's batched sum-tree walks.
+/* Compiled passes of the learner: the dueling network's forward pass, its
+ * greedy action and its loss and gradients on numpy's own BLAS, Adam's
+ * step over the flat parameter vector, and the prioritized replay's batched
+ * sum-tree walks.
  *
- * `kernels.py` builds this file once per process and binds it through
- * ctypes; `DuelingQNetwork`, `Adam.step`, `SumTree` and `PrioritizedReplay`
- * call it, and keep their numpy and memoryview code as the path taken where
- * it cannot be built. Both paths write the same bytes.
+ * `kernels.py` builds this file once per source, flags and compiler (a
+ * later process loads the cached library) and binds it through ctypes;
+ * `DuelingQNetwork`, `Adam.step`, `SumTree` and `PrioritizedReplay` call
+ * it, and keep their numpy and memoryview code as the path taken where it
+ * cannot be built. Both paths write the same bytes.
  *
  * Why the bytes are the same:
  * - Each element gets the same IEEE-754 double operations, in the same
@@ -26,8 +28,31 @@
  *   of a libm call that may set errno; the result is the same correctly
  *   rounded root. Its argument is a second moment, never negative.
  * The build uses no `-march`, so the library runs on any CPU of the target.
+ * Nothing here sets flush-to-zero or denormals-are-zero either: both would
+ * change the bytes of subnormal moments, and numpy's with them.
  *
- * The network's passes (`dueling_forward`, `dueling_loss_and_grads`) are
+ * Adam's stuck moments. A dead ReLU unit's gradient is exactly zero, so
+ * its first moment decays as m * beta1 into the subnormals and stops at a
+ * fixed point m = +-k * 2^-1074 (k <= 5 at beta1 = 0.9), where every later
+ * step multiplies, scales and divides subnormals, each operation a slow
+ * microcode assist on x86. In the default training thousands of moments
+ * sit there from about update 17,000 on, and the plain pass took twice as
+ * long. For such an element (g = +-0, 1 <= k <= the bound `stuck_moments`
+ * finds with this call's beta1, b1t and lr) the plain pass computes
+ * mi = m * beta1 + g * c1 = m (the fixed point, plus a signed zero, which
+ * leaves a nonzero m as it is) and num = (mi [/ b1t]) * lr = the zero of
+ * m's sign (the bound holds only where k's num rounds to +0), so the
+ * careful pass writes exactly those two values without computing them; v,
+ * den and p - num / den it computes as the plain pass does. Every other
+ * element takes the plain pass's operations.
+ * The careful pass costs integer tests per element, so it runs only after
+ * a pass that raised FE_UNDERFLOW (a moment or its step decaying into the
+ * subnormals) or read a stuck element; the caller's flags are restored.
+ * A moment still decaying (k above the bound) keeps the slow exact path.
+ * Either pass gives the same bytes, so the choice moves only time.
+ *
+ * The network's passes (`dueling_forward`, `dueling_loss_and_grads`, and
+ * `dueling_greedy`, a row's forward pass and numpy's argmax of its Q) are
  * `DuelingQNetwork._forward` and `_backward` with every product handed to
  * the very cblas routine numpy's matmul calls for it, with the same
  * arguments. `kernels.blas` resolves them through numpy's
@@ -80,9 +105,11 @@
  * one, and `train` stops at a non-finite loss before a step reads it.
  */
 
+#include <fenv.h>
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* 2 evaluates doubles in long double (x87), and a negative value leaves it
  * open; 0, 1 and 16 all round each double operation to double */
@@ -90,25 +117,117 @@
 #error "double expressions must round to double at every operation"
 #endif
 
-/* One Adam step over n parameters, each read once and written once:
+#define SIGN_BIT 0x8000000000000000u
+
+static inline uint64_t bits_of(double x)
+{
+    uint64_t u;
+    memcpy(&u, &x, sizeof u);
+    return u;
+}
+
+static inline double of_bits(uint64_t u)
+{
+    double x;
+    memcpy(&x, &u, sizeof x);
+    return x;
+}
+
+/* 1 where x < s, else 0, for any x and s < 2^63: an unsigned comparison in
+ * shifts and masks, which SSE2 vectorises and a compare it lacks would not */
+static inline uint64_t below(uint64_t x, uint64_t s)
+{
+    return ((x - s) & ~x) >> 63;
+}
+
+/* Adam's step over n parameters, each read once and written once:
  * m = m * beta1 + g * c1, v = v * beta2 + (g * g) * c2, with c1 and c2 the
  * Python values of 1 - beta1 and 1 - beta2, then
  * p -= (m / b1t) * lr / (sqrt(v / b2t) + eps) from the new m and v. A
  * correction that has rounded to exactly 1.0 is not divided by, as `Adam`
- * says. */
-void adam_step(double *p, double *m, double *v, const double *g, int64_t n,
-               double beta1, double c1, double beta2, double c2,
-               double lr, double b1t, double b2t, double eps)
+ * says (`divide1`, `divide2`).
+ *
+ * With `stuck` set it is the same step with stuck first moments read as
+ * +0: an element with g = +-0 and m = +-k * 2^-1074, 1 <= k <= stuck. The
+ * caller makes `stuck` the `stuck_moments` bound, under which such an m
+ * is a fixed point of m * beta1 and its step's num is the zero of m's
+ * sign, so the pass writes m back, the signed zero as num, and v and p by
+ * the usual formulas: the bytes of the plain pass, without its
+ * subnormal operations. The tests are integer ones on the bits (`below`):
+ * a floating-point comparison in the loop keeps gcc from vectorising it.
+ * Returns the number of elements read as stuck. */
+static inline __attribute__((always_inline)) int64_t
+adam_pass(double *restrict p, double *restrict m, double *restrict v,
+          const double *restrict g, int64_t n, double beta1, double c1,
+          double beta2, double c2, double lr, double b1t, double b2t,
+          double eps, int divide1, int divide2, uint64_t stuck)
 {
+    int64_t count = 0;
     for (int64_t i = 0; i < n; i++) {
-        double mi = m[i] * beta1 + g[i] * c1;
+        uint64_t mb = bits_of(m[i]), keep = 0; /* keep: all ones where stuck */
+        if (stuck) {
+            keep = -(below(bits_of(g[i]) << 1, 1) & below((mb & ~SIGN_BIT) - 1, stuck));
+            count += keep & 1;
+        }
+        double mi = of_bits(mb & ~keep) * beta1 + g[i] * c1;
         double vi = v[i] * beta2 + (g[i] * g[i]) * c2;
-        m[i] = mi;
+        m[i] = of_bits((bits_of(mi) & ~keep) | (mb & keep));
         v[i] = vi;
-        double num = (b1t == 1.0 ? mi : mi / b1t) * lr;
-        double den = sqrt(b2t == 1.0 ? vi : vi / b2t) + eps;
+        double num = (divide1 ? mi / b1t : mi) * lr;
+        num = of_bits((bits_of(num) & ~keep) | (mb & keep & SIGN_BIT));
+        double den = sqrt(divide2 ? vi / b2t : vi) + eps;
         p[i] = p[i] - num / den;
     }
+    return count;
+}
+
+/* The bound of stuck moments at this call's beta1, b1t and lr: the
+ * largest k (at most 2^20) such that every m = k' * 2^-1074 with
+ * 1 <= k' <= k is a fixed point of m * beta1, found by the FPU, provided
+ * that k's step num is +0; else 0, and no moment is read as stuck.
+ * Rounding is monotone, so a num that is zero at k is zero below it, and
+ * symmetric, so m's sign carries through both. At beta1 = 0.9 it is 5:
+ * 0.9 is stored just above 0.9, so 5 * 0.9 rounds up to 5, and 6 * 0.9
+ * to 5. */
+static uint64_t stuck_moments(double beta1, double lr, double b1t, int divide1)
+{
+    uint64_t k = 0;
+    while (k < (1u << 20) && of_bits(k + 1) * beta1 == of_bits(k + 1))
+        k++;
+    double top = of_bits(k);
+    double num = (divide1 ? top / b1t : top) * lr;
+    return bits_of(num) == 0 ? k : 0;
+}
+
+/* Adam's step (`adam_pass`), the plain pass or, where `careful` is set and
+ * `stuck_moments` finds a bound, the one that reads stuck moments as +0.
+ * Returns whether the next call should be careful: whether this pass read
+ * an element as stuck or raised FE_UNDERFLOW, which a moment decaying into
+ * the subnormals raises. The caller's floating-point flags are left as
+ * they were. */
+int64_t adam_step(double *p, double *m, double *v, const double *g, int64_t n,
+                  double beta1, double c1, double beta2, double c2,
+                  double lr, double b1t, double b2t, double eps,
+                  int64_t careful)
+{
+    int d1 = b1t != 1.0, d2 = b2t != 1.0;
+    fexcept_t flags;
+    fegetexceptflag(&flags, FE_UNDERFLOW);
+    uint64_t stuck = careful ? stuck_moments(beta1, lr, b1t, d1) : 0;
+    feclearexcept(FE_UNDERFLOW);
+    int64_t count;
+#define ADAM_PASS(d1, d2, stuck) \
+    adam_pass(p, m, v, g, n, beta1, c1, beta2, c2, lr, b1t, b2t, eps, d1, d2, stuck)
+    if (stuck)
+        count = d1 ? (d2 ? ADAM_PASS(1, 1, stuck) : ADAM_PASS(1, 0, stuck))
+                   : (d2 ? ADAM_PASS(0, 1, stuck) : ADAM_PASS(0, 0, stuck));
+    else
+        count = d1 ? (d2 ? ADAM_PASS(1, 1, 0) : ADAM_PASS(1, 0, 0))
+                   : (d2 ? ADAM_PASS(0, 1, 0) : ADAM_PASS(0, 0, 0));
+#undef ADAM_PASS
+    int underflow = fetestexcept(FE_UNDERFLOW) != 0;
+    fesetexceptflag(&flags, FE_UNDERFLOW);
+    return count > 0 || underflow;
 }
 
 /* For each k: descend the heap-layout tree `nodes` from the root with the
@@ -412,6 +531,23 @@ void dueling_forward(const struct net *n, int64_t rows)
         double s = 0.0 + pairwise(a + r * k, k);
         q_row(n->q + r * k, a + r * k, v[r], s / (double)k, k);
     }
+}
+
+/* `dueling_forward` of row 0 of n->x, then numpy's argmax of its Q row
+ * (DOUBLE_argmax): the first entry above every earlier one, stopping at the
+ * first NaN, so ties go to the lowest index and a NaN wins. */
+int64_t dueling_greedy(const struct net *n)
+{
+    int64_t k = n->dims[n->n_hidden + 1], best = 0;
+    dueling_forward(n, 1);
+    double top = n->q[0];
+    for (int64_t j = 1; j < k && !isnan(top); j++) {
+        if (!(n->q[j] <= top)) {
+            top = n->q[j];
+            best = j;
+        }
+    }
+    return best;
 }
 
 static double clip(double x, double lo, double hi) /* numpy's _NPY_CLIP */

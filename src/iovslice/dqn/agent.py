@@ -150,7 +150,7 @@ def train(
             if rng.random() < eps:
                 action = int(rng.integers(n_act))
             else:
-                action = int(net.forward(obs).argmax())
+                action = net.greedy_action(obs)
             result = env.step(action)
             memory.add(obs, action, result.reward, result.next_observation, result.discount)
             obs = result.next_observation
@@ -201,7 +201,7 @@ def greedy_episode(net: DuelingQNetwork, env: SlicingEnv, scenario: Scenario, li
     obs = env.reset(scenario, link)
     done = False
     while not done:
-        step = env.step(int(net.forward(obs).argmax()))
+        step = env.step(net.greedy_action(obs))
         obs = step.next_observation
         done = step.terminal
     return env.stats()

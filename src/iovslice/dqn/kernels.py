@@ -1,9 +1,13 @@
 """Loader of the learner's compiled kernels (`_kernels.c`).
 
 `library()` compiles `_kernels.c` with the C compiler the interpreter was
-built with (sysconfig's CC) into a temporary directory, loads it through
-ctypes and deletes the directory. It does so at most once per process, on
-the first network pass, Adam step or replay operation, and returns the bound
+built with (sysconfig's CC) and loads it through ctypes, at most once per
+process, on the first network pass, Adam step or replay operation. The
+library is kept in CACHE_DIR under `cache_key`, a digest of the source,
+FLAGS and the compiler command, so a later process with the same three
+loads it instead of compiling; where that directory cannot be written or
+its library does not load, the build goes to a temporary directory that
+is deleted once the library is mapped. `library()` returns the bound
 library, or None where the compiler is missing or the build fails: then
 `Adam` and `SumTree` take their numpy and memoryview path. `blas()` is that
 library once numpy's own cblas routines are bound into it, resolved once
@@ -17,12 +21,27 @@ why every path writes the same bytes.
 from __future__ import annotations
 
 import ctypes
+import hashlib
+import os
 import tempfile
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 # fixed flags; `_kernels.c`'s header says why each is there and what is absent
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
+
+
+def _user_cache() -> Path | None:
+    """The user cache directory of the XDG base directory convention, or
+    None where neither it nor a home directory is an absolute path."""
+    for base in (os.environ.get("XDG_CACHE_HOME", ""), os.path.expanduser("~/.cache")):
+        if os.path.isabs(base):
+            return Path(base) / "iovslice"
+    return None
+
+
+# where built libraries are kept, one file per `cache_key`; None: nowhere
+CACHE_DIR = _user_cache()
 
 # numpy's cblas_dgemm, cblas_dgemv and cblas_ddot, in `blas_bind`'s order
 BLAS_SYMBOLS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
@@ -35,12 +54,13 @@ _P = ctypes.c_void_p
 _N = ctypes.c_int64
 _F = ctypes.c_double
 _SIGNATURES = {
-    "adam_step": (None, [_P, _P, _P, _P, _N, _F, _F, _F, _F, _F, _F, _F, _F]),
+    "adam_step": (_N, [_P, _P, _P, _P, _N, _F, _F, _F, _F, _F, _F, _F, _F, _N]),
     "tree_find_many": (None, [_P, _N, _P, _F, _N, _N, _P, _P]),
     "tree_set_many": (_N, [_P, _N, _P, _P, _N]),
     "blas_bind": (None, [_P, _P, _P]),
     "dueling_scratch_size": (_N, [_P]),
     "dueling_forward": (None, [_P, _N]),
+    "dueling_greedy": (_N, [_P]),
     "dueling_loss_and_grads": (_N, [_P, _N, _F, _P]),
 }
 
@@ -104,25 +124,52 @@ def compiler() -> list[str]:
     return shlex.split(sysconfig.get_config_var("CC") or "")
 
 
+def cache_key(cc: list[str]) -> str:
+    """The name of the library built from today's `SOURCE` with `FLAGS` by
+    the compiler command `cc`: a digest of the three."""
+    digest = hashlib.sha256(SOURCE.read_bytes())
+    digest.update(repr((FLAGS, cc)).encode())
+    return digest.hexdigest()[:20]
+
+
 def _build() -> ctypes.CDLL | None:
     import subprocess  # imported here, so commands that never build the kernels do not pay for it
 
     cc = compiler()
     if not cc or not SOURCE.is_file():
         return None
-    with tempfile.TemporaryDirectory(prefix="iovslice-kernels-") as tmp:
-        out = Path(tmp) / "_kernels.so"
+    name = f"_kernels-{cache_key(cc)}.so"
+    try:
         try:
-            subprocess.run(
-                [*cc, *FLAGS, str(SOURCE), "-o", str(out), "-lm"],
-                capture_output=True,
-                check=True,
-                timeout=120,
-            )
-            lib = ctypes.CDLL(str(out))  # mapped now, so the directory can go
-        except (OSError, subprocess.SubprocessError):
-            return None
-    for name, (restype, argtypes) in _SIGNATURES.items():
-        fn = getattr(lib, name)
+            lib = _load(CACHE_DIR, name, cc)
+        except OSError:  # no cache directory, an unwritable one, or a library that does not load
+            with tempfile.TemporaryDirectory(prefix="iovslice-kernels-") as tmp:
+                lib = _load(Path(tmp), name, cc)  # mapped now, so the directory can go
+    except (OSError, subprocess.SubprocessError):
+        return None
+    for fn_name, (restype, argtypes) in _SIGNATURES.items():
+        fn = getattr(lib, fn_name)
         fn.restype, fn.argtypes = restype, argtypes
     return lib
+
+
+def _load(directory: Path | None, name: str, cc: list[str]) -> ctypes.CDLL:
+    """The library `name` in `directory`, compiled by `cc` into a temporary
+    file there and renamed into place first where it is missing, so another
+    process sees the whole library or none."""
+    import subprocess
+
+    if directory is None:
+        raise FileNotFoundError("no directory to build the kernels in")
+    path = directory / name
+    if not path.is_file():
+        directory.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=directory)
+        os.close(fd)
+        try:
+            subprocess.run([*cc, *FLAGS, str(SOURCE), "-o", tmp, "-lm"], capture_output=True, check=True, timeout=120)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return ctypes.CDLL(str(path))

@@ -5,9 +5,9 @@ advantage per action, combined as Q = V + A - mean(A). All parameters live in
 one contiguous float64 vector with per-layer views, so an Adam step, a target
 copy and a checkpoint read or write each touch that one vector. Everything is
 float64 and single-threaded so a seed pins training bit-for-bit. The network's
-passes and Adam's step each run as one call into `_kernels.c` where `kernels`
-builds it, and as numpy code elsewhere; the header of `_kernels.c` says why
-both paths write the same bytes.
+passes, a row's greedy action and Adam's step each run as one call into
+`_kernels.c` where `kernels` builds it, and as numpy code elsewhere; the
+header of `_kernels.c` says why both paths write the same bytes.
 """
 
 from __future__ import annotations
@@ -119,6 +119,21 @@ class DuelingQNetwork:
             lib.dueling_forward(buf.address, rows)
             return buf.q[:rows].copy()
         return self._forward(x)
+
+    def greedy_action(self, obs: np.ndarray) -> int:
+        """int(self.forward(obs).argmax()) of one observation row: the
+        lowest index among the largest Q values, or the first NaN. Where
+        `forward` would take its C row path, the pass and the argmax run in
+        one call of `_kernels.c`; a `forward` replaced on the class (a
+        subclass, or a wrapper such as a tracer's) is always called."""
+        lib = kernels.blas()
+        if lib is not None and type(self).forward is _FORWARD:
+            x = np.asarray(obs, dtype=np.float64)
+            if x.ndim == 1 and x.flags.c_contiguous and x.shape[0] == self.obs_dim:
+                buf = self._buffers_for(lib, 1)
+                buf.row_in[...] = x
+                return lib.dueling_greedy(buf.address)
+        return int(self.forward(obs).argmax())
 
     def _buffers_for(self, lib, rows: int) -> "_Buffers":
         """Buffers for `rows` rows of the C passes, made anew when the
@@ -234,6 +249,9 @@ class DuelingQNetwork:
         self.params.flat[...] = other.params.flat
 
 
+_FORWARD = DuelingQNetwork.forward  # the one `greedy_action` may run in C
+
+
 def _column(a: object, dtype: type, rows: int) -> bool:
     return isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == (rows,)
 
@@ -268,9 +286,11 @@ class Adam:
 
     A step is the per-tensor formula p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
     over FlatParams.flat, in one pass of `_kernels.c` that reads and writes
-    each element once. Where `kernels.library` builds nothing it is a fixed
-    sequence of in-place ufuncs over two scratch vectors, allocated on its
-    first step.
+    each element once. After a pass that underflowed, the next one skips the
+    subnormal arithmetic of first moments stuck at a fixed point of
+    m * beta1, with the same bytes (`_kernels.c`'s header says why). Where
+    `kernels.library` builds nothing it is a fixed sequence of in-place
+    ufuncs over two scratch vectors, allocated on its first step.
 
     The moment decay rates and eps are ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
     A bias correction 1 - beta**t rounds to exactly 1.0 once beta**t <= 2**-54
@@ -286,6 +306,7 @@ class Adam:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self._scratch: tuple[np.ndarray, np.ndarray] | None = None
+        self._careful = 0  # the kernel's last verdict: whether its next pass looks for stuck moments
 
     def step(self, params: FlatParams, grads: FlatParams) -> None:
         self.t += 1
@@ -297,9 +318,10 @@ class Adam:
             for a in (p, g):  # the kernels read raw memory
                 if a.dtype != np.float64 or a.shape != m.shape or not a.flags.c_contiguous:
                     raise ValueError(f"Adam needs contiguous float64 vectors of {m.size} parameters")
-            lib.adam_step(
+            self._careful = lib.adam_step(
                 p.ctypes.data, m.ctypes.data, v.ctypes.data, g.ctypes.data, m.size,
                 ADAM_BETA1, 1.0 - ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA2, self.lr, b1t, b2t, ADAM_EPS,
+                self._careful,
             )
             return
         if self._scratch is None:

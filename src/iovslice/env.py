@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +76,7 @@ class ContractViolation(RuntimeError):
     reset, after the episode ended or, with a whole slot, mid-slot."""
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     reward: float
     next_observation: np.ndarray
     terminal: bool
@@ -110,7 +110,10 @@ class SlicingEnv:
         self.cfg = cfg
         # observation fields in order, as slices of the flat vector
         sizes = _obs_sizes(cfg)
-        self._layout = {name: slice(end - sizes[name], end) for name, end in zip(sizes, accumulate(sizes.values()))}
+        self._layout = lay = {name: slice(end - sizes[name], end) for name, end in zip(sizes, accumulate(sizes.values()))}
+        # the fields `_begin_slot` writes: fade, prev and leftover lie side by side
+        self._per_slot = slice(lay["fade"].start, lay["leftover"].stop)
+        self._slot_at, self._deciding_at, self._peer_at = lay["slot"].start, lay["deciding"].start, lay["peer"].start
         # the action table (as a set, the only choices step_slot takes), and each
         # entry's level indices i of k normalized to i / max(k - 1, 1) as later vehicles see them
         self._actions = phy.action_table(cfg.F)
@@ -142,7 +145,7 @@ class SlicingEnv:
         self.ledger = phy.DeliveryLedger.start(scenario.packets)
         self.slot = 0
         self.pending: list[int] = []  # this slot's action indices so far
-        self.prev_choice = np.zeros((cfg.m, len(phy.PACKET_CHOICES)), dtype=np.float64)
+        self._prev = [0.0] * (cfg.m * len(phy.PACKET_CHOICES))  # prev_choice, flat
         self.slot_rewards: list[float] = []
         self.terminal = False
         # The observation without its deciding one-hot (left zero): episode
@@ -158,16 +161,23 @@ class SlicingEnv:
         # safety-packet window, slots normalized by the horizon
         safety = [scenario.packet(src, SLICE_SAFETY) for src in range(m)]
         obs[lay["window"]] = [v / T for p in safety for v in (p.arrival_slot, p.deadline_slot)]
-        self._packet_bits = np.array([p.size_bits for p in self.ledger.packets])
+        self._packet_bits = [float(p.size_bits) for p in self.ledger.packets]
         # fast fading, clipped exponential power: row t is slot t's, in observation order
         fade = np.clip(link.chan.fastfade_pow, 0.0, FADE_CLIP) / FADE_CLIP
-        self._fade_rows = fade.transpose(3, 0, 1, 2).reshape(T, -1)
+        self._fade_rows = fade.transpose(3, 0, 1, 2).reshape(T, -1).tolist()
         self._begin_slot()
         return self.observation()
 
     @property
     def deciding(self) -> int:  # the source whose action the next `step` fixes
         return len(self.pending)
+
+    @property
+    def prev_choice(self) -> np.ndarray:
+        """What each source sent last slot, a new (m, 3) array: row src is
+        the one-hot of its packet choice, PKT_NONE when it was off the air;
+        all zeros before the first slot resolves."""
+        return np.array(self._prev).reshape(self.cfg.m, len(phy.PACKET_CHOICES))
 
     def step(self, action_index: int) -> StepResult:
         """Fix the deciding vehicle's action, the last one's via `step_slot`; a
@@ -177,9 +187,10 @@ class SlicingEnv:
         index = operator.index(action_index)
         if not 0 <= index < len(self._actions):
             raise ValueError(f"action index {index} outside 0..{len(self._actions) - 1}")
-        if self.deciding + 1 < self.cfg.m:
+        deciding = len(self.pending)
+        if deciding + 1 < self.cfg.m:
             # visible to the vehicles after this one
-            at = self._layout["peer"].start + 4 * self.deciding
+            at = self._peer_at + 4 * deciding
             self._obs[at : at + 4] = self._peer_rows[index]
             self.pending.append(index)
             return StepResult(0.0, self.observation(), False, 1.0)
@@ -206,11 +217,12 @@ class SlicingEnv:
         self.ledger, effects = phy.apply_slot(self.ledger, actions, self.link, self.slot)
         left = self.ledger.leftover_bits
         reward = 0.0
-        self.prev_choice[:] = 0.0
+        prev, width = [0.0] * len(self._prev), len(phy.PACKET_CHOICES)
         for src, (act, (k, _, group_mask, rate)) in enumerate(zip(actions, effects)):
             on_air = k >= 0
             reward += individual_reward(on_air and left[k] == 0.0, group_mask, rate, norm, upper)
-            self.prev_choice[src, act[0] if on_air else phy.PKT_NONE] = 1.0
+            prev[src * width + (act[0] if on_air else phy.PKT_NONE)] = 1.0
+        self._prev = prev
         self.slot_rewards.append(reward)
         self.slot += 1
         self.terminal = self.slot >= cfg.T
@@ -231,21 +243,24 @@ class SlicingEnv:
         """Flat feature vector, every entry in [0, 1]; fields in _obs_sizes
         (sizes for defaults m=3, n=4, F=2 add up to 73). A new array each call."""
         obs = self._obs.copy()
-        obs[self._layout["deciding"].start + self.deciding] = 1.0
+        obs[self._deciding_at + len(self.pending)] = 1.0
         return obs
 
     def _begin_slot(self) -> None:
         """Write the parts of the observation that change once per slot, and
         clear the peer choices."""
-        obs, lay, T = self._obs, self._layout, self.cfg.T
-        # current-slot fast fading (the last slot's once the episode is over)
-        obs[lay["fade"]] = self._fade_rows[min(self.slot, T - 1)]
-        # what each source actually sent last slot (one-hot, zeros at slot 0)
-        obs[lay["prev"]] = self.prev_choice.ravel()
-        # leftover bits, normalized by packet size
-        np.divide(self.ledger.leftover_bits, self._packet_bits, out=obs[lay["leftover"]])
-        obs[lay["slot"]] = self.slot / T
-        obs[lay["peer"]] = 0.0
+        obs, slot, T = self._obs, self.slot, self.cfg.T
+        # in one write of Python floats: current-slot fast fading (the last
+        # slot's once the episode is over), what each source actually sent
+        # last slot (one-hot, zeros at slot 0) and the leftover bits,
+        # normalized by packet size
+        obs[self._per_slot] = (
+            self._fade_rows[min(slot, T - 1)]
+            + self._prev
+            + [left / bits for left, bits in zip(self.ledger.leftover_bits, self._packet_bits)]
+        )
+        obs[self._slot_at] = slot / T
+        obs[self._layout["peer"]] = 0.0
 
     # -- reporting -----------------------------------------------------------
 

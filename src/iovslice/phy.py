@@ -185,7 +185,7 @@ class DeliveryLedger(NamedTuple):
 
 def slot_rates(
     effective: Sequence[tuple[int, tuple[int, ...], int, float]],  # (pkt, group, freq, p_mw)
-    gain_slot: np.ndarray,  # (m, n, F) linear gains for this slot
+    gain_slot: np.ndarray | Sequence,  # (m, n, F) linear gains for this slot, read as gain_slot[s][d][f]
     noise_mw: float,
     rb_bandwidth_hz: float,
 ) -> list[float]:
@@ -206,11 +206,7 @@ def slot_rates(
         for d in group:
             key = (d, freq)
             if key not in sinr_cache:
-                txs = [
-                    (s, effective[s][3] * float(gain_slot[s, d, freq]))
-                    for s in sending
-                    if effective[s][2] == freq
-                ]
+                txs = [(s, effective[s][3] * gain_slot[s][d][freq]) for s in sending if effective[s][2] == freq]
                 sinr_cache[key] = sic_sinr(txs, noise_mw)
             worst = min(worst, sinr_cache[key][src])
         rates[src] = rate_bps(worst, rb_bandwidth_hz)
@@ -273,6 +269,7 @@ class EpisodeLink:
         self._groups: dict[tuple[int, float], tuple[int, ...]] = {}
         self._group_mask: dict[tuple[int, ...], int] = {(): 0}  # bit d set when d is in the group
         self._resolved: dict[tuple, tuple[SourceEffect, ...]] = {}
+        self._gains: list[list | None] = [None] * self.gain_lin.shape[3]  # [slot][src][dst][freq], as solved
 
     def group(self, src: int, coverage_m: float) -> tuple[int, ...]:
         """`coverage_group` of the source at this radius, computed once."""
@@ -292,9 +289,18 @@ class EpisodeLink:
         swap search's and the oracle's tails for `reach` are made."""
         if not group:
             return 0.0
-        gain = self.gain_lin
-        worst = min([p_mw * float(gain[src, d, freq, slot]) for d in group])
+        gain = self._slot_gains(slot)[src]
+        worst = min([p_mw * gain[d][freq] for d in group])
         return rate_bps(worst / self.noise_mw, self.rb_bandwidth_hz) * self.slot_duration_s
+
+    def _slot_gains(self, slot: int) -> list:
+        """The slot's (m, n, F) gains as nested Python floats, the very
+        values of `gain_lin`, made on the slot's first solve (a link that
+        solves one slot pays 2 us, not the whole table's 34)."""
+        gains = self._gains[slot]
+        if gains is None:
+            gains = self._gains[slot] = self.gain_lin[:, :, :, slot].tolist()
+        return gains
 
     def resolve(self, slot: int, choices: tuple[tuple[int, float, int, float], ...]) -> tuple[SourceEffect, ...]:
         """Per-source effects of these choices at this slot, solved once per
@@ -311,7 +317,7 @@ class EpisodeLink:
         if hit is None:
             groups = [self.group(src, c[1]) for src, c in enumerate(choices)]
             effective = [(c[0], group, c[2], power_lin_mw(c[3])) for c, group in zip(choices, groups)]
-            rates = slot_rates(effective, self.gain_lin[:, :, :, slot], self.noise_mw, self.rb_bandwidth_hz)
+            rates = slot_rates(effective, self._slot_gains(slot), self.noise_mw, self.rb_bandwidth_hz)
             dt, masks = self.slot_duration_s, self._group_mask
             hit = self._resolved[key] = tuple(
                 [

@@ -82,6 +82,17 @@ def reference_useful(ledger, src, act, slot, link):
     return phy.on_air(ledger, src, act, slot) and bool(link.group(src, act[1]))
 
 
+@pytest.fixture(autouse=True, scope="session")
+def kernel_cache(tmp_path_factory):
+    """One kernel build cache for the session, this process's and the
+    processes it starts, instead of the user's."""
+    cache = tmp_path_factory.mktemp("xdg-cache")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(cache))
+        patch.setattr(kernels, "CACHE_DIR", cache / "iovslice")
+        yield cache
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -90,6 +90,20 @@ def test_readme_map_lines_name_what_their_module_has():
             assert found, (name, ref)
 
 
+# names a module's map line must carry: the entry points a reader of the
+# timings looks for
+MAP_LINE_NAMES = {
+    "iovslice.dqn.mlp": ["DuelingQNetwork.greedy_action", "Adam"],
+    "iovslice.dqn.kernels": ["library", "blas", "CACHE_DIR", "cache_key"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(MAP_LINE_NAMES))
+def test_readme_map_line_names_the_entry_points(module):
+    text = dict(module_map(README.read_text(encoding="utf-8")))[module]
+    assert [name for name in MAP_LINE_NAMES[module] if f"`{name}`" not in text] == []
+
+
 def test_readme_references_resolve():
     refs = references(README.read_text(encoding="utf-8"))
     assert refs

@@ -2,13 +2,17 @@ import contextlib
 import hashlib
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from iovslice import cli
-from iovslice.config import RunConfig
-from iovslice.env import EnvConfig
+from iovslice.config import RunConfig, serialize_config
+from iovslice.env import EnvConfig, SlicingEnv
+from iovslice.worlds import TAG_EVAL, WorldStream
 from iovslice.dqn import kernels
 from iovslice.dqn.mlp import (
     ADAM_BETA1,
@@ -25,6 +29,8 @@ from iovslice.dqn.mlp import (
 )
 
 from conftest import forced_fallback, require_kernels
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def toy_net(seed=0, obs=4, hidden=(2,), actions=3):
@@ -468,6 +474,122 @@ def test_an_empty_batch_behaves_as_numpy(fallback):
     assert net.forward(obs).shape == (0, net.n_actions)
 
 
+# -- greedy_action: forward and argmax in one call ----------------------------
+
+
+def rollout_rows(net, episode):
+    """The observations of a greedy rollout of the default world `episode`."""
+    cfg = RunConfig()
+    env = SlicingEnv(cfg.env)
+    rows = [env.reset(*WorldStream(cfg.road, cfg.env, cfg.channel, cfg.workload, cfg.seed, TAG_EVAL)(episode))]
+    while True:
+        step = env.step(int(net.forward(rows[-1]).argmax()))
+        if step.terminal:
+            return rows
+        rows.append(step.next_observation)
+
+
+def committed_network():
+    cfg = RunConfig()
+    key = hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:16]
+    return load_checkpoint(ROOT / "tests" / ".acceptance-cache" / key / "checkpoint.bin")
+
+
+def tied_network():
+    """Q ties at its largest value on actions 7 and 30, and at a lower one elsewhere."""
+    net = default_net(0, rng=False)
+    net.params[-1][[3, 7, 30, 90]] = [1.0, 2.0, 2.0, 1.0]
+    return net
+
+
+def nan_network():
+    """Q is NaN on action 40 (inf - inf) and -inf elsewhere, so only a NaN
+    rule picks it; a NaN in the row makes every Q NaN."""
+    net = default_net(70, (16, 8))
+    net.params[-1][40] = np.inf
+    return net
+
+
+def greedy_rows(net):
+    """Rows `greedy_action` meets and rows it hands to `forward`: float32,
+    strided, signed-zero and all-zero rows beside uniform ones."""
+    rows = list(np.random.default_rng(71).uniform(-1.0, 1.0, size=(8, net.obs_dim)))
+    rows[1] = np.where(rows[1] < 0.0, -0.0, rows[1])
+    rows[2] = np.zeros(net.obs_dim)
+    rows[3] = rows[3].astype(np.float32)
+    rows[4] = np.random.default_rng(72).uniform(size=2 * net.obs_dim)[::2]
+    rows[5] = list(rows[5])
+    rows[6][9] = np.nan
+    return rows
+
+
+GREEDY_CASES = {
+    "committed-checkpoint-rollout": lambda: (committed_network(), rollout_rows(committed_network(), 0)),
+    "tied-maxima": lambda: (tied_network(), greedy_rows(tied_network())),
+    "zero-network": lambda: (default_net(0, rng=False), greedy_rows(default_net(0, rng=False))),
+    "nan-row": lambda: (nan_network(), greedy_rows(nan_network())),
+    "random-network": lambda: (default_net(73, F=3), greedy_rows(default_net(73, F=3))),
+}
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["kernels", "fallback"])
+@pytest.mark.parametrize("case", list(GREEDY_CASES))
+def test_greedy_action_is_the_argmax_of_forward(case, fallback, monkeypatch):
+    """`greedy_action` on the path under test against numpy's argmax of the
+    numpy passes' Q: the first of tied maxima, the first NaN. On the
+    kernels, no row that forward takes in C reaches the numpy passes."""
+    require_passes(fallback)
+    net, rows = GREEDY_CASES[case]()
+    with np.errstate(invalid="ignore"), forced_fallback():
+        expected = [int(net.forward(x).argmax()) for x in rows]
+    if case in ("tied-maxima", "nan-row"):  # 0 for the row holding a NaN
+        top = 7 if case == "tied-maxima" else 40
+        assert expected == [top] * 6 + [0, top]
+    if not fallback:  # a strided row is forward's to hand to numpy
+        kept = [i for i, x in enumerate(rows) if np.asarray(x, dtype=np.float64).flags.c_contiguous]
+        rows, expected = [rows[i] for i in kept], [expected[i] for i in kept]
+        monkeypatch.setattr(DuelingQNetwork, "_forward", None)
+    with np.errstate(invalid="ignore"), on_path(fallback):
+        assert [net.greedy_action(x) for x in rows] == expected
+        assert all(type(net.greedy_action(x)) is int for x in rows)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["kernels", "fallback"])
+def test_greedy_action_takes_what_forward_takes(fallback):
+    """float32, strided, list and NaN rows give forward's argmax; a row of
+    another width is refused as forward refuses it."""
+    require_passes(fallback)
+    net = default_net(74)
+    with forced_fallback():
+        expected = [int(net.forward(x).argmax()) for x in greedy_rows(net)]
+    assert expected[6] == 0  # the NaN row
+    with on_path(fallback):
+        assert [net.greedy_action(x) for x in greedy_rows(net)] == expected
+        for bad in (np.zeros(net.obs_dim + 1), np.zeros(net.obs_dim - 1, np.float32)):
+            with pytest.raises(ValueError) as refused:
+                net.greedy_action(bad)
+            with pytest.raises(ValueError) as by_forward:
+                net.forward(bad)
+            assert str(refused.value) == str(by_forward.value)
+
+
+def test_greedy_action_calls_a_replaced_forward(monkeypatch):
+    """A forward replaced on the class, as a tracer wraps it, is the one
+    `greedy_action` takes the argmax of."""
+    net = default_net(75)
+    calls = []
+    plain = DuelingQNetwork.forward
+
+    def traced(self, obs):
+        calls.append(1)
+        return plain(self, obs)
+
+    x = np.random.default_rng(76).uniform(size=net.obs_dim)
+    expected = int(net.forward(x).argmax())
+    monkeypatch.setattr(DuelingQNetwork, "forward", traced)
+    assert net.greedy_action(x) == expected and calls == [1]
+
+
 def test_numpy_blas_resolves_where_numpy_is_built_on_scipy_openblas():
     """A lookup that failed unnoticed would send every network pass to numpy,
     and the identity tests above would compare the numpy passes with
@@ -546,6 +668,70 @@ def test_kernels_build_where_the_interpreter_names_a_compiler():
     assert kernels.library() is not None
 
 
+def require_compiler():
+    cc = kernels.compiler()
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip("the interpreter names no installed C compiler")
+
+
+def cached_libraries(directory):
+    return sorted(path.name for path in directory.glob("*"))
+
+
+def test_a_second_process_loads_the_cached_library_without_the_compiler(tmp_path, monkeypatch):
+    require_compiler()
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(kernels, "CACHE_DIR", cache)
+    assert kernels._build() is not None
+    name = f"_kernels-{kernels.cache_key(kernels.compiler())}.so"
+    assert cached_libraries(cache) == [name]
+    script = (
+        "import shutil, sys; from pathlib import Path; from iovslice.dqn import kernels; "
+        "kernels.CACHE_DIR = Path(sys.argv[1]); "
+        "assert shutil.which(kernels.compiler()[0]) is None; "
+        "lib = kernels.library(); assert lib is not None and lib.adam_step.restype is not None; print(lib._name)"
+    )
+    src = Path(kernels.__file__).resolve().parents[2]
+    env = {"PATH": str(tmp_path / "no-compiler"), "PYTHONPATH": str(src), "HOME": str(tmp_path)}
+    run = subprocess.run([sys.executable, "-c", script, str(cache)], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == str(cache / name)
+
+
+def test_a_changed_key_builds_a_new_library(tmp_path, monkeypatch):
+    require_compiler()
+    cache, source = tmp_path / "cache", tmp_path / "_kernels.c"
+    monkeypatch.setattr(kernels, "CACHE_DIR", cache)
+    built = []
+    for change in ("none", "source", "flags"):
+        if change == "source":
+            source.write_bytes(kernels.SOURCE.read_bytes() + b"/* another source */\n")
+            monkeypatch.setattr(kernels, "SOURCE", source)
+        if change == "flags":
+            monkeypatch.setattr(kernels, "FLAGS", (*kernels.FLAGS, "-DANOTHER_FLAG"))
+        assert kernels._build() is not None
+        built.append(cached_libraries(cache))
+    assert [len(names) for names in built] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("where", ["under-a-file", "holding-a-bad-library"])
+def test_a_cache_that_cannot_serve_still_builds(tmp_path, monkeypatch, where):
+    """A cache directory that cannot be made, or whose library for the key
+    does not load, leaves the build to a temporary directory."""
+    require_compiler()
+    if where == "under-a-file":
+        (tmp_path / "file").write_bytes(b"")
+        cache = tmp_path / "file" / "cache"
+    else:
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / f"_kernels-{kernels.cache_key(kernels.compiler())}.so").write_bytes(b"not a library")
+    monkeypatch.setattr(kernels, "CACHE_DIR", cache)
+    lib = kernels._build()
+    assert lib is not None and lib.dueling_greedy.restype is not None
+    assert not lib._name.startswith(str(tmp_path))
+
+
 @pytest.mark.parametrize("t0", [0, 353, 37_409], ids=["both-divide", "b1t-is-one-from-356", "both-one-from-37412"])
 def test_adam_kernels_match_the_numpy_path(t0):
     """Eight steps at the default network size from step t0 + 1, on the
@@ -571,6 +757,76 @@ def test_adam_kernels_match_the_numpy_path(t0):
         assert fast.t == ref.t
         for a, b in ((p_fast.flat, p_ref.flat), (fast.m, ref.m), (fast.v, ref.v)):
             assert a.tobytes() == b.tobytes()
+
+
+TINY = 5e-324  # 2**-1074, the least subnormal
+# the largest k with every k' * TINY, 1 <= k' <= k, a fixed point of m * beta1
+KFIX = next(k for k in range(1, 1 << 10) if (k + 1) * TINY * ADAM_BETA1 != (k + 1) * TINY)
+
+
+def stuck_state(seed, size):
+    """Moments, gradients and parameters where every fourth element has
+    g = +-0 and m = +-k * 2^-1074 for k = 1..8 KFIX, so moments above KFIX
+    decay through KFIX + 1 step by step, beside stuck-looking moments with
+    a nonzero gradient, zero gradients on normal moments, and subnormal
+    second moments. `SIGNED_ZEROS` of the stuck elements are the
+    parameters a step leaves at -0.0 or turns to +0.0, by num's sign."""
+    rng = np.random.default_rng(seed)
+    p, m = rng.normal(size=size), rng.normal(scale=1e-3, size=size)
+    v, g = rng.uniform(0.0, 1e-4, size=size), rng.normal(scale=1e-2, size=size)
+    sign = np.where(rng.random(size) < 0.5, -1.0, 1.0)
+    stuck = np.arange(0, size, 4)
+    m[stuck] = sign[stuck] * (1 + np.arange(stuck.size) % (8 * KFIX)) * TINY
+    g[stuck] = sign[stuck[::-1]] * 0.0
+    m[1::16] = sign[1::16] * (1 + np.arange(m[1::16].size) % KFIX) * TINY  # nonzero g: not stuck
+    g[2::16] = -0.0
+    v[5::16] = rng.integers(0, 50, size=v[5::16].size) * TINY
+    return p, m, v, g
+
+
+SIGNED_ZEROS = slice(0, None, 8)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["kernels", "fallback"])
+@pytest.mark.parametrize("lr", [1e-5, 1e-3, 0.5], ids=["lr-1e-5", "lr-1e-3", "lr-0.5-no-zero-step"])
+@pytest.mark.parametrize("t0", [0, 353, 37_409], ids=["both-divide", "b1t-is-one-from-356", "both-one-from-37412"])
+def test_adam_on_stuck_moments_matches_the_numpy_path(t0, lr, fallback):
+    """Twelve steps from stuck first moments, with gradients that keep them
+    stuck, then free them, then from stuck moments again, so the kernel's
+    pass switches both ways: parameters and both moments match the numpy
+    path bit for bit. At lr 0.5 a stuck moment's step is not zero, so the
+    kernel never reads a moment as stuck."""
+    if not fallback:
+        require_kernels()
+    size = 4099
+    p, m, v, g = stuck_state(77, size)
+    shapes = [(size,)]
+    fast, ref = Adam(FlatParams(p, shapes), lr), Adam(FlatParams(p, shapes), lr)
+    fast.t = ref.t = t0
+    fast.m[...], fast.v[...], ref.m[...], ref.v[...] = m, v, m, v
+    p_fast, p_ref = FlatParams(p.copy(), shapes), FlatParams(p.copy(), shapes)
+    free = FlatParams(np.random.default_rng(78).normal(size=size), shapes)
+    careful = []
+    for step in range(12):
+        grads = free if step in (5, 6) else FlatParams(g, shapes)
+        if step == 7:  # stuck again, after a plain pass
+            fast.m[...] = ref.m[...] = m
+        p_fast.flat[SIGNED_ZEROS] = p_ref.flat[SIGNED_ZEROS] = -0.0  # the caller's parameters
+        with on_path(fallback):
+            fast.step(p_fast, grads)
+        with forced_fallback():
+            ref.step(p_ref, grads)
+        careful.append(fast._careful)
+        for a, b in ((p_fast.flat, p_ref.flat), (fast.m, ref.m), (fast.v, ref.v)):
+            assert a.tobytes() == b.tobytes(), step
+        if step == 4:  # the stuck moments stayed, the others decayed
+            tiny = (g == 0.0) & (np.abs(m) <= 8 * KFIX * TINY)
+            held = tiny & (np.abs(m) <= KFIX * TINY)
+            assert held.sum() > 100 and ref.m[held].tobytes() == m[held].tobytes()
+            assert np.all(np.abs(ref.m[tiny & ~held]) < np.abs(m[tiny & ~held]))
+            assert set(np.signbit(p_ref.flat[SIGNED_ZEROS])) == {True, False}
+    if not fallback:  # the plain pass, then the careful one until step 6 finds nothing stuck, then both again
+        assert careful == [1] * 6 + [0] + [1] * 5
 
 
 def test_adam_kernels_refuse_a_mismatched_vector():
