@@ -7,8 +7,9 @@ packages are imported into this one process under distinct module names,
 and a case calls the same entry point of each on the same inputs for
 ROUNDS rounds, alternating which side runs first. A round whose two
 outputs differ in any bit is refused. The report is one line naming the
-machine, the numpy and BLAS builds, the BLAS thread count, the base commit
-and, per side, whether its learner ran on the compiled kernels of
+machine, the numpy and BLAS builds, the OpenBLAS configuration in use (it
+names the CPU kernel OpenBLAS dispatched to, which decides the training
+bytes), the BLAS thread count, the base commit and, per side, whether its learner ran on the compiled kernels of
 `iovslice.dqn.kernels` (and which compiler built them) or on the numpy
 fallback, and whether its network passes called numpy's BLAS from those
 kernels or ran as numpy code, over a table of each side's median time and
@@ -17,6 +18,26 @@ a ratio under 1 means B is faster. Only the ratio and its interval compare acros
 invocations: on a shared VM the medians of separate runs drift (two runs
 15 minutes apart on a 2-vCPU VM read `apply_slot_cold` 1.91 and then
 2.64 ms, while every B/A stayed within 0.97-1.03).
+
+On the learner's cases a B/A near 1 does not resolve, and a tree timed
+against itself does not give their zero. On a 2-vCPU x86-64 VM (numpy
+2.4, OpenBLAS 0.3.31 on its SkylakeX kernel, one BLAS thread), eight runs
+of a clean clone against its own HEAD read these medians, and trees that
+leave a case's code as it was moved them as far:
+
+  case             time per timed call   tree against itself   code of the case unchanged
+  forward_row      0.8-1.1 ms            0.99-1.08             -
+  forward_batch    6-9 ms                0.89-0.95             0.99-1.02
+  loss_and_grads   20-30 ms              0.98-1.00             1.00-1.03
+  train_update     47-51 ms              1.00-1.02             0.99
+  greedy_episode   1.7-1.9 ms            0.92-0.97             1.07
+
+The last column's trees dropped two unused attributes of `mlp._Buffers`
+(forward_batch 0.99-1.00), or added a comment to `_kernels.c`, so that each
+side loads its own library. So forward_row, forward_batch and
+greedy_episode resolve only a change beyond about 10% either way, and
+loss_and_grads and train_update one beyond about 3%; below that, time the
+two trees apart, one process each (as `perfbench` does), or count work.
 
 Run from the repository root; BLAS runs one thread unless
 OPENBLAS_NUM_THREADS says otherwise:
@@ -109,6 +130,7 @@ The oracle case:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import gc
 import hashlib
@@ -536,16 +558,26 @@ CASES: dict[str, Case] = {
 
 
 def machine_line(base: str) -> str:
-    """The machine, the numpy and BLAS builds, the BLAS thread count and the
-    commit `base` resolves to."""
+    """The machine, the numpy and BLAS builds, the OpenBLAS configuration in
+    use (it names the CPU kernel OpenBLAS dispatched to on this machine,
+    which `np.show_config`'s build-time string does not), the BLAS thread
+    count and the commit `base` resolves to."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        from numpy._core import _multiarray_umath
+
+        get_config = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_config64_
+        get_config.restype = ctypes.c_char_p
+        config = get_config().decode()
+    except (ImportError, OSError, AttributeError):  # numpy not built on the ILP64 scipy-openblas
+        config = "configuration in use unknown"
     commit = subprocess.run(
         ["git", "rev-parse", "--verify", f"{base}^{{commit}}"], cwd=ROOT, capture_output=True, text=True, check=True
     ).stdout.strip()
     return (
         f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}, numpy {np.__version__},"
-        f" BLAS {blas.get('name')} {blas.get('version')}, OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']},"
-        f" base {base} = {commit}"
+        f" BLAS {blas.get('name')} {blas.get('version')} ({config}),"
+        f" OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}, base {base} = {commit}"
     )
 
 

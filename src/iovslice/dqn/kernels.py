@@ -7,23 +7,28 @@ library is kept in CACHE_DIR under `cache_key`, a digest of the source,
 FLAGS and the compiler command, so a later process with the same three
 loads it instead of compiling; where that directory cannot be written or
 its library does not load, the build goes to a temporary directory that
-is deleted once the library is mapped. `library()` returns the bound
-library, or None where the compiler is missing or the build fails: then
-`Adam` and `SumTree` take their numpy and memoryview path. `blas()` is that
-library once numpy's own cblas routines are bound into it, resolved once
-through the handle of numpy's `_multiarray_umath` (which links
-scipy-openblas64, ILP64, as `BLAS_SYMBOLS` name them), or None where either
-is missing: then `DuelingQNetwork` runs its numpy passes. Nothing but the
-build's and the lookup's outcomes picks a path; `_kernels.c`'s header says
-why every path writes the same bytes.
+is deleted once the library is mapped. A build also deletes the cached
+libraries older than MAX_AGE_S (`_load` says why that bounds the cache).
+`library()` returns the bound library, or None where the compiler is
+missing or the build fails: then `Adam` and `SumTree` take their numpy and
+memoryview path. `blas()` is that library once numpy's own cblas routines
+are bound into it, resolved once through the handle of numpy's
+`_multiarray_umath` (which links scipy-openblas64, ILP64, as `BLAS_SYMBOLS`
+name them), or None where either is missing: then `DuelingQNetwork` runs
+its numpy passes. Each caller takes one input form on both of its paths
+and refuses any other alike, so nothing but the build's and the lookup's
+outcomes picks a path; `_kernels.c`'s header says why every path writes
+the same bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
 import tempfile
+import time
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_kernels.c")
@@ -42,6 +47,8 @@ def _user_cache() -> Path | None:
 
 # where built libraries are kept, one file per `cache_key`; None: nowhere
 CACHE_DIR = _user_cache()
+# a cached library no process has loaded for this long goes at the next build
+MAX_AGE_S = 30 * 24 * 3600
 
 # numpy's cblas_dgemm, cblas_dgemv and cblas_ddot, in `blas_bind`'s order
 BLAS_SYMBOLS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
@@ -156,13 +163,20 @@ def _build() -> ctypes.CDLL | None:
 def _load(directory: Path | None, name: str, cc: list[str]) -> ctypes.CDLL:
     """The library `name` in `directory`, compiled by `cc` into a temporary
     file there and renamed into place first where it is missing, so another
-    process sees the whole library or none."""
+    process sees the whole library or none. Each load refreshes the file's
+    modification time, and a build then deletes the libraries beside it
+    older than MAX_AGE_S: a key no source makes any more ages out, while a
+    library some checkout still loads never does. Age alone decides, never
+    the key, so two checkouts of different sources keep each other's."""
     import subprocess
 
     if directory is None:
         raise FileNotFoundError("no directory to build the kernels in")
     path = directory / name
-    if not path.is_file():
+    if path.is_file():
+        with contextlib.suppress(OSError):  # a cache another user owns still serves
+            os.utime(path)
+    else:
         directory.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=directory)
         os.close(fd)
@@ -172,4 +186,9 @@ def _load(directory: Path | None, name: str, cc: list[str]) -> ctypes.CDLL:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        cutoff = time.time() - MAX_AGE_S
+        for old in directory.glob("_kernels-*.so"):
+            with contextlib.suppress(OSError):  # gone already, or not ours to delete
+                if old.stat().st_mtime < cutoff:
+                    old.unlink()
     return ctypes.CDLL(str(path))

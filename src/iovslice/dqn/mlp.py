@@ -74,6 +74,12 @@ class DuelingQNetwork:
     self.params.flat; weight matrices are (in, out). `loss_and_grads` is the
     one training entry: it keeps each hidden activation of its forward pass
     and backpropagates through them, returning gradients in the same layout.
+
+    Each pass converts its input once to one form, and both paths refuse
+    any other alike: C-contiguous float64 rows of obs_dim columns; to train,
+    a nonempty batch of them with an integer action in [0, n_actions), a
+    float64 target and weight per row, and a float huber_delta. Then
+    `kernels.blas()` alone picks the C pass or the numpy one.
     """
 
     def __init__(
@@ -98,42 +104,36 @@ class DuelingQNetwork:
     # -- inference -------------------------------------------------------
 
     def forward(self, obs: np.ndarray) -> np.ndarray:
-        """Q values for one observation (1-D) or a batch of rows (2-D).
-
-        A 1-D row takes the same BLAS path (gemv) as a one-row batch, so its
-        Q values equal forward(obs[None])[0] bit for bit.
-        """
-        x = np.asarray(obs, dtype=np.float64)
-        if x.shape[-1] != self.obs_dim:
-            raise ValueError(f"observation dim {x.shape[-1]} != network input {self.obs_dim}")
+        """Q values for one observation row (1-D) or a batch of rows (2-D).
+        A row is a one-row batch: its Q equals forward(obs[None])[0] bit for bit."""
+        x = self._observations(obs, (1, 2))
         lib = kernels.blas()
-        if lib is not None and x.ndim == 1 and x.flags.c_contiguous:
-            buf = self._buffers_for(lib, 1)
-            buf.row_in[...] = x
-            lib.dueling_forward(buf.address, 1)
-            return buf.row_out.copy()
-        if lib is not None and x.ndim == 2 and len(x) and x.flags.c_contiguous:
-            rows = len(x)
-            buf = self._buffers_for(lib, rows)
-            buf.x[:rows] = x
-            lib.dueling_forward(buf.address, rows)
-            return buf.q[:rows].copy()
-        return self._forward(x)
+        if lib is None:
+            return self._forward(x)
+        rows, at = (len(x), slice(len(x))) if x.ndim == 2 else (1, 0)  # a row is row 0 of a one-row batch
+        buf = self._buffers_for(lib, rows)
+        buf.x[at] = x
+        lib.dueling_forward(buf.address, rows)
+        return buf.q[at].copy()
 
     def greedy_action(self, obs: np.ndarray) -> int:
         """int(self.forward(obs).argmax()) of one observation row: the
-        lowest index among the largest Q values, or the first NaN. Where
-        `forward` would take its C row path, the pass and the argmax run in
-        one call of `_kernels.c`; a `forward` replaced on the class (a
-        subclass, or a wrapper such as a tracer's) is always called."""
+        lowest index among the largest Q values, or the first NaN, in one
+        call of `_kernels.c` on the kernels. A `forward` replaced on the
+        class (a subclass, or a wrapper such as a tracer's) is called."""
+        x = self._observations(obs, (1,))
         lib = kernels.blas()
-        if lib is not None and type(self).forward is _FORWARD:
-            x = np.asarray(obs, dtype=np.float64)
-            if x.ndim == 1 and x.flags.c_contiguous and x.shape[0] == self.obs_dim:
-                buf = self._buffers_for(lib, 1)
-                buf.row_in[...] = x
-                return lib.dueling_greedy(buf.address)
-        return int(self.forward(obs).argmax())
+        if lib is None or type(self).forward is not _FORWARD:
+            return int(self.forward(x).argmax())
+        buf = self._buffers_for(lib, 1)
+        buf.x[0] = x
+        return lib.dueling_greedy(buf.address)
+
+    def _observations(self, obs: object, ranks: tuple[int, ...]) -> np.ndarray:
+        x = np.asarray(obs, dtype=np.float64, order="C")
+        if x.ndim not in ranks or x.shape[-1] != self.obs_dim:
+            raise ValueError(f"obs {x.shape}: greedy_action takes a row of {self.obs_dim}, loss_and_grads a batch")
+        return x
 
     def _buffers_for(self, lib, rows: int) -> "_Buffers":
         """Buffers for `rows` rows of the C passes, made anew when the
@@ -201,29 +201,33 @@ class DuelingQNetwork:
         Returns (mean loss, gradients as a FlatParams, |td error| per sample).
         Every call returns new gradient arrays.
         """
-        x = np.asarray(obs, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.obs_dim:
-            raise ValueError(f"observation batch shape {x.shape} != (B, {self.obs_dim})")
+        x = self._observations(obs, (2,))
         batch = len(x)
+        actions = np.asarray(actions)
+        targets = np.asarray(targets, dtype=np.float64)
+        weights = np.asarray(weights, dtype=np.float64)
+        if not (batch and actions.dtype.kind in "iu" and actions.shape == targets.shape == weights.shape == (batch,)):
+            raise ValueError(
+                f"{batch} rows, {actions.dtype} actions {actions.shape}, targets {targets.shape}, weights"
+                f" {weights.shape}: a batch takes one or more rows and an integer action, target and weight each"
+            )
+        huber_delta = float(huber_delta)
         lib = kernels.blas()
-        if (
-            lib is not None
-            and batch
-            and x.flags.c_contiguous
-            and _column(actions, np.int64, batch)
-            and _column(targets, np.float64, batch)
-            and _column(weights, np.float64, batch)
-            and isinstance(huber_delta, float)
-        ):  # anything else, numpy broadcasts, wraps or refuses below
+        if lib is not None:
             buf = self._buffers_for(lib, batch)
             buf.x[:batch] = x
             buf.actions[:batch] = actions
             buf.targets[:batch] = targets
             buf.weights[:batch] = weights
             grads = FlatParams(np.empty(self.params.flat.size), self.params.shapes)
-            if lib.dueling_loss_and_grads(buf.address, batch, huber_delta, grads.flat.ctypes.data) < 0:
-                return buf.net.loss, grads, buf.abs_delta[:batch].copy()
-            # an action outside [0, n_actions): numpy wraps a negative one and refuses the rest
+            row = lib.dueling_loss_and_grads(buf.address, batch, huber_delta, grads.flat.ctypes.data)
+        else:  # the C pass's own check: the first row outside
+            outside = (actions < 0) | (actions >= self.n_actions)
+            row = int(outside.argmax()) if outside.any() else -1
+        if row >= 0:
+            raise IndexError(f"action {actions[row]} of row {row} is outside [0, {self.n_actions})")
+        if lib is not None:
+            return buf.net.loss, grads, buf.abs_delta[:batch].copy()
         acts = [x]
         q = self._forward(x, acts)
         rows = np.arange(batch)
@@ -252,10 +256,6 @@ class DuelingQNetwork:
 _FORWARD = DuelingQNetwork.forward  # the one `greedy_action` may run in C
 
 
-def _column(a: object, dtype: type, rows: int) -> bool:
-    return isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == (rows,)
-
-
 class _Buffers:
     """One network's `kernels.Net` and the arrays it points to, for `rows`
     rows: the inputs a call copies in, the outputs it copies out, and the
@@ -265,7 +265,6 @@ class _Buffers:
         self.flat, self.rows = net.params.flat, rows
         self.x = np.empty((rows, net.obs_dim))
         self.q = np.empty((rows, net.n_actions))
-        self.row_in, self.row_out = self.x[0], self.q[0]
         self.actions = np.empty(rows, dtype=np.int64)
         self.targets, self.weights, self.abs_delta = np.empty(rows), np.empty(rows), np.empty(rows)
         self.dims = np.array([net.obs_dim, *net.hidden, net.n_actions], dtype=np.int64)
@@ -309,15 +308,15 @@ class Adam:
         self._careful = 0  # the kernel's last verdict: whether its next pass looks for stuck moments
 
     def step(self, params: FlatParams, grads: FlatParams) -> None:
+        p, g, m, v = params.flat, grads.flat, self.m, self.v
+        for a in (p, g):  # the kernels read raw memory; both paths take this one form
+            if a.dtype != np.float64 or a.shape != m.shape or not a.flags.c_contiguous:
+                raise ValueError(f"Adam needs contiguous float64 vectors of {m.size} parameters")
         self.t += 1
         b1t = 1.0 - ADAM_BETA1**self.t
         b2t = 1.0 - ADAM_BETA2**self.t
-        p, g, m, v = params.flat, grads.flat, self.m, self.v
         lib = kernels.library()
         if lib is not None:
-            for a in (p, g):  # the kernels read raw memory
-                if a.dtype != np.float64 or a.shape != m.shape or not a.flags.c_contiguous:
-                    raise ValueError(f"Adam needs contiguous float64 vectors of {m.size} parameters")
             self._careful = lib.adam_step(
                 p.ctypes.data, m.ctypes.data, v.ctypes.data, g.ctypes.data, m.size,
                 ADAM_BETA1, 1.0 - ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA2, self.lr, b1t, b2t, ADAM_EPS,

@@ -112,6 +112,15 @@ def forced_fallback():
         yield
 
 
+@contextlib.contextmanager
+def forced_no_blas():
+    """Run the network's passes as numpy code while Adam and the replay keep
+    their kernels, as a numpy not linked to the ILP64 scipy-openblas would."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "blas", lambda: None)
+        yield
+
+
 def require_kernels():
     if kernels.library() is None:
         pytest.skip("the kernels cannot be built here")

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import re
 import sys
@@ -103,6 +104,21 @@ def test_every_case_gives_equal_outputs_on_two_copies(two_copies, tmp_path, name
     a, b = two_copies
     times_a, times_b = ab.interleave(lambda r: case(a, r, tmp_path), lambda r: case(b, r, tmp_path), 1)
     assert len(times_a) == len(times_b) == 1
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout")
+def test_header_names_the_openblas_kernel_in_use():
+    """The CPU kernel OpenBLAS dispatched to decides the training bytes, and
+    it can differ between runs of one numpy build on different machines."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (ImportError, OSError, AttributeError):
+        pytest.skip("numpy is not built on the ILP64 scipy-openblas")
+    corename.restype = ctypes.c_char_p
+    header = ab.machine_line("HEAD")
+    assert re.search(rf"\(OpenBLAS [^)]* {re.escape(corename().decode())} MAX_THREADS=\d+\)", header), header
 
 
 def test_header_names_each_sides_learner_path(two_copies, tmp_path, monkeypatch):

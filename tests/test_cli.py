@@ -19,7 +19,7 @@ from iovslice.dqn import DuelingQNetwork, TrainConfig, save_checkpoint
 from iovslice.env import EnvConfig
 from iovslice.scenario import MAX_ROAD_LENGTH_M
 
-from conftest import forced_fallback
+from conftest import forced_fallback, forced_no_blas
 
 
 def tiny_cfg(**run_kw):
@@ -518,9 +518,10 @@ def test_train_output_digests_are_pinned(tmp_path, double_q, checkpoint_sha256, 
     environment, network, optimizer or replay arithmetic shows here."""
     cfg = RunConfig()
     cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, episodes=3, warmup=60, double_q=double_q))
-    for fallback in (False, True):  # on the kernels where they build, then on the fallback
-        with forced_fallback() if fallback else contextlib.nullcontext():
-            ckpt, log_path = cli.cmd_train(cfg, tmp_path / f"run-{fallback}", quiet=True)
+    # on the kernels where they build, with the network on numpy, then on the fallback
+    for path in (contextlib.nullcontext, forced_no_blas, forced_fallback):
+        with path():
+            ckpt, log_path = cli.cmd_train(cfg, tmp_path / path.__name__, quiet=True)
         assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == checkpoint_sha256
         assert hashlib.sha256(log_path.read_bytes()).hexdigest() == log_sha256
 

@@ -1,9 +1,11 @@
 import contextlib
 import hashlib
+import os
 import shutil
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -218,11 +220,12 @@ def passes(net, obs, actions, targets, weights, huber_delta=1.0):
 
 
 def outcome(call):
-    """What `call` returns, or the type of the IndexError or ValueError it raises."""
+    """What `call` returns, or the type and message of the IndexError,
+    TypeError or ValueError it raises."""
     try:
         return call()
-    except (IndexError, ValueError) as exc:
-        return type(exc)
+    except (IndexError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 def batches(rows):
@@ -295,6 +298,11 @@ def float32_observations():
     return net, obs.astype(np.float32), actions, targets, weights
 
 
+def list_inputs():
+    net = default_net(68)
+    return net, *(a.tolist() for a in batch_inputs(net, 32, 69))
+
+
 def strided_observations(step_axis):
     def case():
         net = default_net(45)
@@ -322,25 +330,23 @@ PASS_CASES = {
     "negative-zero-observations": negative_zero_observations,
     "zero-pre-activations": zero_pre_activations,
     "float32-observations": float32_observations,
+    "list-inputs": list_inputs,
     "row-strided-observations": strided_observations(0),
     "column-strided-observations": strided_observations(1),
 }
-
-
-NUMPY_ONLY = {"row-strided-observations", "column-strided-observations"}  # numpy may not call BLAS on these
 
 
 @pytest.mark.parametrize("fallback", [False, True], ids=["kernels", "fallback"])
 @pytest.mark.parametrize("case", list(PASS_CASES))
 def test_network_passes_match_the_numpy_passes(case, fallback, monkeypatch):
     """forward and loss_and_grads on the path under test against the numpy
-    passes, bit for bit. On the kernels every case but NUMPY_ONLY's must not
-    reach the numpy passes at all."""
+    passes, bit for bit. On the kernels no case reaches the numpy passes:
+    each input is converted to the one form the C passes take."""
     require_passes(fallback)
     net, *inputs = PASS_CASES[case]()
     with forced_fallback():
         expected = passes(net, *inputs)
-    if not fallback and case not in NUMPY_ONLY:
+    if not fallback:
         monkeypatch.setattr(DuelingQNetwork, "_forward", None)
     with on_path(fallback):
         assert passes(net, *inputs) == expected
@@ -348,9 +354,10 @@ def test_network_passes_match_the_numpy_passes(case, fallback, monkeypatch):
 
 @pytest.mark.parametrize("fallback", [False, True], ids=["kernels", "fallback"])
 @pytest.mark.parametrize("hidden, F", [(None, 2), (None, 3), ((1,), 2), ((8, 1, 8), 2), ((64, 48, 32, 16), 2)])
-def test_row_forward_matches_the_numpy_passes(hidden, F, fallback):
+def test_row_forward_matches_the_numpy_passes(hidden, F, fallback, monkeypatch):
     """One-row forwards, as `greedy_episode` makes them, including float32,
-    strided and signed-zero rows and an all-zero row."""
+    strided, list and signed-zero rows and an all-zero row; on the kernels
+    none reaches the numpy passes."""
     require_passes(fallback)
     net = default_net(48, hidden, F)
     rows = list(np.random.default_rng(49).uniform(-1.0, 1.0, size=(20, net.obs_dim)))
@@ -358,8 +365,11 @@ def test_row_forward_matches_the_numpy_passes(hidden, F, fallback):
     rows[2] = np.zeros(net.obs_dim)
     rows[3] = rows[3].astype(np.float32)
     rows[4] = np.random.default_rng(50).uniform(size=2 * net.obs_dim)[::2]
+    rows[5] = rows[5].tolist()
     with forced_fallback():
         expected = [net.forward(x).tobytes() for x in rows]
+    if not fallback:
+        monkeypatch.setattr(DuelingQNetwork, "_forward", None)
     with on_path(fallback):
         assert [net.forward(x).tobytes() for x in rows] == expected
 
@@ -413,30 +423,22 @@ def test_one_network_serves_rows_batches_and_updates_in_any_order(fallback):
         assert passes(net, *inputs) == expected
 
 
-# Inputs the C passes do not take go to numpy, which broadcasts, wraps or
-# refuses them as it always has; nothing reads outside an array.
+# Inputs outside the one form are refused alike on both paths; nothing reads
+# outside an array.
 
 
 @pytest.mark.parametrize("fallback", [False, True], ids=["kernels", "fallback"])
-def test_negative_actions_wrap_as_numpy_indexing_does(fallback):
-    require_passes(fallback)
-    net = default_net(55, (16, 8))
-    obs, actions, targets, weights = batch_inputs(net, 8, 56)
-    actions[[1, 5]] = [-1, -net.n_actions]
-    with forced_fallback():
-        expected = passes(net, obs, actions % net.n_actions, targets, weights)
-    with on_path(fallback):
-        assert passes(net, obs, actions, targets, weights) == expected
-
-
-@pytest.mark.parametrize("fallback", [False, True], ids=["kernels", "fallback"])
-@pytest.mark.parametrize("bad", [lambda k: k, lambda k: 2**62, lambda k: -k - 1], ids=["n_actions", "2**62", "-n_actions-1"])
+@pytest.mark.parametrize(
+    "bad",
+    [lambda k: k, lambda k: 2**62, lambda k: -1, lambda k: -k, lambda k: -k - 1],
+    ids=["n_actions", "2**62", "-1", "-n_actions", "-n_actions-1"],
+)
 def test_an_action_outside_the_network_is_refused(bad, fallback):
     require_passes(fallback)
     net = default_net(57, (16, 8))
     obs, actions, targets, weights = batch_inputs(net, 8, 58)
     actions[6] = bad(net.n_actions)
-    with on_path(fallback), pytest.raises(IndexError):
+    with on_path(fallback), pytest.raises(IndexError, match="of row 6 is outside"):
         net.loss_and_grads(obs, actions, targets, weights, 1.0)
 
 
@@ -444,7 +446,8 @@ def test_an_action_outside_the_network_is_refused(bad, fallback):
 @pytest.mark.parametrize("which", ["targets", "weights"])
 @pytest.mark.parametrize("length", [1, 7, 9])
 def test_targets_or_weights_of_another_length_behave_as_numpy(length, which, fallback):
-    """A length of 1 broadcasts; any other length than the batch's is refused."""
+    """Any length but the batch's, 1 included, is refused on the path under
+    test as on the numpy path, with the same message."""
     require_passes(fallback)
     net = default_net(59, (16, 8))
     obs, actions, targets, weights = batch_inputs(net, 8, 60)
@@ -458,20 +461,63 @@ def test_targets_or_weights_of_another_length_behave_as_numpy(length, which, fal
         expected = outcome(call)
     with on_path(fallback):
         assert outcome(call) == expected
-    assert (expected is ValueError) == (length != 1)
+    assert expected[0] is ValueError
 
 
 @pytest.mark.parametrize("fallback", [False, True], ids=["kernels", "fallback"])
-def test_an_empty_batch_behaves_as_numpy(fallback):
+def test_an_empty_batch_is_refused(fallback, monkeypatch):
+    """loss_and_grads refuses an empty batch, and forward of zero rows gives
+    zero Q rows; on the kernels neither reaches the numpy passes."""
     require_passes(fallback)
     net = default_net(62, (16, 8))
     obs, actions, targets, weights = (a[:0] for a in batch_inputs(net, 8, 63))
-    with np.errstate(all="ignore"), pytest.warns(RuntimeWarning, match="empty"):
-        with forced_fallback():
-            expected = passes(net, obs, actions, targets, weights)
-        with on_path(fallback):
-            assert passes(net, obs, actions, targets, weights) == expected
-    assert net.forward(obs).shape == (0, net.n_actions)
+    if not fallback:
+        monkeypatch.setattr(DuelingQNetwork, "_forward", None)
+    with on_path(fallback):
+        assert net.forward(obs).shape == (0, net.n_actions)
+        with pytest.raises(ValueError, match="one or more rows"):
+            net.loss_and_grads(obs, actions, targets, weights, 1.0)
+
+
+def refusals(net):
+    """Calls outside the passes' one input form, by name."""
+    obs, actions, targets, weights = batch_inputs(net, 8, 66)
+    opt = Adam(net.params, 1e-3)
+
+    def train(**change):
+        inputs = {"obs": obs, "actions": actions, "targets": targets, "weights": weights, "huber_delta": 1.0}
+        return lambda: net.loss_and_grads(**{**inputs, **change})
+
+    def adam(vector):
+        return lambda: opt.step(net.params, FlatParams(vector, net.params.shapes))
+
+    return {  # the tests above take out-of-range actions, other lengths and the empty batch
+        "float-actions": train(actions=actions.astype(np.float64)),
+        "actions-of-another-length": train(actions=actions[:7]),
+        "a-row-to-train": train(obs=obs[0]),
+        "another-width-to-train": train(obs=obs[:, 1:]),
+        "an-array-huber-delta": train(huber_delta=np.ones(8)),
+        "3-D-forward": lambda: net.forward(obs[None]),
+        "another-width-forward": lambda: net.forward(obs[:, 1:]),
+        "greedy-on-a-batch": lambda: net.greedy_action(obs),
+        "greedy-on-a-3-D-input": lambda: net.greedy_action(obs[None, :1]),
+        "adam-longer-vector": adam(np.zeros(net.params.flat.size + 1)),
+        "adam-float32-vector": adam(np.zeros(net.params.flat.size, np.float32)),
+    }
+
+
+@pytest.mark.parametrize("case", list(refusals(default_net(0, (4,)))))
+def test_a_refusal_is_the_same_on_both_paths(case, monkeypatch):
+    """Every input outside the one form raises the same exception and
+    message on the kernels, without reaching the numpy passes, as on the
+    fallback."""
+    require_passes(False)
+    net = default_net(67, (16, 8))
+    with forced_fallback():
+        expected = outcome(refusals(net)[case])
+    monkeypatch.setattr(DuelingQNetwork, "_forward", None)
+    assert outcome(refusals(net)[case]) == expected
+    assert isinstance(expected, tuple) and expected[0] in (IndexError, TypeError, ValueError)
 
 
 # -- greedy_action: forward and argmax in one call ----------------------------
@@ -537,7 +583,7 @@ GREEDY_CASES = {
 def test_greedy_action_is_the_argmax_of_forward(case, fallback, monkeypatch):
     """`greedy_action` on the path under test against numpy's argmax of the
     numpy passes' Q: the first of tied maxima, the first NaN. On the
-    kernels, no row that forward takes in C reaches the numpy passes."""
+    kernels, no row reaches the numpy passes."""
     require_passes(fallback)
     net, rows = GREEDY_CASES[case]()
     with np.errstate(invalid="ignore"), forced_fallback():
@@ -545,9 +591,7 @@ def test_greedy_action_is_the_argmax_of_forward(case, fallback, monkeypatch):
     if case in ("tied-maxima", "nan-row"):  # 0 for the row holding a NaN
         top = 7 if case == "tied-maxima" else 40
         assert expected == [top] * 6 + [0, top]
-    if not fallback:  # a strided row is forward's to hand to numpy
-        kept = [i for i, x in enumerate(rows) if np.asarray(x, dtype=np.float64).flags.c_contiguous]
-        rows, expected = [rows[i] for i in kept], [expected[i] for i in kept]
+    if not fallback:
         monkeypatch.setattr(DuelingQNetwork, "_forward", None)
     with np.errstate(invalid="ignore"), on_path(fallback):
         assert [net.greedy_action(x) for x in rows] == expected
@@ -714,6 +758,26 @@ def test_a_changed_key_builds_a_new_library(tmp_path, monkeypatch):
     assert [len(names) for names in built] == [1, 2, 3]
 
 
+def test_a_build_deletes_only_libraries_unloaded_for_the_age_limit(tmp_path, monkeypatch):
+    """A miss deletes a stale library and keeps a recent one and other
+    files; a hit refreshes the loaded library's time, so it never ages out."""
+    require_compiler()
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setattr(kernels, "CACHE_DIR", cache)
+    now = time.time()
+    ages = {"_kernels-stale.so": kernels.MAX_AGE_S + 60, "_kernels-recent.so": kernels.MAX_AGE_S - 3600, "notes": 10**9}
+    for name, age in ages.items():
+        (cache / name).write_bytes(b"")
+        os.utime(cache / name, (now - age, now - age))
+    assert kernels._build() is not None
+    built = f"_kernels-{kernels.cache_key(kernels.compiler())}.so"
+    assert cached_libraries(cache) == sorted([built, "_kernels-recent.so", "notes"])
+    os.utime(cache / built, (now - 2 * kernels.MAX_AGE_S, now - 2 * kernels.MAX_AGE_S))
+    assert kernels._build() is not None
+    assert (cache / built).stat().st_mtime > now - 60
+
+
 @pytest.mark.parametrize("where", ["under-a-file", "holding-a-bad-library"])
 def test_a_cache_that_cannot_serve_still_builds(tmp_path, monkeypatch, where):
     """A cache directory that cannot be made, or whose library for the key
@@ -830,12 +894,15 @@ def test_adam_on_stuck_moments_matches_the_numpy_path(t0, lr, fallback):
 
 
 def test_adam_kernels_refuse_a_mismatched_vector():
+    """On the kernels and on the fallback alike, leaving the step count."""
     net = toy_net(seed=29)
     opt = Adam(net.params, lr=0.1)
     require_kernels()
-    for bad in (np.zeros(net.params.flat.size + 1), np.zeros(net.params.flat.size, np.float32)):
-        with pytest.raises(ValueError, match="contiguous float64"):
-            opt.step(net.params, FlatParams(bad, net.params.shapes))
+    for fallback in (False, True):
+        for bad in (np.zeros(net.params.flat.size + 1), np.zeros(net.params.flat.size, np.float32)):
+            with on_path(fallback), pytest.raises(ValueError, match="contiguous float64"):
+                opt.step(net.params, FlatParams(bad, net.params.shapes))
+    assert opt.t == 0
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
