@@ -7,10 +7,11 @@ packages are imported into this one process under distinct module names,
 and a case calls the same entry point of each on the same inputs for
 ROUNDS rounds, alternating which side runs first. A round whose two
 outputs differ in any bit is refused. The report is one line naming the
-machine, the numpy and BLAS builds, the OpenBLAS configuration in use (it
-names the CPU kernel OpenBLAS dispatched to, which decides the training
-bytes), the BLAS thread count, the base commit and, per side, whether its learner ran on the compiled kernels of
-`iovslice.dqn.kernels` (and which compiler built them) or on the numpy
+machine, the numpy and BLAS builds, the OpenBLAS configuration in use
+(side B's `kernels.openblas_config`, which names the CPU kernel OpenBLAS
+dispatched to, which decides the training bytes), the BLAS thread count,
+the base commit and, per side, whether its learner ran on the compiled
+kernels of `iovslice.dqn.kernels` (and which compiler built them) or on the numpy
 fallback, and whether its network passes called numpy's BLAS from those
 kernels or ran as numpy code, over a table of each side's median time and
 the median paired ratio B / A with a bootstrap interval over the rounds, so
@@ -22,22 +23,28 @@ invocations: on a shared VM the medians of separate runs drift (two runs
 On the learner's cases a B/A near 1 does not resolve, and a tree timed
 against itself does not give their zero. On a 2-vCPU x86-64 VM (numpy
 2.4, OpenBLAS 0.3.31 on its SkylakeX kernel, one BLAS thread), eight runs
-of a clean clone against its own HEAD read these medians, and trees that
-leave a case's code as it was moved them as far:
+(three for the Adam cases and cmd_train) of a clean clone against its own
+HEAD read these medians, and trees that leave a case's code as it was
+moved them as far:
 
   case             time per timed call   tree against itself   code of the case unchanged
   forward_row      0.8-1.1 ms            0.99-1.08             -
   forward_batch    6-9 ms                0.89-0.95             0.99-1.02
   loss_and_grads   20-30 ms              0.98-1.00             1.00-1.03
-  train_update     47-51 ms              1.00-1.02             0.99
+  train_update     47-62 ms              0.99-1.02             0.97-1.00
   greedy_episode   1.7-1.9 ms            0.92-0.97             1.07
+  adam_early       15-18 ms              0.99-1.00             -
+  adam_late        8-10 ms               1.00                  -
+  adam_stuck       11-13 ms              1.00                  -
+  cmd_train        0.50-0.56 s           0.99-1.00             0.98-1.01
 
 The last column's trees dropped two unused attributes of `mlp._Buffers`
 (forward_batch 0.99-1.00), or added a comment to `_kernels.c`, so that each
 side loads its own library. So forward_row, forward_batch and
-greedy_episode resolve only a change beyond about 10% either way, and
-loss_and_grads and train_update one beyond about 3%; below that, time the
-two trees apart, one process each (as `perfbench` does), or count work.
+greedy_episode resolve only a change beyond about 10% either way,
+loss_and_grads, train_update and cmd_train one beyond about 3%, and the
+Adam cases one beyond about 1%; below that, time the two trees apart, one
+process each (as `perfbench` does), or count work.
 
 Run from the repository root; BLAS runs one thread unless
 OPENBLAS_NUM_THREADS says otherwise:
@@ -104,12 +111,17 @@ The learner cases run at the default sizes (73 inputs, hidden (256, 128,
   `update_priorities`. Outputs are the parameter bytes, the tree's nodes and
   `max_priority`.
 - `adam_early`, `adam_late` (xCALLS): one `Adam` step over every parameter
-  from t = 0 (t < 356: both bias corrections divide) and from t = 40,000
-  (t > 37,412: both have rounded to 1.0).
-- `adam_stuck` (xCALLS): the `adam_late` step on a state where every tenth
-  element has a zero gradient and a first moment of +-k * 2^-1074, k in
-  1..5, stuck at a fixed point of m * 0.9 as dead units' moments get in a
-  long training; outputs are the parameters and both moments.
+  from zero moments at t = 0 (t < 356: both bias corrections divide) and
+  at t = 40,000 (t > 37,412: both have rounded to 1.0). `adam_late` has no
+  stuck moment, a state the default run never reaches (its dead units'
+  moments reach the subnormals by update 6,490), and it is the cheapest
+  step, so the stuck-moment tests every step makes weigh most there:
+  against a tree that made them only after an underflow it reads about
+  1.2 (1.19-1.34).
+- `adam_stuck` (xCALLS): the `adam_late` step on the default run's late
+  state: every tenth element has a zero gradient and a first moment of
+  +-k * 2^-1074, k in 1..5, stuck at a fixed point of m * 0.9 as dead
+  units' moments are; outputs are the parameters and both moments.
 - `loss_and_grads` (xCALLS): `DuelingQNetwork.loss_and_grads` on one batch.
 - `forward_row` (xCALLS): `int(net.forward(obs).argmax())`, the action
   `DuelingQNetwork.greedy_action` picks, with the committed checkpoint of
@@ -130,7 +142,6 @@ The oracle case:
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import gc
 import hashlib
@@ -557,20 +568,13 @@ CASES: dict[str, Case] = {
 }
 
 
-def machine_line(base: str) -> str:
+def machine_line(base: str, pkg: ModuleType) -> str:
     """The machine, the numpy and BLAS builds, the OpenBLAS configuration in
-    use (it names the CPU kernel OpenBLAS dispatched to on this machine,
-    which `np.show_config`'s build-time string does not), the BLAS thread
-    count and the commit `base` resolves to."""
+    use as `pkg`'s `kernels.openblas_config` reads it (it names the CPU
+    kernel OpenBLAS dispatched to on this machine), the BLAS thread count
+    and the commit `base` resolves to."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    try:
-        from numpy._core import _multiarray_umath
-
-        get_config = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_config64_
-        get_config.restype = ctypes.c_char_p
-        config = get_config().decode()
-    except (ImportError, OSError, AttributeError):  # numpy not built on the ILP64 scipy-openblas
-        config = "configuration in use unknown"
+    config = pkg.dqn.kernels.openblas_config() or "configuration in use unknown"
     commit = subprocess.run(
         ["git", "rev-parse", "--verify", f"{base}^{{commit}}"], cwd=ROOT, capture_output=True, text=True, check=True
     ).stdout.strip()
@@ -616,11 +620,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--case", choices=sorted(CASES), required=True)
     args = parser.parse_args(argv)
     case = CASES[args.case]
-    header = machine_line(args.base)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         a = load_package(extract_src(args.base, work / "base"), "iovslice_ab_a")
         b = load_package(ROOT / "src", "iovslice_ab_b")
+        header = machine_line(args.base, b)
         case(a, 0, work)()  # warm both sides: imports, caches, first allocations
         case(b, 0, work)()
         times_a, times_b = interleave(lambda r: case(a, r, work), lambda r: case(b, r, work), ROUNDS)

@@ -36,20 +36,20 @@
  * fixed point m = +-k * 2^-1074 (k <= 5 at beta1 = 0.9), where every later
  * step multiplies, scales and divides subnormals, each operation a slow
  * microcode assist on x86. In the default training thousands of moments
- * sit there from about update 17,000 on, and the plain pass took twice as
- * long. For such an element (g = +-0, 1 <= k <= the bound `stuck_moments`
- * finds with this call's beta1, b1t and lr) the plain pass computes
- * mi = m * beta1 + g * c1 = m (the fixed point, plus a signed zero, which
- * leaves a nonzero m as it is) and num = (mi [/ b1t]) * lr = the zero of
- * m's sign (the bound holds only where k's num rounds to +0), so the
- * careful pass writes exactly those two values without computing them; v,
- * den and p - num / den it computes as the plain pass does. Every other
- * element takes the plain pass's operations.
- * The careful pass costs integer tests per element, so it runs only after
- * a pass that raised FE_UNDERFLOW (a moment or its step decaying into the
- * subnormals) or read a stuck element; the caller's flags are restored.
- * A moment still decaying (k above the bound) keeps the slow exact path.
- * Either pass gives the same bytes, so the choice moves only time.
+ * sit there from about update 17,000 on, and a pass that computed them
+ * took twice as long. For such an element (g = +-0, 1 <= k <= the bound
+ * `stuck_moments` finds with this call's beta1, b1t and lr) the formulas
+ * give mi = m * beta1 + g * c1 = m (the fixed point, plus a signed zero,
+ * which leaves a nonzero m as it is) and num = (mi [/ b1t]) * lr = the
+ * zero of m's sign (the bound holds only where k's num rounds to +0), so
+ * the pass writes exactly those two values without computing them; v,
+ * den and p - num / den it computes as for every other element. Every
+ * pass makes these integer tests, stuck moments or not: in the default
+ * run moments decay into the subnormals or sit stuck in every step from
+ * update 6,490 on, and before that the tests cost at most a few percent
+ * of a step; only a late state with nothing stuck, which that run never
+ * reaches, pays 15-20%. A moment still decaying (k above the bound)
+ * keeps the slow exact path.
  *
  * The network's passes (`dueling_forward`, `dueling_loss_and_grads`, and
  * `dueling_greedy`, a row's forward pass and numpy's argmax of its Q) are
@@ -105,7 +105,6 @@
  * one, and `train` stops at a non-finite loss before a step reads it.
  */
 
-#include <fenv.h>
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
@@ -147,28 +146,25 @@ static inline uint64_t below(uint64_t x, uint64_t s)
  * correction that has rounded to exactly 1.0 is not divided by, as `Adam`
  * says (`divide1`, `divide2`).
  *
- * With `stuck` set it is the same step with stuck first moments read as
- * +0: an element with g = +-0 and m = +-k * 2^-1074, 1 <= k <= stuck. The
- * caller makes `stuck` the `stuck_moments` bound, under which such an m
- * is a fixed point of m * beta1 and its step's num is the zero of m's
- * sign, so the pass writes m back, the signed zero as num, and v and p by
- * the usual formulas: the bytes of the plain pass, without its
- * subnormal operations. The tests are integer ones on the bits (`below`):
- * a floating-point comparison in the loop keeps gcc from vectorising it.
- * Returns the number of elements read as stuck. */
-static inline __attribute__((always_inline)) int64_t
+ * Stuck first moments are read as +0: an element with g = +-0 and
+ * m = +-k * 2^-1074, 1 <= k <= stuck, the `stuck_moments` bound, under
+ * which such an m is a fixed point of m * beta1 and its step's num is the
+ * zero of m's sign, so the pass writes m back, the signed zero as num, and
+ * v and p by the usual formulas: the bytes of the formulas, without their
+ * subnormal operations. The tests are integer ones on the bits (`below`),
+ * made on every element with no branch: a floating-point comparison or an
+ * `if` in the loop keeps gcc from vectorising it, and at stuck = 0 `keep`
+ * is 0 everywhere. */
+static inline __attribute__((always_inline)) void
 adam_pass(double *restrict p, double *restrict m, double *restrict v,
           const double *restrict g, int64_t n, double beta1, double c1,
           double beta2, double c2, double lr, double b1t, double b2t,
           double eps, int divide1, int divide2, uint64_t stuck)
 {
-    int64_t count = 0;
     for (int64_t i = 0; i < n; i++) {
-        uint64_t mb = bits_of(m[i]), keep = 0; /* keep: all ones where stuck */
-        if (stuck) {
-            keep = -(below(bits_of(g[i]) << 1, 1) & below((mb & ~SIGN_BIT) - 1, stuck));
-            count += keep & 1;
-        }
+        uint64_t mb = bits_of(m[i]);
+        /* all ones where the element is stuck, else 0 */
+        uint64_t keep = -(below(bits_of(g[i]) << 1, 1) & below((mb & ~SIGN_BIT) - 1, stuck));
         double mi = of_bits(mb & ~keep) * beta1 + g[i] * c1;
         double vi = v[i] * beta2 + (g[i] * g[i]) * c2;
         m[i] = of_bits((bits_of(mi) & ~keep) | (mb & keep));
@@ -178,7 +174,6 @@ adam_pass(double *restrict p, double *restrict m, double *restrict v,
         double den = sqrt(divide2 ? vi / b2t : vi) + eps;
         p[i] = p[i] - num / den;
     }
-    return count;
 }
 
 /* The bound of stuck moments at this call's beta1, b1t and lr: the
@@ -199,35 +194,21 @@ static uint64_t stuck_moments(double beta1, double lr, double b1t, int divide1)
     return bits_of(num) == 0 ? k : 0;
 }
 
-/* Adam's step (`adam_pass`), the plain pass or, where `careful` is set and
- * `stuck_moments` finds a bound, the one that reads stuck moments as +0.
- * Returns whether the next call should be careful: whether this pass read
- * an element as stuck or raised FE_UNDERFLOW, which a moment decaying into
- * the subnormals raises. The caller's floating-point flags are left as
- * they were. */
-int64_t adam_step(double *p, double *m, double *v, const double *g, int64_t n,
-                  double beta1, double c1, double beta2, double c2,
-                  double lr, double b1t, double b2t, double eps,
-                  int64_t careful)
+/* Adam's step (`adam_pass`) with the `stuck_moments` bound of this call,
+ * in the instance of its two divides. */
+void adam_step(double *p, double *m, double *v, const double *g, int64_t n,
+               double beta1, double c1, double beta2, double c2,
+               double lr, double b1t, double b2t, double eps)
 {
     int d1 = b1t != 1.0, d2 = b2t != 1.0;
-    fexcept_t flags;
-    fegetexceptflag(&flags, FE_UNDERFLOW);
-    uint64_t stuck = careful ? stuck_moments(beta1, lr, b1t, d1) : 0;
-    feclearexcept(FE_UNDERFLOW);
-    int64_t count;
-#define ADAM_PASS(d1, d2, stuck) \
+    uint64_t stuck = stuck_moments(beta1, lr, b1t, d1);
+#define ADAM_PASS(d1, d2) \
     adam_pass(p, m, v, g, n, beta1, c1, beta2, c2, lr, b1t, b2t, eps, d1, d2, stuck)
-    if (stuck)
-        count = d1 ? (d2 ? ADAM_PASS(1, 1, stuck) : ADAM_PASS(1, 0, stuck))
-                   : (d2 ? ADAM_PASS(0, 1, stuck) : ADAM_PASS(0, 0, stuck));
+    if (d1)
+        d2 ? ADAM_PASS(1, 1) : ADAM_PASS(1, 0);
     else
-        count = d1 ? (d2 ? ADAM_PASS(1, 1, 0) : ADAM_PASS(1, 0, 0))
-                   : (d2 ? ADAM_PASS(0, 1, 0) : ADAM_PASS(0, 0, 0));
+        d2 ? ADAM_PASS(0, 1) : ADAM_PASS(0, 0);
 #undef ADAM_PASS
-    int underflow = fetestexcept(FE_UNDERFLOW) != 0;
-    fesetexceptflag(&flags, FE_UNDERFLOW);
-    return count > 0 || underflow;
 }
 
 /* For each k: descend the heap-layout tree `nodes` from the root with the

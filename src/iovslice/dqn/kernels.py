@@ -61,7 +61,7 @@ _P = ctypes.c_void_p
 _N = ctypes.c_int64
 _F = ctypes.c_double
 _SIGNATURES = {
-    "adam_step": (_N, [_P, _P, _P, _P, _N, _F, _F, _F, _F, _F, _F, _F, _F, _N]),
+    "adam_step": (None, [_P, _P, _P, _P, _N, _F, _F, _F, _F, _F, _F, _F, _F]),
     "tree_find_many": (None, [_P, _N, _P, _F, _N, _N, _P, _P]),
     "tree_set_many": (_N, [_P, _N, _P, _P, _N]),
     "blas_bind": (None, [_P, _P, _P]),
@@ -107,20 +107,33 @@ def blas() -> ctypes.CDLL | None:
     if lib is None:
         return None
     if _blas is _UNSET:
-        _blas = _bind_blas(lib)
+        functions = [_numpy_function(name) for name in BLAS_SYMBOLS]
+        _blas = None not in functions
+        if _blas:
+            lib.blas_bind(*(ctypes.cast(fn, _P).value for fn in functions))
     return lib if _blas else None
 
 
-def _bind_blas(lib: ctypes.CDLL) -> bool:
+def _numpy_function(name: str) -> ctypes._CFuncPtr | None:
+    """The function `name` that numpy's `_multiarray_umath` exports, found
+    through the loaded module's handle; None where it exports none."""
     try:
         from numpy._core import _multiarray_umath
 
-        numpy_ext = ctypes.CDLL(_multiarray_umath.__file__)  # the loaded module's handle
-        addresses = [ctypes.cast(getattr(numpy_ext, name), _P).value for name in BLAS_SYMBOLS]
+        return getattr(ctypes.CDLL(_multiarray_umath.__file__), name)
     except (ImportError, OSError, AttributeError):
-        return False
-    lib.blas_bind(*addresses)
-    return True
+        return None
+
+
+def openblas_config() -> str | None:
+    """The configuration of the OpenBLAS numpy calls, which names the CPU
+    kernel it dispatched to here (that kernel decides the training bytes;
+    `np.show_config` names the build machine's); None where numpy is not
+    built on the ILP64 scipy-openblas."""
+    if (get_config := _numpy_function("scipy_openblas_get_config64_")) is None:
+        return None
+    get_config.restype = ctypes.c_char_p
+    return get_config().decode()
 
 
 def compiler() -> list[str]:

@@ -285,11 +285,11 @@ class Adam:
 
     A step is the per-tensor formula p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
     over FlatParams.flat, in one pass of `_kernels.c` that reads and writes
-    each element once. After a pass that underflowed, the next one skips the
-    subnormal arithmetic of first moments stuck at a fixed point of
-    m * beta1, with the same bytes (`_kernels.c`'s header says why). Where
-    `kernels.library` builds nothing it is a fixed sequence of in-place
-    ufuncs over two scratch vectors, allocated on its first step.
+    each element once and skips the subnormal arithmetic of first moments
+    stuck at a fixed point of m * beta1, with the same bytes (`_kernels.c`'s
+    header says why). Where `kernels.library` builds nothing it is a fixed
+    sequence of in-place ufuncs over two scratch vectors, allocated on its
+    first step.
 
     The moment decay rates and eps are ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
     A bias correction 1 - beta**t rounds to exactly 1.0 once beta**t <= 2**-54
@@ -305,7 +305,6 @@ class Adam:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self._scratch: tuple[np.ndarray, np.ndarray] | None = None
-        self._careful = 0  # the kernel's last verdict: whether its next pass looks for stuck moments
 
     def step(self, params: FlatParams, grads: FlatParams) -> None:
         p, g, m, v = params.flat, grads.flat, self.m, self.v
@@ -317,10 +316,9 @@ class Adam:
         b2t = 1.0 - ADAM_BETA2**self.t
         lib = kernels.library()
         if lib is not None:
-            self._careful = lib.adam_step(
+            lib.adam_step(
                 p.ctypes.data, m.ctypes.data, v.ctypes.data, g.ctypes.data, m.size,
                 ADAM_BETA1, 1.0 - ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA2, self.lr, b1t, b2t, ADAM_EPS,
-                self._careful,
             )
             return
         if self._scratch is None:

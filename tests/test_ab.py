@@ -107,7 +107,7 @@ def test_every_case_gives_equal_outputs_on_two_copies(two_copies, tmp_path, name
 
 
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout")
-def test_header_names_the_openblas_kernel_in_use():
+def test_header_names_the_openblas_kernel_in_use(two_copies):
     """The CPU kernel OpenBLAS dispatched to decides the training bytes, and
     it can differ between runs of one numpy build on different machines."""
     try:
@@ -117,7 +117,7 @@ def test_header_names_the_openblas_kernel_in_use():
     except (ImportError, OSError, AttributeError):
         pytest.skip("numpy is not built on the ILP64 scipy-openblas")
     corename.restype = ctypes.c_char_p
-    header = ab.machine_line("HEAD")
+    header = ab.machine_line("HEAD", two_copies[1])
     assert re.search(rf"\(OpenBLAS [^)]* {re.escape(corename().decode())} MAX_THREADS=\d+\)", header), header
 
 

@@ -3,15 +3,18 @@
 One full default-configuration training run backs criteria 1-5; it is cached
 per session (and on disk under .acceptance-cache keyed by the config) because
 it takes minutes, not because any tolerance depends on it. Beside the cached
-checkpoint sits the training stamp of the code that trained it; a learner
-whose stamp differs retrains the cache. Each criterion prints a PASS/FAIL
-line so a log scan shows the whole gate at a glance.
+checkpoint sit the training stamp of the code that trained it and the
+OpenBLAS configuration it ran on; a learner whose stamp differs retrains
+into a temporary directory and leaves the cache as it is. Each criterion
+prints a PASS/FAIL line so a log scan shows the whole gate at a glance.
 """
 
 import dataclasses
 import hashlib
 import math
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,7 @@ from scipy import stats as scipy_stats
 from iovslice import baselines as bl
 from iovslice import cli, phy
 from iovslice.config import RunConfig, serialize_config
-from iovslice.dqn import DuelingQNetwork, TrainConfig, greedy_episode, load_checkpoint
+from iovslice.dqn import DuelingQNetwork, TrainConfig, greedy_episode, kernels, load_checkpoint
 from iovslice.dqn.replay import PrioritizedReplay
 from iovslice.env import EnvConfig, SlicingEnv
 from iovslice.worlds import WorkloadConfig
@@ -69,24 +72,48 @@ def cache_paths(cfg: RunConfig) -> tuple[Path, Path, Path]:
     return out_dir / "checkpoint.bin", out_dir / "training_log.csv", out_dir / "stamp.sha256"
 
 
-@pytest.fixture(scope="session")
-def trained(default_cfg):
-    """Full default training run and the DQL eval CSVs of its checkpoint.
+def cached_run(cfg: RunConfig, stamp: str, scratch: Path) -> tuple[Path, Path, Path]:
+    """The checkpoint and training log of `cfg`'s full training run, and the
+    directory whose `eval-default` and `eval-sizes` hold the DQL eval CSVs
+    of that checkpoint.
 
-    They are regenerated when missing or when today's training stamp differs
-    from the committed one: then the learner's arithmetic has changed, and
-    the cached checkpoint is not what this code would train."""
-    ckpt, log, stamp_path = cache_paths(default_cfg)
-    stamp = training_stamp(default_cfg)
-    stale = not (ckpt.exists() and log.exists() and stamp_path.exists()) or stamp_path.read_text().strip() != stamp
-    if stale:
-        cli.cmd_train(default_cfg, ckpt.parent, quiet=True)
+    Where the cache lacks the checkpoint, the log or the stamp, the run is
+    regenerated into it, with today's `stamp` and the OpenBLAS configuration
+    in use beside the checkpoint. Where the committed stamp differs from
+    `stamp`, this code trains other bytes (a changed learner, or another
+    OpenBLAS CPU kernel), so the run goes to `scratch` instead and a warning
+    names both configurations: committed files are never overwritten, and
+    deleting the cache is the one way to refresh it."""
+    ckpt, log, stamp_path = cache_paths(cfg)
+    blas_path = stamp_path.with_name("openblas.txt")
+    blas = kernels.openblas_config() or "unknown"
+    root, fresh = CACHE_DIR, True
+    if not (ckpt.exists() and log.exists() and stamp_path.exists()):
+        cli.cmd_train(cfg, ckpt.parent, quiet=True)
         stamp_path.write_text(stamp + "\n")
+        blas_path.write_text(blas + "\n")
+    elif stamp_path.read_text().strip() != stamp:
+        committed = blas_path.read_text().strip() if blas_path.exists() else "not recorded"
+        warnings.warn(
+            f"the training stamp differs from the committed one, so the default run is retrained into {scratch};"
+            f" OpenBLAS of the committed run: {committed}; in use: {blas}"
+        )
+        root = scratch
+        ckpt, log = cli.cmd_train(cfg, root / ckpt.parent.name, quiet=True)
+    else:
+        fresh = False
     for sweep, name in (("none", "eval-default"), ("sizes", "eval-sizes")):
-        dql = CACHE_DIR / name / "dql.csv"
-        if stale or not dql.exists():
-            cli.cmd_eval(default_cfg, ckpt, dql, episodes=EVAL_EPISODES, sweep=sweep)
-    return ckpt, log
+        dql = root / name / "dql.csv"
+        if fresh or not dql.exists():
+            cli.cmd_eval(cfg, ckpt, dql, episodes=EVAL_EPISODES, sweep=sweep)
+    return ckpt, log, root
+
+
+@pytest.fixture(scope="session")
+def trained(default_cfg, tmp_path_factory):
+    """Full default training run and the DQL eval CSVs of its checkpoint,
+    from the cache where today's training stamp matches it (`cached_run`)."""
+    return cached_run(default_cfg, training_stamp(default_cfg), tmp_path_factory.mktemp("acceptance-cache"))
 
 
 def read_log(path: Path):
@@ -98,9 +125,8 @@ def read_log(path: Path):
 @pytest.fixture(scope="session")
 def eval_rows(default_cfg, trained):
     """Paired-seed evaluation at the default point: DQL plus all baselines."""
-    out_dir = CACHE_DIR / "eval-default"
-    dql = out_dir / "dql.csv"
-    base = out_dir / "baselines.csv"
+    dql = trained[2] / "eval-default" / "dql.csv"
+    base = CACHE_DIR / "eval-default" / "baselines.csv"
     if not base.exists():
         cli.cmd_baseline(
             default_cfg, list(bl.BASELINE_NAMES), base, episodes=EVAL_EPISODES, sweep="none"
@@ -140,6 +166,41 @@ def test_training_stamp_runs_reach_every_learner_branch(default_cfg, tmp_path, m
         assert float(read_log(log)[-1]["epsilon"]) == run.train.eps_end
 
 
+def test_a_differing_stamp_retrains_beside_the_cache(default_cfg, tmp_path, monkeypatch):
+    """An empty cache is filled, with the stamp and the OpenBLAS
+    configuration; a matching stamp reuses it; a differing one trains and
+    evaluates into the scratch directory, names both configurations and
+    leaves every cached file as it was."""
+    calls = []
+
+    def write(path, what):
+        calls.append(what)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(f"{what} {len(calls)}")
+        return path
+
+    def train(cfg, out, quiet):
+        return write(out / "checkpoint.bin", "train"), write(out / "training_log.csv", "log")
+
+    monkeypatch.setattr(cli, "cmd_train", train)
+    monkeypatch.setattr(cli, "cmd_eval", lambda cfg, ckpt, out, episodes, sweep: write(out, f"eval {ckpt.read_text()}"))
+    monkeypatch.setattr(kernels, "openblas_config", lambda: "OpenBLAS Here")
+    monkeypatch.setattr(sys.modules[__name__], "CACHE_DIR", tmp_path / "cache")
+    ckpt, log, stamp_path = cache_paths(default_cfg)
+    assert cached_run(default_cfg, "one", tmp_path / "scratch") == (ckpt, log, tmp_path / "cache")
+    assert stamp_path.read_text() == "one\n" and stamp_path.with_name("openblas.txt").read_text() == "OpenBLAS Here\n"
+    cached = {path: path.read_bytes() for path in (tmp_path / "cache").rglob("*") if path.is_file()}
+    assert len(cached) == 6 and len(calls) == 4
+    assert cached_run(default_cfg, "one", tmp_path / "scratch") == (ckpt, log, tmp_path / "cache")
+    assert len(calls) == 4
+    monkeypatch.setattr(kernels, "openblas_config", lambda: "OpenBLAS Elsewhere")
+    with pytest.warns(UserWarning, match="committed run: OpenBLAS Here; in use: OpenBLAS Elsewhere"):
+        ckpt2, _, root = cached_run(default_cfg, "two", tmp_path / "scratch")
+    assert root == tmp_path / "scratch" and ckpt2 == root / ckpt.parent.name / "checkpoint.bin"
+    assert (root / "eval-sizes" / "dql.csv").read_text() == "eval train 5 8"  # of the fifth call's checkpoint
+    assert {path: path.read_bytes() for path in (tmp_path / "cache").rglob("*") if path.is_file()} == cached
+
+
 def test_training_stamp_is_the_same_on_the_fallback(default_cfg, trained):
     *_, stamp_path = cache_paths(default_cfg)
     with forced_fallback():
@@ -159,7 +220,7 @@ def totals_by_algorithm(rows):
 
 
 def test_criterion_1_training_improvement(trained):
-    _, log_path = trained
+    _, log_path, _ = trained
     rows = read_log(log_path)
     assert len(rows) == 3000
     ma = {int(r["episode"]): r["moving_avg_200"] for r in rows}
@@ -223,11 +284,10 @@ def test_criterion_5_baseline_ordering(eval_rows):
 
 def test_cached_eval_rows_reproduce(default_cfg, trained, tmp_path):
     # the leading seed-0 rows of the committed eval CSVs, regenerated byte for byte
-    ckpt, _ = trained
-    cached = CACHE_DIR / "eval-default"
+    ckpt, _, evals = trained
     dql = cli.cmd_eval(default_cfg, ckpt, tmp_path / "dql.csv", episodes=3, sweep="none")
-    assert dql.read_bytes() == b"".join((cached / "dql.csv").read_bytes().splitlines(keepends=True)[:5])
-    committed = (cached / "baselines.csv").read_bytes().splitlines(keepends=True)
+    assert dql.read_bytes() == b"".join((evals / "eval-default" / "dql.csv").read_bytes().splitlines(keepends=True)[:5])
+    committed = (CACHE_DIR / "eval-default" / "baselines.csv").read_bytes().splitlines(keepends=True)
     for name in bl.BASELINE_NAMES:
         out = cli.cmd_baseline(default_cfg, [name], tmp_path / f"{name}.csv", episodes=20, sweep="none")
         rows = [line for line in committed if line.split(b",")[0] == name.encode()][:20]  # episodes 0-19
@@ -238,7 +298,7 @@ def test_cached_eval_rows_reproduce(default_cfg, trained, tmp_path):
 
 
 def test_criterion_4_size_trend(trained):
-    lines = (CACHE_DIR / "eval-sizes" / "dql.csv").read_text().splitlines()
+    lines = (trained[2] / "eval-sizes" / "dql.csv").read_text().splitlines()
     header = lines[1].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
     by_size: dict[int, list[float]] = {}
@@ -402,7 +462,7 @@ def test_criterion_8_determinism(tmp_path, trained):
     base_same = base_a.read_bytes() == base_b.read_bytes()
 
     # checkpoint round-trip on the full trained network: bit-identical outputs
-    full_ckpt, _ = trained
+    full_ckpt, _, _ = trained
     net = load_checkpoint(full_ckpt)
     reload_path = tmp_path / "reload.bin"
     from iovslice.dqn import save_checkpoint

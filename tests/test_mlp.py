@@ -733,10 +733,15 @@ def test_a_second_process_loads_the_cached_library_without_the_compiler(tmp_path
         "import shutil, sys; from pathlib import Path; from iovslice.dqn import kernels; "
         "kernels.CACHE_DIR = Path(sys.argv[1]); "
         "assert shutil.which(kernels.compiler()[0]) is None; "
-        "lib = kernels.library(); assert lib is not None and lib.adam_step.restype is not None; print(lib._name)"
+        "lib = kernels.library(); assert lib is not None and lib.dueling_greedy.restype is not None; print(lib._name)"
     )
     src = Path(kernels.__file__).resolve().parents[2]
-    env = {"PATH": str(tmp_path / "no-compiler"), "PYTHONPATH": str(src), "HOME": str(tmp_path)}
+    env = {
+        "PATH": str(tmp_path / "no-compiler"),
+        "PYTHONPATH": str(src),
+        "HOME": str(tmp_path),
+        "PYTHONDONTWRITEBYTECODE": "1",  # no bytecode caches left in src/
+    }
     run = subprocess.run([sys.executable, "-c", script, str(cache)], env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == str(cache / name)
@@ -856,10 +861,10 @@ SIGNED_ZEROS = slice(0, None, 8)
 @pytest.mark.parametrize("t0", [0, 353, 37_409], ids=["both-divide", "b1t-is-one-from-356", "both-one-from-37412"])
 def test_adam_on_stuck_moments_matches_the_numpy_path(t0, lr, fallback):
     """Twelve steps from stuck first moments, with gradients that keep them
-    stuck, then free them, then from stuck moments again, so the kernel's
-    pass switches both ways: parameters and both moments match the numpy
-    path bit for bit. At lr 0.5 a stuck moment's step is not zero, so the
-    kernel never reads a moment as stuck."""
+    stuck, then free them, then from stuck moments again: parameters and
+    both moments match the numpy path bit for bit. At lr 0.5 a stuck
+    moment's step is not zero, so the kernel never reads a moment as
+    stuck."""
     if not fallback:
         require_kernels()
     size = 4099
@@ -870,17 +875,15 @@ def test_adam_on_stuck_moments_matches_the_numpy_path(t0, lr, fallback):
     fast.m[...], fast.v[...], ref.m[...], ref.v[...] = m, v, m, v
     p_fast, p_ref = FlatParams(p.copy(), shapes), FlatParams(p.copy(), shapes)
     free = FlatParams(np.random.default_rng(78).normal(size=size), shapes)
-    careful = []
     for step in range(12):
         grads = free if step in (5, 6) else FlatParams(g, shapes)
-        if step == 7:  # stuck again, after a plain pass
+        if step == 7:  # stuck again, after two free steps
             fast.m[...] = ref.m[...] = m
         p_fast.flat[SIGNED_ZEROS] = p_ref.flat[SIGNED_ZEROS] = -0.0  # the caller's parameters
         with on_path(fallback):
             fast.step(p_fast, grads)
         with forced_fallback():
             ref.step(p_ref, grads)
-        careful.append(fast._careful)
         for a, b in ((p_fast.flat, p_ref.flat), (fast.m, ref.m), (fast.v, ref.v)):
             assert a.tobytes() == b.tobytes(), step
         if step == 4:  # the stuck moments stayed, the others decayed
@@ -889,8 +892,43 @@ def test_adam_on_stuck_moments_matches_the_numpy_path(t0, lr, fallback):
             assert held.sum() > 100 and ref.m[held].tobytes() == m[held].tobytes()
             assert np.all(np.abs(ref.m[tiny & ~held]) < np.abs(m[tiny & ~held]))
             assert set(np.signbit(p_ref.flat[SIGNED_ZEROS])) == {True, False}
-    if not fallback:  # the plain pass, then the careful one until step 6 finds nothing stuck, then both again
-        assert careful == [1] * 6 + [0] + [1] * 5
+
+
+@pytest.mark.parametrize("t0", [0, 353, 37_409], ids=["both-divide", "b1t-is-one-from-356", "both-one-from-37412"])
+def test_adam_on_moments_decaying_into_the_subnormals_matches_the_numpy_path(t0):
+    """First moments with g = +-0 that start normal, between just above
+    DBL_MIN and 1e-305, decay step by step across DBL_MIN through the
+    subnormals to their fixed point +-KFIX * 2^-1074: parameters and both
+    moments match the numpy path bit for bit at every step. The kernel's
+    steps raise FE_UNDERFLOW, and numpy, which clears the flags before each
+    ufunc, sees none of it."""
+    require_kernels()
+    size, steps = 1031, 440
+    rng = np.random.default_rng(79)
+    sign = np.where(rng.random(size) < 0.5, -1.0, 1.0)
+    p, v = rng.normal(size=size), rng.uniform(0.0, 1e-4, size=size)
+    m = sign * np.geomspace(1.01 * np.finfo(float).tiny, 1e-305, size)
+    g = sign[::-1] * 0.0
+    g[1::8] = rng.normal(scale=1e-2, size=g[1::8].size)  # moments that a gradient keeps normal
+    decaying = g == 0.0
+    shapes = [(size,)]
+    fast, ref = Adam(FlatParams(p, shapes), 1e-3), Adam(FlatParams(p, shapes), 1e-3)
+    fast.t = ref.t = t0
+    fast.m[...], fast.v[...], ref.m[...], ref.v[...] = m, v, m, v
+    p_fast, p_ref, grads = FlatParams(p.copy(), shapes), FlatParams(p.copy(), shapes), FlatParams(g, shapes)
+    fixed = np.zeros(steps, dtype=int)  # decaying moments at the fixed point after each step
+    for step in range(steps):
+        fast.step(p_fast, grads)
+        with forced_fallback():
+            ref.step(p_ref, grads)
+        for a, b in ((p_fast.flat, p_ref.flat), (fast.m, ref.m), (fast.v, ref.v)):
+            assert a.tobytes() == b.tobytes(), step
+        with np.errstate(under="raise"):
+            p_fast.flat + 1.0
+        fixed[step] = np.count_nonzero(np.abs(fast.m[decaying]) == KFIX * TINY)
+    assert fixed[0] == 0 and fixed[-1] == decaying.sum()
+    assert np.all(np.diff(fixed) >= 0) and np.count_nonzero(np.diff(fixed)) > 10  # they arrive over many steps
+    assert np.array_equal(np.signbit(fast.m[decaying]), sign[decaying] < 0)
 
 
 def test_adam_kernels_refuse_a_mismatched_vector():
