@@ -65,8 +65,12 @@ and SLOT is a slot inside its slice-2 window:
   start-of-episode ledger, every source on the air at 30 dBm with its
   slice-1 packet over 400 m, the sources spread over the resource blocks;
   each call through a fresh link of the episode's channel, so every group
-  and rate is solved. Outputs are each next ledger without its packets
-  (the input's, whose fields may differ between trees) and the effects.
+  and rate is solved (at the default m = 3, F = 2, one block carries two
+  sources and the other one). Outputs are each next ledger without its
+  packets (the input's, whose fields may differ between trees) and the
+  effects.
+- `apply_slot_shared` (xCALLS): the `apply_slot_cold` call with every
+  source on resource block 0, so every receiver runs SIC over all m.
 - `apply_slot_warm` (xCALLS): the same call through one link that has
   resolved it before: one memo lookup returns the slot's per-source
   effects, and what is left is the mask and one drain-and-mark loop.
@@ -275,12 +279,15 @@ def _fresh(pkg: ModuleType, cfg, link):
     return pkg.phy.EpisodeLink(link.chan, cfg.channel, cfg.env.slot_duration_s)
 
 
-def _apply_slot(warm: bool) -> Case:
+def _apply_slot(warm: bool, blocks: int | None = None) -> Case:
+    """Sources spread over `blocks` resource blocks, all of them when None."""
+
     def prepare(pkg: ModuleType, r: int, work: Path) -> Callable[[], object]:
         phy = pkg.phy
         cfg, (scenario, link) = _world(pkg, r)
         ledger = phy.DeliveryLedger.start(scenario.packets)
-        actions = [phy.SlotAction(pkg.scenario.SLICE_THROUGHPUT, 400.0, s % cfg.env.F, 30.0) for s in range(cfg.env.m)]
+        F = blocks or cfg.env.F
+        actions = [phy.SlotAction(pkg.scenario.SLICE_THROUGHPUT, 400.0, s % F, 30.0) for s in range(cfg.env.m)]
         if warm:
             phy.apply_slot(ledger, actions, link, SLOT)
         links = [link] * CALLS if warm else [_fresh(pkg, cfg, link) for _ in range(CALLS)]
@@ -540,6 +547,7 @@ def _brute_force_optimal(pkg: ModuleType, r: int, work: Path) -> Callable[[], ob
 
 CASES: dict[str, Case] = {
     "apply_slot_cold": _apply_slot(warm=False),
+    "apply_slot_shared": _apply_slot(warm=False, blocks=1),
     "apply_slot_warm": _apply_slot(warm=True),
     "evaluate_plan": _evaluate_plan,
     "action_mask": _action_mask,

@@ -4,6 +4,11 @@ Transmitters sharing a resource block are separated by successive interference
 cancellation at each receiver (`sic_sinr`), and a broadcast runs at the rate of
 its worst group member (`slot_rates`). This module alone knows how a slot is
 resolved, and each of its rules has one home:
+- `sic_sinr`, the SIC rule, which `slot_rates` runs per receiver of a
+  shared resource block;
+- `lone_rate`, the interference-free rate of a source alone on its block,
+  which is what SIC gives it; `slot_rates` and `EpisodeLink.lone_bits`
+  both read it;
 - the action space: `action_levels(F)`, its one mixed radix, and
   `action_table(F)`, every `SlotAction` one source can pick; the
   environment's action indices, the baselines' draws and the oracle's
@@ -57,16 +62,16 @@ def sic_sinr(
 ) -> dict[int, float]:
     """SINR per transmitter id under ideal SIC at one receiver.
 
-    transmitters: (id, received linear power) pairs. Decoding order is by
-    received power descending (ties by id ascending); the k-th decoded signal
-    sees only the weaker ones plus noise.
+    transmitters: (id, received linear power) pairs, ids distinct. Decoding
+    order is by received power descending (ties by id ascending); the k-th
+    decoded signal sees only the weaker ones plus noise. The solve walks
+    that order backwards, weakest first, as the reverse sort of the plain
+    (-power, id) pairs, accumulating what is left to interfere.
     """
-    if not transmitters:
-        return {}
-    ordered = sorted(transmitters, key=lambda e: (-e[1], e[0]))
     out: dict[int, float] = {}
     tail = 0.0  # interference left after cancelling everything stronger
-    for tid, p in reversed(ordered):
+    for neg_p, tid in sorted([(-p, tid) for tid, p in transmitters], reverse=True):
+        p = -neg_p
         out[tid] = p / (tail + noise_lin)
         tail += p
     return out
@@ -76,6 +81,29 @@ def rate_bps(sinr: float, rb_bandwidth_hz: float) -> float:
     if sinr < 0:
         raise ValueError("sinr must be nonnegative")
     return rb_bandwidth_hz * math.log2(1.0 + sinr)
+
+
+def lone_rate(
+    p_mw: float,
+    gain_src: np.ndarray | Sequence,  # (n, F) linear gains from the source, read as gain_src[d][f]
+    group: tuple[int, ...],
+    freq: int,
+    noise_mw: float,
+    rb_bandwidth_hz: float,
+) -> float:
+    """Broadcast rate of a source alone on resource block `freq`: the
+    interference-free rate to its group's worst member, min over the group
+    of p * g, divided by the noise; 0.0 for the empty group.
+
+    This is the rate `sic_sinr` gives a lone transmitter, whose tail is 0.0:
+    dividing by the positive noise is monotone, so the min taken before the
+    division is the min of the SINRs, float for float. Adding a transmitter
+    never raises a SIC SINR, so it also bounds the source's rate when it
+    shares its block.
+    """
+    if not group:
+        return 0.0
+    return rate_bps(min([p_mw * gain_src[d][freq] for d in group]) / noise_mw, rb_bandwidth_hz)
 
 
 def in_coverage(dist_m: np.ndarray, coverage_m: np.ndarray | float) -> np.ndarray:
@@ -192,24 +220,31 @@ def slot_rates(
     """Broadcast rate per source: min over its group of the member's SIC rate.
 
     Sources with PKT_NONE are off the air; an on-air source with an empty
-    group still radiates interference but earns rate zero.
+    group still radiates interference but earns rate zero. The on-air
+    sources are bucketed by resource block: a source alone on its block
+    takes `lone_rate`, and a shared block runs `sic_sinr` once per receiver
+    in its sources' groups.
     """
-    m = len(effective)
-    sending = [s for s in range(m) if effective[s][0] != PKT_NONE]
-    rates = [0.0] * m
-    sinr_cache: dict[tuple[int, int], dict[int, float]] = {}
-    for src in sending:
-        _, group, freq, _ = effective[src]
-        if not group:
+    rates = [0.0] * len(effective)
+    blocks: dict[int, list[int]] = {}
+    for src, e in enumerate(effective):
+        if e[0] != PKT_NONE:
+            blocks.setdefault(e[2], []).append(src)
+    for freq, sources in blocks.items():
+        if len(sources) == 1:
+            src = sources[0]
+            _, group, _, p_mw = effective[src]
+            rates[src] = lone_rate(p_mw, gain_slot[src], group, freq, noise_mw, rb_bandwidth_hz)
             continue
-        worst = math.inf
-        for d in group:
-            key = (d, freq)
-            if key not in sinr_cache:
-                txs = [(s, effective[s][3] * gain_slot[s][d][freq]) for s in sending if effective[s][2] == freq]
-                sinr_cache[key] = sic_sinr(txs, noise_mw)
-            worst = min(worst, sinr_cache[key][src])
-        rates[src] = rate_bps(worst, rb_bandwidth_hz)
+        sinr: dict[int, dict[int, float]] = {}  # per receiver, per source
+        for src in sources:
+            for d in effective[src][1]:
+                if d not in sinr:
+                    sinr[d] = sic_sinr([(s, effective[s][3] * gain_slot[s][d][freq]) for s in sources], noise_mw)
+        for src in sources:
+            group = effective[src][1]
+            if group:
+                rates[src] = rate_bps(min([sinr[d][src] for d in group]), rb_bandwidth_hz)
     return rates
 
 
@@ -218,6 +253,7 @@ def slot_rates(
 OFF_AIR = SlotAction(PKT_NONE, 0.0, 0, SILENCE_POWER_DBM)
 
 _OFF_AIR_EFFECT: SourceEffect = (-1, 0.0, 0, 0.0)
+_OFF_AIR_INPUT = (PKT_NONE, (), 0, 0.0)  # an off-air source's entry of `slot_rates`' input
 
 
 def on_air(ledger: DeliveryLedger, src: int, act: SlotAction, slot: int) -> bool:
@@ -282,16 +318,13 @@ class EpisodeLink:
 
     def lone_bits(self, slot: int, src: int, group: tuple[int, ...], freq: int, p_mw: float) -> float:
         """Bits the slot carries for source `src` alone on resource block
-        `freq`, broadcasting at `p_mw` to `group`: the interference-free
-        rate to the group's worst member times the slot duration, 0.0 for
-        the empty group: the very floats `slot_rates` gives a source alone
-        on its RB, and an upper bound on its bits under SIC, of which the
-        swap search's and the oracle's tails for `reach` are made."""
-        if not group:
-            return 0.0
+        `freq`, broadcasting at `p_mw` to `group`: its `lone_rate` times the
+        slot duration, 0.0 for the empty group. `resolve` makes the very same
+        product for a source alone on its RB, and it is an upper bound on
+        the source's bits under SIC, of which the swap search's and the
+        oracle's tails for `reach` are made."""
         gain = self._slot_gains(slot)[src]
-        worst = min([p_mw * gain[d][freq] for d in group])
-        return rate_bps(worst / self.noise_mw, self.rb_bandwidth_hz) * self.slot_duration_s
+        return lone_rate(p_mw, gain, group, freq, self.noise_mw, self.rb_bandwidth_hz) * self.slot_duration_s
 
     def _slot_gains(self, slot: int) -> list:
         """The slot's (m, n, F) gains as nested Python floats, the very
@@ -311,20 +344,24 @@ class EpisodeLink:
         frequency and linear power, an off-air source neither transmits nor
         interferes, and within an episode the slot fixes the gains, so a hit
         returns the very floats a fresh `slot_rates` solve would, and the
-        bits are the same multiply made once per key."""
+        bits are the same multiply made once per key. A miss makes one
+        `slot_rates` call, looking up a group and a linear power only for
+        the on-air choices."""
         key = (slot, choices)
         hit = self._resolved.get(key)
         if hit is None:
-            groups = [self.group(src, c[1]) for src, c in enumerate(choices)]
-            effective = [(c[0], group, c[2], power_lin_mw(c[3])) for c, group in zip(choices, groups)]
+            effective, on = [_OFF_AIR_INPUT] * len(choices), []
+            for src, c in enumerate(choices):
+                if c[0] != PKT_NONE:
+                    effective[src] = (c[0], self.group(src, c[1]), c[2], power_lin_mw(c[3]))
+                    on.append(src)
             rates = slot_rates(effective, self._slot_gains(slot), self.noise_mw, self.rb_bandwidth_hz)
-            dt, masks = self.slot_duration_s, self._group_mask
-            hit = self._resolved[key] = tuple(
-                [
-                    _OFF_AIR_EFFECT if c[0] == PKT_NONE else (packet_index(src, c[0]), rate * dt, masks[group], rate)
-                    for src, (c, group, rate) in enumerate(zip(choices, groups, rates))
-                ]
-            )
+            dt, masks, effects = self.slot_duration_s, self._group_mask, [_OFF_AIR_EFFECT] * len(choices)
+            for src in on:
+                pkt, group, _, _ = effective[src]
+                rate = rates[src]
+                effects[src] = (packet_index(src, pkt), rate * dt, masks[group], rate)
+            hit = self._resolved[key] = tuple(effects)
         return hit
 
 

@@ -42,13 +42,33 @@ def forced_channel(scenario, gain_db, F=1, T=20):
     )
 
 
+def reference_rates(effective, gain_slot, noise_mw, rb_bandwidth_hz):
+    """Broadcast rate per source from first principles, with no resource
+    block bucketing and no lone-source shortcut: for each on-air source with
+    a non-empty group and each member d, `phy.sic_sinr` at d over every
+    on-air source on the source's block; the min over the group, through
+    `phy.rate_bps`. `effective` and `gain_slot` are `phy.slot_rates`'."""
+    sending = [s for s, e in enumerate(effective) if e[0] != phy.PKT_NONE]
+    rates = [0.0] * len(effective)
+    for src in sending:
+        _, group, freq, _ = effective[src]
+        if group:
+            on_block = [s for s in sending if effective[s][2] == freq]
+            worst = min(
+                phy.sic_sinr([(s, effective[s][3] * gain_slot[s][d][freq]) for s in on_block], noise_mw)[src]
+                for d in group
+            )
+            rates[src] = phy.rate_bps(worst, rb_bandwidth_hz)
+    return rates
+
+
 def reference_slot(ledger, actions, chan, cfg, slot, slot_duration_s):
     """One slot resolved from first principles, with no link table, no memo
     and no `phy.on_air`: drop a delivered packet and a safety packet outside
     its window (slice 1 has no window test here, so the uniform window rule
     is checked against generated packets), put nothing on the air for no
     packet, a radius of at most 0 or zero linear power, solve
-    `phy.slot_rates` on the effective choices, then drain and mark the
+    `reference_rates` on the effective choices, then drain and mark the
     reached destinations. Returns the ledger after the slot and one
     `phy.SourceEffect` per source: (packet index or -1, bits, group
     bitmask, rate)."""
@@ -63,7 +83,7 @@ def reference_slot(ledger, actions, chan, cfg, slot, slot_duration_s):
             effective.append((phy.PKT_NONE, (), 0, 0.0))
         else:
             effective.append((pkt, phy.coverage_group(chan.dist_m[src], coverage_m), freq, p_mw))
-    rates = phy.slot_rates(effective, chan.gain_lin[:, :, :, slot], noise_lin_mw(cfg), cfg.rb_bandwidth_hz)
+    rates = reference_rates(effective, chan.gain_lin[:, :, :, slot], noise_lin_mw(cfg), cfg.rb_bandwidth_hz)
     leftover, reached, effects = list(ledger.leftover_bits), list(ledger.reached), []
     for src, ((pkt, group, _, _), rate) in enumerate(zip(effective, rates)):
         if pkt == phy.PKT_NONE:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from iovslice import phy
@@ -11,7 +11,7 @@ from iovslice.env import EnvConfig
 from iovslice.scenario import Packet, RoadConfig, SLICE_SAFETY, SLICE_THROUGHPUT, packet_index
 from iovslice.worlds import TAG_EVAL, WorkloadConfig, WorldStream
 
-from conftest import forced_channel, hand_built_scenario, reference_slot, reference_useful
+from conftest import forced_channel, hand_built_scenario, reference_rates, reference_slot, reference_useful
 
 
 def test_sic_single_transmitter():
@@ -561,6 +561,106 @@ def test_apply_slot_matches_memo_free_reference(data):
             got = phy.apply_slot(start, column, link, t)
             assert _resolution(*got) == want
         ledger = got[0]
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    data=st.data(),
+    case=st.sampled_from(["mixed", "power_ties", "empty_groups", "one_block", "all_alone"]),
+    as_array=st.booleans(),
+)
+def test_slot_rates_match_first_principles_reference(data, case, as_array):
+    """`phy.slot_rates` gives `reference_rates`' floats bit for bit: on
+    mixed slots, where any source may be off the air, send at zero power or
+    reach no one; with received powers forced to tie at every receiver, so
+    SIC's order falls to the ids; with empty groups on the air; with every
+    source on one block; with every source alone on its own; and with the
+    gains as nested lists (the link's form) or as a strided numpy slice (a
+    `gain_lin[:, :, :, t]`)."""
+    event(case)
+    m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    F = m if case == "all_alone" else data.draw(st.integers(1, 3))
+    powers = [phy.power_lin_mw(p) for p in phy.POWER_LEVELS_DBM]  # silence first, at 0.0
+    if case == "power_ties":  # one gain per (receiver, block) for every source, one power for all
+        row = [[data.draw(st.floats(1e-13, 1e-6)) for _ in range(F)] for _ in range(n)]
+        gains = [row] * m
+        powers = [data.draw(st.sampled_from(powers[1:]))]
+    else:
+        gains = [[[data.draw(st.floats(1e-13, 1e-6)) for _ in range(F)] for _ in range(n)] for _ in range(m)]
+        powers = powers if case == "mixed" else powers[1:]
+    group = st.lists(st.integers(0, n - 1), unique=True).map(lambda g: tuple(sorted(g)))
+    empty = data.draw(st.sets(st.integers(0, m - 1), min_size=1)) if case == "empty_groups" else set()
+    effective = []
+    for s in range(m):
+        pkt = data.draw(st.integers(0, 2) if case == "mixed" else st.integers(1, 2))
+        freq = {"one_block": 0, "all_alone": s}.get(case, data.draw(st.integers(0, F - 1)))
+        p_mw = data.draw(st.sampled_from(powers))
+        effective.append((pkt, () if s in empty else data.draw(group), freq, p_mw))
+    if as_array:
+        gains = np.stack([np.zeros((m, n, F)), np.array(gains)], axis=-1)[:, :, :, 1]
+    cfg = ChannelConfig()
+    args = (effective, gains, noise_lin_mw(cfg), cfg.rb_bandwidth_hz)
+    got = phy.slot_rates(*args)
+    assert all(type(rate) is float for rate in got)
+    assert _bits(got) == _bits(reference_rates(*args))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_lone_on_air_source_resolves_to_its_lone_bits(data):
+    """A source that is the only one on the air on its resource block
+    carries exactly `EpisodeLink.lone_bits` in the resolved slot, bit for
+    bit, whoever else is off the air or on other blocks; a source that
+    shares its block carries no more."""
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    F, T = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    cfg = ChannelConfig()
+    workload = WorkloadConfig(deadline_len_slots=data.draw(st.integers(1, T)))
+    seed = data.draw(st.integers(0, 999))
+    sc, link = WorldStream(RoadConfig(), EnvConfig(m=m, n=n, F=F, T=T), cfg, workload, seed, TAG_EVAL)(0)
+    ledger = phy.DeliveryLedger.start(sc.packets)
+    t = data.draw(st.integers(0, T - 1))
+    choices = tuple(
+        data.draw(st.sampled_from([phy.OFF_AIR] + [a for a in phy.action_table(F) if phy.on_air(ledger, s, a, t)]))
+        for s in range(m)
+    )
+    on_block = [c[2] for c in choices if c[0] != phy.PKT_NONE]
+    for s, (c, (k, bits, _, _)) in enumerate(zip(choices, link.resolve(t, choices))):
+        if k < 0:
+            continue
+        lone = link.lone_bits(t, s, link.group(s, c[1]), c[2], phy.power_lin_mw(c[3]))
+        if on_block.count(c[2]) == 1:
+            event("a lone source")
+            assert bits.hex() == lone.hex()
+        else:
+            event("a shared block")
+            assert bits <= lone
+
+
+def test_resolve_calls_slot_rates_once_per_miss_and_never_on_a_hit(monkeypatch):
+    """Each memo miss of `EpisodeLink.resolve` is one `phy.slot_rates` call,
+    looked up on the module at call time, whatever its choices hold (all
+    off the air included), and a hit makes none."""
+    calls = []
+    real_slot_rates = phy.slot_rates
+    monkeypatch.setattr(phy, "slot_rates", lambda *args: calls.append(args) or real_slot_rates(*args))
+    env_cfg = EnvConfig()
+    sc, link = WorldStream(RoadConfig(), env_cfg, ChannelConfig(), WorkloadConfig(), 0, TAG_EVAL)(0)
+    ledger = phy.DeliveryLedger.start(sc.packets)
+    rng = np.random.default_rng(3)
+    table = phy.action_table(env_cfg.F)
+    columns = [(phy.OFF_AIR,) * env_cfg.m]
+    columns += [tuple(table[i] for i in rng.integers(len(table), size=env_cfg.m)) for _ in range(6)]
+    solved = set()
+    for t in range(4):
+        for column in columns * 2:
+            choices = tuple(act if phy.on_air(ledger, s, act, t) else phy.OFF_AIR for s, act in enumerate(column))
+            before = len(calls)
+            link.resolve(t, choices)
+            miss = (t, choices) not in solved
+            solved.add((t, choices))
+            assert len(calls) - before == miss
+    assert len(calls) == len(solved) > 4
 
 
 def test_prr_examples():
